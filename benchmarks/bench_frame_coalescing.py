@@ -47,7 +47,7 @@ def coalescing_run(f: int, coalescing: bool, colocated: bool = False,
                    depth: int = PIPELINE_DEPTH, seed: int = 7) -> dict:
     """One fixed-wave pipelined run; virtual-time results per seed are
     deterministic, wall clock measures the transport's Python cost."""
-    config = dataclasses.replace(curp_config(f), fast_completion=True,
+    config = dataclasses.replace(curp_config(f),
                                  frame_coalescing=coalescing)
     started = time.perf_counter()
     cluster = build_cluster(config, seed=seed,

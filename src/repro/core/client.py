@@ -54,7 +54,7 @@ from repro.kvstore.operations import Operation
 from repro.rifl import RiflClientTracker
 from repro.rpc import AppError, RpcError, RpcTimeout, RpcTransport
 from repro.rpc.helpers import backoff_delay
-from repro.sim.events import AllOf, QuorumEvent
+from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -82,11 +82,6 @@ class UpdateOutcome:
 
 class CurpClient:
     """One application client."""
-
-    #: test hook (tests/sim/test_scheduler_determinism.py): swap the
-    #: cold-path AllOf join for a watch-mode QuorumEvent — dispatch
-    #: sequences must stay identical.
-    join_with_quorum = False
 
     def __init__(self, host: "Host", config: CurpConfig,
                  coordinator: str | None = None,
@@ -199,14 +194,8 @@ class CurpClient:
             use_witnesses = (self.config.mode is ReplicationMode.CURP
                              and len(master.witnesses) > 0)
             witnesses = master.witnesses if use_witnesses else ()
-            if self.config.fast_completion:
-                status, payload, accepted_flags = (
-                    yield from self._fanout_fast(master, args, op, rpc_id,
-                                                 witnesses))
-            else:
-                status, payload, accepted_flags = (
-                    yield from self._fanout_spawned(master, args, op, rpc_id,
-                                                    witnesses))
+            status, payload, accepted_flags = (
+                yield from self._fanout(master, args, op, rpc_id, witnesses))
             if status == "ok":
                 reply: UpdateReply = payload
                 accepted = all(accepted_flags)
@@ -298,16 +287,18 @@ class CurpClient:
     # ------------------------------------------------------------------
     # the 1 + f fan-out (§3.2.1)
     # ------------------------------------------------------------------
-    def _fanout_fast(self, master: MasterInfo, args: UpdateArgs,
-                     op: Operation, rpc_id,
-                     witnesses: typing.Sequence[str]):
-        """Generator: issue update + records via the callback fast path.
+    def _fanout(self, master: MasterInfo, args: UpdateArgs,
+                op: Operation, rpc_id, witnesses: typing.Sequence[str]):
+        """Generator: issue the update and the witness records, wait for
+        all of them.
 
         One slotted :class:`QuorumEvent` per update; completions land in
         its pre-sized results list straight from response delivery — no
         wrapper process or per-call event (docs/PERFORMANCE.md).
-        Returns ``(status, payload, accepted_flags)`` exactly like
-        :meth:`_fanout_spawned`.
+        Returns ``(status, payload, accepted_flags)``: status is
+        ``"ok"`` (payload = the master's reply), ``"app"`` (its
+        AppError) or ``"timeout"`` (any other RPC failure); a witness
+        that rejected, errored or timed out is a False flag.
         """
         timeout = self.config.rpc_timeout
         quorum = QuorumEvent(self.sim, 1 + len(witnesses))
@@ -319,6 +310,8 @@ class CurpClient:
         self.transport.call_cb(master.host, "update", args,
                                quorum.child_result, 0, timeout=timeout)
         if witnesses:
+            # A record carries the whole request (op + value), so it
+            # is roughly update-RPC-sized on the wire (§5.2).
             record = RecordArgs(
                 master_id=master.master_id,
                 key_hashes=op.key_hashes(), rpc_id=rpc_id,
@@ -337,68 +330,6 @@ class CurpClient:
             status, payload = "ok", reply
         accepted_flags = [value == RECORD_ACCEPTED for value in results[1:]]
         return status, payload, accepted_flags
-
-    def _fanout_spawned(self, master: MasterInfo, args: UpdateArgs,
-                        op: Operation, rpc_id,
-                        witnesses: typing.Sequence[str]):
-        """Generator: the legacy fan-out — one wrapper process per call,
-        joined by :meth:`_join_values`.  Dispatch-for-dispatch identical
-        to the seed client (the golden trace pins it)."""
-        # Fire the update RPC first, then the witness records: all
-        # leave through the client NIC back to back (§3.2.1).
-        master_call = self.host.spawn(
-            self._call_master(master.host, args), name="update-rpc")
-        record_calls = []
-        if witnesses:
-            record = RecordArgs(
-                master_id=master.master_id,
-                key_hashes=op.key_hashes(), rpc_id=rpc_id,
-                request=RecordedRequest(op=op, rpc_id=rpc_id))
-            # A record carries the whole request (op + value), so
-            # it is roughly update-RPC-sized on the wire (§5.2).
-            record_calls = [
-                self.host.spawn(self._record_on(witness, record),
-                                name="record-rpc")
-                for witness in witnesses]
-        values = yield from self._join_values([master_call] + record_calls)
-        status, payload = values[0]
-        return status, payload, values[1:]
-
-    def _join_values(self, events):
-        """Generator: wait for all of ``events``; values positionally.
-
-        The cold-path join.  ``CurpClient.join_with_quorum`` swaps the
-        ``AllOf`` combinator for a watch-mode :class:`QuorumEvent`;
-        the two must produce identical dispatch sequences
-        (tests/sim/test_scheduler_determinism.py pins this).
-        """
-        if CurpClient.join_with_quorum:
-            quorum = QuorumEvent(self.sim, len(events))
-            for event in events:
-                quorum.watch(event)
-            values = yield quorum
-            return values
-        results = yield AllOf(self.sim, events)
-        return [results[event] for event in events]
-
-    def _call_master(self, master_host: str, args: UpdateArgs):
-        try:
-            reply = yield self.transport.call(
-                master_host, "update", args, timeout=self.config.rpc_timeout)
-            return "ok", reply
-        except AppError as error:
-            return "app", error
-        except RpcError as error:
-            return "timeout", error
-
-    def _record_on(self, witness: str, args: RecordArgs):
-        """Record on one witness; False on rejection OR timeout."""
-        try:
-            result = yield self.transport.call(
-                witness, "record", args, timeout=self.config.rpc_timeout)
-            return result == RECORD_ACCEPTED
-        except RpcError:
-            return False
 
     def _abort_records(self, master_id: str,
                        witnesses: typing.Sequence[str], op: Operation,
@@ -511,46 +442,19 @@ class CurpClient:
         master = self._master_for((key,))
         probe = ProbeArgs(master_id=master.master_id,
                           key_hashes=(key_hash(key),))
-        if self.config.fast_completion:
-            quorum = QuorumEvent(self.sim, 2)
-            self.transport.call_cb(witness, "probe", probe,
-                                   quorum.child_result, 0,
-                                   timeout=self.config.rpc_timeout)
-            self.transport.call_cb(backup, "backup_read",
-                                   BackupReadArgs(key=key),
-                                   quorum.child_result, 1,
-                                   timeout=self.config.rpc_timeout)
-            results = yield quorum
-            commutes = results[0] == PROBE_COMMUTE
-            backup_ok = not isinstance(results[1], BaseException)
-            value = results[1] if backup_ok else None
-        else:
-            probe_call = self.host.spawn(
-                self._probe_witness(witness, probe), name="probe")
-            read_call = self.host.spawn(
-                self._read_backup(backup, key), name="backup-read")
-            values = yield from self._join_values([probe_call, read_call])
-            commutes = values[0]
-            backup_ok, value = values[1]
+        quorum = QuorumEvent(self.sim, 2)
+        self.transport.call_cb(witness, "probe", probe,
+                               quorum.child_result, 0,
+                               timeout=self.config.rpc_timeout)
+        self.transport.call_cb(backup, "backup_read",
+                               BackupReadArgs(key=key),
+                               quorum.child_result, 1,
+                               timeout=self.config.rpc_timeout)
+        results = yield quorum
+        commutes = results[0] == PROBE_COMMUTE
+        backup_ok = not isinstance(results[1], BaseException)
         if commutes and backup_ok:
             self.completed_reads += 1
-            return value
+            return results[1]
         value = yield from self.read(key)
         return value
-
-    def _probe_witness(self, witness: str, args: ProbeArgs):
-        try:
-            result = yield self.transport.call(
-                witness, "probe", args, timeout=self.config.rpc_timeout)
-            return result == PROBE_COMMUTE
-        except RpcError:
-            return False
-
-    def _read_backup(self, backup: str, key: str):
-        try:
-            value = yield self.transport.call(
-                backup, "backup_read", BackupReadArgs(key=key),
-                timeout=self.config.rpc_timeout)
-            return True, value
-        except RpcError:
-            return False, None

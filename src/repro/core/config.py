@@ -240,17 +240,6 @@ class CurpConfig:
     gc_piggyback: bool = False
 
     # -- protocol hot path (docs/PERFORMANCE.md) ------------------------
-    #: True = clients and masters run the callback fast path: the
-    #: 1 + f CURP fan-out goes through ``RpcTransport.call_cb`` into a
-    #: ``QuorumEvent`` and the master's update lifecycle runs
-    #: continuation-style, with no generator process or ``AllOf`` dict
-    #: per operation.  Virtual-time results are identical to the
-    #: generator path (same messages at the same instants); only the
-    #: within-instant dispatch sequence — and therefore
-    #: ``processed_events`` and wall-clock cost — changes.  False (the
-    #: default) keeps the PR 1 golden-trace dispatch order exactly.
-    fast_completion: bool = False
-
     #: True = transport-level frame coalescing: messages a host sends
     #: to one destination within one virtual instant are packed into a
     #: single NIC :class:`~repro.net.message.Frame` at the
@@ -263,7 +252,7 @@ class CurpConfig:
     #: commutative operations are exactly the ones safe to pack).
     #: Latency physics change per *frame* (tx_cost and wire latency are
     #: paid once per frame, not per message), so False (the default)
-    #: preserves the PR 1/PR 3 golden traces byte-for-byte; the
+    #: preserves the uncoalesced golden trace byte-for-byte; the
     #: coalesced path is pinned by its own golden trace.
     frame_coalescing: bool = False
 
@@ -310,10 +299,18 @@ class CurpConfig:
             raise ValueError(f"f must be >= 0: {self.f}")
         if self.witness_associativity < 1:
             raise ValueError("associativity must be >= 1")
+        if self.witness_slots < 1:
+            raise ValueError("witness_slots must be >= 1")
         if self.witness_slots % self.witness_associativity != 0:
             raise ValueError("witness_slots must be a multiple of associativity")
+        if self.gc_stale_threshold < 1:
+            raise ValueError("gc_stale_threshold must be >= 1")
         if self.min_sync_batch < 1:
             raise ValueError("min_sync_batch must be >= 1")
+        if self.idle_sync_delay < 0:
+            raise ValueError("idle_sync_delay must be >= 0")
+        if self.hot_key_window < 0:
+            raise ValueError("hot_key_window must be >= 0 (0 disables)")
         if self.max_gc_batch < 0:
             raise ValueError("max_gc_batch must be >= 0 (0 disables batching)")
         if self.gc_flush_delay <= 0:
@@ -327,6 +324,12 @@ class CurpConfig:
                              "exactly the mean is not hot)")
         if self.rebalance_min_ops < 1:
             raise ValueError("rebalance_min_ops must be >= 1")
+        if self.rpc_timeout <= 0:
+            raise ValueError("rpc_timeout must be > 0")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0 (0 disables)")
         if self.mode is ReplicationMode.UNREPLICATED and self.f != 0:
             raise ValueError("unreplicated mode requires f=0")
 

@@ -56,7 +56,7 @@ from repro.kvstore.operations import (
 from repro.kvstore.store import KVStore
 from repro.rifl import DuplicateState, ResultRegistry
 from repro.rpc import AppError, RpcError, RpcTimeout, RpcTransport
-from repro.sim.events import AllOf, QuorumEvent
+from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -268,107 +268,40 @@ class CurpMaster:
         load = self._load_by_hash
         for h in op.key_hashes():
             load[h] = load.get(h, 0) + 1
-        if self.config.fast_completion:
-            # Callback fast path: no generator process per update.
-            self._update_begin(op, args.rpc_id, ctx)
-            return RpcTransport.DEFERRED
-        return self._update_process(op, args.rpc_id, ctx)
-
-    def _update_process(self, op: Operation, rpc_id, ctx):
-        """Generator: execute one update under the mode's rules."""
-        mode = self.config.mode
-        yield self.workers.request()
-        try:
-            if self.execute_time > 0:
-                yield self.sim.timeout(self.execute_time)
-            # Commutativity + hot-key checks look at state *before* the
-            # operation mutates it.
-            conflict = any(
-                self.store.is_unsynced(key, self.synced_position)
-                for key in op.touched_keys())
-            hot = False
-            if self.config.hot_key_window > 0:
-                now = self.sim.now
-                for key in op.mutated_keys():
-                    last = self.store.last_update_time_of(key)
-                    if last is not None and now - last <= self.config.hot_key_window:
-                        hot = True
-                        break
-            result, entry = self.store.execute(op, rpc_id=rpc_id,
-                                               now=self.sim.now)
-            assert entry is not None
-            self.registry.record(rpc_id, result, log_position=entry.index)
-            self.stats.updates += 1
-            self._note_txn_op(op, result)
-
-            if mode is ReplicationMode.UNREPLICATED:
-                self.synced_position = self.store.log.end
-                ctx.reply(UpdateReply(result=result, synced=True))
-                return
-            if mode is ReplicationMode.SYNC:
-                # Traditional primary-backup: hold the worker (polling)
-                # until all backups acknowledge, then reply. 2 RTTs.
-                yield self._request_sync(entry.index)
-                ctx.reply(UpdateReply(result=result, synced=True))
-                return
-            # CURP / ASYNC
-            if self.config.uses_witnesses:
-                self._pending_gc.append(
-                    (entry.index, op.key_hashes(), rpc_id))
-            if conflict:
-                self.stats.conflict_syncs += 1
-                yield self._request_sync(entry.index)
-                ctx.reply(UpdateReply(result=result, synced=True))
-                return
-            self.stats.speculative_replies += 1
-            ctx.reply(UpdateReply(result=result, synced=False))
-        finally:
-            self.workers.release()
-        # Post-reply sync scheduling (speculative path only).
-        unsynced = self.store.log.end - self.synced_position
-        if hot:
-            self.stats.hot_key_syncs += 1
-            self._kick_sync()
-        elif unsynced >= self.config.min_sync_batch:
-            self._kick_sync()
-        else:
-            self._arm_flush_timer()
+        self._on_worker(self._update_executed, op, args.rpc_id, ctx)
+        return RpcTransport.DEFERRED
 
     # ------------------------------------------------------------------
-    # update path, callback fast mode (config.fast_completion)
+    # operation lifecycle: worker grant -> timed execute -> reply
     # ------------------------------------------------------------------
-    # The continuation-passing mirror of _update_process: same stages at
-    # the same virtual instants, but no generator/process allocation per
-    # update.  Continuations crossing an async boundary carry the host
-    # incarnation — a crash mid-update must kill the lifecycle exactly
-    # as it interrupts the generator path's process.
-    def _update_begin(self, op: Operation, rpc_id, ctx) -> None:
+    # Continuation-passing, so an operation costs no generator process
+    # (docs/PERFORMANCE.md).  Continuations crossing an async boundary
+    # carry the host incarnation: a crash mid-operation must kill the
+    # lifecycle, exactly as Host.crash interrupts a process.
+    def _on_worker(self, executed: typing.Callable[..., None],
+                   *args: typing.Any) -> None:
+        """Run ``executed(*args, incarnation)`` on a pool worker after
+        ``execute_time``; the continuation owns releasing the worker."""
         incarnation = self.host.incarnation
         if self.workers.try_acquire():
-            self._update_execute(op, rpc_id, ctx, incarnation)
+            self._worker_granted(None, executed, args, incarnation)
         else:
-            self.workers.request().when_done(self._update_granted,
-                                             op, rpc_id, ctx, incarnation)
+            self.workers.request().when_done(self._worker_granted,
+                                             executed, args, incarnation)
 
-    def _update_granted(self, _grant, op: Operation, rpc_id, ctx,
-                        incarnation: int) -> None:
-        self._update_execute(op, rpc_id, ctx, incarnation)
-
-    def _gone(self, incarnation: int) -> bool:
-        """True when the host crashed since the continuation was armed
-        (the generator path's Interrupt, in callback form)."""
-        return not self.host.alive or self.host.incarnation != incarnation
-
-    def _update_execute(self, op: Operation, rpc_id, ctx,
+    def _worker_granted(self, _grant, executed, args: tuple,
                         incarnation: int) -> None:
         if self._gone(incarnation):
             return
         if self.execute_time > 0:
-            self.sim.schedule_callback(self.execute_time,
-                                       self._update_executed,
-                                       op, rpc_id, ctx, incarnation)
+            self.sim.schedule_callback(self.execute_time, executed,
+                                       *args, incarnation)
         else:
-            self._update_executed(op, rpc_id, ctx, incarnation)
+            executed(*args, incarnation)
+
+    def _gone(self, incarnation: int) -> bool:
+        """True when the host crashed since the continuation was armed."""
+        return not self.host.alive or self.host.incarnation != incarnation
 
     def _update_executed(self, op: Operation, rpc_id, ctx,
                          incarnation: int) -> None:
@@ -420,15 +353,8 @@ class CurpMaster:
                 return
             self.stats.speculative_replies += 1
             ctx.reply(UpdateReply(result=result, synced=False))
-        except AppError as error:
-            if not ctx.replied:
-                ctx.reply_error(error.code, error.info)
-            self.workers.release()
-            return
         except Exception as error:  # noqa: BLE001 - serialize to caller
-            if not ctx.replied:
-                ctx.reply_error("REMOTE_ERROR",
-                                f"{type(error).__name__}: {error}")
+            ctx.reply_exception(error)
             self.workers.release()
             return
         self.workers.release()
@@ -442,19 +368,6 @@ class CurpMaster:
         else:
             self._arm_flush_timer()
 
-    @staticmethod
-    def _reply_failure(event, ctx) -> None:
-        """Map a failed event to an error reply (the continuation-path
-        equivalent of _run_handler_process's error serialization)."""
-        if ctx.replied:
-            return
-        error = event.exception
-        if isinstance(error, AppError):
-            ctx.reply_error(error.code, error.info)
-        else:
-            ctx.reply_error("REMOTE_ERROR",
-                            f"{type(error).__name__}: {error}")
-
     def _update_synced_reply(self, event, result, ctx,
                              incarnation: int) -> None:
         """Sync-then-reply continuation (SYNC mode and conflict path)."""
@@ -463,7 +376,7 @@ class CurpMaster:
         if event.ok:
             ctx.reply(UpdateReply(result=result, synced=True))
         else:
-            self._reply_failure(event, ctx)
+            ctx.reply_exception(event.exception)
         self.workers.release()
 
     # ------------------------------------------------------------------
@@ -479,13 +392,11 @@ class CurpMaster:
             raise AppError(RETRY_LATER, self._pushback_info())
         h = key_hash(args.key)
         self._load_by_hash[h] = self._load_by_hash.get(h, 0) + 1
-        if self.config.fast_completion:
-            self._read_begin(args, ctx)
-            return RpcTransport.DEFERRED
-        return self._read_process(args, ctx)
+        self._on_worker(self._read_executed, args, ctx)
+        return RpcTransport.DEFERRED
 
-    def _read_process(self, args: ReadArgs, ctx):
-        """Generator: linearizable read at the master.
+    def _read_executed(self, args: ReadArgs, ctx, incarnation: int) -> None:
+        """Linearizable read at the master.
 
         Reads *touch* their key (§3.2.3): returning an unsynced value
         would externalize state that might not survive a crash, so an
@@ -495,65 +406,20 @@ class CurpMaster:
         them; the version floor raised during recovery guarantees a
         lost value's version is never reissued.
         """
-        key = args.key
-        yield self.workers.request()
-        try:
-            if self.execute_time > 0:
-                yield self.sim.timeout(self.execute_time)
-            self.stats.reads += 1
-            if not args.allow_unsynced and \
-                    self.store.is_unsynced(key, self.synced_position):
-                yield self._request_sync(self.store.last_position_of(key))
-            value, _ = self.store.execute(Read(key))
-            if args.return_version:
-                ctx.reply((value, self.store.version(key)))
-            else:
-                ctx.reply(value)
-        finally:
-            self.workers.release()
-
-    # ------------------------------------------------------------------
-    # read path, callback fast mode (mirrors _read_process)
-    # ------------------------------------------------------------------
-    def _read_begin(self, args: ReadArgs, ctx) -> None:
-        incarnation = self.host.incarnation
-        if self.workers.try_acquire():
-            self._read_execute(args, ctx, incarnation)
-        else:
-            self.workers.request().when_done(self._read_granted,
-                                             args, ctx, incarnation)
-
-    def _read_granted(self, _grant, args: ReadArgs, ctx,
-                      incarnation: int) -> None:
-        self._read_execute(args, ctx, incarnation)
-
-    def _read_execute(self, args: ReadArgs, ctx, incarnation: int) -> None:
-        if self._gone(incarnation):
-            return
-        if self.execute_time > 0:
-            self.sim.schedule_callback(self.execute_time,
-                                       self._read_executed,
-                                       args, ctx, incarnation)
-        else:
-            self._read_executed(args, ctx, incarnation)
-
-    def _read_executed(self, args: ReadArgs, ctx, incarnation: int) -> None:
         if self._gone(incarnation):
             return
         try:
             self.stats.reads += 1
             if not args.allow_unsynced and \
                     self.store.is_unsynced(args.key, self.synced_position):
-                # Worker held through the sync, as in the generator path.
+                # The worker is held through the sync.
                 self._request_sync(
                     self.store.last_position_of(args.key)).when_done(
                     self._read_after_sync, args, ctx, incarnation)
                 return
             self._read_reply(args, ctx)
         except Exception as error:  # noqa: BLE001 - serialize to caller
-            if not ctx.replied:
-                ctx.reply_error("REMOTE_ERROR",
-                                f"{type(error).__name__}: {error}")
+            ctx.reply_exception(error)
         self.workers.release()
 
     def _read_after_sync(self, event, args: ReadArgs, ctx,
@@ -564,7 +430,7 @@ class CurpMaster:
             if event.ok:
                 self._read_reply(args, ctx)
             else:
-                self._reply_failure(event, ctx)
+                ctx.reply_exception(event.exception)
         finally:
             self.workers.release()
 
@@ -581,14 +447,9 @@ class CurpMaster:
     def _handle_sync(self, args, ctx):
         """Client couldn't record on all witnesses: make state durable."""
         self._check_serviceable()
-        if self.config.fast_completion:
-            self._request_sync(self.store.log.end).when_done(
-                self._sync_rpc_done, ctx, self.host.incarnation)
-            return RpcTransport.DEFERRED
-        def work():
-            yield self._request_sync(self.store.log.end)
-            return "SYNCED"
-        return work()
+        self._request_sync(self.store.log.end).when_done(
+            self._sync_rpc_done, ctx, self.host.incarnation)
+        return RpcTransport.DEFERRED
 
     def _sync_rpc_done(self, event, ctx, incarnation: int) -> None:
         if self._gone(incarnation):
@@ -596,7 +457,7 @@ class CurpMaster:
         if event.ok:
             ctx.reply("SYNCED")
         else:
-            self._reply_failure(event, ctx)
+            ctx.reply_exception(event.exception)
 
     # ------------------------------------------------------------------
     # cross-shard transactions (§B.2)
@@ -678,38 +539,20 @@ class CurpMaster:
                         entries=entries, gc_pairs=batch, gc_rounds=rounds)
                     gc_wire_size = (wire_size
                                     + GC_PAIR_WIRE_BYTES * len(batch))
-                acks: list = []
-                if self.config.fast_completion:
-                    # Callback fan-out: acks land in the join straight
-                    # from response delivery; fail_fast reproduces
-                    # AllOf's first-error contract.
-                    join = QuorumEvent(self.sim, len(self.backups),
-                                       fail_fast=True)
-                    acks = join.results
-                    for index, backup in enumerate(self.backups):
-                        if backup in riders:
-                            self.transport.call_cb(
-                                backup, "replicate", gc_args,
-                                join.child_result, index,
-                                timeout=self.config.rpc_timeout,
-                                request_size=gc_wire_size)
-                        else:
-                            self.transport.call_cb(
-                                backup, "replicate", args,
-                                join.child_result, index,
-                                timeout=self.config.rpc_timeout,
-                                request_size=wire_size)
-                else:
-                    calls = [self.transport.call(
-                        backup, "replicate",
-                        gc_args if backup in riders else args,
+                # Acks land in the join straight from response
+                # delivery; durability needs all f of them, so the
+                # first error fails the round (fail_fast).
+                join = QuorumEvent(self.sim, len(self.backups),
+                                   fail_fast=True)
+                for index, backup in enumerate(self.backups):
+                    rider = backup in riders
+                    self.transport.call_cb(
+                        backup, "replicate", gc_args if rider else args,
+                        join.child_result, index,
                         timeout=self.config.rpc_timeout,
-                        request_size=(gc_wire_size if backup in riders
-                                      else wire_size))
-                        for backup in self.backups]
-                    join = AllOf(self.sim, calls)
+                        request_size=gc_wire_size if rider else wire_size)
                 try:
-                    yield join
+                    acks = yield join
                 except AppError as error:
                     self._requeue_piggyback(batch, rounds)
                     if error.code == "FENCED":
@@ -724,8 +567,6 @@ class CurpMaster:
                     # re-send as a no-op.
                     self._requeue_piggyback(batch, rounds)
                     continue
-                if not self.config.fast_completion:
-                    acks = [call.value for call in calls]
                 self.synced_position = entries[-1].index
                 self.stats.syncs += 1
                 self.stats.synced_entries += len(entries)
@@ -877,28 +718,15 @@ class CurpMaster:
         """Generator: one gc RPC per witness, suspects handled as the
         replies land; unreachable witnesses are skipped (the coordinator
         replaces them out of band)."""
-        if self.config.fast_completion:
-            join = QuorumEvent(self.sim, len(witnesses))
-            for index, witness in enumerate(witnesses):
-                self.transport.call_cb(witness, method, args,
-                                       join.child_result, index,
-                                       timeout=self.config.rpc_timeout,
-                                       request_size=wire_size)
-            results = yield join
-            for stale in results:
-                if isinstance(stale, BaseException):
-                    continue  # witness down/replaced
-                for request in stale:
-                    self._handle_stale_suspect(request)
-            return
-        calls = [self.transport.call(witness, method, args,
-                                     timeout=self.config.rpc_timeout,
-                                     request_size=wire_size)
-                 for witness in witnesses]
-        for call in calls:
-            try:
-                stale = yield call
-            except RpcError:
+        join = QuorumEvent(self.sim, len(witnesses))
+        for index, witness in enumerate(witnesses):
+            self.transport.call_cb(witness, method, args,
+                                   join.child_result, index,
+                                   timeout=self.config.rpc_timeout,
+                                   request_size=wire_size)
+        results = yield join
+        for stale in results:
+            if isinstance(stale, BaseException):
                 continue  # witness down/replaced; coordinator handles it
             for request in stale:
                 self._handle_stale_suspect(request)
@@ -1274,7 +1102,7 @@ class CurpMaster:
         the witnesses' NVM dies with the process."""
         self.active = False
         waiters, self._sync_waiters = self._sync_waiters, []
-        del waiters  # their processes were interrupted with the host
+        del waiters  # their continuations see the incarnation change
         self._sync_active = False
         self._gc_ready.clear()
         self._gc_rounds_pending = 0

@@ -171,9 +171,7 @@ class WitnessServer:
             ctx.reply(self._record_now(args))
         except Exception as error:  # noqa: BLE001 - serialize to caller,
             # matching the generator path's REMOTE_ERROR containment
-            if not ctx.replied:
-                ctx.reply_error("REMOTE_ERROR",
-                                f"{type(error).__name__}: {error}")
+            ctx.reply_exception(error)
 
     def _record_now(self, args: RecordArgs) -> str:
         self.records_processed += 1

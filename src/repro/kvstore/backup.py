@@ -165,14 +165,9 @@ class BackupServer:
         try:
             self._store(args.entries)
             ctx.reply(self._replicate_reply(args))
-        except AppError as error:
-            if not ctx.replied:
-                ctx.reply_error(error.code, error.info)
         except Exception as error:  # noqa: BLE001 - serialize to caller,
             # matching the generator path's REMOTE_ERROR containment
-            if not ctx.replied:
-                ctx.reply_error("REMOTE_ERROR",
-                                f"{type(error).__name__}: {error}")
+            ctx.reply_exception(error)
 
     def _replicate_reply(self, args: ReplicateArgs):
         """Ack value: plain ``last_index``, or ``(last_index, stale)``

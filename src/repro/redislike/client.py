@@ -21,8 +21,8 @@ from repro.kvstore.hashing import key_hash
 from repro.redislike.commands import Command
 from repro.redislike.server import CommandArgs, DurabilityMode
 from repro.rifl import RiflClientTracker
-from repro.rpc import RpcError, RpcTransport
-from repro.sim.events import AllOf, QuorumEvent
+from repro.rpc import RpcTransport
+from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -45,8 +45,7 @@ class RedisClient:
                  witnesses: typing.Sequence[str] = (),
                  server_master_id: str | None = None,
                  rpc_timeout: float = 5_000.0,
-                 collect_outcomes: bool = True,
-                 fast_completion: bool = True):
+                 collect_outcomes: bool = True):
         RedisClient._next_client_id += 1
         self.host = host
         self.sim = host.sim
@@ -58,10 +57,6 @@ class RedisClient:
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RedisClient._next_client_id)
         self.collect_outcomes = collect_outcomes
-        #: callback fast path for the §5.4 write fan-out (command +
-        #: witness records via call_cb into one QuorumEvent); False
-        #: restores the spawned-process/AllOf join
-        self.fast_completion = fast_completion
         self.outcomes: list[RedisOutcome] = []
         self.completed = 0
 
@@ -89,32 +84,21 @@ class RedisClient:
                             key_hashes=(key_hash(command.key),),
                             rpc_id=rpc_id,
                             request=RecordedRequest(op=command, rpc_id=rpc_id))
-        if self.fast_completion:
-            join = QuorumEvent(self.sim, 1 + len(self.witnesses))
-            self.transport.call_cb(self.server, "command", args,
-                                   join.child_result, 0,
+        join = QuorumEvent(self.sim, 1 + len(self.witnesses))
+        self.transport.call_cb(self.server, "command", args,
+                               join.child_result, 0,
+                               timeout=self.rpc_timeout)
+        for index, witness in enumerate(self.witnesses):
+            self.transport.call_cb(witness, "record", record,
+                                   join.child_result, 1 + index,
                                    timeout=self.rpc_timeout)
-            for index, witness in enumerate(self.witnesses):
-                self.transport.call_cb(witness, "record", record,
-                                       join.child_result, 1 + index,
-                                       timeout=self.rpc_timeout)
-            results = yield join
-            reply = results[0]
-            if isinstance(reply, Exception):
-                raise reply
-            accepted = all(value == RECORD_ACCEPTED
-                           for value in results[1:])
-        else:
-            command_call = self.host.spawn(self._send_command(args),
-                                           name="redis-cmd")
-            record_calls = [self.host.spawn(self._record_on(w, record),
-                                            name="redis-record")
-                            for w in self.witnesses]
-            results = yield AllOf(self.sim, [command_call] + record_calls)
-            reply = results[command_call]
-            if isinstance(reply, Exception):
-                raise reply
-            accepted = all(results[c] for c in record_calls)
+        results = yield join
+        reply = results[0]
+        if isinstance(reply, Exception):
+            raise reply
+        # a witness that rejected, errored or timed out did not accept
+        accepted = all(value == RECORD_ACCEPTED
+                       for value in results[1:])
         self.tracker.completed(rpc_id)
         if reply.synced:
             return self._finish(reply.result, started, fast=False,
@@ -125,22 +109,6 @@ class RedisClient:
         yield self.transport.call(self.server, "sync", None,
                                   timeout=self.rpc_timeout)
         return self._finish(reply.result, started, fast=False, sync_rpc=True)
-
-    def _send_command(self, args: CommandArgs):
-        try:
-            reply = yield self.transport.call(self.server, "command", args,
-                                              timeout=self.rpc_timeout)
-            return reply
-        except RpcError as error:
-            return error
-
-    def _record_on(self, witness: str, record: RecordArgs):
-        try:
-            result = yield self.transport.call(witness, "record", record,
-                                               timeout=self.rpc_timeout)
-            return result == RECORD_ACCEPTED
-        except RpcError:
-            return False
 
     def _finish(self, result, started, fast: bool,
                 sync_rpc: bool) -> RedisOutcome:

@@ -108,6 +108,18 @@ class RpcContext:
                         error_code=code, error_info=info),
             self._response_size)
 
+    def reply_exception(self, error: BaseException) -> None:
+        """Serialize a handler failure to the caller, unless a reply
+        already went out: an :class:`AppError` keeps its code and info,
+        anything else becomes ``REMOTE_ERROR``."""
+        if self.replied:
+            return
+        if isinstance(error, AppError):
+            self.reply_error(error.code, error.info)
+        else:
+            self.reply_error("REMOTE_ERROR",
+                             f"{type(error).__name__}: {error}")
+
 
 class RpcTransport:
     """RPC endpoint for a single host."""
@@ -270,13 +282,8 @@ class RpcTransport:
             return
         try:
             outcome = handler(request.args, ctx)
-        except AppError as error:
-            if not ctx.replied:
-                ctx.reply_error(error.code, error.info)
-            return
         except Exception as error:  # noqa: BLE001 - serialize to caller
-            if not ctx.replied:
-                ctx.reply_error("REMOTE_ERROR", f"{type(error).__name__}: {error}")
+            ctx.reply_exception(error)
             return
         if outcome is self._deferred:
             return
@@ -295,16 +302,11 @@ class RpcTransport:
             if event.ok:
                 ctx.reply(event._value)
             else:
-                error = event.exception
-                if isinstance(error, AppError):
-                    ctx.reply_error(error.code, error.info)
-                else:
-                    # Host crash interrupts leave no reply — the caller
-                    # times out, as with a real crashed server.
-                    from repro.sim.processes import Interrupt
-                    if not isinstance(error, Interrupt):
-                        ctx.reply_error("REMOTE_ERROR",
-                                        f"{type(error).__name__}: {error}")
+                # Host crash interrupts leave no reply — the caller
+                # times out, as with a real crashed server.
+                from repro.sim.processes import Interrupt
+                if not isinstance(event.exception, Interrupt):
+                    ctx.reply_exception(event.exception)
         process.add_callback(finish)
 
     def _handle_response(self, response: RpcResponse) -> None:

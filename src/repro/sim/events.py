@@ -7,8 +7,8 @@ the simulator resumes the process when the event triggers.
 
 Combinators:
 
-- :class:`AllOf` triggers when every child has triggered (used by CURP
-  clients that must hear from the master *and* all f witnesses).
+- :class:`AllOf` triggers when every child has triggered (used by the
+  workload drivers and cold control-plane code joining ``call`` events).
 - :class:`AnyOf` triggers when the first child triggers (used for
   timeouts racing a response).
 - :class:`QuorumEvent` is the allocation-free hot-path join: armed with
@@ -223,10 +223,9 @@ class QuorumEvent(Event):
     - results land in a **pre-sized list** (``results[i]`` is child
       ``i``'s value, or its exception instance on failure) — no
       ``{event: value}`` dict per trigger;
-    - children report through **bound-method callbacks** —
-      :meth:`child_result` for ``RpcTransport.call_cb`` completions
-      (no child :class:`Event` at all), :meth:`watch` for existing
-      events — no per-child watcher closure;
+    - children report through the **bound-method callback**
+      :meth:`child_result`, handed to ``RpcTransport.call_cb`` — no
+      child :class:`Event` and no per-child watcher closure;
     - succeeds with the results list once ``need`` children reported
       (default: all of them); later reports are ignored.
 
@@ -239,7 +238,7 @@ class QuorumEvent(Event):
     data, not an error).
     """
 
-    __slots__ = ("results", "need", "_reported", "_fail_fast", "_children")
+    __slots__ = ("results", "need", "_reported", "_fail_fast")
 
     def __init__(self, sim: "Simulator", total: int,
                  need: int | None = None, fail_fast: bool = False):
@@ -252,8 +251,6 @@ class QuorumEvent(Event):
         self.results: list[typing.Any] = [None] * total
         self._reported = 0
         self._fail_fast = fail_fast
-        #: children registered via watch(), aligned with result indexes
-        self._children: list[Event] | None = None
         if self.need == 0:
             self.succeed(self.results)
 
@@ -276,30 +273,3 @@ class QuorumEvent(Event):
         self._reported += 1
         if self._reported >= self.need:
             self.succeed(self.results)
-
-    def watch(self, event: Event) -> Event:
-        """Observe a child event; its outcome lands at the next index.
-
-        Generator-path bridge: lets existing event-producing code (test
-        shims, cold paths) join through a QuorumEvent with dispatch
-        ordering identical to ``AllOf`` over the same children.
-        """
-        if self._children is None:
-            self._children = []
-        index = len(self._children)
-        if index >= len(self.results):
-            raise ValueError("watch() called more times than total")
-        self._children.append(event)
-        if event.triggered:
-            # Deliver through the queue — the same deterministic
-            # ordering AllOf gives already-triggered children.
-            self.sim.schedule_callback(0.0, self._on_child, event, index)
-        else:
-            event.when_done(self._on_child, index)
-        return event
-
-    def _on_child(self, event: Event, index: int) -> None:
-        if event.ok:
-            self.child_result(index, event._value)
-        else:
-            self.child_result(index, None, event.exception)

@@ -39,6 +39,20 @@ def test_unreplicated_rejects_nonzero_f():
         unreplicated_config(f=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("witness_slots", 0),        # 0 % associativity == 0 used to pass
+    ("max_attempts", 0),         # client loops would run zero times
+    ("rpc_timeout", 0),
+    ("idle_sync_delay", -1),
+    ("hot_key_window", -5),
+    ("retry_backoff", -1),
+    ("gc_stale_threshold", 0),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        curp_config(3, **{field: value})
+
+
 def test_sync_baseline_is_durable_before_reply():
     """Primary-backup: by the time the client completes, every backup
     has the update — crash-safety without witnesses."""

@@ -83,11 +83,10 @@ def test_non_colocated_witnesses_still_get_standalone_gc():
         assert server.cache.occupied_slots() == 0
 
 
-def test_piggyback_with_fast_completion_linearizable_outcome():
-    """The merged path under the callback fast path: updates complete,
-    reads observe them, witnesses drain."""
-    cluster = build_cluster(piggyback_config(fast_completion=True),
-                            colocate_witnesses=True)
+def test_piggyback_updates_readable_and_witnesses_drain():
+    """The merged path end to end: updates complete, reads observe
+    them, witnesses drain."""
+    cluster = build_cluster(piggyback_config(), colocate_witnesses=True)
     client = run_updates(cluster, n=120)
     for i in (0, 59, 119):
         assert cluster.run(client.read(f"k{i}")) == i

@@ -11,7 +11,7 @@ from repro.core.messages import UpdateArgs, UpdateReply
 from repro.harness import build_cluster
 from repro.kvstore import Increment, MultiWrite, Write, key_hash
 from repro.rifl import RpcId
-from repro.rpc import AppError, RpcTransport
+from repro.rpc import AppError, RpcTimeout, RpcTransport
 
 
 def curp_cluster(f=3, **config_kwargs):
@@ -268,6 +268,53 @@ def test_worker_pool_limits_concurrency():
     cluster.run(cluster.sim.all_of(calls))
     # 3 ops serialized on 1 worker: 10+10+10 plus 2 RTT.
     assert cluster.sim.now == pytest.approx(34.0)
+
+
+def test_crash_between_worker_grant_and_execute_kills_the_update():
+    """The host dies while an update sits in its ``execute_time`` slot
+    and is back up before the slot ends: the continuation is from the
+    previous incarnation, so it must execute nothing and send nothing."""
+    cluster = curp_cluster()
+    master = cluster.master()
+    master.execute_time = 10.0
+    caller = raw_caller(cluster)
+    args = update_args(Write("a", 1), 1)
+    call = caller.call("m0-host", "update", args, timeout=40.0)
+    cluster.sim.run(until=5.0)
+    assert master.workers.in_use == 1  # granted, execute slot running
+    master.host.crash()
+    master.host.restart()
+    sent = cluster.network.stats.per_host_sent.get("m0-host", 0)
+    with pytest.raises(RpcTimeout):
+        cluster.run(call)
+    assert master.store.log.end == 0
+    assert master.registry.get(args.rpc_id) is None
+    assert master.stats.updates == 0
+    assert cluster.network.stats.per_host_sent.get("m0-host", 0) == sent
+
+
+def test_depose_fails_update_waiting_on_conflict_sync():
+    """A conflicting update is parked on its sync (a backup is down, so
+    the sync cannot finish) when the master is deposed: the client must
+    hear DEPOSED right away, not wait out its RPC timeout."""
+    cluster = curp_cluster()
+    master = cluster.master()
+    caller = raw_caller(cluster)
+    cluster.run(caller.call("m0-host", "update",
+                            update_args(Write("a", 1), 1)))
+    cluster.network.hosts[cluster.backup_hosts["m0"][0]].crash()
+    waiting = caller.call("m0-host", "update",
+                          update_args(Write("a", 2), 2),
+                          timeout=cluster.config.rpc_timeout)
+    cluster.sim.run(until=cluster.sim.now + 20.0)
+    assert not waiting.triggered and master.stats.conflict_syncs == 1
+    started = cluster.sim.now
+    cluster.run(caller.call("m0-host", "depose", master.epoch + 1))
+    with pytest.raises(AppError) as err:
+        cluster.run(waiting)
+    assert err.value.code == "DEPOSED"
+    assert cluster.sim.now - started < cluster.config.rpc_timeout / 10
+    assert master.workers.in_use == 0  # the parked worker was released
 
 
 def test_subtract_range():

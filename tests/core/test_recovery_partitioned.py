@@ -25,14 +25,15 @@ def storage_profile(**overrides) -> StorageProfile:
     return StorageProfile(**defaults)
 
 
-def partitioned_cluster(n_masters=3, storage=None, **kwargs):
+def partitioned_cluster(n_masters=3, storage=None, seed=0, **kwargs):
     defaults = dict(f=3, mode=ReplicationMode.CURP, min_sync_batch=8,
                     idle_sync_delay=100.0, retry_backoff=10.0,
                     rpc_timeout=2_000.0)
     defaults.update(kwargs)
     if storage is not None:
         defaults["storage"] = storage
-    return build_cluster(CurpConfig(**defaults), n_masters=n_masters)
+    return build_cluster(CurpConfig(**defaults), n_masters=n_masters,
+                         seed=seed)
 
 
 def keys_on(cluster, master_id, count, tag="k"):
@@ -75,16 +76,13 @@ def assert_all_readable(cluster, keys):
 
 
 # ---------------------------------------------------------------------------
-# the happy path, in every completion × framing mode
+# the happy path, in both framing modes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-def test_partitioned_recovery_spreads_tablets(fast_completion,
-                                              frame_coalescing):
-    cluster = partitioned_cluster(storage=storage_profile(),
-                                  fast_completion=fast_completion,
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_partitioned_recovery_spreads_tablets(seed, frame_coalescing):
+    cluster = partitioned_cluster(storage=storage_profile(), seed=seed,
                                   frame_coalescing=frame_coalescing)
     keys = load_master(cluster, "m0", 30, unsynced=3)
     stats = run_recovery(cluster, "m0", ["m1", "m2"],

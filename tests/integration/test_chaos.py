@@ -52,12 +52,10 @@ def chaos_seeds(*defaults: int) -> list[int]:
     return seeds
 
 
-def build_chaos_cluster(seed, fast_completion=False, frame_coalescing=False,
-                        n_masters=1):
+def build_chaos_cluster(seed, frame_coalescing=False, n_masters=1):
     config = CurpConfig(f=3, mode=ReplicationMode.CURP, min_sync_batch=8,
                         idle_sync_delay=150.0, retry_backoff=30.0,
                         rpc_timeout=200.0, max_attempts=100,
-                        fast_completion=fast_completion,
                         frame_coalescing=frame_coalescing)
     return build_cluster(config, seed=seed, drop_rate=0.01,
                          n_masters=n_masters)
@@ -106,19 +104,14 @@ def monkey(cluster, rounds: int, gap: float):
                 cluster.coordinator.recover_master("m0", standby))
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(11, 12, 13))
-def test_chaos_storm_stays_linearizable(seed, fast_completion,
-                                        frame_coalescing):
-    # All four mode combinations (generator AllOf path vs the callback
-    # fast path × plain messages vs coalesced frames) must survive the
-    # same storms: crash interrupts vs incarnation-guarded
-    # continuations, and per-message vs whole-frame loss under drops
-    # and partitions, are the risky differences.
-    cluster = build_chaos_cluster(seed, fast_completion=fast_completion,
-                                  frame_coalescing=frame_coalescing)
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(11, 12, 13, 14, 15, 16))
+def test_chaos_storm_stays_linearizable(seed, frame_coalescing):
+    # Both framing modes (plain messages vs coalesced frames) must
+    # survive the same storms: incarnation-guarded continuations
+    # across crashes, and per-message vs whole-frame loss under drops
+    # and partitions, are the risky parts.
+    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
     history = History()
     keys = ["a", "b", "c", "d"]
     processes = []
@@ -154,21 +147,16 @@ def test_chaos_storm_stays_linearizable(seed, fast_completion,
     check_linearizable(history, model=CounterModel)
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(31, 32))
-def test_chaos_crash_source_master_mid_migration(seed, fast_completion,
-                                                 frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(31, 32, 33, 34))
+def test_chaos_crash_source_master_mid_migration(seed, frame_coalescing):
     """ISSUE 5 storm: while clients hammer a hot tablet, the
     coordinator migrates it — and the *source* master crashes in the
     middle of the migration, is recovered onto a standby, and the
     migration retry loop must converge on the new host.  Acknowledged
     writes survive (witness caches are no longer cleared mid-move) and
-    the global history stays linearizable in every completion ×
-    framing mode."""
-    cluster = build_chaos_cluster(seed, fast_completion=fast_completion,
-                                  frame_coalescing=frame_coalescing,
+    the global history stays linearizable in both framing modes."""
+    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing,
                                   n_masters=2)
     hot_keys = [f"key-{i}" for i in range(200)
                 if cluster.shard_for(f"key-{i}") == "m0"][:6]
@@ -243,12 +231,9 @@ def test_chaos_crash_source_master_mid_migration(seed, fast_completion,
             assert value is not None, f"{key}: all acknowledged writes lost"
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(41, 42))
-def test_chaos_partitioned_recovery_with_storage(seed, fast_completion,
-                                                 frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(41, 42, 43, 44))
+def test_chaos_partitioned_recovery_with_storage(seed, frame_coalescing):
     """ISSUE 7 storm: with the segmented-WAL storage model *enabled*
     (every backup append and recovery read gated by a virtual disk),
     witnesses and backups bounce while clients run — then the master of
@@ -263,7 +248,6 @@ def test_chaos_partitioned_recovery_with_storage(seed, fast_completion,
     config = CurpConfig(f=3, mode=ReplicationMode.CURP, min_sync_batch=8,
                         idle_sync_delay=150.0, retry_backoff=30.0,
                         rpc_timeout=200.0, max_attempts=100,
-                        fast_completion=fast_completion,
                         frame_coalescing=frame_coalescing,
                         storage=storage)
     cluster = build_cluster(config, seed=seed, drop_rate=0.01, n_masters=3)
@@ -324,22 +308,17 @@ def test_chaos_partitioned_recovery_with_storage(seed, fast_completion,
         assert observed is not None, f"{key}: acknowledged write lost"
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(61))
-def test_chaos_crash_participant_mid_cross_shard_txn(seed, fast_completion,
-                                                     frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(61, 64))
+def test_chaos_crash_participant_mid_cross_shard_txn(seed, frame_coalescing):
     """ISSUE 10 storm: clients run cross-shard commutative sagas
     (§B.2) spanning both shards while the storm crashes a
     *participant* master mid-transaction and recovers it onto a
     standby.  Every per-key history must linearize (prepares recorded
     as writes, compensations as restoring writes, unknown-outcome
     prepares left pending) and the cross-key atomicity audit must find
-    no torn commit and no aborted residue — in every completion ×
-    framing mode."""
-    cluster = build_chaos_cluster(seed, fast_completion=fast_completion,
-                                  frame_coalescing=frame_coalescing,
+    no torn commit and no aborted residue — in both framing modes."""
+    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing,
                                   n_masters=2)
     by_shard = {"m0": [], "m1": []}
     for i in range(400):
@@ -430,17 +409,13 @@ def test_chaos_crash_participant_mid_cross_shard_txn(seed, fast_completion,
     assert audit_atomicity(traces) == []
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(21))
-def test_chaos_storm_durability_audit(seed, fast_completion,
-                                      frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(21, 22))
+def test_chaos_storm_durability_audit(seed, frame_coalescing):
     """After the storm, every acknowledged write's final value (per the
     linearized order of each key's last completed write) must be
     readable from the final master."""
-    cluster = build_chaos_cluster(seed, fast_completion=fast_completion,
-                                  frame_coalescing=frame_coalescing)
+    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
     history = History()
     client = HistoryClient(cluster.new_client(collect_outcomes=False),
                            history)
@@ -472,21 +447,17 @@ def test_chaos_storm_durability_audit(seed, fast_completion,
     check_linearizable(history)
 
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-@pytest.mark.parametrize("seed", chaos_seeds(51))
-def test_chaos_scripted_fault_plan_gray_witness(seed, fast_completion,
-                                                frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+@pytest.mark.parametrize("seed", chaos_seeds(51, 52))
+def test_chaos_scripted_fault_plan_gray_witness(seed, frame_coalescing):
     """ISSUE 8 storm: a *scripted* :class:`FaultPlan` (deterministic,
     faults drawn from their own rng stream) lands a gray witness (pings
     fine, data path dead), a flapping backup, and a lossy gray link —
     while clients run a mixed workload and the watchdog runs with data
     probes.  The watchdog must convict and replace the gray witness
-    mid-storm, and the history must stay linearizable in every
-    completion × framing mode."""
-    cluster = build_chaos_cluster(seed, fast_completion=fast_completion,
-                                  frame_coalescing=frame_coalescing)
+    mid-storm, and the history must stay linearizable in both framing
+    modes."""
+    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
     standby = cluster.add_host("chaos-w-standby", role="witness")
     detector = FailureDetector(cluster.coordinator, [],
                                interval=300.0, miss_threshold=2,

@@ -198,45 +198,6 @@ def test_quorum_fail_fast_mirrors_allof(sim: Simulator):
     quorum.child_result(1, "late")
 
 
-def test_quorum_watch_mode_matches_allof_values(sim: Simulator):
-    a = sim.timeout(2.0, value="a")
-    b = sim.timeout(5.0, value="b")
-    quorum = QuorumEvent(sim, 2)
-    quorum.watch(a)
-    quorum.watch(b)
-    values = sim.run(quorum)
-    assert values == ["a", "b"]
-    assert sim.now == 5.0
-
-
-def test_quorum_watch_stores_child_exception(sim: Simulator):
-    a = sim.event()
-    b = sim.timeout(4.0, value="b")
-    quorum = QuorumEvent(sim, 2)
-    quorum.watch(a)
-    quorum.watch(b)
-    sim.schedule_callback(1.0, lambda: a.fail(ValueError("dead")))
-    values = sim.run(quorum)
-    assert isinstance(values[0], ValueError)
-    assert values[1] == "b"
-
-
-def test_quorum_watch_already_triggered_child(sim: Simulator):
-    a = sim.event()
-    a.succeed("pre")
-    quorum = QuorumEvent(sim, 2)
-    quorum.watch(a)
-    quorum.watch(sim.timeout(3.0, value="t"))
-    assert sim.run(quorum) == ["pre", "t"]
-
-
-def test_quorum_watch_beyond_total_rejected(sim: Simulator):
-    quorum = QuorumEvent(sim, 1)
-    quorum.watch(sim.event())
-    with pytest.raises(ValueError):
-        quorum.watch(sim.event())
-
-
 def test_quorum_validates_counts(sim: Simulator):
     with pytest.raises(ValueError):
         QuorumEvent(sim, -1)

@@ -9,9 +9,9 @@ scheduler's single global ``(time, seq)`` heap.  Two layers of defence:
   shape (timeouts, zero-delay callbacks, event dispatch, late
   ``add_callback``), including the subtle merge case where a heap entry
   and a now-queue entry coexist at the same instant;
-- a golden-trace test: a seeded YCSB-style experiment whose end state
-  ``(now, processed_events, per-host traffic stats)`` was captured on
-  the seed scheduler (commit 494d673) and must stay byte-identical.
+- golden-trace tests: seeded YCSB-style experiments whose end state
+  ``(now, processed_events, per-host traffic stats)`` is pinned and
+  must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.baselines import curp_config
-from repro.core.client import CurpClient
 from repro.harness.builder import build_cluster
 from repro.sim import Simulator
 from repro.workload import run_closed_loop, run_pipelined_loop
@@ -152,39 +151,38 @@ def test_processed_events_exact_across_nested_runs(sim: Simulator):
 # ----------------------------------------------------------------------
 # golden trace
 # ----------------------------------------------------------------------
-#: end state of the experiment below, captured on the seed scheduler
-#: (commit 494d673, single global heap of closures).  If this test
-#: fails, the scheduler changed *virtual-time* behaviour — that is a
-#: correctness regression, not a perf tradeoff.
+#: end state of the experiment below: the CURP update lifecycle
+#: (call_cb + QuorumEvent fan-outs, the master's continuation-passing
+#: operation path) on the now-queue scheduler.  If this test fails,
+#: *virtual-time* behaviour changed — that is a correctness regression,
+#: not a perf tradeoff.
 GOLDEN = {
     "now": 4532.0,
-    "processed_events": 49027,
-    "operations": 2690,
-    "messages_sent": 14690,
-    "bytes_sent": 2357020,
+    "processed_events": 24294,
+    "operations": 2702,
+    "messages_sent": 14676,
+    "bytes_sent": 2358920,
     "messages_dropped": 0,
     "per_host_sent": {
-        "client1": 1585,
-        "client2": 1620,
-        "client3": 1591,
-        "client4": 1593,
+        "client1": 1621,
+        "client2": 1604,
+        "client3": 1566,
+        "client4": 1603,
         "coordinator": 8,
-        "m0-backup0": 239,
-        "m0-backup1": 239,
-        "m0-host": 4123,
-        "m0-witness0": 1846,
-        "m0-witness1": 1846,
+        "m0-backup0": 236,
+        "m0-backup1": 236,
+        "m0-host": 4098,
+        "m0-witness0": 1852,
+        "m0-witness1": 1852,
     },
 }
 
 
-def _golden_experiment(fast_completion: bool = False,
-                       frame_coalescing: bool = False) -> dict:
+def _golden_experiment(frame_coalescing: bool = False) -> dict:
     """The seeded YCSB experiment behind every golden pin."""
     config = curp_config(2)
-    if fast_completion or frame_coalescing:
-        config = dataclasses.replace(config, fast_completion=fast_completion,
-                                     frame_coalescing=frame_coalescing)
+    if frame_coalescing:
+        config = dataclasses.replace(config, frame_coalescing=True)
     cluster = build_cluster(config, seed=1234)
     workload = YcsbWorkload(name="golden", read_fraction=0.5,
                             item_count=1000, value_size=16,
@@ -209,112 +207,19 @@ def test_golden_trace_seeded_ycsb_unchanged():
 
 
 # ----------------------------------------------------------------------
-# quorum-ordering equivalence
-# ----------------------------------------------------------------------
-def test_quorum_join_equivalent_to_allof():
-    """The same seeded experiment joined through AllOf and through a
-    watch-mode QuorumEvent must be indistinguishable — identical
-    ``(now, processed_events, per-host traffic)``.  QuorumEvent adds a
-    callback per child and queues one dispatch on completion, exactly
-    like AllOf; only the per-trigger dict and watcher closures go away.
-    """
-    baseline = _golden_experiment()
-    CurpClient.join_with_quorum = True
-    try:
-        quorum = _golden_experiment()
-    finally:
-        CurpClient.join_with_quorum = False
-    assert quorum == baseline
-    assert baseline == GOLDEN  # and both match the PR 1 pin
-
-
-# ----------------------------------------------------------------------
-# golden trace, callback fast path
-# ----------------------------------------------------------------------
-#: end state of the same experiment under config.fast_completion=True
-#: (call_cb + QuorumEvent + the master's continuation-passing update
-#: path).  Virtual end time matches the legacy pin; processed_events is
-#: ~50% lower because the fast path needs no spawn/wrapper/event-
-#: dispatch entries (and no worker-grant event when a worker is free);
-#: traffic differs within noise because completions run earlier
-#: *within* an instant, shifting the closed-loop op mix.
-GOLDEN_FAST = {
-    "now": 4532.0,
-    "processed_events": 24294,
-    "operations": 2702,
-    "messages_sent": 14676,
-    "bytes_sent": 2358920,
-    "messages_dropped": 0,
-    "per_host_sent": {
-        "client1": 1621,
-        "client2": 1604,
-        "client3": 1566,
-        "client4": 1603,
-        "coordinator": 8,
-        "m0-backup0": 236,
-        "m0-backup1": 236,
-        "m0-host": 4098,
-        "m0-witness0": 1852,
-        "m0-witness1": 1852,
-    },
-}
-
-
-def test_golden_trace_fast_completion_pinned():
-    observed = _golden_experiment(fast_completion=True)
-    assert observed == GOLDEN_FAST
-
-
-def test_fast_completion_reaches_same_virtual_time():
-    """The completion model must not change physics: both paths end the
-    seeded experiment at the same virtual instant with no drops, and
-    the fast path dispatches strictly fewer queue entries per op."""
-    assert GOLDEN_FAST["now"] == GOLDEN["now"]
-    assert GOLDEN_FAST["messages_dropped"] == GOLDEN["messages_dropped"]
-    assert (GOLDEN_FAST["processed_events"] / GOLDEN_FAST["operations"]
-            < 0.7 * GOLDEN["processed_events"] / GOLDEN["operations"])
-
-
-def test_single_client_trace_identical_across_completion_modes():
-    """With one closed-loop client there is no within-instant contention
-    to reorder, so the two completion modes must produce *identical*
-    operations, virtual time and per-host message counts — only
-    processed_events may differ."""
-    def run(fast: bool):
-        config = dataclasses.replace(curp_config(2), fast_completion=fast)
-        cluster = build_cluster(config, seed=77)
-        workload = YcsbWorkload(name="single", read_fraction=0.5,
-                                item_count=100, value_size=16,
-                                distribution="uniform")
-        result = run_closed_loop(cluster, workload, n_clients=1,
-                                 duration=2_000.0, warmup=0.0)
-        cluster.settle(500.0)
-        return (
-            cluster.sim.now,
-            result["operations"],
-            cluster.network.stats.messages_sent,
-            cluster.network.stats.bytes_sent,
-            dict(sorted(cluster.network.stats.per_host_sent.items())),
-        )
-    assert run(False) == run(True)
-
-
-# ----------------------------------------------------------------------
 # golden trace, frame coalescing (ISSUE 4)
 # ----------------------------------------------------------------------
 def test_closed_loop_coalescing_trace_matches_fast_golden():
     """A closed-loop client never has two same-instant messages to one
-    destination, so turning frames on must not change the fast-path
-    golden by a byte — singleton frames transmit exactly like plain
-    messages (same stats, same delivery instants, same dispatch)."""
-    observed = _golden_experiment(fast_completion=True,
-                                  frame_coalescing=True)
-    assert observed == GOLDEN_FAST
+    destination, so turning frames on must not change the golden by a
+    byte — singleton frames transmit exactly like plain messages (same
+    stats, same delivery instants, same dispatch)."""
+    assert _golden_experiment(frame_coalescing=True) == GOLDEN
 
 
 #: end state of the seeded *pipelined* experiment (4 clients × 40
-#: waves × depth 4, zipfian 25% reads) under fast_completion +
-#: frame_coalescing — the coalesced path's own golden pin.  Note
+#: waves × depth 4, zipfian 25% reads) under frame_coalescing — the
+#: coalesced path's own golden pin.  Note
 #: messages_sent ≈ 0.38 × payloads_sent: a wave's same-instant RPCs to
 #: each destination share one frame.  If this pin moves, the frame
 #: flush boundary changed virtual-time behaviour.
@@ -345,7 +250,7 @@ GOLDEN_COALESCED = {
 
 def _coalesced_experiment(frame_coalescing: bool = True) -> dict:
     """The seeded pipelined experiment behind the coalesced golden."""
-    config = dataclasses.replace(curp_config(2), fast_completion=True,
+    config = dataclasses.replace(curp_config(2),
                                  frame_coalescing=frame_coalescing)
     cluster = build_cluster(config, seed=1234)
     workload = YcsbWorkload(name="golden-pipelined", read_fraction=0.25,
@@ -382,34 +287,34 @@ def test_golden_trace_coalesced_pinned():
 #: split-off half to the cold shard, and the post-move merge pass
 #: coalescing the receiver's now-adjacent tablets back into one — the
 #: final layout is two tablets with the boundary at the split point.
-#: Captured when the rebalancer landed; byte-identical thereafter.
+#: Any drift in virtual-time behaviour moves this pin.
 GOLDEN_REBALANCE = {
     "now": 4532.0,
-    "processed_events": 49014,
-    "operations": 2570,
-    "messages_sent": 15006,
-    "bytes_sent": 2341960,
+    "processed_events": 24996,
+    "operations": 2600,
+    "messages_sent": 14906,
+    "bytes_sent": 2338840,
     "messages_dropped": 0,
     "splits": 1,
     "migrations": 1,
     "tablets": ((0, 9735153152272807980, "m0"),
                 (9735153152272807980, 18446744073709551616, "m1")),
     "per_host_sent": {
-        "client1": 1500,
-        "client2": 1547,
-        "client3": 1467,
-        "client4": 1563,
+        "client1": 1523,
+        "client2": 1526,
+        "client3": 1531,
+        "client4": 1515,
         "coordinator": 40,
-        "m0-backup0": 154,
-        "m0-backup1": 154,
-        "m0-host": 1943,
-        "m0-witness0": 821,
-        "m0-witness1": 821,
-        "m1-backup0": 196,
-        "m1-backup1": 196,
-        "m1-host": 2488,
-        "m1-witness0": 1058,
-        "m1-witness1": 1058,
+        "m0-backup0": 145,
+        "m0-backup1": 145,
+        "m0-host": 1902,
+        "m0-witness0": 822,
+        "m0-witness1": 822,
+        "m1-backup0": 188,
+        "m1-backup1": 188,
+        "m1-host": 2447,
+        "m1-witness0": 1056,
+        "m1-witness1": 1056,
     },
 }
 
@@ -454,7 +359,7 @@ def test_golden_trace_rebalance_pinned():
     choice, migration protocol) moves this pin.
 
     Rebalancing *disabled* is pinned by omission everywhere else: the
-    load-accounting counters add no events, so GOLDEN / GOLDEN_FAST /
+    load-accounting counters add no events, so GOLDEN /
     GOLDEN_COALESCED above must stay byte-identical — those tests are
     the disabled half of this satellite."""
     observed = _rebalance_experiment()
@@ -482,7 +387,7 @@ def test_single_client_pipelined_end_state_identical_across_frame_modes():
     transmissions (the PR 3-style cross-mode identity, transposed to
     the transport layer)."""
     def run(frames: bool):
-        config = dataclasses.replace(curp_config(2), fast_completion=True,
+        config = dataclasses.replace(curp_config(2),
                                      frame_coalescing=frames)
         cluster = build_cluster(config, seed=77)
         workload = YcsbWorkload(name="single", read_fraction=0.25,
@@ -591,11 +496,8 @@ class _GoldenDriver:
 
 
 def _golden_partition_setup(partition_id: int, n_partitions: int, args):
-    fast, frames, n_masters = args
-    config = curp_config(2)
-    if fast or frames:
-        config = dataclasses.replace(config, fast_completion=fast,
-                                     frame_coalescing=frames)
+    frames, n_masters = args
+    config = dataclasses.replace(curp_config(2), frame_coalescing=frames)
     cluster = build_partitioned_cluster(partition_id, n_partitions,
                                         config=config, seed=1234,
                                         n_masters=n_masters)
@@ -607,17 +509,16 @@ def test_one_partition_mode_goldens_byte_identical():
     barrier calls and all — reproduces every golden pin above
     byte-for-byte.  This is the acceptance gate for the PDES layer:
     zero partitions' worth of overhead may leak into virtual time."""
-    for fast, frames, n_masters, method, pin in (
-            (False, False, 1, "run_closed_loop_golden", GOLDEN),
-            (True, False, 1, "run_closed_loop_golden", GOLDEN_FAST),
-            (True, True, 1, "run_closed_loop_golden", GOLDEN_FAST),
-            (True, True, 1, "run_pipelined_golden", GOLDEN_COALESCED),
-            (False, False, 2, "run_rebalance_golden", GOLDEN_REBALANCE)):
+    for frames, n_masters, method, pin in (
+            (False, 1, "run_closed_loop_golden", GOLDEN),
+            (True, 1, "run_closed_loop_golden", GOLDEN),
+            (True, 1, "run_pipelined_golden", GOLDEN_COALESCED),
+            (False, 2, "run_rebalance_golden", GOLDEN_REBALANCE)):
         with PartitionedSimulation(_golden_partition_setup, 1,
-                                   setup_args=(fast, frames, n_masters),
+                                   setup_args=(frames, n_masters),
                                    backend="inline") as psim:
             observed = psim.call(method)[0]
-        assert observed == pin, (fast, frames, method)
+        assert observed == pin, (frames, method)
 
 
 def _two_partition_run(seed: int):

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_compare", REPO_ROOT / "tools" / "bench_compare.py")
@@ -18,7 +20,7 @@ def snapshot(dispatch=6_000_000, records=800_000, rpc=200_000,
              messages_per_update=2.3, rebalance_ops=1_300_000,
              overload_goodput=39_900, recovery_time=1_250.0,
              unavailability=2_000.0, parallel_speedup=2.9,
-             fast_commit_rate=0.98) -> dict:
+             fast_commit_rate=0.98, fig6_ops=5_500) -> dict:
     return {
         "event_loop": {"events_per_sec": dispatch,
                        "speedup_vs_legacy": speedup,
@@ -28,7 +30,7 @@ def snapshot(dispatch=6_000_000, records=800_000, rpc=200_000,
                 "roundtrips_per_sec_yield": rpc * 3 // 4,
                 "messages_per_update": messages_per_update},
         "fig6_smoke": {"events_per_sec": fig6,
-                       "ops_per_sec": 5_500},
+                       "ops_per_sec": fig6_ops},
         "fig6_smoke_coalesced": {"events_per_sec": fig6_coalesced},
         "rebalance": {"aggregate_ops_per_sec": rebalance_ops,
                       "speedup": 1.8,
@@ -85,11 +87,16 @@ def test_rpc_roundtrips_regression_gates():
     assert "rpc roundtrips/s" in failures[0]
 
 
-def test_fig6_smoke_regression_gates():
+@pytest.mark.parametrize("regressed, name", [
+    ({"fig6": 100_000}, "fig6 smoke events/s"),
+    # the end-to-end wall-clock ops/s is gated, not informational
+    ({"fig6_ops": 3_000}, "fig6 smoke ops/s"),
+])
+def test_fig6_smoke_regression_gates(regressed, name):
     _rows, failures = bench_compare.compare(
-        snapshot(), snapshot(fig6=100_000), threshold=0.25)
+        snapshot(), snapshot(**regressed), threshold=0.25)
     assert len(failures) == 1
-    assert "fig6 smoke events/s" in failures[0]
+    assert name in failures[0]
 
 
 def test_info_metric_regression_does_not_fail():
@@ -121,13 +128,14 @@ def test_missing_gated_metric_fails_the_gate():
     """Schema drift must not silently disable the gate."""
     rows, failures = bench_compare.compare(
         snapshot(), {"event_loop": {}, "witness": {}}, threshold=0.25)
-    assert len(failures) == 13  # every gated metric uncomparable
+    assert len(failures) == 14  # every gated metric uncomparable
     gated = {row["name"]: row for row in rows if row["gated"]}
     assert gated["dispatch events/s"]["status"] == "MISSING"
     assert gated["witness records/s"]["status"] == "MISSING"
     assert gated["dispatch speedup vs legacy"]["status"] == "MISSING"
     assert gated["rpc roundtrips/s"]["status"] == "MISSING"
     assert gated["fig6 smoke events/s"]["status"] == "MISSING"
+    assert gated["fig6 smoke ops/s"]["status"] == "MISSING"
     assert gated["fig6 smoke events/s (coalesced)"]["status"] == "MISSING"
     assert gated["rpc messages/update (coalesced)"]["status"] == "MISSING"
     assert gated["rebalance aggregate ops/s"]["status"] == "MISSING"
