@@ -162,6 +162,11 @@ class SegmentedWal:
         self.segment_size = segment_size
         self.stats = stats if stats is not None else BackupStats()
         self.entries: dict[int, LogEntry] = {}
+        #: highest index in ``entries`` (0 = empty), kept by ``append``
+        #: and ``reset`` — the only mutators of the key set; ``compact``
+        #: rewrites values under existing keys.  Every replicate ack
+        #: reads it, so it must not cost a scan of the log.
+        self._last_index = 0
         self.segments: list[Segment] = []
         #: log index -> segment holding it
         self._segment_of: dict[int, Segment] = {}
@@ -195,6 +200,8 @@ class SegmentedWal:
         segment = self.active
         segment.indices.append(entry.index)
         self.entries[entry.index] = entry
+        if entry.index > self._last_index:
+            self._last_index = entry.index
         self._segment_of[entry.index] = segment
         self.stats.entries_appended += 1
         for key, _value, _version in entry.effects:
@@ -219,6 +226,7 @@ class SegmentedWal:
     def reset(self) -> None:
         """Drop everything (``reset_log`` wholesale adoption)."""
         self.entries.clear()
+        self._last_index = 0
         self.segments.clear()
         self._segment_of.clear()
         self._latest_index.clear()
@@ -319,4 +327,4 @@ class SegmentedWal:
 
     @property
     def last_index(self) -> int:
-        return max(self.entries, default=0)
+        return self._last_index

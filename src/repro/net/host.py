@@ -209,10 +209,11 @@ class Host:
         # A Frame passes through whole: rx_cost is charged once per
         # transmission, which is the coalescing win on the rx side.
         now = self.sim.now
-        done = max(now, self._rx_free_at) + self.rx_cost
+        rx_free = self._rx_free_at
+        done = (now if rx_free <= now else rx_free) + self.rx_cost
         self._rx_free_at = done
-        if self.shared_dispatch:
-            self._nic_free_at = max(self._nic_free_at, done)
+        if self.shared_dispatch and self._nic_free_at < done:
+            self._nic_free_at = done
         self.sim.schedule_callback(done - now, self._dispatch_rx, message,
                                    self.incarnation)
 

@@ -20,16 +20,31 @@ replicate + gc_batch pair to a colocated host) ride one NIC frame,
 flushed at the simulator's end-of-instant boundary.  The transport is
 oblivious: frames are unpacked back into per-RPC messages, in send
 order, before ``_on_message`` sees them.
+
+Deadlines are transport state, not kernel events.  In the normal case
+no RPC times out, so a timer record per call would sit on the
+simulator's heap for the whole timeout horizon and then fire as a
+no-op.  Instead each transport keeps its calls' deadlines in FIFO
+queues — one per distinct timeout value, because ``now`` is monotone
+and so deadlines for one value are issued in order — drops the heads
+whose calls completed as responses arrive, and keeps at most one armed
+kernel record, for the earliest deadline still live.  When that record
+fires it times out every due call still pending and re-arms for the
+next live head.  A call expires at exactly ``issue_now + timeout``,
+and a response delivered at that very instant loses to the deadline.
 """
 
 from __future__ import annotations
 
 import typing
+from collections import deque
 from types import GeneratorType
 
 from repro.net.host import Host
 from repro.rpc.errors import AppError, RemoteError, RpcTimeout
 from repro.sim.events import Event
+
+_NEVER = float("inf")
 
 
 class RpcRequest:
@@ -145,6 +160,12 @@ class RpcTransport:
         #: (tests/rpc/test_transport.py pins the map draining to empty).
         self._pending: dict[int, typing.Any] = {}
         self._next_seq = 0
+        #: timeout value → FIFO of ``(deadline, seq, dst, method)`` for
+        #: calls issued with it, oldest (= earliest deadline) first
+        self._deadlines: dict[float, deque[tuple]] = {}
+        #: instant of the armed kernel record (``_NEVER`` = none).
+        #: Invariant: no later than any live deadline.
+        self._armed_at = _NEVER
         #: instance-bound copies of the class constants: one dict probe
         #: instead of two on every call/handle (hot path)
         self._default_size = RpcTransport.DEFAULT_SIZE
@@ -176,8 +197,7 @@ class RpcTransport:
         request = RpcRequest(seq, self.host.name, method, args)
         self.host.send(dst, request, request_size or self._default_size)
         if timeout is not None:
-            self.sim.schedule_callback(timeout, self._expire,
-                                       seq, dst, method, timeout)
+            self._watch_deadline(timeout, seq, dst, method)
         return result
 
     def call_cb(self, dst: str, method: str, args: typing.Any,
@@ -212,37 +232,102 @@ class RpcTransport:
         request = RpcRequest(seq, self.host.name, method, args)
         self.host.send(dst, request, request_size or self._default_size)
         if timeout is not None:
-            self.sim.schedule_callback(timeout, self._expire,
-                                       seq, dst, method, timeout)
+            self._watch_deadline(timeout, seq, dst, method)
 
-    def _expire(self, seq: int, dst: str, method: str,
-                timeout: float) -> None:
-        pending = self._pending.pop(seq, None)
-        if pending is None:
-            return  # response won the race; nothing leaked
-        kind = type(pending)
-        if kind is Event:
-            if not pending.triggered:
-                pending.fail(RpcTimeout(dst, method, timeout))
-        elif kind is tuple:
-            on_done, cb_args = pending
-            on_done(*cb_args, None, RpcTimeout(dst, method, timeout))
-        else:
-            pending(None, RpcTimeout(dst, method, timeout))
+    def _watch_deadline(self, timeout: float, seq: int, dst: str,
+                        method: str) -> None:
+        deadline = self.sim.now + timeout
+        queue = self._deadlines.get(timeout)
+        if queue is None:
+            queue = self._deadlines[timeout] = deque()
+        queue.append((deadline, seq, dst, method))
+        # ``not >=`` so that a NaN timeout reaches schedule_at and
+        # raises there, like a negative one, instead of never expiring.
+        if not deadline >= self._armed_at:
+            self._arm(deadline)
+
+    def _arm(self, deadline: float) -> None:
+        # A record armed earlier for a later instant stays on the heap
+        # (kernel records cannot be withdrawn); _on_deadline tells it
+        # apart by its instant.  That only happens when a shorter
+        # timeout is issued behind a longer one, never per call.
+        self._armed_at = deadline
+        self.sim.schedule_at(deadline, self._on_deadline, deadline)
+
+    def _on_deadline(self, armed_at: float) -> None:
+        if armed_at == self._armed_at:
+            self._expire_due()
+        # else: superseded by an earlier record, or disarmed by a crash
+
+    def _expire_due(self) -> None:
+        """Time out every pending call whose deadline has come, then
+        re-arm for the earliest deadline still live."""
+        # Disarm first: a continuation that issues a call from inside
+        # its timeout (a retry) arms for itself.
+        self._armed_at = _NEVER
+        now = self.sim.now
+        pending = self._pending
+        due = []
+        for timeout, queue in self._deadlines.items():
+            while queue and queue[0][0] <= now:
+                _deadline, seq, dst, method = queue.popleft()
+                if seq in pending:
+                    due.append((seq, dst, method, timeout))
+        if len(due) > 1:
+            # Calls due at one instant expire in issue order, whichever
+            # queue they came from.
+            due.sort()
+        for seq, dst, method, timeout in due:
+            waiter = pending.pop(seq, None)
+            if waiter is None:
+                continue  # an earlier continuation crashed this host
+            kind = type(waiter)
+            if kind is Event:
+                if not waiter.triggered:
+                    waiter.fail(RpcTimeout(dst, method, timeout))
+            elif kind is tuple:
+                on_done, cb_args = waiter
+                on_done(*cb_args, None, RpcTimeout(dst, method, timeout))
+            else:
+                waiter(None, RpcTimeout(dst, method, timeout))
+        # Keep only queues with a live head: a caller that computes its
+        # timeouts (adaptive probe deadlines) must not leave one empty
+        # queue behind per value it ever used.
+        live = {}
+        earliest = _NEVER
+        for timeout, queue in self._deadlines.items():
+            while queue and queue[0][1] not in pending:
+                queue.popleft()
+            if queue:
+                live[timeout] = queue
+                if queue[0][0] < earliest:
+                    earliest = queue[0][0]
+        self._deadlines = live
+        if earliest < self._armed_at:
+            self._arm(earliest)
 
     def _on_crash(self) -> None:
         # In-flight calls die with the host; waiting processes were
         # interrupted by Host.crash already, and call_cb continuations
         # belong to servers/clients on this host whose state is being
-        # dropped — so just forget the lot.  (A late response or timeout
-        # for a pre-crash seq finds nothing to pop; seqs are never
-        # reused because _next_seq survives the crash.)
+        # dropped — so just forget the lot, deadlines included; the
+        # armed record finds itself disarmed and does nothing.  (A late
+        # response for a pre-crash seq finds nothing to pop; seqs are
+        # never reused because _next_seq survives the crash.)
         self._pending.clear()
+        self._deadlines.clear()
+        self._armed_at = _NEVER
 
     @property
     def pending_calls(self) -> int:
         """In-flight call count (leak regression tests read this)."""
         return len(self._pending)
+
+    @property
+    def watched_deadlines(self) -> int:
+        """Deadline-queue entries, completed calls not yet trimmed
+        included (leak regression tests read this)."""
+        return sum(len(queue) for queue in self._deadlines.values())
 
     # ------------------------------------------------------------------
     # server side
@@ -310,9 +395,19 @@ class RpcTransport:
         process.add_callback(finish)
 
     def _handle_response(self, response: RpcResponse) -> None:
-        result = self._pending.pop(response.seq, None)
+        if self._armed_at <= self.sim.now:
+            # A deadline falls on this very instant and its record has
+            # not dispatched yet.  The deadline wins such a tie (it was
+            # queued at issue time, before the response was even sent),
+            # so run it first; the armed record then finds nothing due.
+            self._expire_due()
+        pending = self._pending
+        result = pending.pop(response.seq, None)
         if result is None:
             return  # timed out or duplicate
+        for queue in self._deadlines.values():
+            while queue and queue[0][1] not in pending:
+                queue.popleft()
         kind = type(result)
         if kind is Event:
             if result.triggered:

@@ -15,8 +15,10 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import typing
 
 
 class Distribution:
@@ -24,6 +26,14 @@ class Distribution:
 
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
+
+    def sampler(self, rng: random.Random) -> typing.Callable[[], float]:
+        """A zero-argument callable drawing from this distribution on
+        ``rng``: the same draws, in the same order, giving the same
+        floats as ``sample(rng)``.  Per-message callers (net/latency.py)
+        fetch it once; shapes whose ``sample`` is a chain of method
+        calls override it with the flat expression."""
+        return functools.partial(self.sample, rng)
 
     def mean(self) -> float:
         """Analytic mean where available (used by tests)."""
@@ -151,6 +161,16 @@ class Shifted(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return self.floor + self.inner.sample(rng)
+
+    def sampler(self, rng: random.Random) -> typing.Callable[[], float]:
+        floor, inner = self.floor, self.inner
+        if type(inner) is LogNormal and inner.sigma > 0:
+            # The calibrated wire model, one draw per simulated message:
+            # the whole chain as one flat expression.
+            exp, gauss, mu, sigma = math.exp, rng.gauss, inner._mu, inner.sigma
+            return lambda: floor + exp(gauss(mu, sigma))
+        draw = inner.sampler(rng)
+        return lambda: floor + draw()
 
     def mean(self) -> float:
         return self.floor + self.inner.mean()

@@ -146,10 +146,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: typing.Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
+        # validates: a negative or NaN delay raises ValueError
         sim._schedule_timeout(self, delay, value)
 
 

@@ -111,8 +111,10 @@ class Simulator:
         Passing arguments here instead of closing over them keeps the
         hot path allocation-free (no lambda per scheduled call).
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        # ``not >=`` rather than ``<``: NaN fails every comparison, and a
+        # NaN key on the heap silently corrupts its order.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay: {delay}")
         self._sequence += 1
         if delay == 0.0:
             self._now_queue.append((self._sequence, _CALLBACK, fn, args))
@@ -121,8 +123,29 @@ class Simulator:
                            (self.now + delay, self._sequence, _CALLBACK,
                             fn, args))
 
+    def schedule_at(self, time: float, fn: typing.Callable[..., None],
+                    *args: typing.Any) -> None:
+        """Low-level: run ``fn(*args)`` at absolute virtual ``time``.
+
+        For callers that computed an instant earlier and must hit that
+        exact float (an RPC deadline is ``issue_now + timeout``;
+        re-deriving it as ``now + (deadline - now)`` is not bit-exact).
+        ``time`` in the past, or NaN, raises ``ValueError``.
+        """
+        if not time >= self.now:
+            raise ValueError(
+                f"time={time} is in the past or NaN (now={self.now})")
+        self._sequence += 1
+        if time == self.now:
+            self._now_queue.append((self._sequence, _CALLBACK, fn, args))
+        else:
+            heapq.heappush(self._heap,
+                           (time, self._sequence, _CALLBACK, fn, args))
+
     def _schedule_timeout(self, event: Timeout, delay: float,
                           value: typing.Any) -> None:
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         self._sequence += 1
         if delay == 0.0:
             self._now_queue.append((self._sequence, _TIMEOUT, event, value))

@@ -102,3 +102,26 @@ def test_process_time_delays_ack(sim, network):
     sim.run(caller.call("b2", "replicate", args))
     assert sim.now == 14.0  # 2 + 10 + 2
     assert backup.entry_count() == 1
+
+
+def test_replicate_ack_does_not_scan_the_log(sim, network):
+    """Every replicate is acked with ``last_index``; computing that by
+    walking the stored entries made each ack cost O(log length), so a
+    run slowed down the longer it went."""
+    class CountingDict(dict):
+        iterations = 0
+
+        def __iter__(self):
+            CountingDict.iterations += 1
+            return super().__iter__()
+
+    backup, caller = build(sim, network)
+    entries = entries_for(*"abcdefgh")
+    sim.run(caller.call("backup1", "replicate",
+                        ReplicateArgs("m1", 0, entries[:4])))
+    backup.wal.entries = CountingDict(backup.wal.entries)
+    for cut in (5, 6, 8):
+        acked = sim.run(caller.call("backup1", "replicate",
+                                    ReplicateArgs("m1", 0, entries[:cut])))
+        assert acked == cut == backup.last_index
+    assert CountingDict.iterations == 0

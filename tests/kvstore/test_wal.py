@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kvstore import SegmentedWal, VirtualDisk, key_hash
 from repro.kvstore.log import LogEntry
@@ -134,6 +136,33 @@ def test_reset_drops_everything():
     assert len(wal.segments) == 1 and not wal.segments[0].indices
     fill(wal, 2)
     assert wal.last_index == 2
+
+
+_WAL_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 60)),
+    st.tuples(st.just("compact"), st.integers(0, 20)),
+    st.tuples(st.just("reset"), st.just(0))), max_size=60)
+
+
+@given(_WAL_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_last_index_tracks_the_key_set(steps):
+    """``last_index`` is kept by the mutators, not computed by scanning:
+    whatever the interleaving of appends (indices arrive out of order
+    when a master resends around a gap), compactions and resets, it
+    equals the highest stored index."""
+    wal = SegmentedWal(segment_size=3)
+    for step, n in steps:
+        if step == "append":
+            if n not in wal.entries:  # the caller filters duplicates
+                wal.append(entry(n, write(f"k{n % 5}", n), rpc_id=("c", n)))
+        elif step == "compact":
+            sealed = [s for s in wal.segments if s.sealed]
+            if sealed:
+                wal.compact(sealed[n % len(sealed)])
+        else:
+            wal.reset()
+        assert wal.last_index == max(wal.entries, default=0)
 
 
 # ---------------------------------------------------------------------------

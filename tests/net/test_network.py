@@ -142,3 +142,28 @@ def test_loopback_is_instant(sim: Simulator, network: Network):
     a.send("solo", "self")
     sim.run()
     assert inbox == [0.0]
+
+
+def test_latency_model_sampling_matches_the_distributions():
+    """The model compiles one sampler per default/override and caches
+    it; what it returns is still exactly ``dist.sample`` on the caller's
+    rng — before and after an override appears, and across rngs."""
+    import random
+
+    from repro.sim import LogNormal, Shifted
+
+    default = Shifted(1.18, LogNormal(median=1.05, sigma=0.18))
+    slow = Shifted(50.0, LogNormal(median=5.0, sigma=0.3))
+    model = LatencyModel(default)
+    rng, twin = random.Random(5), random.Random(5)
+    for _ in range(100):
+        assert model.sample(rng, "a", "b") == default.sample(twin)
+    model.set_pair("a", "c", slow)
+    for _ in range(100):
+        assert model.sample(rng, "a", "c") == slow.sample(twin)
+        assert model.sample(rng, "c", "a") == slow.sample(twin)
+        assert model.sample(rng, "a", "b") == default.sample(twin)
+    other, other_twin = random.Random(6), random.Random(6)
+    assert model.sample(other, "a", "b") == default.sample(other_twin)
+    assert model.sample(rng, "a", "b") == default.sample(twin)
+    assert rng.getstate() == twin.getstate()

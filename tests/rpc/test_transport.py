@@ -343,3 +343,185 @@ def test_crash_discards_coalescing_frame_buffer(sim: Simulator):
     assert outcomes == [("post-restart", None)]
     assert client.pending_calls == 0
     assert server.pending_calls == 0
+
+
+# ----------------------------------------------------------------------
+# the deadline queue: timeouts are transport state, not kernel events
+# ----------------------------------------------------------------------
+def _issue_mixed_timeouts(sim: Simulator, client: RpcTransport,
+                          use_cb: bool) -> tuple[list, list]:
+    """Interleave 200 µs and 2,000 µs calls to a host that never
+    answers; returns (expected, observed) lists of (tag, instant)."""
+    expected: list = []
+    observed: list = []
+
+    def issue(tag: int, timeout: float) -> None:
+        expected.append((tag, sim.now + timeout))
+        if use_cb:
+            client.call_cb("silent", "m", None,
+                           lambda tag, _value, error: observed.append(
+                               (tag, sim.now, error.timeout)),
+                           tag, timeout=timeout)
+        else:
+            client.call("silent", "m", timeout=timeout).when_done(
+                lambda event, tag: observed.append(
+                    (tag, sim.now, event.exception.timeout)), tag)
+
+    # Steps of 0.1 are not exact in binary, so "exactly issue + timeout"
+    # is a statement about floats, not about round numbers.
+    for tag in range(40):
+        timeout = 200.0 if tag % 3 else 2_000.0
+        sim.schedule_callback(tag * 70.1, issue, tag, timeout)
+    return expected, observed
+
+
+@pytest.mark.parametrize("use_cb", [False, True], ids=["call", "call_cb"])
+def test_mixed_timeouts_each_expire_at_exactly_issue_plus_timeout(
+        sim: Simulator, network: Network, use_cb: bool):
+    client, _server = make_pair(network)
+    network.add_host("silent")
+    expected, observed = _issue_mixed_timeouts(sim, client, use_cb)
+    sim.run()
+    assert len(observed) == 40
+    timeouts = {tag: (200.0 if tag % 3 else 2_000.0) for tag in range(40)}
+    assert sorted((tag, at) for tag, at, _t in observed) == sorted(expected)
+    assert all(timeout == timeouts[tag] for tag, _at, timeout in observed)
+    # ... and in deadline order, short timeouts overtaking long ones
+    assert [at for _tag, at, _t in observed] == sorted(
+        at for _tag, at in expected)
+    assert client.pending_calls == 0
+    assert client.watched_deadlines == 0
+    assert not client._deadlines  # drained queues are dropped, not kept
+
+
+def test_one_armed_record_per_transport_however_many_calls(
+        sim: Simulator, network: Network):
+    client, server = make_pair(network)
+    server.register("echo", lambda args, ctx: args)
+    done = []
+    for i in range(100):
+        client.call_cb("server", "echo", i,
+                       lambda value, error: done.append(value),
+                       timeout=2_000.0)
+    # 100 delivery records and one deadline record, not 100 of each.
+    assert sim.queue_length == 101
+    sim.run(until=10.0)
+    assert done == list(range(100))
+    # Responses trimmed the queue as they arrived; the one armed record
+    # is all that is left, and it finds nothing to do.
+    assert client.watched_deadlines == 0
+    assert sim.queue_length == 1
+    sim.run()
+    assert sim.now == 2_000.0 and sim.queue_length == 0
+
+
+def test_deadline_wins_tie_with_response_when_armed_late(
+        sim: Simulator, network: Network):
+    """The tie of ``test_call_cb_timeout_response_tie_fires_once`` with
+    the deadline's record armed *after* the response was sent.  With a
+    timer per call the deadline won every tie, its record having been
+    queued at issue time; the queue keeps that rule.  On the exact 2 µs
+    hops: A (no answer, deadline 7) holds the armed record; B is issued
+    at 4 with deadline 8, its response leaves the server at 6 and is
+    due at 8; the record re-arms for B only at 7, behind the response's
+    delivery record.  B must still time out."""
+    client, server = make_pair(network)
+    network.add_host("silent")
+    server.register("echo", lambda args, ctx: args)
+    seen = []
+    client.call_cb("silent", "m", None,
+                   lambda value, error: seen.append(("A", sim.now, error)),
+                   timeout=7.0)
+    sim.schedule_callback(4.0, lambda: client.call_cb(
+        "server", "echo", "v",
+        lambda value, error: seen.append(("B", sim.now, value, error)),
+        timeout=4.0))
+    sim.run()
+    assert [entry[:2] for entry in seen] == [("A", 7.0), ("B", 8.0)]
+    assert seen[1][2] is None and isinstance(seen[1][3], RpcTimeout)
+    assert client.pending_calls == 0 and client.watched_deadlines == 0
+
+
+def test_crash_clears_deadline_queue_and_disarms(sim: Simulator,
+                                                 network: Network):
+    client, _server = make_pair(network)
+    network.add_host("silent")
+    seen = []
+    on_done = lambda value, error: seen.append((sim.now, error))  # noqa: E731
+    for _ in range(3):
+        client.call_cb("silent", "m", None, on_done, timeout=50.0)
+    client.call("silent", "m", timeout=80.0)
+    sim.schedule_callback(10.0, client.host.crash)
+    sim.schedule_callback(20.0, client.host.restart)
+    sim.schedule_callback(25.0, lambda: client.call_cb(
+        "silent", "m", None, on_done, timeout=50.0))
+    sim.run(until=15.0)
+    assert client.pending_calls == 0
+    assert client.watched_deadlines == 0
+    sim.run()
+    # The first incarnation's record (t=50) did nothing; the restarted
+    # incarnation's call still timed out, at its own deadline.
+    assert [at for at, _error in seen] == [75.0]
+    assert isinstance(seen[0][1], RpcTimeout)
+    assert client.pending_calls == 0 and client.watched_deadlines == 0
+
+
+def test_call_without_timeout_arms_nothing(sim: Simulator,
+                                           network: Network):
+    client, _server = make_pair(network)
+    network.add_host("silent")
+    client.call("silent", "m")
+    client.call_cb("silent", "m", None, lambda value, error: None)
+    assert client.watched_deadlines == 0
+    assert sim.queue_length == 2  # the two requests' delivery records
+    sim.run()
+    assert sim.now == 2.0  # nothing was queued behind the deliveries
+    assert client.pending_calls == 2  # waiting for ever, as asked
+
+
+def test_closed_loop_heap_stays_small_and_queues_drain(monkeypatch):
+    """16 closed-loop clients at the default ``rpc_timeout`` (2,000 µs):
+    the kernel's queue holds live work plus one record per transport —
+    a timer per call kept ~7,400 records there — and after ``settle()``
+    no transport is left watching anything."""
+    from repro.baselines import curp_config
+    from repro.harness.builder import build_cluster
+    from repro.harness.profiles import RAMCLOUD_PROFILE
+    from repro.metrics.stats import LatencyRecorder
+    from repro.workload.clients import ClosedLoopClient
+    from repro.workload.ycsb import YcsbWorkload
+
+    transports = []
+    init = RpcTransport.__init__
+
+    def recording_init(self, host):
+        init(self, host)
+        transports.append(self)
+    monkeypatch.setattr(RpcTransport, "__init__", recording_init)
+
+    config = curp_config(3)
+    assert config.rpc_timeout == 2_000.0
+    cluster = build_cluster(config, profile=RAMCLOUD_PROFILE, seed=7)
+    workload = YcsbWorkload(name="writes", read_fraction=0.0,
+                            item_count=100_000, value_size=100,
+                            distribution="uniform")
+    latency = LatencyRecorder()
+    loops = [ClosedLoopClient(
+        client=cluster.new_client(collect_outcomes=False),
+        stream=workload.generator(),
+        write_latency=latency, read_latency=latency) for _ in range(16)]
+    for loop in loops:
+        loop.client.host.spawn(loop.loop(), name="workload")
+    sim = cluster.sim
+    end = sim.now + 5_000.0  # two and a half timeout horizons
+    peak = 0
+    while sim.now < end and sim.step():
+        if sim.queue_length > peak:
+            peak = sim.queue_length
+    for loop in loops:
+        loop.running = False
+    assert sum(loop.operations for loop in loops) > 2_000
+    assert peak <= 256
+    cluster.settle()
+    assert [t.watched_deadlines for t in transports] == [0] * len(transports)
+    assert [t.pending_calls for t in transports] == [0] * len(transports)

@@ -79,6 +79,9 @@ def test_timeout_value(sim: Simulator):
 def test_negative_timeout_rejected(sim: Simulator):
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    assert sim.queue_length == 0
 
 
 def test_all_of_waits_for_every_child(sim: Simulator):

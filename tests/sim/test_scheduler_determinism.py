@@ -158,7 +158,7 @@ def test_processed_events_exact_across_nested_runs(sim: Simulator):
 #: not a perf tradeoff.
 GOLDEN = {
     "now": 4532.0,
-    "processed_events": 24294,
+    "processed_events": 19025,
     "operations": 2702,
     "messages_sent": 14676,
     "bytes_sent": 2358920,
@@ -290,7 +290,7 @@ def test_golden_trace_coalesced_pinned():
 #: Any drift in virtual-time behaviour moves this pin.
 GOLDEN_REBALANCE = {
     "now": 4532.0,
-    "processed_events": 24996,
+    "processed_events": 19683,
     "operations": 2600,
     "messages_sent": 14906,
     "bytes_sent": 2338840,

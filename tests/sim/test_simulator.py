@@ -57,6 +57,48 @@ def test_negative_delay_rejected(sim: Simulator):
         sim.schedule_callback(-1.0, lambda: None)
 
 
+def test_nan_times_rejected(sim: Simulator):
+    """NaN fails ``delay < 0`` and would reach the heap, where a NaN key
+    compares false against everything and silently breaks the order."""
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        sim.schedule_callback(nan, lambda: None)
+    with pytest.raises(ValueError):
+        sim.schedule_at(nan, lambda: None)
+    with pytest.raises(ValueError):
+        sim.timeout(nan)
+    assert sim.queue_length == 0
+
+
+def test_schedule_at_runs_at_the_absolute_instant(sim: Simulator):
+    hits = []
+    sim.run(until=0.1)
+    at = sim.now + 0.7  # the caller's float, kept bit for bit
+    sim.schedule_at(at, lambda tag: hits.append((tag, sim.now)), "later")
+    sim.schedule_at(sim.now, lambda tag: hits.append((tag, sim.now)), "now")
+    sim.schedule_callback(0.0, lambda: hits.append(("fifo", sim.now)))
+    sim.run()
+    assert hits == [("now", 0.1), ("fifo", 0.1), ("later", at)]
+    assert sim.processed_events == 3
+
+
+def test_schedule_at_orders_with_schedule_callback_by_sequence(
+        sim: Simulator):
+    order = []
+    sim.schedule_callback(5.0, order.append, "first")
+    sim.schedule_at(5.0, order.append, "second")
+    sim.schedule_callback(5.0, order.append, "third")
+    sim.run()
+    assert order == ["first", "second", "third"]
+
+
+def test_schedule_at_rejects_the_past(sim: Simulator):
+    sim.run(until=10.0)
+    with pytest.raises(ValueError):
+        sim.schedule_at(9.0, lambda: None)
+    assert sim.queue_length == 0
+
+
 def test_determinism_same_seed():
     def trace(seed: int) -> list[float]:
         simulator = Simulator(seed=seed)
