@@ -194,35 +194,6 @@ class Coordinator:
         self.config_version += 1
         return master
 
-    def register_external_master(
-            self, master_id: str, host: str,
-            backups: typing.Sequence[str] = (),
-            witnesses: typing.Sequence[str] = (),
-            owned_ranges: typing.Sequence[tuple[int, int]] = FULL_RANGE,
-    ) -> ManagedMaster:
-        """Record a master whose servers live in another simulation
-        partition (sim/partition.py).
-
-        Nothing is built — the hosts named here exist in a different
-        partition's network, reachable only through the cross-partition
-        mailbox.  The record is what matters: it puts the shard's
-        tablets in this coordinator's :class:`ShardMap` and its hosts
-        in the :class:`ClusterView`, so local clients route reads and
-        updates (and witness records) straight to the remote shard.
-        ``managed.master`` stays ``None``; recovery of a remote shard
-        belongs to the partition that owns it.
-        """
-        if master_id in self.masters:
-            raise ValueError(f"duplicate master id {master_id}")
-        managed = ManagedMaster(
-            master_id=master_id, host=host,
-            backups=list(backups), witnesses=list(witnesses),
-            witness_list_version=0, epoch=0,
-            owned_ranges=list(owned_ranges), master=None)
-        self.masters[master_id] = managed
-        self.config_version += 1
-        return managed
-
     def add_witness_host(self, witness_host: "Host",
                          record_time: float = 0.0) -> WitnessServer:
         """Register a standby witness server (for replacements)."""

@@ -15,7 +15,6 @@ from repro.core.config import CurpConfig
 from repro.core.master import CurpMaster, MasterStats
 from repro.harness.profiles import ClusterProfile, TEST_PROFILE
 from repro.net.latency import LatencyModel
-from repro.net.mailbox import CrossPartitionMailbox
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
 
@@ -36,14 +35,6 @@ class Cluster:
     #: the load-driven rebalancer, once started (None = static tablets)
     rebalancer: "Rebalancer | None" = None
     _host_counter: int = 0
-    #: prepended to generated client host names; partitioned builds use
-    #: ``p{partition}-`` so dynamically-created clients are globally
-    #: unique and prefix-routable across partitions ("" = serial build,
-    #: names unchanged)
-    client_prefix: str = ""
-    #: which simulation partition this cluster slice is (0 for serial)
-    partition_id: int = 0
-    n_partitions: int = 1
 
     # ------------------------------------------------------------------
     # convenience plumbing
@@ -103,7 +94,7 @@ class Cluster:
         """Create and connect a client (runs the simulator briefly)."""
         self._host_counter += 1
         host = self.network.add_host(
-            f"{self.client_prefix}client{self._host_counter}",
+            f"client{self._host_counter}",
             tx_cost=self.profile.client.tx, rx_cost=self.profile.client.rx)
         client = CurpClient(host, self.config,
                             coordinator=self.coordinator.host.name,
@@ -178,6 +169,8 @@ def build_cluster(config: CurpConfig | None = None,
     the whole multi-shard cluster, with receive-side cross-master gc
     merging."""
     config = config or CurpConfig()
+    if n_masters < 1:
+        raise ValueError("n_masters must be >= 1")
     if colocate_witnesses and multi_tenant_witnesses:
         raise ValueError("colocate_witnesses and multi_tenant_witnesses "
                          "are mutually exclusive deployments")
@@ -244,141 +237,3 @@ def build_cluster(config: CurpConfig | None = None,
                    coordinator=coordinator, masters=masters,
                    backup_hosts=backup_hosts, witness_hosts=witness_hosts,
                    clients=[])
-
-
-def partition_masters(partition_id: int, n_partitions: int,
-                      n_masters: int) -> range:
-    """Master indices owned by one partition (contiguous blocks, the
-    same split for every caller so builders and drivers agree)."""
-    lo = partition_id * n_masters // n_partitions
-    hi = (partition_id + 1) * n_masters // n_partitions
-    return range(lo, hi)
-
-
-def build_partitioned_cluster(partition_id: int,
-                              n_partitions: int,
-                              config: CurpConfig | None = None,
-                              profile: ClusterProfile = TEST_PROFILE,
-                              n_masters: int = 1,
-                              seed: int = 0,
-                              drop_rate: float = 0.0,
-                              lease_duration: float = 10_000_000.0,
-                              colocate_witnesses: bool = False) -> Cluster:
-    """Build one partition's slice of a sharded cluster (PDES, ISSUE 9).
-
-    The slice contains this partition's shards — each master with its
-    own backups and witnesses, created with exactly the names and in
-    exactly the order :func:`build_cluster` would use — plus a local
-    coordinator whose :class:`~repro.cluster.shard_map.ShardMap` covers
-    the *whole* keyspace: remote shards are recorded via
-    :meth:`~repro.cluster.coordinator.Coordinator.
-    register_external_master` and their host names registered with the
-    partition's :class:`~repro.net.mailbox.CrossPartitionMailbox`, so
-    local clients route to them transparently and the traffic crosses
-    at the conservative-window barriers.
-
-    With ``n_partitions == 1`` this *is* :func:`build_cluster` — same
-    call, same rng stream, same host names — which is what keeps the
-    serial golden traces byte-identical under the partition runner.
-
-    ``multi_tenant_witnesses`` is not supported partitioned: a shared
-    witness host serving every shard would put one host in every
-    partition at once.
-    """
-    if not 0 <= partition_id < n_partitions:
-        raise ValueError(f"partition_id {partition_id} out of range "
-                         f"for {n_partitions} partitions")
-    if n_partitions == 1:
-        return build_cluster(config=config, profile=profile,
-                             n_masters=n_masters, seed=seed,
-                             drop_rate=drop_rate,
-                             lease_duration=lease_duration,
-                             colocate_witnesses=colocate_witnesses)
-    if n_masters < n_partitions:
-        raise ValueError(f"need at least one master per partition: "
-                         f"{n_masters} masters, {n_partitions} partitions")
-    config = config or CurpConfig()
-    # Decorrelate the partitions' rng streams; partition 0 of P=1 keeps
-    # the plain seed (the delegation above).
-    sim = Simulator(seed=seed + 10_007 * partition_id)
-    network = Network(sim, latency=LatencyModel(profile.latency()),
-                      drop_rate=drop_rate,
-                      frame_coalescing=config.frame_coalescing)
-    mailbox = CrossPartitionMailbox(network, partition_id)
-    coordinator_host = network.add_host(f"p{partition_id}-coordinator",
-                                        tx_cost=profile.coordinator.tx,
-                                        rx_cost=profile.coordinator.rx)
-    coordinator = Coordinator(coordinator_host, network, config,
-                              lease_duration=lease_duration)
-
-    owner_of: dict[int, int] = {}
-    for p in range(n_partitions):
-        for index in partition_masters(p, n_partitions, n_masters):
-            owner_of[index] = p
-
-    masters: dict[str, CurpMaster] = {}
-    backup_hosts: dict[str, list[str]] = {}
-    witness_hosts: dict[str, list[str]] = {}
-    span = 2 ** 64 // n_masters
-    n_backups = config.f if config.uses_backups else 0
-    n_witnesses = config.f if config.uses_witnesses else 0
-    for index in range(n_masters):
-        master_id = f"m{index}"
-        backup_names = [f"{master_id}-backup{i}" for i in range(n_backups)]
-        if colocate_witnesses and config.uses_witnesses:
-            if n_backups < config.f:
-                raise ValueError("colocation requires f backups")
-            witness_names = backup_names[:config.f]
-        else:
-            witness_names = [f"{master_id}-witness{i}"
-                             for i in range(n_witnesses)]
-        lo = index * span
-        hi = (index + 1) * span if index < n_masters - 1 else 2 ** 64
-        if owner_of[index] == partition_id:
-            master_host = network.add_host(
-                f"{master_id}-host",
-                tx_cost=profile.master.tx, rx_cost=profile.master.rx,
-                shared_dispatch=profile.master.shared)
-            backups = [network.add_host(name, tx_cost=profile.backup.tx,
-                                        rx_cost=profile.backup.rx)
-                       for name in backup_names]
-            if colocate_witnesses and config.uses_witnesses:
-                witnesses = backups[:config.f]
-            else:
-                witnesses = [network.add_host(name,
-                                              tx_cost=profile.witness.tx,
-                                              rx_cost=profile.witness.rx)
-                             for name in witness_names]
-            master = coordinator.create_master(
-                master_id, master_host,
-                backup_hosts=backups, witness_hosts=witnesses,
-                owned_ranges=((lo, hi),),
-                backup_process_time=profile.backup_process_time,
-                witness_record_time=profile.witness_record_time,
-                n_workers=profile.master_workers,
-                execute_time=profile.execute_time)
-            masters[master_id] = master
-            backup_hosts[master_id] = backup_names
-            witness_hosts[master_id] = list(witness_names)
-        else:
-            owner = owner_of[index]
-            mailbox.register_remote(f"{master_id}-host", owner)
-            for name in backup_names:
-                mailbox.register_remote(name, owner)
-            if not (colocate_witnesses and config.uses_witnesses):
-                for name in witness_names:
-                    mailbox.register_remote(name, owner)
-            coordinator.register_external_master(
-                master_id, f"{master_id}-host",
-                backups=backup_names, witnesses=witness_names,
-                owned_ranges=((lo, hi),))
-    for q in range(n_partitions):
-        if q != partition_id:
-            mailbox.register_remote(f"p{q}-coordinator", q)
-            mailbox.register_remote_prefix(f"p{q}-client", q)
-
-    return Cluster(sim=sim, network=network, config=config, profile=profile,
-                   coordinator=coordinator, masters=masters,
-                   backup_hosts=backup_hosts, witness_hosts=witness_hosts,
-                   clients=[], client_prefix=f"p{partition_id}-",
-                   partition_id=partition_id, n_partitions=n_partitions)

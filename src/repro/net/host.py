@@ -151,10 +151,7 @@ class Host:
                 # at the call site, as the uncoalesced path does —
                 # not out of the end-of-instant flush with the
                 # sender's stack long gone.
-                network = self.network
-                if dst not in network.hosts and (
-                        network.mailbox is None
-                        or not network.mailbox.is_remote(dst)):
+                if dst not in self.network.hosts:
                     raise KeyError(f"unknown destination host: {dst}")
                 self.sim.at_instant_end(self._flush_frame, dst,
                                         self.incarnation)

@@ -52,18 +52,3 @@ class LatencyModel:
         if sampler is None:
             sampler = self._samplers[dist] = dist.sampler(self._rng)
         return sampler
-
-    def min_latency(self) -> float:
-        """Infimum over every pair the model can produce.
-
-        The conservative lookahead bound for partitioned simulation:
-        no message between any two hosts can arrive sooner than this.
-        Per-pair overrides are included, so a single fast override
-        tightens the bound for the whole model.
-        """
-        bound = self.default.lower_bound()
-        for dist in self._overrides.values():
-            lower = dist.lower_bound()
-            if lower < bound:
-                bound = lower
-        return bound

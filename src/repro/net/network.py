@@ -88,6 +88,9 @@ class Network:
         #: analysis, e.g. §5.2 payload-copy accounting); must not mutate
         self.taps: list[typing.Callable[[Message], None]] = []
         self._blocked: set[frozenset[str]] = set()
+        #: names under isolate(): hosts added later are blocked from
+        #: them too (quarantine must hold against new clients)
+        self._isolated: set[str] = set()
         # -- fault-injection hooks (net/faults.py) ----------------------
         # All empty/None by default: the hot paths below test falsiness
         # once per transmission and take zero extra branches, draws or
@@ -105,11 +108,6 @@ class Network:
         self.fault_rng = None
         #: single hot-path flag: True iff any fault hook is installed
         self._faults_active = False
-        #: cross-partition mailbox (sim/partition.py); ``None`` for a
-        #: serial network.  Only consulted where ``hosts.get(dst)``
-        #: comes back empty — a path that previously always raised —
-        #: so unpartitioned runs take zero extra branches.
-        self.mailbox = None
 
     # ------------------------------------------------------------------
     # topology
@@ -121,6 +119,9 @@ class Network:
         host = Host(self.sim, self, name, tx_cost=tx_cost, rx_cost=rx_cost,
                     shared_dispatch=shared_dispatch)
         self.hosts[name] = host
+        for isolated in self._isolated:
+            if isolated != name:
+                self.partition(isolated, name)
         return host
 
     def host(self, name: str) -> Host:
@@ -142,14 +143,18 @@ class Network:
 
     def heal_all(self) -> None:
         self._blocked.clear()
+        self._isolated.clear()
 
     def isolate(self, name: str) -> None:
-        """Partition ``name`` from every other host (zombie scenarios)."""
+        """Partition ``name`` from every other host, including hosts
+        added later, until ``rejoin`` (zombie scenarios)."""
+        self._isolated.add(name)
         for other in self.hosts:
             if other != name:
                 self.partition(name, other)
 
     def rejoin(self, name: str) -> None:
+        self._isolated.discard(name)
         for other in self.hosts:
             self.heal(name, other)
 
@@ -256,8 +261,7 @@ class Network:
         # the partition check allocates no frozenset when no partition
         # is active.
         target = self.hosts.get(dst)
-        if target is None and (self.mailbox is None
-                               or not self.mailbox.is_remote(dst)):
+        if target is None:
             raise KeyError(f"unknown destination host: {dst}")
         src_name = src.name
         stats = self.stats
@@ -296,15 +300,6 @@ class Network:
             wire = self.latency.sample(sim.rng, src_name, dst)
         # departs_at >= now by construction (Host.send clamps to now).
         delay = departs_at - sim.now + wire + extra
-        if target is None:
-            # Destination lives in another partition: hand off the
-            # latency-stamped message; the receiving simulator
-            # schedules it at the next conservative-window barrier.
-            self.mailbox.export(dst, message, sim.now + delay)
-            if dup >= 0.0:
-                stats.messages_duplicated += 1
-                self.mailbox.export(dst, message, sim.now + delay + dup)
-            return
         sim._schedule_deliver(delay, target, message)
         if dup >= 0.0:
             stats.messages_duplicated += 1
@@ -323,8 +318,7 @@ class Network:
         §5.2 payload accounting is per RPC, not per wire transmission.
         """
         target = self.hosts.get(dst)
-        if target is None and (self.mailbox is None
-                               or not self.mailbox.is_remote(dst)):
+        if target is None:
             raise KeyError(f"unknown destination host: {dst}")
         src_name = src.name
         stats = self.stats
@@ -385,12 +379,6 @@ class Network:
         else:
             payload = Frame(src_name, dst, messages, size_bytes, sim.now)
         delay = departs_at - sim.now + wire + extra
-        if target is None:
-            self.mailbox.export(dst, payload, sim.now + delay)
-            if dup >= 0.0:
-                stats.messages_duplicated += 1
-                self.mailbox.export(dst, payload, sim.now + delay + dup)
-            return
         sim._schedule_deliver(delay, target, payload)
         if dup >= 0.0:
             stats.messages_duplicated += 1

@@ -39,17 +39,6 @@ class Distribution:
         """Analytic mean where available (used by tests)."""
         raise NotImplementedError
 
-    def lower_bound(self) -> float:
-        """Infimum of the support — no sample is ever below this.
-
-        Conservative parallel simulation (sim/partition.py) derives its
-        lookahead window from the minimum possible inter-partition wire
-        latency; unbounded-below-at-zero shapes (Exponential, LogNormal)
-        return 0.0 and need a :class:`Shifted` floor to give the
-        partitioned runner any lookahead to work with.
-        """
-        return 0.0
-
 
 class Fixed(Distribution):
     """Always the same value (deterministic links, CPU costs)."""
@@ -63,9 +52,6 @@ class Fixed(Distribution):
         return self.value
 
     def mean(self) -> float:
-        return self.value
-
-    def lower_bound(self) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -86,9 +72,6 @@ class Uniform(Distribution):
 
     def mean(self) -> float:
         return (self.low + self.high) / 2
-
-    def lower_bound(self) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"Uniform({self.low}, {self.high})"
@@ -141,11 +124,6 @@ class LogNormal(Distribution):
     def mean(self) -> float:
         return math.exp(self._mu + self.sigma ** 2 / 2)
 
-    def lower_bound(self) -> float:
-        # sigma=0 degenerates to Fixed(median); otherwise the support
-        # reaches down to 0 and only a Shifted floor gives lookahead.
-        return self.median if self.sigma == 0 else 0.0
-
     def __repr__(self) -> str:
         return f"LogNormal(median={self.median}, sigma={self.sigma})"
 
@@ -174,9 +152,6 @@ class Shifted(Distribution):
 
     def mean(self) -> float:
         return self.floor + self.inner.mean()
-
-    def lower_bound(self) -> float:
-        return self.floor + self.inner.lower_bound()
 
     def __repr__(self) -> str:
         return f"Shifted({self.floor} + {self.inner!r})"

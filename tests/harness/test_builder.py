@@ -48,6 +48,12 @@ def test_multiple_masters_partition_the_hash_space():
         assert hi_a == lo_b  # contiguous, no gaps
 
 
+@pytest.mark.parametrize("n_masters", [0, -1])
+def test_cluster_without_masters_rejected(n_masters):
+    with pytest.raises(ValueError, match="n_masters must be >= 1"):
+        build_cluster(curp_config(1), n_masters=n_masters)
+
+
 def test_new_client_connects_and_works():
     cluster = build_cluster(curp_config(1))
     client = cluster.new_client()

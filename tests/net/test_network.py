@@ -79,10 +79,39 @@ def test_isolate_and_rejoin(sim: Simulator, network: Network):
     a.send("b", 1)
     sim.run()
     assert inbox == []
+    # Isolation holds against hosts added afterwards, in both
+    # directions (the watchdog quarantines with isolate(), and
+    # Cluster.new_client() adds hosts at any time).
+    a_inbox = []
+    a.set_message_handler(lambda m: a_inbox.append(m.payload))
+    late = network.add_host("late")
+    late.send("a", 3)
+    a.send("late", 4)
+    late.send("b", 5)
+    sim.run()
+    assert a_inbox == []
+    assert [p for _, p in inbox] == [5]
     network.rejoin("a")
     a.send("b", 2)
+    late.send("a", 6)
     sim.run()
-    assert [p for _, p in inbox] == [2]
+    assert [p for _, p in inbox] == [5, 2]
+    assert a_inbox == [6]
+    # ... and a rejoined host is reachable from hosts added after that.
+    later = network.add_host("later")
+    later.send("a", 7)
+    sim.run()
+    assert a_inbox == [6, 7]
+
+
+def test_heal_all_ends_isolation_for_late_hosts(sim: Simulator,
+                                                network: Network):
+    _a, _b, inbox = two_hosts(network)
+    network.isolate("b")
+    network.heal_all()
+    network.add_host("late").send("b", 1)
+    sim.run()
+    assert [p for _, p in inbox] == [1]
 
 
 def test_drop_rate_drops_messages(sim: Simulator):

@@ -410,143 +410,3 @@ def test_single_client_pipelined_end_state_identical_across_frame_modes():
     assert coalesced == legacy
     # The identical protocol exchange rode far fewer transmissions.
     assert coalesced_messages < 0.5 * legacy_messages
-
-
-# ----------------------------------------------------------------------
-# partitioned simulation (ISSUE 9): 1-partition mode preserves every
-# golden above byte-identically, and fixed (seed, partition count)
-# reproduces identical end states run over run
-# ----------------------------------------------------------------------
-from repro.harness.builder import build_partitioned_cluster  # noqa: E402
-from repro.sim.partition import PartitionedSimulation  # noqa: E402
-from repro.workload.partitioned import build_openloop_partition  # noqa: E402
-
-
-class _GoldenDriver:
-    """Runs the exact golden experiments inside one partition."""
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.network = cluster.network
-
-    def run_closed_loop_golden(self) -> dict:
-        workload = YcsbWorkload(name="golden", read_fraction=0.5,
-                                item_count=1000, value_size=16,
-                                distribution="zipfian")
-        result = run_closed_loop(self.cluster, workload, n_clients=4,
-                                 duration=3_000.0, warmup=500.0)
-        self.cluster.settle(1_000.0)
-        return {
-            "now": self.sim.now,
-            "processed_events": self.sim.processed_events,
-            "operations": result["operations"],
-            "messages_sent": self.network.stats.messages_sent,
-            "bytes_sent": self.network.stats.bytes_sent,
-            "messages_dropped": self.network.stats.messages_dropped,
-            "per_host_sent": dict(sorted(
-                self.network.stats.per_host_sent.items())),
-        }
-
-    def run_pipelined_golden(self) -> dict:
-        workload = YcsbWorkload(name="golden-pipelined",
-                                read_fraction=0.25, item_count=1000,
-                                value_size=16, distribution="zipfian")
-        result = run_pipelined_loop(self.cluster, workload, n_clients=4,
-                                    waves=40, depth=4)
-        self.cluster.settle(1_000.0)
-        stats = self.network.stats
-        return {
-            "now": self.sim.now,
-            "processed_events": self.sim.processed_events,
-            "operations": result["operations"],
-            "messages_sent": stats.messages_sent,
-            "payloads_sent": stats.payloads_sent,
-            "frames_sent": stats.frames_sent,
-            "frame_payloads": stats.frame_payloads,
-            "bytes_sent": stats.bytes_sent,
-            "messages_dropped": stats.messages_dropped,
-            "per_host_sent": dict(sorted(stats.per_host_sent.items())),
-        }
-
-    def run_rebalance_golden(self) -> dict:
-        self.cluster.start_rebalancer(interval=400.0, threshold=1.25,
-                                      min_ops=60)
-        workload = YcsbWorkload(name="golden-skewed", read_fraction=0.5,
-                                item_count=375, value_size=16,
-                                distribution="zipfian")
-        result = run_closed_loop(self.cluster, workload, n_clients=4,
-                                 duration=3_000.0, warmup=500.0)
-        self.cluster.rebalancer.stop()
-        self.cluster.settle(1_000.0)
-        stats = self.cluster.rebalancer.stats
-        return {
-            "now": self.sim.now,
-            "processed_events": self.sim.processed_events,
-            "operations": result["operations"],
-            "messages_sent": self.network.stats.messages_sent,
-            "bytes_sent": self.network.stats.bytes_sent,
-            "messages_dropped": self.network.stats.messages_dropped,
-            "splits": stats.splits,
-            "migrations": stats.migrations,
-            "tablets": self.cluster.shard_map.tablets(),
-            "per_host_sent": dict(sorted(
-                self.network.stats.per_host_sent.items())),
-        }
-
-
-def _golden_partition_setup(partition_id: int, n_partitions: int, args):
-    frames, n_masters = args
-    config = dataclasses.replace(curp_config(2), frame_coalescing=frames)
-    cluster = build_partitioned_cluster(partition_id, n_partitions,
-                                        config=config, seed=1234,
-                                        n_masters=n_masters)
-    return _GoldenDriver(cluster)
-
-
-def test_one_partition_mode_goldens_byte_identical():
-    """The partition runner at P=1 — partitioned builder, window loop,
-    barrier calls and all — reproduces every golden pin above
-    byte-for-byte.  This is the acceptance gate for the PDES layer:
-    zero partitions' worth of overhead may leak into virtual time."""
-    for frames, n_masters, method, pin in (
-            (False, 1, "run_closed_loop_golden", GOLDEN),
-            (True, 1, "run_closed_loop_golden", GOLDEN),
-            (True, 1, "run_pipelined_golden", GOLDEN_COALESCED),
-            (False, 2, "run_rebalance_golden", GOLDEN_REBALANCE)):
-        with PartitionedSimulation(_golden_partition_setup, 1,
-                                   setup_args=(frames, n_masters),
-                                   backend="inline") as psim:
-            observed = psim.call(method)[0]
-        assert observed == pin, (frames, method)
-
-
-def _two_partition_run(seed: int):
-    args = {"n_masters": 4, "seed": seed, "rate_per_shard": 25_000.0,
-            "n_clients": 2, "keys_per_shard": 8, "remote_fraction": 0.2}
-    with PartitionedSimulation(build_openloop_partition, 2,
-                               setup_args=args, backend="inline") as psim:
-        psim.call("start")
-        psim.advance(psim.now + 1_000.0)
-        psim.call("reset")
-        start = psim.now
-        psim.advance(start + 5_000.0)
-        psim.call("stop")
-        results = psim.call("results", 5_000.0)
-        digests = psim.call("digest")
-    return ([(r["completed"], r["offered"],
-              r["partition"]["exported"], r["partition"]["imported"])
-             for r in results], digests)
-
-
-def test_partitioned_same_seed_same_count_identical_end_state():
-    """Fixed seed + fixed partition count ⇒ bit-identical end states
-    across runs: completions, traffic, per-master store digests."""
-    first = _two_partition_run(seed=2024)
-    second = _two_partition_run(seed=2024)
-    assert first == second
-    # The run actually crossed partitions — determinism of an idle
-    # mailbox would prove nothing.
-    assert all(exported > 0 for _, _, exported, _ in first[0])
-    # And a different seed genuinely changes the run.
-    assert _two_partition_run(seed=2025) != first

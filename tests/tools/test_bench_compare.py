@@ -19,7 +19,7 @@ def snapshot(dispatch=6_000_000, records=800_000, rpc=200_000,
              fig6=170_000, speedup=3.8, fig6_coalesced=170_000,
              messages_per_update=2.3, rebalance_ops=1_300_000,
              overload_goodput=39_900, recovery_time=1_250.0,
-             unavailability=2_000.0, parallel_speedup=2.9,
+             unavailability=2_000.0,
              fast_commit_rate=0.98, fig6_ops=5_500,
              fig6_coalesced_ops=5_000, events_per_op=21.6,
              events_per_op_coalesced=21.6) -> dict:
@@ -57,9 +57,6 @@ def snapshot(dispatch=6_000_000, records=800_000, rpc=200_000,
                                 "mttr": 2_096.0},
                 "gray_witness": {"time_to_detect": 4_730.0},
                 "one_way_partition": {"goodput_retained": 1.0}}},
-        "parallel_sim": {"speedup_4p": parallel_speedup,
-                         "speedup_2p": 1.6,
-                         "critical_path_4p_seconds": 0.83},
         "transactions": {"fast_commit_rate": fast_commit_rate,
                          "commit_p50": 12.0,
                          "contended_abort_rate": 0.33},
@@ -156,7 +153,7 @@ def test_missing_gated_metric_fails_the_gate():
     """Schema drift must not silently disable the gate."""
     rows, failures = bench_compare.compare(
         snapshot(), {"event_loop": {}, "witness": {}}, threshold=0.25)
-    assert len(failures) == 15  # every gated metric uncomparable
+    assert len(failures) == 14  # every gated metric uncomparable
     gated = {row["name"]: row for row in rows if row["gated"]}
     assert gated["dispatch events/s"]["status"] == "MISSING"
     assert gated["witness records/s"]["status"] == "MISSING"
@@ -172,7 +169,6 @@ def test_missing_gated_metric_fails_the_gate():
     assert gated["recovery time-to-recover (µs)"]["status"] == "MISSING"
     assert (gated["availability unavailability window (µs)"]["status"]
             == "MISSING")
-    assert gated["parallel sim speedup @4p"]["status"] == "MISSING"
     assert gated["transactions fast-commit rate"]["status"] == "MISSING"
 
 
@@ -306,29 +302,6 @@ def test_availability_scenario_metrics_are_informational():
         "time_to_detect"] = 50_000.0
     candidate["availability"]["scenarios"]["one_way_partition"][
         "goodput_retained"] = 0.2
-    _rows, failures = bench_compare.compare(
-        snapshot(), candidate, threshold=0.25)
-    assert failures == []
-
-
-# ----------------------------------------------------------------------
-# ISSUE 9: the PDES scaling gate
-# ----------------------------------------------------------------------
-def test_parallel_sim_speedup_regression_gates():
-    """A drop in the 4-partition busy-time speedup (the decomposition,
-    window barrier or mailbox got more expensive) fails the gate."""
-    rows, failures = bench_compare.compare(
-        snapshot(), snapshot(parallel_speedup=1.5), threshold=0.25)
-    assert len(failures) == 1
-    assert "parallel sim speedup @4p" in failures[0]
-    gated = {row["name"]: row for row in rows if row["gated"]}
-    assert gated["parallel sim speedup @4p"]["status"] == "REGRESSION"
-
-
-def test_parallel_sim_side_metrics_are_informational():
-    candidate = snapshot()
-    candidate["parallel_sim"]["speedup_2p"] = 0.9
-    candidate["parallel_sim"]["critical_path_4p_seconds"] = 5.0
     _rows, failures = bench_compare.compare(
         snapshot(), candidate, threshold=0.25)
     assert failures == []

@@ -62,11 +62,6 @@ GATED_METRICS = (
     # pushback backoff or the AIMD windows stopped holding the curve
     # flat past saturation)
     ("overload goodput@10x ops/s", ("overload", "goodput_at_saturation")),
-    # ISSUE 9: PDES scaling — serial busy CPU over the 4-partition
-    # critical path (busy-time based, so the gate holds on single-core
-    # runners; a drop means the partition decomposition, the window
-    # barrier or the cross-partition mailbox got more expensive)
-    ("parallel sim speedup @4p", ("parallel_sim", "speedup_4p")),
     # ISSUE 10: low-contention cross-shard 1-RTT commit rate (virtual
     # time, deterministic per seed — a drop means prepares stopped
     # completing speculatively: witness conflicts, sync-path fallback
@@ -142,9 +137,6 @@ INFO_METRICS = (
      ("recovery", "compaction", "sync_p99_on")),
     ("recovery curp p99 w/ cleaner (µs)",
      ("recovery", "compaction", "curp_p99_on")),
-    ("parallel sim speedup @2p", ("parallel_sim", "speedup_2p")),
-    ("parallel sim critical path @4p (s)",
-     ("parallel_sim", "critical_path_4p_seconds")),
     ("transactions commit p50 (µs)", ("transactions", "commit_p50")),
     ("transactions contended abort rate",
      ("transactions", "contended_abort_rate")),

@@ -53,12 +53,6 @@ Measures, in wall-clock terms:
   availability tracker — ``availability.unavailability_window``
   (virtual µs the kill-master scenario spends below 50% of baseline
   goodput) is CI-gated lower-is-better;
-- a ``parallel_sim`` series (ISSUE 9): conservative-PDES scaling of
-  the partitioned scheduler on a 4-shard open-loop workload at
-  P ∈ {1, 2, 4}, from ``benchmarks/bench_parallel_sim.py`` —
-  ``parallel_sim.speedup_4p`` (serial busy CPU over the 4-partition
-  critical path; CPU-time based so single-core CI runners measure the
-  decomposition, not their own context switching) is CI-gated;
 - a ``transactions`` series (ISSUE 10): cross-shard commutative
   sagas (§B.2) from ``benchmarks/bench_transactions.py`` — the
   low-contention 1-RTT fast-commit rate
@@ -353,42 +347,6 @@ def _availability() -> dict:
     }
 
 
-def _parallel_sim() -> dict:
-    """PDES scaling series (ISSUE 9 acceptance numbers).  The speedups
-    are ratios of busy CPU time — per-worker ``time.process_time`` —
-    so they hold on single-core runners where wall clock cannot."""
-    import gc
-
-    from benchmarks.bench_parallel_sim import parallel_sim_scaling
-
-    # The series above leave ~1.4 M live objects in this process.  The
-    # P=1 leg runs inline, so every full collection during it would
-    # traverse that heap and inflate serial busy time — and with it the
-    # gated speedup — 2-3x.  Freezing takes the leftovers out of the
-    # collector's sight for the duration.
-    gc.collect()
-    gc.freeze()
-    try:
-        started = time.perf_counter()
-        result = parallel_sim_scaling()
-    finally:
-        gc.unfreeze()
-    series = result["series"]
-    return {
-        "seconds": round(time.perf_counter() - started, 3),
-        "backend": result["backend"],
-        "speedup_2p": result["speedup_2p"],
-        "speedup_4p": result["speedup_4p"],
-        "serial_busy_seconds": series[1]["total_busy"],
-        "critical_path_4p_seconds": series[4]["critical_path"],
-        "windows_4p": series[4]["windows"],
-        "completed_by_partitions": {
-            str(n): point["completed"] for n, point in series.items()},
-        "wall_seconds_by_partitions": {
-            str(n): point["wall_seconds"] for n, point in series.items()},
-    }
-
-
 def _transactions() -> dict:
     """Cross-shard commutative sagas (ISSUE 10 acceptance series):
     virtual-time, deterministic per seed.  ``fast_commit_rate`` is the
@@ -478,7 +436,6 @@ def snapshot(scale: float = 1.0) -> dict:
         "overload": _overload(scale),
         "recovery": _recovery(),
         "availability": _availability(),
-        "parallel_sim": _parallel_sim(),
         "transactions": _transactions(),
     }
 
