@@ -15,6 +15,7 @@ from benchmarks.conftest import run_once
 from benchmarks.hotpath_workloads import (
     drain_events,
     rpc_roundtrips,
+    rpc_roundtrips_calibrated,
     rpc_roundtrips_yield,
     schedule_and_drain,
     witness_records,
@@ -50,6 +51,23 @@ def test_rpc_roundtrip_throughput(benchmark, scale):
     print(f"\nRPC round trips (call_cb): {rate / 1e3:.1f} k round-trips/s")
     benchmark.extra_info["roundtrips_per_sec"] = rate
     assert rate > 5_000
+
+
+def test_rpc_roundtrip_throughput_calibrated(benchmark, scale):
+    """The same loop with RAMCLOUD_PROFILE's NIC costs and wire: RX
+    serialization and the latency sampler are on its path, and a round
+    trip is two kernel records — one per message."""
+    n = int(20_000 * scale)
+    calls, elapsed, events_per_roundtrip = run_once(
+        benchmark, lambda: rpc_roundtrips_calibrated(n_calls=n))
+    rate = calls / elapsed
+    print(f"\nRPC round trips (call_cb, calibrated): "
+          f"{rate / 1e3:.1f} k round-trips/s, "
+          f"{events_per_roundtrip:.2f} events each")
+    benchmark.extra_info["roundtrips_per_sec"] = rate
+    benchmark.extra_info["events_per_roundtrip"] = events_per_roundtrip
+    assert rate > 5_000
+    assert events_per_roundtrip == 2.0
 
 
 def test_rpc_roundtrip_throughput_yield(benchmark, scale):

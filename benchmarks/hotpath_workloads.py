@@ -8,7 +8,11 @@ Three workloads, one per layer the tentpole overhauled:
   pre-filled outside the clock); ``schedule_and_drain`` times the full
   schedule+dispatch round trip.
 - **RPC round trips**: a closed-loop client hammering an echo handler
-  through the full Host/Network/RpcTransport stack.
+  through the full Host/Network/RpcTransport stack — on zero-cost hosts
+  over a fixed wire (``rpc_roundtrips``, CI-gated), and on
+  ``RAMCLOUD_PROFILE``'s client and witness costs and lognormal wire
+  (``rpc_roundtrips_calibrated``), the only one of the two with RX
+  serialization and the latency sampler on its path.
 - **witness records**: ``WitnessCache.record`` + periodic ``gc`` at the
   paper's geometry (4096 slots, 4-way) — §5.2 measures ~1.27 M
   records/s on the real witness; this is our comparable.
@@ -63,28 +67,31 @@ def schedule_and_drain(sim_factory: typing.Callable[[], typing.Any],
     return sim.processed_events, time.perf_counter() - started
 
 
-def _rpc_pair():
+def _rpc_pair(calibrated: bool = False):
+    """A client and an echo server.  ``calibrated`` gives them
+    ``RAMCLOUD_PROFILE``'s client / witness NIC costs and wire model in
+    place of zero-cost hosts 2 µs apart."""
+    from repro.harness.profiles import RAMCLOUD_PROFILE, TEST_PROFILE
     from repro.net.latency import LatencyModel
     from repro.net.network import Network
     from repro.rpc.transport import RpcTransport
-    from repro.sim.distributions import Fixed
     from repro.sim.simulator import Simulator
 
+    profile = RAMCLOUD_PROFILE if calibrated else TEST_PROFILE
     sim = Simulator(seed=0)
-    network = Network(sim, latency=LatencyModel(Fixed(2.0)))
-    client = RpcTransport(network.add_host("client"))
-    server = RpcTransport(network.add_host("server"))
+    network = Network(sim, latency=LatencyModel(profile.latency()))
+    client = RpcTransport(network.add_host(
+        "client", tx_cost=profile.client.tx, rx_cost=profile.client.rx))
+    server = RpcTransport(network.add_host(
+        "server", tx_cost=profile.witness.tx, rx_cost=profile.witness.rx))
     server.register("echo", lambda args, ctx: args)
     return sim, client
 
 
-def rpc_roundtrips(n_calls: int = 20_000) -> tuple[int, float]:
-    """Round-trips/s through the full simulated RPC stack, driven by
-    the ``call_cb`` completion fast path (the protocol hot path since
-    the operation-lifecycle overhaul): the continuation issues the next
-    call straight from response delivery — no per-call event, queue
-    dispatch, or generator resume."""
-    sim, client = _rpc_pair()
+def _drive_roundtrips(sim, client, n_calls: int) -> float:
+    """Seconds for ``n_calls`` back-to-back ``call_cb`` round trips: the
+    continuation issues the next call straight from response delivery —
+    no per-call event, queue dispatch, or generator resume."""
     done = sim.event()
     calls = [0]
 
@@ -98,7 +105,25 @@ def rpc_roundtrips(n_calls: int = 20_000) -> tuple[int, float]:
     started = time.perf_counter()
     client.call_cb("server", "echo", 0, on_done)
     sim.run(done)
-    return n_calls, time.perf_counter() - started
+    return time.perf_counter() - started
+
+
+def rpc_roundtrips(n_calls: int = 20_000) -> tuple[int, float]:
+    """Round-trips/s through the full simulated RPC stack, driven by
+    the ``call_cb`` completion fast path (the protocol hot path since
+    the operation-lifecycle overhaul)."""
+    sim, client = _rpc_pair()
+    return n_calls, _drive_roundtrips(sim, client, n_calls)
+
+
+def rpc_roundtrips_calibrated(n_calls: int = 20_000
+                              ) -> tuple[int, float, float]:
+    """The same loop between a ``RAMCLOUD_PROFILE`` client and witness.
+    Also returns kernel events per round trip — deterministic: what one
+    request/response pair costs the event queue."""
+    sim, client = _rpc_pair(calibrated=True)
+    elapsed = _drive_roundtrips(sim, client, n_calls)
+    return n_calls, elapsed, sim.processed_events / n_calls
 
 
 def rpc_roundtrips_yield(n_calls: int = 20_000) -> tuple[int, float]:

@@ -143,13 +143,20 @@ class CurpClient:
             timeout=self.config.rpc_timeout)
         self.view = view
 
-    def _master_for(self, keys: typing.Sequence[str]) -> MasterInfo:
-        assert self.view is not None, "client not connected"
-        masters = {self.view.master_for_hash(key_hash(k)) for k in keys}
-        if len(masters) != 1 or None in masters:
-            raise ValueError(f"keys {keys!r} do not map to a single master")
-        master_id = masters.pop()
-        return self.view.masters[master_id]
+    def _master_for(self, hashes: typing.Sequence[int]) -> MasterInfo:
+        """The one master owning every key hash in ``hashes``."""
+        view = self.view
+        assert view is not None, "client not connected"
+        route = view.master_for_hash
+        master_id = route(hashes[0]) if hashes else None
+        for key_hash_value in hashes[1:]:
+            if route(key_hash_value) != master_id:
+                master_id = None
+                break
+        if master_id is None:
+            raise ValueError(
+                f"key hashes {hashes!r} do not map to a single master")
+        return view.masters[master_id]
 
     def group_by_shard(self, keys: typing.Iterable[str]) \
             -> dict[str, tuple[str, ...]]:
@@ -187,7 +194,7 @@ class CurpClient:
         last_error: Exception | None = None
         pushback_streak = 0
         for attempt in range(1, self.config.max_attempts + 1):
-            master = self._master_for(op.touched_keys())
+            master = self._master_for(op.touched_hashes())
             args = UpdateArgs(op=op, rpc_id=rpc_id,
                               ack_seq=self.tracker.first_incomplete,
                               witness_list_version=master.witness_list_version)
@@ -401,8 +408,9 @@ class CurpClient:
         started = self.sim.now
         last_error: Exception | None = None
         pushback_streak = 0
+        hashes = (key_hash(key),)
         for _attempt in range(1, self.config.max_attempts + 1):
-            master = self._master_for((key,))
+            master = self._master_for(hashes)
             try:
                 value, version = yield self.transport.call(
                     master.host, "read",
@@ -439,9 +447,9 @@ class CurpClient:
         Otherwise falls back to a master read.
         """
         assert self.view is not None, "client not connected"
-        master = self._master_for((key,))
-        probe = ProbeArgs(master_id=master.master_id,
-                          key_hashes=(key_hash(key),))
+        hashes = (key_hash(key),)
+        master = self._master_for(hashes)
+        probe = ProbeArgs(master_id=master.master_id, key_hashes=hashes)
         quorum = QuorumEvent(self.sim, 2)
         self.transport.call_cb(witness, "probe", probe,
                                quorum.child_result, 0,

@@ -198,10 +198,18 @@ class CurpMaster:
     # ownership
     # ------------------------------------------------------------------
     def owns_hash(self, key_hash_value: int) -> bool:
-        return any(lo <= key_hash_value < hi for lo, hi in self.owned_ranges)
+        return self.owns_hashes((key_hash_value,))
 
-    def owns_all(self, keys: typing.Iterable[str]) -> bool:
-        return all(self.owns_hash(key_hash(k)) for k in keys)
+    def owns_hashes(self, hashes: typing.Iterable[int]) -> bool:
+        """True iff every hash (an op's ``touched_hashes()``) is owned."""
+        ranges = self.owned_ranges
+        for key_hash_value in hashes:
+            for lo, hi in ranges:
+                if lo <= key_hash_value < hi:
+                    break
+            else:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # update path
@@ -231,7 +239,7 @@ class CurpMaster:
         op: Operation = args.op
         if not op.is_update:
             raise AppError("BAD_REQUEST", "reads must use the read RPC")
-        if not self.owns_all(op.touched_keys()):
+        if not self.owns_hashes(op.touched_hashes()):
             # The client routed with a stale shard map: make it refetch
             # the map from the coordinator and retry.  Routing wins
             # over the witness-version check below — a mis-routed
@@ -312,9 +320,11 @@ class CurpMaster:
         try:
             # Commutativity + hot-key checks look at state *before* the
             # operation mutates it.
-            conflict = any(
-                self.store.is_unsynced(key, self.synced_position)
-                for key in op.touched_keys())
+            conflict = False
+            for key in op.touched_keys():
+                if self.store.is_unsynced(key, self.synced_position):
+                    conflict = True
+                    break
             if self.config.hot_key_window > 0:
                 now = self.sim.now
                 for key in op.mutated_keys():
@@ -384,13 +394,13 @@ class CurpMaster:
     # ------------------------------------------------------------------
     def _handle_read(self, args: ReadArgs, ctx):
         self._check_serviceable()
-        if not self.owns_all((args.key,)):
+        h = key_hash(args.key)
+        if not self.owns_hash(h):
             raise AppError("WRONG_SHARD", {"master": self.master_id})
         if self.config.overload.shed_reads and self._shedding() \
                 and not args.probe:
             self.stats.shed_reads += 1
             raise AppError(RETRY_LATER, self._pushback_info())
-        h = key_hash(args.key)
         self._load_by_hash[h] = self._load_by_hash.get(h, 0) + 1
         self._on_worker(self._read_executed, args, ctx)
         return RpcTransport.DEFERRED
@@ -694,8 +704,8 @@ class CurpMaster:
         remaining = []
         for position, hashes, rpc_id in self._pending_gc:
             if position <= self.synced_position:
-                pairs.extend((key_hash_value, rpc_id)
-                             for key_hash_value in hashes)
+                for key_hash_value in hashes:
+                    pairs.append((key_hash_value, rpc_id))
             else:
                 remaining.append((position, hashes, rpc_id))
         self._pending_gc = remaining
@@ -797,8 +807,8 @@ class CurpMaster:
         let the normal sync+gc cycle collect it."""
         self.stats.stale_suspects_handled += 1
         state, _ = self.registry.check(request.rpc_id)
-        if state is DuplicateState.NEW and self.owns_all(
-                request.op.touched_keys()):
+        if state is DuplicateState.NEW and self.owns_hashes(
+                request.op.touched_hashes()):
             result, entry = self.store.execute(request.op,
                                                rpc_id=request.rpc_id,
                                                now=self.sim.now)
@@ -994,7 +1004,7 @@ class CurpMaster:
             try:
                 for request in args.requests:
                     op = request.op
-                    if not self.owns_all(op.touched_keys()):
+                    if not self.owns_hashes(op.touched_hashes()):
                         filtered += 1  # migrated-away keys (§3.6 filter)
                         continue
                     state, _ = self.registry.check(request.rpc_id)

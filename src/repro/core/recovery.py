@@ -26,7 +26,6 @@ import typing
 from repro.core.config import CurpConfig
 from repro.core.master import CurpMaster
 from repro.core.messages import GetRecoveryDataArgs, RecordedRequest
-from repro.kvstore.hashing import key_hash
 from repro.rifl import DuplicateState
 from repro.rpc import AppError, RpcTimeout
 
@@ -63,7 +62,7 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
     load-balancing half of RAMCloud's partitioned recovery), then
     chunks spanned by a single witnessed multi-key request are merged:
     a speculative ``MultiWrite`` must be replayed by *one* recovery
-    master that owns every key it touches, or the ``owns_all`` replay
+    master that owns every key it touches, or the ``owns_hashes`` replay
     filter would drop it everywhere.  Each witness request is assigned
     to the partition holding its keys; requests whose keys fall outside
     every partition (recorded for since-migrated keys) ride with the
@@ -113,8 +112,7 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
 
     request_chunks: list[tuple[RecordedRequest, int]] = []
     for request in requests:
-        touched = {chunk_of(key_hash(key))
-                   for key in request.op.touched_keys()}
+        touched = {chunk_of(h) for h in request.op.touched_hashes()}
         touched.discard(None)
         if not touched:
             request_chunks.append((request, 0))  # filtered at replay
@@ -207,7 +205,7 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
     try:
         for request in requests or ():
             op = request.op
-            if not master.owns_all(op.touched_keys()):
+            if not master.owns_hashes(op.touched_hashes()):
                 filtered += 1  # migrated-away keys (§3.6 replay filter)
                 continue
             state, _ = master.registry.check(request.rpc_id)

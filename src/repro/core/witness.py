@@ -180,13 +180,17 @@ class WitnessServer:
             # client cannot complete in 1 RTT through this witness.
             return RECORD_REJECTED
         ranges = self.owned_ranges
-        if ranges is not None and not all(
-                any(lo <= h < hi for lo, hi in ranges)
-                for h in args.key_hashes):
-            # The key migrated away from this witness's master: the op
-            # can never complete here, and an accepted record would pin
-            # a slot the owning master's gc cycle can no longer reach.
-            return RECORD_REJECTED
+        if ranges is not None:
+            for h in args.key_hashes:
+                for lo, hi in ranges:
+                    if lo <= h < hi:
+                        break
+                else:
+                    # The key migrated away from this witness's master:
+                    # the op can never complete here, and an accepted
+                    # record would pin a slot the owning master's gc
+                    # cycle can no longer reach.
+                    return RECORD_REJECTED
         accepted = self.cache.record(args.key_hashes, args.rpc_id, args.request)
         if accepted and args.request is not None \
                 and is_transactional(args.request.op):

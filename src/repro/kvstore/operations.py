@@ -35,16 +35,43 @@ class Operation:
         """Keys whose values this operation changes."""
         return ()
 
+    # The three derived tuples below are memoized in the instance
+    # ``__dict__`` (which the frozen ``__setattr__`` does not guard):
+    # one instance travels client -> master -> witnesses, so every hop
+    # uses the client's hashes (the record RPC *carries* keyHashes,
+    # §4.2).  Dataclass ``==`` / ``hash`` / ``repr`` / ``replace`` look
+    # at fields only: they cannot see the memo, and a copy starts clean.
     def touched_keys(self) -> tuple[str, ...]:
         """Union of read and mutated keys, deduplicated, order stable."""
-        seen: dict[str, None] = {}
-        for key in self.read_keys() + self.mutated_keys():
-            seen.setdefault(key)
-        return tuple(seen)
+        keys = self.__dict__.get("_touched_keys")
+        if keys is None:
+            keys = self.__dict__["_touched_keys"] = tuple(
+                dict.fromkeys(self.read_keys() + self.mutated_keys()))
+        return keys
+
+    def touched_hashes(self) -> tuple[int, ...]:
+        """64-bit hashes of ``touched_keys()``, in the same order (what
+        routing and ownership checks compare)."""
+        hashes = self.__dict__.get("_touched_hashes")
+        if hashes is None:
+            hashes = self.__dict__["_touched_hashes"] = tuple(
+                [key_hash(k) for k in self.touched_keys()])
+        return hashes
 
     def key_hashes(self) -> tuple[int, ...]:
         """64-bit hashes of the mutated keys (what witnesses store)."""
-        return tuple(key_hash(k) for k in self.mutated_keys())
+        hashes = self.__dict__.get("_key_hashes")
+        if hashes is None:
+            # Mutated keys are touched keys: pick their hashes out of
+            # touched_hashes() so that each key is hashed once per op.
+            touched = self.touched_keys()
+            mutated = self.mutated_keys()
+            hashes = self.touched_hashes()
+            if mutated != touched:
+                by_key = dict(zip(touched, hashes))
+                hashes = tuple([by_key[k] for k in mutated])
+            self.__dict__["_key_hashes"] = hashes
+        return hashes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,7 +193,7 @@ class ConditionalMultiWrite(Operation):
         # Witnesses must guard the whole validated set: a conflicting
         # write to any read-set key would invalidate the commit, so the
         # record occupies a slot per touched key, not just per write.
-        return tuple(key_hash(k) for k in self.touched_keys())
+        return self.touched_hashes()
 
 
 @dataclasses.dataclass(frozen=True)

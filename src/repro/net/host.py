@@ -14,6 +14,15 @@ update RPC plus f record RPCs back-to-back therefore staggers them by
 tx_cost — this is the mechanism behind the paper's observed 0.4 µs
 median penalty at f=3 (Figure 5).
 
+RX serialization: each incoming transmission occupies the RX path for
+``rx_cost`` µs before the handler sees it.  Where that path is the
+host's alone, the kernel fires the delivery record ``rx_cost`` past the
+arrival (``_rx_lead``) and ``_deliver`` runs the handler in that one
+record unless the path is still busy; a ``shared_dispatch`` host keeps
+a record at the arrival instant, because its ``send()`` moves the same
+accumulator between arrival and completion.  The timing contract is in
+docs/PERFORMANCE.md ("One kernel record per message").
+
 Frame coalescing (``Network(frame_coalescing=True)``): instead of
 transmitting immediately, ``send`` packs same-instant messages to the
 same destination into a per-destination buffer that flushes as one
@@ -60,6 +69,17 @@ class Host:
         self.incarnation = 0
         self._nic_free_at = 0.0
         self._rx_free_at = 0.0
+        #: how far past the arrival the kernel fires a delivery record
+        #: (``Simulator._schedule_deliver``): the RX cost where the RX
+        #: path is this host's alone, else 0.0
+        self._rx_lead = (rx_cost if rx_cost > 0 and not shared_dispatch
+                         else 0.0)
+        #: a delivery record firing before this instant arrived before
+        #: the last ``restart()`` — host down, or previous life's RX path
+        self._rx_floor = 0.0
+        #: destination → (target host, wire sampler on ``sim.rng`` or
+        #: None for loopback); the network clears it on a latency change
+        self._links: dict[str, tuple] = {}
         #: frame coalescing (owned by the network, copied here so the
         #: send hot path pays one attribute probe): when True, sends
         #: buffer per destination and flush as one Frame per instant
@@ -120,6 +140,7 @@ class Host:
         self.alive = True
         self._nic_free_at = self.sim.now
         self._rx_free_at = self.sim.now
+        self._rx_floor = self.sim.now + self._rx_lead
         for hook in self._restart_hooks:
             hook()
 
@@ -147,24 +168,64 @@ class Host:
                 buffer = self._frame_buffers[dst] = []
             if not buffer:
                 # First message to dst this instant: arm the flush.
-                # Probe the destination now so an unknown host raises
-                # at the call site, as the uncoalesced path does —
-                # not out of the end-of-instant flush with the
-                # sender's stack long gone.
-                if dst not in self.network.hosts:
-                    raise KeyError(f"unknown destination host: {dst}")
+                # Bind the link now so an unknown host raises at the
+                # call site, as the uncoalesced path does — not out of
+                # the end-of-instant flush with the sender's stack
+                # long gone.
+                if dst not in self._links:
+                    self._bind_link(dst)
                 self.sim.at_instant_end(self._flush_frame, dst,
                                         self.incarnation)
             buffer.append(Message(self.name, dst, payload, size_bytes,
                                   self.sim.now))
             return
-        now = self.sim.now
+        # One of these per simulated message — the network's hot path.
+        # Anything that can stop or bend the transmission lives in
+        # Network._admit.
+        sim = self.sim
+        now = sim.now
         nic_free = self._nic_free_at
         departs = (now if nic_free <= now else nic_free) + self.tx_cost
         self._nic_free_at = departs
         if self.shared_dispatch and self._rx_free_at < departs:
             self._rx_free_at = departs
-        self.network._transmit(self, dst, payload, size_bytes, departs)
+        target, sampler = self._links.get(dst) or self._bind_link(dst)
+        network = self.network
+        name = self.name
+        stats = network.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size_bytes
+        stats.payloads_sent += 1
+        stats.per_host_sent[name] += 1
+        stats.per_host_bytes[name] += size_bytes
+        # Built once: the same instance feeds the taps (documented as
+        # non-mutating) and, if the message survives, delivery.
+        message = Message(name, dst, payload, size_bytes, now)
+        extra = 0.0
+        dup = -1.0
+        if network._guarded or network.taps:
+            verdict = network._admit(message)
+            if verdict is None:
+                return
+            extra, dup = verdict
+        wire = 0.0 if sampler is None else sampler()
+        # departs >= now by construction (clamped above).
+        delay = departs - now + wire + extra
+        sim._schedule_deliver(delay, target, message)
+        if dup >= 0.0:
+            stats.messages_duplicated += 1
+            sim._schedule_deliver(delay + dup, target, message)
+
+    def _bind_link(self, dst: str) -> tuple:
+        """First send to ``dst`` (or first since a latency change):
+        resolve the target host and the link's wire sampler once."""
+        target = self.network.hosts.get(dst)
+        if target is None:
+            raise KeyError(f"unknown destination host: {dst}")
+        sampler = None if dst == self.name else \
+            self.network.latency.sampler(self.sim.rng, self.name, dst)
+        link = self._links[dst] = (target, sampler)
+        return link
 
     def _flush_frame(self, dst: str, incarnation: int) -> None:
         """End-of-instant: transmit the buffered frame to ``dst``.
@@ -190,29 +251,44 @@ class Host:
         self.network._transmit_frame(self, dst, messages, departs)
 
     def _deliver(self, message: "typing.Any") -> None:
-        """Called by the network when a message arrives at this host."""
+        """The kernel's delivery record: ``message`` arrived ``_rx_lead``
+        ago.  A Frame passes through whole — one rx_cost per
+        transmission, which is the coalescing win on the rx side."""
         if not self.alive or self._message_handler is None:
             return
-        if self.rx_cost <= 0:
-            if type(message) is Frame:
-                self._handle_frame(message)
-            else:
-                self._message_handler(message)
-            return
-        # Serialize inbound processing through the RX path (models the
-        # cost of taking a packet off the NIC); with shared_dispatch the
-        # same accumulator also covers sends, so one thread's worth of
-        # µs bounds total message handling — RAMCloud's dispatch model.
-        # A Frame passes through whole: rx_cost is charged once per
-        # transmission, which is the coalescing win on the rx side.
-        now = self.sim.now
-        rx_free = self._rx_free_at
-        done = (now if rx_free <= now else rx_free) + self.rx_cost
-        self._rx_free_at = done
-        if self.shared_dispatch and self._nic_free_at < done:
-            self._nic_free_at = done
-        self.sim.schedule_callback(done - now, self._dispatch_rx, message,
-                                   self.incarnation)
+        rx_cost = self.rx_cost
+        if rx_cost > 0:
+            now = self.sim.now
+            rx_free = self._rx_free_at
+            if self.shared_dispatch:
+                # One thread serializes both directions (RAMCloud's
+                # dispatch model): this record fires at arrival and
+                # moves the accumulator send() shares; a second one
+                # completes the RX, a *delay* after now — the float
+                # every pinned virtual-time number was computed with,
+                # and ``done`` itself whenever done <= 2 * now.
+                done = (now if rx_free <= now else rx_free) + rx_cost
+                self._rx_free_at = done
+                if self._nic_free_at < done:
+                    self._nic_free_at = done
+                self.sim.schedule_at(now + (done - now), self._dispatch_rx,
+                                     message, self.incarnation)
+                return
+            # Independent RX path: now is arrival + rx_cost, the
+            # completion instant unless earlier arrivals keep it busy.
+            if now < self._rx_floor:
+                return  # arrived before the last restart()
+            done = rx_free + rx_cost
+            if done > now:
+                self._rx_free_at = done
+                self.sim.schedule_at(done, self._dispatch_rx, message,
+                                     self.incarnation)
+                return
+            self._rx_free_at = now
+        if type(message) is Frame:
+            self._handle_frame(message)
+        else:
+            self._message_handler(message)
 
     def _dispatch_rx(self, message: "typing.Any", incarnation: int) -> None:
         """RX-path completion; drops messages from a previous life."""

@@ -23,9 +23,10 @@ class LatencyModel:
         #: ``_rng`` (one per default/override, built on first use)
         self._samplers: dict[Distribution, typing.Callable[[], float]] = {}
         self._rng: random.Random | None = None
-        #: the default's sampler: the whole of ``sample`` while no
-        #: per-pair override exists (one cluster-wide model, hot path)
-        self._default_sampler: typing.Callable[[], float] | None = None
+        #: called after every ``set_pair``: hosts keep each link's
+        #: sampler (``Host._links``), so the network hangs its "drop
+        #: the cached links" hook here
+        self.on_change: list[typing.Callable[[], None]] = []
 
     def set_pair(self, src: str, dst: str, dist: Distribution,
                  symmetric: bool = True) -> None:
@@ -33,22 +34,26 @@ class LatencyModel:
         self._overrides[(src, dst)] = dist
         if symmetric:
             self._overrides[(dst, src)] = dist
+        for hook in self.on_change:
+            hook()
 
     def distribution(self, src: str, dst: str) -> Distribution:
         return self._overrides.get((src, dst), self.default)
 
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
+    def sampler(self, rng: random.Random, src: str,
+                dst: str) -> typing.Callable[[], float]:
+        """The zero-argument sampler of src→dst's distribution, bound to
+        ``rng``: what a host keeps per link, so a send costs one call.
+        Valid until the next ``set_pair`` (see ``on_change``)."""
         if rng is not self._rng:
             # First use (or another generator): samplers bind their rng.
             self._samplers.clear()
             self._rng = rng
-            self._default_sampler = self._sampler(self.default)
-        if not self._overrides:  # common case: one cluster-wide model
-            return self._default_sampler()
-        return self._sampler(self.distribution(src, dst))()
-
-    def _sampler(self, dist: Distribution) -> typing.Callable[[], float]:
+        dist = self.distribution(src, dst)
         sampler = self._samplers.get(dist)
         if sampler is None:
-            sampler = self._samplers[dist] = dist.sampler(self._rng)
+            sampler = self._samplers[dist] = dist.sampler(rng)
         return sampler
+
+    def sample(self, rng: random.Random, src: str, dst: str) -> float:
+        return self.sampler(rng, src, dst)()

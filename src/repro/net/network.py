@@ -51,13 +51,6 @@ class TrafficStats:
         self.per_host_sent: dict[str, int] = defaultdict(int)
         self.per_host_bytes: dict[str, int] = defaultdict(int)
 
-    def record_send(self, src: str, size_bytes: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        self.payloads_sent += 1
-        self.per_host_sent[src] += 1
-        self.per_host_bytes[src] += size_bytes
-
     def messages_per_update(self, completed_updates: int) -> float:
         """Wire transmissions per completed update — the protocol's
         per-message floor (~8 at f = 3 without coalescing; the ISSUE 4
@@ -75,9 +68,6 @@ class Network:
                  drop_rate: float = 0.0, frame_coalescing: bool = False):
         self.sim = sim
         self.latency = latency or LatencyModel()
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1): {drop_rate}")
-        self.drop_rate = drop_rate
         #: pack same-instant same-destination sends into one Frame per
         #: transmission (``CurpConfig.frame_coalescing``); hosts copy
         #: the flag at construction, so set it before adding hosts
@@ -106,8 +96,17 @@ class Network:
         #: the injector's dedicated rng (never ``sim.rng``); set by
         #: FaultInjector.start()
         self.fault_rng = None
-        #: single hot-path flag: True iff any fault hook is installed
+        #: True iff any fault hook is installed
         self._faults_active = False
+        #: the one flag ``Host.send`` probes (beside ``taps``): True iff
+        #: a transmission can be stopped or bent — a partition, a fault
+        #: hook or a non-zero ``drop_rate`` is in force — and so must go
+        #: through ``_admit``.  Kept by every method that changes one.
+        self._guarded = False
+        self.drop_rate = drop_rate
+        # Hosts keep (target, wire sampler) per destination; a changed
+        # pair latency drops them all (cold: topology set-up).
+        self.latency.on_change.append(self._drop_links)
 
     # ------------------------------------------------------------------
     # topology
@@ -131,19 +130,44 @@ class Network:
                          symmetric: bool = True) -> None:
         self.latency.set_pair(src, dst, dist, symmetric=symmetric)
 
+    def _drop_links(self) -> None:
+        for host in self.hosts.values():
+            host._links.clear()
+
+    @property
+    def drop_rate(self) -> float:
+        """Probability that a transmission is lost (uniform, every link)."""
+        return self._drop_rate
+
+    @drop_rate.setter
+    def drop_rate(self, rate: float) -> None:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1): {rate}")
+        self._drop_rate = rate
+        self._refresh_guards()
+
+    def _refresh_guards(self) -> None:
+        self._faults_active = bool(self._blocked_oneway or self._gray_hosts
+                                   or self._link_faults)
+        self._guarded = bool(self._blocked or self._faults_active
+                             or self._drop_rate > 0)
+
     # ------------------------------------------------------------------
     # partitions
     # ------------------------------------------------------------------
     def partition(self, a: str, b: str) -> None:
         """Block traffic between hosts a and b (both directions)."""
         self._blocked.add(frozenset((a, b)))
+        self._guarded = True
 
     def heal(self, a: str, b: str) -> None:
         self._blocked.discard(frozenset((a, b)))
+        self._refresh_guards()
 
     def heal_all(self) -> None:
         self._blocked.clear()
         self._isolated.clear()
+        self._refresh_guards()
 
     def isolate(self, name: str) -> None:
         """Partition ``name`` from every other host, including hosts
@@ -164,18 +188,14 @@ class Network:
     # ------------------------------------------------------------------
     # fault hooks (driven by net/faults.py; callable directly in tests)
     # ------------------------------------------------------------------
-    def _refresh_faults_active(self) -> None:
-        self._faults_active = bool(self._blocked_oneway or self._gray_hosts
-                                   or self._link_faults)
-
     def partition_one_way(self, src: str, dst: str) -> None:
         """Block ``src → dst`` only; ``dst → src`` keeps flowing."""
         self._blocked_oneway.add((src, dst))
-        self._faults_active = True
+        self._refresh_guards()
 
     def heal_one_way(self, src: str, dst: str) -> None:
         self._blocked_oneway.discard((src, dst))
-        self._refresh_faults_active()
+        self._refresh_guards()
 
     def set_link_fault(self, src: str, dst: str, profile,
                        symmetric: bool = False) -> None:
@@ -186,38 +206,25 @@ class Network:
         self._link_faults[(src, dst)] = profile
         if symmetric:
             self._link_faults[(dst, src)] = profile
-        self._faults_active = True
+        self._refresh_guards()
 
     def clear_link_fault(self, src: str, dst: str,
                          symmetric: bool = False) -> None:
         self._link_faults.pop((src, dst), None)
         if symmetric:
             self._link_faults.pop((dst, src), None)
-        self._refresh_faults_active()
+        self._refresh_guards()
 
     def set_gray_host(self, name: str, allow: tuple[str, ...]) -> None:
         """Make ``name`` gray: inbound RPC *requests* whose method is
         not in ``allow`` are dropped; responses and non-RPC payloads
         pass (the host still looks alive on the control path)."""
         self._gray_hosts[name] = tuple(allow)
-        self._faults_active = True
+        self._refresh_guards()
 
     def clear_gray_host(self, name: str) -> None:
         self._gray_hosts.pop(name, None)
-        self._refresh_faults_active()
-
-    def _fault_verdict(self, src_name: str, dst: str,
-                       payload: typing.Any) -> "tuple[float, float] | None":
-        """Combined fault check for one transmission: ``None`` = drop,
-        else ``(extra_delay, duplicate_lag)`` (lag < 0 = no duplicate).
-        Only called when ``_faults_active``."""
-        if self._blocked_oneway and (src_name, dst) in self._blocked_oneway:
-            return None
-        if self._gray_hosts and not self._passes_gray(dst, payload):
-            return None
-        if self._link_faults:
-            return self._link_verdict(src_name, dst)
-        return 0.0, -1.0
+        self._refresh_guards()
 
     def _passes_gray(self, dst: str, payload: typing.Any) -> bool:
         """Does ``payload`` survive dst's gray filter?  Duck-typed on
@@ -252,58 +259,43 @@ class Network:
         return extra, dup
 
     # ------------------------------------------------------------------
-    # transmission (called by Host.send after NIC serialization)
+    # transmission (Host.send / Host._flush_frame after NIC serialization)
     # ------------------------------------------------------------------
-    def _transmit(self, src: Host, dst: str, payload: typing.Any,
-                  size_bytes: int, departs_at: float) -> None:
-        # One of these per simulated message — the network's hot path.
-        # Stats are inlined (record_send stays as the public API) and
-        # the partition check allocates no frozenset when no partition
+    def _admit(self, message: Message) -> "tuple[float, float] | None":
+        """Everything that can stop or bend one message's transmission;
+        ``Host.send`` calls it only while ``_guarded`` or ``taps`` is
+        truthy.  ``None`` = dropped (and counted), else ``(extra_delay,
+        duplicate_lag)`` with ``duplicate_lag < 0`` meaning no copy."""
+        for tap in self.taps:
+            tap(message)
+        return self._verdict(message.src, message.dst, message.payload, 1)
+
+    def _verdict(self, src_name: str, dst: str, payload: typing.Any,
+                 count: int) -> "tuple[float, float] | None":
+        """The drop / bend decision for one transmission of ``count``
+        payloads.  The order — partition, fault hooks (``fault_rng``),
+        ``drop_rate`` roll (``sim.rng``), all before the caller samples
+        the wire — fixes the rng draw order, which is part of the
+        golden-trace contract."""
+        # The partition check allocates no frozenset while no partition
         # is active.
-        target = self.hosts.get(dst)
-        if target is None:
-            raise KeyError(f"unknown destination host: {dst}")
-        src_name = src.name
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-        stats.payloads_sent += 1
-        stats.per_host_sent[src_name] += 1
-        stats.per_host_bytes[src_name] += size_bytes
-        # Built once: the same instance feeds the taps (documented as
-        # non-mutating) and, if the message survives, delivery.
-        sim = self.sim
-        message = Message(src_name, dst, payload, size_bytes, sim.now)
-        if self.taps:
-            for tap in self.taps:
-                tap(message)
         if self._blocked and frozenset((src_name, dst)) in self._blocked:
-            stats.messages_dropped += 1
-            stats.payloads_dropped += 1
-            return
-        extra = 0.0
-        dup = -1.0
+            return self._dropped(count)
+        bent = 0.0, -1.0
         if self._faults_active:
-            verdict = self._fault_verdict(src_name, dst, payload)
-            if verdict is None:
-                stats.messages_dropped += 1
-                stats.payloads_dropped += 1
-                return
-            extra, dup = verdict
-        if self.drop_rate > 0 and sim.rng.random() < self.drop_rate:
-            stats.messages_dropped += 1
-            stats.payloads_dropped += 1
-            return
-        if src_name == dst:
-            wire = 0.0  # loopback
-        else:
-            wire = self.latency.sample(sim.rng, src_name, dst)
-        # departs_at >= now by construction (Host.send clamps to now).
-        delay = departs_at - sim.now + wire + extra
-        sim._schedule_deliver(delay, target, message)
-        if dup >= 0.0:
-            stats.messages_duplicated += 1
-            sim._schedule_deliver(delay + dup, target, message)
+            if (src_name, dst) in self._blocked_oneway \
+                    or not self._passes_gray(dst, payload):
+                return self._dropped(count)
+            bent = self._link_verdict(src_name, dst)
+            if bent is None:
+                return self._dropped(count)
+        if self._drop_rate > 0 and self.sim.rng.random() < self._drop_rate:
+            return self._dropped(count)
+        return bent
+
+    def _dropped(self, count: int) -> None:
+        self.stats.messages_dropped += 1
+        self.stats.payloads_dropped += count
 
     def _transmit_frame(self, src: Host, dst: str,
                         messages: "list[Message]",
@@ -317,9 +309,7 @@ class Network:
         uncoalesced path.  Taps observe every contained message — the
         §5.2 payload accounting is per RPC, not per wire transmission.
         """
-        target = self.hosts.get(dst)
-        if target is None:
-            raise KeyError(f"unknown destination host: {dst}")
+        target, sampler = src._links.get(dst) or src._bind_link(dst)
         src_name = src.name
         stats = self.stats
         count = len(messages)
@@ -335,17 +325,12 @@ class Network:
         stats.per_host_sent[src_name] += 1
         stats.per_host_bytes[src_name] += size_bytes
         sim = self.sim
-        if self.taps:
+        extra = 0.0
+        dup = -1.0
+        if self._guarded or self.taps:
             for tap in self.taps:
                 for message in messages:
                     tap(message)
-        if self._blocked and frozenset((src_name, dst)) in self._blocked:
-            stats.messages_dropped += 1
-            stats.payloads_dropped += count
-            return
-        extra = 0.0
-        dup = -1.0
-        if self._faults_active:
             # A gray destination filters the frame's *contents*: each
             # contained RPC request is checked individually, so allowed
             # control traffic (pings) rides through while data-path
@@ -358,22 +343,18 @@ class Network:
                     if not kept:
                         stats.messages_dropped += 1
                         return
+                    # What arrives is what was kept: its size too (the
+                    # *sent* bytes counted above stay).
                     messages = kept
                     count = len(messages)
-            verdict = self._fault_verdict(src_name, dst, None)
+                    size_bytes = sum(m.size_bytes for m in messages)
+            # The rest is per transmission and shared with single
+            # messages; the payload-less probe passes the gray filter.
+            verdict = self._verdict(src_name, dst, None, count)
             if verdict is None:
-                stats.messages_dropped += 1
-                stats.payloads_dropped += count
                 return
             extra, dup = verdict
-        if self.drop_rate > 0 and sim.rng.random() < self.drop_rate:
-            stats.messages_dropped += 1
-            stats.payloads_dropped += count
-            return
-        if src_name == dst:
-            wire = 0.0  # loopback
-        else:
-            wire = self.latency.sample(sim.rng, src_name, dst)
+        wire = 0.0 if sampler is None else sampler()
         if count == 1:
             payload: typing.Any = messages[0]
         else:

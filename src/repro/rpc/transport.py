@@ -107,7 +107,6 @@ class RpcContext:
         if self.replied:
             raise RuntimeError("reply() called twice")
         self.replied = True
-        # Inlined _respond: one call per handled request — hot path.
         request = self._request
         self._transport.host.send(request.reply_to,
                                   RpcResponse(request.seq, True, value),
@@ -117,10 +116,10 @@ class RpcContext:
         if self.replied:
             raise RuntimeError("reply() called twice")
         self.replied = True
-        self._transport._respond(
-            self._request,
-            RpcResponse(seq=self._request.seq, ok=False,
-                        error_code=code, error_info=info),
+        request = self._request
+        self._transport.host.send(
+            request.reply_to,
+            RpcResponse(request.seq, False, None, code, info),
             self._response_size)
 
     def reply_exception(self, error: BaseException) -> None:
@@ -229,10 +228,18 @@ class RpcTransport:
         # No extra args (the common single-call case): store the bare
         # callable and skip two tuple allocations per call.
         self._pending[seq] = (on_done, cb_args) if cb_args else on_done
-        request = RpcRequest(seq, self.host.name, method, args)
-        self.host.send(dst, request, request_size or self._default_size)
+        host = self.host
+        host.send(dst, RpcRequest(seq, host.name, method, args),
+                  request_size or self._default_size)
         if timeout is not None:
-            self._watch_deadline(timeout, seq, dst, method)
+            # _watch_deadline, inlined: one per hot-path RPC.
+            deadline = self.sim.now + timeout
+            queue = self._deadlines.get(timeout)
+            if queue is None:
+                queue = self._deadlines[timeout] = deque()
+            queue.append((deadline, seq, dst, method))
+            if not deadline >= self._armed_at:
+                self._arm(deadline)
 
     def _watch_deadline(self, timeout: float, seq: int, dst: str,
                         method: str) -> None:
@@ -341,41 +348,66 @@ class RpcTransport:
     def unregister(self, method: str) -> None:
         self._handlers.pop(method, None)
 
-    def _respond(self, request: RpcRequest, response: RpcResponse,
-                 size: int) -> None:
-        self.host.send(request.reply_to, response, size)
-
     # ------------------------------------------------------------------
     # message pump
     # ------------------------------------------------------------------
     def _on_message(self, message: typing.Any) -> None:
-        # Exact type checks: the frame classes are final, and this runs
-        # once per delivered message.
+        # Both halves of the pump inline: one Python frame per delivered
+        # message.  Exact type checks: the frame classes are final.
         payload = message.payload
         payload_type = type(payload)
-        if payload_type is RpcRequest:
-            self._handle_request(payload)
-        elif payload_type is RpcResponse:
-            self._handle_response(payload)
+        if payload_type is RpcResponse:
+            if self._armed_at <= self.sim.now:
+                # A deadline falls on this very instant and its record
+                # has not dispatched yet.  The deadline wins such a tie
+                # (it was queued at issue time, before the response was
+                # even sent), so run it first; the armed record then
+                # finds nothing due.
+                self._expire_due()
+            pending = self._pending
+            result = pending.pop(payload.seq, None)
+            if result is None:
+                return  # timed out or duplicate
+            for queue in self._deadlines.values():
+                while queue and queue[0][1] not in pending:
+                    queue.popleft()
+            kind = type(result)
+            if kind is Event:
+                if result.triggered:
+                    return
+                if payload.ok:
+                    result.succeed(payload.value)
+                else:
+                    result.fail(self._response_error(payload))
+            elif kind is tuple:
+                # call_cb with extra args: the continuation runs here.
+                on_done, cb_args = result
+                if payload.ok:
+                    on_done(*cb_args, payload.value, None)
+                else:
+                    on_done(*cb_args, None, self._response_error(payload))
+            elif payload.ok:
+                result(payload.value, None)
+            else:
+                result(None, self._response_error(payload))
+        elif payload_type is RpcRequest:
+            handler = self._handlers.get(payload.method)
+            ctx = RpcContext(self, payload, self._default_size)
+            if handler is None:
+                ctx.reply_error("NO_SUCH_METHOD", payload.method)
+                return
+            try:
+                outcome = handler(payload.args, ctx)
+            except Exception as error:  # noqa: BLE001 - serialize to caller
+                ctx.reply_exception(error)
+                return
+            if outcome is self._deferred:
+                return
+            if type(outcome) is GeneratorType:
+                self._run_handler_process(outcome, ctx, payload)
+            elif not ctx.replied:
+                ctx.reply(outcome)
         # anything else: not RPC traffic; ignore
-
-    def _handle_request(self, request: RpcRequest) -> None:
-        handler = self._handlers.get(request.method)
-        ctx = RpcContext(self, request, self._default_size)
-        if handler is None:
-            ctx.reply_error("NO_SUCH_METHOD", request.method)
-            return
-        try:
-            outcome = handler(request.args, ctx)
-        except Exception as error:  # noqa: BLE001 - serialize to caller
-            ctx.reply_exception(error)
-            return
-        if outcome is self._deferred:
-            return
-        if type(outcome) is GeneratorType:
-            self._run_handler_process(outcome, ctx, request)
-        elif not ctx.replied:
-            ctx.reply(outcome)
 
     def _run_handler_process(self, generator: typing.Generator,
                              ctx: RpcContext, request: RpcRequest) -> None:
@@ -393,40 +425,6 @@ class RpcTransport:
                 if not isinstance(event.exception, Interrupt):
                     ctx.reply_exception(event.exception)
         process.add_callback(finish)
-
-    def _handle_response(self, response: RpcResponse) -> None:
-        if self._armed_at <= self.sim.now:
-            # A deadline falls on this very instant and its record has
-            # not dispatched yet.  The deadline wins such a tie (it was
-            # queued at issue time, before the response was even sent),
-            # so run it first; the armed record then finds nothing due.
-            self._expire_due()
-        pending = self._pending
-        result = pending.pop(response.seq, None)
-        if result is None:
-            return  # timed out or duplicate
-        for queue in self._deadlines.values():
-            while queue and queue[0][1] not in pending:
-                queue.popleft()
-        kind = type(result)
-        if kind is Event:
-            if result.triggered:
-                return
-            if response.ok:
-                result.succeed(response.value)
-            else:
-                result.fail(self._response_error(response))
-        elif kind is tuple:
-            # call_cb with extra args: run the continuation right here.
-            on_done, cb_args = result
-            if response.ok:
-                on_done(*cb_args, response.value, None)
-            else:
-                on_done(*cb_args, None, self._response_error(response))
-        elif response.ok:
-            result(response.value, None)
-        else:
-            result(None, self._response_error(response))
 
     def _response_error(self, response: RpcResponse) -> Exception:
         if response.error_code == "REMOTE_ERROR":

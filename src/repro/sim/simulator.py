@@ -176,16 +176,22 @@ class Simulator:
 
     def _schedule_deliver(self, delay: float, host: typing.Any,
                           message: typing.Any) -> None:
-        """Message-delivery record: ``host._deliver(message)`` after
-        ``delay``.  A dedicated kind so the network's per-message
-        schedule allocates one record tuple and nothing else."""
+        """Message-delivery record: ``message`` reaches ``host`` after
+        ``delay``; ``host._deliver(message)`` runs ``host._rx_lead``
+        later (an independent RX path's cost, so that one record covers
+        arrival and RX completion; else 0.0, and ``x + 0.0`` is ``x``).
+        A dedicated kind so the network's per-message schedule allocates
+        one record tuple and nothing else."""
         self._sequence += 1
-        if delay == 0.0:
+        lead = host._rx_lead
+        if delay == 0.0 and lead == 0.0:
             self._now_queue.append((self._sequence, _DELIVER, host, message))
         else:
+            # (now + delay) is the arrival instant exactly as it always
+            # was computed; the lead is added to that, not to the delay.
             heapq.heappush(self._heap,
-                           (self.now + delay, self._sequence, _DELIVER,
-                            host, message))
+                           (self.now + delay + lead, self._sequence,
+                            _DELIVER, host, message))
 
     # ------------------------------------------------------------------
     # execution

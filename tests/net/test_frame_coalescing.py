@@ -10,10 +10,13 @@ incarnation can never flush its previous life's RPCs.
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.net import Network
 from repro.net.latency import LatencyModel
+from repro.net.message import Frame
 from repro.sim import Fixed, Simulator
 
 
@@ -257,6 +260,28 @@ def test_receiver_crash_mid_frame_drops_the_tail(
         a.send("b", payload)
     sim.run()
     assert seen == ["ok", "poison"]
+
+
+def test_gray_filtered_frame_carries_the_size_of_what_it_kept(
+        sim: Simulator, coalescing_network: Network):
+    """``Frame.size_bytes`` is the sum of the *contained* messages'
+    sizes: payloads a gray destination filtered out are not in the
+    frame and must not be in its size (they stay in ``bytes_sent`` —
+    they were sent)."""
+    a, b, inbox = two_hosts(coalescing_network)
+    frames = []
+    deliver = b._deliver
+    b._deliver = lambda arrived: (frames.append(arrived), deliver(arrived))
+    coalescing_network.set_gray_host("b", allow=("ping",))
+    a.send("b", types.SimpleNamespace(method="ping"), size_bytes=10)
+    a.send("b", types.SimpleNamespace(method="record"), size_bytes=1_000)
+    a.send("b", types.SimpleNamespace(method="ping"), size_bytes=10)
+    sim.run()
+    assert [p.method for _, p in inbox] == ["ping", "ping"]
+    assert [type(frame) for frame in frames] == [Frame]
+    assert len(frames[0].messages) == 2
+    assert frames[0].size_bytes == 20
+    assert coalescing_network.stats.bytes_sent == 1_020
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import types
+
 import pytest
 
 from repro.net import Network
+from repro.net.faults import LinkProfile
 from repro.net.latency import LatencyModel
 from repro.sim import Fixed, Simulator
 
@@ -196,3 +200,120 @@ def test_latency_model_sampling_matches_the_distributions():
     assert model.sample(other, "a", "b") == default.sample(other_twin)
     assert model.sample(rng, "a", "b") == default.sample(twin)
     assert rng.getstate() == twin.getstate()
+
+
+# ----------------------------------------------------------------------
+# a cached link is never stale
+# ----------------------------------------------------------------------
+# A host resolves (target, wire sampler) per destination on first send
+# and probes one network flag per send after that.  Every way of
+# stopping or bending a transmission has to govern the very next send
+# on an already-cached link, and every way of undoing it has to give
+# the plain path back.
+
+def probe(sim: Simulator, a, inbox: list) -> float | None:
+    """Send one RPC-request-shaped message a → b now: its delivery
+    delay, or None when it was lost."""
+    del inbox[:]
+    sent_at = sim.now
+    a.send("b", types.SimpleNamespace(method="record"))
+    sim.run()
+    return inbox[0][0] - sent_at if inbox else None
+
+
+LOST = None
+CHANGES = {
+    "partition/heal": (
+        lambda n: n.partition("a", "b"), lambda n: n.heal("a", "b"), LOST),
+    "partition/heal_all": (
+        lambda n: n.partition("b", "a"), lambda n: n.heal_all(), LOST),
+    "partition_one_way/heal_one_way": (
+        lambda n: n.partition_one_way("a", "b"),
+        lambda n: n.heal_one_way("a", "b"), LOST),
+    "isolate/rejoin": (
+        lambda n: n.isolate("b"), lambda n: n.rejoin("b"), LOST),
+    "isolate/heal_all": (
+        lambda n: n.isolate("a"), lambda n: n.heal_all(), LOST),
+    "set_link_fault/clear_link_fault": (
+        lambda n: n.set_link_fault("a", "b", LinkProfile(loss_rate=1.0)),
+        lambda n: n.clear_link_fault("a", "b"), LOST),
+    "set_link_fault(delay)/clear_link_fault": (
+        lambda n: n.set_link_fault("b", "a", LinkProfile(extra_delay=8.0),
+                                   symmetric=True),
+        lambda n: n.clear_link_fault("b", "a", symmetric=True), 10.0),
+    "set_gray_host/clear_gray_host": (
+        lambda n: n.set_gray_host("b", allow=("ping",)),
+        lambda n: n.clear_gray_host("b"), LOST),
+    "drop_rate": (
+        lambda n: setattr(n, "drop_rate", 0.999999),
+        lambda n: setattr(n, "drop_rate", 0.0), LOST),
+    "set_link_latency": (
+        lambda n: n.set_link_latency("a", "b", Fixed(50.0)),
+        lambda n: n.set_link_latency("a", "b", Fixed(2.0)), 50.0),
+}
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_cached_link_obeys_the_next_change_and_its_undo(
+        sim: Simulator, network: Network, change: str):
+    apply, undo, expected = CHANGES[change]
+    a, _b, inbox = two_hosts(network)
+    network.fault_rng = random.Random(7)
+    assert probe(sim, a, inbox) == 2.0          # binds the a → b link
+    assert "b" in a._links
+    apply(network)
+    assert probe(sim, a, inbox) == expected
+    assert probe(sim, a, inbox) == expected     # ... and stays in force
+    undo(network)
+    assert probe(sim, a, inbox) == 2.0
+    assert not network._guarded                 # plain path again
+
+
+def test_tap_added_after_the_link_was_cached_sees_the_next_send(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network)
+    assert probe(sim, a, inbox) == 2.0
+    tapped = []
+    network.taps.append(tapped.append)
+    assert probe(sim, a, inbox) == 2.0
+    assert [(m.src, m.dst) for m in tapped] == [("a", "b")]
+    network.taps.remove(tapped.append)
+    assert probe(sim, a, inbox) == 2.0
+    assert len(tapped) == 1
+
+
+def test_isolation_holds_on_cached_links_and_against_late_hosts(
+        sim: Simulator, network: Network):
+    a, b, inbox = two_hosts(network)
+    assert probe(sim, a, inbox) == 2.0
+    network.isolate("b")
+    late = network.add_host("late")
+    a.send("b", "cached link")
+    late.send("b", "fresh link")
+    b.send("late", "outbound")
+    sim.run()
+    assert [p for _, p in inbox[1:]] == []      # nothing after the probe
+    assert network.stats.messages_dropped == 3
+    network.rejoin("b")
+    late.send("b", "rejoined")
+    sim.run()
+    assert [p for _, p in inbox[1:]] == ["rejoined"]
+
+
+def test_unknown_destination_raises_at_every_send(sim: Simulator,
+                                                  network: Network):
+    a, _b, inbox = two_hosts(network)
+    assert probe(sim, a, inbox) == 2.0
+    for _ in range(2):                 # a failed lookup is not cached
+        with pytest.raises(KeyError):
+            a.send("ghost", "hi")
+    assert network.stats.messages_sent == 1
+    network.add_host("ghost")          # ... so a late host is found
+    a.send("ghost", "hi")
+    assert network.stats.messages_sent == 2
+
+
+def test_drop_rate_is_validated_on_assignment(network: Network):
+    with pytest.raises(ValueError):
+        network.drop_rate = 1.0
+    assert network.drop_rate == 0.0 and not network._guarded

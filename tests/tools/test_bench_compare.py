@@ -30,6 +30,8 @@ def snapshot(dispatch=6_000_000, records=800_000, rpc=200_000,
         "witness": {"records_per_sec": records},
         "rpc": {"roundtrips_per_sec": rpc,
                 "roundtrips_per_sec_yield": rpc * 3 // 4,
+                "roundtrips_per_sec_calibrated": rpc * 4 // 5,
+                "events_per_roundtrip": 2.0,
                 "messages_per_update": messages_per_update},
         "fig6_smoke": {"events_per_sec": fig6,
                        "ops_per_sec": fig6_ops,
@@ -131,6 +133,30 @@ def test_info_metric_regression_does_not_fail():
     _rows, failures = bench_compare.compare(
         snapshot(), candidate, threshold=0.25)
     assert failures == []
+
+
+def test_calibrated_roundtrip_rows_are_informational():
+    """ISSUE 20: the RAMCLOUD_PROFILE round trip and its kernel records
+    per round trip are reported, never gated — and a baseline from
+    before they existed still compares."""
+    candidate = snapshot()
+    candidate["rpc"]["roundtrips_per_sec_calibrated"] = 10_000
+    candidate["rpc"]["events_per_roundtrip"] = 4.0
+    rows, failures = bench_compare.compare(
+        snapshot(), candidate, threshold=0.25)
+    assert failures == []
+    info = {row["name"]: row for row in rows if not row["gated"]}
+    assert info["rpc roundtrips/s (calibrated)"]["status"] == "info"
+    assert info["rpc roundtrips/s (calibrated)"]["delta"] < -0.25
+    assert info["rpc events/roundtrip (calibrated)"]["status"] == "info"
+    assert info["rpc events/roundtrip (calibrated)"]["delta"] == 1.0
+    old = snapshot()
+    del old["rpc"]["roundtrips_per_sec_calibrated"]
+    del old["rpc"]["events_per_roundtrip"]
+    rows, failures = bench_compare.compare(old, snapshot(), threshold=0.25)
+    assert failures == []
+    info = {row["name"]: row for row in rows if not row["gated"]}
+    assert info["rpc roundtrips/s (calibrated)"]["status"] == "n/a"
 
 
 def test_improvement_passes():

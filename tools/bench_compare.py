@@ -107,6 +107,13 @@ INFO_METRICS = (
     ("fig6 smoke heap peak (records)", ("fig6_smoke", "heap_peak")),
     ("fig6 smoke slice flatness", ("fig6_smoke", "slice_flatness")),
     ("rpc roundtrips/s (yield)", ("rpc", "roundtrips_per_sec_yield")),
+    # ISSUE 20: the same call_cb loop between a RAMCLOUD_PROFILE client
+    # and witness (RX serialization and the wire sampler on its path,
+    # which the gated zero-cost round trip has neither of), and what a
+    # round trip costs the kernel: 2 records, one per message
+    ("rpc roundtrips/s (calibrated)",
+     ("rpc", "roundtrips_per_sec_calibrated")),
+    ("rpc events/roundtrip (calibrated)", ("rpc", "events_per_roundtrip")),
     ("curp op path f=3 ops/s", ("curp_op_path", "f3", "ops_per_sec")),
     ("curp op path f=3 msgs/update",
      ("curp_op_path", "f3", "messages_per_update")),

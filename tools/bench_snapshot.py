@@ -11,7 +11,13 @@ Measures, in wall-clock terms:
   current scheduler AND the vendored pre-overhaul scheduler
   (``tools/_legacy_sim.py``) — the recorded speedups are the tentpole's
   acceptance numbers;
-- RPC round-trips/s through the full simulated stack;
+- RPC round-trips/s through the full simulated stack — the gated
+  ``rpc.roundtrips_per_sec`` on zero-cost hosts over a fixed wire, and
+  ``rpc.roundtrips_per_sec_calibrated`` (informational) between a
+  ``RAMCLOUD_PROFILE`` client and witness, the one with RX
+  serialization and the latency sampler on its path, with its
+  deterministic ``events_per_roundtrip`` (2: one kernel record per
+  message);
 - witness-cache records/s at the paper's geometry (§5.2 comparable:
   ~1.27 M records/s on the real witness);
 - a Figure 6-shaped smoke run (one CURP f=3 closed loop) so future PRs
@@ -81,6 +87,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from benchmarks.hotpath_workloads import (  # noqa: E402
     drain_events,
     rpc_roundtrips,
+    rpc_roundtrips_calibrated,
     rpc_roundtrips_yield,
     schedule_and_drain,
     witness_records,
@@ -416,6 +423,11 @@ def snapshot(scale: float = 1.0) -> dict:
                 _best_rate(lambda: rpc_roundtrips(n_calls=n_calls))),
             "roundtrips_per_sec_yield": round(
                 _best_rate(lambda: rpc_roundtrips_yield(n_calls=n_calls))),
+            "roundtrips_per_sec_calibrated": round(_best_rate(
+                lambda: rpc_roundtrips_calibrated(n_calls=n_calls)[:2])),
+            # deterministic, so a short run reads it as well as a long one
+            "events_per_roundtrip": round(
+                rpc_roundtrips_calibrated(n_calls=1_000)[2], 3),
             # The ISSUE 4 floor: wire transmissions per committed
             # update, f = 3 pipelined with frames on (gated as a
             # lower-is-better metric; acceptance target ≤ 4).
