@@ -62,8 +62,7 @@ def rebalance_comparison(n_shards=4, n_clients=40, duration=3_000.0,
     out: dict = {}
     for label, enabled in (("off", False), ("on", True)):
         cluster = build_cluster(
-            curp_config(3, max_gc_batch=256, gc_flush_delay=1_000.0,
-                        storage=MIGRATE_STORAGE),
+            curp_config(3, storage=MIGRATE_STORAGE),
             profile=RAMCLOUD_PROFILE, n_masters=n_shards, seed=seed)
         if label == "off":
             out["offered_shares"] = shard_load_profile(

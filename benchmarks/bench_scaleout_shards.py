@@ -1,17 +1,12 @@
-"""Scale-out: aggregate committed-ops throughput vs shard count, and
-gc-RPC traffic with batched witness gc.
+"""Scale-out: aggregate committed-ops throughput vs shard count.
 
 CURP's commutative fast path has no cross-key coordination, so
 committed-update throughput should scale near-linearly as tablets are
 spread over more masters (each with its own backup + witness set) —
 the same privatize-then-reconcile shape as parallel commutative
-updates in shared-memory settings.  The second experiment isolates the
-message-count win of coalescing witness gc across sync rounds: one
-``gc_batch`` RPC per witness per flush instead of one ``gc`` RPC per
-witness per sync round.
+updates in shared-memory settings.
 
-Acceptance (ISSUE 2): >= 2.5x aggregate throughput at 4 shards vs 1,
-and >= 4x fewer gc RPCs with batching at ``min_sync_batch`` defaults.
+Acceptance (ISSUE 2): >= 2.5x aggregate throughput at 4 shards vs 1.
 """
 
 from __future__ import annotations
@@ -24,16 +19,15 @@ from repro.metrics import format_table
 from repro.workload import run_closed_loop
 from repro.workload.ycsb import YcsbWorkload
 
-#: write-only over a key space big enough that delayed (batched) gc
-#: rarely causes witness commutativity rejections
+#: write-only over a key space big enough that witness commutativity
+#: rejections are rare
 SCALEOUT_WORKLOAD = YcsbWorkload(name="scaleout-writes", read_fraction=0.0,
                                  item_count=20_000, value_size=100,
                                  distribution="uniform")
 
 
 def scaleout_throughput(shard_counts=(1, 2, 4), n_clients=24,
-                        duration=1_500.0, max_gc_batch=256,
-                        gc_flush_delay=1_000.0, seed=7) -> dict:
+                        duration=1_500.0, seed=7) -> dict:
     """Aggregate committed-ops throughput per shard count.
 
     The client pool is fixed while shards vary, so the sweep measures
@@ -43,10 +37,8 @@ def scaleout_throughput(shard_counts=(1, 2, 4), n_clients=24,
     """
     series = {}
     for n_shards in shard_counts:
-        cluster = build_cluster(
-            curp_config(3, max_gc_batch=max_gc_batch,
-                        gc_flush_delay=gc_flush_delay),
-            profile=RAMCLOUD_PROFILE, n_masters=n_shards, seed=seed)
+        cluster = build_cluster(curp_config(3), profile=RAMCLOUD_PROFILE,
+                                n_masters=n_shards, seed=seed)
         result = run_closed_loop(cluster, SCALEOUT_WORKLOAD,
                                  n_clients=n_clients, duration=duration,
                                  warmup=300.0)
@@ -61,47 +53,13 @@ def scaleout_throughput(shard_counts=(1, 2, 4), n_clients=24,
     return series
 
 
-def gc_batching_comparison(n_clients=16, duration=2_000.0,
-                           max_gc_batch=256, gc_flush_delay=1_000.0,
-                           seed=11) -> dict:
-    """Same saturating workload, per-round gc vs batched gc.
-
-    ``gc_flush_delay`` is set well above the inter-sync gap so the
-    capacity trigger (``max_gc_batch``) — not the straggler timer —
-    paces flushes; under saturation that coalesces ~max_gc_batch /
-    pairs-per-sync rounds into each gc_batch RPC.
-    """
-    out = {}
-    for label, batch in (("per-round", 0), ("batched", max_gc_batch)):
-        cluster = build_cluster(curp_config(3, max_gc_batch=batch,
-                                            gc_flush_delay=gc_flush_delay),
-                                profile=RAMCLOUD_PROFILE, seed=seed)
-        result = run_closed_loop(cluster, SCALEOUT_WORKLOAD,
-                                 n_clients=n_clients, duration=duration,
-                                 warmup=200.0)
-        cluster.settle(2_000.0)  # drain straggler flush timers
-        stats = cluster.total_master_stats()
-        out[label] = {
-            "throughput": result["throughput"],
-            "gc_rpcs": stats.gc_rpcs,
-            "gc_pairs": stats.gc_pairs,
-            "gc_flushes": stats.gc_flushes,
-            "syncs": stats.syncs,
-            "gc_rpcs_per_sync": stats.gc_rpcs / max(stats.syncs, 1),
-        }
-    return out
-
-
 def test_scaleout_shards(benchmark, scale):
     shard_counts = (1, 2, 4) if scale <= 1 else (1, 2, 4, 8)
     n_clients = 24 if scale <= 1 else 32
     duration = 1_500.0 * min(scale, 4)
 
-    def experiment():
-        return (scaleout_throughput(shard_counts, n_clients, duration),
-                gc_batching_comparison(duration=duration))
-
-    series, gc = run_once(benchmark, experiment)
+    series = run_once(benchmark, lambda: scaleout_throughput(
+        shard_counts, n_clients, duration))
 
     rows = [[n, round(point["throughput"]),
              round(point["throughput"] / series[1]["throughput"], 2),
@@ -111,22 +69,8 @@ def test_scaleout_shards(benchmark, scale):
     print(format_table(
         ["shards", "committed ops/s", "speedup", "gc rpcs", "syncs"], rows,
         title="Scale-out — aggregate write throughput vs shard count"))
-    gc_rows = [[label, round(point["throughput"]), point["gc_rpcs"],
-                point["gc_pairs"], round(point["gc_rpcs_per_sync"], 2)]
-               for label, point in gc.items()]
-    print(format_table(
-        ["gc cadence", "ops/s", "gc rpcs", "gc pairs", "rpcs/sync"], gc_rows,
-        title="Witness gc — per-round vs batched (f=3)"))
 
     # Tentpole acceptance: >= 2.5x aggregate throughput at 4 shards.
     speedup_4 = series[4]["throughput"] / series[1]["throughput"]
     assert speedup_4 >= 2.5, f"4-shard speedup only {speedup_4:.2f}x"
-    # Batched gc: >= 4x fewer gc RPCs at min_sync_batch defaults, with
-    # the same pairs collected.
-    reduction = gc["per-round"]["gc_rpcs"] / max(gc["batched"]["gc_rpcs"], 1)
-    assert reduction >= 4.0, f"gc rpc reduction only {reduction:.2f}x"
-    # Batched cadence: ~one RPC per witness (f=3) per flush, i.e. well
-    # under the per-round 3 RPCs per sync.
-    assert gc["batched"]["gc_rpcs_per_sync"] < 1.0
     benchmark.extra_info["speedup_4_shards"] = speedup_4
-    benchmark.extra_info["gc_rpc_reduction"] = reduction

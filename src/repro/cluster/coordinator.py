@@ -172,11 +172,6 @@ class Coordinator:
                     transport=transports.get(witness_host.name))
                 self.witness_servers[witness_host.name] = server
             server.start_for(master_id, tuple(owned_ranges))
-            if witness_host.name in transports:
-                # Colocated with this master's backup (Figure 2): let
-                # replicate RPCs carry merged gc batches to the witness
-                # (config.gc_piggyback — the sending-edge merge).
-                self.backup_servers[witness_host.name].witness_sink = server
         master = CurpMaster(
             master_host, master_id, self.config,
             backups=[h.name for h in backup_hosts],

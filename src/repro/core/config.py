@@ -219,26 +219,6 @@ class CurpConfig:
     #: this recently triggers a preemptive sync (§4.4); 0 disables
     hot_key_window: float = 0.0
 
-    # -- witness gc batching -------------------------------------------
-    #: 0 = flush witness gc after every completed sync round (one gc RPC
-    #: per witness per round — the paper's cadence).  N > 0 = coalesce
-    #: ready (key hash, RpcId) pairs across sync rounds and send one
-    #: ``gc_batch`` RPC per witness once N pairs accumulate; stragglers
-    #: flush after ``gc_flush_delay`` of quiet.  Batching trades a
-    #: bounded extra witness-slot hold time for ~max_gc_batch /
-    #: min_sync_batch fewer gc RPCs under load.
-    max_gc_batch: int = 0
-    #: quiet time (µs) before leftover coalesced gc pairs are flushed
-    gc_flush_delay: float = 200.0
-    #: merge gc batches into same-host sync traffic (requires
-    #: max_gc_batch > 0): when a witness is colocated on one of the
-    #: master's backup hosts (the Figure 2 deployment), the master
-    #: attaches the ready gc chunk to that host's next ``replicate``
-    #: RPC instead of sending a standalone ``gc_batch`` — one RPC to
-    #: the shared host where there were two.  Saved RPCs are counted
-    #: in ``MasterStats.gc_rpcs_saved``.
-    gc_piggyback: bool = False
-
     # -- protocol hot path (docs/PERFORMANCE.md) ------------------------
     #: True = transport-level frame coalescing: messages a host sends
     #: to one destination within one virtual instant are packed into a
@@ -311,12 +291,6 @@ class CurpConfig:
             raise ValueError("idle_sync_delay must be >= 0")
         if self.hot_key_window < 0:
             raise ValueError("hot_key_window must be >= 0 (0 disables)")
-        if self.max_gc_batch < 0:
-            raise ValueError("max_gc_batch must be >= 0 (0 disables batching)")
-        if self.gc_flush_delay <= 0:
-            raise ValueError("gc_flush_delay must be > 0")
-        if self.gc_piggyback and self.max_gc_batch == 0:
-            raise ValueError("gc_piggyback requires max_gc_batch > 0")
         if self.rebalance_interval < 0:
             raise ValueError("rebalance_interval must be >= 0 (0 disables)")
         if self.rebalance_threshold <= 1.0:

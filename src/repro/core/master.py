@@ -36,7 +36,6 @@ from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.messages import (
     AbsorbPartitionArgs,
     GcArgs,
-    GcBatchArgs,
     LoadReport,
     ReadArgs,
     RecordedRequest,
@@ -83,17 +82,13 @@ class MasterStats:
     conflict_syncs: int = 0
     syncs: int = 0
     synced_entries: int = 0
-    #: gc RPCs actually sent to witnesses — NOT (key hash, RpcId) pairs;
-    #: with batching one RPC collects up to ``max_gc_batch`` pairs
+    #: gc RPCs actually sent to witnesses — NOT (key hash, RpcId) pairs
     gc_rpcs: int = 0
-    #: (key hash, RpcId) pairs shipped for collection (per flush, not
+    #: (key hash, RpcId) pairs shipped for collection (per round, not
     #: multiplied by the witness fan-out)
     gc_pairs: int = 0
-    #: batched-gc flushes (each sends one RPC per witness)
+    #: gc rounds (each sends one RPC per witness)
     gc_flushes: int = 0
-    #: gc RPCs avoided by merging the batch into a colocated backup's
-    #: replicate RPC (config.gc_piggyback — the sending-edge merge)
-    gc_rpcs_saved: int = 0
     stale_suspects_handled: int = 0
     duplicates_filtered: int = 0
     hot_key_syncs: int = 0
@@ -163,13 +158,6 @@ class CurpMaster:
         #: (position, key_hashes, rpc_id) of speculative updates whose
         #: witness records must be garbage collected once synced
         self._pending_gc: list[tuple[int, tuple[int, ...], typing.Any]] = []
-        #: durable (key hash, rpc_id) pairs coalesced across sync rounds,
-        #: awaiting a batched gc flush (max_gc_batch > 0 only)
-        self._gc_ready: list[tuple[int, typing.Any]] = []
-        #: sync rounds harvested into _gc_ready since the last flush
-        self._gc_rounds_pending = 0
-        self._gc_flush_armed = False
-        self._gc_flush_active = False
 
         self.transport = RpcTransport(host)
         self.transport.register("update", self._handle_update)
@@ -530,41 +518,20 @@ class CurpMaster:
                 args = ReplicateArgs(master_id=self.master_id,
                                      epoch=self.epoch, entries=entries)
                 wire_size = RPC_HEADER_BYTES + ENTRY_WIRE_BYTES * len(entries)
-                # Sending-edge gc merge (config.gc_piggyback): witnesses
-                # colocated on our backup hosts get the ready gc chunk
-                # inside that host's replicate RPC — one RPC to the
-                # shared host where a standalone gc_batch would have
-                # been the second.  Pairs in _gc_ready are durable from
-                # *previous* rounds, so shipping them with this round's
-                # entries is safe.  (config.frame_coalescing subsumes
-                # the transport half of this: a replicate and a
-                # same-instant gc_batch to one host share a NIC frame
-                # even without piggybacking — but the piggyback still
-                # saves the second *RPC*, not just the second frame.)
-                batch, rounds, riders, standalone = self._take_piggyback()
-                gc_args = None
-                if batch:
-                    gc_args = ReplicateArgs(
-                        master_id=self.master_id, epoch=self.epoch,
-                        entries=entries, gc_pairs=batch, gc_rounds=rounds)
-                    gc_wire_size = (wire_size
-                                    + GC_PAIR_WIRE_BYTES * len(batch))
                 # Acks land in the join straight from response
                 # delivery; durability needs all f of them, so the
                 # first error fails the round (fail_fast).
                 join = QuorumEvent(self.sim, len(self.backups),
                                    fail_fast=True)
                 for index, backup in enumerate(self.backups):
-                    rider = backup in riders
                     self.transport.call_cb(
-                        backup, "replicate", gc_args if rider else args,
+                        backup, "replicate", args,
                         join.child_result, index,
                         timeout=self.config.rpc_timeout,
-                        request_size=gc_wire_size if rider else wire_size)
+                        request_size=wire_size)
                 try:
-                    acks = yield join
+                    yield join
                 except AppError as error:
-                    self._requeue_piggyback(batch, rounds)
                     if error.code == "FENCED":
                         self._become_deposed()
                         return
@@ -572,47 +539,14 @@ class CurpMaster:
                 except RpcTimeout:
                     # A backup is unreachable; durability requires all f
                     # acks, so retry (the coordinator replaces dead
-                    # backups out of band).  Re-queue the merged gc
-                    # chunk: a witness that did receive it treats the
-                    # re-send as a no-op.
-                    self._requeue_piggyback(batch, rounds)
+                    # backups out of band).
                     continue
                 self.synced_position = entries[-1].index
                 self.stats.syncs += 1
                 self.stats.synced_entries += len(entries)
                 self._wake_sync_waiters()
-                if batch:
-                    self.stats.gc_pairs += len(batch)
-                    self.stats.gc_flushes += 1
-                    self.stats.gc_rpcs_saved += len(riders)
-                    # Stale suspects ride the merged acks' return leg;
-                    # standalone gc covers the non-colocated witnesses.
-                    for backup, ack in zip(self.backups, acks):
-                        if backup in riders and type(ack) is tuple:
-                            for request in ack[1]:
-                                self._handle_stale_suspect(request)
-                    if standalone:
-                        self.stats.gc_rpcs += len(standalone)
-                        yield from self._gc_fanout(
-                            "gc_batch",
-                            GcBatchArgs(master_id=self.master_id,
-                                        pairs=batch, rounds=rounds),
-                            RPC_HEADER_BYTES
-                            + GC_PAIR_WIRE_BYTES * len(batch),
-                            standalone)
-                if self.config.uses_witnesses and self.witnesses:
-                    if self.config.max_gc_batch == 0:
-                        # Per-round cadence: one gc RPC per witness per
-                        # completed sync round (§4.5, the paper's shape).
-                        yield from self._gc_witnesses()
-                    else:
-                        # Batched cadence: coalesce durable pairs across
-                        # rounds; only full batches flush inline, the
-                        # rest ride the gc flush timer.
-                        self._harvest_gc()
-                        if (len(self._gc_ready)
-                                >= self.config.max_gc_batch):
-                            yield from self._flush_gc(full_only=True)
+                # One gc RPC per witness per completed sync round (§4.5).
+                yield from self._gc_witnesses()
                 # Between rounds, honour the minimum batch (§4.4/C.1):
                 # unless someone is blocked waiting, don't start another
                 # sync until min_sync_batch operations accumulated (the
@@ -621,50 +555,10 @@ class CurpMaster:
                         and self.store.log.end - self.synced_position
                         < self.config.min_sync_batch):
                     break
-            if self._gc_ready:
-                self._arm_gc_flush_timer()
         finally:
             self._sync_active = False
         if self.synced_position < self.store.log.end:
             self._arm_flush_timer()
-
-    def _take_piggyback(self):
-        """Carve this sync round's merged gc chunk (config.gc_piggyback).
-
-        Returns ``(batch, rounds, riders, standalone)``: the durable
-        (key hash, RpcId) pairs to ship, the coalesced round count,
-        the witnesses that receive them inside their colocated backup's
-        replicate RPC, and the witnesses still needing a standalone
-        ``gc_batch``.  Empty batch = nothing to merge this round.
-        """
-        if (not self.config.gc_piggyback or not self._gc_ready
-                or not self.config.uses_witnesses or not self.witnesses):
-            return (), 0, frozenset(), ()
-        riders = frozenset(witness for witness in self.witnesses
-                           if witness in self.backups)
-        if not riders:
-            return (), 0, frozenset(), ()
-        limit = self.config.max_gc_batch or len(self._gc_ready)
-        batch = tuple(self._gc_ready[:limit])
-        del self._gc_ready[:len(batch)]
-        rounds = self._gc_rounds_pending
-        self._gc_rounds_pending = 0
-        standalone = tuple(witness for witness in self.witnesses
-                           if witness not in riders)
-        return batch, rounds, riders, standalone
-
-    def _requeue_piggyback(self, batch, _rounds: int) -> None:
-        """Put a merged chunk back after a failed sync round.
-
-        Witnesses that already applied it treat the re-sent *pairs* as
-        a no-op, but their stale-suspect clock advanced — so the
-        shipped ``rounds`` count is deliberately dropped rather than
-        restored.  A witness the failed round never reached under-ages
-        by that one round, which errs on the side of *fewer* premature
-        stale suspects; restoring it would double-age the witnesses
-        that did apply the batch."""
-        if batch:
-            self._gc_ready[:0] = batch
 
     def _wake_sync_waiters(self) -> None:
         still_waiting = []
@@ -712,25 +606,23 @@ class CurpMaster:
         return pairs
 
     def _gc_witnesses(self):
-        """Drop newly-synced requests from all witnesses (§3.5, §4.5)."""
+        """Generator, one gc round: drop newly-synced requests from all
+        witnesses (§3.5, §4.5) with one RPC each and handle the
+        uncollected-garbage suspects they report back.  Unreachable
+        witnesses are skipped (the coordinator replaces them out of
+        band)."""
         pairs = self._take_durable_gc_pairs()
-        if not pairs:
+        witnesses = self.witnesses
+        if not pairs or not witnesses:
             return
         args = GcArgs(master_id=self.master_id, pairs=tuple(pairs))
         wire_size = RPC_HEADER_BYTES + GC_PAIR_WIRE_BYTES * len(pairs)
-        self.stats.gc_rpcs += len(self.witnesses)
+        self.stats.gc_rpcs += len(witnesses)
         self.stats.gc_pairs += len(pairs)
         self.stats.gc_flushes += 1
-        yield from self._gc_fanout("gc", args, wire_size, self.witnesses)
-
-    def _gc_fanout(self, method: str, args, wire_size: int,
-                   witnesses: typing.Sequence[str]):
-        """Generator: one gc RPC per witness, suspects handled as the
-        replies land; unreachable witnesses are skipped (the coordinator
-        replaces them out of band)."""
         join = QuorumEvent(self.sim, len(witnesses))
         for index, witness in enumerate(witnesses):
-            self.transport.call_cb(witness, method, args,
+            self.transport.call_cb(witness, "gc", args,
                                    join.child_result, index,
                                    timeout=self.config.rpc_timeout,
                                    request_size=wire_size)
@@ -741,70 +633,16 @@ class CurpMaster:
             for request in stale:
                 self._handle_stale_suspect(request)
 
-    # ------------------------------------------------------------------
-    # batched gc (max_gc_batch > 0)
-    # ------------------------------------------------------------------
-    def _harvest_gc(self) -> None:
-        """Move pairs whose log entries are now durable into the ready
-        buffer.  Each harvest with pairs counts as one gc 'round' for
-        the witnesses' stale-suspect aging clock."""
-        pairs = self._take_durable_gc_pairs()
-        if pairs:
-            self._gc_ready.extend(pairs)
-            self._gc_rounds_pending += 1
-
-    def _flush_gc(self, full_only: bool = False):
-        """Generator: drain the ready buffer as ``gc_batch`` RPCs — one
-        per witness per chunk of at most ``max_gc_batch`` pairs.
-
-        ``full_only=True`` (the in-sync-loop call) leaves a partial
-        chunk in the buffer for the flush timer, so back-to-back syncs
-        keep coalescing instead of flushing every round.
-        """
-        if self._gc_flush_active:
-            return
-        self._gc_flush_active = True
-        try:
-            limit = self.config.max_gc_batch or len(self._gc_ready)
-            while self._gc_ready and not self.deposed and self.witnesses:
-                if full_only and len(self._gc_ready) < limit:
-                    return
-                batch = tuple(self._gc_ready[:limit])
-                del self._gc_ready[:len(batch)]
-                rounds = self._gc_rounds_pending
-                self._gc_rounds_pending = 0
-                args = GcBatchArgs(master_id=self.master_id, pairs=batch,
-                                   rounds=rounds)
-                wire_size = (RPC_HEADER_BYTES
-                             + GC_PAIR_WIRE_BYTES * len(batch))
-                self.stats.gc_rpcs += len(self.witnesses)
-                self.stats.gc_pairs += len(batch)
-                self.stats.gc_flushes += 1
-                yield from self._gc_fanout("gc_batch", args, wire_size,
-                                           self.witnesses)
-        finally:
-            self._gc_flush_active = False
-
-    def _arm_gc_flush_timer(self) -> None:
-        """One-shot: flush coalesced gc pairs that never fill a batch."""
-        if (self._gc_flush_armed or self.deposed or not self.host.alive
-                or not self.witnesses):
-            return
-        self._gc_flush_armed = True
-        incarnation = self.host.incarnation
-
-        def fire() -> None:
-            self._gc_flush_armed = False
-            if (not self.host.alive or self.host.incarnation != incarnation
-                    or self.deposed or not self._gc_ready):
-                return
-            self.host.spawn(self._flush_gc(), name="gc-flush")
-        self.sim.schedule_callback(self.config.gc_flush_delay, fire)
-
     def _handle_stale_suspect(self, request: RecordedRequest) -> None:
         """§4.5: a witness reports an uncollected record (its client
         probably crashed before reaching us).  Retry it through RIFL,
         let the normal sync+gc cycle collect it."""
+        record = self.registry.get(request.rpc_id)
+        if record is not None and record.log_position > self.synced_position:
+            # Executed but not durable yet: every witness holds its own
+            # copy of an orphan, and another one's report has just
+            # re-executed it — its sync + gc round collects them all.
+            return
         self.stats.stale_suspects_handled += 1
         state, _ = self.registry.check(request.rpc_id)
         if state is DuplicateState.NEW and self.owns_hashes(
@@ -825,11 +663,7 @@ class CurpMaster:
             # master.
             pairs = tuple((key_hash_value, request.rpc_id)
                           for key_hash_value in request.op.key_hashes())
-            if self.config.max_gc_batch > 0:
-                self._gc_ready.extend(pairs)
-                self._arm_gc_flush_timer()
-            else:
-                self.host.spawn(self._send_gc_round(pairs), name="orphan-gc")
+            self.host.spawn(self._send_gc_round(pairs), name="orphan-gc")
 
     def _send_gc_round(self, pairs):
         """One explicit gc round (outside the sync loop)."""
@@ -885,8 +719,6 @@ class CurpMaster:
             self.witness_list_version = version
             if witnesses_reset:
                 self._pending_gc.clear()  # old witnesses' slots are gone
-                self._gc_ready.clear()
-                self._gc_rounds_pending = 0
             return "OK"
         return work()
 
@@ -1114,10 +946,6 @@ class CurpMaster:
         waiters, self._sync_waiters = self._sync_waiters, []
         del waiters  # their continuations see the incarnation change
         self._sync_active = False
-        self._gc_ready.clear()
-        self._gc_rounds_pending = 0
-        self._gc_flush_armed = False
-        self._gc_flush_active = False
 
     # ------------------------------------------------------------------
     # inspection

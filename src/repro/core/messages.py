@@ -77,22 +77,6 @@ class GcArgs:
 
 
 @dataclasses.dataclass(frozen=True)
-class GcBatchArgs:
-    """Master → witness: drop a coalesced batch of synced requests.
-
-    ``pairs`` accumulates across sync rounds (§4.5 + batching):
-    instead of one gc RPC per witness per sync round, the master sends
-    one ``gc_batch`` per witness per flush.  ``rounds`` is how many
-    sync rounds the batch coalesced, so the witness advances its
-    stale-suspect aging clock as if each round had gc'd separately.
-    """
-
-    master_id: str
-    pairs: tuple[tuple[int, typing.Any], ...]
-    rounds: int = 1
-
-
-@dataclasses.dataclass(frozen=True)
 class TxnResolveArgs:
     """Client → master, fire-and-forget: a cross-shard transaction
     (§B.2) committed on every participant, so the shard's pending-txn

@@ -6,9 +6,6 @@ A witness lives for one master at a time.  Life cycle:
 - ``record`` (clients): save commutative requests; REJECTED on
   conflict, capacity, wrong master or recovery mode.
 - ``gc`` (master): drop synced requests; report stale suspects.
-- ``gc_batch`` (master): the batched variant — pairs coalesced across
-  sync rounds, with a ``rounds`` count that keeps stale-suspect aging
-  honest under coalescing.
 - ``getRecoveryData`` (recovery master): irreversibly freeze into
   *recovery mode* and return saved requests (§4.1, §4.6).
 - ``end`` (coordinator): decommission.
@@ -28,11 +25,7 @@ Two deployment shapes share the serving logic:
   serving several masters'/shards' witness sets behind a single rx
   handler, one :class:`WitnessServer` tenant (own cache, own
   life cycle) per master, routed by the ``master_id`` every witness
-  RPC already carries.  ``gc_batch`` flushes arriving from different
-  masters within one virtual instant apply as one merged batch at the
-  end-of-instant boundary (``WitnessStats.gc_merged``) — the
-  receive-side half of the cross-master gc coalescing whose sending
-  edge is ``config.gc_piggyback``.
+  RPC already carries.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import typing
 
 from repro.core.messages import (
     GcArgs,
-    GcBatchArgs,
     GetRecoveryDataArgs,
     ProbeArgs,
     PROBE_COMMUTE,
@@ -73,7 +65,6 @@ MODE_RECOVERY = "recovery"
 _WITNESS_RPC_HANDLERS: tuple[tuple[str, str], ...] = (
     ("record", "_handle_record"),
     ("gc", "_handle_gc"),
-    ("gc_batch", "_handle_gc_batch"),
     ("get_recovery_data", "_handle_recovery_data"),
     ("probe", "_handle_probe"),
     ("start", "_handle_start"),
@@ -92,12 +83,6 @@ class WitnessStats:
     #: ``window_records > 0`` — i.e. ``config.overload`` fairness on)
     records_throttled: int = 0
     gcs: int = 0
-    gc_batches: int = 0
-    #: gc_batch flushes that applied inside a cross-master merged
-    #: batch (≥ 2 masters' flushes landed in the same virtual instant)
-    gc_merged: int = 0
-    #: merged apply passes (one per instant with flushes from ≥ 2 masters)
-    gc_merge_batches: int = 0
 
 
 class WitnessServer:
@@ -130,7 +115,6 @@ class WitnessServer:
         self.record_time = record_time
         self.records_processed = 0
         self.gcs_processed = 0
-        self.gc_batches_processed = 0
         #: accepted records carrying cross-shard saga operations
         #: (TxnPrepare / TxnCompensate, §B.2) — these occupy slots and
         #: replay on recovery exactly like any other update record
@@ -219,28 +203,6 @@ class WitnessServer:
         stale = self.cache.gc(args.pairs)
         return tuple(stale)
 
-    def _handle_gc_batch(self, args: GcBatchArgs, ctx):
-        """Batched drop: pairs coalesced across sync rounds.  Unknown
-        RpcIds are a harmless no-op (the record may have been rejected
-        or already collected)."""
-        stale = self.apply_gc_batch(args.master_id, args.pairs, args.rounds)
-        if stale is None:
-            raise AppError("WRONG_WITNESS_STATE", {"mode": self.mode})
-        return stale
-
-    def apply_gc_batch(self, master_id: str, pairs, rounds: int):
-        """Apply a gc batch delivered by any route — the ``gc_batch``
-        RPC or merged into a colocated backup's ``replicate``
-        (config.gc_piggyback).  Returns the stale-suspect tuple, or
-        ``None`` when this witness no longer serves ``master_id`` (the
-        RPC path turns that into WRONG_WITNESS_STATE; the piggyback
-        path drops the batch, as a standalone error would)."""
-        if self.mode != MODE_NORMAL or master_id != self.master_id:
-            return None
-        self.gcs_processed += 1
-        self.gc_batches_processed += 1
-        return tuple(self.cache.gc_batch(pairs, rounds=rounds))
-
     # ------------------------------------------------------------------
     # recovery-facing
     # ------------------------------------------------------------------
@@ -306,17 +268,6 @@ class WitnessEndpoint:
     tenant — a recovering master must not disturb its neighbours), all
     routed by the ``master_id`` every witness RPC carries.  Capacity is
     per tenant, matching the paper's per-master witness sizing (§4.2).
-
-    Receive-side cross-master gc merge: ``gc_batch`` flushes are
-    buffered for the current virtual instant and applied together at
-    the end-of-instant boundary, so flushes arriving from different
-    masters in one instant — e.g. unpacked from one coalesced frame,
-    or landing in the same scheduling quantum under load — cost one
-    merged apply pass instead of N independent dispatches.  Each
-    master still receives exactly its own stale-suspect list on its
-    own reply.  Merged flushes are counted in
-    ``WitnessStats.gc_merged``.  Timing is unchanged: the merge runs
-    within the same instant the flushes arrived.
     """
 
     def __init__(self, host: "Host", slots: int = 4096,
@@ -345,9 +296,6 @@ class WitnessEndpoint:
         #: fairness series in benchmarks reads these)
         self.tenant_records: dict[str, int] = {}
         self.tenant_throttled: dict[str, int] = {}
-        #: gc_batch flushes awaiting this instant's merged apply
-        self._pending_gc: list[tuple[GcBatchArgs, typing.Any]] = []
-        self._merge_armed = False
         self.transport = transport or RpcTransport(host)
         for method, handler in _WITNESS_RPC_HANDLERS:
             self.transport.register(method, getattr(self, handler))
@@ -355,16 +303,7 @@ class WitnessEndpoint:
         # because a colocated backup may share this transport.
         if "ping" not in self.transport._handlers:
             self.transport.register("ping", lambda args, ctx: "PONG")
-        # Tenant caches are NVM and survive the crash, but flushes
-        # buffered for a merge die with the host like any in-flight
-        # request — and the armed flag must reset so the *next*
-        # incarnation's first flush arms a fresh hook instead of
-        # relying on the stale one (which no-ops on its guard).
-        host.on_crash(self._on_crash)
-
-    def _on_crash(self) -> None:
-        self._pending_gc.clear()
-        self._merge_armed = False
+        # NVM: no crash hook — tenant caches survive crash/restart.
 
     # ------------------------------------------------------------------
     # tenancy
@@ -455,52 +394,6 @@ class WitnessEndpoint:
                             "master": args.master_id})
         self.stats.gcs += 1
         return tenant._handle_gc(args, ctx)
-
-    def _handle_gc_batch(self, args: GcBatchArgs, ctx):
-        """Buffer the flush; all of this instant's flushes apply as one
-        merged batch once the instant quiesces."""
-        if args.master_id not in self.tenants:
-            raise AppError("WRONG_WITNESS_STATE",
-                           {"mode": MODE_UNCONFIGURED,
-                            "master": args.master_id})
-        self._pending_gc.append((args, ctx))
-        if not self._merge_armed:
-            self._merge_armed = True
-            self.sim.at_instant_end(self._apply_gc_merge,
-                                    self.host.incarnation)
-        return RpcTransport.DEFERRED
-
-    def _apply_gc_merge(self, incarnation: int) -> None:
-        """End-of-instant: apply every buffered gc_batch flush.
-
-        Replies go out in arrival order, each carrying only its own
-        master's stale suspects.  A crash since arming drops the lot —
-        the masters time out and re-send, and a witness that already
-        applied a batch treats the re-sent pairs as no-ops.
-        """
-        if not self.host.alive or self.host.incarnation != incarnation:
-            # Stale hook from a previous life: the crash hook already
-            # dropped that life's buffer, and anything pending now was
-            # accepted by the next incarnation, whose own hook owns it
-            # — touch nothing.
-            return
-        self._merge_armed = False
-        pending, self._pending_gc = self._pending_gc, []
-        if len({args.master_id for args, _ctx in pending}) > 1:
-            self.stats.gc_merged += len(pending)
-            self.stats.gc_merge_batches += 1
-        for args, ctx in pending:
-            self.stats.gc_batches += 1
-            tenant = self.tenants.get(args.master_id)
-            stale = None
-            if tenant is not None:
-                stale = tenant.apply_gc_batch(args.master_id, args.pairs,
-                                              args.rounds)
-            if stale is None:
-                mode = MODE_UNCONFIGURED if tenant is None else tenant.mode
-                ctx.reply_error("WRONG_WITNESS_STATE", {"mode": mode})
-            else:
-                ctx.reply(stale)
 
     def _handle_recovery_data(self, args: GetRecoveryDataArgs, ctx):
         tenant = self.tenants.get(args.master_id)

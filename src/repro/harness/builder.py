@@ -166,14 +166,20 @@ def build_cluster(config: CurpConfig | None = None,
     (``wshared0..f-1``), each a
     :class:`~repro.core.witness.WitnessEndpoint` serving every
     master's witness set as a tenant — f hosts of witness hardware for
-    the whole multi-shard cluster, with receive-side cross-master gc
-    merging."""
+    the whole multi-shard cluster."""
     config = config or CurpConfig()
     if n_masters < 1:
         raise ValueError("n_masters must be >= 1")
     if colocate_witnesses and multi_tenant_witnesses:
         raise ValueError("colocate_witnesses and multi_tenant_witnesses "
                          "are mutually exclusive deployments")
+    overload = config.overload
+    if (overload.enabled and overload.witness_window_records > 0
+            and not multi_tenant_witnesses):
+        raise ValueError("overload.witness_window_records > 0 (per-tenant "
+                         "fair witness admission) only acts on a "
+                         "WitnessEndpoint: it requires "
+                         "multi_tenant_witnesses=True")
     sim = Simulator(seed=seed)
     network = Network(sim, latency=LatencyModel(profile.latency()),
                       drop_rate=drop_rate,

@@ -43,12 +43,6 @@ class ReplicateArgs:
     master_id: str
     epoch: int
     entries: tuple[LogEntry, ...]
-    #: gc batch merged into this sync RPC for a witness colocated on
-    #: the backup's host (config.gc_piggyback): already-durable
-    #: (key hash, RpcId) pairs plus the sync-round count for the
-    #: witness's stale-suspect aging clock.  Empty = plain replicate.
-    gc_pairs: tuple = ()
-    gc_rounds: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,9 +90,6 @@ class BackupServer:
         #: materialized object values (served to §A.1 backup readers);
         #: TOMBSTONE-deleted keys are removed
         self._values: dict[str, typing.Any] = {}
-        #: witness colocated on this host (Figure 2), wired by the
-        #: coordinator; lets a replicate RPC carry a merged gc batch
-        self.witness_sink = None
         # May share the host's endpoint with a colocated witness
         # (Figure 2); method names are disjoint.
         self.transport = transport or RpcTransport(host)
@@ -145,7 +136,7 @@ class BackupServer:
                                        self.host.incarnation)
             return RpcTransport.DEFERRED
         self._store(args.entries)
-        return self._replicate_reply(args)
+        return self.last_index
 
     def _append_delay(self, entries: typing.Sequence[LogEntry]) -> float:
         """Disk time for the fresh appends in ``entries`` (duplicates
@@ -164,24 +155,10 @@ class BackupServer:
             return
         try:
             self._store(args.entries)
-            ctx.reply(self._replicate_reply(args))
+            ctx.reply(self.last_index)
         except Exception as error:  # noqa: BLE001 - serialize to caller,
             # matching the generator path's REMOTE_ERROR containment
             ctx.reply_exception(error)
-
-    def _replicate_reply(self, args: ReplicateArgs):
-        """Ack value: plain ``last_index``, or ``(last_index, stale)``
-        when a merged gc batch rode along (the stale-suspect list takes
-        the return leg of the same RPC)."""
-        if not args.gc_pairs:
-            return self.last_index
-        stale: tuple = ()
-        if self.witness_sink is not None:
-            applied = self.witness_sink.apply_gc_batch(
-                args.master_id, args.gc_pairs, args.gc_rounds)
-            if applied is not None:
-                stale = applied
-        return (self.last_index, stale)
 
     def _store(self, entries: typing.Sequence[LogEntry]) -> None:
         from repro.kvstore.log import TOMBSTONE

@@ -14,7 +14,7 @@ Two features the CURP protocol specifically needs:
 
 from repro.rpc.errors import AppError, RpcError, RpcTimeout
 from repro.rpc.transport import RpcContext, RpcTransport
-from repro.rpc.helpers import backoff_delay, call_with_retry
+from repro.rpc.helpers import backoff_delay
 
 __all__ = [
     "AppError",
@@ -23,5 +23,4 @@ __all__ = [
     "RpcTimeout",
     "RpcTransport",
     "backoff_delay",
-    "call_with_retry",
 ]

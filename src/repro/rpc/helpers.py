@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 import random
-import typing
-
-from repro.rpc.errors import RpcError, RpcTimeout
-from repro.rpc.transport import RpcTransport
-from repro.sim.events import Event
 
 
 def backoff_delay(attempt: int, base: float, cap: float,
@@ -26,29 +21,3 @@ def backoff_delay(attempt: int, base: float, cap: float,
         return 0.0
     span = min(cap, base * (2 ** min(attempt, 62)))
     return span / 2 + rng.random() * (span / 2)
-
-
-def call_with_retry(transport: RpcTransport, dst: str, method: str,
-                    args: typing.Any = None, timeout: float = 1000.0,
-                    max_attempts: int = 10,
-                    backoff: float = 0.0) -> typing.Generator[Event, typing.Any, typing.Any]:
-    """``yield from`` helper: retry a call until it gets a response.
-
-    Only retries on :class:`RpcTimeout`; application errors propagate
-    immediately (the caller must handle e.g. WRONG_WITNESS_VERSION with
-    its own logic, not a blind retry).  Raises the last timeout after
-    ``max_attempts``.
-    """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1: {max_attempts}")
-    last: RpcError | None = None
-    for attempt in range(max_attempts):
-        try:
-            value = yield transport.call(dst, method, args, timeout=timeout)
-            return value
-        except RpcTimeout as error:
-            last = error
-            if backoff > 0 and attempt < max_attempts - 1:
-                yield transport.sim.timeout(backoff * (attempt + 1))
-    assert last is not None
-    raise last

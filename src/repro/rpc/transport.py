@@ -15,8 +15,8 @@ Frame coalescing (``CurpConfig.frame_coalescing``): every request and
 response leaves through ``Host.send``, so ``call``/``call_cb``
 fan-outs and batched replies route through the per-destination frame
 buffer automatically — same-instant calls to one destination (a
-pipelined client's updates, a master's replies to one client, a
-replicate + gc_batch pair to a colocated host) ride one NIC frame,
+pipelined client's updates, a master's replies to one client) ride
+one NIC frame,
 flushed at the simulator's end-of-instant boundary.  The transport is
 oblivious: frames are unpacked back into per-RPC messages, in send
 order, before ``_on_message`` sees them.

@@ -168,9 +168,7 @@ class Simulator:
         runs before the clock advances.  Hooks run in registration
         order and may enqueue further same-instant work — including
         more hooks — all of which drains before time moves.  This is
-        the frame-coalescing flush boundary (``net/host.py``) and the
-        multi-tenant witness endpoint's cross-master gc merge point
-        (``core/witness.py``).
+        the frame-coalescing flush boundary (``net/host.py``).
         """
         self._instant_hooks.append((fn, args))
 
@@ -312,7 +310,7 @@ class Simulator:
                     kind, a, b = entry[2], entry[3], entry[4]
                 elif instant_hooks:
                     # The instant quiesced: drain end-of-instant hooks
-                    # (frame flushes, witness gc merges).  They may
+                    # (frame flushes).  They may
                     # enqueue more same-instant entries and hooks, all
                     # handled before time advances.  Not counted as
                     # processed events, but they do consume max_steps

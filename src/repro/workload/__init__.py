@@ -13,7 +13,7 @@ generators from scratch:
   95/5 read/update) producing operations for the kvstore vocabulary.
 - :mod:`~repro.workload.clients` — closed-loop and pipelined client
   processes that drive a cluster and feed the latency/throughput
-  recorders, including the AIMD backpressure variant.
+  recorders.
 - :mod:`~repro.workload.openloop` — open-loop Poisson traffic
   (diurnal / flash-crowd schedules, multi-tenant) whose offered rate
   is decoupled from the completion rate — the overload harness.
@@ -28,11 +28,9 @@ from repro.workload.ycsb import (
     shard_load_profile,
 )
 from repro.workload.clients import (
-    AdaptivePipelinedClient,
     ClosedLoopClient,
     PipelinedClient,
     ShardLoad,
-    run_adaptive_pipelined,
     run_closed_loop,
     run_pipelined_loop,
     run_sharded_ycsb,
@@ -48,7 +46,6 @@ from repro.workload.openloop import (
 )
 
 __all__ = [
-    "AdaptivePipelinedClient",
     "ArrivalSchedule",
     "ClosedLoopClient",
     "ConstantRate",
@@ -66,7 +63,6 @@ __all__ = [
     "YCSB_WRITE_ONLY",
     "YcsbWorkload",
     "ZipfianGenerator",
-    "run_adaptive_pipelined",
     "run_closed_loop",
     "run_pipelined_loop",
     "run_sharded_ycsb",

@@ -245,107 +245,6 @@ class PipelinedClient:
             self.waves += 1
 
 
-@dataclasses.dataclass
-class AdaptivePipelinedClient:
-    """A pipelined client that honors ``RETRY_LATER`` pushback.
-
-    Same wave shape as :class:`PipelinedClient`, but the wave depth is
-    an AIMD window: any wave that absorbed at least one master
-    pushback (the underlying :class:`CurpClient` counts them) shrinks
-    the next wave multiplicatively; a clean wave grows it additively
-    back toward ``max_depth``.  This is the client half of the
-    overload contract — an overloaded master says *back off* once per
-    shed attempt instead of queuing without bound, and the pipelined
-    sender converges on the depth the master can actually absorb.
-    """
-
-    client: CurpClient
-    stream: YcsbOpStream
-    max_depth: int
-    wave_latency: LatencyRecorder
-    min_depth: int = 1
-    #: multiplicative shrink on a pushed-back wave, in (0, 1)
-    decrease: float = 0.5
-    #: additive growth per clean wave
-    increase: float = 1.0
-    window: float = 0.0
-    operations: int = 0
-    waves: int = 0
-    shrinks: int = 0
-    #: set False to stop at the next wave boundary
-    running: bool = True
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            self.window = float(self.max_depth)
-
-    def loop(self, max_waves: int | None = None):
-        """Generator: the adaptive wave loop."""
-        sim = self.client.sim
-        rng = sim.rng
-        host = self.client.host
-        while self.running and (max_waves is None or self.waves < max_waves):
-            depth = max(self.min_depth, int(self.window))
-            started = sim.now
-            pushbacks = self.client.pushbacks
-            calls = []
-            for _ in range(depth):
-                op = self.stream.next_op(rng)
-                if isinstance(op, Read):
-                    calls.append(host.spawn(self.client.read(op.key),
-                                            name="adaptive-read"))
-                else:
-                    calls.append(host.spawn(self.client.update(op),
-                                            name="adaptive-update"))
-            yield AllOf(sim, calls)
-            if self.client.pushbacks > pushbacks:
-                self.window = max(float(self.min_depth),
-                                  self.window * self.decrease)
-                self.shrinks += 1
-            else:
-                self.window = min(float(self.max_depth),
-                                  self.window + self.increase)
-            self.wave_latency.record(sim.now - started)
-            self.operations += depth
-            self.waves += 1
-
-
-def run_adaptive_pipelined(cluster: "Cluster", workload: YcsbWorkload,
-                           n_clients: int, waves: int, depth: int) -> dict:
-    """Drive ``n_clients`` adaptive pipelined clients for ``waves``
-    waves starting at window ``depth``; AIMD knobs come from
-    ``cluster.config.overload``.  Returns throughput plus the final
-    per-client windows and total shrink count — the observable that
-    overload tests pin (windows collapse under a shedding master, stay
-    at ``depth`` against an unloaded one).
-    """
-    overload = cluster.config.overload
-    wave_latency = LatencyRecorder()
-    loops: list[AdaptivePipelinedClient] = []
-    for _ in range(n_clients):
-        client = cluster.new_client(collect_outcomes=False)
-        loops.append(AdaptivePipelinedClient(
-            client=client, stream=workload.generator(), max_depth=depth,
-            wave_latency=wave_latency, min_depth=overload.min_window,
-            decrease=overload.window_decrease,
-            increase=overload.window_increase))
-    processes = [loop.client.host.spawn(loop.loop(max_waves=waves),
-                                        name="adaptive-workload")
-                 for loop in loops]
-    started = cluster.sim.now
-    cluster.sim.run(AllOf(cluster.sim, processes))
-    elapsed = cluster.sim.now - started
-    total_ops = sum(loop.operations for loop in loops)
-    return {
-        "throughput": total_ops / (elapsed / 1e6) if elapsed else 0.0,
-        "operations": total_ops,
-        "wave_latency": wave_latency,
-        "windows": [loop.window for loop in loops],
-        "shrinks": sum(loop.shrinks for loop in loops),
-        "pushbacks": sum(loop.client.pushbacks for loop in loops),
-    }
-
-
 def run_pipelined_loop(cluster: "Cluster", workload: YcsbWorkload,
                        n_clients: int, waves: int, depth: int,
                        collect_outcomes: bool = False) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -10,7 +12,12 @@ from repro.baselines import (
     primary_backup_config,
     unreplicated_config,
 )
-from repro.core.config import ReplicationMode
+from repro.core.config import (
+    CurpConfig,
+    OverloadConfig,
+    ReplicationMode,
+    StorageProfile,
+)
 from repro.harness import build_cluster
 from repro.kvstore import Write
 
@@ -51,6 +58,15 @@ def test_unreplicated_rejects_nonzero_f():
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field):
         curp_config(3, **{field: value})
+
+
+def test_settable_config_surface_is_pinned():
+    """Every settable value doubles what tests and benches must cover:
+    adding (or removing) one is a deliberate edit of this count."""
+    counts = {cls.__name__: len(dataclasses.fields(cls))
+              for cls in (CurpConfig, OverloadConfig, StorageProfile)}
+    assert counts == {"CurpConfig": 18, "OverloadConfig": 10,
+                      "StorageProfile": 10}  # 38 in all
 
 
 def test_sync_baseline_is_durable_before_reply():

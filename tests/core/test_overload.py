@@ -3,8 +3,7 @@
 Covers the pieces of the RETRY_LATER contract individually: the
 config validation, the jittered exponential backoff helper, master
 admission control (bounded queue + shedding), the client's pushback
-handling, per-tenant fair admission on a shared witness endpoint, and
-the adaptive (AIMD) pipelined driver.
+handling, and per-tenant fair admission on a shared witness endpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.kvstore import Write
 from repro.rpc import AppError
 from repro.rpc.helpers import backoff_delay
 from repro.sim.events import AllOf
-from repro.workload import YcsbWorkload, run_adaptive_pipelined
 
 
 # ----------------------------------------------------------------------
@@ -235,34 +233,3 @@ def test_admit_window_resets_clear_per_tenant_counts(sim, network):
     # Cumulative counters survive the reset (they feed the benches).
     assert endpoint.tenant_records["m0"] == 3
     assert endpoint.tenant_throttled["m0"] == 1
-
-
-# ----------------------------------------------------------------------
-# the adaptive pipelined driver (AIMD window)
-# ----------------------------------------------------------------------
-ADAPTIVE_MIX = YcsbWorkload(name="adaptive", read_fraction=0.0,
-                            item_count=64, value_size=8)
-
-
-def test_adaptive_windows_collapse_under_a_shedding_master():
-    cluster = overloaded_cluster(enabled=True, seed=5)
-    result = run_adaptive_pipelined(cluster, ADAPTIVE_MIX, n_clients=2,
-                                    waves=25, depth=16)
-    assert result["pushbacks"] > 0
-    assert result["shrinks"] > 0
-    assert max(result["windows"]) < 16
-    assert result["operations"] > 0
-
-
-def test_adaptive_windows_hold_against_an_unloaded_master():
-    config = CurpConfig(f=1, mode=ReplicationMode.CURP, min_sync_batch=50,
-                        idle_sync_delay=200.0, retry_backoff=50.0,
-                        rpc_timeout=2_000.0,
-                        overload=OverloadConfig(enabled=True))
-    cluster = build_cluster(config, seed=5)  # zero-cost TEST_PROFILE
-    result = run_adaptive_pipelined(cluster, ADAPTIVE_MIX, n_clients=2,
-                                    waves=10, depth=8)
-    assert result["pushbacks"] == 0
-    assert result["shrinks"] == 0
-    assert result["windows"] == [8.0, 8.0]
-    assert result["operations"] == 2 * 10 * 8

@@ -151,6 +151,29 @@ def test_no_suspect_before_threshold():
     assert cache.gc([]) == []
 
 
+def test_gc_batch_rounds_age_suspects_like_per_round_gc():
+    """Coalescing N rounds into one gc_batch(rounds=N) must age
+    surviving records exactly as N per-round gcs would."""
+    cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
+    old = RpcId(1, 1)
+    cache.record([3], old, "old-request")
+    cache.gc_batch([(5, RpcId(9, 9))], rounds=3)  # 3 rounds, other keys
+    # A conflicting record now finds a 3-round-old survivor: suspect.
+    assert not cache.record([3], RpcId(2, 1), "new-request")
+    stale = cache.gc_batch([], rounds=1)
+    assert stale == ["old-request"]
+
+
+def test_gc_batch_zero_rounds_does_not_age():
+    cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
+    old = RpcId(1, 1)
+    cache.record([3], old, "old-request")
+    cache.gc_batch([(5, RpcId(9, 9))], rounds=0)
+    assert cache.gc_rounds == 0
+    assert not cache.record([3], RpcId(2, 1), "new-request")
+    assert cache.gc_batch([], rounds=0) == []  # not yet a suspect
+
+
 def test_commutes_with_probe():
     cache = WitnessCache(slots=64, associativity=4)
     cache.record([5], rid(1), "w")

@@ -2,10 +2,8 @@
 
 One host serves several masters' witness sets behind a single rx
 handler: records/probes/gc route to per-master tenants, a recovery
-freeze is per tenant, and ``gc_batch`` flushes arriving from different
-masters within one virtual instant apply as one merged batch
-(``WitnessStats.gc_merged``) while every master still receives exactly
-its own stale-suspect list.
+freeze is per tenant, and every master's ``gc`` receives exactly its
+own stale-suspect list.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.messages import (
-    GcBatchArgs,
+    GcArgs,
     GetRecoveryDataArgs,
     PROBE_COMMUTE,
     PROBE_CONFLICT,
@@ -26,7 +24,7 @@ from repro.core.messages import (
 )
 from repro.core.witness import MODE_RECOVERY, WitnessEndpoint
 from repro.net import Network
-from repro.rpc import AppError, RpcTimeout, RpcTransport
+from repro.rpc import AppError, RpcTransport
 from repro.sim import Simulator
 
 
@@ -77,8 +75,8 @@ def test_unknown_master_is_rejected_conservatively(sim, setup):
         "witness", "probe",
         ProbeArgs(master_id="m9", key_hashes=(1,)))) == PROBE_CONFLICT
     with pytest.raises(AppError) as exc:
-        sim.run(m0.call("witness", "gc_batch",
-                        GcBatchArgs(master_id="m9", pairs=(), rounds=1)))
+        sim.run(m0.call("witness", "gc",
+                        GcArgs(master_id="m9", pairs=())))
     assert exc.value.code == "WRONG_WITNESS_STATE"
 
 
@@ -125,138 +123,49 @@ def test_end_decommissions_one_tenant(sim, setup):
 
 
 # ----------------------------------------------------------------------
-# cross-master gc merge
+# gc routing
 # ----------------------------------------------------------------------
-def test_same_instant_flushes_from_two_masters_merge(sim, setup):
+def test_gc_drops_only_the_calling_masters_records(sim, setup):
     endpoint, m0, m1 = setup
+    # The same (hash, RpcId) pair on both tenants: m0's gc must not
+    # reach into m1's cache.
     sim.run(m0.call("witness", "record", record_args("m0", 11, "a")))
-    sim.run(m1.call("witness", "record", record_args("m1", 22, "b")))
-    results = {}
-
-    def collect(tag, value, error):
-        results[tag] = (value, error)
-    # Both masters flush in the same instant: one merged apply pass.
-    m0.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m0", pairs=((11, "a"),), rounds=1),
-               collect, "m0")
-    m1.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m1", pairs=((22, "b"),), rounds=1),
-               collect, "m1")
-    sim.run()
-    assert results == {"m0": ((), None), "m1": ((), None)}
+    sim.run(m1.call("witness", "record", record_args("m1", 11, "a")))
+    assert sim.run(m0.call(
+        "witness", "gc", GcArgs(master_id="m0", pairs=((11, "a"),)))) == ()
     assert endpoint.tenants["m0"].cache.occupied_slots() == 0
+    assert endpoint.tenants["m1"].cache.occupied_slots() == 1
+    assert sim.run(m1.call(
+        "witness", "gc", GcArgs(master_id="m1", pairs=((11, "a"),)))) == ()
     assert endpoint.tenants["m1"].cache.occupied_slots() == 0
-    assert endpoint.stats.gc_batches == 2
-    assert endpoint.stats.gc_merged == 2
-    assert endpoint.stats.gc_merge_batches == 1
+    assert endpoint.stats.gcs == 2
+    assert endpoint.tenants["m0"].gcs_processed == 1
+    assert endpoint.tenants["m1"].gcs_processed == 1
 
 
-def test_single_master_flush_is_not_counted_as_merged(sim, setup):
-    endpoint, m0, _m1 = setup
-    sim.run(m0.call("witness", "gc_batch",
-                    GcBatchArgs(master_id="m0", pairs=(), rounds=1)))
-    assert endpoint.stats.gc_batches == 1
-    assert endpoint.stats.gc_merged == 0
-    assert endpoint.stats.gc_merge_batches == 0
-
-
-def test_merged_flush_returns_stale_suspects_to_the_right_master(
-        sim, setup):
+def test_gc_returns_stale_suspects_to_the_right_master(sim, setup):
     """m0 accumulates an uncollected record (aged past the stale
-    threshold, then bumped by a conflicting record); a same-instant
-    merged flush must hand the suspect to m0 only — m1's reply stays
-    clean even though both applied in one batch."""
-    endpoint, m0, m1 = setup
+    threshold, then bumped by a conflicting record, §4.5); m1's gc must
+    neither age it nor be handed it."""
+    _endpoint, m0, m1 = setup
     sim.run(m0.call("witness", "record", record_args("m0", 11, "orphan")))
-    # Age m0's record past stale_threshold=3 without collecting it.
-    for round_number in range(3):
-        sim.run(m0.call("witness", "gc_batch",
-                        GcBatchArgs(master_id="m0", pairs=(),
-                                    rounds=1)))
-    # A conflicting record marks the survivor as a suspect (§4.5).
+    for _round in range(3):  # m1's rounds do not age m0's record
+        sim.run(m1.call("witness", "gc", GcArgs(master_id="m1", pairs=())))
+    assert sim.run(m0.call(
+        "witness", "record",
+        record_args("m0", 11, "early"))) == RECORD_REJECTED
+    assert sim.run(m0.call(
+        "witness", "gc", GcArgs(master_id="m0", pairs=()))) == ()
+    for _round in range(2):  # three m0 rounds in all: past the threshold
+        sim.run(m0.call("witness", "gc", GcArgs(master_id="m0", pairs=())))
     assert sim.run(m0.call(
         "witness", "record",
         record_args("m0", 11, "bumper"))) == RECORD_REJECTED
-    results = {}
-
-    def collect(tag, value, error):
-        results[tag] = (value, error)
-    m0.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m0", pairs=(), rounds=1),
-               collect, "m0")
-    m1.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m1", pairs=(), rounds=1),
-               collect, "m1")
-    sim.run()
-    m0_stale, m0_error = results["m0"]
-    assert m0_error is None
-    assert [r.rpc_id for r in m0_stale] == ["orphan"]
-    assert results["m1"] == ((), None)
-    assert endpoint.stats.gc_merge_batches == 1
-
-
-def test_crash_drops_buffered_flushes_and_masters_time_out(sim, setup):
-    """A crash in the instant the flushes arrived (before the merge
-    applies) loses them like any in-flight request: no replies, the
-    masters time out, and the tenant caches — NVM — keep their
-    records for the re-sent flush after restart."""
-    endpoint, m0, _m1 = setup
-    sim.run(m0.call("witness", "record", record_args("m0", 7, "a")))
-    call = m0.call("witness", "gc_batch",
-                   GcBatchArgs(master_id="m0", pairs=((7, "a"),), rounds=1),
-                   timeout=50.0)
-    # Crash exactly when the flush is being buffered (arrival is at
-    # +2 µs wire latency).
-    sim.schedule_callback(2.0, endpoint.host.crash)
-    with pytest.raises(RpcTimeout):
-        sim.run(call)
-    assert endpoint.tenants["m0"].cache.occupied_slots() == 1  # NVM survived
-    endpoint.host.restart()
-    stale = sim.run(m0.call(
-        "witness", "gc_batch",
-        GcBatchArgs(master_id="m0", pairs=((7, "a"),), rounds=1)))
-    assert stale == ()
-    assert endpoint.tenants["m0"].cache.occupied_slots() == 0
-
-
-def test_same_instant_crash_restart_rearms_the_merge(sim, setup):
-    """Regression: a crash must reset the merge-armed flag, so a flush
-    accepted by the restarted incarnation in the same instant arms its
-    own hook and is applied — the stale pre-crash hook must neither
-    swallow it nor apply the dead incarnation's buffer."""
-    endpoint, m0, m1 = setup
-    sim.run(m0.call("witness", "record", record_args("m0", 7, "a")))
-    sim.run(m1.call("witness", "record", record_args("m1", 8, "b")))
-    results = {}
-
-    def collect(tag, value, error):
-        results[tag] = (value, error)
-    m0.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m0", pairs=((7, "a"),), rounds=1),
-               collect, "m0", timeout=50.0)
-    m1.call_cb("witness", "gc_batch",
-               GcBatchArgs(master_id="m1", pairs=((8, "b"),), rounds=1),
-               collect, "m1", timeout=50.0)
-
-    def bounce_and_resend() -> None:
-        # Runs after both flushes buffered (delivery is at t=2, this
-        # callback was scheduled later at the same instant): crash,
-        # restart, and accept a fresh flush — all within instant 2.
-        endpoint.host.crash()
-        endpoint.host.restart()
-        m1.call_cb("witness", "gc_batch",
-                   GcBatchArgs(master_id="m1", pairs=((8, "b"),),
-                               rounds=1),
-                   collect, "m1-resend", timeout=50.0)
-    sim.schedule_callback(2.0, bounce_and_resend)
-    sim.run()
-    # Pre-crash flushes died with the old incarnation (timeouts)...
-    assert results["m0"][0] is None and results["m0"][1] is not None
-    assert results["m1"][0] is None and results["m1"][1] is not None
-    # ...but the new incarnation's flush applied and replied.
-    assert results["m1-resend"] == ((), None)
-    assert endpoint.tenants["m1"].cache.occupied_slots() == 0
-    assert endpoint.tenants["m0"].cache.occupied_slots() == 1  # never gc'd
+    assert sim.run(m1.call(
+        "witness", "gc", GcArgs(master_id="m1", pairs=()))) == ()
+    stale = sim.run(m0.call("witness", "gc",
+                            GcArgs(master_id="m0", pairs=())))
+    assert [r.rpc_id for r in stale] == ["orphan"]
 
 
 def test_single_tenant_server_cannot_clobber_an_endpoint_host(sim, network):

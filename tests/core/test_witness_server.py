@@ -112,6 +112,19 @@ def test_gc_in_recovery_mode_errors(setup, sim):
     assert err.value.code == "WRONG_WITNESS_STATE"
 
 
+def test_gc_from_wrong_master_errors(setup, sim):
+    witness, caller = setup
+    args1 = record_args(1, 1)
+    sim.run(caller.call("w0", "record", args1))
+    with pytest.raises(AppError) as err:
+        sim.run(caller.call("w0", "gc",
+                            GcArgs(master_id="other",
+                                   pairs=((1, args1.rpc_id),))))
+    assert err.value.code == "WRONG_WITNESS_STATE"
+    assert witness.cache.occupied_slots() == 1  # nothing dropped
+    assert witness.gcs_processed == 0
+
+
 def test_probe_commutativity(setup, sim):
     """§A.1: probe tells readers whether a backup value can be stale."""
     _witness, caller = setup

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import curp_config, unreplicated_config
-from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.config import CurpConfig, OverloadConfig, ReplicationMode
 from repro.harness import (
     RAMCLOUD_PROFILE,
     REDIS_PROFILE,
@@ -52,6 +52,17 @@ def test_multiple_masters_partition_the_hash_space():
 def test_cluster_without_masters_rejected(n_masters):
     with pytest.raises(ValueError, match="n_masters must be >= 1"):
         build_cluster(curp_config(1), n_masters=n_masters)
+
+
+def test_witness_fairness_without_shared_endpoints_rejected():
+    """Per-tenant fair admission only exists on a WitnessEndpoint; a
+    builder that made plain WitnessServers used to drop it silently."""
+    config = curp_config(1)
+    config.overload = OverloadConfig(enabled=True, witness_window_records=8)
+    with pytest.raises(ValueError, match="witness_window_records.*"
+                                         "multi_tenant_witnesses"):
+        build_cluster(config)
+    build_cluster(config, multi_tenant_witnesses=True)
 
 
 def test_new_client_connects_and_works():

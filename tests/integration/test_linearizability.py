@@ -95,8 +95,7 @@ def test_sharded_cluster_linearizable(seed, frame_coalescing):
     cluster = build_cluster(CurpConfig(
         f=3, mode=ReplicationMode.CURP, min_sync_batch=10,
         idle_sync_delay=200.0, retry_backoff=20.0, rpc_timeout=150.0,
-        max_attempts=60, max_gc_batch=64, gc_flush_delay=150.0,
-        frame_coalescing=frame_coalescing),
+        max_attempts=60, frame_coalescing=frame_coalescing),
         seed=seed, n_masters=4)
     keys = [f"key-{i}" for i in range(16)]
     shards = {cluster.shard_for(key) for key in keys}
@@ -116,14 +115,12 @@ def test_sharded_cluster_linearizable(seed, frame_coalescing):
 def test_sharded_multi_tenant_witnesses_linearizable(seed,
                                                      frame_coalescing):
     """The ISSUE 4 shared-witness deployment: four shards served by f
-    multi-tenant witness endpoints (with receive-side cross-master gc
-    merging), under batched gc.  The global history
+    multi-tenant witness endpoints.  The global history
     stays linearizable and the endpoints actually serve every shard."""
     cluster = build_cluster(CurpConfig(
         f=3, mode=ReplicationMode.CURP, min_sync_batch=10,
         idle_sync_delay=200.0, retry_backoff=20.0, rpc_timeout=150.0,
-        max_attempts=60, max_gc_batch=64, gc_flush_delay=150.0,
-        frame_coalescing=frame_coalescing),
+        max_attempts=60, frame_coalescing=frame_coalescing),
         seed=seed, n_masters=4, multi_tenant_witnesses=True)
     keys = [f"key-{i}" for i in range(16)]
     history = History()
@@ -152,8 +149,7 @@ def test_rebalancer_migrates_hot_tablet_mid_workload_linearizable(
     cluster = build_cluster(CurpConfig(
         f=3, mode=ReplicationMode.CURP, min_sync_batch=10,
         idle_sync_delay=200.0, retry_backoff=20.0, rpc_timeout=150.0,
-        max_attempts=60, max_gc_batch=64, gc_flush_delay=150.0,
-        frame_coalescing=frame_coalescing),
+        max_attempts=60, frame_coalescing=frame_coalescing),
         seed=seed, n_masters=4)
     # A key set deliberately skewed onto one shard, so the rebalancer
     # has a hot tablet to move mid-run.

@@ -1,9 +1,13 @@
-"""Docs may not name repository files that do not exist."""
+"""Docs may not name repository files or config values that do not
+exist."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
+
+from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -14,12 +18,66 @@ _REPO_PATH = re.compile(
     r"\.(?:py|md|json|yml))`")
 
 
+#: how docs spell a config value (`CurpConfig.f`,
+#: `config.overload.enabled`) -> the fields and properties that exist
+_CONFIG_NAMES = {
+    spelling: {f.name for f in dataclasses.fields(cls)} | set(vars(cls))
+    for cls, spellings in (
+        (CurpConfig, ("CurpConfig", "config")),
+        (OverloadConfig, ("OverloadConfig", "config.overload")),
+        (StorageProfile, ("StorageProfile", "config.storage")))
+    for spelling in spellings}
+_CONFIG_NAME = re.compile(
+    r"\b(%s)\.([a-z_]\w*)" % "|".join(
+        re.escape(spelling)
+        for spelling in sorted(_CONFIG_NAMES, key=len, reverse=True)))
+_BACKTICKED = re.compile(r"`([^`\n]+)`")
+
+
+def documents() -> list[Path]:
+    return sorted((REPO_ROOT / "docs").glob("*.md")) + [
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+
+
 def test_docs_name_only_existing_files():
-    documents = sorted((REPO_ROOT / "docs").glob("*.md"))
-    documents.append(REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
     dangling = [
         f"{document.relative_to(REPO_ROOT)}: {path}"
-        for document in documents
+        for document in documents()
         for path in _REPO_PATH.findall(document.read_text())
         if not (REPO_ROOT / path).exists()]
     assert dangling == []
+
+
+def stale_config_names(text: str) -> list[str]:
+    """Backticked config values in ``text`` that no config class has.
+    A paragraph headed "Negative result" (a ``#`` heading over it, or
+    its own bold lead-in) records a deletion and may name what is gone."""
+    stale = []
+    exempt_heading = False
+    for paragraph in re.split(r"\n\s*\n", text):
+        paragraph = paragraph.strip()
+        if paragraph.startswith("#"):
+            exempt_heading = paragraph.lstrip("# ").startswith(
+                "Negative result")
+        if exempt_heading or paragraph.startswith("**Negative result"):
+            continue
+        for span in _BACKTICKED.findall(paragraph):
+            stale += [f"{owner}.{name}"
+                      for owner, name in _CONFIG_NAME.findall(span)
+                      if name not in _CONFIG_NAMES[owner]]
+    return stale
+
+
+def test_docs_name_only_existing_config_values():
+    stale = [f"{document.relative_to(REPO_ROOT)}: {name}"
+             for document in documents()
+             for name in stale_config_names(document.read_text())]
+    assert stale == []
+
+
+def test_stale_config_name_check_sees_unknown_names():
+    text = ("## Flags\n\nSet `CurpConfig.no_such_knob` or "
+            "`config.overload.enabled`; `config.uses_witnesses` is derived."
+            "\n\n**Negative result: gone.**  `config.deleted_flag` lost."
+            "\n\n## Negative result: batching\n\n`config.deleted_delay`.")
+    assert stale_config_names(text) == ["CurpConfig.no_such_knob"]

@@ -122,7 +122,6 @@ INFO_METRICS = (
     ("frame message reduction f=3",
      ("frame_coalescing", "f3_spread", "message_reduction")),
     ("scaleout 4-shard speedup", ("scaleout", "speedup_4_shards_vs_1")),
-    ("scaleout gc rpc reduction", ("scaleout", "gc_rpc_reduction")),
     ("rebalance on/off speedup", ("rebalance", "speedup")),
     ("rebalance hot-shard share (on)",
      ("rebalance", "hot_shard_share_on")),

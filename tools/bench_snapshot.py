@@ -29,8 +29,8 @@ Measures, in wall-clock terms:
   full client→master→witness→sync lifecycle at f ∈ {1, 3}, from
   ``benchmarks/bench_curp_op_path.py``;
 - a ``scaleout`` series: aggregate virtual-time throughput at 1/2/4
-  shards plus the batched-gc RPC reduction (ISSUE 2 acceptance
-  numbers), from ``benchmarks/bench_scaleout_shards.py``;
+  shards (ISSUE 2 acceptance number), from
+  ``benchmarks/bench_scaleout_shards.py``;
 - a ``frame_coalescing`` series (ISSUE 4): messages-per-update with
   NIC frames on/off at f ∈ {1, 3}, colocated vs spread witnesses,
   from ``benchmarks/bench_frame_coalescing.py`` — the coalesced f=3
@@ -115,17 +115,13 @@ def _best_rate(fn, repeats: int = 3) -> float:
 
 
 def _scaleout() -> dict:
-    """Sharded throughput scaling + batched-gc traffic (virtual time,
-    so the numbers are deterministic per seed — wall clock only decides
-    how long the measurement takes)."""
-    from benchmarks.bench_scaleout_shards import (
-        gc_batching_comparison,
-        scaleout_throughput,
-    )
+    """Sharded throughput scaling (virtual time, so the numbers are
+    deterministic per seed — wall clock only decides how long the
+    measurement takes)."""
+    from benchmarks.bench_scaleout_shards import scaleout_throughput
 
     started = time.perf_counter()
     series = scaleout_throughput(shard_counts=(1, 2, 4))
-    gc = gc_batching_comparison()
     elapsed = time.perf_counter() - started
     return {
         "seconds": round(elapsed, 3),
@@ -134,12 +130,6 @@ def _scaleout() -> dict:
             for n, point in series.items()},
         "speedup_4_shards_vs_1": round(
             series[4]["throughput"] / series[1]["throughput"], 2),
-        "gc_rpcs_per_sync_per_round": round(
-            gc["per-round"]["gc_rpcs_per_sync"], 2),
-        "gc_rpcs_per_sync_batched": round(
-            gc["batched"]["gc_rpcs_per_sync"], 2),
-        "gc_rpc_reduction": round(
-            gc["per-round"]["gc_rpcs"] / max(gc["batched"]["gc_rpcs"], 1), 2),
     }
 
 
