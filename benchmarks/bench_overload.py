@@ -159,8 +159,7 @@ def fairness_comparison(duration: float = 30_000.0, warmup: float = 5_000.0,
     # to the 2-RTT sync path.
     config = overload_config(True, overload=OverloadConfig(
         enabled=True, max_queue_depth=16, retry_after=300.0,
-        retry_after_cap=3_000.0, witness_window=1_000.0,
-        witness_window_records=30))
+        retry_after_cap=3_000.0, witness_window_records=30))
     cluster = build_cluster(config, profile=OVERLOAD_PROFILE, n_masters=2,
                             seed=seed, multi_tenant_witnesses=True)
     masters = sorted(cluster.masters)

@@ -48,9 +48,8 @@ MIGRATE_STORAGE = StorageProfile(enabled=True, migrate_entry_time=0.5,
 
 def rebalance_comparison(n_shards=4, n_clients=40, duration=3_000.0,
                          warmup=2_500.0, seed=7,
-                         rebalance_interval=300.0,
-                         rebalance_threshold=1.2,
-                         rebalance_min_ops=200) -> dict:
+                         interval=300.0, threshold=1.2,
+                         min_ops=200) -> dict:
     """Run the skewed workload twice — static tablets vs rebalancer on
     — and report aggregate + per-shard numbers for both.
 
@@ -68,9 +67,8 @@ def rebalance_comparison(n_shards=4, n_clients=40, duration=3_000.0,
             out["offered_shares"] = shard_load_profile(
                 SKEWED_WORKLOAD, cluster.shard_map)
         if enabled:
-            cluster.start_rebalancer(interval=rebalance_interval,
-                                     threshold=rebalance_threshold,
-                                     min_ops=rebalance_min_ops)
+            cluster.start_rebalancer(interval=interval, threshold=threshold,
+                                     min_ops=min_ops)
         result = run_sharded_ycsb(cluster, SKEWED_WORKLOAD,
                                   n_clients=n_clients, duration=duration,
                                   warmup=warmup)

@@ -165,8 +165,7 @@ class Coordinator:
                 # A witness colocated with a backup (Figure 2) shares
                 # the host's RPC endpoint; method names are disjoint.
                 server = WitnessServer(
-                    witness_host, slots=self.config.witness_slots,
-                    associativity=self.config.witness_associativity,
+                    witness_host,
                     stale_threshold=self.config.gc_stale_threshold,
                     record_time=witness_record_time,
                     transport=transports.get(witness_host.name))
@@ -199,9 +198,7 @@ class Coordinator:
             raise ValueError(f"{witness_host.name} already hosts a "
                              f"multi-tenant witness endpoint")
         server = WitnessServer(
-            witness_host, slots=self.config.witness_slots,
-            associativity=self.config.witness_associativity,
-            stale_threshold=self.config.gc_stale_threshold,
+            witness_host, stale_threshold=self.config.gc_stale_threshold,
             record_time=record_time)
         self.witness_servers[witness_host.name] = server
         return server
@@ -220,14 +217,10 @@ class Coordinator:
                              f"single-tenant witness")
         overload = self.config.overload
         endpoint = WitnessEndpoint(
-            witness_host, slots=self.config.witness_slots,
-            associativity=self.config.witness_associativity,
-            stale_threshold=self.config.gc_stale_threshold,
+            witness_host, stale_threshold=self.config.gc_stale_threshold,
             record_time=record_time,
             # Per-tenant fair admission rides the overload defenses:
             # off (window_records=0) unless config.overload enables it.
-            fair_window=(overload.witness_window
-                         if overload.enabled else 0.0),
             window_records=(overload.witness_window_records
                             if overload.enabled else 0))
         self.witness_endpoints[witness_host.name] = endpoint
@@ -245,22 +238,7 @@ class Coordinator:
         managed.recovering = True
         try:
             # 1. Fence: no zombie sync may complete from here on (§4.7).
-            # A sync needs *all* f backups to ack, so fencing any one
-            # live backup suffices; dead backups cannot ack either.
-            # (BackupServer.min_epoch is durable, so a fenced backup
-            # stays fenced across restarts.)
-            managed.epoch += 1
-            reachable = []
-            for backup in managed.backups:
-                try:
-                    yield self.transport.call(backup, "fence", managed.epoch,
-                                              timeout=rpc_timeout)
-                    reachable.append(backup)
-                except RpcError:
-                    continue
-            if not reachable:
-                raise RecoveryFailed(
-                    f"could not fence any backup of {master_id}")
+            reachable = yield from self._fence_backups(managed, rpc_timeout)
             # 2+3. Restore from a backup, replay from a witness.  The
             # new master starts with the reachable backups; dead ones
             # are replaced from spares below.
@@ -342,6 +320,26 @@ class Coordinator:
         finally:
             managed.recovering = False
 
+    def _fence_backups(self, managed: ManagedMaster, rpc_timeout: float):
+        """Generator: bump ``managed``'s epoch and fence its backups
+        (§4.7); returns the ones that acked.  A sync needs *all* f
+        backups to ack, so fencing any one live backup suffices; dead
+        backups cannot ack either.  (BackupServer.min_epoch is durable,
+        so a fenced backup stays fenced across restarts.)"""
+        managed.epoch += 1
+        reachable = []
+        for backup in managed.backups:
+            try:
+                yield self.transport.call(backup, "fence", managed.epoch,
+                                          timeout=rpc_timeout)
+                reachable.append(backup)
+            except RpcError:
+                continue
+        if not reachable:
+            raise RecoveryFailed(
+                f"could not fence any backup of {managed.master_id}")
+        return reachable
+
     def _depose_zombie(self, old_host: str, epoch: int,
                        rpc_timeout: float):
         try:
@@ -391,21 +389,8 @@ class Coordinator:
             targets.append(self.masters[recovery_id])
         managed.recovering = True
         try:
-            # 1. Fence (§4.7) — same argument as recover_master: a
-            # zombie sync needs every backup, so one fenced live backup
-            # suffices; dead backups cannot ack either.
-            managed.epoch += 1
-            reachable = []
-            for backup in managed.backups:
-                try:
-                    yield self.transport.call(backup, "fence", managed.epoch,
-                                              timeout=rpc_timeout)
-                    reachable.append(backup)
-                except RpcError:
-                    continue
-            if not reachable:
-                raise RecoveryFailed(
-                    f"could not fence any backup of {master_id}")
+            # 1. Fence (§4.7), exactly as recover_master does.
+            reachable = yield from self._fence_backups(managed, rpc_timeout)
             # 2. Witness harvest (freezes the chosen witness, §4.6).
             requests = None
             for witness in managed.witnesses:

@@ -10,10 +10,10 @@ recover_master` onto the next standby.  Recovery is *supervised*: a
   :class:`~repro.core.recovery.RecoveryFailed` returns the standby to
   the pool and re-arms the miss counter so the next interval retries,
   instead of silently leaking the standby (the pre-watchdog bug).
-- **Witnesses and backups** (``watch_witnesses``/``watch_backups``) —
-  the same ping discipline, driving the coordinator's
-  ``replace_witness``/``replace_backup`` paths that previously nothing
-  ever invoked automatically.  A replacement standby is popped per
+- **Witnesses and backups** (watched iff their ``witness_standbys``/
+  ``backup_standbys`` pool was given) — the same ping discipline,
+  driving the coordinator's ``replace_witness``/``replace_backup``
+  paths, which nothing invoked before.  A replacement standby is popped per
   (master, dead host) pair — witness servers are single-tenant — and
   returned to the pool if the replacement fails.
 - **Gray failures** (``data_probes``) — a host that still answers
@@ -72,6 +72,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 
+#: adaptive probe SLO = MULTIPLIER × the EWMA (weight ALPHA on the newest
+#: sample) of a target's probe latencies, at most CAP_FACTOR × the base SLO
+PROBE_SLO_MULTIPLIER = 4.0
+PROBE_EWMA_ALPHA = 0.5
+PROBE_SLO_CAP_FACTOR = 16.0
+
+
 class FailureDetector:
     """Detects crashed/gray cluster members and triggers repair."""
 
@@ -81,20 +88,25 @@ class FailureDetector:
                  ping_timeout: float = 500.0,
                  witness_standbys: typing.Sequence["Host"] = (),
                  backup_standbys: typing.Sequence["Host"] = (),
-                 watch_witnesses: bool = False,
-                 watch_backups: bool = False,
                  data_probes: bool = False,
                  data_probe_slo: float | None = None,
-                 evidence_window: float | None = None,
                  gray_threshold: int = 3,
-                 quarantine_isolate: bool = False,
                  adaptive_probe_slo: bool = False,
-                 probe_slo_multiplier: float = 4.0,
-                 probe_slo_cap: float | None = None,
-                 probe_ewma_alpha: float = 0.5,
-                 flap_damping: bool = False,
-                 flap_base_delay: float | None = None,
-                 flap_max_delay: float | None = None):
+                 flap_damping: bool = False):
+        if data_probe_slo is None:
+            data_probe_slo = ping_timeout
+        # ``not x > 0`` also rejects NaN: a loop built on a nonsense
+        # cadence dies on its first step while still claiming to run.
+        if not interval > 0:
+            raise ValueError("interval must be > 0")
+        if miss_threshold < 1:
+            raise ValueError("miss_threshold must be >= 1")
+        if not ping_timeout > 0:
+            raise ValueError("ping_timeout must be > 0")
+        if gray_threshold < 1:
+            raise ValueError("gray_threshold must be >= 1")
+        if not data_probe_slo > 0:
+            raise ValueError("data_probe_slo must be > 0")
         self.coordinator = coordinator
         self.sim = coordinator.sim
         self.standby_hosts = list(standby_hosts)
@@ -104,49 +116,39 @@ class FailureDetector:
         # -- watchdog extensions (all off by default) -------------------
         self.witness_standbys = list(witness_standbys)
         self.backup_standbys = list(backup_standbys)
-        self.watch_witnesses = watch_witnesses or bool(witness_standbys)
-        self.watch_backups = watch_backups or bool(backup_standbys)
+        #: members are watched iff their pool was given (fixed here: a
+        #: pool that later runs dry must keep reporting exhaustion)
+        self.watch_witnesses = bool(witness_standbys)
+        self.watch_backups = bool(backup_standbys)
         self.data_probes = data_probes
         #: a data probe slower than this is a failure even if it
         #: eventually answers (fail-slow = failed); default: the ping
         #: timeout, i.e. only outright timeouts fail
-        self.data_probe_slo = (data_probe_slo if data_probe_slo is not None
-                               else ping_timeout)
+        self.data_probe_slo = data_probe_slo
         #: how far back data-probe evidence counts toward a gray
-        #: verdict; the default leaves room for ``gray_threshold``
-        #: probes that each burn their full SLO before failing
+        #: verdict: room for ``gray_threshold`` probes that each burn
+        #: their full SLO before failing
         self.evidence_window = (
-            evidence_window if evidence_window is not None
-            else (gray_threshold + 1) * (interval + self.data_probe_slo))
+            (gray_threshold + 1) * (interval + data_probe_slo))
         self.gray_threshold = gray_threshold
-        #: additionally cut a convicted gray host off the network (a
-        #: quarantine fence, so its half-alive control path cannot
-        #: confuse anyone else)
-        self.quarantine_isolate = quarantine_isolate
         # -- adaptive probe SLO (ISSUE 9) -------------------------------
         #: scale each target's probe deadline from its observed probe
         #: latency: a uniformly fail-slow host (degraded disk, slow
         #: NIC) raises its own SLO instead of getting convicted gray,
         #: while a *wedged* host still times out at ``probe_slo_cap``
         self.adaptive_probe_slo = adaptive_probe_slo
-        self.probe_slo_multiplier = probe_slo_multiplier
         #: the most a target's SLO may adapt up to — also the RPC
         #: deadline in adaptive mode, so answered-but-slow probes yield
         #: real latency samples instead of opaque timeouts
-        self.probe_slo_cap = (probe_slo_cap if probe_slo_cap is not None
-                              else 16.0 * self.data_probe_slo)
-        self.probe_ewma_alpha = probe_ewma_alpha
+        self.probe_slo_cap = PROBE_SLO_CAP_FACTOR * data_probe_slo
         # -- flap damping (ISSUE 9) -------------------------------------
         #: suppress repeat convictions of the same host behind an
         #: exponentially growing re-arm delay, so a flapping host (or a
         #: repair that keeps failing) cannot churn standbys and spam
         #: the detection timeline every few intervals
         self.flap_damping = flap_damping
-        self.flap_base_delay = (
-            flap_base_delay if flap_base_delay is not None
-            else 2.0 * interval * miss_threshold)
-        self.flap_max_delay = (flap_max_delay if flap_max_delay is not None
-                               else 32.0 * self.flap_base_delay)
+        self.flap_base_delay = 2.0 * interval * miss_threshold
+        self.flap_max_delay = 32.0 * self.flap_base_delay
         # -- state ------------------------------------------------------
         self._misses: dict[str, int] = {}
         self._member_misses: dict[str, int] = {}
@@ -272,8 +274,6 @@ class FailureDetector:
             self.gray_detected += 1
             self.quarantined.add(host)
             self.detections.append((self.sim.now, "gray-master", master_id))
-            if self.quarantine_isolate:
-                self.coordinator.network.isolate(host)
             # Recovery onto a standby abandons the wedged host; if it
             # fails, un-quarantine so fresh evidence can retry.
             self._start_recovery(master_id, unquarantine=host)
@@ -352,15 +352,13 @@ class FailureDetector:
                 self.quarantined.add(witness)
                 self.detections.append(
                     (self.sim.now, "gray-witness", witness))
-                if self.quarantine_isolate:
-                    self.coordinator.network.isolate(witness)
                 self._replace_witness_everywhere(witness)
 
     def _effective_slo(self, target: str) -> float:
         """The probe deadline in force for ``target`` right now.
 
         Fixed mode: ``data_probe_slo``.  Adaptive mode: the target's
-        answered-probe latency EWMA scaled by ``probe_slo_multiplier``,
+        answered-probe latency EWMA scaled by ``PROBE_SLO_MULTIPLIER``,
         clamped between the base SLO (floor — adaptation never makes
         the detector hair-trigger) and ``probe_slo_cap`` (ceiling — a
         wedged host still gets convicted, just proportionally later on
@@ -370,16 +368,15 @@ class FailureDetector:
         ewma = self._probe_ewma.get(target)
         if ewma is None:
             return self.data_probe_slo
-        return min(max(self.data_probe_slo,
-                       ewma * self.probe_slo_multiplier),
+        return min(max(self.data_probe_slo, ewma * PROBE_SLO_MULTIPLIER),
                    self.probe_slo_cap)
 
     def _observe_probe(self, target: str, latency: float) -> None:
         prev = self._probe_ewma.get(target)
         self._probe_ewma[target] = (
             latency if prev is None
-            else (1.0 - self.probe_ewma_alpha) * prev
-            + self.probe_ewma_alpha * latency)
+            else (1.0 - PROBE_EWMA_ALPHA) * prev
+            + PROBE_EWMA_ALPHA * latency)
 
     def _data_probe(self, master_id: str, witness: str):
         """A timed data-path round trip: the witness's real ``probe``

@@ -6,7 +6,7 @@ idle.  This module closes the loop the coordinator already has the
 mechanisms for: masters account per-tablet load
 (``CurpMaster._handle_load_report``), the :class:`Rebalancer`
 periodically pulls those windows, detects a *hot* master
-(``CurpConfig.rebalance_threshold`` × the mean), splits its hottest
+(``Rebalancer.threshold`` × the mean), splits its hottest
 tablet at a load-weighted key-hash point, and drives
 ``Coordinator.migrate`` to hand the split-off half to the coldest
 master.  Clients converge through the existing ``WRONG_SHARD`` →
@@ -85,25 +85,34 @@ class Rebalancer:
 
     Created idle; :meth:`start` spawns the loop on the coordinator's
     host so its RPCs originate where a real configuration manager's
-    would.  Knobs default to the cluster's
-    :class:`~repro.core.config.CurpConfig` ``rebalance_*`` fields.
+    would.  The loop only runs once started, so a cluster that never
+    starts one keeps its tablets static.
     """
 
     def __init__(self, coordinator: "Coordinator",
-                 interval: float | None = None,
-                 threshold: float | None = None,
-                 min_ops: int | None = None,
+                 interval: float = 500.0,
+                 threshold: float = 1.5,
+                 min_ops: int = 100,
                  rpc_timeout: float = 2_000.0,
                  cooling_max_ops: int | None = None):
-        config = coordinator.config
+        if interval < 0:
+            raise ValueError("interval must be >= 0 (0 disables)")
+        if threshold <= 1.0:
+            raise ValueError("threshold must be > 1 (a master at exactly "
+                             "the mean is not hot)")
+        if min_ops < 1:
+            raise ValueError("min_ops must be >= 1")
         self.coordinator = coordinator
         self.sim = coordinator.sim
-        self.interval = (config.rebalance_interval if interval is None
-                         else interval)
-        self.threshold = (config.rebalance_threshold if threshold is None
-                          else threshold)
-        self.min_ops = (config.rebalance_min_ops if min_ops is None
-                        else min_ops)
+        #: how often (µs) the loop pulls per-tablet load reports from
+        #: the masters; 0 disables the loop outright even if started
+        self.interval = interval
+        #: imbalance trigger: a master is *hot* when its window load
+        #: exceeds ``threshold`` × the mean master load
+        self.threshold = threshold
+        #: ignore report windows with fewer total ops than this (noise
+        #: floor — don't churn tablets on an idle cluster)
+        self.min_ops = min_ops
         self.rpc_timeout = rpc_timeout
         #: per-master window below which a fragmented master counts as
         #: *cold* and its adjacent tablets get coalesced

@@ -56,8 +56,7 @@ class OverloadConfig:
       one hot tenant's record storm cannot starve the other shards'
       1-RTT fast path (an under-fair-share tenant is always admitted).
     - open-loop drivers shrink their in-flight window AIMD-style on
-      pushback (``min_window``/``window_decrease``/``window_increase``)
-      — the backpressure half of the contract.
+      pushback — the backpressure half of the contract.
     """
 
     enabled: bool = False
@@ -69,24 +68,13 @@ class OverloadConfig:
     retry_after: float = 200.0
     #: cap for the exponentially-grown client pushback delay (µs)
     retry_after_cap: float = 2_000.0
-    #: also shed reads (updates are always subject to the bound)
-    shed_reads: bool = True
-    #: accounting window (µs) for per-tenant fair admission on a shared
-    #: WitnessEndpoint
-    witness_window: float = 1_000.0
-    #: record admissions per endpoint per window; 0 disables fairness.
+    #: record admissions per shared WitnessEndpoint per accounting
+    #: window; 0 disables per-tenant fair admission.
     #: A tenant below ``witness_window_records / n_tenants`` is always
     #: admitted; past the global budget, tenants at/over fair share are
     #: rejected (REJECTED → the hot tenant's clients take the 2-RTT
     #: sync path and their AIMD windows shrink).
     witness_window_records: int = 0
-    # -- client backpressure (AIMD in-flight window) --------------------
-    #: floor for the adaptive in-flight window
-    min_window: int = 1
-    #: multiplicative shrink factor applied on pushback
-    window_decrease: float = 0.5
-    #: additive growth per window's worth of clean completions
-    window_increase: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -95,17 +83,9 @@ class OverloadConfig:
             raise ValueError("retry_after must be > 0")
         if self.retry_after_cap < self.retry_after:
             raise ValueError("retry_after_cap must be >= retry_after")
-        if self.witness_window <= 0:
-            raise ValueError("witness_window must be > 0")
         if self.witness_window_records < 0:
             raise ValueError("witness_window_records must be >= 0 "
                              "(0 disables fairness)")
-        if self.min_window < 1:
-            raise ValueError("min_window must be >= 1")
-        if not 0.0 < self.window_decrease < 1.0:
-            raise ValueError("window_decrease must be in (0, 1)")
-        if self.window_increase <= 0:
-            raise ValueError("window_increase must be > 0")
 
 
 @dataclasses.dataclass
@@ -199,11 +179,7 @@ class CurpConfig:
     f: int = 3
     mode: ReplicationMode = ReplicationMode.CURP
 
-    # -- witness geometry (§4.2, §B.1) ---------------------------------
-    #: total request slots per witness (paper: 4096 × 2 KB ≈ 9 MB/master)
-    witness_slots: int = 4096
-    #: set associativity (paper: 4-way after the Figure 11 study)
-    witness_associativity: int = 4
+    # -- witness gc (§4.5; geometry is WitnessCache's own, §4.2) -------
     #: gc generations before a surviving record is suspected as
     #: uncollected garbage (§4.5: "three is a good number")
     gc_stale_threshold: int = 3
@@ -236,21 +212,6 @@ class CurpConfig:
     #: coalesced path is pinned by its own golden trace.
     frame_coalescing: bool = False
 
-    # -- load-driven tablet rebalancing (§3.6 migration, driven) --------
-    #: how often (µs) the coordinator's :class:`~repro.cluster.
-    #: rebalancer.Rebalancer` pulls per-tablet load reports from the
-    #: masters.  The loop only runs once ``Rebalancer.start()`` (or
-    #: ``Cluster.start_rebalancer()``) is called, so the default does
-    #: not change any existing trace; 0 disables the loop outright even
-    #: if started.
-    rebalance_interval: float = 500.0
-    #: imbalance trigger: a master is *hot* when its window load
-    #: exceeds ``rebalance_threshold`` × the mean master load
-    rebalance_threshold: float = 1.5
-    #: ignore report windows with fewer total ops than this (noise
-    #: floor — don't churn tablets on an idle cluster)
-    rebalance_min_ops: int = 100
-
     # -- client behaviour ------------------------------------------------
     #: per-RPC timeout for client operations
     rpc_timeout: float = 2_000.0
@@ -271,18 +232,9 @@ class CurpConfig:
     storage: StorageProfile = dataclasses.field(
         default_factory=StorageProfile)
 
-    # -- lease management (§4.8) -----------------------------------------
-    lease_check_interval: float = 50_000.0
-
     def __post_init__(self) -> None:
         if self.f < 0:
             raise ValueError(f"f must be >= 0: {self.f}")
-        if self.witness_associativity < 1:
-            raise ValueError("associativity must be >= 1")
-        if self.witness_slots < 1:
-            raise ValueError("witness_slots must be >= 1")
-        if self.witness_slots % self.witness_associativity != 0:
-            raise ValueError("witness_slots must be a multiple of associativity")
         if self.gc_stale_threshold < 1:
             raise ValueError("gc_stale_threshold must be >= 1")
         if self.min_sync_batch < 1:
@@ -291,13 +243,6 @@ class CurpConfig:
             raise ValueError("idle_sync_delay must be >= 0")
         if self.hot_key_window < 0:
             raise ValueError("hot_key_window must be >= 0 (0 disables)")
-        if self.rebalance_interval < 0:
-            raise ValueError("rebalance_interval must be >= 0 (0 disables)")
-        if self.rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must be > 1 (a master at "
-                             "exactly the mean is not hot)")
-        if self.rebalance_min_ops < 1:
-            raise ValueError("rebalance_min_ops must be >= 1")
         if self.rpc_timeout <= 0:
             raise ValueError("rpc_timeout must be > 0")
         if self.max_attempts < 1:

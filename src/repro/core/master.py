@@ -71,6 +71,10 @@ ENTRY_WIRE_BYTES = 140
 GC_PAIR_WIRE_BYTES = 20
 RPC_HEADER_BYTES = 60
 
+#: how often (µs) a master with a lease server checks for expired
+#: client leases (§4.8 modification 2)
+LEASE_CHECK_INTERVAL = 50_000.0
+
 
 @dataclasses.dataclass
 class MasterStats:
@@ -179,7 +183,7 @@ class CurpMaster:
         self.transport.register("txn_resolve", self._handle_txn_resolve)
         host.on_crash(self._on_crash)
 
-        if lease_server is not None and config.lease_check_interval > 0:
+        if lease_server is not None:
             host.spawn(self._lease_expiry_loop(), name="lease-gc")
 
     # ------------------------------------------------------------------
@@ -385,8 +389,7 @@ class CurpMaster:
         h = key_hash(args.key)
         if not self.owns_hash(h):
             raise AppError("WRONG_SHARD", {"master": self.master_id})
-        if self.config.overload.shed_reads and self._shedding() \
-                and not args.probe:
+        if self._shedding() and not args.probe:
             self.stats.shed_reads += 1
             raise AppError(RETRY_LATER, self._pushback_info())
         self._load_by_hash[h] = self._load_by_hash.get(h, 0) + 1
@@ -830,32 +833,41 @@ class CurpMaster:
             for lo, hi in args.ranges:
                 if (lo, hi) not in self.owned_ranges:
                     self.owned_ranges.append((lo, hi))
-            replayed = 0
-            filtered = 0
-            self.registry.begin_recovery()  # §4.8: ignore piggybacked acks
-            try:
-                for request in args.requests:
-                    op = request.op
-                    if not self.owns_hashes(op.touched_hashes()):
-                        filtered += 1  # migrated-away keys (§3.6 filter)
-                        continue
-                    state, _ = self.registry.check(request.rpc_id)
-                    if state is not DuplicateState.NEW:
-                        filtered += 1  # already durable in the backup log
-                        continue
-                    result, entry = self.store.execute(
-                        op, rpc_id=request.rpc_id, now=self.sim.now)
-                    if entry is not None:
-                        self.registry.record(request.rpc_id, result,
-                                             log_position=entry.index)
-                    replayed += 1
-            finally:
-                self.registry.end_recovery()
+            replayed, filtered = self.replay_witness_requests(args.requests)
             if self.config.uses_backups:
                 yield self._request_sync(self.store.log.end)
             return {"installed": installed, "replayed": replayed,
                     "filtered": filtered}
         return work()
+
+    def replay_witness_requests(
+            self, requests: typing.Iterable[RecordedRequest]
+            ) -> tuple[int, int]:
+        """The §4.6 witness replay: execute each recorded request this
+        master owns and has not already completed; returns
+        ``(replayed, filtered)``."""
+        replayed = 0
+        filtered = 0
+        self.registry.begin_recovery()  # §4.8: ignore piggybacked acks
+        try:
+            for request in requests:
+                op = request.op
+                if not self.owns_hashes(op.touched_hashes()):
+                    filtered += 1  # migrated-away keys (§3.6 replay filter)
+                    continue
+                state, _ = self.registry.check(request.rpc_id)
+                if state is not DuplicateState.NEW:
+                    filtered += 1  # already durable in the backup log
+                    continue
+                result, entry = self.store.execute(op, rpc_id=request.rpc_id,
+                                                   now=self.sim.now)
+                if entry is not None:
+                    self.registry.record(request.rpc_id, result,
+                                         log_position=entry.index)
+                replayed += 1
+        finally:
+            self.registry.end_recovery()
+        return replayed, filtered
 
     # ------------------------------------------------------------------
     # load accounting + tablet bookkeeping (rebalancer-facing)
@@ -868,7 +880,7 @@ class CurpMaster:
         The reset is deliberate even though the reply might be lost in
         flight: load windows are advisory, and a hot master that loses
         one report re-accumulates from live traffic within a single
-        ``rebalance_interval`` — the rebalancer just acts one round
+        rebalancer interval — the rebalancer just acts one round
         later.  Acknowledged-delivery bookkeeping would buy nothing
         but complexity here."""
         window, self._load_by_hash = self._load_by_hash, {}
@@ -923,7 +935,7 @@ class CurpMaster:
     # ------------------------------------------------------------------
     def _lease_expiry_loop(self):
         while True:
-            yield self.sim.timeout(self.config.lease_check_interval)
+            yield self.sim.timeout(LEASE_CHECK_INTERVAL)
             if self.deposed or self.lease_server is None:
                 return
             expired = [cid for cid in self.lease_server.expired_clients()]

@@ -26,7 +26,6 @@ import typing
 from repro.core.config import CurpConfig
 from repro.core.master import CurpMaster
 from repro.core.messages import GetRecoveryDataArgs, RecordedRequest
-from repro.rifl import DuplicateState
 from repro.rpc import AppError, RpcTimeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -199,27 +198,7 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
         # must wait — losing witness data would lose completed updates.
         raise RecoveryFailed(f"no witness reachable among {list(witnesses)}")
 
-    replayed = 0
-    filtered = 0
-    master.registry.begin_recovery()  # §4.8: ignore piggybacked acks
-    try:
-        for request in requests or ():
-            op = request.op
-            if not master.owns_hashes(op.touched_hashes()):
-                filtered += 1  # migrated-away keys (§3.6 replay filter)
-                continue
-            state, _ = master.registry.check(request.rpc_id)
-            if state is not DuplicateState.NEW:
-                filtered += 1  # already restored from the backup log
-                continue
-            result, entry = master.store.execute(op, rpc_id=request.rpc_id,
-                                                 now=master.sim.now)
-            if entry is not None:
-                master.registry.record(request.rpc_id, result,
-                                       log_position=entry.index)
-            replayed += 1
-    finally:
-        master.registry.end_recovery()
+    replayed, filtered = master.replay_witness_requests(requests or ())
 
     # Final sync: install the recovered log on every (reachable) backup
     # via reset_log — a crash mid-sync can leave backup tails diverged,

@@ -274,7 +274,7 @@ class WitnessEndpoint:
                  associativity: int = 4, stale_threshold: int = 3,
                  record_time: float = 0.0,
                  transport: RpcTransport | None = None,
-                 fair_window: float = 0.0, window_records: int = 0):
+                 fair_window: float = 1_000.0, window_records: int = 0):
         self.host = host
         self.sim = host.sim
         self.slots = slots

@@ -128,8 +128,8 @@ class Cluster:
     def start_rebalancer(self, **kwargs) -> "Rebalancer":
         """Start the load-driven rebalancer loop on the coordinator.
 
-        Keyword arguments override the config's ``rebalance_*`` knobs
-        (``interval``, ``threshold``, ``min_ops``, ``rpc_timeout``).
+        Keyword arguments are :class:`Rebalancer`'s (``interval``,
+        ``threshold``, ``min_ops``, ``rpc_timeout``).
         Off by default: a cluster that never calls this keeps its
         tablets static, which is what every pre-existing golden trace
         pins."""
@@ -147,7 +147,6 @@ def build_cluster(config: CurpConfig | None = None,
                   n_masters: int = 1,
                   seed: int = 0,
                   drop_rate: float = 0.0,
-                  lease_duration: float = 10_000_000.0,
                   colocate_witnesses: bool = False,
                   multi_tenant_witnesses: bool = False) -> Cluster:
     """Build a cluster: coordinator + n masters, each with f backups and
@@ -187,8 +186,7 @@ def build_cluster(config: CurpConfig | None = None,
     coordinator_host = network.add_host("coordinator",
                                         tx_cost=profile.coordinator.tx,
                                         rx_cost=profile.coordinator.rx)
-    coordinator = Coordinator(coordinator_host, network, config,
-                              lease_duration=lease_duration)
+    coordinator = Coordinator(coordinator_host, network, config)
 
     masters: dict[str, CurpMaster] = {}
     backup_hosts: dict[str, list[str]] = {}

@@ -24,10 +24,9 @@ This module provides:
   against one cluster.  Arrivals enqueue; a dispatcher issues queued
   operations up to an AIMD in-flight window per tenant (the
   backpressure half of the ``RETRY_LATER`` contract: multiplicative
-  shrink on pushback, additive growth on clean completions, knobs in
-  ``config.overload``).  With backpressure off the window is
-  unbounded and every arrival fires immediately — the naive open loop
-  that demonstrates the collapse.
+  shrink on pushback, additive growth on clean completions).  With
+  backpressure off the window is unbounded and every arrival fires
+  immediately — the naive open loop that demonstrates the collapse.
 
 Goodput is reported as completions/s (optionally SLO-filtered) over
 the measured window, per tenant and aggregate, alongside latency
@@ -52,6 +51,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
     from repro.harness.builder import Cluster
     from repro.verify.history import History
+
+# -- client backpressure (AIMD in-flight window) ------------------------
+#: floor for the adaptive in-flight window
+MIN_WINDOW = 1
+#: multiplicative shrink factor applied on pushback
+WINDOW_DECREASE = 0.5
+#: additive growth per window's worth of clean completions
+WINDOW_INCREASE = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -291,17 +298,13 @@ class OpenLoopEngine:
             raise ValueError(f"duplicate tenant names: {names}")
         self.cluster = cluster
         self.sim = cluster.sim
-        overload = cluster.config.overload
-        self.backpressure = (overload.enabled if backpressure is None
-                             else backpressure)
+        self.backpressure = (cluster.config.overload.enabled
+                             if backpressure is None else backpressure)
         self.max_window = max_window
         self.max_queue_wait = max_queue_wait
         self.slo = slo
         self.history = history
         self.record_timeline = record_timeline
-        self._min_window = overload.min_window
-        self._decrease = overload.window_decrease
-        self._increase = overload.window_increase
         self.tenants = [_TenantState(spec, float(max_window))
                         for spec in tenants]
         self.running = False
@@ -346,7 +349,7 @@ class OpenLoopEngine:
     def _limit(self, tenant: _TenantState) -> float:
         if not self.backpressure:
             return math.inf
-        return max(self._min_window, int(tenant.window))
+        return max(MIN_WINDOW, int(tenant.window))
 
     def _pump(self, tenant: _TenantState) -> None:
         while tenant.queue and tenant.in_flight < self._limit(tenant):
@@ -407,14 +410,14 @@ class OpenLoopEngine:
             return
         if saw_pushback:
             # Multiplicative decrease: the op absorbed >= 1 RETRY_LATER.
-            tenant.window = max(float(self._min_window),
-                                tenant.window * self._decrease)
+            tenant.window = max(float(MIN_WINDOW),
+                                tenant.window * WINDOW_DECREASE)
         else:
-            # Additive increase: +window_increase per window's worth of
+            # Additive increase: +WINDOW_INCREASE per window's worth of
             # clean completions (TCP congestion avoidance's shape).
             tenant.window = min(float(self.max_window),
                                 tenant.window
-                                + self._increase / max(tenant.window, 1.0))
+                                + WINDOW_INCREASE / max(tenant.window, 1.0))
 
     # ------------------------------------------------------------------
     # measurement

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.baselines import (
     primary_backup_config,
     unreplicated_config,
 )
+from repro.cluster import FailureDetector, Rebalancer
 from repro.core.config import (
     CurpConfig,
     OverloadConfig,
@@ -47,7 +49,6 @@ def test_unreplicated_rejects_nonzero_f():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("witness_slots", 0),        # 0 % associativity == 0 used to pass
     ("max_attempts", 0),         # client loops would run zero times
     ("rpc_timeout", 0),
     ("idle_sync_delay", -1),
@@ -65,8 +66,35 @@ def test_settable_config_surface_is_pinned():
     adding (or removing) one is a deliberate edit of this count."""
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (CurpConfig, OverloadConfig, StorageProfile)}
-    assert counts == {"CurpConfig": 18, "OverloadConfig": 10,
-                      "StorageProfile": 10}  # 38 in all
+    assert counts == {"CurpConfig": 12, "OverloadConfig": 5,
+                      "StorageProfile": 10}  # 27 in all
+    # constructor kwargs after (self, coordinator): the watchdog's three
+    # standby pools + 8 tunables, the rebalancer's 5
+    kwargs = {cls.__name__: len(inspect.signature(cls.__init__).parameters) - 2
+              for cls in (FailureDetector, Rebalancer)}
+    assert kwargs == {"FailureDetector": 11, "Rebalancer": 5}
+
+
+@pytest.mark.parametrize("owner, args, name", [
+    (owner, args, name) for owner, args, names in (
+        (CurpConfig, (), (
+            "witness_slots", "witness_associativity", "rebalance_interval",
+            "rebalance_threshold", "rebalance_min_ops",
+            "lease_check_interval")),
+        (OverloadConfig, (), (
+            "min_window", "window_decrease", "window_increase",
+            "witness_window", "shed_reads")),
+        (FailureDetector, (None, []), (
+            "watch_witnesses", "watch_backups", "quarantine_isolate",
+            "evidence_window", "probe_slo_multiplier", "probe_slo_cap",
+            "probe_ewma_alpha", "flap_base_delay", "flap_max_delay")),
+        (build_cluster, (), ("lease_duration",)),
+    ) for name in names])
+def test_removed_knob_is_a_type_error(owner, args, name):
+    """PR 23 removed these with no alias or shim: passing one fails at
+    the call, on its former owner."""
+    with pytest.raises(TypeError, match=name):
+        owner(*args, **{name: 1})
 
 
 def test_sync_baseline_is_durable_before_reply():

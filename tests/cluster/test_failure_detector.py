@@ -9,6 +9,8 @@ misses pop a standby and drive
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster import FailureDetector
 from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
 from repro.harness import build_cluster
@@ -28,6 +30,19 @@ def make_detector(cluster, standbys, **kwargs):
     defaults = dict(interval=500.0, miss_threshold=3, ping_timeout=100.0)
     defaults.update(kwargs)
     return FailureDetector(cluster.coordinator, standbys, **defaults)
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("interval", -1.0), ("interval", 0.0), ("miss_threshold", 0),
+    ("ping_timeout", -5.0), ("ping_timeout", float("nan")),
+    ("gray_threshold", 0), ("data_probe_slo", 0.0)])
+def test_nonsense_cadence_rejected_at_construction(knob, value):
+    """These used to build a watchdog whose loop died on its first step
+    while ``_running`` stayed True — a cluster that believed it was
+    supervised."""
+    cluster = detector_cluster()
+    with pytest.raises(ValueError, match=knob):
+        make_detector(cluster, [], **{knob: value})
 
 
 def test_suspicion_accumulates_only_after_crash():

@@ -278,10 +278,9 @@ def test_rebalancer_double_start_rejected():
         rebalancer.start()
 
 
-def test_config_validates_rebalance_knobs():
-    with pytest.raises(ValueError):
-        CurpConfig(rebalance_threshold=1.0)
-    with pytest.raises(ValueError):
-        CurpConfig(rebalance_interval=-1.0)
-    with pytest.raises(ValueError):
-        CurpConfig(rebalance_min_ops=0)
+@pytest.mark.parametrize("knob, value", [
+    ("threshold", 1.0), ("interval", -1.0), ("min_ops", 0)])
+def test_rebalancer_rejects_out_of_range_knob(knob, value):
+    cluster = sharded_cluster(n_masters=2)
+    with pytest.raises(ValueError, match=knob):
+        Rebalancer(cluster.coordinator, **{knob: value})

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.master import LEASE_CHECK_INTERVAL
 from repro.core.messages import RecordedRequest
 from repro.harness import build_cluster
 from repro.kvstore import MultiWrite, Write, key_hash
@@ -128,8 +129,7 @@ def test_lease_expiry_syncs_before_dropping_records():
     """§4.8 mod 2: masters must sync before expiring a client lease —
     otherwise a later witness replay of that client's ops would be
     ignored and the ops lost."""
-    cluster = curp_cluster(min_sync_batch=1000, idle_sync_delay=1e9,
-                           lease_check_interval=5_000.0)
+    cluster = curp_cluster(min_sync_batch=1000, idle_sync_delay=1e9)
     # Wire a lease server with a short lease into the master directly.
     master = cluster.master()
     lease_server = LeaseServer(cluster.sim, lease_duration=20_000.0)
@@ -146,8 +146,8 @@ def test_lease_expiry_syncs_before_dropping_records():
     cluster.run(caller.call("m0-host", "update", args))
     assert master.unsynced_count == 1
     assert master.registry.record_count() == 1
-    # Let the lease expire and the expiry loop run.
-    cluster.sim.run(until=cluster.sim.now + 60_000.0)
+    # Let the lease expire and the expiry loop run once.
+    cluster.sim.run(until=cluster.sim.now + LEASE_CHECK_INTERVAL + 10_000.0)
     assert master.registry.record_count() == 0       # records dropped...
     assert master.unsynced_count == 0                # ...but synced first
     assert lease_server.expiry_of(client_id) is None

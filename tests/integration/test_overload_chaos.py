@@ -160,8 +160,7 @@ def test_hot_tenant_cannot_starve_quiet_tenants_witnesses():
     # retries) runs ~20 records/ms here, the quiet tenant's ~2/ms.  A
     # budget of 8/ms with two tenants puts fair share at 4/ms — the hot
     # tenant binds hard, the quiet one stays comfortably under share.
-    config = chaos_config(False, witness_window=1_000.0,
-                          witness_window_records=8)
+    config = chaos_config(False, witness_window_records=8)
     cluster = build_cluster(config, profile=CHAOS_PROFILE, seed=29,
                             n_masters=2, multi_tenant_witnesses=True)
 

@@ -1,12 +1,15 @@
-"""Docs may not name repository files or config values that do not
-exist."""
+"""Docs may not name repository files, config values or watchdog knobs
+that do not exist."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import itertools
 import re
 from pathlib import Path
 
+from repro.cluster import FailureDetector
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -81,3 +84,32 @@ def test_stale_config_name_check_sees_unknown_names():
             "\n\n**Negative result: gone.**  `config.deleted_flag` lost."
             "\n\n## Negative result: batching\n\n`config.deleted_delay`.")
     assert stale_config_names(text) == ["CurpConfig.no_such_knob"]
+
+
+def stale_watchdog_knobs(text: str) -> list[str]:
+    """Backticked first-column names of the table under "Tunables
+    (constructor arguments)" that ``FailureDetector.__init__`` does not
+    take; ``["<no table>"]`` when the table is not found."""
+    known = inspect.signature(FailureDetector.__init__).parameters
+    lines = text.partition("Tunables (constructor arguments)")[2].splitlines()
+    rows = list(itertools.takewhile(
+        lambda line: line.startswith("|"),
+        itertools.dropwhile(lambda line: not line.startswith("|"), lines)))
+    knobs = [name for row in rows
+             for name in _BACKTICKED.findall(row.split("|")[1])]
+    if not knobs:
+        return ["<no table>"]
+    return [name for name in knobs if name not in known]
+
+
+def test_faults_doc_names_only_existing_watchdog_knobs():
+    text = (REPO_ROOT / "docs" / "FAULTS.md").read_text()
+    assert stale_watchdog_knobs(text) == []
+
+
+def test_watchdog_knob_check_sees_unknown_names():
+    table = ("Tunables (constructor arguments):\n\n| knob | default |\n"
+             "| --- | --- |\n| `interval` | 1000 |\n| `no_such_knob` | off |"
+             "\n\nDerived: `evidence_window` is not a row.")
+    assert stale_watchdog_knobs(table) == ["no_such_knob"]
+    assert stale_watchdog_knobs("no tunables here") == ["<no table>"]
