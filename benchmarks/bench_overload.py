@@ -93,6 +93,10 @@ def _run_point(enabled: bool, rate: float, duration: float, warmup: float,
     result["shed"] = master.stats.shed_updates + master.stats.shed_reads
     result["executed"] = master.stats.updates + master.stats.reads
     result["master_queue"] = master.workers.queue_length
+    # Undefended runs stop with thousands of operations in flight:
+    # close them so one collection frees the cluster (docs/PERFORMANCE.md,
+    # "Retained state per committed op").
+    cluster.close()
     return result
 
 
@@ -186,6 +190,7 @@ def fairness_comparison(duration: float = 30_000.0, warmup: float = 5_000.0,
         offered = detail["records"] + detail["throttled"]
         detail["throttle_rate"] = (detail["throttled"] / offered
                                    if offered else 0.0)
+    cluster.close()
     return {
         "result": result,
         "hot_master": hot_id,
@@ -221,6 +226,7 @@ def flash_crowd_timeline(duration: float = 60_000.0,
         max_window=32, max_queue_wait=MAX_QUEUE_WAIT, slo=SLO,
         record_timeline=True)
     result = engine.run(duration=duration)
+    cluster.close()
     events = result["per_tenant"]["flash"]["completions"]
     bucket = duration / 12
     return {

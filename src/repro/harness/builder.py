@@ -114,6 +114,28 @@ class Cluster:
         """Run the simulator for a while (drain syncs, timers)."""
         self.sim.run(until=self.sim.now + quiet)
 
+    def close(self) -> None:
+        """End the simulation for good and let the collector free it in
+        one pass.
+
+        A run stopped with operations in flight leaves thousands of
+        suspended process generators, and one that retried keeps its
+        last RPC error, whose traceback holds the generator's own
+        frame.  When the collector finalizes such a generator, CPython
+        moves that frame into a frame object outside the garbage being
+        collected, and everything the frame reaches — the whole
+        cluster — survives until the next collection.  Close the
+        generators here instead, then drop every kernel record.  The
+        cluster cannot run afterwards.
+        """
+        for host in self.network.hosts.values():
+            for process in list(host._processes):
+                process.generator.close()
+            host._processes.clear()
+        self.sim._heap.clear()
+        self.sim._now_queue.clear()
+        self.sim._instant_hooks.clear()
+
     def inject_faults(self, plan) -> "FaultInjector":
         """Bind a :class:`~repro.net.faults.FaultPlan` to this cluster
         and start it.  Empty plans schedule nothing and draw nothing

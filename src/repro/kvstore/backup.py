@@ -29,7 +29,7 @@ import dataclasses
 import typing
 
 from repro.kvstore.hashing import key_hash
-from repro.kvstore.log import LogEntry
+from repro.kvstore.log import TOMBSTONE, LogEntry
 from repro.kvstore.wal import BackupStats, SegmentedWal, VirtualDisk
 from repro.rpc import AppError, RpcTransport
 
@@ -87,9 +87,6 @@ class BackupServer:
         self.stats = BackupStats()
         self.wal = SegmentedWal(self.storage.segment_size, self.stats)
         self.disk = VirtualDisk(self.sim)
-        #: materialized object values (served to §A.1 backup readers);
-        #: TOMBSTONE-deleted keys are removed
-        self._values: dict[str, typing.Any] = {}
         # May share the host's endpoint with a colocated witness
         # (Figure 2); method names are disjoint.
         self.transport = transport or RpcTransport(host)
@@ -161,7 +158,6 @@ class BackupServer:
             ctx.reply_exception(error)
 
     def _store(self, entries: typing.Sequence[LogEntry]) -> None:
-        from repro.kvstore.log import TOMBSTONE
         for entry in entries:
             existing = self.wal.entries.get(entry.index)
             if existing is not None:
@@ -175,11 +171,6 @@ class BackupServer:
                                        {"index": entry.index})
                 continue  # duplicate resend: don't re-apply effects
             self.wal.append(entry)
-            for key, value, _version in entry.effects:
-                if value is TOMBSTONE:
-                    self._values.pop(key, None)
-                else:
-                    self._values[key] = value
 
     def _handle_reset_log(self, args: ReplicateArgs, ctx):
         """Adopt the caller's log wholesale (recovery, §4.6).
@@ -217,7 +208,6 @@ class BackupServer:
 
     def _reset_apply(self, args: ReplicateArgs):
         self.wal.reset()
-        self._values.clear()
         self._store(args.entries)
         return self.last_index
 
@@ -320,8 +310,21 @@ class BackupServer:
     def _handle_backup_read(self, args, ctx):
         """§A.1: read replicated (synced) state; the *reader* is
         responsible for checking freshness against a witness."""
-        key = args.key if hasattr(args, "key") else args
-        return self._values.get(key)
+        return self.value_of(args.key if hasattr(args, "key") else args)
+
+    def value_of(self, key: str) -> typing.Any:
+        """The key's value in this backup's log (None = never written,
+        or deleted): that entry's effect on it, for the entry that last
+        wrote the key in arrival order.  Derived from the WAL, so the
+        replicated state is kept once."""
+        index = self.wal._latest_index.get(key)
+        if index is not None:
+            # The cleaner keeps exactly this effect, and an entry
+            # touches each of its keys once.
+            for name, value, _version in self.wal.entries[index].effects:
+                if name == key:
+                    return None if value is TOMBSTONE else value
+        return None
 
     # ------------------------------------------------------------------
     # background cleaning

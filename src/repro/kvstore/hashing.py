@@ -25,15 +25,18 @@ def _splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def key_hash(key: str | bytes) -> int:
     """Stable, well-mixed 64-bit hash of a primary key.
 
-    Memoized: the hash is pure and every operation's key is hashed at
-    least twice (client routing + master commutativity check), so under
-    skewed workloads the cache converts the per-byte FNV loop into one
-    dict probe.  The cache is bounded and process-global — keys are
-    immutable strings, so sharing across simulated clusters is safe.
+    Memoized: the hash is pure.  An update hashes its key once, on the
+    operation, and backups never hash, so the repeat callers left are
+    reads of hot keys under skewed workloads, where the cache turns the
+    per-byte FNV loop into one dict probe.  4,096 entries hold a
+    zipfian workload's hot set; a larger memo only retains cold keys
+    (docs/PERFORMANCE.md, "Retained state per committed op").  The
+    cache is bounded and process-global — keys are immutable strings,
+    so sharing across simulated clusters is safe.
     """
     data = key.encode("utf-8") if isinstance(key, str) else key
     value = _FNV_OFFSET

@@ -19,7 +19,7 @@ import typing
 TOMBSTONE = object()
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LogEntry:
     """One ordered, replicated update."""
 

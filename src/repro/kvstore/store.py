@@ -31,7 +31,7 @@ from repro.kvstore.operations import (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class StoredObject:
     value: typing.Any
     version: int

@@ -124,7 +124,8 @@ class Segment:
     """One segment: a contiguous arrival-order slice of the log."""
 
     __slots__ = ("segment_id", "indices", "sealed", "cleaned",
-                 "live_payloads", "total_payloads", "min_hash", "max_hash")
+                 "live_payloads", "total_payloads", "min_hash", "max_hash",
+                 "_completion_only")
 
     def __init__(self, segment_id: int):
         self.segment_id = segment_id
@@ -136,20 +137,19 @@ class Segment:
         #: superseded by a later entry for the same key
         self.live_payloads = 0
         self.total_payloads = 0
+        #: key-hash range of the stored payloads, filled where it is
+        #: read (``SegmentedWal._summarize``), not per append
         self.min_hash: int | None = None
         self.max_hash: int | None = None
+        #: completion-only entries; None until a sealed segment is
+        #: summarized, after which the whole summary is final
+        self._completion_only: int | None = None
 
     @property
     def live_ratio(self) -> float:
         if self.total_payloads == 0:
             return 1.0
         return self.live_payloads / self.total_payloads
-
-    def note_hash(self, h: int) -> None:
-        if self.min_hash is None or h < self.min_hash:
-            self.min_hash = h
-        if self.max_hash is None or h > self.max_hash:
-            self.max_hash = h
 
 
 class SegmentedWal:
@@ -162,14 +162,13 @@ class SegmentedWal:
         self.segment_size = segment_size
         self.stats = stats if stats is not None else BackupStats()
         self.entries: dict[int, LogEntry] = {}
-        #: highest index in ``entries`` (0 = empty), kept by ``append``
-        #: and ``reset`` — the only mutators of the key set; ``compact``
-        #: rewrites values under existing keys.  Every replicate ack
-        #: reads it, so it must not cost a scan of the log.
-        self._last_index = 0
         self.segments: list[Segment] = []
-        #: log index -> segment holding it
-        self._segment_of: dict[int, Segment] = {}
+        #: log index -> segment holding it (None = not stored): a list,
+        #: because indices are dense, and a late (out-of-order) arrival
+        #: fills its own slot.  Its last slot is the highest stored
+        #: index, so ``last_index`` — read by every replicate ack — costs
+        #: no scan of the log.
+        self._segment_of: list[Segment | None] = []
         #: key -> log index of the entry holding its newest payload
         self._latest_index: dict[str, int] = {}
         #: indices whose stored entry was slimmed by the cleaner (a
@@ -198,23 +197,24 @@ class SegmentedWal:
     def append(self, entry: LogEntry) -> None:
         """Store one *new* entry (caller has checked for duplicates)."""
         segment = self.active
-        segment.indices.append(entry.index)
-        self.entries[entry.index] = entry
-        if entry.index > self._last_index:
-            self._last_index = entry.index
-        self._segment_of[entry.index] = segment
+        index = entry.index
+        segment.indices.append(index)
+        self.entries[index] = entry
+        segment_of = self._segment_of
+        if index < len(segment_of):
+            segment_of[index] = segment     # a late arrival fills its gap
+        else:
+            segment_of.extend([None] * (index - len(segment_of)))
+            segment_of.append(segment)
         self.stats.entries_appended += 1
+        latest = self._latest_index
         for key, _value, _version in entry.effects:
-            h = key_hash(key)
-            segment.note_hash(h)
             segment.live_payloads += 1
             segment.total_payloads += 1
-            previous = self._latest_index.get(key)
+            previous = latest.get(key)
             if previous is not None:
-                holder = self._segment_of.get(previous)
-                if holder is not None:
-                    holder.live_payloads -= 1
-            self._latest_index[key] = entry.index
+                segment_of[previous].live_payloads -= 1
+            latest[key] = index
         if len(segment.indices) >= self.segment_size:
             segment.sealed = True
             self.stats.segments_sealed += 1
@@ -226,7 +226,6 @@ class SegmentedWal:
     def reset(self) -> None:
         """Drop everything (``reset_log`` wholesale adoption)."""
         self.entries.clear()
-        self._last_index = 0
         self.segments.clear()
         self._segment_of.clear()
         self._latest_index.clear()
@@ -246,8 +245,7 @@ class SegmentedWal:
         for segment in self.segments:
             if not segment.indices:
                 continue
-            completion_only = sum(
-                1 for i in segment.indices if not self.entries[i].effects)
+            completion_only = self._summarize(segment)
             infos.append(SegmentInfo(
                 segment_id=segment.segment_id,
                 entry_count=len(segment.indices),
@@ -259,6 +257,27 @@ class SegmentedWal:
                 sealed=segment.sealed,
                 live_ratio=segment.live_ratio))
         return tuple(infos)
+
+    def _summarize(self, segment: Segment) -> int:
+        """Fill ``segment.min_hash`` / ``max_hash`` from its stored
+        entries and return how many of them are completion-only.
+
+        Computed here, where the summary is read, so that appends never
+        hash a key.  A sealed segment's entries change only in
+        ``compact``, which re-summarizes it, so its summary is kept; the
+        active segment's is recomputed per read.
+        """
+        if segment._completion_only is not None:
+            return segment._completion_only
+        stored = [self.entries[index].effects for index in segment.indices]
+        hashes = [key_hash(key) for effects in stored
+                  for key, _value, _version in effects]
+        segment.min_hash = min(hashes, default=None)
+        segment.max_hash = max(hashes, default=None)
+        completion_only = sum(1 for effects in stored if not effects)
+        if segment.sealed:
+            segment._completion_only = completion_only
+        return completion_only
 
     def segment_entries(self, segment_id: int) -> tuple[LogEntry, ...]:
         segment = self.segments[segment_id]
@@ -288,8 +307,6 @@ class SegmentedWal:
         scanned = len(segment.indices)
         reclaimed = 0
         rewritten = 0
-        min_hash: int | None = None
-        max_hash: int | None = None
         for index in segment.indices:
             entry = self.entries[index]
             if not entry.effects:
@@ -298,20 +315,14 @@ class SegmentedWal:
                          if self._latest_index.get(effect[0]) == index)
             reclaimed += len(entry.effects) - len(live)
             rewritten += len(live)
-            for key, _value, _version in live:
-                h = key_hash(key)
-                if min_hash is None or h < min_hash:
-                    min_hash = h
-                if max_hash is None or h > max_hash:
-                    max_hash = h
             if len(live) != len(entry.effects):
                 self.entries[index] = LogEntry(
                     index=entry.index, effects=live, rpc_id=entry.rpc_id,
                     result=entry.result, timestamp=entry.timestamp)
                 self._compacted.add(index)
         segment.total_payloads = segment.live_payloads = rewritten
-        segment.min_hash = min_hash
-        segment.max_hash = max_hash
+        segment._completion_only = None
+        self._summarize(segment)
         segment.cleaned = True
         self.stats.segments_cleaned += 1
         self.stats.entries_scanned += scanned
@@ -327,4 +338,5 @@ class SegmentedWal:
 
     @property
     def last_index(self) -> int:
-        return self._last_index
+        """Highest stored index (0 = empty)."""
+        return max(len(self._segment_of) - 1, 0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class TxnId:
     """Identifies one cross-shard transaction attempt (§B.2).
 
@@ -23,7 +23,7 @@ class TxnId:
         return f"txn:{self.client_id}.{self.seq}"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class RpcId:
     """Identifies one linearizable RPC, globally and forever.
 

@@ -29,7 +29,7 @@ class DuplicateState(enum.Enum):
     STALE = "stale"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class CompletionRecord:
     """Durable record of one executed update RPC."""
 

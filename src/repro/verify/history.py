@@ -7,7 +7,7 @@ import itertools
 import typing
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class OpRecord:
     """One client-observed operation.
 

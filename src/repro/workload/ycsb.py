@@ -14,7 +14,7 @@ import dataclasses
 import random
 
 from repro.kvstore.operations import Operation, Read, Write
-from repro.workload.zipfian import ScrambledZipfian, UniformGenerator
+from repro.workload.zipfian import ScrambledZipfian, UniformGenerator, _zeta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +100,7 @@ def shard_load_profile(workload: YcsbWorkload, shard_map) -> dict[str, float]:
             shares[owner] = shares.get(owner, 0.0) + 1.0 / n
         return shares
     theta = workload.theta
-    zeta_n = sum(1.0 / (rank ** theta) for rank in range(1, n + 1))
+    zeta_n = _zeta(n, theta)
     for rank in range(1, n + 1):
         item = _splitmix64(rank - 1) % n
         owner = shard_map.master_for_hash(

@@ -12,9 +12,18 @@ hottest keys would be consecutive ids.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.kvstore.hashing import _splitmix64
+
+
+@functools.cache
+def _zeta(n: int, theta: float) -> float:
+    """Σ 1/i^θ for i in 1..n, summed in that order.  Memoized per
+    process: every stream over one key space needs the same O(n)
+    constant, and the memo returns the very float a fresh sum would."""
+    return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
 
 class UniformGenerator:
@@ -39,8 +48,8 @@ class ZipfianGenerator:
             raise ValueError(f"theta must be in (0, 1): {theta}")
         self.item_count = item_count
         self.theta = theta
-        self.zeta_n = self._zeta(item_count, theta)
-        self.zeta_2 = self._zeta(min(2, item_count), theta)
+        self.zeta_n = _zeta(item_count, theta)
+        self.zeta_2 = _zeta(min(2, item_count), theta)
         self.alpha = 1.0 / (1.0 - theta)
         if item_count <= 2:
             # The Gray approximation degenerates below 3 items; fall
@@ -51,10 +60,6 @@ class ZipfianGenerator:
             self.eta = ((1 - (2.0 / item_count) ** (1 - theta))
                         / (1 - self.zeta_2 / self.zeta_n))
             self._exact_cdf = None
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def _build_exact_cdf(self) -> list[float]:
         acc, cdf = 0.0, []

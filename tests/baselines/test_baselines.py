@@ -105,7 +105,7 @@ def test_sync_baseline_is_durable_before_reply():
     cluster.run(client.update(Write("k", "v")))
     for backup_name in cluster.backup_hosts["m0"]:
         backup = cluster.coordinator.backup_servers[backup_name]
-        assert backup._values.get("k") == "v"
+        assert backup.value_of("k") == "v"
 
 
 def test_async_baseline_is_not_durable_before_reply():
@@ -114,7 +114,7 @@ def test_async_baseline_is_not_durable_before_reply():
     cluster.run(client.update(Write("k", "v")))
     undurable = sum(
         1 for name in cluster.backup_hosts["m0"]
-        if cluster.coordinator.backup_servers[name]._values.get("k") != "v")
+        if cluster.coordinator.backup_servers[name].value_of("k") != "v")
     assert undurable == 3  # acknowledged but nowhere replicated yet
 
 

@@ -109,7 +109,7 @@ def test_replace_backup_brings_newcomer_up_to_date():
     # Further writes replicate to the newcomer.
     cluster.run(client.update(Write("after", 9)))
     cluster.settle(1_000.0)
-    assert newcomer._values["after"] == 9
+    assert newcomer.value_of("after") == 9
 
 
 def test_migration_moves_range_and_versions():

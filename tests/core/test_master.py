@@ -232,7 +232,7 @@ def test_multiwrite_recorded_and_synced():
     assert cluster.master().store.read("x") == 1
     for backup_name in cluster.backup_hosts["m0"]:
         backup = cluster.coordinator.backup_servers[backup_name]
-        assert backup._values["x"] == 1 and backup._values["y"] == 2
+        assert backup.value_of("x") == 1 and backup.value_of("y") == 2
 
 
 def test_hot_key_preemptive_sync():

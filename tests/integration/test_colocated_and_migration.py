@@ -36,7 +36,7 @@ def test_colocated_witnesses_share_backup_hosts():
     witness = cluster.coordinator.witness_servers[
         cluster.witness_hosts["m0"][0]]
     assert backup.transport is witness.transport  # shared endpoint
-    assert backup._values.get("a") == 1
+    assert backup.value_of("a") == 1
     assert witness.cache.occupied_slots() == 0  # gc'd after sync
 
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.kvstore import BackupServer, KVStore, Write
+from repro.core.config import StorageProfile
+from repro.kvstore import BackupServer, Delete, KVStore, MultiWrite, Write
 from repro.kvstore.backup import ReplicateArgs
+from repro.kvstore.log import TOMBSTONE
 from repro.net import Network
+from repro.net.latency import LatencyModel
 from repro.rpc import AppError, RpcTransport
-from repro.sim import Simulator
+from repro.sim import Fixed, Simulator
 
 
 def build(sim: Simulator, network: Network):
@@ -125,3 +130,82 @@ def test_replicate_ack_does_not_scan_the_log(sim, network):
                                     ReplicateArgs("m1", 0, entries[:cut])))
         assert acked == cut == backup.last_index
     assert CountingDict.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# §A.1 reads derived from the WAL
+# ---------------------------------------------------------------------------
+
+_KEYS = ("a", "b", "c", "d")
+_OPS = st.one_of(
+    st.builds(Write, st.sampled_from(_KEYS), st.integers(0, 9)),
+    st.builds(Delete, st.sampled_from(_KEYS)),
+    st.builds(MultiWrite, st.lists(
+        st.tuples(st.sampled_from(_KEYS), st.integers(0, 9)),
+        min_size=1, max_size=3, unique_by=lambda item: item[0]).map(tuple)))
+#: (action, lo, hi) over positions of the master's log: deliver
+#: entries[lo:hi] (out of order when an earlier slice is still missing,
+#: a duplicate resend when it is not), adopt entries[:hi] wholesale, or
+#: clean the (lo mod #sealed)-th sealed segment
+_DELIVERIES = st.lists(st.tuples(
+    st.sampled_from(("replicate", "replicate", "reverse", "reset_log",
+                     "compact")),
+    st.integers(0, 12), st.integers(0, 12)), max_size=20)
+
+
+@given(st.lists(_OPS, min_size=1, max_size=12), _DELIVERIES)
+@settings(max_examples=60, deadline=None)
+def test_value_of_matches_a_reference_dict(ops, deliveries):
+    """``value_of`` (and the ``backup_read`` RPC) answer from the WAL:
+    the effect of the entry that last wrote the key, in arrival order.
+    A dict that applies every newly arrived entry's effects must agree
+    after every step, whatever the writes, deletes and MultiWrites,
+    out-of-order and duplicate deliveries, wholesale ``reset_log``
+    adoptions and cleaner passes, and once the whole log has arrived."""
+    sim = Simulator(seed=1)
+    network = Network(sim, latency=LatencyModel(Fixed(2.0)))
+    backup = BackupServer(network.add_host("backup1"), master_id="m1",
+                          storage=StorageProfile(segment_size=3))
+    caller = RpcTransport(network.add_host("caller"))
+    store = KVStore()
+    for op in ops:
+        store.execute(op)
+    log = store.log.all_entries()
+    reference: dict = {}
+    arrived: set = set()
+
+    def apply(batch):
+        for entry in batch:
+            if entry.index in arrived:
+                continue
+            arrived.add(entry.index)
+            for key, value, _version in entry.effects:
+                if value is TOMBSTONE:
+                    reference.pop(key, None)
+                else:
+                    reference[key] = value
+
+    def check():
+        for key in _KEYS:
+            assert backup.value_of(key) == reference.get(key)
+            assert sim.run(caller.call("backup1", "backup_read", key)) \
+                == reference.get(key)
+
+    for action, lo, hi in deliveries + [("replicate", 0, len(log))]:
+        if action == "compact":
+            sealed = [s for s in backup.wal.segments if s.sealed]
+            if sealed:
+                backup.wal.compact(sealed[lo % len(sealed)])
+            check()
+            continue
+        batch = tuple(log[min(lo, hi):max(lo, hi)])
+        if action == "reverse":
+            batch = batch[::-1]
+        if action == "reset_log":
+            batch = tuple(log[:hi])
+            reference.clear()
+            arrived.clear()
+        sim.run(caller.call("backup1", action.replace("reverse", "replicate"),
+                            ReplicateArgs("m1", 0, batch)))
+        apply(batch)
+        check()

@@ -181,3 +181,129 @@ def test_virtual_disk_serializes_charges():
     sim.run()
     # after the disk drained, a new charge pays only its own cost
     assert disk.charge(2.0) == 2.0
+
+
+class _EagerWal:
+    """Reference for the WAL's bookkeeping: the original algorithm, with
+    a dict from log index to segment id and the key-hash range noted on
+    every append."""
+
+    def __init__(self, segment_size):
+        self.segment_size = segment_size
+        self.reset()
+
+    def reset(self):
+        self.effects = {}          # index -> stored effects
+        self.segment_of = {}       # index -> segment id
+        self.latest = {}           # key -> index of its newest payload
+        self.indices = [[]]        # segment id -> indices, arrival order
+        self.live = [0]
+        self.total = [0]
+        self.hashes = [[]]         # segment id -> hashes noted
+
+    def append(self, index, effects):
+        segment = len(self.indices) - 1
+        self.indices[segment].append(index)
+        self.effects[index] = effects
+        self.segment_of[index] = segment
+        for key, _value, _version in effects:
+            self.hashes[segment].append(key_hash(key))
+            self.live[segment] += 1
+            self.total[segment] += 1
+            if key in self.latest:
+                self.live[self.segment_of[self.latest[key]]] -= 1
+            self.latest[key] = index
+        if len(self.indices[segment]) >= self.segment_size:
+            self.indices.append([])
+            self.hashes.append([])
+            self.live.append(0)
+            self.total.append(0)
+
+    def compact(self, segment):
+        self.hashes[segment] = []
+        for index in self.indices[segment]:
+            live = tuple(effect for effect in self.effects[index]
+                         if self.latest.get(effect[0]) == index)
+            self.effects[index] = live
+            self.hashes[segment] += [key_hash(key) for key, _v, _ver in live]
+        self.live[segment] = self.total[segment] = sum(
+            len(self.effects[i]) for i in self.indices[segment])
+
+    def summary(self, segment):
+        hashes = self.hashes[segment]
+        return (min(hashes, default=None), max(hashes, default=None),
+                sum(1 for i in self.indices[segment] if not self.effects[i]))
+
+
+def _effects_for(n):
+    """0, 1 or 2 payloads per entry: completion-only records, single
+    writes and MultiWrite-shaped entries over five hot keys."""
+    if n % 7 == 0:
+        return ()
+    if n % 3 == 0:
+        return (write(f"k{n % 5}", n), write(f"k{(n + 1) % 5}", n))
+    return (write(f"k{n % 5}", n),)
+
+
+def _drive(steps, check):
+    """Replay ``steps`` on a SegmentedWal and the reference side by
+    side, calling ``check(wal, reference)`` after each one."""
+    wal = SegmentedWal(segment_size=3)
+    reference = _EagerWal(segment_size=3)
+    for step, n in steps:
+        if step == "append":
+            if n not in wal.entries:  # the caller filters duplicates
+                effects = _effects_for(n)
+                wal.append(entry(n, *effects, rpc_id=("c", n)))
+                reference.append(n, effects)
+        elif step == "compact":
+            sealed = [s for s in wal.segments if s.sealed]
+            if sealed:
+                segment = sealed[n % len(sealed)]
+                wal.compact(segment)
+                reference.compact(segment.segment_id)
+        else:
+            wal.reset()
+            reference.reset()
+        check(wal, reference)
+
+
+@given(_WAL_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_segment_lookup_and_payload_counts_match_the_dict_algorithm(steps):
+    """The index -> segment list answers what the dict did, through
+    out-of-order arrivals (a late index fills its own slot, leaving the
+    gaps below it empty), compactions and resets; so every segment's
+    live and total payload counts stay those of the dict algorithm."""
+    def check(wal, reference):
+        for index in range(len(wal._segment_of)):
+            holder = wal._segment_of[index]
+            if index in reference.segment_of:
+                assert holder.segment_id == reference.segment_of[index]
+            else:
+                assert holder is None
+        assert len(wal._segment_of) == max(reference.segment_of,
+                                           default=-1) + 1
+        assert [(s.live_payloads, s.total_payloads) for s in wal.segments] \
+            == list(zip(reference.live, reference.total))
+
+    _drive(steps, check)
+
+
+@given(_WAL_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_lazy_segment_summary_equals_the_eager_one(steps):
+    """``segment_index()`` computes each segment's key-hash range and
+    completion-only count where it is read, caching it once the segment
+    is sealed; the values are the ones noting every hash on append gave,
+    before and after ``compact()`` rewrites a (cached) segment."""
+    def check(wal, reference):
+        for info in wal.segment_index():
+            assert (info.min_hash, info.max_hash, info.completion_only) \
+                == reference.summary(info.segment_id)
+        for segment in wal.segments:
+            if segment.cleaned:
+                assert (segment.min_hash, segment.max_hash) \
+                    == reference.summary(segment.segment_id)[:2]
+
+    _drive(steps, check)

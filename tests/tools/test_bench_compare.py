@@ -389,3 +389,42 @@ def test_main_exit_codes_and_summary(tmp_path):
     assert bench_compare.main(["--baseline", str(baseline),
                                "--candidate", str(candidate),
                                "--summary", str(summary)]) == 1
+
+
+# ----------------------------------------------------------------------
+# retained bytes per committed op: a lower-is-better memory gate
+# ----------------------------------------------------------------------
+def _with_retained(data: dict, value: float) -> dict:
+    data["fig6_smoke"]["retained_bytes_per_op"] = value
+    return data
+
+
+def test_retained_bytes_rise_fails_the_gate():
+    """Bytes left allocated per committed op are lower-is-better: a rise
+    past the threshold (some layer keeps a new copy per write) fails,
+    a fall passes."""
+    baseline = _with_retained(snapshot(), 1_000.0)
+    rows, failures = bench_compare.compare(
+        baseline, _with_retained(snapshot(), 1_400.0), threshold=0.25)
+    assert len(failures) == 1
+    assert failures[0].startswith("fig6 smoke retained bytes/op:")
+    gated = {row["name"]: row for row in rows if row["gated"]}
+    assert gated["fig6 smoke retained bytes/op"]["status"] == "REGRESSION"
+    _rows, failures = bench_compare.compare(
+        baseline, _with_retained(snapshot(), 700.0), threshold=0.25)
+    assert failures == []
+
+
+def test_retained_bytes_gate_starts_with_the_first_baseline_that_has_it():
+    """A baseline from before the row existed compares as n/a; a
+    candidate that lost the row fails like any gated metric."""
+    rows, failures = bench_compare.compare(
+        snapshot(), _with_retained(snapshot(), 1_000.0), threshold=0.25)
+    assert failures == []
+    gated = {row["name"]: row for row in rows if row["gated"]}
+    assert gated["fig6 smoke retained bytes/op"]["status"] == "n/a"
+    assert len(gated) == 15
+    _rows, failures = bench_compare.compare(
+        _with_retained(snapshot(), 1_000.0), snapshot(), threshold=0.25)
+    assert len(failures) == 1
+    assert failures[0].startswith("fig6 smoke retained bytes/op:")

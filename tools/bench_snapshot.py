@@ -24,7 +24,9 @@ Measures, in wall-clock terms:
   can see end-to-end wall-clock drift, not just microbenches — its
   ``fig6_smoke.ops_per_sec`` is CI-gated, as is the deterministic
   ``events_per_op``; ``heap_peak`` and ``slice_flatness`` put on record
-  whether anything on the per-op path costs O(state);
+  whether anything on the per-op path costs O(state), and the gated
+  ``retained_bytes_per_op`` (tracemalloc, in a short pass of its own)
+  how much state each committed op leaves behind;
 - a ``curp_op_path`` series (ISSUE 3): committed-ops/s through the
   full client→master→witness→sync lifecycle at f ∈ {1, 3}, from
   ``benchmarks/bench_curp_op_path.py``;
@@ -173,13 +175,15 @@ def _fig6_smoke(frame_coalescing: bool = False) -> dict:
                  key=lambda report: report["seconds"])
     rates = [max(pair) for pair in zip(*(rates for _report, rates in passes))]
     report["slice_flatness"] = round(rates[-1] / rates[0], 3)
+    if not frame_coalescing:
+        report["retained_bytes_per_op"] = _fig6_retained_bytes_per_op()
     return report
 
 
-def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
-    """One pass of the smoke: (report, ops/s of each slice)."""
+def _fig6_cluster(frame_coalescing: bool):
+    """The smoke's cluster with its 16 closed loops started and warmed
+    up: (cluster, loops)."""
     import dataclasses
-    import gc
 
     from repro.baselines import curp_config
     from repro.harness.builder import build_cluster
@@ -190,10 +194,7 @@ def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
 
     config = dataclasses.replace(curp_config(3),
                                  frame_coalescing=frame_coalescing)
-    gc.collect()
-    started = time.perf_counter()
     cluster = build_cluster(config, profile=RAMCLOUD_PROFILE, seed=2)
-    sim = cluster.sim
     latency = LatencyRecorder()
     loops = [ClosedLoopClient(
         client=cluster.new_client(collect_outcomes=False),
@@ -201,7 +202,18 @@ def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
         write_latency=latency, read_latency=latency) for _ in range(16)]
     for loop in loops:
         loop.client.host.spawn(loop.loop(), name="workload")
-    sim.run(until=sim.now + 800.0)  # warm-up
+    cluster.sim.run(until=cluster.sim.now + 800.0)  # warm-up
+    return cluster, loops
+
+
+def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
+    """One pass of the smoke: (report, ops/s of each slice)."""
+    import gc
+
+    gc.collect()
+    started = time.perf_counter()
+    cluster, loops = _fig6_cluster(frame_coalescing)
+    sim = cluster.sim
     window_start = sim.now
     events_before = sim.processed_events
     ops_before = sum(loop.operations for loop in loops)
@@ -228,6 +240,35 @@ def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
             (sim.processed_events - events_before) / operations, 3),
         "heap_peak": heap_peak,
     }, slice_rates
+
+
+def _fig6_retained_bytes_per_op() -> int:
+    """Bytes still allocated per committed op once a 4,000 µs window of
+    the smoke has run under tracemalloc and ``settle()`` has drained
+    syncs and witness gc: what each op leaves behind (log, store,
+    backup WALs, RIFL records).  Untimed — the timed passes never run
+    traced.  The ``key_hash`` memo starts empty, so the number is the
+    same on one interpreter whatever ran earlier in the process."""
+    import gc
+    import tracemalloc
+
+    from repro.kvstore.hashing import key_hash
+
+    key_hash.cache_clear()
+    cluster, loops = _fig6_cluster(frame_coalescing=False)
+    before = sum(loop.operations for loop in loops)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cluster.sim.run(until=cluster.sim.now + 4_000.0)
+        for loop in loops:
+            loop.running = False
+        cluster.settle()
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(retained / (sum(loop.operations for loop in loops) - before))
 
 
 def _frame_coalescing(scale: float) -> dict:
