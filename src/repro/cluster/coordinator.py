@@ -18,7 +18,7 @@ import dataclasses
 import typing
 
 from repro.core.config import CurpConfig
-from repro.core.master import CurpMaster, FULL_RANGE
+from repro.core.master import CurpMaster, FULL_RANGE, _subtract_range
 from repro.core.messages import (
     AbsorbPartitionArgs,
     ClusterView,
@@ -572,7 +572,8 @@ class Coordinator:
                     requests=tuple(partition.requests)),
                 rpc_timeout)
             for cut in partition.ranges:
-                managed.owned_ranges = _subtract(managed.owned_ranges, cut)
+                managed.owned_ranges = _subtract_range(
+                    managed.owned_ranges, cut)
                 if cut not in target.owned_ranges:
                     target.owned_ranges.append(cut)
             self.config_version += 1
@@ -735,7 +736,7 @@ class Coordinator:
                     dst.witnesses, dst_master_id,
                     tuple(dst.owned_ranges), rpc_timeout, best_effort=True)
             raise
-        src.owned_ranges = _subtract(src.owned_ranges, (lo, hi))
+        src.owned_ranges = _subtract_range(src.owned_ranges, (lo, hi))
         if (lo, hi) not in dst.owned_ranges:
             dst.owned_ranges.append((lo, hi))
         self.config_version += 1
@@ -833,9 +834,3 @@ class Coordinator:
                     attempt, rpc_timeout / 8, rpc_timeout * 2,
                     self.sim.rng))
         raise RecoveryFailed(f"{method} to {target} kept failing: {last!r}")
-
-
-def _subtract(ranges: list[tuple[int, int]],
-              cut: tuple[int, int]) -> list[tuple[int, int]]:
-    from repro.core.master import _subtract_range
-    return _subtract_range(ranges, cut)

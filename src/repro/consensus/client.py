@@ -99,6 +99,8 @@ class RaftCurpClient:
 
     def update(self, op: Operation):
         """Generator: a linearizable update; returns (result, fast)."""
+        if not op.is_update:
+            raise ValueError("use read() for read operations")
         rpc_id = self.tracker.new_rpc()
         for attempt in range(self.max_attempts):
             if self.leader is None:
@@ -107,7 +109,7 @@ class RaftCurpClient:
             propose = ProposeArgs(op=op, rpc_id=rpc_id,
                                   ack_seq=self.tracker.first_incomplete)
             record = WitnessRecordArgs(
-                term=self.term, key_hashes=op.key_hashes(), rpc_id=rpc_id,
+                term=self.term, key_hashes=op.touched_hashes(), rpc_id=rpc_id,
                 request=RecordedRequest(op=op, rpc_id=rpc_id))
             # Callback fan-out (1 propose + 2f+1 records): completions
             # land in one pre-sized join, no wrapper process per call.

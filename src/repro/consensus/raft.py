@@ -29,7 +29,7 @@ import dataclasses
 import typing
 
 from repro.core.witness_cache import WitnessCache
-from repro.kvstore.operations import Operation, Read
+from repro.kvstore.operations import Operation, Read, commutative
 from repro.kvstore.store import KVStore
 from repro.rifl import DuplicateState, ResultRegistry
 from repro.rpc import AppError, RpcError, RpcTransport
@@ -389,7 +389,7 @@ class RaftNode:
             if entry.op is NOOP or entry.rpc_id is None:
                 continue
             pairs.extend((key_hash_value, entry.rpc_id)
-                         for key_hash_value in entry.op.key_hashes())
+                         for key_hash_value in entry.op.touched_hashes())
         if not pairs:
             return
         self.host.spawn(self._send_witness_gc(tuple(pairs)), name="w-gc")
@@ -525,14 +525,8 @@ class RaftNode:
         return 1 + fresh >= self.majority
 
     def _conflicts_with_uncommitted(self, op: Operation) -> bool:
-        touched = set(op.touched_keys())
         for entry in self.log[self.commit_index:]:
-            if entry.op is NOOP:
-                continue
-            other = entry.op
-            if set(other.mutated_keys()) & touched:
-                return True
-            if set(op.mutated_keys()) & set(other.touched_keys()):
+            if entry.op is not NOOP and not commutative(op, entry.op):
                 return True
         return False
 

@@ -321,7 +321,7 @@ class CurpClient:
             # is roughly update-RPC-sized on the wire (§5.2).
             record = RecordArgs(
                 master_id=master.master_id,
-                key_hashes=op.key_hashes(), rpc_id=rpc_id,
+                key_hashes=op.touched_hashes(), rpc_id=rpc_id,
                 request=RecordedRequest(op=op, rpc_id=rpc_id))
             for index, witness in enumerate(witnesses):
                 self.transport.call_cb(witness, "record", record,
@@ -346,7 +346,7 @@ class CurpClient:
         if not witnesses:
             return
         pairs = tuple((key_hash_value, rpc_id)
-                      for key_hash_value in op.key_hashes())
+                      for key_hash_value in op.touched_hashes())
         args = GcArgs(master_id=master_id, pairs=pairs)
         for witness in witnesses:
             self.host.spawn(self._gc_quietly(witness, args),

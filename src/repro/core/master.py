@@ -45,7 +45,7 @@ from repro.core.messages import (
     UpdateReply,
 )
 from repro.kvstore.backup import ReplicateArgs
-from repro.kvstore.hashing import key_hash
+from repro.kvstore.hashing import in_ranges, key_hash
 from repro.kvstore.operations import (
     Operation,
     Read,
@@ -159,7 +159,7 @@ class CurpMaster:
         self._flush_armed = False
         #: (target position, event) pairs awaiting a sync
         self._sync_waiters: list[tuple[int, typing.Any]] = []
-        #: (position, key_hashes, rpc_id) of speculative updates whose
+        #: (position, touched hashes, rpc_id) of speculative updates whose
         #: witness records must be garbage collected once synced
         self._pending_gc: list[tuple[int, tuple[int, ...], typing.Any]] = []
 
@@ -190,18 +190,7 @@ class CurpMaster:
     # ownership
     # ------------------------------------------------------------------
     def owns_hash(self, key_hash_value: int) -> bool:
-        return self.owns_hashes((key_hash_value,))
-
-    def owns_hashes(self, hashes: typing.Iterable[int]) -> bool:
-        """True iff every hash (an op's ``touched_hashes()``) is owned."""
-        ranges = self.owned_ranges
-        for key_hash_value in hashes:
-            for lo, hi in ranges:
-                if lo <= key_hash_value < hi:
-                    break
-            else:
-                return False
-        return True
+        return in_ranges((key_hash_value,), self.owned_ranges)
 
     # ------------------------------------------------------------------
     # update path
@@ -231,7 +220,7 @@ class CurpMaster:
         op: Operation = args.op
         if not op.is_update:
             raise AppError("BAD_REQUEST", "reads must use the read RPC")
-        if not self.owns_hashes(op.touched_hashes()):
+        if not in_ranges(op.touched_hashes(), self.owned_ranges):
             # The client routed with a stale shard map: make it refetch
             # the map from the coordinator and retry.  Routing wins
             # over the witness-version check below — a mis-routed
@@ -266,7 +255,7 @@ class CurpMaster:
         # Per-tablet load accounting (rebalancer input): counters only,
         # no events — virtual-time behaviour is untouched.
         load = self._load_by_hash
-        for h in op.key_hashes():
+        for h in op.touched_hashes():
             load[h] = load.get(h, 0) + 1
         self._on_worker(self._update_executed, op, args.rpc_id, ctx)
         return RpcTransport.DEFERRED
@@ -347,7 +336,7 @@ class CurpMaster:
             # CURP / ASYNC
             if self.config.uses_witnesses:
                 self._pending_gc.append(
-                    (entry.index, op.key_hashes(), rpc_id))
+                    (entry.index, op.touched_hashes(), rpc_id))
             if conflict:
                 self.stats.conflict_syncs += 1
                 self._request_sync(entry.index).when_done(
@@ -648,16 +637,16 @@ class CurpMaster:
             return
         self.stats.stale_suspects_handled += 1
         state, _ = self.registry.check(request.rpc_id)
-        if state is DuplicateState.NEW and self.owns_hashes(
-                request.op.touched_hashes()):
+        hashes = request.op.touched_hashes()
+        if state is DuplicateState.NEW and in_ranges(hashes,
+                                                     self.owned_ranges):
             result, entry = self.store.execute(request.op,
                                                rpc_id=request.rpc_id,
                                                now=self.sim.now)
             if entry is not None:
                 self.registry.record(request.rpc_id, result,
                                      log_position=entry.index)
-                self._pending_gc.append(
-                    (entry.index, request.op.key_hashes(), request.rpc_id))
+                self._pending_gc.append((entry.index, hashes, request.rpc_id))
                 self._arm_flush_timer()
         else:
             # Already executed (or foreign): the data is durable, so the
@@ -665,7 +654,7 @@ class CurpMaster:
             # sync could leave the orphan pinned forever on an idle
             # master.
             pairs = tuple((key_hash_value, request.rpc_id)
-                          for key_hash_value in request.op.key_hashes())
+                          for key_hash_value in hashes)
             self.host.spawn(self._send_gc_round(pairs), name="orphan-gc")
 
     def _send_gc_round(self, pairs):
@@ -814,8 +803,7 @@ class CurpMaster:
             installed = 0
             for entry in entries:
                 for key, value, version in entry.effects:
-                    h = key_hash(key)
-                    if any(lo <= h < hi for lo, hi in args.ranges):
+                    if in_ranges((key_hash(key),), args.ranges):
                         self.store.install(key, value, version,
                                            now=self.sim.now)
                         installed += 1
@@ -852,7 +840,7 @@ class CurpMaster:
         try:
             for request in requests:
                 op = request.op
-                if not self.owns_hashes(op.touched_hashes()):
+                if not in_ranges(op.touched_hashes(), self.owned_ranges):
                     filtered += 1  # migrated-away keys (§3.6 replay filter)
                     continue
                 state, _ = self.registry.check(request.rpc_id)

@@ -26,6 +26,7 @@ import typing
 from repro.core.config import CurpConfig
 from repro.core.master import CurpMaster
 from repro.core.messages import GetRecoveryDataArgs, RecordedRequest
+from repro.kvstore.hashing import in_ranges
 from repro.rpc import AppError, RpcTimeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +62,7 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
     load-balancing half of RAMCloud's partitioned recovery), then
     chunks spanned by a single witnessed multi-key request are merged:
     a speculative ``MultiWrite`` must be replayed by *one* recovery
-    master that owns every key it touches, or the ``owns_hashes`` replay
+    master that owns every key it touches, or the ownership replay
     filter would drop it everywhere.  Each witness request is assigned
     to the partition holding its keys; requests whose keys fall outside
     every partition (recorded for since-migrated keys) ride with the
@@ -105,7 +106,7 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
 
     def chunk_of(h: int) -> int | None:
         for i, chunk in enumerate(chunks):
-            if any(lo <= h < hi for lo, hi in chunk):
+            if in_ranges((h,), chunk):
                 return i
         return None
 

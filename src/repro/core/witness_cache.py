@@ -27,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.kvstore.hashing import in_ranges
+
 
 @dataclasses.dataclass(slots=True)
 class WitnessRecord:
@@ -213,14 +215,14 @@ class WitnessCache:
         dropped = 0
         for set_index, index in enumerate(self._index):
             doomed = [key_hash for key_hash in index
-                      if not any(lo <= key_hash < hi for lo, hi in ranges)]
+                      if not in_ranges((key_hash,), ranges)]
             row = self._sets[set_index]
             for key_hash in doomed:
                 row[index.pop(key_hash)] = None
                 dropped += 1
         if self._suspects:
             for key in [key for key in self._suspects
-                        if not any(lo <= key[0] < hi for lo, hi in ranges)]:
+                        if not in_ranges((key[0],), ranges)]:
                 del self._suspects[key]
         return dropped
 

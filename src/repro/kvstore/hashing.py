@@ -11,6 +11,7 @@ keys ("user1", "user2", ...).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -44,3 +45,16 @@ def key_hash(key: str | bytes) -> int:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK
     return _splitmix64(value)
+
+
+def in_ranges(hashes: Iterable[int],
+              ranges: Sequence[tuple[int, int]]) -> bool:
+    """True iff every hash falls in one of the ``[lo, hi)`` ranges (a
+    master's or its witness's owned tablets)."""
+    for key_hash_value in hashes:
+        for lo, hi in ranges:
+            if lo <= key_hash_value < hi:
+                break
+        else:
+            return False
+    return True

@@ -1,11 +1,16 @@
 """The NoSQL operation vocabulary.
 
 Each operation declares which primary keys it *reads* and which it
-*mutates*.  CURP's entire commutativity machinery (witness slot checks,
-master unsynced-window checks) keys off these sets — the paper's
-insight (§4) is that for NoSQL stores, commutativity is decidable from
-operation parameters alone: operations touching disjoint key sets
-commute.
+*mutates* (``read_keys()`` / ``mutated_keys()``): its whole conflict
+footprint.  :func:`commutative` is the one pairwise rule — no key
+mutated by one may be touched by the other — and the paper's insight
+(§4) is that for NoSQL stores it is decidable from parameters alone.
+
+CURP enforces it in two halves.  The master checks every touched key
+against its unsynced mutations (§4.3); the witness records an update's
+``touched_hashes()``, read keys included, so it also rejects a write to
+a key that an unsynced ``KEEP`` item only read.  Witness false
+conflicts (two readers, a hash collision) only cost the slow path.
 
 Operations here are deliberately *state-independent* in their key sets:
 a SQL-style ``UPDATE ... WHERE`` whose touched keys depend on data is
@@ -35,7 +40,7 @@ class Operation:
         """Keys whose values this operation changes."""
         return ()
 
-    # The three derived tuples below are memoized in the instance
+    # The two derived tuples below are memoized in the instance
     # ``__dict__`` (which the frozen ``__setattr__`` does not guard):
     # one instance travels client -> master -> witnesses, so every hop
     # uses the client's hashes (the record RPC *carries* keyHashes,
@@ -50,27 +55,12 @@ class Operation:
         return keys
 
     def touched_hashes(self) -> tuple[int, ...]:
-        """64-bit hashes of ``touched_keys()``, in the same order (what
-        routing and ownership checks compare)."""
+        """64-bit hashes of ``touched_keys()``, in the same order: what
+        routing, ownership checks, witness records and gc pairs carry."""
         hashes = self.__dict__.get("_touched_hashes")
         if hashes is None:
             hashes = self.__dict__["_touched_hashes"] = tuple(
                 [key_hash(k) for k in self.touched_keys()])
-        return hashes
-
-    def key_hashes(self) -> tuple[int, ...]:
-        """64-bit hashes of the mutated keys (what witnesses store)."""
-        hashes = self.__dict__.get("_key_hashes")
-        if hashes is None:
-            # Mutated keys are touched keys: pick their hashes out of
-            # touched_hashes() so that each key is hashed once per op.
-            touched = self.touched_keys()
-            mutated = self.mutated_keys()
-            hashes = self.touched_hashes()
-            if mutated != touched:
-                by_key = dict(zip(touched, hashes))
-                hashes = tuple([by_key[k] for k in mutated])
-            self.__dict__["_key_hashes"] = hashes
         return hashes
 
 
@@ -189,12 +179,6 @@ class ConditionalMultiWrite(Operation):
     def mutated_keys(self) -> tuple[str, ...]:
         return tuple(k for k, v, _ver in self.items if v is not KEEP)
 
-    def key_hashes(self) -> tuple[int, ...]:
-        # Witnesses must guard the whole validated set: a conflicting
-        # write to any read-set key would invalidate the commit, so the
-        # record occupies a slot per touched key, not just per write.
-        return self.touched_hashes()
-
 
 @dataclasses.dataclass(frozen=True)
 class TxnPrepare(ConditionalMultiWrite):
@@ -263,6 +247,12 @@ def commutative(a: Operation, b: Operation) -> bool:
     Read-read sharing is also commutative, so the precise rule is:
     no key mutated by one may be touched by the other.
     """
-    a_mut, b_mut = set(a.mutated_keys()), set(b.mutated_keys())
-    a_touch, b_touch = set(a.touched_keys()), set(b.touched_keys())
-    return not (a_mut & b_touch) and not (b_mut & a_touch)
+    b_touched = b.touched_keys()
+    for key in a.mutated_keys():
+        if key in b_touched:
+            return False
+    a_touched = a.touched_keys()
+    for key in b.mutated_keys():
+        if key in a_touched:
+            return False
+    return True

@@ -170,8 +170,11 @@ class KVStore:
                 effects = tuple((key, value, self._bump(key))
                                 for key, value, _expected in op.items
                                 if value is not KEEP)
-                result = ("OK", tuple(self._versions[key]
-                                      for key, _v, _e in op.items))
+                # A KEEP item reports the version it validated (a
+                # never-written key has no counter to read).
+                written = {key: version for key, _v, version in effects}
+                result = ("OK", tuple(written.get(key, expected)
+                                      for key, _v, expected in op.items))
         else:
             raise TypeError(f"unknown operation type: {type(op).__name__}")
         entry = self.log.append(effects, rpc_id, result, timestamp=now)

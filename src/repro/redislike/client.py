@@ -17,7 +17,6 @@ import dataclasses
 import typing
 
 from repro.core.messages import RECORD_ACCEPTED, RecordArgs, RecordedRequest
-from repro.kvstore.hashing import key_hash
 from repro.redislike.commands import Command
 from repro.redislike.server import CommandArgs, DurabilityMode
 from repro.rifl import RiflClientTracker
@@ -81,7 +80,7 @@ class RedisClient:
         args = CommandArgs(command=command, rpc_id=rpc_id,
                            ack_seq=self.tracker.first_incomplete)
         record = RecordArgs(master_id=self.server_master_id,
-                            key_hashes=(key_hash(command.key),),
+                            key_hashes=command.touched_hashes(),
                             rpc_id=rpc_id,
                             request=RecordedRequest(op=command, rpc_id=rpc_id))
         join = QuorumEvent(self.sim, 1 + len(self.witnesses))

@@ -3,9 +3,12 @@
 Every command declares whether it writes and which key it touches —
 exactly the property CURP needs (§5.4: "Since each data structure is
 assigned to a specific key, CURP can execute many update operations on
-different keys without blocking on syncs").  Witnesses hash the
-top-level key; all write commands on the same key conflict, all on
-different keys commute.
+different keys without blocking on syncs").  A :class:`Command` is an
+:class:`~repro.kvstore.operations.Operation`: it reads its key, and a
+write also mutates it, so witnesses record its ``touched_hashes()`` and
+``commutative`` decides conflicts exactly as for the kvstore
+vocabulary — commands on different keys commute, a write conflicts
+with every other command on its key.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.kvstore.operations import Operation
 from repro.redislike.datastructures import RedisStore
 
 
@@ -21,7 +25,7 @@ class CommandError(Exception):
 
 
 @dataclasses.dataclass(frozen=True)
-class Command:
+class Command(Operation):
     """One parsed client command: name + arguments."""
 
     name: str
@@ -36,6 +40,14 @@ class Command:
     @property
     def is_write(self) -> bool:
         return REGISTRY[self.name].is_write
+
+    is_update = is_write
+
+    def read_keys(self) -> tuple[str, ...]:
+        return (self.key,)
+
+    def mutated_keys(self) -> tuple[str, ...]:
+        return (self.key,) if self.is_write else ()
 
 
 @dataclasses.dataclass(frozen=True)

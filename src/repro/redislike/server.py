@@ -27,7 +27,6 @@ import enum
 import typing
 
 from repro.core.messages import GcArgs
-from repro.kvstore.hashing import key_hash
 from repro.redislike.aof import AppendOnlyFile, FsyncDevice
 from repro.redislike.commands import Command, CommandError, execute
 from repro.redislike.datastructures import RedisStore, WrongTypeError
@@ -95,8 +94,8 @@ class RedisServer:
         self.stats = RedisStats()
         #: last AOF seq that wrote each key (conflict detection, §4.3)
         self._key_last_seq: dict[str, int] = {}
-        #: (seq, key_hash, rpc_id) awaiting witness gc once durable
-        self._pending_gc: list[tuple[int, int, typing.Any]] = []
+        #: (seq, touched hashes, rpc_id) awaiting witness gc once durable
+        self._pending_gc: list[tuple[int, tuple[int, ...], typing.Any]] = []
         self._queue: list[tuple[CommandArgs, typing.Any]] = []
         self._wakeup = None
         self._flush_armed = False
@@ -214,7 +213,7 @@ class RedisServer:
                 self.registry.record(args.rpc_id, result, log_position=seq)
                 if self.mode is DurabilityMode.CURP and self.witnesses:
                     self._pending_gc.append(
-                        (seq, key_hash(command.key), args.rpc_id))
+                        (seq, command.touched_hashes(), args.rpc_id))
             if self.mode is DurabilityMode.CURP and conflict:
                 self.stats.conflict_waits += 1
                 return _Deferred(seq=seq,
@@ -245,11 +244,10 @@ class RedisServer:
         """Garbage collect newly-durable commands from witnesses (§3.5)."""
         if self.mode is not DurabilityMode.CURP or not self.witnesses:
             return
-        pairs = [(kh, rpc_id) for seq, kh, rpc_id in self._pending_gc
-                 if seq <= durable_seq]
-        self._pending_gc = [(seq, kh, rpc_id)
-                            for seq, kh, rpc_id in self._pending_gc
-                            if seq > durable_seq]
+        pairs = [(h, rpc_id) for seq, hashes, rpc_id in self._pending_gc
+                 if seq <= durable_seq for h in hashes]
+        self._pending_gc = [pending for pending in self._pending_gc
+                            if pending[0] > durable_seq]
         if not pairs:
             return
         self.host.spawn(self._gc_witnesses(tuple(pairs)), name="witness-gc")
@@ -279,11 +277,11 @@ class RedisServer:
             self._key_last_seq[request.op.key] = seq
             self.registry.record(request.rpc_id, result, log_position=seq)
             self._pending_gc.append(
-                (seq, key_hash(request.op.key), request.rpc_id))
+                (seq, request.op.touched_hashes(), request.rpc_id))
             self._arm_flush_timer()
         else:
             self._pending_gc.append(
-                (self.aof.durable_seq, key_hash(request.op.key),
+                (self.aof.durable_seq, request.op.touched_hashes(),
                  request.rpc_id))
 
     # ------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.consensus import RaftConfig, RaftCurpClient, RaftNode, superquorum_size
-from repro.kvstore import Increment, Write
+from repro.kvstore import Increment, Read, Write
 from repro.net import Network
 from repro.net.latency import LatencyModel
 from repro.sim import Fixed, Simulator
@@ -298,3 +300,12 @@ def test_restart_rebuilds_from_persistent_log():
     victim.host.restart()
     sim.run(until=sim.now + 30_000.0)
     assert victim.store.read("x") == "durable" == applied_before
+
+
+def test_update_rejects_a_read():
+    """A read has no business on the witnesses: recording its key would
+    reject later writes to it until the next commit's gc."""
+    sim, network, nodes = build_group()
+    client = add_client(sim, network, nodes)
+    with pytest.raises(ValueError):
+        next(client.update(Read("x")))

@@ -66,7 +66,7 @@ def test_cmw_keep_validates_without_writing():
 def test_cmw_witness_slots_cover_read_set():
     """The record must conflict with writes to validate-only keys."""
     op = ConditionalMultiWrite(items=(("w", 1, 0), ("r", KEEP, 0)))
-    assert len(op.key_hashes()) == 2
+    assert len(op.touched_hashes()) == 2
     assert op.mutated_keys() == ("w",)
     assert set(op.touched_keys()) == {"w", "r"}
 
@@ -539,3 +539,22 @@ def test_cross_shard_survives_participant_crash():
                 timeout=50_000_000.0)
     assert cluster.run(client.read(k0), timeout=1_000_000.0) == 11
     assert cluster.run(client.read(k1), timeout=1_000_000.0) == 21
+
+
+def test_transaction_reading_an_absent_key_commits_first_time():
+    """Regression: validating a never-written read-set key made every
+    commit attempt fail with a remote KeyError after bumping the
+    written key's version, until the client gave up."""
+    cluster = build_cluster()
+    client = cluster.new_client()
+    attempts = []
+
+    def body(txn):
+        attempts.append(1)
+        absent = yield from txn.read("never-written")
+        txn.write("y", 1 if absent is None else 2)
+
+    cluster.run(cluster.sim.process(run_transaction(client, body)))
+    assert len(attempts) == 1
+    assert cluster.run(client.read("y")) == 1
+    assert cluster.master().store._versions["y"] == 1

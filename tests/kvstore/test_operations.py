@@ -59,7 +59,7 @@ def test_multiwrite_rejects_duplicates_and_empty():
 
 def test_multiwrite_key_hashes_match_keys():
     op = MultiWrite((("a", 1), ("b", 2)))
-    assert op.key_hashes() == (key_hash("a"), key_hash("b"))
+    assert op.touched_hashes() == (key_hash("a"), key_hash("b"))
 
 
 def test_commutativity_disjoint_writes():
@@ -117,7 +117,7 @@ def test_commutative_is_symmetric():
 # ----------------------------------------------------------------------
 # the key-tuple memo is invisible
 # ----------------------------------------------------------------------
-# touched_keys() / touched_hashes() / key_hashes() are memoized in the
+# touched_keys() / touched_hashes() are memoized in the
 # instance __dict__ (one key hash per operation, carried from the client
 # to the master and the witnesses).  Nothing else about an operation may
 # be able to tell.
@@ -157,18 +157,13 @@ def test_every_operation_class_has_an_example():
 def test_memoized_key_tuples_equal_a_fresh_instances(cls):
     op = EXAMPLES[cls]()
     touched = tuple(dict.fromkeys(op.read_keys() + op.mutated_keys()))
-    guarded = (touched if isinstance(op, ConditionalMultiWrite)
-               else op.mutated_keys())
     for _ in range(2):          # computed, then served from the memo
         assert op.touched_keys() == touched
         assert op.touched_hashes() == tuple(key_hash(k) for k in touched)
-        assert op.key_hashes() == tuple(key_hash(k) for k in guarded)
     assert op.touched_keys() is op.touched_keys()
     assert op.touched_hashes() is op.touched_hashes()
-    assert op.key_hashes() is op.key_hashes()
     fresh = EXAMPLES[cls]()
     # in the other order, so that neither derivation leans on the other
-    assert fresh.key_hashes() == op.key_hashes()
     assert fresh.touched_hashes() == op.touched_hashes()
     assert fresh.touched_keys() == op.touched_keys()
 
@@ -177,7 +172,7 @@ def test_memoized_key_tuples_equal_a_fresh_instances(cls):
 def test_warmed_memo_is_invisible_to_the_dataclass(cls):
     op, cold = EXAMPLES[cls](), EXAMPLES[cls]()
     described = repr(op)
-    op.touched_keys(), op.touched_hashes(), op.key_hashes()
+    op.touched_keys(), op.touched_hashes()
     assert op == cold and cold == op
     assert hash(op) == hash(cold)
     assert repr(op) == described == repr(cold)
@@ -186,13 +181,13 @@ def test_warmed_memo_is_invisible_to_the_dataclass(cls):
 
 def test_replace_starts_from_a_clean_memo():
     op = Write("a", 1)
-    op.touched_hashes(), op.key_hashes()
+    op.touched_hashes()
     moved = dataclasses.replace(op, key="b")
     assert moved == Write("b", 1)
     assert moved.touched_keys() == ("b",)
-    assert moved.touched_hashes() == moved.key_hashes() == (key_hash("b"),)
+    assert moved.touched_hashes() == (key_hash("b"),)
     assert op.touched_hashes() == (key_hash("a"),)      # and no write-back
     multi = MultiWrite((("a", 1), ("b", 2)))
-    multi.key_hashes()
+    multi.touched_hashes()
     shrunk = dataclasses.replace(multi, items=(("c", 3),))
-    assert shrunk.key_hashes() == (key_hash("c"),)
+    assert shrunk.touched_hashes() == (key_hash("c"),)

@@ -274,3 +274,23 @@ def test_stale_pending_marker_is_not_a_conflict():
     result, _ = store.execute(
         ConditionalMultiWrite(items=(("a", 99, version),)))
     assert result[0] == "OK"  # marker stale: validating is safe
+
+
+def test_keep_item_reports_the_version_it_validated():
+    """Regression: a validate-only item on a never-written key used to
+    raise KeyError *after* the written keys' versions were bumped, so a
+    retried commit could never succeed; and a KEEP item on a deleted key
+    reported the key's surviving counter instead of the version (0) it
+    validated."""
+    from repro.kvstore import ConditionalMultiWrite
+    from repro.kvstore.operations import KEEP
+    store = KVStore()
+    result, _ = store.execute(ConditionalMultiWrite(
+        (("y", 1, 0), ("never-written", KEEP, 0))))
+    assert result == ("OK", (1, 0))
+    assert store.read("y") == 1 and store._versions == {"y": 1}
+    store.execute(Write("gone", "v"))
+    store.execute(Delete("gone"))          # counter 2, reads as version 0
+    result, _ = store.execute(ConditionalMultiWrite(
+        (("y", 2, 1), ("gone", KEEP, 0))))
+    assert result == ("OK", (2, 0))

@@ -1,5 +1,5 @@
-"""Docs may not name repository files, config values or watchdog knobs
-that do not exist."""
+"""Docs may not name repository files, config values, watchdog knobs or
+operation methods that do not exist."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 
 from repro.cluster import FailureDetector
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
+from repro.kvstore.operations import Operation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -113,3 +114,31 @@ def test_watchdog_knob_check_sees_unknown_names():
              "\n\nDerived: `evidence_window` is not a row.")
     assert stale_watchdog_knobs(table) == ["no_such_knob"]
     assert stale_watchdog_knobs("no tunables here") == ["<no table>"]
+
+
+#: how docs name an operation method: `Operation.name`, a call
+#: `op.name(…)`, or a whole span `name()` in the conflict-footprint
+#: vocabulary (`…_keys()`, `…_hashes()`)
+_OPERATION_METHOD = re.compile(
+    r"\bOperation\.(\w+)|\bop\.(\w+)\(|^(\w+_(?:keys|hashes))\(\)$")
+
+
+def stale_operation_methods(text: str) -> list[str]:
+    """Backticked operation method names that ``Operation`` lacks."""
+    return [name for span in _BACKTICKED.findall(text)
+            for groups in _OPERATION_METHOD.findall(span)
+            for name in groups if name and not hasattr(Operation, name)]
+
+
+def test_docs_name_only_existing_operation_methods():
+    stale = [f"{document.relative_to(REPO_ROOT)}: {name}"
+             for document in documents()
+             for name in stale_operation_methods(document.read_text())]
+    assert stale == []
+
+
+def test_operation_method_check_sees_unknown_names():
+    text = ("`Operation.touched_keys()`, `touched_hashes()` and "
+            "`key_hashes()`; `owns(op.read_keys())`, `op.gone()`, "
+            "`Operation.missing`, `op.key` and `in_ranges(hashes, ranges)`.")
+    assert stale_operation_methods(text) == ["key_hashes", "gone", "missing"]
