@@ -21,8 +21,10 @@ measurement window.
 
 Acceptance (ISSUE 6): goodput at 10× saturation ≥ 80% of peak with
 defenses on; the defenses-off run must actually collapse (< 50% of
-peak) or the bench is not measuring overload at all.  All virtual-time,
-deterministic per seed.
+peak) or the bench is not measuring overload at all.  It has collapsed
+by 2× (7.5% of peak), so the defenses-off arm stops there: its 5× and
+10× points only sink further and cost most of the sweep's wall time.
+All virtual-time, deterministic per seed.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ MIX = YcsbWorkload(name="overload-mix", read_fraction=0.5, item_count=200,
 #: side edge-drop bound that keeps admitted work fresh under surges
 SLO = 20_000.0
 MAX_QUEUE_WAIT = 5_000.0
+
+#: the highest offered-load multiple the defenses-off arm runs at
+OFF_ARM_LIMIT = 2.0
 
 
 def overload_config(enabled: bool, **overrides):
@@ -104,33 +109,37 @@ def goodput_curve(multipliers=(0.5, 1.0, 2.0, 5.0, 10.0),
                   duration: float = 50_000.0, warmup: float = 10_000.0,
                   seed: int = 7) -> dict:
     """The headline series: goodput at each offered-load multiple of
-    capacity, defenses on vs off, plus the derived acceptance numbers."""
+    capacity, defenses on (every multiple) vs off (up to
+    ``OFF_ARM_LIMIT``), plus the derived acceptance numbers.
+    ``collapse_ratio_off`` is read at ``collapse_load``, the highest
+    load the defenses-off arm ran."""
     curve: dict = {}
     for mult in multipliers:
         rate = CAPACITY_OPS_PER_SEC * mult
         point: dict = {"offered_per_sec": rate}
         for label, enabled in (("on", True), ("off", False)):
-            point[label] = _run_point(enabled, rate, duration, warmup, seed)
-        curve[f"{mult:g}x" if mult != int(mult) else f"{int(mult)}x"] = point
-    saturated = curve[_last_key(curve)]
+            if enabled or mult <= OFF_ARM_LIMIT:
+                point[label] = _run_point(enabled, rate, duration, warmup,
+                                          seed)
+        curve[f"{mult:g}x"] = point
+    sat_on = curve[list(curve)[-1]]["on"]
+    collapse_load = [label for label, point in curve.items()
+                     if "off" in point][-1]
     peak_on = max(point["on"]["goodput"] for point in curve.values())
-    peak_off = max(point["off"]["goodput"] for point in curve.values())
-    sat_on = saturated["on"]
+    peak_off = max(point["off"]["goodput"] for point in curve.values()
+                   if "off" in point)
     return {
         "capacity_ops_per_sec": CAPACITY_OPS_PER_SEC,
         "curve": curve,
         "peak_goodput": peak_on,
         "goodput_at_saturation": sat_on["goodput"],
         "retention": sat_on["goodput"] / peak_on if peak_on else 0.0,
-        "collapse_ratio_off": (saturated["off"]["goodput"] / peak_off
-                               if peak_off else 0.0),
+        "collapse_load": collapse_load,
+        "collapse_ratio_off": (curve[collapse_load]["off"]["goodput"]
+                               / peak_off if peak_off else 0.0),
         "fairness_jain": jain_fairness(
             [t["goodput"] for t in sat_on["per_tenant"].values()]),
     }
-
-
-def _last_key(curve: dict) -> str:
-    return list(curve)[-1]
 
 
 # ----------------------------------------------------------------------
@@ -250,12 +259,13 @@ def test_overload_goodput_retention(benchmark, scale):
 
     rows = []
     for label, point in series["curve"].items():
+        off = point.get("off")
         rows.append([
             label, round(point["offered_per_sec"]),
             round(point["on"]["goodput"]), point["on"]["shed"],
             point["on"]["pushbacks"], point["on"]["dropped"],
-            round(point["off"]["goodput"]), point["off"]["failed"],
-            point["off"]["master_queue"]])
+            *((round(off["goodput"]), off["failed"], off["master_queue"])
+              if off else ("—", "—", "—"))])
     print()
     print(format_table(
         ["offered", "offered/s", "ON goodput/s", "shed", "pushbacks",
@@ -269,7 +279,8 @@ def test_overload_goodput_retention(benchmark, scale):
         f"goodput retention at 10x only {series['retention']:.2f}"
     # ...and a real collapse without them, else nothing was measured.
     assert series["collapse_ratio_off"] < 0.5, \
-        f"defenses-off run failed to collapse " \
+        f"defenses-off run failed to collapse at " \
+        f"{series['collapse_load']} " \
         f"({series['collapse_ratio_off']:.2f} of peak)"
     assert series["fairness_jain"] >= 0.9, \
         f"equal tenants diverged: jain={series['fairness_jain']:.3f}"

@@ -1,11 +1,12 @@
-"""Docs may not name repository files, config values, watchdog knobs or
-operation methods that do not exist."""
+"""Docs may not name repository files, config values, watchdog knobs,
+operation methods or ``BENCH_core.json`` rows that do not exist."""
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -142,3 +143,42 @@ def test_operation_method_check_sees_unknown_names():
             "`key_hashes()`; `owns(op.read_keys())`, `op.gone()`, "
             "`Operation.missing`, `op.key` and `in_ranges(hashes, ranges)`.")
     assert stale_operation_methods(text) == ["key_hashes", "gone", "missing"]
+
+
+def bench_paths(node: dict, prefix: str = "") -> set[str]:
+    """Every dotted path into a snapshot, groups as well as rows."""
+    paths = set()
+    for key, value in node.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= bench_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def stale_bench_rows(text: str, snapshot: dict) -> list[str]:
+    """Backticked ``section.key`` spans, ``section`` a top-level section
+    of ``snapshot``, that name no row or group in it."""
+    sections = [key for key, value in snapshot.items()
+                if isinstance(value, dict)]
+    name = re.compile(r"(?:%s)\.[\w.]+" % "|".join(map(re.escape, sections)))
+    known = bench_paths(snapshot)
+    return [span for span in _BACKTICKED.findall(text)
+            if name.fullmatch(span) and span not in known]
+
+
+def test_docs_name_only_existing_bench_rows():
+    snapshot = json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+    stale = [f"{document.relative_to(REPO_ROOT)}: {name}"
+             for document in documents()
+             for name in stale_bench_rows(document.read_text(), snapshot)]
+    assert stale == []
+
+
+def test_stale_bench_row_check_sees_unknown_names():
+    snapshot = {"python": "3.11.7",
+                "overload": {"retention": 1.0,
+                             "goodput_by_offered": {"0.5x": {"on": 1}}}}
+    text = ("`overload.retention`, `overload.goodput_by_offered.0.5x.on`, "
+            "`overload.goodput_by_offered`, `overload.collapse_ratio_off`, "
+            "`rpc.transport`, `python.version` and `overload.x/y`.")
+    assert stale_bench_rows(text, snapshot) == ["overload.collapse_ratio_off"]

@@ -1,75 +1,29 @@
 #!/usr/bin/env python
-"""Snapshot the core hot-path numbers into ``BENCH_core.json``.
+"""Snapshot the deterministic rows e2e has no workload for into
+``BENCH_core.json``.
 
 Usage (from the repository root)::
 
-    python tools/bench_snapshot.py [--out BENCH_core.json] [--scale 1.0]
+    python tools/bench_snapshot.py [--out BENCH_core.json]
 
-Measures, in wall-clock terms:
+Every row is virtual time or an exact count, so a snapshot repeats to
+the digit on one Python major.minor, and ``tools/bench_compare.py``
+gates every numeric row at 1% in either direction.  Nothing here is
+timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
 
-- event-loop dispatch events/s and schedule+dispatch events/s, for the
-  current scheduler AND the vendored pre-overhaul scheduler
-  (``tools/_legacy_sim.py``) — the recorded speedups are the tentpole's
-  acceptance numbers;
-- RPC round-trips/s through the full simulated stack — the gated
-  ``rpc.roundtrips_per_sec`` on zero-cost hosts over a fixed wire, and
-  ``rpc.roundtrips_per_sec_calibrated`` (informational) between a
-  ``RAMCLOUD_PROFILE`` client and witness, the one with RX
-  serialization and the latency sampler on its path, with its
-  deterministic ``events_per_roundtrip`` (2: one kernel record per
-  message);
-- witness-cache records/s at the paper's geometry (§5.2 comparable:
-  ~1.27 M records/s on the real witness);
-- a Figure 6-shaped smoke run (one CURP f=3 closed loop) so future PRs
-  can see end-to-end wall-clock drift, not just microbenches — its
-  ``fig6_smoke.ops_per_sec`` is CI-gated, as is the deterministic
-  ``events_per_op``; ``heap_peak`` and ``slice_flatness`` put on record
-  whether anything on the per-op path costs O(state), and the gated
-  ``retained_bytes_per_op`` (tracemalloc, in a short pass of its own)
-  how much state each committed op leaves behind;
-- a ``curp_op_path`` series (ISSUE 3): committed-ops/s through the
-  full client→master→witness→sync lifecycle at f ∈ {1, 3}, from
-  ``benchmarks/bench_curp_op_path.py``;
-- a ``scaleout`` series: aggregate virtual-time throughput at 1/2/4
-  shards (ISSUE 2 acceptance number), from
-  ``benchmarks/bench_scaleout_shards.py``;
-- a ``frame_coalescing`` series (ISSUE 4): messages-per-update with
-  NIC frames on/off at f ∈ {1, 3}, colocated vs spread witnesses,
-  from ``benchmarks/bench_frame_coalescing.py`` — the coalesced f=3
-  number is also recorded as ``rpc.messages_per_update`` and gated
-  lower-is-better; ``fig6_smoke_coalesced`` re-runs the Figure 6
-  smoke with frames on to gate the flag's overhead on non-batched
-  traffic;
-- a ``rebalance`` series (ISSUE 5): skewed-YCSB (zipfian θ=0.99,
-  4 shards) aggregate throughput with load-driven rebalancing on vs
-  off, from ``benchmarks/bench_rebalance.py`` — the rebalanced
-  aggregate (``rebalance.aggregate_ops_per_sec``, virtual-time and
-  therefore deterministic per seed) is CI-gated;
-- an ``overload`` series (ISSUE 6): open-loop goodput vs offered load
-  with the overload defenses on/off plus the shared-witness fairness
-  split, from ``benchmarks/bench_overload.py`` — the defended goodput
-  at 10× saturation (``overload.goodput_at_saturation``, virtual-time)
-  is CI-gated;
-- a ``recovery`` series (ISSUE 7): partitioned-recovery
-  time-to-recover vs recovery-master count over the segmented-WAL
-  storage model, plus the compaction-vs-tail-latency numbers, from
-  ``benchmarks/bench_recovery.py`` — ``recovery.time_to_recover``
-  (virtual µs at 4 recovery masters) is CI-gated lower-is-better;
-- an ``availability`` series (ISSUE 8): the four canned fault plans
-  (kill-master, gray-witness, one-way-partition, slow-disk) from
-  ``benchmarks/bench_availability.py`` scored by the watchdog +
-  availability tracker — ``availability.unavailability_window``
-  (virtual µs the kill-master scenario spends below 50% of baseline
-  goodput) is CI-gated lower-is-better;
-- a ``transactions`` series (ISSUE 10): cross-shard commutative
-  sagas (§B.2) from ``benchmarks/bench_transactions.py`` — the
-  low-contention 1-RTT fast-commit rate
-  (``transactions.fast_commit_rate``, virtual-time and deterministic
-  per seed; acceptance ≥ 0.90) is CI-gated, plus the contended-ladder
-  abort rate and commit latency percentiles.
+- ``fig6_smoke``: a Figure 6-shaped closed loop (16 clients, CURP f=3,
+  writes) — kernel events per committed op, the largest kernel queue
+  seen at five slice boundaries (``heap_peak``), and the bytes each
+  committed op leaves allocated (``retained_bytes_per_op``);
+- ``frame_coalescing``: wire messages per committed update with NIC
+  frames on/off at f ∈ {1, 3}, colocated vs spread witnesses
+  (``benchmarks/bench_frame_coalescing.py``);
+- ``scaleout``, ``rebalance``, ``overload``, ``recovery``,
+  ``availability``, ``transactions``: the acceptance series of
+  ``benchmarks/bench_scaleout_shards.py`` and the benches named after
+  the other five.
 
-CI runs this and uploads the JSON as an artifact; committed snapshots
-mark the trajectory PR by PR (see docs/PERFORMANCE.md).
+CI runs this and uploads the JSON as an artifact; see docs/CI.md.
 """
 
 from __future__ import annotations
@@ -86,47 +40,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from benchmarks.hotpath_workloads import (  # noqa: E402
-    drain_events,
-    rpc_roundtrips,
-    rpc_roundtrips_calibrated,
-    rpc_roundtrips_yield,
-    schedule_and_drain,
-    witness_records,
-)
-from tools._legacy_sim import LegacySimulator  # noqa: E402
-
-from repro.sim.simulator import Simulator  # noqa: E402
-
-
-def _best_rate(fn, repeats: int = 3) -> float:
-    """Best-of-N rate (units/s); best-of filters scheduler jitter.
-
-    A full collection runs before each repeat so garbage left by
-    earlier benches (the dispatch benches churn millions of records)
-    doesn't tax later ones — measured effect is ~25% on the RPC bench.
-    """
-    import gc
-
-    best = 0.0
-    for _ in range(repeats):
-        gc.collect()
-        units, elapsed = fn()
-        best = max(best, units / elapsed)
-    return best
-
 
 def _scaleout() -> dict:
-    """Sharded throughput scaling (virtual time, so the numbers are
-    deterministic per seed — wall clock only decides how long the
-    measurement takes)."""
+    """Sharded throughput scaling at 1/2/4 shards."""
     from benchmarks.bench_scaleout_shards import scaleout_throughput
 
-    started = time.perf_counter()
     series = scaleout_throughput(shard_counts=(1, 2, 4))
-    elapsed = time.perf_counter() - started
     return {
-        "seconds": round(elapsed, 3),
         "throughput_by_shards": {
             str(n): round(point["throughput"])
             for n, point in series.items()},
@@ -135,56 +55,13 @@ def _scaleout() -> dict:
     }
 
 
-#: the fig6 smoke's measured window is timed in this many equal slices
+#: the fig6 smoke's measured window is read in this many equal slices
 _FIG6_SLICES = 5
 
 
-def _fig6_smoke(frame_coalescing: bool = False) -> dict:
-    """One Figure 6-shaped closed loop: 16 clients, CURP f=3, writes.
-
-    ``ops_per_sec`` is the end-to-end wall-clock gate.  ``events_per_op``
-    (kernel events dispatched per committed op inside the measured
-    window; deterministic per seed) is gated beside it, lower is better:
-    work per op creeping up is caught exactly, whatever the runner.
-    ``events_per_sec`` is informational — removing dead events makes it
-    fall while ops/s rises.
-
-    The window runs as five equal slices of virtual time, each timed, so
-    that two costs a single total hides are on record:
-    ``heap_peak`` is the largest ``sim.queue_length`` seen at a slice
-    boundary (live work is a few dozen records; thousands means
-    something parks a record per operation on the kernel's heap), and
-    ``slice_flatness`` is ops/s of the last slice over the first
-    (same process, so it survives runner changes; well below 1 means
-    some per-op step costs O(run length)).  The window spans five
-    ``rpc_timeout`` horizons so that either would have time to show.
-
-    The run is made twice — both passes simulate identical work — and
-    the faster pass is reported, each slice taken from whichever pass
-    ran it faster: a 0.2 s slice is short enough for one busy moment on
-    the box to read as a 20% trend.
-
-    ``frame_coalescing=True`` runs the identical workload with the
-    ISSUE 4 frame layer on: a closed loop offers almost nothing to
-    coalesce, so this variant gates the flag's *overhead* on
-    non-batched traffic (the coalescing *win* is gated through
-    ``rpc.messages_per_update`` from the pipelined bench).
-    """
-    passes = [_fig6_pass(frame_coalescing) for _ in range(2)]
-    report = min((report for report, _rates in passes),
-                 key=lambda report: report["seconds"])
-    rates = [max(pair) for pair in zip(*(rates for _report, rates in passes))]
-    report["slice_flatness"] = round(rates[-1] / rates[0], 3)
-    if not frame_coalescing:
-        report["retained_bytes_per_op"] = _fig6_retained_bytes_per_op()
-    return report
-
-
-def _fig6_cluster(frame_coalescing: bool):
+def _fig6_cluster():
     """The smoke's cluster with its 16 closed loops started and warmed
     up: (cluster, loops)."""
-    import dataclasses
-
     from repro.baselines import curp_config
     from repro.harness.builder import build_cluster
     from repro.harness.profiles import RAMCLOUD_PROFILE
@@ -192,9 +69,7 @@ def _fig6_cluster(frame_coalescing: bool):
     from repro.workload.clients import ClosedLoopClient
     from repro.workload.ycsb import YCSB_WRITE_ONLY
 
-    config = dataclasses.replace(curp_config(3),
-                                 frame_coalescing=frame_coalescing)
-    cluster = build_cluster(config, profile=RAMCLOUD_PROFILE, seed=2)
+    cluster = build_cluster(curp_config(3), profile=RAMCLOUD_PROFILE, seed=2)
     latency = LatencyRecorder()
     loops = [ClosedLoopClient(
         client=cluster.new_client(collect_outcomes=False),
@@ -206,56 +81,49 @@ def _fig6_cluster(frame_coalescing: bool):
     return cluster, loops
 
 
-def _fig6_pass(frame_coalescing: bool) -> tuple[dict, list[float]]:
-    """One pass of the smoke: (report, ops/s of each slice)."""
-    import gc
+def _fig6_smoke() -> dict:
+    """One Figure 6-shaped closed loop: 16 clients, CURP f=3, writes.
 
-    gc.collect()
-    started = time.perf_counter()
-    cluster, loops = _fig6_cluster(frame_coalescing)
+    ``events_per_op`` is the kernel events dispatched per committed op
+    inside a 10,000 µs window.  The window runs as five equal slices,
+    and ``heap_peak`` is the largest ``sim.queue_length`` seen at a
+    slice boundary: live work is a few dozen records, thousands means
+    something parks a record per operation on the kernel's heap.
+    ``retained_bytes_per_op`` comes from a second, shorter run under
+    ``tracemalloc``.
+    """
+    cluster, loops = _fig6_cluster()
     sim = cluster.sim
     window_start = sim.now
     events_before = sim.processed_events
     ops_before = sum(loop.operations for loop in loops)
-    slice_rates = []
     heap_peak = 0
-    done = ops_before
     for i in range(1, _FIG6_SLICES + 1):
-        slice_started = time.perf_counter()
         sim.run(until=window_start + 10_000.0 * i / _FIG6_SLICES)
-        slice_elapsed = time.perf_counter() - slice_started
-        completed = sum(loop.operations for loop in loops)
-        slice_rates.append((completed - done) / slice_elapsed)
-        done = completed
         heap_peak = max(heap_peak, sim.queue_length)
-    elapsed = time.perf_counter() - started
-    operations = done - ops_before
+    operations = sum(loop.operations for loop in loops) - ops_before
     return {
-        "seconds": round(elapsed, 3),
-        "operations": operations,
-        "ops_per_sec": round(operations / elapsed),
-        "virtual_events": sim.processed_events,
-        "events_per_sec": round(sim.processed_events / elapsed),
         "events_per_op": round(
             (sim.processed_events - events_before) / operations, 3),
         "heap_peak": heap_peak,
-    }, slice_rates
+        "retained_bytes_per_op": _fig6_retained_bytes_per_op(),
+    }
 
 
 def _fig6_retained_bytes_per_op() -> int:
     """Bytes still allocated per committed op once a 4,000 µs window of
     the smoke has run under tracemalloc and ``settle()`` has drained
     syncs and witness gc: what each op leaves behind (log, store,
-    backup WALs, RIFL records).  Untimed — the timed passes never run
-    traced.  The ``key_hash`` memo starts empty, so the number is the
-    same on one interpreter whatever ran earlier in the process."""
+    backup WALs, RIFL records).  The ``key_hash`` memo starts empty, so
+    the number is the same on one interpreter whatever ran earlier in
+    the process."""
     import gc
     import tracemalloc
 
     from repro.kvstore.hashing import key_hash
 
     key_hash.cache_clear()
-    cluster, loops = _fig6_cluster(frame_coalescing=False)
+    cluster, loops = _fig6_cluster()
     before = sum(loop.operations for loop in loops)
     gc.collect()
     tracemalloc.start()
@@ -271,28 +139,12 @@ def _fig6_retained_bytes_per_op() -> int:
     return round(retained / (sum(loop.operations for loop in loops) - before))
 
 
-def _frame_coalescing(scale: float) -> dict:
-    """The ISSUE 4 series: messages-per-update with frames on/off at
-    f ∈ {1, 3}, colocated vs spread witnesses, from
-    ``benchmarks/bench_frame_coalescing.py``."""
-    from benchmarks.bench_frame_coalescing import coalescing_series
-
-    started = time.perf_counter()
-    series = coalescing_series(scale=scale)
-    series["seconds"] = round(time.perf_counter() - started, 3)
-    return series
-
-
 def _rebalance() -> dict:
-    """Skewed-workload rebalancing on/off (ISSUE 5 acceptance series):
-    virtual-time throughput, deterministic per seed — wall clock only
-    decides how long the measurement takes."""
+    """Skewed-workload rebalancing on/off."""
     from benchmarks.bench_rebalance import rebalance_comparison
 
-    started = time.perf_counter()
     series = rebalance_comparison()
     return {
-        "seconds": round(time.perf_counter() - started, 3),
         "aggregate_ops_per_sec": round(series["on"]["throughput"]),
         "aggregate_ops_per_sec_off": round(series["off"]["throughput"]),
         "speedup": round(series["speedup"], 2),
@@ -303,26 +155,25 @@ def _rebalance() -> dict:
     }
 
 
-def _overload(scale: float) -> dict:
-    """Open-loop overload protection (ISSUE 6 acceptance series):
-    goodput vs offered load with defenses on/off, plus the multi-tenant
-    witness fairness split.  Virtual-time, deterministic per seed."""
+def _overload() -> dict:
+    """Open-loop goodput vs offered load with defenses on (every load)
+    and off (up to the load it has collapsed at), plus the multi-tenant
+    witness fairness split."""
     from benchmarks.bench_overload import fairness_comparison, goodput_curve
 
-    started = time.perf_counter()
-    curve = goodput_curve(duration=50_000.0 * min(scale, 1.0))
-    fairness = fairness_comparison(duration=30_000.0 * min(scale, 1.0))
+    curve = goodput_curve()
+    fairness = fairness_comparison()
     return {
-        "seconds": round(time.perf_counter() - started, 3),
         "capacity_ops_per_sec": round(curve["capacity_ops_per_sec"]),
         "peak_goodput": round(curve["peak_goodput"]),
         "goodput_at_saturation": round(curve["goodput_at_saturation"]),
         "retention": round(curve["retention"], 3),
-        "collapse_ratio_off": round(curve["collapse_ratio_off"], 3),
+        f"collapse_ratio_off_at_{curve['collapse_load']}": round(
+            curve["collapse_ratio_off"], 3),
         "fairness_jain": round(curve["fairness_jain"], 3),
         "goodput_by_offered": {
-            label: {"on": round(point["on"]["goodput"]),
-                    "off": round(point["off"]["goodput"])}
+            label: {arm: round(point[arm]["goodput"])
+                    for arm in ("on", "off") if arm in point}
             for label, point in curve["curve"].items()},
         "hot_throttle_rate": round(fairness["hot_throttle_rate"], 3),
         "quiet_throttle_rate": round(fairness["quiet_throttle_rate"], 3),
@@ -330,16 +181,13 @@ def _overload(scale: float) -> dict:
 
 
 def _recovery() -> dict:
-    """Partitioned fast recovery + WAL compaction (ISSUE 7 acceptance
-    series): virtual-time, deterministic per seed.  ``time_to_recover``
-    is the 4-recovery-master point and gates lower-is-better."""
+    """Partitioned fast recovery + WAL compaction.  ``time_to_recover``
+    is the 4-recovery-master point."""
     from benchmarks.bench_recovery import compaction_tail, recovery_scaling
 
-    started = time.perf_counter()
     scaling = recovery_scaling()
     tail = compaction_tail()
     return {
-        "seconds": round(time.perf_counter() - started, 3),
         "volume_entries": scaling["volume"],
         "time_to_recover_by_masters": {
             str(k): round(point["time_to_recover"], 1)
@@ -358,12 +206,10 @@ def _recovery() -> dict:
 
 
 def _availability() -> dict:
-    """Fault-plan availability suite (ISSUE 8 acceptance series):
-    virtual-time, deterministic per seed.  ``unavailability_window``
-    is the kill-master scenario's and gates lower-is-better."""
+    """Fault-plan availability suite.  ``unavailability_window`` is the
+    kill-master scenario's."""
     from benchmarks.bench_availability import availability_suite
 
-    started = time.perf_counter()
     suite = availability_suite()
 
     def _point(report: dict) -> dict:
@@ -377,7 +223,6 @@ def _availability() -> dict:
         }
 
     return {
-        "seconds": round(time.perf_counter() - started, 3),
         "probe_budget": round(suite["probe_budget"]),
         "unavailability_window": round(suite["unavailability_window"]),
         "scenarios": {name: _point(report)
@@ -386,19 +231,16 @@ def _availability() -> dict:
 
 
 def _transactions() -> dict:
-    """Cross-shard commutative sagas (ISSUE 10 acceptance series):
-    virtual-time, deterministic per seed.  ``fast_commit_rate`` is the
-    low-contention 1-RTT rate and gates higher-is-better."""
+    """Cross-shard commutative sagas.  ``fast_commit_rate`` is the
+    low-contention 1-RTT rate."""
     from benchmarks.bench_transactions import (
         contention_series,
         fast_commit_series,
     )
 
-    started = time.perf_counter()
     low = fast_commit_series()
     hot = contention_series()
     return {
-        "seconds": round(time.perf_counter() - started, 3),
         "transactions": low["transactions"],
         "committed": low["committed"],
         "fast_commit_rate": round(low["fast_commit_rate"], 3),
@@ -409,74 +251,18 @@ def _transactions() -> dict:
     }
 
 
-def _curp_op_path(scale: float) -> dict:
-    """Committed-ops/s through the full operation lifecycle (ISSUE 3
-    acceptance series), from benchmarks/bench_curp_op_path.py."""
-    from benchmarks.bench_curp_op_path import op_path_series
-
-    started = time.perf_counter()
-    series = op_path_series(scale=scale)
-    series["seconds"] = round(time.perf_counter() - started, 3)
-    return series
-
-
-def snapshot(scale: float = 1.0) -> dict:
-    n_events = int(400_000 * scale)
-    n_calls = int(20_000 * scale)
-    n_records = int(200_000 * scale)
-
-    dispatch = _best_rate(lambda: drain_events(Simulator, n_events=n_events))
-    dispatch_legacy = _best_rate(
-        lambda: drain_events(LegacySimulator, n_events=n_events))
-    full = _best_rate(
-        lambda: schedule_and_drain(Simulator, n_events=n_events))
-    full_legacy = _best_rate(
-        lambda: schedule_and_drain(LegacySimulator, n_events=n_events))
-
-    frame_series = _frame_coalescing(scale)
+def snapshot() -> dict:
+    from benchmarks.bench_frame_coalescing import coalescing_series
 
     return {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "scale": scale,
-        "event_loop": {
-            "events_per_sec": round(dispatch),
-            "legacy_events_per_sec": round(dispatch_legacy),
-            "speedup_vs_legacy": round(dispatch / dispatch_legacy, 2),
-            "schedule_dispatch_events_per_sec": round(full),
-            "legacy_schedule_dispatch_events_per_sec": round(full_legacy),
-            "schedule_dispatch_speedup_vs_legacy": round(
-                full / full_legacy, 2),
-        },
-        "rpc": {
-            "roundtrips_per_sec": round(
-                _best_rate(lambda: rpc_roundtrips(n_calls=n_calls))),
-            "roundtrips_per_sec_yield": round(
-                _best_rate(lambda: rpc_roundtrips_yield(n_calls=n_calls))),
-            "roundtrips_per_sec_calibrated": round(_best_rate(
-                lambda: rpc_roundtrips_calibrated(n_calls=n_calls)[:2])),
-            # deterministic, so a short run reads it as well as a long one
-            "events_per_roundtrip": round(
-                rpc_roundtrips_calibrated(n_calls=1_000)[2], 3),
-            # The ISSUE 4 floor: wire transmissions per committed
-            # update, f = 3 pipelined with frames on (gated as a
-            # lower-is-better metric; acceptance target ≤ 4).
-            "messages_per_update": frame_series["f3_spread"][
-                "messages_per_update"],
-        },
-        "witness": {
-            "records_per_sec": round(
-                _best_rate(lambda: witness_records(n_records=n_records))),
-            "paper_target_records_per_sec": 1_270_000,
-        },
         "fig6_smoke": _fig6_smoke(),
-        "fig6_smoke_coalesced": _fig6_smoke(frame_coalescing=True),
-        "frame_coalescing": frame_series,
-        "curp_op_path": _curp_op_path(scale),
+        "frame_coalescing": coalescing_series(),
         "scaleout": _scaleout(),
         "rebalance": _rebalance(),
-        "overload": _overload(scale),
+        "overload": _overload(),
         "recovery": _recovery(),
         "availability": _availability(),
         "transactions": _transactions(),
@@ -486,10 +272,9 @@ def snapshot(scale: float = 1.0) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_core.json"))
-    parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args()
 
-    data = snapshot(scale=args.scale)
+    data = snapshot()
     try:
         # --dirty: a snapshot of uncommitted work must not claim to be
         # its parent commit's numbers
@@ -503,10 +288,6 @@ def main() -> int:
 
     Path(args.out).write_text(json.dumps(data, indent=2) + "\n")
     print(json.dumps(data, indent=2))
-
-    speedup = data["event_loop"]["speedup_vs_legacy"]
-    print(f"\nevent-loop dispatch speedup vs pre-overhaul scheduler: "
-          f"{speedup}x (target >= 3x)", file=sys.stderr)
     return 0
 
 
