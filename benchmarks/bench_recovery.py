@@ -32,8 +32,7 @@ from repro.metrics import format_table
 #: (1 µs/entry) over striped reads (0.3 µs/entry across f=3 backups),
 #: which is what makes partitioning pay (docs/STORAGE.md)
 RECOVERY_STORAGE = dict(enabled=True, segment_size=64, append_time=0.5,
-                        rotation_time=20.0, read_entry_time=0.3,
-                        replay_entry_time=1.0)
+                        rotation_time=20.0, read_entry_time=0.3)
 
 #: reference data volume (log entries on the dead master).  Not scaled
 #: by REPRO_BENCH_SCALE: the whole series is ~0.1 s of wall clock, and
@@ -129,8 +128,7 @@ def recovery_vs_volume(volumes=(500, 1_000, 2_000), k: int = 4,
 #: small segments, frequent wake-ups, hot overwrites → low live ratios
 COMPACTION_STORAGE = dict(enabled=True, segment_size=32, append_time=0.5,
                           rotation_time=20.0, read_entry_time=0.3,
-                          compaction_live_ratio=0.6,
-                          compaction_write_time=0.5)
+                          compaction_live_ratio=0.6)
 
 
 def _update_latencies(mode: ReplicationMode, compaction_interval: float,

@@ -4,6 +4,13 @@ Paper numbers: a witness server handles 1270k records/s on one core;
 memory is ~9 MB per master-witness pair (4096 × 2 KB slots); CURP
 increases network traffic by ~75 % for 3-way replication (each request
 additionally goes to 3 witnesses).
+
+The same traffic counted in wire transmissions: a committed update
+costs the 1 + f request fan-out plus the 1 + f replies, plus amortized
+sync / gc traffic — ~4 messages at f = 1 and ~8 at f = 3, whether the
+witnesses have their own hosts or share the backups' (Figure 2).
+``tools/bench_snapshot.py`` records that grid in ``BENCH_core.json``'s
+``messages_per_update`` section.
 """
 
 from __future__ import annotations
@@ -11,10 +18,20 @@ from __future__ import annotations
 import random
 
 from benchmarks.conftest import run_once
+from repro.baselines import curp_config
 from repro.core.witness_cache import WitnessCache
+from repro.harness.builder import build_cluster
 from repro.harness.experiments import sec52_network_amplification
 from repro.metrics import format_table
 from repro.rifl import RpcId
+from repro.workload import run_pipelined_loop
+from repro.workload.ycsb import YcsbWorkload
+
+#: write-only: every op pays the full 1 + f fan-out; the key space is
+#: large enough that within-wave conflicts are rare
+FLOOR_WORKLOAD = YcsbWorkload(name="floor-writes", read_fraction=0.0,
+                              item_count=10_000, value_size=100,
+                              distribution="uniform")
 
 
 def test_witness_record_rate(benchmark):
@@ -68,3 +85,41 @@ def test_network_amplification(benchmark, scale):
         < result["amplification_copies"]
     benchmark.extra_info["amplification_copies"] = \
         result["amplification_copies"]
+
+
+def messages_per_update(f: int, colocated: bool, waves: int) -> float:
+    """Wire transmissions per committed update in one fixed-wave run
+    (4 pipelined clients, depth 4, seed 7); deterministic per seed."""
+    cluster = build_cluster(curp_config(f), seed=7,
+                            colocate_witnesses=colocated)
+    run_pipelined_loop(cluster, FLOOR_WORKLOAD, n_clients=4, waves=waves,
+                       depth=4)
+    cluster.settle(1_000.0)
+    updates = sum(client.completed_updates for client in cluster.clients)
+    return cluster.network.stats.messages_per_update(updates)
+
+
+def messages_per_update_series(scale: float = 1.0) -> dict:
+    """The BENCH_core.json grid: f ∈ {1, 3} × witness placement."""
+    waves = max(int(60 * scale), 10)
+    series = {}
+    for f in (1, 3):
+        for placement, colocated in (("spread", False), ("colocated", True)):
+            series[f"f{f}_{placement}"] = round(
+                messages_per_update(f, colocated, waves), 2)
+    return series
+
+
+def test_messages_per_update_floor(benchmark, scale):
+    series = run_once(benchmark,
+                      lambda: messages_per_update_series(scale))
+    print("\n" + format_table(["config", "messages/update"],
+                              [[key, value] for key, value in series.items()],
+                              title="§5.2 — wire messages per update"))
+    benchmark.extra_info.update(series)
+    for key, value in series.items():
+        # 2 × (1 + f) transmissions per update plus amortized sync/gc
+        if key.startswith("f1_"):
+            assert 4.0 <= value < 5.0, key
+        else:
+            assert 6.0 < value < 10.0, key

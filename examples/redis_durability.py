@@ -63,7 +63,7 @@ def wal_demo() -> None:
     """Act 2: the kvstore WAL path — durable segments under CURP."""
     storage = StorageProfile(enabled=True, segment_size=32,
                              append_time=0.5, rotation_time=20.0,
-                             read_entry_time=0.3, replay_entry_time=1.0,
+                             read_entry_time=0.3,
                              compaction_interval=2_000.0,
                              compaction_live_ratio=0.6)
     config = CurpConfig(f=3, mode=ReplicationMode.CURP, min_sync_batch=16,

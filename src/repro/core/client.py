@@ -310,10 +310,7 @@ class CurpClient:
         timeout = self.config.rpc_timeout
         quorum = QuorumEvent(self.sim, 1 + len(witnesses))
         # Fire the update RPC first, then the witness records: all
-        # leave through the client NIC back to back (§3.2.1).  Under
-        # config.frame_coalescing this fan-out is the primary frame
-        # producer: a client with several updates in flight at one
-        # instant lands them in one frame per destination.
+        # leave through the client NIC back to back (§3.2.1).
         self.transport.call_cb(master.host, "update", args,
                                quorum.child_result, 0, timeout=timeout)
         if witnesses:

@@ -135,14 +135,8 @@ class StorageProfile:
     #: sealed segments whose live-payload ratio drops below this are
     #: cleaned on the next cleaner pass
     compaction_live_ratio: float = 0.5
-    #: disk time to rewrite one surviving payload during cleaning
-    #: (write amplification = survivors rewritten / payloads reclaimed)
-    compaction_write_time: float = 0.5
-    # -- recovery master replay ------------------------------------------
-    #: CPU time for a recovery master to install one replayed entry
-    #: (hash, insert, version bookkeeping); this is the term that
-    #: partitioning across k recovery masters divides by k
-    replay_entry_time: float = 1.0
+    # (cleaner rewrite cost: ``kvstore.backup.COMPACTION_WRITE_TIME``;
+    # recovery replay cost: ``core.master.REPLAY_ENTRY_TIME``)
     # -- migration ---------------------------------------------------------
     #: per-object segment-transfer cost charged on the source master
     #: during ``migrate_out`` (reading the tablet's objects out of its
@@ -163,10 +157,6 @@ class StorageProfile:
                              "(0 disables the cleaner)")
         if not 0.0 < self.compaction_live_ratio <= 1.0:
             raise ValueError("compaction_live_ratio must be in (0, 1]")
-        if self.compaction_write_time < 0:
-            raise ValueError("compaction_write_time must be >= 0")
-        if self.replay_entry_time < 0:
-            raise ValueError("replay_entry_time must be >= 0")
         if self.migrate_entry_time < 0:
             raise ValueError("migrate_entry_time must be >= 0")
 
@@ -194,23 +184,6 @@ class CurpConfig:
     #: window (µs) for the hot-key heuristic: an update to a key updated
     #: this recently triggers a preemptive sync (§4.4); 0 disables
     hot_key_window: float = 0.0
-
-    # -- protocol hot path (docs/PERFORMANCE.md) ------------------------
-    #: True = transport-level frame coalescing: messages a host sends
-    #: to one destination within one virtual instant are packed into a
-    #: single NIC :class:`~repro.net.message.Frame` at the
-    #: end-of-instant flush boundary — one transmission (one delivery
-    #: record, one rx dispatch, one latency sample, one drop roll) for
-    #: the whole batch, unpacked in send order at the receiver.  The
-    #: client's 1 + f fan-out and the master's replicate/gc fan-outs
-    #: are the primary producers; pipelined/batched workloads coalesce
-    #: hardest (CURP §4 batches syncs and gc the same way, and
-    #: commutative operations are exactly the ones safe to pack).
-    #: Latency physics change per *frame* (tx_cost and wire latency are
-    #: paid once per frame, not per message), so False (the default)
-    #: preserves the uncoalesced golden trace byte-for-byte; the
-    #: coalesced path is pinned by its own golden trace.
-    frame_coalescing: bool = False
 
     # -- client behaviour ------------------------------------------------
     #: per-RPC timeout for client operations

@@ -75,6 +75,12 @@ RPC_HEADER_BYTES = 60
 #: client leases (§4.8 modification 2)
 LEASE_CHECK_INTERVAL = 50_000.0
 
+#: CPU time (µs) for a recovery master to install one replayed entry
+#: (hash, insert, version bookkeeping) when ``StorageProfile`` is
+#: enabled; this is the term that partitioning across k recovery
+#: masters divides by k
+REPLAY_ENTRY_TIME = 1.0
+
 
 @dataclasses.dataclass
 class MasterStats:
@@ -793,13 +799,11 @@ class CurpMaster:
         self._check_serviceable()
 
         def work():
-            storage = self.config.storage
             entries = sorted(args.entries, key=lambda e: e.index)
-            if storage.enabled and storage.replay_entry_time > 0 and entries:
+            if self.config.storage.enabled and entries:
                 # Replay CPU — the term that partitioning across k
                 # recovery masters divides by k.
-                yield self.sim.timeout(
-                    len(entries) * storage.replay_entry_time)
+                yield self.sim.timeout(len(entries) * REPLAY_ENTRY_TIME)
             installed = 0
             for entry in entries:
                 for key, value, version in entry.effects:

@@ -170,19 +170,15 @@ class WitnessCache:
         rejected, §4.5).  Returns requests suspected as uncollected
         garbage accumulated since the last gc (drained on return).
         """
-        return self.gc_batch(pairs, rounds=1)
+        return self.gc_batch(pairs)
 
-    def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]],
-                 rounds: int = 1) -> list[typing.Any]:
-        """Batched drop path: one pass over pairs a master coalesced
-        from ``rounds`` sync rounds.
-
-        Advances the stale-suspect aging clock by ``rounds`` so that
-        coalescing N rounds into one RPC ages surviving records exactly
-        as N per-round gcs would have.  Unknown (key_hash, rpc_id)
-        pairs are a harmless no-op, as with :meth:`gc`.
-        """
-        self._gc_rounds += rounds
+    def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]]
+                 ) -> list[typing.Any]:
+        """One sync round's gc: one pass over the round's pairs, and
+        one tick of the stale-suspect aging clock.  Unknown
+        (key_hash, rpc_id) pairs are a harmless no-op, as with
+        :meth:`gc`."""
+        self._gc_rounds += 1
         n_sets = self.n_sets
         sets = self._sets
         indexes = self._index

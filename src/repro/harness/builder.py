@@ -134,7 +134,6 @@ class Cluster:
             host._processes.clear()
         self.sim._heap.clear()
         self.sim._now_queue.clear()
-        self.sim._instant_hooks.clear()
 
     def inject_faults(self, plan) -> "FaultInjector":
         """Bind a :class:`~repro.net.faults.FaultPlan` to this cluster
@@ -203,8 +202,7 @@ def build_cluster(config: CurpConfig | None = None,
                          "multi_tenant_witnesses=True")
     sim = Simulator(seed=seed)
     network = Network(sim, latency=LatencyModel(profile.latency()),
-                      drop_rate=drop_rate,
-                      frame_coalescing=config.frame_coalescing)
+                      drop_rate=drop_rate)
     coordinator_host = network.add_host("coordinator",
                                         tx_cost=profile.coordinator.tx,
                                         rx_cost=profile.coordinator.rx)

@@ -37,6 +37,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import StorageProfile
     from repro.net.host import Host
 
+#: disk time (µs) to rewrite one surviving payload while cleaning a
+#: segment (write amplification = survivors rewritten / payloads
+#: reclaimed)
+COMPACTION_WRITE_TIME = 0.5
 
 @dataclasses.dataclass(frozen=True)
 class ReplicateArgs:
@@ -343,8 +347,7 @@ class BackupServer:
             yield self.sim.timeout(profile.compaction_interval)
             for segment in self.wal.cleanable(profile.compaction_live_ratio):
                 cost = (len(segment.indices) * profile.read_entry_time
-                        + segment.live_payloads
-                        * profile.compaction_write_time)
+                        + segment.live_payloads * COMPACTION_WRITE_TIME)
                 delay = self.disk.charge(cost)
                 if delay > 0:
                     yield self.sim.timeout(delay)

@@ -17,7 +17,7 @@ depends on:
 
 from repro.net.host import Host
 from repro.net.latency import LatencyModel
-from repro.net.message import Frame, Message
+from repro.net.message import Message
 from repro.net.network import Network
 
-__all__ = ["Frame", "Host", "LatencyModel", "Message", "Network"]
+__all__ = ["Host", "LatencyModel", "Message", "Network"]

@@ -22,24 +22,13 @@ record unless the path is still busy; a ``shared_dispatch`` host keeps
 a record at the arrival instant, because its ``send()`` moves the same
 accumulator between arrival and completion.  The timing contract is in
 docs/PERFORMANCE.md ("One kernel record per message").
-
-Frame coalescing (``Network(frame_coalescing=True)``): instead of
-transmitting immediately, ``send`` packs same-instant messages to the
-same destination into a per-destination buffer that flushes as one
-:class:`~repro.net.message.Frame` at the end-of-instant boundary
-(``Simulator.at_instant_end``).  One frame costs one NIC TX occupation,
-one latency sample, one delivery record and one rx dispatch regardless
-of how many messages ride in it.  A crash discards every pending
-buffer — a restarted incarnation must not flush its previous life's
-RPCs — and a flush armed before the crash is dropped by an incarnation
-guard.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.net.message import Frame, Message
+from repro.net.message import Message
 from repro.sim.processes import Process, ProcessGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -80,13 +69,6 @@ class Host:
         #: destination → (target host, wire sampler on ``sim.rng`` or
         #: None for loopback); the network clears it on a latency change
         self._links: dict[str, tuple] = {}
-        #: frame coalescing (owned by the network, copied here so the
-        #: send hot path pays one attribute probe): when True, sends
-        #: buffer per destination and flush as one Frame per instant
-        self._coalesce = network.frame_coalescing
-        #: per-destination coalescing buffers; a non-empty list means a
-        #: flush hook is armed for the current instant
-        self._frame_buffers: dict[str, list[Message]] = {}
         self._processes: set[Process] = set()
         self._message_handler: typing.Callable[..., None] | None = None
         self._crash_hooks: list[typing.Callable[[], None]] = []
@@ -121,12 +103,6 @@ class Host:
             return
         self.alive = False
         self.incarnation += 1
-        # Discard pending (unflushed) coalescing buffers: a frame that
-        # never reached the NIC dies with the host, and a restarted
-        # incarnation must not flush its previous life's RPCs.  The
-        # already-armed flush hook no-ops on the incarnation guard.
-        if self._frame_buffers:
-            self._frame_buffers.clear()
         for process in list(self._processes):
             process.interrupt("host crashed")
         self._processes.clear()
@@ -156,28 +132,9 @@ class Host:
 
         The message leaves the NIC after serialization; the network adds
         wire latency and delivers to ``dst`` if it is reachable and
-        alive at arrival time.  With frame coalescing the message is
-        buffered instead and leaves inside this instant's frame to
-        ``dst`` at the end-of-instant flush.
+        alive at arrival time.
         """
         if not self.alive:
-            return
-        if self._coalesce:
-            buffer = self._frame_buffers.get(dst)
-            if buffer is None:
-                buffer = self._frame_buffers[dst] = []
-            if not buffer:
-                # First message to dst this instant: arm the flush.
-                # Bind the link now so an unknown host raises at the
-                # call site, as the uncoalesced path does — not out of
-                # the end-of-instant flush with the sender's stack
-                # long gone.
-                if dst not in self._links:
-                    self._bind_link(dst)
-                self.sim.at_instant_end(self._flush_frame, dst,
-                                        self.incarnation)
-            buffer.append(Message(self.name, dst, payload, size_bytes,
-                                  self.sim.now))
             return
         # One of these per simulated message — the network's hot path.
         # Anything that can stop or bend the transmission lives in
@@ -195,7 +152,6 @@ class Host:
         stats = network.stats
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
-        stats.payloads_sent += 1
         stats.per_host_sent[name] += 1
         stats.per_host_bytes[name] += size_bytes
         # Built once: the same instance feeds the taps (documented as
@@ -227,33 +183,9 @@ class Host:
         link = self._links[dst] = (target, sampler)
         return link
 
-    def _flush_frame(self, dst: str, incarnation: int) -> None:
-        """End-of-instant: transmit the buffered frame to ``dst``.
-
-        The frame occupies the NIC once (one tx_cost) however many
-        messages it carries.  A crash since arming discards the flush:
-        ``crash()`` already cleared the pre-crash buffer, and a buffer
-        refilled by the *next* incarnation within the same instant is
-        flushed by that incarnation's own hook, not this stale one.
-        """
-        if not self.alive or self.incarnation != incarnation:
-            return
-        messages = self._frame_buffers.get(dst)
-        if not messages:
-            return
-        self._frame_buffers[dst] = []
-        now = self.sim.now
-        nic_free = self._nic_free_at
-        departs = (now if nic_free <= now else nic_free) + self.tx_cost
-        self._nic_free_at = departs
-        if self.shared_dispatch and self._rx_free_at < departs:
-            self._rx_free_at = departs
-        self.network._transmit_frame(self, dst, messages, departs)
-
-    def _deliver(self, message: "typing.Any") -> None:
+    def _deliver(self, message: Message) -> None:
         """The kernel's delivery record: ``message`` arrived ``_rx_lead``
-        ago.  A Frame passes through whole — one rx_cost per
-        transmission, which is the coalescing win on the rx side."""
+        ago."""
         if not self.alive or self._message_handler is None:
             return
         rx_cost = self.rx_cost
@@ -285,28 +217,12 @@ class Host:
                                      self.incarnation)
                 return
             self._rx_free_at = now
-        if type(message) is Frame:
-            self._handle_frame(message)
-        else:
-            self._message_handler(message)
+        self._message_handler(message)
 
-    def _dispatch_rx(self, message: "typing.Any", incarnation: int) -> None:
+    def _dispatch_rx(self, message: Message, incarnation: int) -> None:
         """RX-path completion; drops messages from a previous life."""
         if self.alive and self.incarnation == incarnation \
                 and self._message_handler is not None:
-            if type(message) is Frame:
-                self._handle_frame(message)
-            else:
-                self._message_handler(message)
-
-    def _handle_frame(self, frame: Frame) -> None:
-        """Unpack a coalesced frame: contained messages dispatch in
-        send order.  A handler that crashes this host mid-frame stops
-        the unpack — the tail is lost with the host, exactly as
-        separately-transmitted messages would be refused on arrival."""
-        for message in frame.messages:
-            if not self.alive or self._message_handler is None:
-                return
             self._message_handler(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

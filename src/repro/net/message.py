@@ -35,37 +35,3 @@ class Message:
                 f"payload={self.payload!r}, size_bytes={self.size_bytes}, "
                 f"sent_at={self.sent_at})")
 
-
-class Frame:
-    """A coalesced NIC frame: several messages to one destination in
-    one transmission (``CurpConfig.frame_coalescing``).
-
-    Messages a host sends to the same destination within one virtual
-    instant are packed into a single frame at the end-of-instant flush
-    boundary (``Host._flush_frame``).  The frame costs one traffic-stats
-    entry, one latency sample, one drop/partition roll, one delivery
-    record and one rx dispatch — the per-message floor the ISSUE 4
-    tentpole cuts — while the receiver unpacks and handles the contained
-    messages in send order, so RPC semantics are unchanged.  A dropped
-    or partitioned frame loses *all* contained messages, exactly as the
-    same messages would have been lost individually.
-
-    ``size_bytes`` is the sum of the contained messages' sizes (frame
-    headers are not modelled, matching the Message header convention).
-    """
-
-    __slots__ = ("src", "dst", "messages", "size_bytes", "sent_at")
-
-    def __init__(self, src: str, dst: str,
-                 messages: "list[Message]", size_bytes: int,
-                 sent_at: float = 0.0):
-        self.src = src
-        self.dst = dst
-        self.messages = messages
-        self.size_bytes = size_bytes
-        self.sent_at = sent_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Frame(src={self.src!r}, dst={self.dst!r}, "
-                f"n={len(self.messages)}, size_bytes={self.size_bytes}, "
-                f"sent_at={self.sent_at})")

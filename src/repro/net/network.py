@@ -14,7 +14,7 @@ from collections import defaultdict
 
 from repro.net.host import Host
 from repro.net.latency import LatencyModel
-from repro.net.message import Frame, Message
+from repro.net.message import Message
 from repro.sim.distributions import Distribution
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -24,12 +24,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 class TrafficStats:
     """Message/byte counters, per host and total (§5.2 analysis).
 
-    ``messages_sent`` counts *transmissions*: a coalesced frame counts
-    once, however many RPC payloads ride in it — that is the
-    per-message floor the ISSUE 4 tentpole tracks.  ``payloads_sent``
-    counts the contained payloads, so ``payloads_sent -
-    messages_sent`` is the number of per-message costs coalescing
-    saved.  Without coalescing the two counters are always equal.
+    Every RPC request and response is one transmission, so
+    ``messages_sent`` is the protocol's per-message floor.
     """
 
     def __init__(self) -> None:
@@ -40,22 +36,22 @@ class TrafficStats:
         #: (net/faults.py); never counted in ``messages_sent``, so the
         #: messages-per-update gates read the protocol's own traffic
         self.messages_duplicated = 0
-        #: RPC payloads carried by all transmissions (frame = len, else 1)
-        self.payloads_sent = 0
-        #: transmissions that were multi-payload frames
-        self.frames_sent = 0
-        #: payloads that rode in multi-payload frames
-        self.frame_payloads = 0
-        #: payloads lost to dropped/partitioned transmissions
-        self.payloads_dropped = 0
         self.per_host_sent: dict[str, int] = defaultdict(int)
         self.per_host_bytes: dict[str, int] = defaultdict(int)
 
+    @property
+    def payloads_sent(self) -> int:
+        """RPC payloads sent: one per transmission, so always
+        ``messages_sent`` (kept for readers of the payloads-per-message
+        ratio)."""
+        return self.messages_sent
+
     def messages_per_update(self, completed_updates: int) -> float:
         """Wire transmissions per completed update — the protocol's
-        per-message floor (~8 at f = 3 without coalescing; the ISSUE 4
-        target is ≤ 4 with frames on).  Callers pass the completed
-        update count from the clients/masters driving the run."""
+        per-message floor (~8 at f = 3: the update and f records, their
+        1 + f replies, plus amortized sync / gc).  Callers pass the
+        completed update count from the clients/masters driving the
+        run."""
         if completed_updates <= 0:
             return 0.0
         return self.messages_sent / completed_updates
@@ -65,13 +61,9 @@ class Network:
     """Connects hosts; owns latency, drop and partition behaviour."""
 
     def __init__(self, sim: "Simulator", latency: LatencyModel | None = None,
-                 drop_rate: float = 0.0, frame_coalescing: bool = False):
+                 drop_rate: float = 0.0):
         self.sim = sim
         self.latency = latency or LatencyModel()
-        #: pack same-instant same-destination sends into one Frame per
-        #: transmission (``CurpConfig.frame_coalescing``); hosts copy
-        #: the flag at construction, so set it before adding hosts
-        self.frame_coalescing = frame_coalescing
         self.hosts: dict[str, Host] = {}
         self.stats = TrafficStats()
         #: observers called with every transmitted Message (traffic
@@ -259,108 +251,36 @@ class Network:
         return extra, dup
 
     # ------------------------------------------------------------------
-    # transmission (Host.send / Host._flush_frame after NIC serialization)
+    # transmission (Host.send after NIC serialization)
     # ------------------------------------------------------------------
     def _admit(self, message: Message) -> "tuple[float, float] | None":
         """Everything that can stop or bend one message's transmission;
         ``Host.send`` calls it only while ``_guarded`` or ``taps`` is
         truthy.  ``None`` = dropped (and counted), else ``(extra_delay,
-        duplicate_lag)`` with ``duplicate_lag < 0`` meaning no copy."""
-        for tap in self.taps:
-            tap(message)
-        return self._verdict(message.src, message.dst, message.payload, 1)
+        duplicate_lag)`` with ``duplicate_lag < 0`` meaning no copy.
 
-    def _verdict(self, src_name: str, dst: str, payload: typing.Any,
-                 count: int) -> "tuple[float, float] | None":
-        """The drop / bend decision for one transmission of ``count``
-        payloads.  The order — partition, fault hooks (``fault_rng``),
+        The order — taps, partition, fault hooks (``fault_rng``),
         ``drop_rate`` roll (``sim.rng``), all before the caller samples
         the wire — fixes the rng draw order, which is part of the
         golden-trace contract."""
+        for tap in self.taps:
+            tap(message)
+        src_name = message.src
+        dst = message.dst
         # The partition check allocates no frozenset while no partition
         # is active.
         if self._blocked and frozenset((src_name, dst)) in self._blocked:
-            return self._dropped(count)
-        bent = 0.0, -1.0
-        if self._faults_active:
-            if (src_name, dst) in self._blocked_oneway \
-                    or not self._passes_gray(dst, payload):
-                return self._dropped(count)
-            bent = self._link_verdict(src_name, dst)
-            if bent is None:
-                return self._dropped(count)
-        if self._drop_rate > 0 and self.sim.rng.random() < self._drop_rate:
-            return self._dropped(count)
-        return bent
-
-    def _dropped(self, count: int) -> None:
-        self.stats.messages_dropped += 1
-        self.stats.payloads_dropped += count
-
-    def _transmit_frame(self, src: Host, dst: str,
-                        messages: "list[Message]",
-                        departs_at: float) -> None:
-        """Transmit one coalesced frame (Host._flush_frame).
-
-        One transmission for all of ``messages``: one stats entry, one
-        partition check, one drop roll, one latency sample, one
-        delivery record.  A single-message buffer still delivers the
-        bare Message so the receive side is indistinguishable from the
-        uncoalesced path.  Taps observe every contained message — the
-        §5.2 payload accounting is per RPC, not per wire transmission.
-        """
-        target, sampler = src._links.get(dst) or src._bind_link(dst)
-        src_name = src.name
-        stats = self.stats
-        count = len(messages)
-        size_bytes = 0
-        for message in messages:
-            size_bytes += message.size_bytes
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-        stats.payloads_sent += count
-        if count > 1:
-            stats.frames_sent += 1
-            stats.frame_payloads += count
-        stats.per_host_sent[src_name] += 1
-        stats.per_host_bytes[src_name] += size_bytes
-        sim = self.sim
-        extra = 0.0
-        dup = -1.0
-        if self._guarded or self.taps:
-            for tap in self.taps:
-                for message in messages:
-                    tap(message)
-            # A gray destination filters the frame's *contents*: each
-            # contained RPC request is checked individually, so allowed
-            # control traffic (pings) rides through while data-path
-            # requests sharing the frame vanish.
-            if self._gray_hosts and dst in self._gray_hosts:
-                kept = [m for m in messages
-                        if self._passes_gray(dst, m.payload)]
-                if len(kept) != count:
-                    stats.payloads_dropped += count - len(kept)
-                    if not kept:
-                        stats.messages_dropped += 1
-                        return
-                    # What arrives is what was kept: its size too (the
-                    # *sent* bytes counted above stay).
-                    messages = kept
-                    count = len(messages)
-                    size_bytes = sum(m.size_bytes for m in messages)
-            # The rest is per transmission and shared with single
-            # messages; the payload-less probe passes the gray filter.
-            verdict = self._verdict(src_name, dst, None, count)
-            if verdict is None:
-                return
-            extra, dup = verdict
-        wire = 0.0 if sampler is None else sampler()
-        if count == 1:
-            payload: typing.Any = messages[0]
+            bent = None
+        elif not self._faults_active:
+            bent = 0.0, -1.0
+        elif (src_name, dst) in self._blocked_oneway \
+                or not self._passes_gray(dst, message.payload):
+            bent = None
         else:
-            payload = Frame(src_name, dst, messages, size_bytes, sim.now)
-        delay = departs_at - sim.now + wire + extra
-        sim._schedule_deliver(delay, target, payload)
-        if dup >= 0.0:
-            stats.messages_duplicated += 1
-            sim._schedule_deliver(delay + dup, target, payload)
+            bent = self._link_verdict(src_name, dst)
+        if bent is not None and self._drop_rate > 0 \
+                and self.sim.rng.random() < self._drop_rate:
+            bent = None
+        if bent is None:
+            self.stats.messages_dropped += 1
+        return bent

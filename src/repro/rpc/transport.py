@@ -11,16 +11,6 @@ name and may be:
   if the host crashes mid-handler — exactly the failure CURP recovery
   has to cope with.
 
-Frame coalescing (``CurpConfig.frame_coalescing``): every request and
-response leaves through ``Host.send``, so ``call``/``call_cb``
-fan-outs and batched replies route through the per-destination frame
-buffer automatically — same-instant calls to one destination (a
-pipelined client's updates, a master's replies to one client) ride
-one NIC frame,
-flushed at the simulator's end-of-instant boundary.  The transport is
-oblivious: frames are unpacked back into per-RPC messages, in send
-order, before ``_on_message`` sees them.
-
 Deadlines are transport state, not kernel events.  In the normal case
 no RPC times out, so a timer record per call would sit on the
 simulator's heap for the whole timeout horizon and then fire as a

@@ -21,16 +21,8 @@ Hot-path design (see docs/PERFORMANCE.md):
   a single global ``(time, seq)`` heap (the pre-refactor scheduler);
   the golden-trace test pins this equivalence.
 - ``run()`` drains entries inline instead of calling ``step()`` per
-  event; ``step()`` remains for callers that single-step.
-- ``at_instant_end(fn, *args)`` registers an **end-of-instant hook**:
-  it runs once every entry at the current instant (now queue *and*
-  same-time heap entries) has dispatched, before virtual time
-  advances.  The network's frame-coalescing flush boundary: dirty
-  per-destination frame buffers drain here, so one simulated
-  transmission can carry every same-instant message to a destination.
-  Hooks may enqueue more same-instant work (and more hooks), which is
-  drained before time moves.  Hooks are not counted in
-  ``processed_events``.
+  event; ``step()`` remains for callers that single-step, and
+  dispatches in exactly the same order.
 """
 
 from __future__ import annotations
@@ -68,9 +60,6 @@ class Simulator:
         self._heap: list[tuple] = []
         #: entries at the current instant: (seq, kind, a, b)
         self._now_queue: deque[tuple] = deque()
-        #: end-of-instant hooks: (fn, args), drained once the current
-        #: instant's entries quiesce (frame-coalescing flush boundary)
-        self._instant_hooks: deque[tuple] = deque()
         self._sequence = 0
         self._processed = 0
 
@@ -159,19 +148,6 @@ class Simulator:
         self._sequence += 1
         self._now_queue.append((self._sequence, _DISPATCH, event, None))
 
-    def at_instant_end(self, fn: typing.Callable[..., None],
-                       *args: typing.Any) -> None:
-        """Run ``fn(*args)`` once the current instant quiesces.
-
-        "Quiesces" means every queue entry at the current virtual time
-        (now queue and same-time heap entries) has dispatched; the hook
-        runs before the clock advances.  Hooks run in registration
-        order and may enqueue further same-instant work — including
-        more hooks — all of which drains before time moves.  This is
-        the frame-coalescing flush boundary (``net/host.py``).
-        """
-        self._instant_hooks.append((fn, args))
-
     def _schedule_deliver(self, delay: float, host: typing.Any,
                           message: typing.Any) -> None:
         """Message-delivery record: ``message`` reaches ``host`` after
@@ -212,10 +188,7 @@ class Simulator:
 
         The now queue (entries scheduled at the current instant) and the
         heap are merged by sequence number so dispatch order matches a
-        single global ``(time, seq)`` queue exactly.  Once the current
-        instant quiesces, each end-of-instant hook runs as one step
-        (returning True, but not counted in ``processed_events``),
-        before the heap advances the clock.
+        single global ``(time, seq)`` queue exactly.
         """
         now_queue = self._now_queue
         heap = self._heap
@@ -226,17 +199,6 @@ class Simulator:
             else:
                 _seq, kind, a, b = now_queue.popleft()
             self._dispatch(kind, a, b)
-            return True
-        if heap and heap[0][0] <= self.now:
-            _at, _seq, kind, a, b = heapq.heappop(heap)
-            self._dispatch(kind, a, b)
-            return True
-        if self._instant_hooks:
-            # One hook is one unit of single-stepped work (it may
-            # enqueue same-instant entries the next step() picks up);
-            # not counted in processed_events.
-            fn, args = self._instant_hooks.popleft()
-            fn(*args)
             return True
         if heap:
             at, _seq, kind, a, b = heapq.heappop(heap)
@@ -268,10 +230,8 @@ class Simulator:
         popleft = now_queue.popleft
         heap = self._heap
         heappop = heapq.heappop
-        instant_hooks = self._instant_hooks
         bound = _INFINITY if max_steps is None else max_steps
         steps = 0
-        hook_steps = 0
 
         if isinstance(until, Event):
             deadline = _INFINITY
@@ -302,28 +262,9 @@ class Simulator:
                         kind, a, b = entry[2], entry[3], entry[4]
                     else:
                         _seq, kind, a, b = popleft()
-                elif heap and heap[0][0] <= self.now:
-                    # Remaining heap entries at the current instant:
-                    # still part of this instant, so they dispatch
-                    # before any end-of-instant hook runs.
-                    entry = heappop(heap)
-                    kind, a, b = entry[2], entry[3], entry[4]
-                elif instant_hooks:
-                    # The instant quiesced: drain end-of-instant hooks
-                    # (frame flushes).  They may
-                    # enqueue more same-instant entries and hooks, all
-                    # handled before time advances.  Not counted as
-                    # processed events, but they do consume max_steps
-                    # budget — the runaway backstop must also catch a
-                    # hook that keeps re-arming itself.
-                    fn, args = instant_hooks.popleft()
-                    fn(*args)
-                    hook_steps += 1
-                    if steps + hook_steps >= bound:
-                        raise RuntimeError(
-                            f"exceeded max_steps={max_steps}")
-                    continue
                 elif heap and heap[0][0] <= deadline:
+                    # Heap entries still at the current instant land
+                    # here too (deadline >= now): same order, same clock.
                     at, _seq, kind, a, b = heappop(heap)
                     if at < self.now:  # pragma: no cover - defensive
                         raise RuntimeError("time went backwards")

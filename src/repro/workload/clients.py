@@ -7,13 +7,11 @@ window and returns aggregate throughput — the harness behind every
 throughput figure.
 
 ``run_pipelined_loop`` drives *batch-pipelined* clients: each keeps
-``depth`` operations in flight per wave, the shape that exposes the
-per-message floor — with ``CurpConfig.frame_coalescing`` a wave's
-``depth`` same-instant RPCs to each destination share one NIC frame,
-which is how messages-per-update drops below the 2 × (1 + f)
-closed-loop floor.  Commutative operations are exactly the ones safe
-to batch this way (they complete independently in any order), so the
-pipelined driver needs no protocol changes.
+``depth`` operations in flight per wave, so each wave puts ``depth``
+same-instant RPCs to each destination on the wire one after another.
+Commutative operations are exactly the ones safe to pipeline this way
+(they complete independently in any order), so pipelining needs no
+protocol changes.
 """
 
 from __future__ import annotations
@@ -208,9 +206,8 @@ class PipelinedClient:
     """One client keeping ``depth`` operations in flight per wave.
 
     Each wave spawns ``depth`` concurrent operations at one virtual
-    instant and joins them all before starting the next — the batched
-    shape under which frame coalescing packs a wave's RPCs to each
-    destination into single frames.  Reads in the stream run
+    instant and joins them all before starting the next.  Reads in the
+    stream run
     concurrently with the wave's updates.
     """
 
@@ -252,9 +249,8 @@ def run_pipelined_loop(cluster: "Cluster", workload: YcsbWorkload,
     of ``depth`` concurrent operations each.
 
     A fixed operation count (rather than a time window) keeps runs with
-    different transport settings directly comparable: frames on/off
-    execute the identical op sequence, so messages-per-update deltas
-    are pure transport effects.
+    different settings directly comparable: messages-per-update is
+    taken over the identical op sequence.
     """
     wave_latency = LatencyRecorder()
     loops: list[PipelinedClient] = []

@@ -66,8 +66,8 @@ def test_settable_config_surface_is_pinned():
     adding (or removing) one is a deliberate edit of this count."""
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (CurpConfig, OverloadConfig, StorageProfile)}
-    assert counts == {"CurpConfig": 12, "OverloadConfig": 5,
-                      "StorageProfile": 10}  # 27 in all
+    assert counts == {"CurpConfig": 11, "OverloadConfig": 5,
+                      "StorageProfile": 8}  # 24 in all
     # constructor kwargs after (self, coordinator): the watchdog's three
     # standby pools + 8 tunables, the rebalancer's 5
     kwargs = {cls.__name__: len(inspect.signature(cls.__init__).parameters) - 2
@@ -89,10 +89,13 @@ def test_settable_config_surface_is_pinned():
             "evidence_window", "probe_slo_multiplier", "probe_slo_cap",
             "probe_ewma_alpha", "flap_base_delay", "flap_max_delay")),
         (build_cluster, (), ("lease_duration",)),
+        (CurpConfig, (), ("frame_coalescing",)),
+        (StorageProfile, (), (
+            "compaction_write_time", "replay_entry_time")),
     ) for name in names])
 def test_removed_knob_is_a_type_error(owner, args, name):
-    """PR 23 removed these with no alias or shim: passing one fails at
-    the call, on its former owner."""
+    """Removed with no alias or shim: passing one fails at the call, on
+    its former owner."""
     with pytest.raises(TypeError, match=name):
         owner(*args, **{name: 1})
 

@@ -113,7 +113,8 @@ def test_orphan_costs_two_gc_rounds_however_many_witnesses_hold_it(holders):
         cache.record([key_hash("X")], orphan_rpc,
                      RecordedRequest(op=Write("X", "orphan"),
                                      rpc_id=orphan_rpc))
-        cache.gc_batch([], rounds=3)  # aged past gc_stale_threshold
+        for _round in range(3):  # aged past gc_stale_threshold
+            cache.gc([])
     stats = cluster.master().stats
     before = (stats.gc_rpcs, stats.gc_flushes, stats.stale_suspects_handled)
     assert not cluster.run(client.update(Write("X", "client"))).fast_path

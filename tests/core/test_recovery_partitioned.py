@@ -19,8 +19,7 @@ from repro.kvstore import MultiWrite, Write, key_hash
 
 def storage_profile(**overrides) -> StorageProfile:
     defaults = dict(enabled=True, segment_size=16, append_time=0.5,
-                    rotation_time=5.0, read_entry_time=0.3,
-                    replay_entry_time=0.5)
+                    rotation_time=5.0, read_entry_time=0.3)
     defaults.update(overrides)
     return StorageProfile(**defaults)
 
@@ -76,14 +75,12 @@ def assert_all_readable(cluster, keys):
 
 
 # ---------------------------------------------------------------------------
-# the happy path, in both framing modes
+# the happy path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_partitioned_recovery_spreads_tablets(seed, frame_coalescing):
-    cluster = partitioned_cluster(storage=storage_profile(), seed=seed,
-                                  frame_coalescing=frame_coalescing)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_partitioned_recovery_spreads_tablets(seed):
+    cluster = partitioned_cluster(storage=storage_profile(), seed=seed)
     keys = load_master(cluster, "m0", 30, unsynced=3)
     stats = run_recovery(cluster, "m0", ["m1", "m2"],
                          rpc_timeout=1_000_000.0)

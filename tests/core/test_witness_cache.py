@@ -151,27 +151,28 @@ def test_no_suspect_before_threshold():
     assert cache.gc([]) == []
 
 
-def test_gc_batch_rounds_age_suspects_like_per_round_gc():
-    """Coalescing N rounds into one gc_batch(rounds=N) must age
-    surviving records exactly as N per-round gcs would."""
+def test_gc_batch_is_one_aging_round_per_call():
     cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
-    old = RpcId(1, 1)
-    cache.record([3], old, "old-request")
-    cache.gc_batch([(5, RpcId(9, 9))], rounds=3)  # 3 rounds, other keys
+    cache.record([3], rid(1), "old-request")
+    for _ in range(3):
+        assert cache.gc_batch([(5, rid(9))]) == []  # other keys
+    assert cache.gc_rounds == 3
     # A conflicting record now finds a 3-round-old survivor: suspect.
-    assert not cache.record([3], RpcId(2, 1), "new-request")
-    stale = cache.gc_batch([], rounds=1)
-    assert stale == ["old-request"]
+    assert not cache.record([3], rid(2), "new-request")
+    assert cache.gc_batch([]) == ["old-request"]
 
 
-def test_gc_batch_zero_rounds_does_not_age():
+def test_gc_batch_forgets_a_suspect_it_collects():
+    """The master collecting a suspect's pair in the same round means
+    the request was synced after all: it is not reported."""
     cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
-    old = RpcId(1, 1)
-    cache.record([3], old, "old-request")
-    cache.gc_batch([(5, RpcId(9, 9))], rounds=0)
-    assert cache.gc_rounds == 0
-    assert not cache.record([3], RpcId(2, 1), "new-request")
-    assert cache.gc_batch([], rounds=0) == []  # not yet a suspect
+    cache.record([3], rid(1), "late-synced")
+    for _ in range(3):
+        cache.gc_batch([])
+    assert not cache.record([3], rid(2), "newer")
+    assert cache.gc_batch([(3, rid(1))]) == []
+    assert cache.occupied_slots() == 0
+    assert cache.record([3], rid(2), "newer")
 
 
 def test_commutes_with_probe():

@@ -52,11 +52,10 @@ def chaos_seeds(*defaults: int) -> list[int]:
     return seeds
 
 
-def build_chaos_cluster(seed, frame_coalescing=False, n_masters=1):
+def build_chaos_cluster(seed, n_masters=1):
     config = CurpConfig(f=3, mode=ReplicationMode.CURP, min_sync_batch=8,
                         idle_sync_delay=150.0, retry_backoff=30.0,
-                        rpc_timeout=200.0, max_attempts=100,
-                        frame_coalescing=frame_coalescing)
+                        rpc_timeout=200.0, max_attempts=100)
     return build_cluster(config, seed=seed, drop_rate=0.01,
                          n_masters=n_masters)
 
@@ -104,14 +103,12 @@ def monkey(cluster, rounds: int, gap: float):
                 cluster.coordinator.recover_master("m0", standby))
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(11, 12, 13, 14, 15, 16))
-def test_chaos_storm_stays_linearizable(seed, frame_coalescing):
-    # Both framing modes (plain messages vs coalesced frames) must
-    # survive the same storms: incarnation-guarded continuations
-    # across crashes, and per-message vs whole-frame loss under drops
-    # and partitions, are the risky parts.
-    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
+@pytest.mark.parametrize("seed", chaos_seeds(11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+                                         21, 22))
+def test_chaos_storm_stays_linearizable(seed):
+    # Incarnation-guarded continuations across crashes, and message
+    # loss under drops and partitions, are the risky parts.
+    cluster = build_chaos_cluster(seed)
     history = History()
     keys = ["a", "b", "c", "d"]
     processes = []
@@ -147,17 +144,15 @@ def test_chaos_storm_stays_linearizable(seed, frame_coalescing):
     check_linearizable(history, model=CounterModel)
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(31, 32, 33, 34))
-def test_chaos_crash_source_master_mid_migration(seed, frame_coalescing):
+@pytest.mark.parametrize("seed", chaos_seeds(31, 32, 33, 34, 35, 36, 37, 38))
+def test_chaos_crash_source_master_mid_migration(seed):
     """ISSUE 5 storm: while clients hammer a hot tablet, the
     coordinator migrates it — and the *source* master crashes in the
     middle of the migration, is recovered onto a standby, and the
     migration retry loop must converge on the new host.  Acknowledged
     writes survive (witness caches are no longer cleared mid-move) and
-    the global history stays linearizable in both framing modes."""
-    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing,
-                                  n_masters=2)
+    the global history stays linearizable."""
+    cluster = build_chaos_cluster(seed, n_masters=2)
     hot_keys = [f"key-{i}" for i in range(200)
                 if cluster.shard_for(f"key-{i}") == "m0"][:6]
     history = History()
@@ -231,9 +226,8 @@ def test_chaos_crash_source_master_mid_migration(seed, frame_coalescing):
             assert value is not None, f"{key}: all acknowledged writes lost"
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(41, 42, 43, 44))
-def test_chaos_partitioned_recovery_with_storage(seed, frame_coalescing):
+@pytest.mark.parametrize("seed", chaos_seeds(41, 42, 43, 44, 45, 46, 47, 48))
+def test_chaos_partitioned_recovery_with_storage(seed):
     """ISSUE 7 storm: with the segmented-WAL storage model *enabled*
     (every backup append and recovery read gated by a virtual disk),
     witnesses and backups bounce while clients run — then the master of
@@ -244,11 +238,10 @@ def test_chaos_partitioned_recovery_with_storage(seed, frame_coalescing):
     its key."""
     storage = StorageProfile(enabled=True, segment_size=16,
                              append_time=0.05, rotation_time=0.5,
-                             read_entry_time=0.05, replay_entry_time=0.1)
+                             read_entry_time=0.05)
     config = CurpConfig(f=3, mode=ReplicationMode.CURP, min_sync_batch=8,
                         idle_sync_delay=150.0, retry_backoff=30.0,
                         rpc_timeout=200.0, max_attempts=100,
-                        frame_coalescing=frame_coalescing,
                         storage=storage)
     cluster = build_cluster(config, seed=seed, drop_rate=0.01, n_masters=3)
     keys = [f"key-{i}" for i in range(12)]
@@ -308,18 +301,16 @@ def test_chaos_partitioned_recovery_with_storage(seed, frame_coalescing):
         assert observed is not None, f"{key}: acknowledged write lost"
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(61, 64))
-def test_chaos_crash_participant_mid_cross_shard_txn(seed, frame_coalescing):
+@pytest.mark.parametrize("seed", chaos_seeds(61, 63, 64, 65))
+def test_chaos_crash_participant_mid_cross_shard_txn(seed):
     """ISSUE 10 storm: clients run cross-shard commutative sagas
     (§B.2) spanning both shards while the storm crashes a
     *participant* master mid-transaction and recovers it onto a
     standby.  Every per-key history must linearize (prepares recorded
     as writes, compensations as restoring writes, unknown-outcome
     prepares left pending) and the cross-key atomicity audit must find
-    no torn commit and no aborted residue — in both framing modes."""
-    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing,
-                                  n_masters=2)
+    no torn commit and no aborted residue."""
+    cluster = build_chaos_cluster(seed, n_masters=2)
     by_shard = {"m0": [], "m1": []}
     for i in range(400):
         key = f"key-{i}"
@@ -409,13 +400,12 @@ def test_chaos_crash_participant_mid_cross_shard_txn(seed, frame_coalescing):
     assert audit_atomicity(traces) == []
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(21, 22))
-def test_chaos_storm_durability_audit(seed, frame_coalescing):
+@pytest.mark.parametrize("seed", chaos_seeds(21, 22, 23, 24))
+def test_chaos_storm_durability_audit(seed):
     """After the storm, every acknowledged write's final value (per the
     linearized order of each key's last completed write) must be
     readable from the final master."""
-    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
+    cluster = build_chaos_cluster(seed)
     history = History()
     client = HistoryClient(cluster.new_client(collect_outcomes=False),
                            history)
@@ -447,17 +437,15 @@ def test_chaos_storm_durability_audit(seed, frame_coalescing):
     check_linearizable(history)
 
 
-@pytest.mark.parametrize("frame_coalescing", [False, True])
-@pytest.mark.parametrize("seed", chaos_seeds(51, 52))
-def test_chaos_scripted_fault_plan_gray_witness(seed, frame_coalescing):
+@pytest.mark.parametrize("seed", chaos_seeds(51, 52, 53, 54))
+def test_chaos_scripted_fault_plan_gray_witness(seed):
     """ISSUE 8 storm: a *scripted* :class:`FaultPlan` (deterministic,
     faults drawn from their own rng stream) lands a gray witness (pings
     fine, data path dead), a flapping backup, and a lossy gray link —
     while clients run a mixed workload and the watchdog runs with data
     probes.  The watchdog must convict and replace the gray witness
-    mid-storm, and the history must stay linearizable in both framing
-    modes."""
-    cluster = build_chaos_cluster(seed, frame_coalescing=frame_coalescing)
+    mid-storm, and the history must stay linearizable."""
+    cluster = build_chaos_cluster(seed)
     standby = cluster.add_host("chaos-w-standby", role="witness")
     detector = FailureDetector(cluster.coordinator, [],
                                interval=300.0, miss_threshold=2,

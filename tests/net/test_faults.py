@@ -119,35 +119,28 @@ def test_gray_host_filters_requests_not_responses(sim: Simulator,
     assert getattr(inbox[-1][1], "method", None) == "record"
 
 
-def test_gray_host_filters_inside_coalesced_frames(sim: Simulator):
-    network = Network(sim, latency=LatencyModel(Fixed(2.0)),
-                      frame_coalescing=True)
+def test_gray_host_filters_each_message_of_a_burst(sim: Simulator,
+                                                   network: Network):
     a, _b, inbox, _ = two_hosts(network)
     network.set_gray_host("b", allow=("ping",))
-    # Same instant, same destination: one frame with both payloads.
     a.send("b", request("record"))
     a.send("b", request("ping"))
-    sim.run()
-    assert [p.method for _, p in inbox] == ["ping"]
-    assert network.stats.payloads_dropped == 1
-    # A frame whose every payload is filtered dies whole.
-    a.send("b", request("record"))
     a.send("b", request("replicate"))
-    dropped_before = network.stats.messages_dropped
     sim.run()
     assert [p.method for _, p in inbox] == ["ping"]
-    assert network.stats.messages_dropped == dropped_before + 1
+    assert network.stats.messages_dropped == 2
 
 
-def test_link_fault_applies_to_frames(sim: Simulator):
-    network = Network(sim, latency=LatencyModel(Fixed(2.0)),
-                      frame_coalescing=True)
-    a, _b, inbox, _ = two_hosts(network)
+def test_link_fault_delays_each_message_one_way(sim: Simulator,
+                                                network: Network):
+    a, b, inbox, back = two_hosts(network)
     network.set_link_fault("a", "b", LinkProfile(extra_delay=50.0))
     a.send("b", "x")
     a.send("b", "y")
+    b.send("a", "reverse")
     sim.run()
-    assert [t for t, _ in inbox] == [52.0, 52.0]
+    assert inbox == [(52.0, "x"), (52.0, "y")]
+    assert back == [(2.0, "reverse")]
 
 
 # ----------------------------------------------------------------------

@@ -145,10 +145,9 @@ def delivery_schedules(draw):
     return {
         "rx_cost": draw(st.sampled_from([0.0, 0.125, 5.0])),
         "shared": draw(st.booleans()),
-        "coalesce": draw(st.booleans()),
         "duplicate": draw(st.booleans()),
         # ticks at which the sender sends; repeats are same-instant
-        # sends (ties between arrivals, multi-message frames)
+        # sends (ties between arrivals)
         "sends": draw(st.lists(st.integers(0, 120), min_size=1,
                                max_size=14)),
         # ticks at which the receiver itself sends (shared accumulator)
@@ -162,8 +161,7 @@ def delivery_schedules(draw):
 def run_schedule(schedule: dict, reference: bool) -> list:
     """(instant, payload) of every dispatch at the receiver."""
     sim = Simulator(seed=0)
-    network = Network(sim, latency=LatencyModel(Fixed(2.0)),
-                      frame_coalescing=schedule["coalesce"])
+    network = Network(sim, latency=LatencyModel(Fixed(2.0)))
     sender = network.add_host("s")
     receiver = network.hosts["r"] = (TwoRecordHost if reference else Host)(
         sim, network, "r", tx_cost=0.25, rx_cost=schedule["rx_cost"],
@@ -193,8 +191,8 @@ def run_schedule(schedule: dict, reference: bool) -> list:
 def test_delivery_matches_the_two_record_model(schedule):
     """Dispatch instants, dispatch order and the set of dropped
     messages are those of the arrival-record model, for independent and
-    shared-dispatch receivers, across crash / restart edges, for bare
-    messages, frames and duplicated deliveries."""
+    shared-dispatch receivers, across crash / restart edges, for plain
+    and duplicated deliveries."""
     # One list of (instant, payload) per model says all three: a dropped
     # message is a payload that is missing from it.
     assert run_schedule(schedule, reference=False) \

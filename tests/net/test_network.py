@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 import types
 
@@ -149,6 +150,17 @@ def test_crashed_sender_sends_nothing(sim: Simulator, network: Network):
     assert inbox == []
 
 
+def test_in_flight_message_outlives_sender_crash(sim: Simulator,
+                                                 network: Network):
+    """A message already on the wire is not recalled by a later sender
+    crash."""
+    a, _b, inbox = two_hosts(network)
+    a.send("b", "sent")
+    sim.schedule_callback(1.0, a.crash)
+    sim.run()
+    assert [p for _, p in inbox] == ["sent"]
+
+
 def test_restart_allows_delivery_again(sim: Simulator, network: Network):
     a, b, inbox = two_hosts(network)
     b.crash()
@@ -166,6 +178,186 @@ def test_traffic_stats_count_bytes(sim: Simulator, network: Network):
     assert network.stats.messages_sent == 2
     assert network.stats.bytes_sent == 150
     assert network.stats.per_host_bytes["a"] == 150
+
+
+def test_messages_per_update_counts_transmissions(sim: Simulator,
+                                                  network: Network):
+    a, _b, _inbox = two_hosts(network)
+    for i in range(8):
+        a.send("b", i)
+    sim.run()
+    stats = network.stats
+    assert stats.messages_per_update(2) == 4.0
+    assert stats.messages_per_update(0) == 0.0
+    # one payload per transmission: the ratio e2e reports is always 1
+    assert stats.payloads_sent == stats.messages_sent == 8
+
+
+# ----------------------------------------------------------------------
+# one message per send
+# ----------------------------------------------------------------------
+def test_same_instant_sends_each_cross_the_wire_in_send_order(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network)
+    for i in range(5):
+        a.send("b", i)
+    sim.run()
+    assert inbox == [(2.0, i) for i in range(5)]
+    assert network.stats.messages_sent == 5
+
+
+def test_one_nic_serializes_sends_to_every_destination(sim: Simulator,
+                                                       network: Network):
+    a = network.add_host("a", tx_cost=0.5)
+    seen = []
+    for name in ("b", "c"):
+        network.add_host(name).set_message_handler(
+            lambda m, name=name: seen.append((sim.now, name, m.payload)))
+    a.send("b", 1)
+    a.send("c", 2)
+    a.send("b", 3)
+    sim.run()
+    # Departures at 0.5, 1.0, 1.5 whatever the destination; +2.0 wire.
+    assert seen == [(2.5, "b", 1), (3.0, "c", 2), (3.5, "b", 3)]
+
+
+def test_drop_roll_is_per_message(sim: Simulator):
+    """Same-instant bursts of four lose single messages, not whole
+    bursts: every transmission rolls on its own."""
+    network = Network(sim, latency=LatencyModel(Fixed(1.0)), drop_rate=0.5)
+    a, _b, inbox = two_hosts(network)
+    for wave in range(100):
+        for i in range(4):
+            sim.schedule_callback(float(wave), a.send, "b", (wave, i))
+    sim.run()
+    assert network.stats.messages_dropped == 400 - len(inbox)
+    kept = collections.Counter(wave for _, (wave, _i) in inbox)
+    assert any(0 < kept[wave] < 4 for wave in range(100))
+
+
+# ----------------------------------------------------------------------
+# the link state at send time governs
+# ----------------------------------------------------------------------
+def test_partition_after_send_does_not_recall_the_message(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network)
+    a.send("b", "sent")
+    network.partition("a", "b")             # same instant, after the send
+    sim.run()
+    assert [p for _, p in inbox] == ["sent"]
+    assert network.stats.messages_dropped == 0
+
+
+def test_heal_after_send_does_not_resurrect_the_message(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network)
+    network.partition("a", "b")
+    a.send("b", "lost")
+    network.heal("a", "b")                  # same instant, after the send
+    sim.run()
+    assert inbox == []
+    assert network.stats.messages_dropped == 1
+
+
+def test_healing_does_not_resurrect_dropped_messages(sim: Simulator,
+                                                     network: Network):
+    a, _b, inbox = two_hosts(network)
+    network.partition("a", "b")
+    sim.schedule_callback(1.0, a.send, "b", "lost-1")
+    sim.schedule_callback(2.0, a.send, "b", "lost-2")
+    sim.schedule_callback(5.0, network.heal, "a", "b")
+    sim.schedule_callback(6.0, a.send, "b", "after-heal")
+    sim.run()
+    assert [p for _, p in inbox] == ["after-heal"]
+    assert network.stats.messages_dropped == 2
+
+
+def test_link_state_is_read_at_send_not_at_nic_departure(
+        sim: Simulator, network: Network):
+    """Messages still queued on the sender's NIC when a partition lands
+    were admitted when sent and go out; a send after it is lost."""
+    a, _b, inbox = two_hosts(network, tx=1.0)
+    for i in range(3):
+        a.send("b", i)                      # departures 1.0, 2.0, 3.0
+    sim.schedule_callback(0.5, network.partition, "a", "b")
+    sim.schedule_callback(0.5, a.send, "b", "after-partition")
+    sim.run()
+    assert inbox == [(3.0, 0), (4.0, 1), (5.0, 2)]
+    assert network.stats.messages_dropped == 1
+
+
+def test_one_way_partition_is_read_at_send_time(sim: Simulator,
+                                                network: Network):
+    a, b, inbox = two_hosts(network)
+    back = []
+    a.set_message_handler(lambda m: back.append(m.payload))
+    a.send("b", "sent")
+    b.send("a", "counterflow")
+    network.partition_one_way("a", "b")     # same instant, after both
+    sim.run()
+    assert [p for _, p in inbox] == ["sent"]
+    assert back == ["counterflow"]
+    a.send("b", "blocked")
+    b.send("a", "reverse")
+    sim.run()
+    assert [p for _, p in inbox] == ["sent"]
+    assert back == ["counterflow", "reverse"]
+
+
+def test_gray_filtered_message_counts_as_sent_and_dropped(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network)
+    network.set_gray_host("b", allow=("ping",))
+    a.send("b", types.SimpleNamespace(method="ping"), size_bytes=10)
+    a.send("b", types.SimpleNamespace(method="record"), size_bytes=1_000)
+    a.send("b", types.SimpleNamespace(method="ping"), size_bytes=10)
+    sim.run()
+    assert [p.method for _, p in inbox] == ["ping", "ping"]
+    stats = network.stats
+    assert (stats.messages_sent, stats.bytes_sent) == (3, 1_020)
+    assert stats.messages_dropped == 1
+
+
+# ----------------------------------------------------------------------
+# crashes around a burst
+# ----------------------------------------------------------------------
+#: receiver RX paths: none, independent, shared with TX (dispatch thread)
+RX_PATHS = {"no-rx-cost": dict(),
+            "independent-rx": dict(rx_cost=0.4),
+            "shared-dispatch": dict(rx_cost=0.4, shared_dispatch=True)}
+
+
+@pytest.mark.parametrize("rx_path", RX_PATHS)
+def test_receiver_crash_in_handler_drops_the_rest_of_a_burst(
+        sim: Simulator, network: Network, rx_path: str):
+    """A handler that crashes its host refuses every later message of
+    the same-instant burst, whichever way the RX path dispatches."""
+    a = network.add_host("a")
+    b = network.add_host("b", **RX_PATHS[rx_path])
+    seen = []
+
+    def handler(message) -> None:
+        seen.append(message.payload)
+        if message.payload == "poison":
+            b.crash()
+    b.set_message_handler(handler)
+    for payload in ("ok", "poison", "lost", "lost-too"):
+        a.send("b", payload)
+    sim.run()
+    assert seen == ["ok", "poison"]
+
+
+def test_restart_does_not_queue_behind_the_previous_lifes_nic_backlog(
+        sim: Simulator, network: Network):
+    a, _b, inbox = two_hosts(network, tx=1.0)
+    for i in range(5):
+        a.send("b", i)                      # NIC busy until 5.0
+    sim.schedule_callback(1.0, a.crash)
+    sim.schedule_callback(2.0, a.restart)
+    sim.schedule_callback(2.0, a.send, "b", "fresh")
+    sim.run()
+    # Departs 3.0 on the new life's idle NIC, not after 5.0.
+    assert (5.0, "fresh") in inbox
 
 
 def test_loopback_is_instant(sim: Simulator, network: Network):

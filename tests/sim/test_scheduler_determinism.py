@@ -16,12 +16,16 @@ scheduler's single global ``(time, seq)`` heap.  Two layers of defence:
 
 from __future__ import annotations
 
-import dataclasses
+import pytest
 
 from repro.baselines import curp_config
 from repro.harness.builder import build_cluster
+from repro.harness.profiles import (RAMCLOUD_PROFILE, REDIS_PROFILE,
+                                    TEST_PROFILE)
+from repro.metrics.stats import LatencyRecorder
 from repro.sim import Simulator
 from repro.workload import run_closed_loop, run_pipelined_loop
+from repro.workload.clients import PipelinedClient
 from repro.workload.ycsb import YcsbWorkload
 
 
@@ -178,12 +182,9 @@ GOLDEN = {
 }
 
 
-def _golden_experiment(frame_coalescing: bool = False) -> dict:
+def _golden_experiment() -> dict:
     """The seeded YCSB experiment behind every golden pin."""
-    config = curp_config(2)
-    if frame_coalescing:
-        config = dataclasses.replace(config, frame_coalescing=True)
-    cluster = build_cluster(config, seed=1234)
+    cluster = build_cluster(curp_config(2), seed=1234)
     workload = YcsbWorkload(name="golden", read_fraction=0.5,
                             item_count=1000, value_size=16,
                             distribution="zipfian")
@@ -207,52 +208,37 @@ def test_golden_trace_seeded_ycsb_unchanged():
 
 
 # ----------------------------------------------------------------------
-# golden trace, frame coalescing (ISSUE 4)
+# golden trace, pipelined clients
 # ----------------------------------------------------------------------
-def test_closed_loop_coalescing_trace_matches_fast_golden():
-    """A closed-loop client never has two same-instant messages to one
-    destination, so turning frames on must not change the golden by a
-    byte — singleton frames transmit exactly like plain messages (same
-    stats, same delivery instants, same dispatch)."""
-    assert _golden_experiment(frame_coalescing=True) == GOLDEN
-
-
 #: end state of the seeded *pipelined* experiment (4 clients × 40
-#: waves × depth 4, zipfian 25% reads) under frame_coalescing — the
-#: coalesced path's own golden pin.  Note
-#: messages_sent ≈ 0.38 × payloads_sent: a wave's same-instant RPCs to
-#: each destination share one frame.  If this pin moves, the frame
-#: flush boundary changed virtual-time behaviour.
-GOLDEN_COALESCED = {
-    "now": 1356.0,
-    "processed_events": 3956,
+#: waves × depth 4, zipfian 25% reads): each wave puts depth
+#: same-instant RPCs to each destination on the client NIC back to
+#: back — the shape the e2e ``burst_write_f3`` workload runs.
+GOLDEN_PIPELINED = {
+    "now": 1368.0,
+    "processed_events": 6234,
     "operations": 640,
-    "messages_sent": 1416,
-    "payloads_sent": 3694,
-    "frames_sent": 961,
-    "frame_payloads": 3239,
-    "bytes_sent": 630020,
+    "messages_sent": 3700,
+    "bytes_sent": 630520,
     "messages_dropped": 0,
     "per_host_sent": {
-        "client1": 128,
-        "client2": 125,
-        "client3": 127,
-        "client4": 130,
+        "client1": 410,
+        "client2": 423,
+        "client3": 432,
+        "client4": 417,
         "coordinator": 8,
-        "m0-backup0": 41,
-        "m0-backup1": 41,
-        "m0-host": 414,
-        "m0-witness0": 201,
-        "m0-witness1": 201,
+        "m0-backup0": 42,
+        "m0-backup1": 42,
+        "m0-host": 834,
+        "m0-witness0": 546,
+        "m0-witness1": 546,
     },
 }
 
 
-def _coalesced_experiment(frame_coalescing: bool = True) -> dict:
-    """The seeded pipelined experiment behind the coalesced golden."""
-    config = dataclasses.replace(curp_config(2),
-                                 frame_coalescing=frame_coalescing)
-    cluster = build_cluster(config, seed=1234)
+def _pipelined_experiment() -> dict:
+    """The seeded pipelined experiment behind GOLDEN_PIPELINED."""
+    cluster = build_cluster(curp_config(2), seed=1234)
     workload = YcsbWorkload(name="golden-pipelined", read_fraction=0.25,
                             item_count=1000, value_size=16,
                             distribution="zipfian")
@@ -265,17 +251,72 @@ def _coalesced_experiment(frame_coalescing: bool = True) -> dict:
         "processed_events": cluster.sim.processed_events,
         "operations": result["operations"],
         "messages_sent": stats.messages_sent,
-        "payloads_sent": stats.payloads_sent,
-        "frames_sent": stats.frames_sent,
-        "frame_payloads": stats.frame_payloads,
         "bytes_sent": stats.bytes_sent,
         "messages_dropped": stats.messages_dropped,
         "per_host_sent": dict(sorted(stats.per_host_sent.items())),
     }
 
 
-def test_golden_trace_coalesced_pinned():
-    assert _coalesced_experiment() == GOLDEN_COALESCED
+def test_golden_trace_pipelined_pinned():
+    assert _pipelined_experiment() == GOLDEN_PIPELINED
+
+
+# ----------------------------------------------------------------------
+# step() dispatches exactly like run()
+# ----------------------------------------------------------------------
+def _pipelined_cluster(profile):
+    """A seeded pipelined cluster with its wave loops spawned but not
+    yet run (connecting the clients already ran the simulator)."""
+    cluster = build_cluster(curp_config(2), profile=profile, seed=1234)
+    workload = YcsbWorkload(name="step-vs-run", read_fraction=0.25,
+                            item_count=1000, value_size=16,
+                            distribution="zipfian")
+    recorder = LatencyRecorder()
+    for _ in range(4):
+        client = cluster.new_client(collect_outcomes=False)
+        loop = PipelinedClient(client=client, stream=workload.generator(),
+                               depth=4, wave_latency=recorder)
+        client.host.spawn(loop.loop(max_waves=40), name="pipelined")
+    return cluster
+
+
+def _next_instant(sim: Simulator) -> float:
+    if sim._now_queue:
+        return sim.now
+    return sim._heap[0][0] if sim._heap else float("inf")
+
+
+def _end_state(cluster) -> dict:
+    stats = cluster.network.stats
+    return {
+        "now": cluster.sim.now,
+        "processed_events": cluster.sim.processed_events,
+        "messages_sent": stats.messages_sent,
+        "per_host_sent": dict(sorted(stats.per_host_sent.items())),
+        "log_end": cluster.master().store.log.end,
+    }
+
+
+@pytest.mark.parametrize("profile",
+                         [TEST_PROFILE, RAMCLOUD_PROFILE, REDIS_PROFILE],
+                         ids=["test", "ramcloud", "redis"])
+def test_step_dispatches_exactly_like_run(profile):
+    """One copy advances a record at a time with ``step()`` to instant
+    T (every record at T included), a second copy with ``run(until=T)``;
+    the two must agree on every dispatch-visible number.  T is the
+    instant of the stepped copy's 3,000th record, so it is one the
+    workload really dispatches at."""
+    stepped = _pipelined_cluster(profile)
+    sim = stepped.sim
+    for _ in range(3_000):
+        assert sim.step()
+    until = sim.now
+    while _next_instant(sim) <= until:
+        sim.step()
+    ran = _pipelined_cluster(profile)
+    ran.sim.run(until=until)
+    assert _end_state(stepped) == _end_state(ran)
+    assert _end_state(ran)["log_end"] > 0  # the window holds updates
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +401,7 @@ def test_golden_trace_rebalance_pinned():
 
     Rebalancing *disabled* is pinned by omission everywhere else: the
     load-accounting counters add no events, so GOLDEN /
-    GOLDEN_COALESCED above must stay byte-identical — those tests are
+    GOLDEN_PIPELINED above must stay byte-identical — those tests are
     the disabled half of this satellite."""
     observed = _rebalance_experiment()
     assert observed == GOLDEN_REBALANCE
@@ -377,36 +418,3 @@ def test_rebalance_disabled_trace_static_tablets():
     assert observed["tablets"] == ((0, 2 ** 63, "m0"),
                                    (2 ** 63, 2 ** 64, "m1"))
     assert observed["now"] == GOLDEN_REBALANCE["now"]
-
-
-def test_single_client_pipelined_end_state_identical_across_frame_modes():
-    """With one pipelined client there is no cross-client contention to
-    shift the within-instant op mix, so frames on/off must produce
-    identical end states — same virtual time, operations, RPC payloads
-    and per-host bytes — while the coalesced run needs far fewer wire
-    transmissions (the PR 3-style cross-mode identity, transposed to
-    the transport layer)."""
-    def run(frames: bool):
-        config = dataclasses.replace(curp_config(2),
-                                     frame_coalescing=frames)
-        cluster = build_cluster(config, seed=77)
-        workload = YcsbWorkload(name="single", read_fraction=0.25,
-                                item_count=100, value_size=16,
-                                distribution="uniform")
-        result = run_pipelined_loop(cluster, workload, n_clients=1,
-                                    waves=30, depth=4)
-        cluster.settle(500.0)
-        stats = cluster.network.stats
-        end_state = (
-            cluster.sim.now,
-            result["operations"],
-            stats.payloads_sent,
-            stats.bytes_sent,
-            dict(sorted(stats.per_host_bytes.items())),
-        )
-        return end_state, stats.messages_sent
-    coalesced, coalesced_messages = run(True)
-    legacy, legacy_messages = run(False)
-    assert coalesced == legacy
-    # The identical protocol exchange rode far fewer transmissions.
-    assert coalesced_messages < 0.5 * legacy_messages

@@ -131,83 +131,103 @@ def test_processed_events_counter(sim: Simulator):
 
 
 # ----------------------------------------------------------------------
-# end-of-instant hooks (the frame-coalescing flush boundary)
+# one instant, two loops: run() and step() dispatch alike
 # ----------------------------------------------------------------------
-def test_instant_hook_runs_after_now_queue_before_time_advances(
-        sim: Simulator):
-    order = []
-    sim.schedule_callback(0.0, order.append, "entry-1")
-    sim.at_instant_end(lambda: order.append(("hook", sim.now)))
-    sim.schedule_callback(0.0, order.append, "entry-2")
-    sim.schedule_callback(5.0, order.append, "future")
-    sim.run()
-    assert order == ["entry-1", "entry-2", ("hook", 0.0), "future"]
+def drain(sim: Simulator, loop: str) -> None:
+    if loop == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
 
 
-def test_instant_hook_runs_after_same_time_heap_entries(sim: Simulator):
-    """Heap entries at the hook's instant are part of the instant: the
-    hook must wait for them even though they arrived via the heap."""
+LOOPS = ["run", "step"]
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_same_instant_heap_entries_merge_with_zero_delay_work_by_sequence(
+        sim: Simulator, loop: str):
+    """An entry already on the heap for this instant was scheduled
+    before the zero-delay work the instant's first entry spawns, so it
+    runs first."""
     order = []
 
     def at_five() -> None:
         order.append("first")
-        sim.at_instant_end(lambda: order.append(("hook", sim.now)))
+        sim.schedule_callback(0.0, order.append, "spawned")
     sim.schedule_callback(5.0, at_five)
     sim.schedule_callback(5.0, order.append, "second")
     sim.schedule_callback(6.0, order.append, "later")
-    sim.run()
-    assert order == ["first", "second", ("hook", 5.0), "later"]
+    drain(sim, loop)
+    assert order == ["first", "second", "spawned", "later"]
 
 
-def test_instant_hook_chains_drain_before_time_moves(sim: Simulator):
-    """A hook may enqueue same-instant work and further hooks; all of
-    it runs before the clock advances."""
+@pytest.mark.parametrize("loop", LOOPS)
+def test_zero_delay_chains_drain_before_time_moves(sim: Simulator,
+                                                   loop: str):
     order = []
 
-    def hook_one() -> None:
-        order.append("hook-one")
-        sim.schedule_callback(0.0, order.append, "spawned-entry")
-        sim.at_instant_end(lambda: order.append("hook-two"))
-    sim.at_instant_end(hook_one)
-    sim.schedule_callback(3.0, order.append, "future")
-    sim.run()
-    assert order == ["hook-one", "spawned-entry", "hook-two", "future"]
+    def link(n: int) -> None:
+        order.append((n, sim.now))
+        if n < 3:
+            sim.schedule_callback(0.0, link, n + 1)
+    sim.schedule_callback(3.0, order.append, ("future", 3.0))
+    sim.schedule_callback(1.0, link, 0)
+    drain(sim, loop)
+    assert order == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0),
+                     ("future", 3.0)]
+    assert sim.processed_events == 5
 
 
-def test_instant_hooks_carry_args_and_do_not_count_as_events(
+@pytest.mark.parametrize("loop", LOOPS)
+def test_an_entry_that_raises_is_counted_and_the_rest_stay_queued(
+        sim: Simulator, loop: str):
+    def boom() -> None:
+        raise KeyError("boom")
+    sim.schedule_callback(1.0, boom)
+    sim.schedule_callback(1.0, lambda: None)
+    with pytest.raises(KeyError):
+        drain(sim, loop)
+    assert sim.processed_events == 1
+    assert sim.queue_length == 1
+    drain(sim, loop)
+    assert sim.processed_events == 2
+
+
+def test_max_steps_catches_a_self_rearming_zero_delay_callback(
         sim: Simulator):
-    seen = []
-    sim.at_instant_end(seen.append, "x")
-    sim.schedule_callback(0.0, lambda: None)
-    sim.run()
-    assert seen == ["x"]
-    assert sim.processed_events == 1  # the callback only, not the hook
-
-
-def test_step_drains_instant_hooks(sim: Simulator):
-    order = []
-    sim.at_instant_end(order.append, "hook")
-    sim.schedule_callback(1.0, order.append, "entry")
-    while sim.step():
-        pass
-    assert order == ["hook", "entry"]
-
-
-def test_run_until_deadline_flushes_hooks_at_deadline(sim: Simulator):
-    order = []
-    sim.schedule_callback(5.0,
-                          lambda: sim.at_instant_end(order.append, "hook"))
-    sim.run(until=5.0)
-    assert order == ["hook"]
-    assert sim.now == 5.0
-
-
-def test_max_steps_catches_self_rearming_instant_hook(sim: Simulator):
-    """End-of-instant hooks consume max_steps budget: a hook that keeps
-    re-arming itself must trip the runaway backstop, not hang run()."""
+    """Work that keeps re-arming itself at the current instant never
+    lets time move; the runaway backstop must trip, not hang run()."""
     def rearm() -> None:
-        sim.at_instant_end(rearm)
-    sim.at_instant_end(rearm)
+        sim.schedule_callback(0.0, rearm)
+    sim.schedule_callback(0.0, rearm)
     with pytest.raises(RuntimeError, match="max_steps"):
         sim.run(max_steps=100)
-    assert sim.processed_events == 0  # hooks never count as events
+    assert sim.processed_events == 100
+    assert sim.now == 0.0
+
+
+def test_run_until_deadline_dispatches_the_whole_deadline_instant(
+        sim: Simulator):
+    order = []
+
+    def at_five() -> None:
+        order.append("first")
+        sim.schedule_callback(0.0, order.append, "spawned")
+    sim.schedule_callback(5.0, at_five)
+    sim.schedule_callback(5.0, order.append, "second")
+    sim.schedule_callback(5.5, order.append, "after")
+    sim.run(until=5.0)
+    assert order == ["first", "second", "spawned"]
+    assert sim.now == 5.0
+    assert sim.queue_length == 1
+
+
+def test_step_on_an_empty_queue_returns_false_and_keeps_the_clock(
+        sim: Simulator):
+    sim.schedule_callback(2.5, lambda: None)
+    assert sim.step()
+    assert sim.now == 2.5
+    assert not sim.step()
+    assert sim.now == 2.5
+    assert sim.processed_events == 1

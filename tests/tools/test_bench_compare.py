@@ -147,9 +147,8 @@ def test_retained_bytes_rise_fails_the_gate():
 
 
 def test_messages_per_update_rise_fails_the_gate():
-    """Frames silently stopped coalescing."""
-    assert_gated(("frame_coalescing", "f3_spread", "messages_per_update"),
-                 8.22)
+    """The update path started sending one more RPC per update."""
+    assert_gated(("messages_per_update", "f3_spread"), 9.22)
 
 
 def test_rebalance_aggregate_regression_gates():

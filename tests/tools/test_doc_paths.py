@@ -1,5 +1,6 @@
 """Docs may not name repository files, config values, watchdog knobs,
-operation methods or ``BENCH_core.json`` rows that do not exist."""
+kernel / network attributes, operation methods or ``BENCH_core.json``
+rows that do not exist."""
 
 from __future__ import annotations
 
@@ -10,9 +11,14 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.cluster import FailureDetector
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 from repro.kvstore.operations import Operation
+from repro.net import Network
+from repro.rpc import RpcTransport
+from repro.sim import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -53,24 +59,28 @@ def test_docs_name_only_existing_files():
     assert dangling == []
 
 
-def stale_config_names(text: str) -> list[str]:
-    """Backticked config values in ``text`` that no config class has.
+def current_spans(text: str) -> list[str]:
+    """Backticked spans in ``text`` that describe the tree as it is.
     A paragraph headed "Negative result" (a ``#`` heading over it, or
     its own bold lead-in) records a deletion and may name what is gone."""
-    stale = []
+    spans = []
     exempt_heading = False
     for paragraph in re.split(r"\n\s*\n", text):
         paragraph = paragraph.strip()
         if paragraph.startswith("#"):
             exempt_heading = paragraph.lstrip("# ").startswith(
                 "Negative result")
-        if exempt_heading or paragraph.startswith("**Negative result"):
-            continue
-        for span in _BACKTICKED.findall(paragraph):
-            stale += [f"{owner}.{name}"
-                      for owner, name in _CONFIG_NAME.findall(span)
-                      if name not in _CONFIG_NAMES[owner]]
-    return stale
+        if not (exempt_heading or paragraph.startswith("**Negative result")):
+            spans += _BACKTICKED.findall(paragraph)
+    return spans
+
+
+def stale_config_names(text: str) -> list[str]:
+    """Backticked config values in ``text`` that no config class has."""
+    return [f"{owner}.{name}"
+            for span in current_spans(text)
+            for owner, name in _CONFIG_NAME.findall(span)
+            if name not in _CONFIG_NAMES[owner]]
 
 
 def test_docs_name_only_existing_config_values():
@@ -86,6 +96,59 @@ def test_stale_config_name_check_sees_unknown_names():
             "\n\n**Negative result: gone.**  `config.deleted_flag` lost."
             "\n\n## Negative result: batching\n\n`config.deleted_delay`.")
     assert stale_config_names(text) == ["CurpConfig.no_such_knob"]
+
+
+def _kernel_objects() -> dict[str, object]:
+    """One live instance per class docs name attributes of, so that
+    attributes set in ``__init__`` count as well as methods."""
+    sim = Simulator()
+    network = Network(sim)
+    transport = RpcTransport(network.add_host("h"))
+    return {"Simulator": sim, "Network": network, "Host": transport.host,
+            "RpcTransport": transport, "TrafficStats": network.stats}
+
+
+_KERNEL_OBJECTS = _kernel_objects()
+_KERNEL_NAME = re.compile(
+    r"\b(%s)\.(\w+)" % "|".join(map(re.escape, _KERNEL_OBJECTS)))
+
+
+def stale_kernel_attributes(text: str) -> list[str]:
+    """Backticked ``Simulator.x`` / ``Host.x`` / ``Network.x`` /
+    ``RpcTransport.x`` / ``TrafficStats.x`` that the class lacks."""
+    return [f"{owner}.{name}"
+            for span in current_spans(text)
+            for owner, name in _KERNEL_NAME.findall(span)
+            if not hasattr(_KERNEL_OBJECTS[owner], name)]
+
+
+def test_docs_name_only_existing_kernel_attributes():
+    stale = [f"{document.relative_to(REPO_ROOT)}: {name}"
+             for document in documents()
+             for name in stale_kernel_attributes(document.read_text())]
+    assert stale == []
+
+
+def test_stale_kernel_attribute_check_sees_unknown_names():
+    text = ("## Send path\n\n`Host.send(dst, payload)` feeds "
+            "`Network._admit`; `Simulator.rng`, `TrafficStats.messages_sent`"
+            " and `RpcTransport.call_cb` exist, `Host._gone_buffer` and "
+            "`WitnessHost.x` do not matter, `Simulator.at_noon` is stale."
+            "\n\n**Negative result: hooks.**  `Simulator.gone_hook`."
+            "\n\n## Negative result: paths\n\n`Network._gone_path`.")
+    assert stale_kernel_attributes(text) == ["Host._gone_buffer",
+                                             "Simulator.at_noon"]
+
+
+@pytest.mark.parametrize("owner,present", [
+    ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
+    ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
+    ("TrafficStats", "payloads_sent")])
+def test_kernel_attribute_check_covers_each_class(owner, present):
+    """Attributes set in ``__init__`` and properties count as present;
+    an unknown name on the same class is stale."""
+    text = f"`{owner}.{present}` and `{owner}.no_such_attribute`."
+    assert stale_kernel_attributes(text) == [f"{owner}.no_such_attribute"]
 
 
 def stale_watchdog_knobs(text: str) -> list[str]:

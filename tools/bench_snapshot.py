@@ -15,9 +15,9 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
   writes) — kernel events per committed op, the largest kernel queue
   seen at five slice boundaries (``heap_peak``), and the bytes each
   committed op leaves allocated (``retained_bytes_per_op``);
-- ``frame_coalescing``: wire messages per committed update with NIC
-  frames on/off at f ∈ {1, 3}, colocated vs spread witnesses
-  (``benchmarks/bench_frame_coalescing.py``);
+- ``messages_per_update``: wire messages per committed update at
+  f ∈ {1, 3}, colocated vs spread witnesses
+  (``benchmarks/bench_sec52_witness_resources.py``);
 - ``scaleout``, ``rebalance``, ``overload``, ``recovery``,
   ``availability``, ``transactions``: the acceptance series of
   ``benchmarks/bench_scaleout_shards.py`` and the benches named after
@@ -252,14 +252,16 @@ def _transactions() -> dict:
 
 
 def snapshot() -> dict:
-    from benchmarks.bench_frame_coalescing import coalescing_series
+    from benchmarks.bench_sec52_witness_resources import (
+        messages_per_update_series,
+    )
 
     return {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "fig6_smoke": _fig6_smoke(),
-        "frame_coalescing": coalescing_series(),
+        "messages_per_update": messages_per_update_series(),
         "scaleout": _scaleout(),
         "rebalance": _rebalance(),
         "overload": _overload(),
