@@ -191,10 +191,9 @@ def fairness_comparison(duration: float = 30_000.0, warmup: float = 5_000.0,
     per_master: dict[str, dict] = {
         m: {"records": 0, "throttled": 0} for m in masters}
     for endpoint in endpoints:
-        for master_id, count in endpoint.tenant_records.items():
-            per_master[master_id]["records"] += count
-        for master_id, count in endpoint.tenant_throttled.items():
-            per_master[master_id]["throttled"] += count
+        for master_id, tenant in endpoint.tenants.items():
+            per_master[master_id]["records"] += tenant.records_admitted
+            per_master[master_id]["throttled"] += tenant.records_throttled
     for detail in per_master.values():
         offered = detail["records"] + detail["throttled"]
         detail["throttle_rate"] = (detail["throttled"] / offered

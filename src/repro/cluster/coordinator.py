@@ -73,9 +73,7 @@ class Coordinator:
         self.lease_server = LeaseServer(host.sim, lease_duration=lease_duration)
         self.masters: dict[str, ManagedMaster] = {}
         self.backup_servers: dict[str, BackupServer] = {}
-        self.witness_servers: dict[str, WitnessServer] = {}
-        #: multi-tenant witness endpoints by host name: one host serving
-        #: several masters' witness sets (``add_witness_endpoint``)
+        #: the witness endpoint on each witness host, by host name
         self.witness_endpoints: dict[str, WitnessEndpoint] = {}
         #: spare hosts used to restore the replication factor when a
         #: backup dies during/before a master recovery
@@ -99,6 +97,13 @@ class Coordinator:
 
     def _handle_get_config(self, args, ctx):
         return self.current_view()
+
+    @property
+    def witness_servers(self) -> dict[tuple[str, str], WitnessServer]:
+        """Read-only view: every master's witness, by (host, master id)."""
+        return {(host, master_id): tenant
+                for host, endpoint in self.witness_endpoints.items()
+                for master_id, tenant in endpoint.tenants.items()}
 
     @property
     def shard_map(self) -> ShardMap:
@@ -146,31 +151,14 @@ class Coordinator:
                              f"requires {self.config.f} backups, got "
                              f"{len(backup_hosts)}")
         witness_hosts = witness_hosts if self.config.uses_witnesses else ()
-        transports = {}
         for backup_host in backup_hosts:
-            server = BackupServer(backup_host, master_id=master_id,
-                                  process_time=backup_process_time,
-                                  storage=self.config.storage)
-            self.backup_servers[backup_host.name] = server
-            transports[backup_host.name] = server.transport
+            self.backup_servers[backup_host.name] = BackupServer(
+                backup_host, master_id=master_id,
+                process_time=backup_process_time,
+                storage=self.config.storage)
         for witness_host in witness_hosts:
-            endpoint = self.witness_endpoints.get(witness_host.name)
-            if endpoint is not None:
-                # Multi-tenant endpoint: this master becomes one more
-                # tenant behind the host's existing rx handler.
-                endpoint.serve(master_id, tuple(owned_ranges))
-                continue
-            server = self.witness_servers.get(witness_host.name)
-            if server is None:
-                # A witness colocated with a backup (Figure 2) shares
-                # the host's RPC endpoint; method names are disjoint.
-                server = WitnessServer(
-                    witness_host,
-                    stale_threshold=self.config.gc_stale_threshold,
-                    record_time=witness_record_time,
-                    transport=transports.get(witness_host.name))
-                self.witness_servers[witness_host.name] = server
-            server.start_for(master_id, tuple(owned_ranges))
+            self.add_witness_host(witness_host, witness_record_time).serve(
+                master_id, tuple(owned_ranges))
         master = CurpMaster(
             master_host, master_id, self.config,
             backups=[h.name for h in backup_hosts],
@@ -189,41 +177,25 @@ class Coordinator:
         return master
 
     def add_witness_host(self, witness_host: "Host",
-                         record_time: float = 0.0) -> WitnessServer:
-        """Register a standby witness server (for replacements)."""
-        if witness_host.name in self.witness_endpoints:
-            # Symmetric to the add_witness_endpoint guard: a new
-            # WitnessServer would steal the host's message handler and
-            # orphan every tenant behind the endpoint.
-            raise ValueError(f"{witness_host.name} already hosts a "
-                             f"multi-tenant witness endpoint")
-        server = WitnessServer(
-            witness_host, stale_threshold=self.config.gc_stale_threshold,
-            record_time=record_time)
-        self.witness_servers[witness_host.name] = server
-        return server
-
-    def add_witness_endpoint(self, witness_host: "Host",
-                             record_time: float = 0.0) -> WitnessEndpoint:
-        """Register a multi-tenant witness endpoint on ``witness_host``.
-
-        Masters subsequently created (or recovered) with this host in
-        their witness list are served as tenants of the one endpoint —
-        the shared-host deployment that lets f witness hosts serve an
-        entire multi-shard cluster.
-        """
-        if witness_host.name in self.witness_servers:
-            raise ValueError(f"{witness_host.name} already hosts a "
-                             f"single-tenant witness")
-        overload = self.config.overload
-        endpoint = WitnessEndpoint(
-            witness_host, stale_threshold=self.config.gc_stale_threshold,
-            record_time=record_time,
-            # Per-tenant fair admission rides the overload defenses:
-            # off (window_records=0) unless config.overload enables it.
-            window_records=(overload.witness_window_records
-                            if overload.enabled else 0))
-        self.witness_endpoints[witness_host.name] = endpoint
+                         record_time: float = 0.0) -> WitnessEndpoint:
+        """The witness endpoint on ``witness_host``, started on first
+        use.  Every master whose witness list names the host becomes a
+        tenant of it; a host that runs a backup shares its transport
+        (Figure 2's colocation)."""
+        endpoint = self.witness_endpoints.get(witness_host.name)
+        if endpoint is None:
+            backup = self.backup_servers.get(witness_host.name)
+            overload = self.config.overload
+            endpoint = self.witness_endpoints[witness_host.name] = \
+                WitnessEndpoint(
+                    witness_host,
+                    stale_threshold=self.config.gc_stale_threshold,
+                    record_time=record_time,
+                    transport=None if backup is None else backup.transport,
+                    # Per-tenant fair admission rides the overload
+                    # defenses: off unless config.overload enables it.
+                    window_records=(overload.witness_window_records
+                                    if overload.enabled else 0))
         return endpoint
 
     # ------------------------------------------------------------------
@@ -306,8 +278,12 @@ class Coordinator:
             missing = self.config.f - len(managed.backups)
             while missing > 0 and self.backup_spares:
                 spare = self.backup_spares.pop(0)
-                server = BackupServer(spare, master_id=master_id,
-                                      storage=self.config.storage)
+                # A spare costs what a surviving backup costs.
+                server = BackupServer(
+                    spare, master_id=master_id,
+                    process_time=self.backup_servers[
+                        managed.backups[0]].process_time,
+                    storage=self.config.storage)
                 server.min_epoch = managed.epoch
                 self.backup_servers[spare.name] = server
                 new_list = managed.backups + [spare.name]
@@ -606,8 +582,10 @@ class Coordinator:
         managed = self.masters[master_id]
         if dead_witness not in managed.witnesses:
             raise ValueError(f"{dead_witness} is not a witness of {master_id}")
-        if new_witness_host.name not in self.witness_servers:
-            self.add_witness_host(new_witness_host)
+        # The replacement costs what the member it replaces cost.
+        self.add_witness_host(
+            new_witness_host,
+            record_time=self.witness_endpoints[dead_witness].record_time)
         yield from self._call_until_ok(
             new_witness_host.name, "start",
             StartArgs(master_id=master_id,
@@ -633,8 +611,10 @@ class Coordinator:
         managed = self.masters[master_id]
         if dead_backup not in managed.backups:
             raise ValueError(f"{dead_backup} is not a backup of {master_id}")
-        server = BackupServer(new_backup_host, master_id=master_id,
-                              storage=self.config.storage)
+        server = BackupServer(
+            new_backup_host, master_id=master_id,
+            process_time=self.backup_servers[dead_backup].process_time,
+            storage=self.config.storage)
         server.min_epoch = 0
         self.backup_servers[new_backup_host.name] = server
         new_list = [new_backup_host.name if b == dead_backup else b

@@ -14,8 +14,8 @@ recover_master` onto the next standby.  Recovery is *supervised*: a
   ``backup_standbys`` pool was given) — the same ping discipline,
   driving the coordinator's ``replace_witness``/``replace_backup``
   paths, which nothing invoked before.  A replacement standby is popped per
-  (master, dead host) pair — witness servers are single-tenant — and
-  returned to the pool if the replacement fails.
+  (master, dead host) pair and returned to the pool if the replacement
+  fails.
 - **Gray failures** (``data_probes``) — a host that still answers
   ``ping`` while its data path is dead never goes silent, so a
   ping-only detector waits forever.  The watchdog therefore also sends
@@ -445,8 +445,7 @@ class FailureDetector:
     def _replace_witness_everywhere(self, dead: str) -> None:
         """Spawn a replacement for *every* master served by ``dead``
         (a shared witness host fails for all its masters at once);
-        each replacement consumes its own standby — witness servers
-        are single-tenant."""
+        each replacement consumes its own standby."""
         for master_id, managed in list(self.coordinator.masters.items()):
             if dead not in managed.witnesses \
                     or (master_id, dead) in self._replacing:

@@ -13,12 +13,11 @@ recovered lazily via commutativity.  The pieces:
 - :class:`~repro.core.witness_cache.WitnessCache` — the set-associative
   request store of §4.2/§B.1 (a pure data structure, benchmarked
   stand-alone for Figure 11).
-- :class:`~repro.core.witness.WitnessServer` — the RPC wrapper with the
-  Figure 4 API (record/gc/getRecoveryData/start/end) plus the
-  ``probe`` RPC that enables consistent reads from backups (§A.1).
-- :class:`~repro.core.witness.WitnessEndpoint` — the multi-tenant
-  variant: one host serving several masters' witness sets behind a
-  single rx handler, with receive-side cross-master gc merging.
+- :class:`~repro.core.witness.WitnessEndpoint` — a witness host: the
+  Figure 4 RPCs (record/gc/getRecoveryData/start/end) plus the
+  ``probe`` RPC that enables consistent reads from backups (§A.1),
+  routed by master id to one
+  :class:`~repro.core.witness.WitnessServer` per served master.
 - :class:`~repro.core.master.CurpMaster` — speculative execution,
   unsynced-window commutativity checks, batched backup syncs, witness
   garbage collection, hot-key preemptive syncs (§3.2.3, §4.3-4.5).
@@ -30,7 +29,7 @@ recovered lazily via commutativity.  The pieces:
 
 from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
 from repro.core.witness_cache import WitnessCache
-from repro.core.witness import WitnessEndpoint, WitnessServer, WitnessStats
+from repro.core.witness import WitnessEndpoint, WitnessServer
 from repro.core.master import CurpMaster
 from repro.core.client import CurpClient, UpdateOutcome
 
@@ -43,6 +42,5 @@ __all__ = [
     "UpdateOutcome",
     "WitnessCache",
     "WitnessEndpoint",
-    "WitnessStats",
     "WitnessServer",
 ]

@@ -51,10 +51,11 @@ class OverloadConfig:
       via ``sim.rng``) without refetching the cluster view — overload
       is not a routing problem, and hammering the coordinator during a
       flash crowd would just move the collapse there.
-    - the shared multi-tenant :class:`~repro.core.witness.
-      WitnessEndpoint` applies windowed per-tenant fair admission so
-      one hot tenant's record storm cannot starve the other shards'
-      1-RTT fast path (an under-fair-share tenant is always admitted).
+    - a witness host shared between masters
+      (:class:`~repro.core.witness.WitnessEndpoint`) applies windowed
+      per-tenant fair admission so one hot tenant's record storm cannot
+      starve the other shards' 1-RTT fast path (an under-fair-share
+      tenant is always admitted).
     - open-loop drivers shrink their in-flight window AIMD-style on
       pushback — the backpressure half of the contract.
     """
@@ -68,7 +69,7 @@ class OverloadConfig:
     retry_after: float = 200.0
     #: cap for the exponentially-grown client pushback delay (µs)
     retry_after_cap: float = 2_000.0
-    #: record admissions per shared WitnessEndpoint per accounting
+    #: record admissions per shared witness host per accounting
     #: window; 0 disables per-tenant fair admission.
     #: A tenant below ``witness_window_records / n_tenants`` is always
     #: admitted; past the global budget, tenants at/over fair share are

@@ -1,10 +1,10 @@
-"""Witness servers (Figure 4 API).
+"""Witnesses (Figure 4 API).
 
 A witness lives for one master at a time.  Life cycle:
 
 - ``start(masterId)`` (coordinator): begin a fresh *normal-mode* life.
 - ``record`` (clients): save commutative requests; REJECTED on
-  conflict, capacity, wrong master or recovery mode.
+  conflict, capacity, unknown master or recovery mode.
 - ``gc`` (master): drop synced requests; report stale suspects.
 - ``getRecoveryData`` (recovery master): irreversibly freeze into
   *recovery mode* and return saved requests (§4.1, §4.6).
@@ -17,20 +17,16 @@ survives host crash + restart.  While the host is down, clients'
 record RPCs time out and they fall back to the 2-RTT sync path —
 availability degrades, consistency never does.
 
-Two deployment shapes share the serving logic:
-
-- :class:`WitnessServer` — the classic one-master-at-a-time endpoint
-  (optionally sharing a colocated backup's transport, Figure 2);
-- :class:`WitnessEndpoint` — the *multi-tenant* endpoint: one host
-  serving several masters'/shards' witness sets behind a single rx
-  handler, one :class:`WitnessServer` tenant (own cache, own
-  life cycle) per master, routed by the ``master_id`` every witness
-  RPC already carries.
+Every witness host runs one :class:`WitnessEndpoint`, the only holder
+of the witness RPC handlers.  It routes each RPC by the ``master_id``
+it carries to that master's :class:`WitnessServer` (own cache, mode,
+ranges and counters).  A dedicated host is an endpoint with one
+tenant, a host colocated with a backup (Figure 2) shares the backup's
+transport, and a shared host serves several masters.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.core.messages import (
@@ -59,49 +55,15 @@ MODE_NORMAL = "normal"
 MODE_RECOVERY = "recovery"
 
 
-#: the witness wire API (Figure 4 + probe): one registration table
-#: shared by the single-tenant server and the multi-tenant endpoint so
-#: a future RPC cannot be added to one deployment and silently missed
-#: by the other — both classes must implement every handler attribute.
-_WITNESS_RPC_HANDLERS: tuple[tuple[str, str], ...] = (
-    ("record", "_handle_record"),
-    ("gc", "_handle_gc"),
-    ("get_recovery_data", "_handle_recovery_data"),
-    ("probe", "_handle_probe"),
-    ("start", "_handle_start"),
-    ("set_ranges", "_handle_set_ranges"),
-    ("end", "_handle_end"),
-)
-
-
-@dataclasses.dataclass
-class WitnessStats:
-    """Counters for a multi-tenant :class:`WitnessEndpoint`."""
-
-    records: int = 0
-    #: record RPCs rejected by per-tenant fair admission (the windowed
-    #: budget; only moves when the endpoint was built with
-    #: ``window_records > 0`` — i.e. ``config.overload`` fairness on)
-    records_throttled: int = 0
-    gcs: int = 0
-
-
 class WitnessServer:
-    """One witness endpoint on a host.
+    """One master's witness on a host: its cache, mode, owned ranges
+    and counters.  Built only by :meth:`WitnessEndpoint.serve`, which
+    routes the master's RPCs here."""
 
-    ``register=False`` builds a *tenant*: the serving logic without any
-    transport registration, for a :class:`WitnessEndpoint` that routes
-    several masters' traffic through one rx handler.
-    """
-
-    def __init__(self, host: "Host", slots: int = 4096, associativity: int = 4,
-                 stale_threshold: int = 3, record_time: float = 0.0,
-                 transport: RpcTransport | None = None,
-                 register: bool = True):
-        self.host = host
-        self.sim = host.sim
-        self.mode = MODE_UNCONFIGURED
-        self.master_id: str | None = None
+    def __init__(self, master_id: str, slots: int, associativity: int,
+                 stale_threshold: int):
+        self.master_id = master_id
+        self.mode = MODE_NORMAL
         #: the served master's owned key-hash ranges, when known: records
         #: for hashes outside them are rejected (a stale-routed client
         #: racing a migration, §3.6).  None = accept any hash.
@@ -111,58 +73,22 @@ class WitnessServer:
         self.records_evicted = 0
         self.cache = WitnessCache(slots=slots, associativity=associativity,
                                   stale_threshold=stale_threshold)
-        #: CPU time to process one record RPC (profiles; §5.2 measures
-        #: 1270k records/s ≈ 0.8 µs each)
-        self.record_time = record_time
         self.records_processed = 0
         self.gcs_processed = 0
         #: accepted records carrying cross-shard saga operations
         #: (TxnPrepare / TxnCompensate, §B.2) — these occupy slots and
         #: replay on recovery exactly like any other update record
         self.txn_records = 0
-        # Witnesses are lightweight and can share a host (and its RPC
-        # endpoint) with a backup — Figure 2's colocated deployment.
-        self.transport = transport or RpcTransport(host)
-        if register:
-            for method, handler in _WITNESS_RPC_HANDLERS:
-                self.transport.register(method, getattr(self, handler))
-            # Control-path liveness for the cluster watchdog; guarded
-            # because a colocated backup may share this transport.
-            if "ping" not in self.transport._handlers:
-                self.transport.register("ping", lambda args, ctx: "PONG")
-        # NVM: no crash hook — cache contents survive crash/restart.
+        #: record RPCs the host's fair admission let through / turned
+        #: away; counted only while fairness is on (config.overload)
+        self.records_admitted = 0
+        self.records_throttled = 0
 
-    # ------------------------------------------------------------------
-    # client-facing
-    # ------------------------------------------------------------------
-    def _handle_record(self, args: RecordArgs, ctx):
-        if self.record_time > 0:
-            # Charge the CPU time without spawning a process per record
-            # (the witness sees one of these per update per client —
-            # hot path).  The incarnation guard reproduces the old
-            # generator's crash semantics: a record in flight when the
-            # host dies is dropped, not replied to.
-            self.sim.schedule_callback(self.record_time,
-                                       self._record_deferred, args, ctx,
-                                       self.host.incarnation)
-            return RpcTransport.DEFERRED
-        return self._record_now(args)
-
-    def _record_deferred(self, args: RecordArgs, ctx,
-                         incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        try:
-            ctx.reply(self._record_now(args))
-        except Exception as error:  # noqa: BLE001 - serialize to caller,
-            # matching the generator path's REMOTE_ERROR containment
-            ctx.reply_exception(error)
-
-    def _record_now(self, args: RecordArgs) -> str:
+    def record(self, args: RecordArgs) -> str:
         self.records_processed += 1
-        if self.mode != MODE_NORMAL or args.master_id != self.master_id:
-            # Wrong master, decommissioned, or frozen for recovery: the
-            # client cannot complete in 1 RTT through this witness.
+        if self.mode != MODE_NORMAL:
+            # Frozen for recovery: the client cannot complete in 1 RTT
+            # through this witness.
             return RECORD_REJECTED
         ranges = self.owned_ranges
         if ranges is not None and not in_ranges(args.key_hashes, ranges):
@@ -176,48 +102,28 @@ class WitnessServer:
             self.txn_records += 1
         return RECORD_ACCEPTED if accepted else RECORD_REJECTED
 
-    def _handle_probe(self, args: ProbeArgs, ctx):
+    def probe(self, key_hashes: typing.Sequence[int]) -> str:
         """§A.1: COMMUTE means a backup's value for these keys is fresh.
-
-        Conservative in every non-normal state: recovery mode or a
-        different master ⇒ CONFLICT, pushing the reader to the master.
-        """
-        if self.mode != MODE_NORMAL or args.master_id != self.master_id:
-            return PROBE_CONFLICT
-        if self.cache.commutes_with(args.key_hashes):
+        Conservative in recovery mode: CONFLICT pushes the reader to the
+        master."""
+        if self.mode == MODE_NORMAL and self.cache.commutes_with(key_hashes):
             return PROBE_COMMUTE
         return PROBE_CONFLICT
 
-    # ------------------------------------------------------------------
-    # master-facing
-    # ------------------------------------------------------------------
-    def _handle_gc(self, args: GcArgs, ctx):
-        if self.mode != MODE_NORMAL or args.master_id != self.master_id:
-            raise AppError("WRONG_WITNESS_STATE", {"mode": self.mode})
+    def gc(self, pairs) -> tuple:
+        self._require_normal()
         self.gcs_processed += 1
-        stale = self.cache.gc(args.pairs)
-        return tuple(stale)
+        return tuple(self.cache.gc(pairs))
 
-    # ------------------------------------------------------------------
-    # recovery-facing
-    # ------------------------------------------------------------------
-    def _handle_recovery_data(self, args: GetRecoveryDataArgs, ctx):
-        if self.master_id != args.master_id or self.mode == MODE_UNCONFIGURED:
-            raise AppError("WRONG_WITNESS_STATE",
-                           {"mode": self.mode, "master": self.master_id})
+    def recovery_data(self) -> tuple:
         # Irreversible (§4.1): even a duplicate getRecoveryData keeps the
         # witness frozen; record RPCs are rejected from now on.
         self.mode = MODE_RECOVERY
         return tuple(self.cache.all_requests())
 
-    # ------------------------------------------------------------------
-    # coordinator-facing
-    # ------------------------------------------------------------------
-    def start_for(self, master_id: str,
-                  owned_ranges: typing.Sequence[tuple[int, int]] | None = None,
-                  ) -> None:
-        """Begin a fresh life for (possibly another) master."""
-        self.master_id = master_id
+    def start(self, owned_ranges: typing.Sequence[tuple[int, int]] | None
+              ) -> None:
+        """Begin a fresh normal-mode life (§3.6)."""
         self.mode = MODE_NORMAL
         self.owned_ranges = (None if owned_ranges is None
                              else tuple(owned_ranges))
@@ -232,37 +138,26 @@ class WitnessServer:
         migration synced the source before cutover, so every completed
         update among them is already durable, and nothing that can
         still complete is lost.  Returns the eviction count."""
+        self._require_normal()
         self.owned_ranges = tuple(owned_ranges)
         dropped = self.cache.drop_outside(self.owned_ranges)
         self.records_evicted += dropped
         return dropped
 
-    def _handle_start(self, args: StartArgs, ctx):
-        self.start_for(args.master_id, args.owned_ranges)
-        return "SUCCESS"
-
-    def _handle_set_ranges(self, args: SetRangesArgs, ctx):
-        if self.mode != MODE_NORMAL or args.master_id != self.master_id:
+    def _require_normal(self) -> None:
+        if self.mode != MODE_NORMAL:
             raise AppError("WRONG_WITNESS_STATE", {"mode": self.mode})
-        return self.set_ranges(args.owned_ranges)
-
-    def _handle_end(self, args, ctx):
-        self.master_id = None
-        self.mode = MODE_UNCONFIGURED
-        self.owned_ranges = None
-        self.cache.clear()
-        return None
 
 
 class WitnessEndpoint:
-    """Multi-tenant witness host: several masters' witness sets behind
-    one rx handler.
+    """A witness host: the witness RPC handlers, routed by master id.
 
     Each served master gets a :class:`WitnessServer` *tenant* with its
     own cache and life cycle (start / recovery freeze / end apply per
-    tenant — a recovering master must not disturb its neighbours), all
-    routed by the ``master_id`` every witness RPC carries.  Capacity is
-    per tenant, matching the paper's per-master witness sizing (§4.2).
+    tenant — a recovering master must not disturb its neighbours).
+    Capacity is per tenant, matching the paper's per-master witness
+    sizing (§4.2).  The host itself keeps only the routing table, the
+    CPU cost of a record and the fair-admission window.
     """
 
     def __init__(self, host: "Host", slots: int = 4096,
@@ -275,9 +170,10 @@ class WitnessEndpoint:
         self.slots = slots
         self.associativity = associativity
         self.stale_threshold = stale_threshold
+        #: CPU time to process one record RPC (profiles; §5.2 measures
+        #: 1270k records/s ≈ 0.8 µs each)
         self.record_time = record_time
         self.tenants: dict[str, WitnessServer] = {}
-        self.stats = WitnessStats()
         # -- per-tenant fair admission (config.overload) ---------------
         #: accounting window length (µs); with ``window_records == 0``
         #: fairness is off and records flow exactly as before
@@ -287,43 +183,46 @@ class WitnessEndpoint:
         self._window_start = 0.0
         self._window_counts: dict[str, int] = {}
         self._window_total = 0
-        #: cumulative per-tenant admitted / throttled records (the
-        #: fairness series in benchmarks reads these)
-        self.tenant_records: dict[str, int] = {}
-        self.tenant_throttled: dict[str, int] = {}
+        # Witnesses are lightweight and can share a host (and its RPC
+        # endpoint) with a backup — Figure 2's colocated deployment;
+        # method names are disjoint.
         self.transport = transport or RpcTransport(host)
-        for method, handler in _WITNESS_RPC_HANDLERS:
-            self.transport.register(method, getattr(self, handler))
+        self.transport.register("record", self._handle_record)
+        self.transport.register("gc", self._handle_gc)
+        self.transport.register("get_recovery_data",
+                                self._handle_recovery_data)
+        self.transport.register("probe", self._handle_probe)
+        self.transport.register("start", self._handle_start)
+        self.transport.register("set_ranges", self._handle_set_ranges)
+        self.transport.register("end", self._handle_end)
         # Control-path liveness for the cluster watchdog; guarded
         # because a colocated backup may share this transport.
         if "ping" not in self.transport._handlers:
             self.transport.register("ping", lambda args, ctx: "PONG")
         # NVM: no crash hook — tenant caches survive crash/restart.
 
-    # ------------------------------------------------------------------
-    # tenancy
-    # ------------------------------------------------------------------
     def serve(self, master_id: str,
               owned_ranges: typing.Sequence[tuple[int, int]] | None = None,
               ) -> WitnessServer:
-        """Start (or restart, §3.6) serving ``master_id``'s witness set."""
+        """Start (or restart, §3.6) serving ``master_id``'s witness: a
+        fresh normal-mode life that leaves every other tenant alone."""
         tenant = self.tenants.get(master_id)
         if tenant is None:
-            tenant = WitnessServer(
-                self.host, slots=self.slots,
-                associativity=self.associativity,
-                stale_threshold=self.stale_threshold,
-                record_time=self.record_time, transport=self.transport,
-                register=False)
-            self.tenants[master_id] = tenant
-        tenant.start_for(master_id, owned_ranges)
+            tenant = self.tenants[master_id] = WitnessServer(
+                master_id, self.slots, self.associativity,
+                self.stale_threshold)
+        tenant.start(owned_ranges)
         return tenant
 
-    def _tenant(self, master_id: str) -> WitnessServer | None:
-        return self.tenants.get(master_id)
+    def _tenant(self, master_id: str) -> WitnessServer:
+        tenant = self.tenants.get(master_id)
+        if tenant is None:
+            raise AppError("WRONG_WITNESS_STATE",
+                           {"mode": MODE_UNCONFIGURED, "master": master_id})
+        return tenant
 
     # ------------------------------------------------------------------
-    # routed handlers
+    # client-facing
     # ------------------------------------------------------------------
     def _handle_record(self, args: RecordArgs, ctx):
         tenant = self.tenants.get(args.master_id)
@@ -331,96 +230,91 @@ class WitnessEndpoint:
             # Unknown master: same contract as a reconfigured witness —
             # the client falls back to the 2-RTT sync path.
             return RECORD_REJECTED
-        self.stats.records += 1
-        if not self._admit(args.master_id):
+        if self.window_records > 0 and not self._admit(tenant):
             # Fair-admission rejection is indistinguishable on the wire
             # from a capacity/conflict REJECTED: the hot tenant's
             # client takes the 2-RTT sync path (and, if it runs a
             # backpressure driver, shrinks its window) — the other
             # tenants' fast path stays open.  Rejecting *before* the
-            # tenant's record_time charge keeps the throttle cheap.
+            # record_time charge keeps the throttle cheap.
             return RECORD_REJECTED
-        return tenant._handle_record(args, ctx)
+        if self.record_time > 0:
+            # Charge the CPU time without spawning a process per record
+            # (the witness sees one of these per update per client —
+            # hot path).  The incarnation guard keeps a generator's
+            # crash semantics: a record in flight when the host dies is
+            # dropped, not replied to.
+            self.sim.schedule_callback(self.record_time,
+                                       self._record_deferred, tenant, args,
+                                       ctx, self.host.incarnation)
+            return RpcTransport.DEFERRED
+        return tenant.record(args)
 
-    def _admit(self, master_id: str) -> bool:
+    def _record_deferred(self, tenant: WitnessServer, args: RecordArgs, ctx,
+                         incarnation: int) -> None:
+        if not self.host.alive or self.host.incarnation != incarnation:
+            return
+        try:
+            ctx.reply(tenant.record(args))
+        except Exception as error:  # noqa: BLE001 - serialize to caller,
+            # matching the generator path's REMOTE_ERROR containment
+            ctx.reply_exception(error)
+
+    def _admit(self, tenant: WitnessServer) -> bool:
         """Windowed per-tenant fair admission (config.overload).
 
         The window resets on demand from ``sim.now`` — no timer, no
-        event, so a fairness-off endpoint (``window_records == 0``, the
-        default) adds nothing to any trace.  A tenant *below* its fair
-        share (``window_records / n_tenants``) is always admitted, even
-        once the global window budget is spent — so a hot tenant can
-        exhaust the budget without ever starving a quiet one; only
-        tenants at/over fair share are throttled.  The bounded
+        event, so fairness adds nothing to any trace.  A tenant *below*
+        its fair share (``window_records / n_tenants``) is always
+        admitted, even once the global window budget is spent — so a
+        hot tenant can exhaust the budget without ever starving a quiet
+        one; only tenants at/over fair share are throttled.  The bounded
         overshoot (at most one fair share per under-share tenant) is
         the price of that guarantee.
         """
-        if self.window_records <= 0:
-            return True
         now = self.sim.now
         if now - self._window_start >= self.fair_window:
             self._window_start = now
             self._window_counts.clear()
             self._window_total = 0
-        count = self._window_counts.get(master_id, 0)
-        fair_share = self.window_records / max(1, len(self.tenants))
+        count = self._window_counts.get(tenant.master_id, 0)
+        fair_share = self.window_records / len(self.tenants)
         if self._window_total >= self.window_records and count >= fair_share:
-            self.stats.records_throttled += 1
-            self.tenant_throttled[master_id] = (
-                self.tenant_throttled.get(master_id, 0) + 1)
+            tenant.records_throttled += 1
             return False
-        self._window_counts[master_id] = count + 1
+        self._window_counts[tenant.master_id] = count + 1
         self._window_total += 1
-        self.tenant_records[master_id] = (
-            self.tenant_records.get(master_id, 0) + 1)
+        tenant.records_admitted += 1
         return True
 
     def _handle_probe(self, args: ProbeArgs, ctx):
         tenant = self.tenants.get(args.master_id)
         if tenant is None:
             return PROBE_CONFLICT
-        return tenant._handle_probe(args, ctx)
+        return tenant.probe(args.key_hashes)
 
+    # ------------------------------------------------------------------
+    # master- and recovery-facing
+    # ------------------------------------------------------------------
     def _handle_gc(self, args: GcArgs, ctx):
-        tenant = self.tenants.get(args.master_id)
-        if tenant is None:
-            raise AppError("WRONG_WITNESS_STATE",
-                           {"mode": MODE_UNCONFIGURED,
-                            "master": args.master_id})
-        self.stats.gcs += 1
-        return tenant._handle_gc(args, ctx)
+        return self._tenant(args.master_id).gc(args.pairs)
 
     def _handle_recovery_data(self, args: GetRecoveryDataArgs, ctx):
-        tenant = self.tenants.get(args.master_id)
-        if tenant is None:
-            raise AppError("WRONG_WITNESS_STATE",
-                           {"mode": MODE_UNCONFIGURED,
-                            "master": args.master_id})
         # Freezes only this master's tenant; neighbours keep serving.
-        return tenant._handle_recovery_data(args, ctx)
+        return self._tenant(args.master_id).recovery_data()
 
+    # ------------------------------------------------------------------
+    # coordinator-facing
+    # ------------------------------------------------------------------
     def _handle_start(self, args: StartArgs, ctx):
         self.serve(args.master_id, args.owned_ranges)
         return "SUCCESS"
 
     def _handle_set_ranges(self, args: SetRangesArgs, ctx):
-        tenant = self.tenants.get(args.master_id)
-        if tenant is None:
-            raise AppError("WRONG_WITNESS_STATE",
-                           {"mode": MODE_UNCONFIGURED,
-                            "master": args.master_id})
-        return tenant._handle_set_ranges(args, ctx)
+        return self._tenant(args.master_id).set_ranges(args.owned_ranges)
 
     def _handle_end(self, args, ctx):
-        """Decommission one tenant (args carry a master_id) or, with
-        ``None`` args (the single-tenant wire contract), every tenant."""
-        master_id = getattr(args, "master_id", args)
-        if master_id is None:
-            tenants, self.tenants = list(self.tenants.values()), {}
-            for tenant in tenants:
-                tenant._handle_end(None, ctx)
-            return None
-        tenant = self.tenants.pop(master_id, None)
-        if tenant is not None:
-            tenant._handle_end(args, ctx)
+        """Decommission ``args.master_id``'s tenant (any args type that
+        carries a ``master_id``)."""
+        self.tenants.pop(args.master_id, None)
         return None

@@ -183,10 +183,10 @@ def build_cluster(config: CurpConfig | None = None,
     and can be co-hosted with backups").
 
     ``multi_tenant_witnesses=True`` builds f shared witness hosts
-    (``wshared0..f-1``), each a
-    :class:`~repro.core.witness.WitnessEndpoint` serving every
-    master's witness set as a tenant — f hosts of witness hardware for
-    the whole multi-shard cluster."""
+    (``wshared0..f-1``), each serving every master's witness as a
+    tenant — f hosts of witness hardware for the whole multi-shard
+    cluster.  Either flag only chooses placement: every witness host
+    runs the same :class:`~repro.core.witness.WitnessEndpoint`."""
     config = config or CurpConfig()
     if n_masters < 1:
         raise ValueError("n_masters must be >= 1")
@@ -197,8 +197,8 @@ def build_cluster(config: CurpConfig | None = None,
     if (overload.enabled and overload.witness_window_records > 0
             and not multi_tenant_witnesses):
         raise ValueError("overload.witness_window_records > 0 (per-tenant "
-                         "fair witness admission) only acts on a "
-                         "WitnessEndpoint: it requires "
+                         "fair witness admission) shares a witness host "
+                         "between masters: it requires "
                          "multi_tenant_witnesses=True")
     sim = Simulator(seed=seed)
     network = Network(sim, latency=LatencyModel(profile.latency()),
@@ -211,15 +211,11 @@ def build_cluster(config: CurpConfig | None = None,
     masters: dict[str, CurpMaster] = {}
     backup_hosts: dict[str, list[str]] = {}
     witness_hosts: dict[str, list[str]] = {}
-    shared_witnesses: list = []
-    if multi_tenant_witnesses and config.uses_witnesses:
-        for i in range(config.f):
-            shared = network.add_host(f"wshared{i}",
-                                      tx_cost=profile.witness.tx,
-                                      rx_cost=profile.witness.rx)
-            coordinator.add_witness_endpoint(
-                shared, record_time=profile.witness_record_time)
-            shared_witnesses.append(shared)
+    shared_witnesses = [
+        network.add_host(f"wshared{i}", tx_cost=profile.witness.tx,
+                         rx_cost=profile.witness.rx)
+        for i in range(config.f if multi_tenant_witnesses
+                       and config.uses_witnesses else 0)]
     span = 2 ** 64 // n_masters
     for index in range(n_masters):
         master_id = f"m{index}"

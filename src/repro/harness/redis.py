@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.witness import WitnessServer
+from repro.core.witness import WitnessEndpoint, WitnessServer
 from repro.harness.profiles import ClusterProfile, TEST_PROFILE
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
@@ -48,7 +48,7 @@ class RedisCluster:
                                      rx_cost=self.profile.client.rx)
         client = RedisClient(
             host, server=self.server.host.name, mode=self.mode,
-            witnesses=[w.host.name for w in self.witness_servers],
+            witnesses=list(self.server.witnesses),
             collect_outcomes=collect_outcomes)
         self.clients.append(client)
         return client
@@ -78,10 +78,10 @@ def build_redis_cluster(mode: DurabilityMode,
             witness_host = network.add_host(f"redis-witness{index}",
                                             tx_cost=profile.witness.tx,
                                             rx_cost=profile.witness.rx)
-            witness = WitnessServer(witness_host,
-                                    record_time=profile.witness_record_time)
-            witness.start_for(f"redis:{server_host.name}")
-            witness_servers.append(witness)
+            endpoint = WitnessEndpoint(
+                witness_host, record_time=profile.witness_record_time)
+            witness_servers.append(
+                endpoint.serve(f"redis:{server_host.name}"))
             witness_names.append(witness_host.name)
     device = FsyncDevice(server_host, fsync_duration or DEFAULT_FSYNC)
     server = RedisServer(

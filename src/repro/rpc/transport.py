@@ -140,10 +140,10 @@ class RpcTransport:
         self.host = host
         self.sim = host.sim
         self._handlers: dict[str, typing.Callable] = {}
-        #: in-flight calls by sequence number.  A value is either an
-        #: :class:`Event` (``call``) or an ``(on_done, extra_args)``
-        #: tuple (``call_cb``).  Entries are removed on exactly one of:
-        #: response arrival, timeout expiry, or host crash — the
+        #: in-flight calls by sequence number: ``on_done``, or an
+        #: ``(on_done, cb_args)`` tuple (``call`` stores
+        #: ``(_settle, (event,))``).  Entries are removed on exactly one
+        #: of: response arrival, timeout expiry, or host crash — the
         #: timeout/response race is safe because whichever fires first
         #: pops the entry and the loser's ``pop`` finds nothing
         #: (tests/rpc/test_transport.py pins the map draining to empty).
@@ -179,14 +179,9 @@ class RpcTransport:
         event); hot-path fan-outs use :meth:`call_cb`, which skips the
         per-call event and its queue dispatch entirely.
         """
-        self._next_seq += 1
-        seq = self._next_seq
         result = Event(self.sim)
-        self._pending[seq] = result
-        request = RpcRequest(seq, self.host.name, method, args)
-        self.host.send(dst, request, request_size or self._default_size)
-        if timeout is not None:
-            self._watch_deadline(timeout, seq, dst, method)
+        self._issue(dst, method, args, _settle, result, timeout=timeout,
+                    request_size=request_size)
         return result
 
     def call_cb(self, dst: str, method: str, args: typing.Any,
@@ -222,26 +217,20 @@ class RpcTransport:
         host.send(dst, RpcRequest(seq, host.name, method, args),
                   request_size or self._default_size)
         if timeout is not None:
-            # _watch_deadline, inlined: one per hot-path RPC.
             deadline = self.sim.now + timeout
             queue = self._deadlines.get(timeout)
             if queue is None:
                 queue = self._deadlines[timeout] = deque()
             queue.append((deadline, seq, dst, method))
+            # ``not >=`` so that a NaN timeout reaches schedule_at and
+            # raises there, like a negative one, instead of never expiring.
             if not deadline >= self._armed_at:
                 self._arm(deadline)
 
-    def _watch_deadline(self, timeout: float, seq: int, dst: str,
-                        method: str) -> None:
-        deadline = self.sim.now + timeout
-        queue = self._deadlines.get(timeout)
-        if queue is None:
-            queue = self._deadlines[timeout] = deque()
-        queue.append((deadline, seq, dst, method))
-        # ``not >=`` so that a NaN timeout reaches schedule_at and
-        # raises there, like a negative one, instead of never expiring.
-        if not deadline >= self._armed_at:
-            self._arm(deadline)
+    #: ``call_cb`` under a name the e2e tracer does not wrap: ``call``
+    #: issues through it, so a cold RPC is one ``call`` span and its
+    #: completion is not also timed as a ``call_cb`` continuation.
+    _issue = call_cb
 
     def _arm(self, deadline: float) -> None:
         # A record armed earlier for a later instant stays on the heap
@@ -278,11 +267,7 @@ class RpcTransport:
             waiter = pending.pop(seq, None)
             if waiter is None:
                 continue  # an earlier continuation crashed this host
-            kind = type(waiter)
-            if kind is Event:
-                if not waiter.triggered:
-                    waiter.fail(RpcTimeout(dst, method, timeout))
-            elif kind is tuple:
+            if type(waiter) is tuple:
                 on_done, cb_args = waiter
                 on_done(*cb_args, None, RpcTimeout(dst, method, timeout))
             else:
@@ -361,16 +346,9 @@ class RpcTransport:
             for queue in self._deadlines.values():
                 while queue and queue[0][1] not in pending:
                     queue.popleft()
-            kind = type(result)
-            if kind is Event:
-                if result.triggered:
-                    return
-                if payload.ok:
-                    result.succeed(payload.value)
-                else:
-                    result.fail(self._response_error(payload))
-            elif kind is tuple:
-                # call_cb with extra args: the continuation runs here.
+            if type(result) is tuple:
+                # extra args (``call``'s event among them): the
+                # continuation runs here.
                 on_done, cb_args = result
                 if payload.ok:
                     on_done(*cb_args, payload.value, None)
@@ -421,3 +399,15 @@ class RpcTransport:
             return RemoteError(self.host.name, "?", str(response.error_info))
         return AppError(response.error_code or "UNKNOWN",
                         response.error_info)
+
+
+def _settle(event: Event, value: typing.Any,
+            error: BaseException | None) -> None:
+    """``call``'s continuation: complete its event inside the response
+    (or deadline) dispatch, unless something completed it first."""
+    if event.triggered:
+        return
+    if error is None:
+        event.succeed(value)
+    else:
+        event.fail(error)

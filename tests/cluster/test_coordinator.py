@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode
-from repro.harness import build_cluster
+from repro.harness import RAMCLOUD_PROFILE, build_cluster
 from repro.kvstore import ConditionalWrite, Write, key_hash
 
 
@@ -150,7 +150,7 @@ def test_migration_resets_source_witnesses():
                    key_hash(f"key-{i}")) == "m0")
     cluster.run(client.update(Write(key, 1)))
     witness = cluster.coordinator.witness_servers[
-        cluster.witness_hosts["m0"][0]]
+        (cluster.witness_hosts["m0"][0], "m0")]
     assert witness.cache.occupied_slots() == 1
     h = key_hash(key)
     cluster.run(cluster.sim.process(
@@ -183,7 +183,7 @@ def test_post_cutover_record_for_migrated_key_rejected():
         cluster.coordinator.migrate("m0", "m1", h, h + 1)),
         timeout=1_000_000.0)
     witness_name = cluster.witness_hosts["m0"][0]
-    witness = cluster.coordinator.witness_servers[witness_name]
+    witness = cluster.coordinator.witness_servers[(witness_name, "m0")]
     assert witness.cache.occupied_slots() == 0
 
     # A stale-routed client's record for the migrated key lands on the
@@ -221,7 +221,7 @@ def test_set_ranges_evicts_stragglers_but_keeps_owned_records():
     )
     cluster = curp_cluster()
     witness_name = cluster.witness_hosts["m0"][0]
-    witness = cluster.coordinator.witness_servers[witness_name]
+    witness = cluster.coordinator.witness_servers[(witness_name, "m0")]
     lo, hi = cluster.coordinator.masters["m0"].owned_ranges[0]
     migrated_hash, kept_hash = lo + 5, lo + 9
 
@@ -355,3 +355,53 @@ def test_backup_spare_pool_used_on_recovery():
     assert "bspare" in managed.backups
     assert cluster.coordinator.backup_servers["bspare"].entry_count() \
         == managed.master.store.log.end
+
+
+# ----------------------------------------------------------------------
+# repairs cost what the member they replace cost
+# ----------------------------------------------------------------------
+def ramcloud_cluster():
+    return build_cluster(CurpConfig(f=3, mode=ReplicationMode.CURP,
+                                    rpc_timeout=100.0),
+                         profile=RAMCLOUD_PROFILE)
+
+
+def test_replacement_witness_charges_the_record_time():
+    assert RAMCLOUD_PROFILE.witness_record_time > 0
+    cluster = ramcloud_cluster()
+    dead = cluster.witness_hosts["m0"][1]
+    cluster.network.hosts[dead].crash()
+    spare = cluster.add_host("w-spare", role="witness")
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.replace_witness("m0", dead, spare)),
+        timeout=1_000_000.0)
+    assert cluster.coordinator.witness_endpoints["w-spare"].record_time \
+        == RAMCLOUD_PROFILE.witness_record_time
+
+
+def test_replacement_backup_charges_the_process_time():
+    assert RAMCLOUD_PROFILE.backup_process_time > 0
+    cluster = ramcloud_cluster()
+    dead = cluster.backup_hosts["m0"][2]
+    cluster.network.hosts[dead].crash()
+    spare = cluster.add_host("b-spare", role="backup")
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.replace_backup("m0", dead, spare)),
+        timeout=1_000_000.0)
+    assert cluster.coordinator.backup_servers["b-spare"].process_time \
+        == RAMCLOUD_PROFILE.backup_process_time
+
+
+def test_recovery_spare_backup_charges_the_process_time():
+    cluster = ramcloud_cluster()
+    spare = cluster.add_host("bspare", role="backup")
+    cluster.coordinator.backup_spares.append(spare)
+    cluster.network.hosts[cluster.backup_hosts["m0"][0]].crash()
+    cluster.master().host.crash()
+    standby = cluster.add_host("standby", role="master")
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.recover_master("m0", standby)),
+        timeout=10_000_000.0)
+    assert "bspare" in cluster.coordinator.masters["m0"].backups
+    assert cluster.coordinator.backup_servers["bspare"].process_time \
+        == RAMCLOUD_PROFILE.backup_process_time

@@ -130,7 +130,7 @@ def test_stale_shard_map_rerouted_through_coordinator():
     # routes to m0, so the client gc's its own aborted records.
     cluster.settle(1_000.0)
     for name in cluster.witness_hosts["m0"]:
-        witness = cluster.coordinator.witness_servers[name]
+        witness = cluster.coordinator.witness_servers[(name, "m0")]
         assert witness.cache.occupied_slots() == 0
 
 

@@ -51,7 +51,7 @@ def test_sync_rpc_when_witness_full_but_master_commutative():
     cluster.settle(500.0)  # synced + gc'd: witnesses clean, master clean
     # Manually poison one witness with a conflicting record.
     witness_name = cluster.witness_hosts["m0"][0]
-    witness = cluster.coordinator.witness_servers[witness_name]
+    witness = cluster.coordinator.witness_servers[(witness_name, "m0")]
     from repro.kvstore import key_hash
     from repro.rifl import RpcId
     witness.cache.record([key_hash("b")], RpcId(99, 1), "poison")

@@ -23,14 +23,8 @@ def curp_cluster(builder_kwargs=None, **kwargs):
 
 def witness_caches(cluster, master_id="m0"):
     """Every witness cache serving ``master_id``, whatever the deployment."""
-    coordinator = cluster.coordinator
-    caches = []
-    for name in cluster.witness_hosts[master_id]:
-        endpoint = coordinator.witness_endpoints.get(name)
-        server = (endpoint.tenants[master_id] if endpoint is not None
-                  else coordinator.witness_servers[name])
-        caches.append(server.cache)
-    return caches
+    return [cluster.coordinator.witness_servers[(name, master_id)].cache
+            for name in cluster.witness_hosts[master_id]]
 
 
 def test_orphaned_witness_record_eventually_collected():
@@ -45,7 +39,7 @@ def test_orphaned_witness_record_eventually_collected():
     orphan_rpc = RpcId(424242, 1)
     orphan_op = Write("X", "orphan-value")
     witness = cluster.coordinator.witness_servers[
-        cluster.witness_hosts["m0"][0]]
+        (cluster.witness_hosts["m0"][0], "m0")]
     witness.cache.record([key_hash("X")], orphan_rpc,
                          RecordedRequest(op=orphan_op, rpc_id=orphan_rpc))
     # Three unrelated writes → three sync+gc rounds age the orphan.
@@ -84,7 +78,7 @@ def test_orphan_already_executed_is_rifl_filtered():
     cluster.settle(500.0)  # synced + gc'd everywhere
     # A duplicate (delayed) record arrives at one witness now.
     witness = cluster.coordinator.witness_servers[
-        cluster.witness_hosts["m0"][0]]
+        (cluster.witness_hosts["m0"][0], "m0")]
     witness.cache.record([key_hash("K")], rpc_id,
                          RecordedRequest(op=Write("K", "v1"), rpc_id=rpc_id))
     for i in range(3):
@@ -160,11 +154,11 @@ def test_gc_pairs_cover_multiwrite_all_keys():
     client = cluster.new_client()
     cluster.run(client.update(MultiWrite((("a", 1), ("b", 2), ("c", 3)))))
     for name in cluster.witness_hosts["m0"]:
-        witness = cluster.coordinator.witness_servers[name]
+        witness = cluster.coordinator.witness_servers[(name, "m0")]
         assert witness.cache.occupied_slots() == 3
     cluster.settle(2_000.0)
     for name in cluster.witness_hosts["m0"]:
-        witness = cluster.coordinator.witness_servers[name]
+        witness = cluster.coordinator.witness_servers[(name, "m0")]
         assert witness.cache.occupied_slots() == 0
 
 

@@ -97,7 +97,7 @@ def test_sync_gcs_witnesses():
     master = cluster.master()
     assert master.stats.gc_rpcs == 3
     for witness_name in cluster.witness_hosts["m0"]:
-        witness = cluster.coordinator.witness_servers[witness_name]
+        witness = cluster.coordinator.witness_servers[(witness_name, "m0")]
         assert witness.cache.occupied_slots() == 0
 
 

@@ -14,10 +14,16 @@ import random
 import pytest
 
 from repro.core.config import CurpConfig, OverloadConfig, ReplicationMode
-from repro.core.messages import RETRY_LATER, ReadArgs
+from repro.core.messages import (
+    RETRY_LATER,
+    ReadArgs,
+    RecordArgs,
+    RecordedRequest,
+)
 from repro.core.witness import WitnessEndpoint
 from repro.harness import TEST_PROFILE, build_cluster
 from repro.kvstore import Write
+from repro.rifl import RpcId
 from repro.rpc import AppError, RpcTransport
 from repro.rpc.helpers import backoff_delay
 from repro.sim.events import AllOf
@@ -178,25 +184,27 @@ def test_pushback_delay_grows_exponentially_from_the_hint():
 # ----------------------------------------------------------------------
 def test_admit_is_transparent_with_fairness_off(sim, network):
     endpoint = WitnessEndpoint(network.add_host("w"), slots=64)
-    endpoint.serve("m0")
-    for _ in range(1_000):
-        assert endpoint._admit("m0")
-    assert endpoint.stats.records_throttled == 0
-    assert endpoint.tenant_records == {}  # zero bookkeeping
+    tenant = endpoint.serve("m0")
+    for seq in range(1_000):
+        rpc_id = RpcId(1, seq)
+        args = RecordArgs(master_id="m0", key_hashes=(seq,), rpc_id=rpc_id,
+                          request=RecordedRequest(op=None, rpc_id=rpc_id))
+        endpoint._handle_record(args, None)
+    assert tenant.records_processed == 1_000
+    # zero bookkeeping
+    assert (tenant.records_admitted, tenant.records_throttled) == (0, 0)
 
 
 def test_admit_enforces_the_window_budget(sim, network):
     endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
                                fair_window=1_000.0, window_records=4)
-    endpoint.serve("m0")
-    assert [endpoint._admit("m0") for _ in range(6)] \
+    m0 = endpoint.serve("m0")
+    assert [endpoint._admit(m0) for _ in range(6)] \
         == [True] * 4 + [False] * 2
-    assert endpoint.tenant_records["m0"] == 4
-    assert endpoint.tenant_throttled["m0"] == 2
-    assert endpoint.stats.records_throttled == 2
+    assert (m0.records_admitted, m0.records_throttled) == (4, 2)
     # The next window refills the budget.
     sim.run(until=sim.now + 1_000.0)
-    assert endpoint._admit("m0")
+    assert endpoint._admit(m0)
 
 
 def test_admit_never_starves_an_under_share_tenant(sim, network):
@@ -204,30 +212,29 @@ def test_admit_never_starves_an_under_share_tenant(sim, network):
     below its fair share and must still be admitted."""
     endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
                                fair_window=1_000.0, window_records=4)
-    endpoint.serve("hot")
-    endpoint.serve("quiet")
+    hot = endpoint.serve("hot")
+    quiet = endpoint.serve("quiet")
     for _ in range(4):
-        assert endpoint._admit("hot")
-    assert not endpoint._admit("hot")  # at/over fair share (2) → rejected
-    assert endpoint._admit("quiet")    # under fair share → admitted
-    assert endpoint._admit("quiet")
+        assert endpoint._admit(hot)
+    assert not endpoint._admit(hot)  # at/over fair share (2) → rejected
+    assert endpoint._admit(quiet)    # under fair share → admitted
+    assert endpoint._admit(quiet)
     # At fair share with the budget spent, the quiet tenant throttles
     # too — the guarantee is no *starvation*, not unlimited overshoot.
-    assert not endpoint._admit("quiet")
-    assert endpoint.tenant_throttled == {"hot": 1, "quiet": 1}
-    assert endpoint.tenant_records == {"hot": 4, "quiet": 2}
+    assert not endpoint._admit(quiet)
+    assert (hot.records_admitted, hot.records_throttled) == (4, 1)
+    assert (quiet.records_admitted, quiet.records_throttled) == (2, 1)
 
 
 def test_admit_window_resets_clear_per_tenant_counts(sim, network):
     endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
                                fair_window=500.0, window_records=2)
-    endpoint.serve("m0")
+    m0 = endpoint.serve("m0")
     endpoint.serve("m1")
-    assert endpoint._admit("m0") and endpoint._admit("m0")
-    assert not endpoint._admit("m0")
+    assert endpoint._admit(m0) and endpoint._admit(m0)
+    assert not endpoint._admit(m0)
     sim.run(until=sim.now + 500.0)
     # Fresh window: the same tenant is admitted again.
-    assert endpoint._admit("m0")
+    assert endpoint._admit(m0)
     # Cumulative counters survive the reset (they feed the benches).
-    assert endpoint.tenant_records["m0"] == 3
-    assert endpoint.tenant_throttled["m0"] == 1
+    assert (m0.records_admitted, m0.records_throttled) == (3, 1)

@@ -113,7 +113,7 @@ def test_recovery_during_migration_window_filters_moved_keys():
     from repro.core.messages import RecordedRequest
     from repro.rifl import RpcId
     witness = cluster.coordinator.witness_servers[
-        cluster.witness_hosts["m0"][0]]
+        (cluster.witness_hosts["m0"][0], "m0")]
     stale_rpc = RpcId(777, 1)
     witness.cache.record([h], stale_rpc,
                          RecordedRequest(op=Write(key, "stale!"),

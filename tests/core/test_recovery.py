@@ -82,7 +82,7 @@ def test_witness_freezes_during_recovery():
     # The first witness (used for replay) was re-started by the
     # coordinator for the new master — it must be empty and NORMAL.
     for name in cluster.witness_hosts["m0"]:
-        witness = cluster.coordinator.witness_servers[name]
+        witness = cluster.coordinator.witness_servers[(name, "m0")]
         assert witness.mode == "normal"
         assert witness.cache.occupied_slots() == 0
     # Witness list version bumped so stale clients are rejected.

@@ -1,9 +1,6 @@
-"""The multi-tenant witness endpoint (ISSUE 4).
-
-One host serves several masters' witness sets behind a single rx
-handler: records/probes/gc route to per-master tenants, a recovery
-freeze is per tenant, and every master's ``gc`` receives exactly its
-own stale-suspect list.
+"""A witness host serving several masters: records/probes/gc route to
+per-master tenants, a recovery freeze is per tenant, and every
+master's ``gc`` receives exactly its own stale-suspect list.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ def test_records_route_to_independent_tenant_caches(sim, setup):
     # the first one.
     assert sim.run(m0.call("witness", "record",
                            record_args("m0", 7, "c"))) == RECORD_REJECTED
-    assert endpoint.stats.records == 3
+    assert endpoint.tenants["m0"].records_processed == 2
     assert endpoint.tenants["m0"].cache.occupied_slots() == 1
     assert endpoint.tenants["m1"].cache.occupied_slots() == 1
 
@@ -138,7 +135,6 @@ def test_gc_drops_only_the_calling_masters_records(sim, setup):
     assert sim.run(m1.call(
         "witness", "gc", GcArgs(master_id="m1", pairs=((11, "a"),)))) == ()
     assert endpoint.tenants["m1"].cache.occupied_slots() == 0
-    assert endpoint.stats.gcs == 2
     assert endpoint.tenants["m0"].gcs_processed == 1
     assert endpoint.tenants["m1"].gcs_processed == 1
 
@@ -167,22 +163,3 @@ def test_gc_returns_stale_suspects_to_the_right_master(sim, setup):
                             GcArgs(master_id="m0", pairs=())))
     assert [r.rpc_id for r in stale] == ["orphan"]
 
-
-def test_single_tenant_server_cannot_clobber_an_endpoint_host(sim, network):
-    """Coordinator guard symmetry: installing a single-tenant witness
-    on a host that already runs a multi-tenant endpoint would steal
-    the rx handler and orphan every tenant — both directions must
-    refuse."""
-    from repro.core.config import CurpConfig
-    from repro.cluster.coordinator import Coordinator
-
-    coordinator = Coordinator(network.add_host("coord"), network,
-                              CurpConfig(f=1))
-    shared = network.add_host("shared-witness")
-    coordinator.add_witness_endpoint(shared)
-    with pytest.raises(ValueError, match="multi-tenant"):
-        coordinator.add_witness_host(shared)
-    solo = network.add_host("solo-witness")
-    coordinator.add_witness_host(solo)
-    with pytest.raises(ValueError, match="single-tenant"):
-        coordinator.add_witness_endpoint(solo)

@@ -1,9 +1,12 @@
-"""Unit tests for the witness RPC server (Figure 4 API)."""
+"""The witness RPC contract (Figure 4 API) on every witness host shape:
+a dedicated host, a host colocated with a backup (sharing its
+transport, Figure 2), and a host shared with a second master."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.messages import (
     GcArgs,
     GetRecoveryDataArgs,
@@ -16,24 +19,18 @@ from repro.core.messages import (
     RecordedRequest,
     StartArgs,
 )
-from repro.core.witness import (
-    MODE_NORMAL,
-    MODE_RECOVERY,
-    MODE_UNCONFIGURED,
-    WitnessServer,
-)
+from repro.core.witness import MODE_NORMAL, MODE_RECOVERY, WitnessEndpoint
+from repro.harness import build_cluster
+from repro.kvstore.backup import BackupServer
 from repro.net import Network
 from repro.rifl import RpcId
 from repro.rpc import AppError, RpcTransport
-from repro.sim import Simulator
 
+HOSTS = ("dedicated", "colocated", "shared")
 
-@pytest.fixture
-def setup(sim: Simulator, network: Network):
-    witness = WitnessServer(network.add_host("w0"), slots=64, associativity=4)
-    witness.start_for("m0")
-    caller = RpcTransport(network.add_host("caller"))
-    return witness, caller
+#: key hashes the tests below record for m0; the shared host's other
+#: master holds its own records for the same hashes
+NEIGHBOUR_HASHES = (1, 2, 5, 6)
 
 
 def record_args(key_hash: int, seq: int, master="m0") -> RecordArgs:
@@ -41,6 +38,36 @@ def record_args(key_hash: int, seq: int, master="m0") -> RecordArgs:
     return RecordArgs(master_id=master, key_hashes=(key_hash,),
                       rpc_id=rpc_id,
                       request=RecordedRequest(op=f"op{seq}", rpc_id=rpc_id))
+
+
+@pytest.fixture(params=HOSTS)
+def endpoint(request, network: Network) -> WitnessEndpoint:
+    """A witness host ``w0`` of one shape, not yet serving m0."""
+    host = network.add_host("w0")
+    transport = None
+    if request.param == "colocated":
+        transport = BackupServer(host, master_id="m0").transport
+    endpoint = WitnessEndpoint(host, slots=64, associativity=4,
+                               transport=transport)
+    if request.param == "shared":
+        neighbour = endpoint.serve("m1")
+        for h in NEIGHBOUR_HASHES:
+            rpc_id = RpcId(2, h)
+            neighbour.cache.record([h], rpc_id, RecordedRequest(
+                op=f"m1-op{h}", rpc_id=rpc_id))
+    yield endpoint
+    if request.param == "shared":
+        # Nothing m0 did reached its neighbour.
+        assert endpoint.tenants["m1"].mode == MODE_NORMAL
+        assert endpoint.tenants["m1"].cache.occupied_slots() \
+            == len(NEIGHBOUR_HASHES)
+
+
+@pytest.fixture
+def setup(endpoint: WitnessEndpoint, network: Network):
+    witness = endpoint.serve("m0")
+    caller = RpcTransport(network.add_host("caller"))
+    return witness, caller
 
 
 def test_record_accept_and_reject(setup, sim):
@@ -60,8 +87,7 @@ def test_record_wrong_master_rejected(setup, sim):
         == RECORD_REJECTED
 
 
-def test_unconfigured_witness_rejects(sim, network):
-    WitnessServer(network.add_host("w0"), slots=64, associativity=4)
+def test_unconfigured_witness_rejects(endpoint, sim, network):
     caller = RpcTransport(network.add_host("caller"))
     assert sim.run(caller.call("w0", "record", record_args(1, 1))) \
         == RECORD_REJECTED
@@ -146,37 +172,40 @@ def test_probe_conservative_when_not_normal(setup, sim):
         == PROBE_CONFLICT
 
 
-def test_start_begins_fresh_life(setup, sim):
-    """§4.1: after end/start the witness serves a different master."""
-    witness, caller = setup
+def test_end_then_start_begins_fresh_life(setup, endpoint, sim):
+    """§4.1: ``end`` decommissions a master's witness; ``start`` begins
+    a fresh normal-mode life for a master, the ended one included."""
+    _witness, caller = setup
     sim.run(caller.call("w0", "record", record_args(1, 1)))
     sim.run(caller.call("w0", "get_recovery_data",
                         GetRecoveryDataArgs(master_id="m0")))
-    sim.run(caller.call("w0", "end", None))
-    assert witness.mode == MODE_UNCONFIGURED
-    sim.run(caller.call("w0", "start", StartArgs(master_id="m1")))
-    assert witness.mode == MODE_NORMAL
-    assert witness.cache.occupied_slots() == 0
-    assert sim.run(caller.call("w0", "record",
-                               record_args(1, 9, master="m1"))) \
-        == RECORD_ACCEPTED
+    sim.run(caller.call("w0", "end", GetRecoveryDataArgs(master_id="m0")))
+    assert "m0" not in endpoint.tenants
+    assert sim.run(caller.call("w0", "record", record_args(1, 2))) \
+        == RECORD_REJECTED
+    for master in ("m2", "m0"):
+        sim.run(caller.call("w0", "start", StartArgs(master_id=master)))
+        assert endpoint.tenants[master].mode == MODE_NORMAL
+        assert endpoint.tenants[master].cache.occupied_slots() == 0
+        assert sim.run(caller.call("w0", "record",
+                                   record_args(1, 9, master=master))) \
+            == RECORD_ACCEPTED
 
 
-def test_witness_storage_survives_crash_restart(setup, sim):
+def test_witness_storage_survives_crash_restart(setup, sim, network):
     """§3.2.2: witness data lives in non-volatile memory."""
-    witness, caller = setup
+    _witness, caller = setup
     sim.run(caller.call("w0", "record", record_args(1, 1)))
-    witness.host.crash()
-    witness.host.restart()
+    network.hosts["w0"].crash()
+    network.hosts["w0"].restart()
     data = sim.run(caller.call("w0", "get_recovery_data",
                                GetRecoveryDataArgs(master_id="m0")))
     assert len(data) == 1
 
 
-def test_record_time_is_charged(sim, network):
-    witness = WitnessServer(network.add_host("w0"), slots=64,
-                            associativity=4, record_time=1.5)
-    witness.start_for("m0")
+def test_record_time_is_charged(endpoint, sim, network):
+    endpoint.record_time = 1.5
+    endpoint.serve("m0")
     caller = RpcTransport(network.add_host("caller"))
     assert sim.run(caller.call("w0", "record", record_args(1, 1))) \
         == RECORD_ACCEPTED
@@ -190,3 +219,33 @@ def test_counters(setup, sim):
     sim.run(caller.call("w0", "gc", GcArgs(master_id="m0", pairs=())))
     assert witness.records_processed == 2
     assert witness.gcs_processed == 1
+
+
+@pytest.mark.parametrize("builder_kwargs", [
+    {},
+    {"colocate_witnesses": True},
+    {"n_masters": 2, "multi_tenant_witnesses": True},
+], ids=HOSTS)
+def test_start_for_another_master_keeps_this_masters_witness(builder_kwargs):
+    """``start(X)`` on a host begins X's life there and leaves master
+    Y's witness — its mode and its records — as it was.  A record left
+    for Y cannot complete an update once Y's list drops the host (Y's
+    master rejects the stale list version), and recovery replays only
+    from Y's current list, so keeping it is safe."""
+    cluster = build_cluster(CurpConfig(f=1, mode=ReplicationMode.CURP),
+                            **builder_kwargs)
+    transport = cluster.coordinator.transport
+    host = cluster.witness_hosts["m0"][0]
+
+    def script():
+        accepted = yield transport.call(host, "record", record_args(1, 1),
+                                        timeout=1_000.0)
+        yield transport.call(host, "start", StartArgs(master_id="m9"),
+                             timeout=1_000.0)
+        data = yield transport.call(host, "get_recovery_data",
+                                    GetRecoveryDataArgs(master_id="m0"),
+                                    timeout=1_000.0)
+        return accepted, data
+    accepted, data = cluster.run(script())
+    assert accepted == RECORD_ACCEPTED
+    assert [r.op for r in data] == ["op1"]

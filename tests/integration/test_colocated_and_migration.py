@@ -33,9 +33,10 @@ def test_colocated_witnesses_share_backup_hosts():
     cluster.settle(1_000.0)
     backup = cluster.coordinator.backup_servers[
         cluster.backup_hosts["m0"][0]]
-    witness = cluster.coordinator.witness_servers[
-        cluster.witness_hosts["m0"][0]]
-    assert backup.transport is witness.transport  # shared endpoint
+    witness_host = cluster.witness_hosts["m0"][0]
+    witness = cluster.coordinator.witness_servers[(witness_host, "m0")]
+    assert backup.transport \
+        is cluster.coordinator.witness_endpoints[witness_host].transport
     assert backup.value_of("a") == 1
     assert witness.cache.occupied_slots() == 0  # gc'd after sync
 

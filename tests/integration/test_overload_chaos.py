@@ -185,9 +185,9 @@ def test_hot_tenant_cannot_starve_quiet_tenants_witnesses():
     assert endpoints, "multi-tenant endpoints were not built"
     for endpoint in endpoints:
         for master_id in records:
-            records[master_id] += endpoint.tenant_records.get(master_id, 0)
+            records[master_id] += endpoint.tenants[master_id].records_admitted
             throttled[master_id] += \
-                endpoint.tenant_throttled.get(master_id, 0)
+                endpoint.tenants[master_id].records_throttled
 
     def throttle_rate(master_id):
         total = records[master_id] + throttled[master_id]

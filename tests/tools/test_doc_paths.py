@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import FailureDetector
+from repro.cluster.coordinator import Coordinator
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 from repro.kvstore.operations import Operation
 from repro.net import Network
@@ -104,8 +105,17 @@ def _kernel_objects() -> dict[str, object]:
     sim = Simulator()
     network = Network(sim)
     transport = RpcTransport(network.add_host("h"))
+    coordinator = Coordinator(network.add_host("coordinator"), network,
+                              CurpConfig(f=1))
+    master = coordinator.create_master(
+        "m0", network.add_host("m0-host"),
+        backup_hosts=[network.add_host("b0")],
+        witness_hosts=[network.add_host("w0")])
+    endpoint = coordinator.witness_endpoints["w0"]
     return {"Simulator": sim, "Network": network, "Host": transport.host,
-            "RpcTransport": transport, "TrafficStats": network.stats}
+            "RpcTransport": transport, "TrafficStats": network.stats,
+            "Coordinator": coordinator, "WitnessEndpoint": endpoint,
+            "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master}
 
 
 _KERNEL_OBJECTS = _kernel_objects()
@@ -114,8 +124,9 @@ _KERNEL_NAME = re.compile(
 
 
 def stale_kernel_attributes(text: str) -> list[str]:
-    """Backticked ``Simulator.x`` / ``Host.x`` / ``Network.x`` /
-    ``RpcTransport.x`` / ``TrafficStats.x`` that the class lacks."""
+    """Backticked ``Owner.x`` for an owner class of ``_KERNEL_OBJECTS``
+    (``Simulator``, ``Coordinator``, ``WitnessEndpoint``, …) that the
+    class lacks."""
     return [f"{owner}.{name}"
             for span in current_spans(text)
             for owner, name in _KERNEL_NAME.findall(span)
@@ -140,10 +151,20 @@ def test_stale_kernel_attribute_check_sees_unknown_names():
                                              "Simulator.at_noon"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_witness_api():
+    text = ("`Coordinator.add_witness_host` stays; "
+            "`Coordinator.add_witness_endpoint` and `WitnessEndpoint.stats` "
+            "are gone.")
+    assert stale_kernel_attributes(text) == [
+        "Coordinator.add_witness_endpoint", "WitnessEndpoint.stats"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
-    ("TrafficStats", "payloads_sent")])
+    ("TrafficStats", "payloads_sent"), ("Coordinator", "witness_servers"),
+    ("WitnessEndpoint", "tenants"), ("WitnessServer", "records_admitted"),
+    ("CurpMaster", "replay_witness_requests")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""
