@@ -47,7 +47,6 @@ from repro.core.messages import (
     RecordedRequest,
     RETRY_LATER,
     UpdateArgs,
-    UpdateReply,
 )
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.operations import Operation
@@ -193,24 +192,43 @@ class CurpClient:
         started = self.sim.now
         last_error: Exception | None = None
         pushback_streak = 0
+        transport = self.transport
+        timeout = self.config.rpc_timeout
         for attempt in range(1, self.config.max_attempts + 1):
             master = self._master_for(op.touched_hashes())
-            args = UpdateArgs(op=op, rpc_id=rpc_id,
-                              ack_seq=self.tracker.first_incomplete,
-                              witness_list_version=master.witness_list_version)
             use_witnesses = (self.config.mode is ReplicationMode.CURP
                              and len(master.witnesses) > 0)
             witnesses = master.witnesses if use_witnesses else ()
-            status, payload, accepted_flags = (
-                yield from self._fanout(master, args, op, rpc_id, witnesses))
-            if status == "ok":
-                reply: UpdateReply = payload
-                accepted = all(accepted_flags)
+            # The 1 + f fan-out (§3.2.1): the update RPC first, then the
+            # witness records, all leaving the client NIC back to back.
+            # One QuorumEvent per attempt; completions land in its
+            # results list straight from response delivery: the
+            # master's reply or its error, then per witness
+            # RECORD_ACCEPTED or anything else (rejected, error, timeout).
+            quorum = QuorumEvent(self.sim, 1 + len(witnesses))
+            transport.call_cb(
+                master.host, "update",
+                UpdateArgs(op, rpc_id, self.tracker.first_incomplete,
+                           master.witness_list_version),
+                quorum.child_result, 0, timeout=timeout)
+            if witnesses:
+                # A record carries the whole request (op + value), so it
+                # is roughly update-RPC-sized on the wire (§5.2).
+                record = RecordArgs(master.master_id, op.touched_hashes(),
+                                    rpc_id, RecordedRequest(op, rpc_id))
+                for index, witness in enumerate(witnesses, 1):
+                    transport.call_cb(witness, "record", record,
+                                      quorum.child_result, index,
+                                      timeout=timeout)
+            results = yield quorum
+            reply = results[0]
+            if not isinstance(reply, BaseException):
                 if reply.synced:
                     return self._complete(op, rpc_id, reply.result, started,
                                           attempt, fast=False, by_master=True,
                                           sync_rpc=False)
-                if use_witnesses and accepted:
+                if use_witnesses and results[1:].count(RECORD_ACCEPTED) \
+                        == len(witnesses):
                     return self._complete(op, rpc_id, reply.result, started,
                                           attempt, fast=True, by_master=False,
                                           sync_rpc=False)
@@ -224,8 +242,8 @@ class CurpClient:
                 # come from a backup sync (§3.2.1).
                 # Slow path (§3.2.1): ask the master to sync.
                 try:
-                    yield self.transport.call(master.host, "sync", None,
-                                              timeout=self.config.rpc_timeout)
+                    yield transport.call(master.host, "sync", None,
+                                         timeout=timeout)
                     return self._complete(op, rpc_id, reply.result, started,
                                           attempt, fast=False, by_master=False,
                                           sync_rpc=True)
@@ -233,9 +251,8 @@ class CurpClient:
                     # Master crashed/deposed before the sync: restart the
                     # whole operation (same RpcId).
                     last_error = error
-            elif status == "app":
-                error: AppError = payload
-                last_error = error
+            elif isinstance(reply, AppError):
+                last_error = error = reply
                 if error.code == "STALE_RPC":  # pragma: no cover - guard
                     raise error
                 if error.code == RETRY_LATER:
@@ -262,15 +279,15 @@ class CurpClient:
                     # op (so never gc them) and the key's hash no
                     # longer routes here (so the §4.5 suspect path can
                     # never reclaim them either).
-                    accepted = [witness for witness, ok
-                                in zip(witnesses, accepted_flags)
-                                if ok]
+                    accepted = [witness for witness, result
+                                in zip(witnesses, results[1:])
+                                if result == RECORD_ACCEPTED]
                     self._abort_records(master.master_id, accepted,
                                         op, rpc_id)
                     yield from self._refresh_routing()
                     continue
-            else:  # timeout
-                last_error = payload
+            else:  # timeout, or any other RPC failure
+                last_error = reply
             pushback_streak = 0
             yield from self._recover_attempt()
         raise ClientGaveUp(
@@ -290,50 +307,6 @@ class CurpClient:
         base = hint or overload.retry_after
         return backoff_delay(streak, base, overload.retry_after_cap,
                              self.sim.rng)
-
-    # ------------------------------------------------------------------
-    # the 1 + f fan-out (§3.2.1)
-    # ------------------------------------------------------------------
-    def _fanout(self, master: MasterInfo, args: UpdateArgs,
-                op: Operation, rpc_id, witnesses: typing.Sequence[str]):
-        """Generator: issue the update and the witness records, wait for
-        all of them.
-
-        One slotted :class:`QuorumEvent` per update; completions land in
-        its pre-sized results list straight from response delivery — no
-        wrapper process or per-call event (docs/PERFORMANCE.md).
-        Returns ``(status, payload, accepted_flags)``: status is
-        ``"ok"`` (payload = the master's reply), ``"app"`` (its
-        AppError) or ``"timeout"`` (any other RPC failure); a witness
-        that rejected, errored or timed out is a False flag.
-        """
-        timeout = self.config.rpc_timeout
-        quorum = QuorumEvent(self.sim, 1 + len(witnesses))
-        # Fire the update RPC first, then the witness records: all
-        # leave through the client NIC back to back (§3.2.1).
-        self.transport.call_cb(master.host, "update", args,
-                               quorum.child_result, 0, timeout=timeout)
-        if witnesses:
-            # A record carries the whole request (op + value), so it
-            # is roughly update-RPC-sized on the wire (§5.2).
-            record = RecordArgs(
-                master_id=master.master_id,
-                key_hashes=op.touched_hashes(), rpc_id=rpc_id,
-                request=RecordedRequest(op=op, rpc_id=rpc_id))
-            for index, witness in enumerate(witnesses):
-                self.transport.call_cb(witness, "record", record,
-                                       quorum.child_result, 1 + index,
-                                       timeout=timeout)
-        results = yield quorum
-        reply = results[0]
-        if isinstance(reply, AppError):
-            status, payload = "app", reply
-        elif isinstance(reply, BaseException):
-            status, payload = "timeout", reply
-        else:
-            status, payload = "ok", reply
-        accepted_flags = [value == RECORD_ACCEPTED for value in results[1:]]
-        return status, payload, accepted_flags
 
     def _abort_records(self, master_id: str,
                        witnesses: typing.Sequence[str], op: Operation,

@@ -3,6 +3,11 @@
 Mirrors the witness API of Figure 4 plus the master-facing RPCs the
 protocol text describes (update, read, sync) and the coordinator-facing
 control RPCs (§3.6).
+
+The four frames of every update (``UpdateArgs``, ``UpdateReply``,
+``RecordArgs``, ``RecordedRequest``) are slotted rather than frozen: a
+frozen ``__init__`` costs twice as much, and nothing mutates or hashes
+a frame once it is sent.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import dataclasses
 import typing
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class UpdateArgs:
     """Client → master: execute an update operation."""
 
@@ -23,7 +28,7 @@ class UpdateArgs:
     witness_list_version: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class UpdateReply:
     result: typing.Any
     #: True when the update is already durable on backups (the client
@@ -47,7 +52,7 @@ class ReadArgs:
     probe: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class RecordArgs:
     """Client → witness: record(masterID, keyHashes, rpcId, request)."""
 
@@ -176,7 +181,7 @@ class BackupReadArgs:
     key: str
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class RecordedRequest:
     """What a witness actually stores: enough to replay the update
     during recovery (the operation and its exactly-once identity)."""

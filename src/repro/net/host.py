@@ -56,6 +56,10 @@ class Host:
         #: bumped on every crash; schedules from a previous incarnation
         #: compare against it and become no-ops
         self.incarnation = 0
+        #: messages and bytes this host sent, over every incarnation (the
+        #: network's ``TrafficStats`` totals and per-host maps read them)
+        self.messages_sent = 0
+        self.bytes_sent = 0
         self._nic_free_at = 0.0
         self._rx_free_at = 0.0
         #: how far past the arrival the kernel fires a delivery record
@@ -148,15 +152,11 @@ class Host:
             self._rx_free_at = departs
         target, sampler = self._links.get(dst) or self._bind_link(dst)
         network = self.network
-        name = self.name
-        stats = network.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-        stats.per_host_sent[name] += 1
-        stats.per_host_bytes[name] += size_bytes
+        self.messages_sent += 1
+        self.bytes_sent += size_bytes
         # Built once: the same instance feeds the taps (documented as
         # non-mutating) and, if the message survives, delivery.
-        message = Message(name, dst, payload, size_bytes, now)
+        message = Message(self.name, dst, payload, size_bytes, now)
         extra = 0.0
         dup = -1.0
         if network._guarded or network.taps:
@@ -169,7 +169,7 @@ class Host:
         delay = departs - now + wire + extra
         sim._schedule_deliver(delay, target, message)
         if dup >= 0.0:
-            stats.messages_duplicated += 1
+            network.stats.messages_duplicated += 1
             sim._schedule_deliver(delay + dup, target, message)
 
     def _bind_link(self, dst: str) -> tuple:

@@ -10,7 +10,6 @@ the benchmarks calibrate the latency models to the paper's clusters.
 from __future__ import annotations
 
 import typing
-from collections import defaultdict
 
 from repro.net.host import Host
 from repro.net.latency import LatencyModel
@@ -25,19 +24,39 @@ class TrafficStats:
     """Message/byte counters, per host and total (§5.2 analysis).
 
     Every RPC request and response is one transmission, so
-    ``messages_sent`` is the protocol's per-message floor.
+    ``messages_sent`` is the protocol's per-message floor.  Each host
+    counts what it sent (``Host.messages_sent`` / ``bytes_sent``); the
+    totals and per-host maps are read-only views over the hosts.
     """
 
-    def __init__(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0
+    def __init__(self, hosts: dict[str, Host]) -> None:
         self.messages_dropped = 0
         #: extra deliveries injected by per-link duplication faults
         #: (net/faults.py); never counted in ``messages_sent``, so the
         #: messages-per-update gates read the protocol's own traffic
         self.messages_duplicated = 0
-        self.per_host_sent: dict[str, int] = defaultdict(int)
-        self.per_host_bytes: dict[str, int] = defaultdict(int)
+        self._hosts = hosts
+
+    @property
+    def messages_sent(self) -> int:
+        return sum(host.messages_sent for host in self._hosts.values())
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(host.bytes_sent for host in self._hosts.values())
+
+    @property
+    def per_host_sent(self) -> dict[str, int]:
+        """Messages sent per host name; a host that never sent is
+        absent."""
+        return {name: host.messages_sent
+                for name, host in self._hosts.items() if host.messages_sent}
+
+    @property
+    def per_host_bytes(self) -> dict[str, int]:
+        """Bytes sent per host name, keyed like ``per_host_sent``."""
+        return {name: host.bytes_sent
+                for name, host in self._hosts.items() if host.messages_sent}
 
     @property
     def payloads_sent(self) -> int:
@@ -65,7 +84,7 @@ class Network:
         self.sim = sim
         self.latency = latency or LatencyModel()
         self.hosts: dict[str, Host] = {}
-        self.stats = TrafficStats()
+        self.stats = TrafficStats(self.hosts)
         #: observers called with every transmitted Message (traffic
         #: analysis, e.g. §5.2 payload-copy accounting); must not mutate
         self.taps: list[typing.Callable[[Message], None]] = []

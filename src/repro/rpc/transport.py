@@ -35,23 +35,71 @@ from repro.rpc.errors import AppError, RemoteError, RpcTimeout
 from repro.sim.events import Event
 
 _NEVER = float("inf")
+#: ``RpcTransport.DEFAULT_SIZE``: every response, and every request
+#: sent without a size, is charged this many bytes
+_DEFAULT_SIZE = 130
 
 
 class RpcRequest:
-    """Request frame (slotted: one per simulated RPC — hot path)."""
+    """Request frame, and the handler's context once delivered.
 
-    __slots__ = ("seq", "reply_to", "method", "args")
+    Slotted: one per simulated RPC — hot path.  The receiving transport
+    binds its host; the handler gets the request itself as ``ctx`` and
+    may answer early (``reply``), later (after returning ``DEFERRED``)
+    or not at all (the transport replies with the return value).  A
+    frame delivered a second time (a gray link's duplicate) is copied
+    before binding, so each delivery has its own reply state.
+    """
 
-    def __init__(self, seq: int, reply_to: str, method: str,
-                 args: typing.Any):
+    __slots__ = ("seq", "src", "method", "args", "replied", "_host")
+
+    def __init__(self, seq: int, src: str, method: str, args: typing.Any):
         self.seq = seq
-        self.reply_to = reply_to
+        #: source host name of the request (where the response goes)
+        self.src = src
         self.method = method
         self.args = args
+        self.replied = False
+        #: the receiving host, bound at delivery (None while in flight)
+        self._host: Host | None = None
+
+    def reply(self, value: typing.Any = None) -> None:
+        """Send the response now; the handler may keep running."""
+        if self.replied:
+            raise RuntimeError("reply() called twice")
+        self.replied = True
+        self._host.send(self.src, RpcResponse(self.seq, True, value),
+                        _DEFAULT_SIZE)
+
+    def reply_error(self, code: str, info: typing.Any = None) -> None:
+        if self.replied:
+            raise RuntimeError("reply() called twice")
+        self.replied = True
+        self._host.send(self.src,
+                        RpcResponse(self.seq, False, None, code, info),
+                        _DEFAULT_SIZE)
+
+    def reply_exception(self, error: BaseException) -> None:
+        """Serialize a handler failure to the caller, unless a reply
+        already went out: an :class:`AppError` keeps its code and info,
+        anything else becomes ``REMOTE_ERROR``."""
+        if self.replied:
+            return
+        if isinstance(error, AppError):
+            self.reply_error(error.code, error.info)
+        else:
+            self.reply_error("REMOTE_ERROR",
+                             f"{type(error).__name__}: {error}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"RpcRequest(seq={self.seq}, reply_to={self.reply_to!r}, "
+        return (f"RpcRequest(seq={self.seq}, src={self.src!r}, "
                 f"method={self.method!r}, args={self.args!r})")
+
+
+#: what handlers are handed: the delivered request.  The name stays
+#: bound because the e2e tracer patches ``RpcContext.reply`` /
+#: ``reply_error``.
+RpcContext = RpcRequest
 
 
 class RpcResponse:
@@ -74,63 +122,12 @@ class RpcResponse:
                 f"error_info={self.error_info!r})")
 
 
-class RpcContext:
-    """Handed to handlers: request metadata + the early-reply hook.
-
-    Slotted: one per handled request — hot path.
-    """
-
-    __slots__ = ("_transport", "_request", "_response_size", "replied",
-                 "src")
-
-    def __init__(self, transport: "RpcTransport", request: RpcRequest,
-                 response_size: int):
-        self._transport = transport
-        self._request = request
-        self._response_size = response_size
-        self.replied = False
-        #: source host name of the request
-        self.src = request.reply_to
-
-    def reply(self, value: typing.Any = None) -> None:
-        """Send the response now; the handler may keep running."""
-        if self.replied:
-            raise RuntimeError("reply() called twice")
-        self.replied = True
-        request = self._request
-        self._transport.host.send(request.reply_to,
-                                  RpcResponse(request.seq, True, value),
-                                  self._response_size)
-
-    def reply_error(self, code: str, info: typing.Any = None) -> None:
-        if self.replied:
-            raise RuntimeError("reply() called twice")
-        self.replied = True
-        request = self._request
-        self._transport.host.send(
-            request.reply_to,
-            RpcResponse(request.seq, False, None, code, info),
-            self._response_size)
-
-    def reply_exception(self, error: BaseException) -> None:
-        """Serialize a handler failure to the caller, unless a reply
-        already went out: an :class:`AppError` keeps its code and info,
-        anything else becomes ``REMOTE_ERROR``."""
-        if self.replied:
-            return
-        if isinstance(error, AppError):
-            self.reply_error(error.code, error.info)
-        else:
-            self.reply_error("REMOTE_ERROR",
-                             f"{type(error).__name__}: {error}")
-
-
 class RpcTransport:
     """RPC endpoint for a single host."""
 
     #: wire size (bytes) charged per request/response when unspecified;
     #: roughly a 100 B object write plus headers, per the paper's workloads
-    DEFAULT_SIZE = 130
+    DEFAULT_SIZE = _DEFAULT_SIZE
 
     #: sentinel a handler may return to take ownership of replying later
     #: (e.g. an event-loop server that batches replies across requests)
@@ -155,9 +152,8 @@ class RpcTransport:
         #: instant of the armed kernel record (``_NEVER`` = none).
         #: Invariant: no later than any live deadline.
         self._armed_at = _NEVER
-        #: instance-bound copies of the class constants: one dict probe
-        #: instead of two on every call/handle (hot path)
-        self._default_size = RpcTransport.DEFAULT_SIZE
+        #: instance-bound copy of the class constant: one dict probe
+        #: instead of two on every handled request (hot path)
         self._deferred = RpcTransport.DEFERRED
         host.set_message_handler(self._on_message)
         host.on_crash(self._on_crash)
@@ -215,7 +211,7 @@ class RpcTransport:
         self._pending[seq] = (on_done, cb_args) if cb_args else on_done
         host = self.host
         host.send(dst, RpcRequest(seq, host.name, method, args),
-                  request_size or self._default_size)
+                  request_size or _DEFAULT_SIZE)
         if timeout is not None:
             deadline = self.sim.now + timeout
             queue = self._deadlines.get(timeout)
@@ -359,27 +355,32 @@ class RpcTransport:
             else:
                 result(None, self._response_error(payload))
         elif payload_type is RpcRequest:
+            if payload._host is not None:
+                # Delivered before (a gray link duplicated the frame):
+                # this delivery gets a copy with its own reply state.
+                payload = RpcRequest(payload.seq, payload.src,
+                                     payload.method, payload.args)
+            payload._host = self.host
             handler = self._handlers.get(payload.method)
-            ctx = RpcContext(self, payload, self._default_size)
             if handler is None:
-                ctx.reply_error("NO_SUCH_METHOD", payload.method)
+                payload.reply_error("NO_SUCH_METHOD", payload.method)
                 return
             try:
-                outcome = handler(payload.args, ctx)
+                outcome = handler(payload.args, payload)
             except Exception as error:  # noqa: BLE001 - serialize to caller
-                ctx.reply_exception(error)
+                payload.reply_exception(error)
                 return
             if outcome is self._deferred:
                 return
             if type(outcome) is GeneratorType:
-                self._run_handler_process(outcome, ctx, payload)
-            elif not ctx.replied:
-                ctx.reply(outcome)
+                self._run_handler_process(outcome, payload)
+            elif not payload.replied:
+                payload.reply(outcome)
         # anything else: not RPC traffic; ignore
 
     def _run_handler_process(self, generator: typing.Generator,
-                             ctx: RpcContext, request: RpcRequest) -> None:
-        process = self.host.spawn(generator, name=f"rpc:{request.method}")
+                             ctx: RpcRequest) -> None:
+        process = self.host.spawn(generator, name=f"rpc:{ctx.method}")
 
         def finish(event: Event) -> None:
             if ctx.replied:

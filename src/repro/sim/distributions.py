@@ -20,6 +20,9 @@ import math
 import random
 import typing
 
+#: ``random.gauss``'s constant, the same float
+_TWOPI = 2.0 * math.pi
+
 
 class Distribution:
     """Base class: ``sample(rng)`` returns a non-negative float."""
@@ -144,9 +147,25 @@ class Shifted(Distribution):
         floor, inner = self.floor, self.inner
         if type(inner) is LogNormal and inner.sigma > 0:
             # The calibrated wire model, one draw per simulated message:
-            # the whole chain as one flat expression.
-            exp, gauss, mu, sigma = math.exp, rng.gauss, inner._mu, inner.sigma
-            return lambda: floor + exp(gauss(mu, sigma))
+            # ``floor + exp(rng.gauss(mu, sigma))`` in one frame, with
+            # gauss's pair-caching Box–Muller inlined.  It reads and
+            # writes ``rng.gauss_next`` exactly as ``gauss`` does, so the
+            # floats and the stream's state are the same.
+            exp, log, sqrt, cos, sin = (math.exp, math.log, math.sqrt,
+                                        math.cos, math.sin)
+            uniform, mu, sigma = rng.random, inner._mu, inner.sigma
+
+            def draw() -> float:
+                z = rng.gauss_next
+                if z is None:
+                    x2pi = uniform() * _TWOPI
+                    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                    z = cos(x2pi) * g2rad
+                    rng.gauss_next = sin(x2pi) * g2rad
+                else:
+                    rng.gauss_next = None
+                return floor + exp(mu + z * sigma)
+            return draw
         draw = inner.sampler(rng)
         return lambda: floor + draw()
 

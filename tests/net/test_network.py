@@ -180,6 +180,31 @@ def test_traffic_stats_count_bytes(sim: Simulator, network: Network):
     assert network.stats.per_host_bytes["a"] == 150
 
 
+def test_per_host_traffic_keys_senders_only_and_survives_restart(
+        sim: Simulator, network: Network):
+    """Each host keeps its own counts; the per-host views have the keys
+    and values the counting dicts had: a host that never sent is absent
+    (a zero-byte sender is not), and a crash / restart keeps what the
+    host sent in its earlier life."""
+    a, b, _inbox = two_hosts(network)
+    network.add_host("quiet")
+    network.add_host("empty").send("b", "ping", size_bytes=0)
+    a.send("b", "m1", size_bytes=100)
+    a.crash()
+    a.send("b", "lost", size_bytes=999)  # a dead host sends nothing
+    a.restart()
+    a.send("b", "m2", size_bytes=50)
+    b.crash()
+    b.restart()
+    sim.run()
+    stats = network.stats
+    assert stats.per_host_sent == {"a": 2, "empty": 1}
+    assert stats.per_host_bytes == {"a": 150, "empty": 0}
+    assert "quiet" not in stats.per_host_sent and "b" not in stats.per_host_bytes
+    assert stats.messages_sent == sum(stats.per_host_sent.values())
+    assert stats.bytes_sent == sum(stats.per_host_bytes.values())
+
+
 def test_messages_per_update_counts_transmissions(sim: Simulator,
                                                   network: Network):
     a, _b, _inbox = two_hosts(network)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net import Network
+from repro.net.faults import FaultInjector, FaultPlan, GrayLink
 from repro.rpc import AppError, RpcTimeout, RpcTransport
 from repro.rpc.errors import RemoteError
 from repro.sim import Simulator
@@ -169,6 +170,38 @@ def test_reply_twice_is_error(sim: Simulator, network: Network):
         return None
     server.register("m", handler)
     assert sim.run(client.call("server", "m")) == 1
+
+
+def test_duplicated_request_is_handled_twice_with_its_own_reply_state(
+        sim: Simulator, network: Network):
+    """The delivered request is the handler's context.  A gray link that
+    duplicates every frame delivers one request object twice; the second
+    delivery gets a copy, so the handler runs twice and replies twice
+    (the client keeps the first response), and a second reply within one
+    handler still raises."""
+    client, server = make_pair(network)
+    FaultInjector(network, FaultPlan((GrayLink(
+        src="client", dst="server", duplicate_rate=1.0),))).start()
+    sim.run(until=0.0)
+    contexts = []
+
+    def handler(args, ctx):
+        contexts.append(ctx)
+        ctx.reply(f"echo:{args}")
+        with pytest.raises(RuntimeError):
+            ctx.reply("again")
+    server.register("echo", handler)
+    seen = []
+    client.call_cb("server", "echo", "v",
+                   lambda value, error: seen.append((value, error)))
+    sim.run()
+    assert network.stats.messages_duplicated == 1
+    assert network.stats.per_host_sent == {"client": 1, "server": 2}
+    assert len(contexts) == 2 and contexts[0] is not contexts[1]
+    assert [(ctx.src, ctx.seq, ctx.args) for ctx in contexts] == \
+        [("client", 1, "v")] * 2
+    assert seen == [("echo:v", None)]
+    assert client.pending_calls == 0
 
 
 # ----------------------------------------------------------------------

@@ -112,3 +112,28 @@ def test_sampler_draws_exactly_what_sample_draws(dist):
     for _ in range(10_000):
         assert draw() == dist.sample(direct)
     assert direct.getstate() == compiled.getstate()
+
+
+def test_inline_gauss_shares_the_rng_with_foreign_draws():
+    """The wire sampler inlines ``random.gauss``'s Box–Muller, pair
+    cache included, on an rng other callers also draw from (backoff
+    jitter, key choice, arrivals).  Foreign ``gauss()`` / ``random()``
+    calls at the same points of two twin-seeded streams must leave them
+    in step: same floats everywhere and the same final state, the
+    cached second normal (``gauss_next``) included."""
+    dist = Shifted(1.18, LogNormal(median=1.05, sigma=0.18))
+    direct, compiled = random.Random(2024), random.Random(2024)
+    draw = dist.sampler(compiled)
+    where = random.Random(5)  # places the foreign calls
+    foreign = 0
+    for _ in range(10_000):
+        assert draw() == dist.sample(direct)
+        roll = where.random()
+        if roll < 0.15:
+            assert compiled.gauss() == direct.gauss()
+        elif roll < 0.3:
+            assert compiled.random() == direct.random()
+        foreign += roll < 0.3
+        assert compiled.gauss_next == direct.gauss_next
+    assert foreign > 2_000
+    assert compiled.getstate() == direct.getstate()

@@ -15,10 +15,12 @@ import pytest
 
 from repro.cluster import FailureDetector
 from repro.cluster.coordinator import Coordinator
+from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 from repro.kvstore.operations import Operation
 from repro.net import Network
-from repro.rpc import RpcTransport
+from repro.rpc import RpcContext, RpcTransport
+from repro.rpc.transport import RpcRequest
 from repro.sim import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -112,10 +114,15 @@ def _kernel_objects() -> dict[str, object]:
         backup_hosts=[network.add_host("b0")],
         witness_hosts=[network.add_host("w0")])
     endpoint = coordinator.witness_endpoints["w0"]
+    client = CurpClient(network.add_host("c0"), CurpConfig(f=1),
+                        coordinator="coordinator")
+    request = RpcRequest(1, "c0", "update", None)
     return {"Simulator": sim, "Network": network, "Host": transport.host,
             "RpcTransport": transport, "TrafficStats": network.stats,
             "Coordinator": coordinator, "WitnessEndpoint": endpoint,
-            "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master}
+            "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master,
+            "CurpClient": client, "RpcRequest": request,
+            "RpcContext": request}
 
 
 _KERNEL_OBJECTS = _kernel_objects()
@@ -159,12 +166,21 @@ def test_stale_kernel_attribute_check_sees_removed_witness_api():
         "Coordinator.add_witness_endpoint", "WitnessEndpoint.stats"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_rpc_and_client_api():
+    assert RpcContext is RpcRequest
+    text = ("`RpcContext.reply`, `RpcRequest.src` and `CurpClient.update` "
+            "stay; `RpcContext._request` and `CurpClient._fanout` are gone.")
+    assert stale_kernel_attributes(text) == [
+        "RpcContext._request", "CurpClient._fanout"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
     ("TrafficStats", "payloads_sent"), ("Coordinator", "witness_servers"),
     ("WitnessEndpoint", "tenants"), ("WitnessServer", "records_admitted"),
-    ("CurpMaster", "replay_witness_requests")])
+    ("CurpMaster", "replay_witness_requests"), ("RpcRequest", "replied"),
+    ("RpcContext", "reply_error"), ("CurpClient", "read_nearby")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""

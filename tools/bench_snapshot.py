@@ -13,8 +13,9 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
 
 - ``fig6_smoke``: a Figure 6-shaped closed loop (16 clients, CURP f=3,
   writes) — kernel events per committed op, the largest kernel queue
-  seen at five slice boundaries (``heap_peak``), and the bytes each
-  committed op leaves allocated (``retained_bytes_per_op``);
+  seen at five slice boundaries (``heap_peak``), the bytes each
+  committed op leaves allocated (``retained_bytes_per_op``) and the
+  Python-level calls it makes (``py_calls_per_op``);
 - ``messages_per_update``: wire messages per committed update at
   f ∈ {1, 3}, colocated vs spread witnesses
   (``benchmarks/bench_sec52_witness_resources.py``);
@@ -90,7 +91,8 @@ def _fig6_smoke() -> dict:
     slice boundary: live work is a few dozen records, thousands means
     something parks a record per operation on the kernel's heap.
     ``retained_bytes_per_op`` comes from a second, shorter run under
-    ``tracemalloc``.
+    ``tracemalloc``, ``py_calls_per_op`` from a third under
+    ``sys.setprofile``.
     """
     cluster, loops = _fig6_cluster()
     sim = cluster.sim
@@ -107,6 +109,7 @@ def _fig6_smoke() -> dict:
             (sim.processed_events - events_before) / operations, 3),
         "heap_peak": heap_peak,
         "retained_bytes_per_op": _fig6_retained_bytes_per_op(),
+        "py_calls_per_op": _fig6_py_calls_per_op(),
     }
 
 
@@ -137,6 +140,38 @@ def _fig6_retained_bytes_per_op() -> int:
     finally:
         tracemalloc.stop()
     return round(retained / (sum(loop.operations for loop in loops) - before))
+
+
+def _fig6_py_calls_per_op() -> float:
+    """Python-level calls per committed op: every function entered and
+    generator resumed, counted by ``sys.setprofile`` over a 4,000 µs
+    window of the smoke after its warm-up.  The ``key_hash`` memo starts
+    empty and the collector is off in the window (a collection would
+    run finalizers at an allocation-dependent point), so the count
+    repeats exactly on one interpreter, whatever ``PYTHONHASHSEED``."""
+    import gc
+
+    from repro.kvstore.hashing import key_hash
+
+    key_hash.cache_clear()
+    cluster, loops = _fig6_cluster()
+    before = sum(loop.operations for loop in loops)
+    calls = 0
+
+    def count(_frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        cluster.sim.run(until=cluster.sim.now + 4_000.0)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return round(calls / (sum(loop.operations for loop in loops) - before),
+                 2)
 
 
 def _rebalance() -> dict:
