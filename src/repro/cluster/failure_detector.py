@@ -413,11 +413,11 @@ class FailureDetector:
         slo = self._effective_slo(managed.host)
         deadline = self.probe_slo_cap if self.adaptive_probe_slo else slo
         start = self.sim.now
+        key = self._probe_key(master_id, managed)
         try:
             yield self.coordinator.transport.call(
                 managed.host, "read",
-                ReadArgs(key=self._probe_key(master_id, managed),
-                         probe=True),
+                ReadArgs(key=key, key_hash=key_hash(key), probe=True),
                 timeout=deadline)
         except AppError:
             self._observe_probe(managed.host, self.sim.now - start)

@@ -361,35 +361,33 @@ class CurpClient:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def read(self, key: str, for_update: bool = False):
+    def read(self, key: str, for_update: bool = False,
+             versioned: bool = False):
         """Generator: linearizable read from the master.
 
         ``for_update=True`` is the §A.3 fast path for reads preparing a
         conditional update: the master may return an unsynced value
         without waiting for its durability, because the commit's
-        version check revalidates it.
+        version check revalidates it.  ``versioned=True`` returns
+        ``(value, version)`` instead of the value.
         """
-        value, _version = yield from self.read_versioned(
-            key, for_update=for_update)
-        return value
-
-    def read_versioned(self, key: str, for_update: bool = False):
-        """Generator: read (value, version) — the transaction read set."""
         started = self.sim.now
         last_error: Exception | None = None
         pushback_streak = 0
-        hashes = (key_hash(key),)
+        h = key_hash(key)
+        args = ReadArgs(key, h, for_update, versioned)
         for _attempt in range(1, self.config.max_attempts + 1):
-            master = self._master_for(hashes)
+            view = self.view
+            owner = view.master_for_hash(h)
+            if owner is None:
+                raise ValueError(f"key {key!r} routes to no master")
             try:
-                value, version = yield self.transport.call(
-                    master.host, "read",
-                    ReadArgs(key=key, allow_unsynced=for_update,
-                             return_version=True),
+                result = yield self.transport.call(
+                    view.masters[owner].host, "read", args,
                     timeout=self.config.rpc_timeout)
                 self.completed_reads += 1
                 self.last_read_latency = self.sim.now - started
-                return value, version
+                return result
             except (AppError, RpcTimeout) as error:
                 last_error = error
                 if isinstance(error, AppError) and error.code == "WRONG_SHARD":
@@ -406,6 +404,10 @@ class CurpClient:
             pushback_streak = 0
             yield from self._recover_attempt()
         raise ClientGaveUp(f"read {key!r} failed: {last_error!r}")
+
+    def read_versioned(self, key: str, for_update: bool = False):
+        """Generator: read (value, version) — the transaction read set."""
+        return (yield from self.read(key, for_update, versioned=True))
 
     def read_nearby(self, key: str, backup: str, witness: str):
         """Generator: §A.1 consistent read from a (nearby) backup.

@@ -48,7 +48,6 @@ from repro.kvstore.backup import ReplicateArgs
 from repro.kvstore.hashing import in_ranges, key_hash
 from repro.kvstore.operations import (
     Operation,
-    Read,
     TxnCompensate,
     TxnPrepare,
 )
@@ -278,11 +277,17 @@ class CurpMaster:
         """Run ``executed(*args, incarnation)`` on a pool worker after
         ``execute_time``; the continuation owns releasing the worker."""
         incarnation = self.host.incarnation
-        if self.workers.try_acquire():
-            self._worker_granted(None, executed, args, incarnation)
+        workers = self.workers
+        if workers.in_use >= workers.capacity:
+            workers.request().when_done(self._worker_granted, executed,
+                                        args, incarnation)
+            return
+        workers.in_use += 1     # a free worker: granted here, no event
+        if self.execute_time > 0:
+            self.sim.schedule_callback(self.execute_time, executed,
+                                       *args, incarnation)
         else:
-            self.workers.request().when_done(self._worker_granted,
-                                             executed, args, incarnation)
+            executed(*args, incarnation)
 
     def _worker_granted(self, _grant, executed, args: tuple,
                         incarnation: int) -> None:
@@ -381,8 +386,11 @@ class CurpMaster:
     # ------------------------------------------------------------------
     def _handle_read(self, args: ReadArgs, ctx):
         self._check_serviceable()
-        h = key_hash(args.key)
-        if not self.owns_hash(h):
+        h = args.key_hash
+        for lo, hi in self.owned_ranges:
+            if lo <= h < hi:
+                break
+        else:
             raise AppError("WRONG_SHARD", {"master": self.master_id})
         if self._shedding() and not args.probe:
             self.stats.shed_reads += 1
@@ -400,42 +408,43 @@ class CurpMaster:
         ``allow_unsynced`` reads — preparation for a conditional update
         — skip the wait, because the commit's version check revalidates
         them; the version floor raised during recovery guarantees a
-        lost value's version is never reissued.
+        lost value's version is never reissued.  One store probe
+        answers both the unsynced check and the reply; a missing or
+        deleted key reads as ``None`` at version 0.
         """
         if self._gone(incarnation):
             return
         try:
             self.stats.reads += 1
-            if not args.allow_unsynced and \
-                    self.store.is_unsynced(args.key, self.synced_position):
-                # The worker is held through the sync.
-                self._request_sync(
-                    self.store.last_position_of(args.key)).when_done(
-                    self._read_after_sync, args, ctx, incarnation)
+            obj = self.store.lookup(args.key)
+            if obj is None:
+                ctx.reply((None, 0) if args.return_version else None)
+            elif args.allow_unsynced or obj.position <= self.synced_position:
+                ctx.reply((obj.value, obj.version) if args.return_version
+                          else obj.value)
+            else:
+                # The worker is held through the sync, and the reply is
+                # the object probed here: the newest state when the
+                # read executed.
+                self._request_sync(obj.position).when_done(
+                    self._read_after_sync, obj, args, ctx, incarnation)
                 return
-            self._read_reply(args, ctx)
         except Exception as error:  # noqa: BLE001 - serialize to caller
             ctx.reply_exception(error)
         self.workers.release()
 
-    def _read_after_sync(self, event, args: ReadArgs, ctx,
+    def _read_after_sync(self, event, obj, args: ReadArgs, ctx,
                          incarnation: int) -> None:
         if self._gone(incarnation):
             return
         try:
             if event.ok:
-                self._read_reply(args, ctx)
+                ctx.reply((obj.value, obj.version) if args.return_version
+                          else obj.value)
             else:
                 ctx.reply_exception(event.exception)
         finally:
             self.workers.release()
-
-    def _read_reply(self, args: ReadArgs, ctx) -> None:
-        value, _ = self.store.execute(Read(args.key))
-        if args.return_version:
-            ctx.reply((value, self.store.version(args.key)))
-        else:
-            ctx.reply(value)
 
     # ------------------------------------------------------------------
     # client slow path

@@ -5,9 +5,9 @@ protocol text describes (update, read, sync) and the coordinator-facing
 control RPCs (§3.6).
 
 The four frames of every update (``UpdateArgs``, ``UpdateReply``,
-``RecordArgs``, ``RecordedRequest``) are slotted rather than frozen: a
-frozen ``__init__`` costs twice as much, and nothing mutates or hashes
-a frame once it is sent.
+``RecordArgs``, ``RecordedRequest``) and the read frame (``ReadArgs``)
+are slotted rather than frozen: a frozen ``__init__`` costs twice as
+much, and nothing mutates or hashes a frame once it is sent.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ class UpdateReply:
     synced: bool
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class ReadArgs:
     key: str
+    #: ``key_hash(key)``, computed once by the sender: the master
+    #: checks ownership with it instead of hashing the key again
+    key_hash: int
     #: §A.3: reads preparing a conditional update may return unsynced
     #: values without waiting for durability — the commit-time version
     #: check catches any value that failed to survive

@@ -47,6 +47,12 @@ class KVStore:
     def __init__(self) -> None:
         self.log = Log()
         self._objects: dict[str, StoredObject] = {}
+        #: ``lookup(key)``: the key's live :class:`StoredObject` (value,
+        #: version, log position), or None for a missing or deleted key
+        #: — one probe for a caller that needs several of its fields.
+        #: The dict's own ``get``: the master's read path calls it once
+        #: per read, and it costs no Python frame.
+        self.lookup = self._objects.get
         #: version counters survive deletes so ConditionalWrite can't be
         #: fooled by delete/re-create cycles
         self._versions: dict[str, int] = {}

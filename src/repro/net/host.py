@@ -22,6 +22,11 @@ record unless the path is still busy; a ``shared_dispatch`` host keeps
 a record at the arrival instant, because its ``send()`` moves the same
 accumulator between arrival and completion.  The timing contract is in
 docs/PERFORMANCE.md ("One kernel record per message").
+
+Delivery hands the message handler the sent payload itself.  A
+:class:`~repro.net.message.Message` (source, destination, size, send
+instant around the payload) is built only while the network has a tap
+or an active fault to show it to (``Network._admit``).
 """
 
 from __future__ import annotations
@@ -128,7 +133,12 @@ class Host:
     # messaging
     # ------------------------------------------------------------------
     def set_message_handler(self, handler: typing.Callable[..., None]) -> None:
-        """Install the (single) inbound message handler — the RPC layer."""
+        """Install the (single) inbound message handler — the RPC layer.
+
+        The handler is called with the payload a peer passed to
+        :meth:`send`, the very object, not a :class:`Message`: the
+        envelope exists only for the network's taps and fault checks.
+        """
         self._message_handler = handler
 
     def send(self, dst: str, payload: typing.Any, size_bytes: int = 100) -> None:
@@ -154,23 +164,23 @@ class Host:
         network = self.network
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        # Built once: the same instance feeds the taps (documented as
-        # non-mutating) and, if the message survives, delivery.
-        message = Message(self.name, dst, payload, size_bytes, now)
         extra = 0.0
         dup = -1.0
         if network._guarded or network.taps:
-            verdict = network._admit(message)
+            # The only place a Message envelope is built: the taps and
+            # the fault checks see it; delivery carries the payload.
+            verdict = network._admit(
+                Message(self.name, dst, payload, size_bytes, now))
             if verdict is None:
                 return
             extra, dup = verdict
         wire = 0.0 if sampler is None else sampler()
         # departs >= now by construction (clamped above).
         delay = departs - now + wire + extra
-        sim._schedule_deliver(delay, target, message)
+        sim._schedule_deliver(delay, target, payload)
         if dup >= 0.0:
             network.stats.messages_duplicated += 1
-            sim._schedule_deliver(delay + dup, target, message)
+            sim._schedule_deliver(delay + dup, target, payload)
 
     def _bind_link(self, dst: str) -> tuple:
         """First send to ``dst`` (or first since a latency change):
@@ -183,8 +193,8 @@ class Host:
         link = self._links[dst] = (target, sampler)
         return link
 
-    def _deliver(self, message: Message) -> None:
-        """The kernel's delivery record: ``message`` arrived ``_rx_lead``
+    def _deliver(self, payload: typing.Any) -> None:
+        """The kernel's delivery record: ``payload`` arrived ``_rx_lead``
         ago."""
         if not self.alive or self._message_handler is None:
             return
@@ -204,7 +214,7 @@ class Host:
                 if self._nic_free_at < done:
                     self._nic_free_at = done
                 self.sim.schedule_at(now + (done - now), self._dispatch_rx,
-                                     message, self.incarnation)
+                                     payload, self.incarnation)
                 return
             # Independent RX path: now is arrival + rx_cost, the
             # completion instant unless earlier arrivals keep it busy.
@@ -213,17 +223,17 @@ class Host:
             done = rx_free + rx_cost
             if done > now:
                 self._rx_free_at = done
-                self.sim.schedule_at(done, self._dispatch_rx, message,
+                self.sim.schedule_at(done, self._dispatch_rx, payload,
                                      self.incarnation)
                 return
             self._rx_free_at = now
-        self._message_handler(message)
+        self._message_handler(payload)
 
-    def _dispatch_rx(self, message: Message, incarnation: int) -> None:
+    def _dispatch_rx(self, payload: typing.Any, incarnation: int) -> None:
         """RX-path completion; drops messages from a previous life."""
         if self.alive and self.incarnation == incarnation \
                 and self._message_handler is not None:
-            self._message_handler(message)
+            self._message_handler(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

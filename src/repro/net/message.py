@@ -15,9 +15,9 @@ class Message:
     paper's small-object (100 B) workloads where latency, not bandwidth,
     dominates.
 
-    A slotted plain class (not a dataclass): one Message is allocated
-    per simulated packet, so construction cost and per-instance memory
-    are on the hot path.  Treat instances as immutable.
+    Built by ``Host.send`` only while the network has a tap or an
+    active fault (``Network._admit``); delivery hands the handler the
+    payload, never the envelope.  Treat instances as immutable.
     """
 
     __slots__ = ("src", "dst", "payload", "size_bytes", "sent_at")

@@ -322,10 +322,9 @@ class RpcTransport:
     # ------------------------------------------------------------------
     # message pump
     # ------------------------------------------------------------------
-    def _on_message(self, message: typing.Any) -> None:
+    def _on_message(self, payload: typing.Any) -> None:
         # Both halves of the pump inline: one Python frame per delivered
         # message.  Exact type checks: the frame classes are final.
-        payload = message.payload
         payload_type = type(payload)
         if payload_type is RpcResponse:
             if self._armed_at <= self.sim.now:
@@ -406,7 +405,7 @@ def _settle(event: Event, value: typing.Any,
             error: BaseException | None) -> None:
     """``call``'s continuation: complete its event inside the response
     (or deadline) dispatch, unless something completed it first."""
-    if event.triggered:
+    if event._triggered:
         return
     if error is None:
         event.succeed(value)

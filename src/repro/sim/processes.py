@@ -71,13 +71,12 @@ class Process(Event):
         if self.target is not event:
             return  # interrupted while waiting; stale wakeup
         self.target = None
-        if event.ok:
-            self._resume(event._value, None)
-        else:
-            self._resume(None, event.exception)
+        # A failed event's ``_value`` is None, a successful one's
+        # ``_exception`` is None: hand both over as they are.
+        self._resume(event._value, event._exception)
 
     def _resume(self, value: typing.Any, exc: BaseException | None) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         try:
             if exc is not None:

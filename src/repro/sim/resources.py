@@ -48,8 +48,10 @@ class Resource:
 
     def try_acquire(self) -> bool:
         """Take a unit immediately if one is free (no event, no queue
-        entry) — the callback fast path's common case.  Pair with
-        :meth:`release`; fall back to :meth:`request` on False."""
+        entry).  Pair with :meth:`release`; fall back to :meth:`request`
+        on False.  The master's worker pool grants inline instead (one
+        call fewer per operation), so nothing in the package calls this
+        now; it stays while the e2e tracer lists it as an entry point."""
         if self.in_use < self.capacity:
             self.in_use += 1
             return True

@@ -37,7 +37,7 @@ from repro.sim.processes import Process, ProcessGenerator
 
 #: queue-record kinds: payload slots (a, b) per kind are
 #: CALLBACK → (fn, args tuple), TIMEOUT → (event, value),
-#: DISPATCH → (event, None), DELIVER → (host, message)
+#: DISPATCH → (event, None), DELIVER → (host, payload)
 _CALLBACK = 0
 _TIMEOUT = 1
 _DISPATCH = 2
@@ -149,9 +149,9 @@ class Simulator:
         self._now_queue.append((self._sequence, _DISPATCH, event, None))
 
     def _schedule_deliver(self, delay: float, host: typing.Any,
-                          message: typing.Any) -> None:
-        """Message-delivery record: ``message`` reaches ``host`` after
-        ``delay``; ``host._deliver(message)`` runs ``host._rx_lead``
+                          payload: typing.Any) -> None:
+        """Message-delivery record: ``payload`` reaches ``host`` after
+        ``delay``; ``host._deliver(payload)`` runs ``host._rx_lead``
         later (an independent RX path's cost, so that one record covers
         arrival and RX completion; else 0.0, and ``x + 0.0`` is ``x``).
         A dedicated kind so the network's per-message schedule allocates
@@ -159,13 +159,13 @@ class Simulator:
         self._sequence += 1
         lead = host._rx_lead
         if delay == 0.0 and lead == 0.0:
-            self._now_queue.append((self._sequence, _DELIVER, host, message))
+            self._now_queue.append((self._sequence, _DELIVER, host, payload))
         else:
             # (now + delay) is the arrival instant exactly as it always
             # was computed; the lead is added to that, not to the delay.
             heapq.heappush(self._heap,
                            (self.now + delay + lead, self._sequence,
-                            _DELIVER, host, message))
+                            _DELIVER, host, payload))
 
     # ------------------------------------------------------------------
     # execution

@@ -177,14 +177,21 @@ def test_read_of_synced_key_is_fast():
 
 def test_read_of_unsynced_key_forces_sync():
     """§3.2.3/§A.3: returning an unsynced value could externalize state
-    that dies with the master; the read must wait for a sync."""
+    that dies with the master; the read must wait for a sync.  A read
+    preparing a conditional update (``for_update``) does not."""
     cluster = curp_cluster()
     client = cluster.new_client()
     cluster.run(client.update(Write("a", 1)))
     assert cluster.master().unsynced_count == 1
+    start = cluster.sim.now
+    assert cluster.run(client.read("a", for_update=True)) == 1
+    assert cluster.sim.now - start == pytest.approx(4.0)  # 1 RTT
+    assert cluster.master().unsynced_count == 1  # no sync forced
+    start = cluster.sim.now
     value = cluster.run(client.read("a"))
     assert value == 1
     assert cluster.master().unsynced_count == 0  # read forced the sync
+    assert cluster.sim.now - start == pytest.approx(8.0)  # + backup RTT
 
 
 def test_sync_mode_two_rtts():

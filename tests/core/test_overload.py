@@ -23,6 +23,7 @@ from repro.core.messages import (
 from repro.core.witness import WitnessEndpoint
 from repro.harness import TEST_PROFILE, build_cluster
 from repro.kvstore import Write
+from repro.kvstore.hashing import key_hash
 from repro.rifl import RpcId
 from repro.rpc import AppError, RpcTransport
 from repro.rpc.helpers import backoff_delay
@@ -155,7 +156,9 @@ def test_read_shedding_respects_the_gate():
 
     def probe():
         return (yield prober.call("m0-host", "read",
-                                  ReadArgs(key="warm", probe=True)))
+                                  ReadArgs(key="warm",
+                                           key_hash=key_hash("warm"),
+                                           probe=True)))
     probes = [prober.host.spawn(probe(), name="probe") for _ in range(3)]
     cluster.run(AllOf(cluster.sim, processes + probes),
                 timeout=10_000_000.0)

@@ -25,8 +25,8 @@ def two_hosts(network: Network):
     b = network.add_host("b")
     inbox = []
     back = []
-    b.set_message_handler(lambda m: inbox.append((network.sim.now, m.payload)))
-    a.set_message_handler(lambda m: back.append((network.sim.now, m.payload)))
+    b.set_message_handler(lambda p: inbox.append((network.sim.now, p)))
+    a.set_message_handler(lambda p: back.append((network.sim.now, p)))
     return a, b, inbox, back
 
 

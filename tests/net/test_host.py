@@ -73,7 +73,7 @@ def test_rx_cost_serializes_inbound(sim: Simulator, network: Network):
     sender = network.add_host("s")
     receiver = network.add_host("r", rx_cost=1.0)
     seen = []
-    receiver.set_message_handler(lambda m: seen.append(sim.now))
+    receiver.set_message_handler(lambda p: seen.append(sim.now))
     for _ in range(3):
         sender.send("r", "x")
     sim.run()
@@ -92,7 +92,7 @@ def test_rx_dispatch_dropped_after_crash(sim: Simulator, network: Network):
     sender = network.add_host("s")
     receiver = network.add_host("r", rx_cost=5.0)
     seen = []
-    receiver.set_message_handler(lambda m: seen.append(m.payload))
+    receiver.set_message_handler(seen.append)
     sender.send("r", "x")
     # Crash while the message is in the RX pipeline (arrives at 2.0,
     # dispatches at 7.0).
@@ -114,18 +114,18 @@ class TwoRecordHost(Host):
         super().__init__(*args, **kwargs)
         self._rx_lead = 0.0          # the record fires at arrival
 
-    def _deliver(self, message):
+    def _deliver(self, payload):
         if not self.alive or self._message_handler is None:
             return
         if self.rx_cost <= 0:
-            self._dispatch_rx(message, self.incarnation)
+            self._dispatch_rx(payload, self.incarnation)
             return
         now = self.sim.now
         done = max(now, self._rx_free_at) + self.rx_cost
         self._rx_free_at = done
         if self.shared_dispatch:
             self._nic_free_at = max(self._nic_free_at, done)
-        self.sim.schedule_callback(done - now, self._dispatch_rx, message,
+        self.sim.schedule_callback(done - now, self._dispatch_rx, payload,
                                    self.incarnation)
 
 
@@ -172,8 +172,8 @@ def run_schedule(schedule: dict, reference: bool) -> list:
                                                      duplicate_lag=0.375))
     seen = []
     receiver.set_message_handler(
-        lambda message: seen.append((sim.now, message.payload)))
-    sender.set_message_handler(lambda message: None)
+        lambda payload: seen.append((sim.now, payload)))
+    sender.set_message_handler(lambda payload: None)
     for index, tick in enumerate(schedule["sends"]):
         sim.schedule_callback(tick * TICK, sender.send, "r", index)
     for tick in schedule["replies"]:
@@ -210,7 +210,7 @@ def test_reference_model_is_not_the_host_under_test():
         receiver = network.hosts["r"] = (
             TwoRecordHost if reference else Host)(sim, network, "r",
                                                   rx_cost=1.0)
-        receiver.set_message_handler(lambda message: None)
+        receiver.set_message_handler(lambda payload: None)
         sender.send("r", "x")
         sim.run()
         events.append(sim.processed_events)
@@ -225,7 +225,7 @@ def flapped_receiver(sim: Simulator, network: Network, crash_at: float,
     receiver = network.add_host("r", rx_cost=5.0)
     seen = []
     receiver.set_message_handler(
-        lambda message: seen.append((sim.now, message.payload)))
+        lambda payload: seen.append((sim.now, payload)))
     sim.schedule_callback(crash_at, receiver.crash)
     sim.schedule_callback(restart_at, receiver.restart)
     sender.send("r", "x")

@@ -18,7 +18,7 @@ def two_hosts(network: Network, tx: float = 0.0):
     a = network.add_host("a", tx_cost=tx)
     b = network.add_host("b", tx_cost=tx)
     inbox = []
-    b.set_message_handler(lambda m: inbox.append((network.sim.now, m.payload)))
+    b.set_message_handler(lambda p: inbox.append((network.sim.now, p)))
     return a, b, inbox
 
 
@@ -64,7 +64,7 @@ def test_per_pair_latency_override(sim: Simulator):
 def test_partition_blocks_both_directions(sim: Simulator, network: Network):
     a, b, inbox = two_hosts(network)
     back = []
-    a.set_message_handler(lambda m: back.append(m.payload))
+    a.set_message_handler(back.append)
     network.partition("a", "b")
     a.send("b", "x")
     b.send("a", "y")
@@ -88,7 +88,7 @@ def test_isolate_and_rejoin(sim: Simulator, network: Network):
     # directions (the watchdog quarantines with isolate(), and
     # Cluster.new_client() adds hosts at any time).
     a_inbox = []
-    a.set_message_handler(lambda m: a_inbox.append(m.payload))
+    a.set_message_handler(a_inbox.append)
     late = network.add_host("late")
     late.send("a", 3)
     a.send("late", 4)
@@ -237,7 +237,7 @@ def test_one_nic_serializes_sends_to_every_destination(sim: Simulator,
     seen = []
     for name in ("b", "c"):
         network.add_host(name).set_message_handler(
-            lambda m, name=name: seen.append((sim.now, name, m.payload)))
+            lambda p, name=name: seen.append((sim.now, name, p)))
     a.send("b", 1)
     a.send("c", 2)
     a.send("b", 3)
@@ -315,7 +315,7 @@ def test_one_way_partition_is_read_at_send_time(sim: Simulator,
                                                 network: Network):
     a, b, inbox = two_hosts(network)
     back = []
-    a.set_message_handler(lambda m: back.append(m.payload))
+    a.set_message_handler(back.append)
     a.send("b", "sent")
     b.send("a", "counterflow")
     network.partition_one_way("a", "b")     # same instant, after both
@@ -361,9 +361,9 @@ def test_receiver_crash_in_handler_drops_the_rest_of_a_burst(
     b = network.add_host("b", **RX_PATHS[rx_path])
     seen = []
 
-    def handler(message) -> None:
-        seen.append(message.payload)
-        if message.payload == "poison":
+    def handler(payload) -> None:
+        seen.append(payload)
+        if payload == "poison":
             b.crash()
     b.set_message_handler(handler)
     for payload in ("ok", "poison", "lost", "lost-too"):
@@ -388,7 +388,7 @@ def test_restart_does_not_queue_behind_the_previous_lifes_nic_backlog(
 def test_loopback_is_instant(sim: Simulator, network: Network):
     a = network.add_host("solo")
     inbox = []
-    a.set_message_handler(lambda m: inbox.append(sim.now))
+    a.set_message_handler(lambda p: inbox.append(sim.now))
     a.send("solo", "self")
     sim.run()
     assert inbox == [0.0]

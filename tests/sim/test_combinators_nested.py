@@ -72,7 +72,7 @@ def test_property_message_conservation(seed, n_messages):
     sender = network.add_host("sender")
     receiver = network.add_host("receiver")
     received = []
-    receiver.set_message_handler(lambda m: received.append(m.payload))
+    receiver.set_message_handler(received.append)
     for i in range(n_messages):
         sender.send("receiver", i)
     sim.run()

@@ -17,6 +17,8 @@ from repro.cluster import FailureDetector
 from repro.cluster.coordinator import Coordinator
 from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
+from repro.core.messages import ReadArgs
+from repro.kvstore.hashing import key_hash
 from repro.kvstore.operations import Operation
 from repro.net import Network
 from repro.rpc import RpcContext, RpcTransport
@@ -117,7 +119,8 @@ def _kernel_objects() -> dict[str, object]:
     client = CurpClient(network.add_host("c0"), CurpConfig(f=1),
                         coordinator="coordinator")
     request = RpcRequest(1, "c0", "update", None)
-    return {"Simulator": sim, "Network": network, "Host": transport.host,
+    return {"ReadArgs": ReadArgs("k", key_hash("k")), "KVStore": master.store,
+            "Simulator": sim, "Network": network, "Host": transport.host,
             "RpcTransport": transport, "TrafficStats": network.stats,
             "Coordinator": coordinator, "WitnessEndpoint": endpoint,
             "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master,
@@ -174,13 +177,22 @@ def test_stale_kernel_attribute_check_sees_removed_rpc_and_client_api():
         "RpcContext._request", "CurpClient._fanout"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_read_api():
+    text = ("`ReadArgs.key_hash`, `KVStore.lookup` and `CurpMaster."
+            "_read_executed` stay; `CurpMaster._read_reply` and "
+            "`ReadArgs.return_versions` are gone.")
+    assert stale_kernel_attributes(text) == [
+        "CurpMaster._read_reply", "ReadArgs.return_versions"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
     ("TrafficStats", "payloads_sent"), ("Coordinator", "witness_servers"),
     ("WitnessEndpoint", "tenants"), ("WitnessServer", "records_admitted"),
     ("CurpMaster", "replay_witness_requests"), ("RpcRequest", "replied"),
-    ("RpcContext", "reply_error"), ("CurpClient", "read_nearby")])
+    ("RpcContext", "reply_error"), ("CurpClient", "read_nearby"),
+    ("ReadArgs", "key_hash"), ("KVStore", "lookup")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""

@@ -16,6 +16,9 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
   seen at five slice boundaries (``heap_peak``), the bytes each
   committed op leaves allocated (``retained_bytes_per_op``) and the
   Python-level calls it makes (``py_calls_per_op``);
+- ``ycsb_b_smoke``: the read path, a YCSB-B closed loop (16 clients,
+  4 masters, 95 % reads) — kernel events and Python-level calls per
+  completed op;
 - ``messages_per_update``: wire messages per committed update at
   f ∈ {1, 3}, colocated vs spread witnesses
   (``benchmarks/bench_sec52_witness_resources.py``);
@@ -60,26 +63,41 @@ def _scaleout() -> dict:
 _FIG6_SLICES = 5
 
 
-def _fig6_cluster():
-    """The smoke's cluster with its 16 closed loops started and warmed
-    up: (cluster, loops)."""
+def _closed_loops(workload, n_masters: int = 1):
+    """16 closed loops on CURP f=3 (``RAMCLOUD_PROFILE``, seed 2),
+    started and warmed up: (cluster, loops)."""
     from repro.baselines import curp_config
     from repro.harness.builder import build_cluster
     from repro.harness.profiles import RAMCLOUD_PROFILE
     from repro.metrics.stats import LatencyRecorder
     from repro.workload.clients import ClosedLoopClient
-    from repro.workload.ycsb import YCSB_WRITE_ONLY
 
-    cluster = build_cluster(curp_config(3), profile=RAMCLOUD_PROFILE, seed=2)
+    cluster = build_cluster(curp_config(3), profile=RAMCLOUD_PROFILE,
+                            n_masters=n_masters, seed=2)
     latency = LatencyRecorder()
     loops = [ClosedLoopClient(
         client=cluster.new_client(collect_outcomes=False),
-        stream=YCSB_WRITE_ONLY.generator(),
+        stream=workload.generator(),
         write_latency=latency, read_latency=latency) for _ in range(16)]
     for loop in loops:
         loop.client.host.spawn(loop.loop(), name="workload")
     cluster.sim.run(until=cluster.sim.now + 800.0)  # warm-up
     return cluster, loops
+
+
+def _fig6_cluster():
+    """The fig6 smoke's cluster: one master, uniform writes."""
+    from repro.workload.ycsb import YCSB_WRITE_ONLY
+
+    return _closed_loops(YCSB_WRITE_ONLY)
+
+
+def _ycsb_b_cluster():
+    """The read-path smoke's cluster: YCSB-B (95 % reads, zipfian over
+    100 k keys) on 4 masters."""
+    from repro.workload.ycsb import YCSB_B, scaled
+
+    return _closed_loops(scaled(YCSB_B, 100_000), n_masters=4)
 
 
 def _fig6_smoke() -> dict:
@@ -109,7 +127,27 @@ def _fig6_smoke() -> dict:
             (sim.processed_events - events_before) / operations, 3),
         "heap_peak": heap_peak,
         "retained_bytes_per_op": _fig6_retained_bytes_per_op(),
-        "py_calls_per_op": _fig6_py_calls_per_op(),
+        "py_calls_per_op": _py_calls_per_op(_fig6_cluster),
+    }
+
+
+def _ycsb_b_smoke() -> dict:
+    """The read path: a YCSB-B closed loop, 16 clients on 4 masters.
+
+    ``events_per_op`` is the kernel events dispatched per completed op
+    inside a 10,000 µs window; ``py_calls_per_op`` is counted as for
+    the fig6 smoke, in a run of its own.
+    """
+    cluster, loops = _ycsb_b_cluster()
+    sim = cluster.sim
+    events_before = sim.processed_events
+    ops_before = sum(loop.operations for loop in loops)
+    sim.run(until=sim.now + 10_000.0)
+    operations = sum(loop.operations for loop in loops) - ops_before
+    return {
+        "events_per_op": round(
+            (sim.processed_events - events_before) / operations, 3),
+        "py_calls_per_op": _py_calls_per_op(_ycsb_b_cluster),
     }
 
 
@@ -142,19 +180,20 @@ def _fig6_retained_bytes_per_op() -> int:
     return round(retained / (sum(loop.operations for loop in loops) - before))
 
 
-def _fig6_py_calls_per_op() -> float:
-    """Python-level calls per committed op: every function entered and
+def _py_calls_per_op(make_cluster) -> float:
+    """Python-level calls per completed op: every function entered and
     generator resumed, counted by ``sys.setprofile`` over a 4,000 µs
-    window of the smoke after its warm-up.  The ``key_hash`` memo starts
-    empty and the collector is off in the window (a collection would
-    run finalizers at an allocation-dependent point), so the count
-    repeats exactly on one interpreter, whatever ``PYTHONHASHSEED``."""
+    window of the smoke ``make_cluster()`` builds, after its warm-up.
+    The ``key_hash`` memo starts empty and the collector is off in the
+    window (a collection would run finalizers at an allocation-dependent
+    point), so the count repeats exactly on one interpreter, whatever
+    ``PYTHONHASHSEED``."""
     import gc
 
     from repro.kvstore.hashing import key_hash
 
     key_hash.cache_clear()
-    cluster, loops = _fig6_cluster()
+    cluster, loops = make_cluster()
     before = sum(loop.operations for loop in loops)
     calls = 0
 
@@ -296,6 +335,7 @@ def snapshot() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "fig6_smoke": _fig6_smoke(),
+        "ycsb_b_smoke": _ycsb_b_smoke(),
         "messages_per_update": messages_per_update_series(),
         "scaleout": _scaleout(),
         "rebalance": _rebalance(),
