@@ -269,8 +269,8 @@ class RpcTransport:
             else:
                 waiter(None, RpcTimeout(dst, method, timeout))
         # Keep only queues with a live head: a caller that computes its
-        # timeouts (adaptive probe deadlines) must not leave one empty
-        # queue behind per value it ever used.
+        # timeouts must not leave one empty queue behind per value it
+        # ever used.
         live = {}
         earliest = _NEVER
         for timeout, queue in self._deadlines.items():

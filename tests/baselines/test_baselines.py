@@ -69,10 +69,10 @@ def test_settable_config_surface_is_pinned():
     assert counts == {"CurpConfig": 11, "OverloadConfig": 5,
                       "StorageProfile": 8}  # 24 in all
     # constructor kwargs after (self, coordinator): the watchdog's three
-    # standby pools + 8 tunables, the rebalancer's 5
+    # standby pools + 6 tunables, the rebalancer's 5
     kwargs = {cls.__name__: len(inspect.signature(cls.__init__).parameters) - 2
               for cls in (FailureDetector, Rebalancer)}
-    assert kwargs == {"FailureDetector": 11, "Rebalancer": 5}
+    assert kwargs == {"FailureDetector": 9, "Rebalancer": 5}
 
 
 @pytest.mark.parametrize("owner, args, name", [
@@ -87,7 +87,8 @@ def test_settable_config_surface_is_pinned():
         (FailureDetector, (None, []), (
             "watch_witnesses", "watch_backups", "quarantine_isolate",
             "evidence_window", "probe_slo_multiplier", "probe_slo_cap",
-            "probe_ewma_alpha", "flap_base_delay", "flap_max_delay")),
+            "probe_ewma_alpha", "flap_base_delay", "flap_max_delay",
+            "adaptive_probe_slo", "flap_damping")),
         (build_cluster, (), ("lease_duration",)),
         (CurpConfig, (), ("frame_coalescing",)),
         (StorageProfile, (), (

@@ -12,18 +12,26 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import FailureDetector
+from repro.cluster.failure_detector import Watched
 from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
 from repro.harness import build_cluster
 from repro.kvstore import Write
 from repro.net.faults import FaultPlan, HostFlap, SlowDisk
 
 
-def detector_cluster(**kwargs):
+#: witness placements: one host per master, one host shared by four
+#: masters, each witness on its master's backup
+LAYOUTS = {"default": {},
+           "shared": dict(n_masters=4, multi_tenant_witnesses=True),
+           "colocated": dict(colocate_witnesses=True)}
+
+
+def detector_cluster(layout: str = "default", **kwargs):
     defaults = dict(f=1, mode=ReplicationMode.CURP, min_sync_batch=50,
                     idle_sync_delay=200.0, retry_backoff=10.0,
                     rpc_timeout=100.0)
     defaults.update(kwargs)
-    return build_cluster(CurpConfig(**defaults))
+    return build_cluster(CurpConfig(**defaults), **LAYOUTS[layout])
 
 
 def make_detector(cluster, standbys, **kwargs):
@@ -51,17 +59,18 @@ def test_suspicion_accumulates_only_after_crash():
     cluster = detector_cluster()
     detector = make_detector(cluster, [])
     detector.start()
+    host = cluster.master().host
     cluster.sim.run(until=cluster.sim.now + 2_000.0)
-    assert detector._misses.get("m0", 0) == 0
+    assert detector.watched[host.name].misses == 0
 
-    cluster.master().host.crash()
+    host.crash()
     # One interval + one ping timeout: exactly one miss, no recovery.
     cluster.sim.run(until=cluster.sim.now + 700.0)
-    assert detector._misses["m0"] == 1
+    assert detector.watched[host.name].misses == 1
     assert detector.recoveries_started == 0
     # A second interval: suspicion keeps accumulating.
     cluster.sim.run(until=cluster.sim.now + 600.0)
-    assert detector._misses["m0"] == 2
+    assert detector.watched[host.name].misses == 2
     assert detector.recoveries_started == 0
     detector.stop()
 
@@ -74,14 +83,15 @@ def test_flapping_host_never_reaches_threshold():
     standby = cluster.add_host("flap-standby", role="master")
     detector = make_detector(cluster, [standby])
     detector.start()
+    host = cluster.master().host
     for _ in range(3):  # three flaps, each worth 1-2 misses
-        cluster.master().host.crash()
+        host.crash()
         cluster.sim.run(until=cluster.sim.now + 700.0)
-        assert detector._misses["m0"] >= 1
-        cluster.master().host.restart()
+        assert detector.watched[host.name].misses >= 1
+        host.restart()
         cluster.sim.run(until=cluster.sim.now + 1_200.0)
         # Recovery never triggered; suspicion reset by the good ping.
-        assert detector._misses["m0"] == 0
+        assert detector.watched[host.name].misses == 0
     detector.stop()
     assert detector.recoveries_started == 0
     assert detector.standby_hosts == [standby]
@@ -97,13 +107,15 @@ def test_threshold_crossing_starts_recovery_and_clears_suspicion():
     standby = cluster.add_host("fd-standby", role="master")
     detector = make_detector(cluster, [standby])
     detector.start()
-    cluster.master().host.crash()
+    dead = cluster.master().host
+    dead.crash()
     cluster.sim.run(until=cluster.sim.now + 60_000.0)
     detector.stop()
     assert detector.recoveries_started == 1
     assert detector.standby_hosts == []
     # Recovery cleared the suspicion counter...
-    assert detector._misses["m0"] == 0
+    assert detector.watched[dead.name].misses == 0
+    assert detector.watched[standby.name].misses == 0
     # ...and the recovered master answers pings and serves reads.
     recovered = cluster.coordinator.masters["m0"].master
     assert recovered.active
@@ -124,7 +136,7 @@ def test_recovered_master_is_not_resuspected():
     # Long healthy stretch: suspicion stays at zero, spare stays unused.
     cluster.sim.run(until=cluster.sim.now + 20_000.0)
     detector.stop()
-    assert detector._misses["m0"] == 0
+    assert detector.watched[standby.name].misses == 0
     assert detector.recoveries_started == 1
     assert detector.standby_hosts == [spare]
 
@@ -139,15 +151,15 @@ def test_no_standby_means_no_recovery_but_loop_continues():
     cluster.sim.run(until=cluster.sim.now + 10_000.0)
     assert detector.recoveries_started == 0
     # The loop is still alive: suspicion keeps cycling below threshold.
-    assert 0 <= detector._misses["m0"] < detector.miss_threshold
+    assert 0 <= detector.watched[cluster.master().host.name].misses \
+        < detector.miss_threshold
     detector.stop()
 
 
-def test_failed_recovery_returns_standby_and_retries():
-    """Regression for the standby leak: a RecoveryFailed (here: no
-    backup reachable to fence) must return the popped standby to the
-    pool and re-arm suspicion, so the detector retries once the cause
-    clears — instead of consuming the standby forever."""
+def _master_and_backups_down():
+    """m0 (holding "a") and every one of its backups crash under a
+    watchdog with one standby: recovery fails (fence cannot reach any
+    backup) until the backups restart."""
     cluster = detector_cluster()
     client = cluster.new_client()
     cluster.run(client.update(Write("a", 1)))
@@ -156,15 +168,27 @@ def test_failed_recovery_returns_standby_and_retries():
     detector.start()
     managed = cluster.coordinator.masters["m0"]
     backup_hosts = [cluster.network.host(b) for b in managed.backups]
-    cluster.master().host.crash()
+    dead = cluster.master().host
+    dead.crash()
     for backup in backup_hosts:
         backup.crash()
+    return cluster, detector, standby, dead, backup_hosts
+
+
+def test_failed_recovery_returns_standby_and_retries():
+    """Regression for the standby leak: a RecoveryFailed (here: no
+    backup reachable to fence) must return the popped standby to the
+    pool and re-arm suspicion, so the detector retries once the cause
+    clears — instead of consuming the standby forever."""
+    cluster, detector, standby, dead, backup_hosts = \
+        _master_and_backups_down()
     # Let at least one recovery attempt fail (fence cannot reach any
     # backup while they are all down).
     cluster.sim.run(until=cluster.sim.now + 30_000.0)
     assert detector.recoveries_failed >= 1
     assert detector.standby_hosts == [standby]       # returned, not leaked
-    assert detector._misses["m0"] == detector.miss_threshold - 1  # re-armed
+    assert detector.watched[dead.name].misses \
+        == detector.miss_threshold - 1  # re-armed
     # Cause clears: backups restart (their storage is durable)...
     for backup in backup_hosts:
         backup.restart()
@@ -176,6 +200,25 @@ def test_failed_recovery_returns_standby_and_retries():
     recovered = cluster.coordinator.masters["m0"].master
     assert recovered.active
     assert recovered.store.read("a") == 1
+
+
+@pytest.mark.parametrize("outage", [10_000.0, 30_000.0, 60_000.0])
+def test_failed_recovery_retry_lands_soon_after_backups_return(outage):
+    """However long the backups stay down, and however many recovery
+    attempts failed meanwhile, the retry lands within 2 × ``interval``
+    × ``miss_threshold`` of their restart.  (A re-arm delay that grows
+    per failed attempt, the flap damping this watchdog once had, held
+    it back 20,020 / 39,420 µs after 30 / 60 ms outages.)"""
+    cluster, detector, _standby, _dead, backup_hosts = \
+        _master_and_backups_down()
+    cluster.sim.run(until=cluster.sim.now + outage)
+    assert detector.recoveries_completed == 0
+    for backup in backup_hosts:
+        backup.restart()
+    cluster.sim.run(until=cluster.sim.now + 2 * detector.interval
+                    * detector.miss_threshold)
+    detector.stop()
+    assert detector.recoveries_completed == 1
 
 
 def test_dead_witness_is_replaced():
@@ -201,6 +244,61 @@ def test_dead_witness_is_replaced():
     assert cluster.master().store.read("k") == 9
 
 
+def _crash_watched_witness(layout: str):
+    """Crash m0's first witness host under a watchdog that watches
+    witnesses and backups, with a standby for every repair; returns
+    the host, the detector, the crash time and every time the
+    watchdog pinged the host."""
+    cluster = detector_cluster(layout)
+    n_masters = len(cluster.coordinator.masters)
+    detector = make_detector(
+        cluster, [],
+        witness_standbys=[cluster.add_host(f"w-standby{i}", role="witness")
+                          for i in range(n_masters)],
+        backup_standbys=[cluster.add_host(f"b-standby{i}", role="backup")
+                         for i in range(n_masters)])
+    dead = cluster.coordinator.masters["m0"].witnesses[0]
+    pings = []
+    transport = cluster.coordinator.transport
+    call = transport.call
+
+    def counting_call(dst, method, *args, **kwargs):
+        if dst == dead and method == "ping":
+            pings.append(cluster.sim.now)
+        return call(dst, method, *args, **kwargs)
+    transport.call = counting_call
+    detector.start()
+    crashed_at = cluster.sim.now
+    cluster.network.host(dead).crash()
+    cluster.sim.run(until=crashed_at + 10 * detector.interval)
+    detector.stop()
+    return dead, detector, crashed_at, pings
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_watched_host_is_pinged_once_per_round(layout):
+    """However many masters or roles a witness host serves, it is
+    pinged once per round, so it is convicted after ``miss_threshold``
+    silent rounds in every layout (a host shared by four masters used
+    to collect all its misses inside one round), and a host that is
+    also a backup loses both roles at the same instant (it used to be
+    convicted once per role, rounds apart)."""
+    default_dead, default, crashed_at, _ = _crash_watched_witness("default")
+    baseline = min(t for t, _kind, target in default.detections
+                   if target == default_dead) - crashed_at
+    dead, detector, crashed_at, pings = _crash_watched_witness(layout)
+    detected = [(t, kind) for t, kind, target in detector.detections
+                if target == dead]
+    first = detected[0][0]
+    silent = [t for t in pings if crashed_at <= t <= first]
+    assert len(silent) == detector.miss_threshold
+    assert all(later - earlier >= detector.interval
+               for earlier, later in zip(silent, silent[1:]))
+    assert abs(first - crashed_at - baseline) <= detector.ping_timeout
+    roles = ["witness", "backup"] if layout == "colocated" else ["witness"]
+    assert detected == [(first, role) for role in roles]
+
+
 def test_gray_witness_invisible_to_ping_only_detector():
     """A gray witness (data path dead, ping alive) never goes silent:
     without data probes the watchdog sees a healthy host forever."""
@@ -215,7 +313,7 @@ def test_gray_witness_invisible_to_ping_only_detector():
     detector.stop()
     assert detector.witnesses_replaced == 0
     assert detector.gray_detected == 0
-    assert detector._member_misses.get(witness, 0) == 0  # pings all fine
+    assert detector.watched[witness].misses == 0  # pings all fine
 
 
 def test_gray_witness_detected_and_replaced_via_data_probes():
@@ -233,7 +331,7 @@ def test_gray_witness_detected_and_replaced_via_data_probes():
     cluster.sim.run(until=cluster.sim.now + 30_000.0)
     detector.stop()
     assert detector.gray_detected == 1
-    assert gray in detector.quarantined
+    assert detector.watched[gray].quarantined
     assert detector.witnesses_replaced == 1
     assert managed.witnesses == [standby.name]
     detect_time = next(t for t, kind, target in detector.detections
@@ -263,8 +361,10 @@ def test_gray_master_detected_and_recovered_via_data_probes():
     cluster.sim.run(until=cluster.sim.now + 60_000.0)
     detector.stop()
     assert detector.gray_detected == 1
-    assert old_host in detector.quarantined
-    assert detector._misses["m0"] == 0          # pings never missed
+    assert detector.watched[old_host].quarantined
+    # pings never missed, on the gray host or on its successor
+    assert detector.watched[old_host].misses == 0
+    assert detector.watched[standby.name].misses == 0
     assert any(kind == "gray-master" and target == "m0"
                for _t, kind, target in detector.detections)
     # The repair was a recovery, not a replacement: service moved to
@@ -296,7 +396,7 @@ def test_dead_backup_is_replaced():
     assert len(cluster.coordinator.backup_servers[standby.name].wal) >= 1
 
 
-def _slow_disk_run(adaptive: bool):
+def _slow_disk_run():
     """A 10× slow-disk plan against m0's backup under conflicting write
     load: sync waits pile workers up, so master data probes answer —
     slowly.  Returns the detector after 60 ms of watched traffic."""
@@ -307,8 +407,7 @@ def _slow_disk_run(adaptive: bool):
     standby = cluster.add_host("sd-standby", role="master")
     detector = make_detector(cluster, [standby], ping_timeout=400.0,
                              data_probes=True, data_probe_slo=150.0,
-                             gray_threshold=3,
-                             adaptive_probe_slo=adaptive)
+                             gray_threshold=3)
     detector.start()
     backup = cluster.coordinator.masters["m0"].backups[0]
     injector = cluster.inject_faults(FaultPlan(events=(
@@ -328,63 +427,32 @@ def _slow_disk_run(adaptive: bool):
 
 
 def test_fixed_slo_convicts_slow_disk_master_as_gray():
-    """The failure mode the adaptive SLO exists for: with a fixed probe
-    SLO, a master merely *starved* by its backup's 10×-degraded disk
-    misses the deadline and gets convicted gray — a false positive
-    that burns a standby on a host whose data path still works."""
-    _cluster, detector = _slow_disk_run(adaptive=False)
+    """A known limitation: with its fixed probe SLO the watchdog
+    convicts a master merely *starved* by its backup's 10×-degraded
+    disk as gray — a false positive that burns a standby on a host
+    whose data path still works (docs/FAULTS.md)."""
+    _cluster, detector = _slow_disk_run()
     assert detector.gray_detected >= 1
     assert any(kind == "gray-master" for _t, kind, _x in detector.detections)
 
 
-def test_adaptive_slo_rides_through_slow_disk():
-    """ISSUE 9 regression: with ``adaptive_probe_slo`` the same 10×
-    slow-disk plan raises m0's own probe SLO from its answered-probe
-    latency EWMA — no gray conviction, no detection, the standby pool
-    untouched — while the misses counter shows pings stayed healthy."""
-    cluster, detector = _slow_disk_run(adaptive=True)
-    assert detector.gray_detected == 0
-    assert detector.detections == []
-    assert len(detector.standby_hosts) == 1      # standby never popped
-    assert detector._misses.get("m0", 0) == 0
-    # The EWMA visibly adapted past the base SLO: the probes really
-    # were slow, the detector just judged them against the right bar.
+def test_undamped_watchdog_convicts_every_flap():
+    """Under a HostFlap plan (m0's host bouncing every 3 ms with no
+    standby to recover onto) the watchdog convicts once per flap: no
+    conviction is suppressed or delayed behind an earlier one."""
+    cluster = detector_cluster()
+    detector = make_detector(cluster, [], miss_threshold=2)
+    detector.start()
     host = cluster.coordinator.masters["m0"].host
-    assert detector._probe_ewma[host] > detector.data_probe_slo
-
-
-def test_flap_damping_backs_off_repeat_convictions():
-    """ISSUE 9 regression: under a HostFlap plan (m0's host bouncing
-    every 3 ms with no standby to recover onto) the undamped watchdog
-    convicts on every flap; with ``flap_damping`` the exponentially
-    growing re-arm delay swallows most repeats."""
-    def run(damping: bool):
-        cluster = detector_cluster()
-        detector = make_detector(cluster, [], miss_threshold=2,
-                                 flap_damping=damping)
-        detector.start()
-        host = cluster.coordinator.masters["m0"].host
-        events = tuple(HostFlap(host=host, start=1_000.0 + 3_000.0 * i,
-                                end=2_600.0 + 3_000.0 * i)
-                       for i in range(12))
-        injector = cluster.inject_faults(FaultPlan(events=events, seed=3))
-        injector.start()
-        cluster.sim.run(until=cluster.sim.now + 40_000.0)
-        detector.stop()
-        injector.heal_all()
-        return detector
-
-    undamped = run(False)
-    damped = run(True)
-    assert len(undamped.detections) == 12        # one per flap
-    assert undamped.flap_suppressed == 0
-    # Damping swallowed most repeats behind the growing delay, but the
-    # host can still be convicted once each delay expires — damping
-    # slows the watchdog down, it never blinds it.
-    assert 1 <= len(damped.detections) < len(undamped.detections) // 2
-    assert damped.flap_suppressed > 0
-    assert damped._convictions[damped.coordinator.masters["m0"].host] \
-        == len(damped.detections)
+    events = tuple(HostFlap(host=host, start=1_000.0 + 3_000.0 * i,
+                            end=2_600.0 + 3_000.0 * i)
+                   for i in range(12))
+    injector = cluster.inject_faults(FaultPlan(events=events, seed=3))
+    injector.start()
+    cluster.sim.run(until=cluster.sim.now + 40_000.0)
+    detector.stop()
+    injector.heal_all()
+    assert len(detector.detections) == 12        # one per flap
 
 
 def test_stop_halts_pinging():
@@ -396,7 +464,7 @@ def test_stop_halts_pinging():
     cluster.master().host.crash()
     cluster.sim.run(until=cluster.sim.now + 10_000.0)
     # No pings after stop(): the crash is never even noticed.
-    assert detector._misses.get("m0", 0) == 0
+    assert detector.watched[cluster.master().host.name].misses == 0
     assert detector.recoveries_started == 0
 
 
@@ -441,14 +509,14 @@ def test_recovered_host_returns_to_standby_pool():
     cluster.sim.run(until=cluster.sim.now + 30_000.0)
     assert detector.recoveries_completed == 1
     assert detector.standby_hosts == []  # consumed
-    assert dead.name in detector._retired
+    assert detector.watched[dead.name].retired == "master"
 
     # The old host comes back (reboot): the reclaim pass readmits it.
     dead.restart()
     cluster.sim.run(until=cluster.sim.now + 5_000.0)
     assert detector.standbys_reclaimed == 1
     assert detector.standby_hosts == [dead]
-    assert dead.name not in detector._retired
+    assert detector.watched[dead.name].retired is None
     assert any(kind == "standby-reclaimed" and target == dead.name
                for _t, kind, target in detector.repairs)
     # And the reclaimed host actually works as a recovery target.
@@ -464,10 +532,9 @@ def test_reclaim_never_readmits_quarantined_hosts():
     standby = cluster.add_host("q-standby", role="master")
     detector = make_detector(cluster, [standby])
     dead = cluster.master().host
-    detector.quarantined.add(dead.name)
-    detector._retired[dead.name] = "master"
+    detector.watched[dead.name] = Watched(quarantined=True, retired="master")
     detector.start()
     cluster.sim.run(until=cluster.sim.now + 5_000.0)
     detector.stop()
     assert detector.standbys_reclaimed == 0
-    assert dead.name in detector._retired
+    assert detector.watched[dead.name].retired == "master"

@@ -502,7 +502,7 @@ def test_chaos_scripted_fault_plan_gray_witness(seed):
             break
     detector.stop()
     assert detector.gray_detected >= 1, "gray witness never convicted"
-    assert gray in detector.quarantined
+    assert detector.watched[gray].quarantined
     assert detector.witnesses_replaced >= 1
     assert gray not in managed.witnesses
     assert standby.name in managed.witnesses

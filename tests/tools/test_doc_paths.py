@@ -125,7 +125,8 @@ def _kernel_objects() -> dict[str, object]:
             "Coordinator": coordinator, "WitnessEndpoint": endpoint,
             "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master,
             "CurpClient": client, "RpcRequest": request,
-            "RpcContext": request}
+            "RpcContext": request,
+            "FailureDetector": FailureDetector(coordinator, [])}
 
 
 _KERNEL_OBJECTS = _kernel_objects()
@@ -185,6 +186,15 @@ def test_stale_kernel_attribute_check_sees_removed_read_api():
         "CurpMaster._read_reply", "ReadArgs.return_versions"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_watchdog_api():
+    text = ("`FailureDetector.watched` and `FailureDetector.evidence_window` "
+            "stay; `FailureDetector.flap_suppressed`, `FailureDetector."
+            "probe_slo_cap` and `FailureDetector.quarantined` are gone.")
+    assert stale_kernel_attributes(text) == [
+        "FailureDetector.flap_suppressed", "FailureDetector.probe_slo_cap",
+        "FailureDetector.quarantined"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
@@ -192,7 +202,8 @@ def test_stale_kernel_attribute_check_sees_removed_read_api():
     ("WitnessEndpoint", "tenants"), ("WitnessServer", "records_admitted"),
     ("CurpMaster", "replay_witness_requests"), ("RpcRequest", "replied"),
     ("RpcContext", "reply_error"), ("CurpClient", "read_nearby"),
-    ("ReadArgs", "key_hash"), ("KVStore", "lookup")])
+    ("ReadArgs", "key_hash"), ("KVStore", "lookup"),
+    ("FailureDetector", "watched")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""
