@@ -14,7 +14,7 @@ no coordinator, no lock service.  Two virtual-time series
    shard's update latency (the fan-out is concurrent), not two.
 
 2. **Contention ladder** — all clients hammer the same two cross-shard
-   pairs through ``run_cross_shard_transaction``; reports the abort
+   pairs through ``run_transaction``; reports the abort
    rate and that every transaction still eventually commits (the
    ordered slow path's anti-livelock guarantee).
 """
@@ -24,9 +24,9 @@ from __future__ import annotations
 from benchmarks.conftest import run_once
 from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.transactions import (
-    CrossShardTransaction,
+    Transaction,
     TransactionAborted,
-    run_cross_shard_transaction,
+    run_transaction,
 )
 from repro.harness.builder import build_cluster
 from repro.metrics import format_table
@@ -76,7 +76,7 @@ def fast_commit_series(n_clients: int = 8, txns_per_client: int = 25,
 
         def load(client=client, pairs=pairs, index=index):
             for i, (k0, k1) in enumerate(pairs):
-                txn = CrossShardTransaction(client)
+                txn = Transaction(client)
                 txn.write(k0, f"{index}-{i}-a")
                 txn.write(k1, f"{index}-{i}-b")
                 start = cluster.sim.now
@@ -128,7 +128,7 @@ def contention_series(n_clients: int = 6, txns_per_client: int = 6,
                     b = yield from txn.read(k1)
                     txn.write(k0, (a or 0) + 1)
                     txn.write(k1, (b or 0) - 1)
-                yield from run_cross_shard_transaction(
+                yield from run_transaction(
                     client, body, max_attempts=100)
                 committed[0] += 1
         processes.append(client.host.spawn(load(), name=f"hot{index}"))

@@ -189,8 +189,8 @@ class FailureDetector:
             yield from self._check_masters()
             if not self._running:
                 return
-            yield from self._check_members()
-            yield from self._reclaim_standbys()
+            pinged = yield from self._check_members()
+            yield from self._reclaim_standbys(pinged)
 
     def _check_masters(self):
         for master_id, managed in list(self.coordinator.masters.items()):
@@ -280,7 +280,7 @@ class FailureDetector:
         """One pass over (master, witness) pairs, then (master, backup)
         pairs.  A host is pinged (and data-probed) on its first pair
         only, so it counts at most one miss per round however many
-        masters or roles it serves."""
+        masters or roles it serves.  Returns the hosts pinged."""
         pinged: set[str] = set()
         for role in self._roles:
             pairs = [(master_id, name)
@@ -312,6 +312,7 @@ class FailureDetector:
                     self.detections.append(
                         (self.sim.now, "gray-witness", name))
                     self._replace_everywhere("witness", name)
+        return pinged
 
     def _convict_silent(self, dead: str) -> None:
         """``dead`` stayed silent: it loses every watched role it holds,
@@ -421,12 +422,19 @@ class FailureDetector:
         self.warnings.append(
             (self.sim.now, "standbys-exhausted", f"{kind}:{target}"))
 
-    def _reclaim_standbys(self):
+    def _reclaim_standbys(self, pinged: set[str]):
         """Ping replaced-away hosts; one that answers again (rebooted,
         partition healed) rejoins its standby pool.  Quarantined gray
-        hosts are never auto-trusted back."""
+        hosts are never auto-trusted back.  A host some master still
+        lists (a shared witness replaced for only some of its masters)
+        is left to the member checks until no master holds it, and one
+        they pinged this round waits for the next."""
+        skip = pinged.union(*(
+            (managed.host, *managed.witnesses, *managed.backups)
+            for managed in self.coordinator.masters.values()))
         retired = [(name, record) for name, record in self.watched.items()
-                   if record.retired and not record.quarantined]
+                   if record.retired and not record.quarantined
+                   and name not in skip]
         for name, record in retired:
             alive = yield from self._ping(name)
             if not alive:

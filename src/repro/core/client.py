@@ -131,11 +131,6 @@ class CurpClient:
                            f"{self.config.max_attempts} attempts: "
                            f"{last_error!r}")
 
-    def attach(self, client_id: int, view: ClusterView) -> None:
-        """Direct bootstrap for unit tests: skip the coordinator RPCs."""
-        self.tracker = RiflClientTracker(client_id)
-        self.view = view
-
     def _refresh_view(self):
         view = yield self.transport.call(
             self.coordinator, "get_config", None,

@@ -1,4 +1,4 @@
-"""Optimistic transactions over CURP (the §A.3 pattern).
+"""Transactions over CURP: the §A.3 pattern, across shards as a §B.2 saga.
 
 The appendix sketches how applications use CURP for multi-object
 updates: *read* the objects (recording versions), *compute*, then
@@ -8,29 +8,26 @@ aborts if anything changed.  CURP makes both halves fast:
 - the reads use the §A.3 relaxation — they may return unsynced values
   without waiting for durability, because the commit revalidates them
   (``for_update=True`` reads);
-- the commit is a single :class:`ConditionalMultiWrite`, which takes
-  the normal 1-RTT fast path when its key set commutes with everything
-  in flight.
+- the commit rides the normal 1-RTT fast path when its key set
+  commutes with everything in flight.
 
-:class:`OptimisticTransaction` is single-master optimistic concurrency
-control (all keys of one transaction must live on one master), in the
-spirit of RAMCloud's linearizable conditional operations.
-
-:class:`CrossShardTransaction` (§B.2) extends it across shards as a
-**commutative saga** with no coordinator: the client groups its keys by
-owner shard, fans a :class:`~repro.kvstore.operations.TxnPrepare` to
-every shard concurrently (each riding the normal CURP update path —
-master + witness records — so the per-shard commutativity check *is*
-the witness check), and commits when all shards accept.  Under low
-contention every prepare completes speculatively in 1 RTT, so the whole
-multi-shard commit is 1 RTT.  Any shard's version mismatch aborts: the
-already-prepared shards are unwound with client-driven
-:class:`~repro.kvstore.operations.TxnCompensate` operations built from
-the undo records the prepares returned, and the retry takes an ordered
-(sorted-shard, sequential) 2PC-ish slow path so two contending
+One :class:`Transaction` type; ``commit`` groups the keys by owner
+shard.  On **one shard** the commit is a single
+:class:`ConditionalMultiWrite` (RAMCloud-style optimistic concurrency
+control: no transaction id, no pending-prepare marker, no resolve).
+Across **several shards** it is a **commutative saga** with no
+coordinator (§B.2): the client fans a
+:class:`~repro.kvstore.operations.TxnPrepare` to every shard
+concurrently, each riding the normal CURP update path (so the
+per-shard commutativity check *is* the witness check), and commits
+when all shards accept — 1 RTT when nothing conflicts.  Any shard's
+version mismatch aborts: the prepared shards are unwound with
+client-driven :class:`~repro.kvstore.operations.TxnCompensate`
+operations built from the prepares' undo records, and the retry takes
+an ordered (sorted-shard, sequential) 2PC-ish slow path so contending
 transactions cannot mutually abort forever.  RIFL ids allocated per
-attempt (``tracker.new_transaction``) make every per-shard prepare
-exactly-once across master crashes and recovery replay.
+attempt (``tracker.new_transaction``) make every prepare exactly-once
+across master crashes and recovery replay.
 """
 
 from __future__ import annotations
@@ -85,18 +82,30 @@ class TransactionInDoubt(Exception):
         self.shard_errors = shard_errors
 
 
-class OptimisticTransaction:
-    """One read-validate-write transaction attempt."""
+class Transaction:
+    """One read-validate-write transaction attempt.
 
-    def __init__(self, client: CurpClient):
+    ``read`` into the read set, stage ``write``\\ s, then ``commit``;
+    the keys may live on any number of shards.  ``ordered=True`` makes
+    a saga prepare its shards one at a time in sorted order (the
+    post-conflict slow path).  After a successful commit ``fast_path``
+    says whether *every* shard's write completed speculatively in
+    1 RTT — the §B.2 claim measured by
+    ``benchmarks/bench_transactions.py``.
+    """
+
+    def __init__(self, client: CurpClient, ordered: bool = False):
         self.client = client
+        self.ordered = ordered
         #: key -> version observed by the transaction's reads
         self._read_versions: dict[str, int] = {}
-        #: key -> value read (for the application's convenience)
-        self._read_values: dict[str, typing.Any] = {}
         #: key -> staged new value
         self._writes: dict[str, typing.Any] = {}
         self._committed = False
+        #: True after commit iff every shard wrote in 1 RTT
+        self.fast_path: bool | None = None
+        #: shards this attempt touched (set during commit)
+        self.participants: tuple[str, ...] = ()
 
     def read(self, key: str):
         """Generator: read a key into the read set (§A.3 fast read —
@@ -106,7 +115,6 @@ class OptimisticTransaction:
         value, version = yield from self.client.read_versioned(
             key, for_update=True)
         self._read_versions[key] = version
-        self._read_values[key] = value
         return value
 
     def write(self, key: str, value: typing.Any) -> None:
@@ -119,16 +127,21 @@ class OptimisticTransaction:
     def read_set(self) -> dict[str, int]:
         return dict(self._read_versions)
 
+    # ------------------------------------------------------------------
+    # commit
+    # ------------------------------------------------------------------
     def commit(self):
         """Generator: atomically apply staged writes iff no key in the
-        read set changed.  Raises :class:`TransactionAborted` on
-        conflict.  Read-only transactions commit trivially (their
-        serialization point is the last read)."""
+        read set changed; read-only transactions commit trivially
+        (their serialization point is the last read).  Raises
+        :class:`TransactionAborted` on a version conflict (a saga
+        compensates first: no residue).  A one-shard commit lets the
+        client's ``ClientGaveUp`` through; a saga raises
+        :class:`TransactionInDoubt` when a participant stayed
+        unreachable past the client's retry budget."""
         if self._committed:
             raise RuntimeError("transaction already committed")
         self._committed = True
-        if not self._writes and not self._read_versions:
-            return None
         if not self._writes:
             return None  # read-only: nothing to validate against
         items = []
@@ -143,126 +156,6 @@ class OptimisticTransaction:
         for key, version in self._read_versions.items():
             if key not in self._writes:
                 items.append((key, KEEP, version))  # validate-only
-        op = ConditionalMultiWrite(items=tuple(items))
-        outcome = yield from self.client.update(op)
-        status, detail = outcome.result
-        if status != "OK":
-            raise TransactionAborted(detail)
-        return outcome
-
-
-def _abort_backoff(client: CurpClient, attempt: int):
-    """Generator: jittered exponential backoff between aborted
-    transaction attempts.  Without it two contending transactions
-    re-read and re-commit in lockstep and can mutually abort for the
-    whole retry budget (livelock).  Draws from ``sim.rng`` only on the
-    abort path, so conflict-free runs leave every trace untouched."""
-    base = client.config.retry_backoff
-    if base <= 0:
-        return
-    delay = backoff_delay(attempt, base, base * 32, client.sim.rng)
-    if delay > 0:
-        yield client.sim.timeout(delay)
-
-
-def run_transaction(client: CurpClient, body, max_attempts: int = 20):
-    """Generator: run ``body(txn)`` (a generator function) with
-    automatic retry on abort — the paper's "applications ... handle
-    aborts by retrying".
-
-    Returns the body's return value of the attempt that committed.
-    Aborted attempts back off (jittered exponential, seeded from
-    ``config.retry_backoff``) before retrying; exhaustion raises
-    :class:`TransactionGaveUp` carrying the final attempt's structured
-    mismatches.
-    """
-    last_mismatches = None
-    for attempt in range(max_attempts):
-        txn = OptimisticTransaction(client)
-        result = yield from body(txn)
-        try:
-            yield from txn.commit()
-            return result
-        except TransactionAborted as abort:
-            last_mismatches = abort.mismatches
-            if attempt < max_attempts - 1:
-                yield from _abort_backoff(client, attempt)
-    raise TransactionGaveUp(max_attempts, last_mismatches)
-
-
-class CrossShardTransaction:
-    """One cross-shard read-validate-write attempt (§B.2).
-
-    Same shape as :class:`OptimisticTransaction` — ``read`` into the
-    read set, stage ``write``\\ s, then ``commit`` — but the keys may
-    live on any number of shards.  Commit fans one
-    :class:`~repro.kvstore.operations.TxnPrepare` per owner shard
-    (concurrently by default; sequentially in sorted shard order with
-    ``ordered=True``, the post-conflict slow path) and either commits
-    on all shards or compensates the prepared ones and raises
-    :class:`TransactionAborted`.
-
-    After a successful commit ``fast_path`` says whether *every*
-    shard's prepare completed speculatively in 1 RTT — the §B.2 claim
-    measured by ``benchmarks/bench_transactions.py``.
-    """
-
-    def __init__(self, client: CurpClient, ordered: bool = False):
-        self.client = client
-        self.ordered = ordered
-        self._read_versions: dict[str, int] = {}
-        self._read_values: dict[str, typing.Any] = {}
-        self._writes: dict[str, typing.Any] = {}
-        self._committed = False
-        #: True after commit iff every shard prepared in 1 RTT
-        self.fast_path: bool | None = None
-        #: shards this attempt touched (set during commit)
-        self.participants: tuple[str, ...] = ()
-
-    def read(self, key: str):
-        """Generator: read a key into the read set (§A.3 fast read)."""
-        if key in self._writes:
-            return self._writes[key]
-        value, version = yield from self.client.read_versioned(
-            key, for_update=True)
-        self._read_versions[key] = version
-        self._read_values[key] = value
-        return value
-
-    def write(self, key: str, value: typing.Any) -> None:
-        if self._committed:
-            raise RuntimeError("transaction already committed")
-        self._writes[key] = value
-
-    @property
-    def read_set(self) -> dict[str, int]:
-        return dict(self._read_versions)
-
-    # ------------------------------------------------------------------
-    # commit
-    # ------------------------------------------------------------------
-    def commit(self):
-        """Generator: commit on every owner shard or unwind.
-
-        Raises :class:`TransactionAborted` (compensated, no residue) on
-        a version conflict, :class:`TransactionInDoubt` when a
-        participant stayed unreachable past the client's retry budget.
-        """
-        if self._committed:
-            raise RuntimeError("transaction already committed")
-        self._committed = True
-        if not self._writes:
-            return None  # read-only: serialization point = last read
-        items = []
-        for key, value in self._writes.items():
-            expected = self._read_versions.get(key)
-            if expected is None:
-                _v, expected = yield from self.client.read_versioned(
-                    key, for_update=True)
-            items.append((key, value, expected))
-        for key, version in self._read_versions.items():
-            if key not in self._writes:
-                items.append((key, KEEP, version))
         by_key = {item[0]: item for item in items}
         try:
             groups = self.client.group_by_shard(tuple(by_key))
@@ -272,6 +165,15 @@ class CrossShardTransaction:
             raise TransactionAborted({"unrouted": str(error)})
         shard_ids = sorted(groups)
         self.participants = tuple(shard_ids)
+        if len(shard_ids) == 1:
+            status, outcome = yield from self._prepare_one(
+                ConditionalMultiWrite(items=tuple(items)), None)
+            if status == "error":
+                raise outcome
+            if outcome.result[0] != "OK":
+                raise TransactionAborted(outcome.result[1])
+            self.fast_path = outcome.fast_path
+            return outcome
         txn_id, rpc_ids = self.client.tracker.new_transaction(
             len(shard_ids))
         prepares = {
@@ -279,7 +181,7 @@ class CrossShardTransaction:
                 items=tuple(by_key[key] for key in groups[shard]),
                 txn_id=txn_id)
             for shard in shard_ids}
-        if self.ordered or len(shard_ids) == 1:
+        if self.ordered:
             outcomes = yield from self._prepare_sequential(
                 shard_ids, prepares, rpc_ids)
         else:
@@ -342,9 +244,13 @@ class CrossShardTransaction:
                 break
         return outcomes
 
-    def _prepare_one(self, op: TxnPrepare, rpc_id):
-        """Generator: one shard's prepare through the normal update
-        path (RIFL-pinned id, witness records, crash retries)."""
+    def _prepare_one(self, op, rpc_id):
+        """Generator: one shard's conditional write through the normal
+        update path (witness records, crash retries): a saga's
+        ``TxnPrepare`` under its RIFL-pinned id, or a one-shard
+        commit's ``ConditionalMultiWrite`` (``rpc_id`` None: the client
+        allocates it).  Overridable hook — ``verify`` subclasses it to
+        record the staged writes as history writes."""
         try:
             outcome = yield from self.client.update(op, rpc_id=rpc_id)
             return ("ok", outcome)
@@ -354,9 +260,10 @@ class CrossShardTransaction:
             return ("error", error)
         except (ValueError, KeyError) as error:
             # Routing changed under us before any RPC fanned out for
-            # this attempt: nothing recorded anywhere, so the id can
-            # be retired.
-            self.client.tracker.completed(rpc_id)
+            # this attempt: nothing recorded anywhere, so a pinned id
+            # can be retired.
+            if rpc_id is not None:
+                self.client.tracker.completed(rpc_id)
             return ("error", error)
 
     def _compensate_one(self, txn_id, undo):
@@ -388,22 +295,39 @@ class CrossShardTransaction:
             pass  # advisory: a stale pending entry is the only cost
 
 
-def run_cross_shard_transaction(client: CurpClient, body,
-                                max_attempts: int = 20):
-    """Generator: run ``body(txn)`` against a
-    :class:`CrossShardTransaction` with automatic retry on abort.
+def _abort_backoff(client: CurpClient, attempt: int):
+    """Generator: jittered exponential backoff between aborted
+    transaction attempts.  Without it two contending transactions
+    re-read and re-commit in lockstep and can mutually abort for the
+    whole retry budget (livelock).  Draws from ``sim.rng`` only on the
+    abort path, so conflict-free runs leave every trace untouched."""
+    base = client.config.retry_backoff
+    if base <= 0:
+        return
+    delay = backoff_delay(attempt, base, base * 32, client.sim.rng)
+    if delay > 0:
+        yield client.sim.timeout(delay)
 
-    The first attempt fans out concurrently (the 1-RTT fast path);
-    retries after a conflict switch to the ordered sequential slow
-    path with jittered exponential backoff, so contending transactions
-    serialize instead of livelocking.  Exhaustion raises
-    :class:`TransactionGaveUp`; an unreachable participant raises
-    :class:`TransactionInDoubt` immediately (retrying cannot resolve
-    an unknown outcome).
+
+def run_transaction(client: CurpClient, body, max_attempts: int = 20):
+    """Generator: run ``body(txn)`` (a generator function) against a
+    :class:`Transaction` with automatic retry on abort — the paper's
+    "applications ... handle aborts by retrying".
+
+    Returns the body's return value of the attempt that committed.  The
+    first attempt fans a multi-shard commit out concurrently (the 1-RTT
+    fast path); retries after a conflict take the ordered sequential
+    slow path, after a jittered exponential backoff seeded from
+    ``config.retry_backoff``, so contending transactions serialize
+    instead of livelocking.  Exhaustion raises
+    :class:`TransactionGaveUp` carrying the final attempt's structured
+    mismatches; an unreachable saga participant raises
+    :class:`TransactionInDoubt` immediately (retrying cannot resolve an
+    unknown outcome).
     """
     last_mismatches = None
     for attempt in range(max_attempts):
-        txn = CrossShardTransaction(client, ordered=attempt > 0)
+        txn = Transaction(client, ordered=attempt > 0)
         result = yield from body(txn)
         try:
             yield from txn.commit()

@@ -357,11 +357,6 @@ class BackupServer:
     # inspection
     # ------------------------------------------------------------------
     @property
-    def _entries(self) -> dict[int, LogEntry]:
-        """Back-compat alias for the WAL's index → entry map."""
-        return self.wal.entries
-
-    @property
     def last_index(self) -> int:
         return self.wal.last_index
 

@@ -279,10 +279,6 @@ class SegmentedWal:
             segment._completion_only = completion_only
         return completion_only
 
-    def segment_entries(self, segment_id: int) -> tuple[LogEntry, ...]:
-        segment = self.segments[segment_id]
-        return tuple(self.entries[i] for i in segment.indices)
-
     # ------------------------------------------------------------------
     # cleaning (compaction)
     # ------------------------------------------------------------------

@@ -193,9 +193,6 @@ class Network:
         for other in self.hosts:
             self.heal(name, other)
 
-    def is_blocked(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._blocked
-
     # ------------------------------------------------------------------
     # fault hooks (driven by net/faults.py; callable directly in tests)
     # ------------------------------------------------------------------

@@ -51,7 +51,3 @@ class RiflClientTracker:
         if not self._outstanding:
             return self._next_seq + 1
         return min(self._outstanding)
-
-    @property
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)

@@ -117,10 +117,6 @@ class ResultRegistry:
     def end_recovery(self) -> None:
         self._in_recovery = False
 
-    @property
-    def in_recovery(self) -> bool:
-        return self._in_recovery
-
     # ------------------------------------------------------------------
     # durability plumbing
     # ------------------------------------------------------------------

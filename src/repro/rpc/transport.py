@@ -316,9 +316,6 @@ class RpcTransport:
             raise ValueError(f"handler already registered for {method}")
         self._handlers[method] = handler
 
-    def unregister(self, method: str) -> None:
-        self._handlers.pop(method, None)
-
     # ------------------------------------------------------------------
     # message pump
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.verify.checker import (
 from repro.verify.instrument import HistoryClient
 from repro.verify.transactions import (
     AtomicityError,
-    RecordedCrossShardTransaction,
+    RecordedTransaction,
     TxnTrace,
     audit_atomicity,
 )
@@ -40,7 +40,7 @@ __all__ = [
     "HistoryClient",
     "LinearizabilityError",
     "OpRecord",
-    "RecordedCrossShardTransaction",
+    "RecordedTransaction",
     "RegisterModel",
     "TxnTrace",
     "audit_atomicity",

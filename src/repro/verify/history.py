@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import typing
 
+from repro.kvstore.operations import Increment, Operation, Read, Write
+
 
 @dataclasses.dataclass(slots=True)
 class OpRecord:
@@ -64,6 +66,18 @@ class History:
                           invoked_at=invoked, completed_at=None)
         self.records.append(record)
         return record
+
+    def begin_op(self, client: int, op: Operation,
+                 now: float) -> OpRecord:
+        """``begin`` for a kvstore ``Write`` / ``Increment`` / ``Read``:
+        the record's kind and argument come from the operation."""
+        if isinstance(op, Write):
+            return self.begin(client, op.key, "write", op.value, now)
+        if isinstance(op, Increment):
+            return self.begin(client, op.key, "increment", op.delta, now)
+        if isinstance(op, Read):
+            return self.begin(client, op.key, "read", None, now)
+        raise TypeError(f"unsupported op for history: {op!r}")
 
     def complete(self, record: OpRecord, result: typing.Any,
                  now: float) -> None:

@@ -10,8 +10,8 @@ paper's §3.4 reading of a client crash.
 from __future__ import annotations
 
 from repro.core.client import ClientGaveUp, CurpClient
-from repro.kvstore.operations import Increment, Operation, Read, Write
-from repro.verify.history import History, OpRecord
+from repro.kvstore.operations import Operation, Read
+from repro.verify.history import History
 
 
 class HistoryClient:
@@ -22,22 +22,10 @@ class HistoryClient:
         self.history = history
         self.sim = client.sim
 
-    def _begin(self, op: Operation) -> OpRecord:
-        if isinstance(op, Write):
-            return self.history.begin(self.client.tracker.client_id,
-                                      op.key, "write", op.value, self.sim.now)
-        if isinstance(op, Increment):
-            return self.history.begin(self.client.tracker.client_id,
-                                      op.key, "increment", op.delta,
-                                      self.sim.now)
-        if isinstance(op, Read):
-            return self.history.begin(self.client.tracker.client_id,
-                                      op.key, "read", None, self.sim.now)
-        raise TypeError(f"unsupported op for history: {op!r}")
-
     def update(self, op: Operation):
         """Generator: perform + record an update; pending on give-up."""
-        record = self._begin(op)
+        record = self.history.begin_op(self.client.tracker.client_id, op,
+                                       self.sim.now)
         try:
             outcome = yield from self.client.update(op)
         except ClientGaveUp:
@@ -47,7 +35,8 @@ class HistoryClient:
 
     def read(self, key: str):
         """Generator: perform + record a linearizable read."""
-        record = self._begin(Read(key))
+        record = self.history.begin_op(self.client.tracker.client_id,
+                                       Read(key), self.sim.now)
         try:
             value = yield from self.client.read(key)
         except ClientGaveUp:

@@ -1,14 +1,15 @@
-"""Multi-key verification for cross-shard transactions (§B.2).
+"""Multi-key verification for transactions (§A.3 / §B.2).
 
-:class:`RecordedCrossShardTransaction` hooks the prepare and
-compensation paths of
-:class:`~repro.core.transactions.CrossShardTransaction` so every
-state-changing step lands in the shared :class:`History` as per-key
-register writes:
+:class:`RecordedTransaction` hooks the per-shard write and
+compensation paths of :class:`~repro.core.transactions.Transaction`
+so every state-changing step lands in the shared :class:`History` as
+per-key register writes:
 
-- an **applied prepare** is a write of the staged value (invoke at
-  fan-out, complete when the shard acked) — the same shape as any
-  other write, so the existing per-key Wing&Gong search checks it;
+- an **applied prepare** (a saga's ``TxnPrepare``, or a one-shard
+  commit's ``ConditionalMultiWrite``) is a write of the staged value
+  (invoke at fan-out, complete when the shard acked) — the same shape
+  as any other write, so the existing per-key Wing&Gong search checks
+  it;
 - a **compensation** is a write restoring the pre-transaction value
   (``None`` for a key the prepare created);
 - a prepare that MISMATCHed (no effects) or never left the client is
@@ -35,17 +36,17 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.client import ClientGaveUp
-from repro.core.transactions import CrossShardTransaction
+from repro.core.transactions import Transaction
 from repro.kvstore.operations import KEEP
 from repro.verify.history import History
 
 
 class AtomicityError(AssertionError):
-    """A cross-shard transaction committed torn or left residue."""
+    """A transaction committed torn or left residue."""
 
 
-class RecordedCrossShardTransaction(CrossShardTransaction):
-    """A cross-shard transaction whose effects are history-recorded."""
+class RecordedTransaction(Transaction):
+    """A transaction whose effects are history-recorded."""
 
     def __init__(self, client, history: History, ordered: bool = False):
         super().__init__(client, ordered=ordered)
@@ -111,7 +112,7 @@ class TxnTrace:
     ``"unknown"`` (:class:`TransactionInDoubt`, client crash — treated
     leniently, the §3.4 reading)."""
 
-    txn: RecordedCrossShardTransaction
+    txn: RecordedTransaction
     status: str
 
 

@@ -390,8 +390,8 @@ class OpenLoopEngine:
         stay pending — may-or-may-not-have-happened, §3.4)."""
         record = None
         if self.history is not None:
-            from repro.verify.instrument import HistoryClient
-            record = HistoryClient(client, self.history)._begin(op)
+            record = self.history.begin_op(client.tracker.client_id, op,
+                                           self.sim.now)
         try:
             if isinstance(op, Read):
                 value = yield from client.read(op.key)

@@ -20,10 +20,14 @@ from repro.net.faults import FaultPlan, HostFlap, SlowDisk
 
 
 #: witness placements: one host per master, one host shared by four
-#: masters, each witness on its master's backup
+#: masters, each witness on its master's backup, and one host shared
+#: by two masters with a single witness standby (so only m0 gets a
+#: replacement and the host keeps serving m1)
 LAYOUTS = {"default": {},
            "shared": dict(n_masters=4, multi_tenant_witnesses=True),
-           "colocated": dict(colocate_witnesses=True)}
+           "colocated": dict(colocate_witnesses=True),
+           "shared-one-spare": dict(n_masters=2,
+                                    multi_tenant_witnesses=True)}
 
 
 def detector_cluster(layout: str = "default", **kwargs):
@@ -246,15 +250,17 @@ def test_dead_witness_is_replaced():
 
 def _crash_watched_witness(layout: str):
     """Crash m0's first witness host under a watchdog that watches
-    witnesses and backups, with a standby for every repair; returns
-    the host, the detector, the crash time and every time the
-    watchdog pinged the host."""
+    witnesses and backups, with a standby for every repair (one witness
+    standby in ``shared-one-spare``), and restart it once its repairs
+    are done; returns the cluster, the host, the detector, the crash
+    time and every time the watchdog pinged the host."""
     cluster = detector_cluster(layout)
     n_masters = len(cluster.coordinator.masters)
+    spares = 1 if layout == "shared-one-spare" else n_masters
     detector = make_detector(
         cluster, [],
         witness_standbys=[cluster.add_host(f"w-standby{i}", role="witness")
-                          for i in range(n_masters)],
+                          for i in range(spares)],
         backup_standbys=[cluster.add_host(f"b-standby{i}", role="backup")
                          for i in range(n_masters)])
     dead = cluster.coordinator.masters["m0"].witnesses[0]
@@ -270,9 +276,11 @@ def _crash_watched_witness(layout: str):
     detector.start()
     crashed_at = cluster.sim.now
     cluster.network.host(dead).crash()
+    cluster.sim.run(until=crashed_at + 5 * detector.interval)
+    cluster.network.host(dead).restart()
     cluster.sim.run(until=crashed_at + 10 * detector.interval)
     detector.stop()
-    return dead, detector, crashed_at, pings
+    return cluster, dead, detector, crashed_at, pings
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -282,21 +290,33 @@ def test_watched_host_is_pinged_once_per_round(layout):
     silent rounds in every layout (a host shared by four masters used
     to collect all its misses inside one round), and a host that is
     also a backup loses both roles at the same instant (it used to be
-    convicted once per role, rounds apart)."""
-    default_dead, default, crashed_at, _ = _crash_watched_witness("default")
+    convicted once per role, rounds apart).  After its restart, a host
+    no master holds any more rejoins a standby pool; one still serving
+    a master does not (a shared witness replaced for m0 only used to
+    rejoin the witness pool while serving m1, and to be pinged twice a
+    round, by the member check and by the reclaim pass)."""
+    _, default_dead, default, crashed_at, _ = \
+        _crash_watched_witness("default")
     baseline = min(t for t, _kind, target in default.detections
                    if target == default_dead) - crashed_at
-    dead, detector, crashed_at, pings = _crash_watched_witness(layout)
+    cluster, dead, detector, crashed_at, pings = \
+        _crash_watched_witness(layout)
     detected = [(t, kind) for t, kind, target in detector.detections
                 if target == dead]
     first = detected[0][0]
     silent = [t for t in pings if crashed_at <= t <= first]
     assert len(silent) == detector.miss_threshold
     assert all(later - earlier >= detector.interval
-               for earlier, later in zip(silent, silent[1:]))
+               for earlier, later in zip(pings, pings[1:]))
     assert abs(first - crashed_at - baseline) <= detector.ping_timeout
     roles = ["witness", "backup"] if layout == "colocated" else ["witness"]
     assert detected == [(first, role) for role in roles]
+    held = any(dead in (*managed.witnesses, *managed.backups)
+               for managed in cluster.coordinator.masters.values())
+    assert held == (layout == "shared-one-spare")
+    pooled = [host.name for host in (*detector.witness_standbys,
+                                     *detector.backup_standbys)]
+    assert pooled.count(dead) == (0 if held else 1)
 
 
 def test_gray_witness_invisible_to_ping_only_detector():

@@ -6,11 +6,9 @@ import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.transactions import (
-    CrossShardTransaction,
-    OptimisticTransaction,
+    Transaction,
     TransactionAborted,
     TransactionGaveUp,
-    run_cross_shard_transaction,
     run_transaction,
 )
 from repro.harness import build_cluster
@@ -81,7 +79,7 @@ def test_transaction_commit_applies_atomically():
     cluster.run(client.update(Write("acct:b", 50)))
 
     def transfer():
-        txn = OptimisticTransaction(client)
+        txn = Transaction(client)
         a = yield from txn.read("acct:a")
         b = yield from txn.read("acct:b")
         txn.write("acct:a", a - 30)
@@ -99,7 +97,7 @@ def test_transaction_aborts_on_concurrent_write():
     cluster.run(client_a.update(Write("x", 1)))
 
     def doomed():
-        txn = OptimisticTransaction(client_a)
+        txn = Transaction(client_a)
         value = yield from txn.read("x")
         # A competing client sneaks in a write before the commit.
         yield from client_b.update(Write("x", 999))
@@ -115,7 +113,7 @@ def test_transaction_read_own_staged_write():
     client = cluster.new_client()
 
     def body():
-        txn = OptimisticTransaction(client)
+        txn = Transaction(client)
         txn.write("k", "staged")
         value = yield from txn.read("k")
         assert value == "staged"
@@ -328,6 +326,18 @@ def keys_on_distinct_shards(cluster, n):
     raise AssertionError(f"could not find keys on {n} shards")
 
 
+def keys_on_one_shard(cluster):
+    """The first two keys found that share a shard."""
+    by_shard = {}
+    for i in range(10_000):
+        key = f"key{i}"
+        keys = by_shard.setdefault(cluster.shard_for(key), [])
+        keys.append(key)
+        if len(keys) == 2:
+            return keys
+    raise AssertionError("could not find two keys on one shard")
+
+
 def seed(cluster, client, key, value):
     def gen():
         yield from client.update(Write(key=key, value=value))
@@ -344,7 +354,7 @@ def test_cross_shard_commit_spans_shards_atomically():
     cluster.settle()  # drain syncs + witness gc: nothing in flight
 
     def transfer():
-        txn = CrossShardTransaction(client)
+        txn = Transaction(client)
         a = yield from txn.read(k0)
         b = yield from txn.read(k1)
         txn.write(k0, a - 30)
@@ -378,7 +388,7 @@ def test_cross_shard_abort_compensates_prepared_shards():
     seed(cluster, client, k1, 20)
 
     def doomed():
-        txn = CrossShardTransaction(client)
+        txn = Transaction(client)
         a = yield from txn.read(k0)
         b = yield from txn.read(k1)
         txn.write(k0, a + 1)
@@ -409,7 +419,7 @@ def test_cross_shard_compensate_restores_tombstone():
     seed(cluster, client, k1, 1)  # k0 never written: fresh key
 
     def doomed():
-        txn = CrossShardTransaction(client)
+        txn = Transaction(client)
         b = yield from txn.read(k1)
         txn.write(k0, "created")
         txn.write(k1, b + 1)
@@ -423,22 +433,14 @@ def test_cross_shard_compensate_restores_tombstone():
 
 
 def test_cross_shard_single_shard_degenerates_cleanly():
-    """All keys on one shard: one prepare, sequential path, commits."""
+    """All keys on one shard: one conditional multi-write, commits."""
     cluster = sharded_cluster()
     client = cluster.new_client()
-    # Two keys that happen to share a shard.
-    by_shard = {}
-    for i in range(10_000):
-        key = f"key{i}"
-        by_shard.setdefault(cluster.shard_for(key), []).append(key)
-        if any(len(keys) >= 2 for keys in by_shard.values()):
-            break
-    keys = next(ks for ks in by_shard.values() if len(ks) >= 2)
-    k0, k1 = keys[0], keys[1]
+    k0, k1 = keys_on_one_shard(cluster)
     seed(cluster, client, k0, 1)
 
     def txn_body():
-        txn = CrossShardTransaction(client)
+        txn = Transaction(client)
         a = yield from txn.read(k0)
         txn.write(k0, a + 1)
         txn.write(k1, "new")
@@ -451,6 +453,50 @@ def test_cross_shard_single_shard_degenerates_cleanly():
     assert cluster.run(client.read(k1)) == "new"
 
 
+def test_single_shard_commit_runs_no_prepare():
+    """On a sharded cluster, a commit whose keys share one shard is
+    one ConditionalMultiWrite: no TxnPrepare, so no pending-txn entry
+    and no pending-key marker, even before any resolve could land (a
+    one-participant saga never compensates, so it gains nothing)."""
+    cluster = sharded_cluster()
+    client = cluster.new_client()
+    k0, k1 = keys_on_one_shard(cluster)
+    seed(cluster, client, k0, 1)
+    cluster.settle()
+
+    def body():
+        txn = Transaction(client)
+        a = yield from txn.read(k0)
+        txn.write(k0, a + 1)
+        txn.write(k1, "new")
+        yield from txn.commit()
+        stores = [cluster.master(m).store for m in cluster.masters]
+        return txn, [(store.pending_txns, store._pending_keys)
+                     for store in stores]
+    txn, pending = cluster.run(cluster.sim.process(body()),
+                               timeout=1_000_000.0)
+    assert txn.participants == (cluster.shard_for(k0),)
+    assert txn.fast_path is True
+    assert pending == [({}, {})] * len(cluster.masters)
+    for master_id in cluster.masters:
+        assert cluster.master(master_id).stats.txns_prepared == 0
+    assert cluster.run(client.read(k0)) == 2
+    assert cluster.run(client.read(k1)) == "new"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.core.transactions", "OptimisticTransaction"),
+    ("repro.core.transactions", "CrossShardTransaction"),
+    ("repro.core.transactions", "run_cross_shard_transaction"),
+    ("repro.verify", "RecordedCrossShardTransaction"),
+    ("repro.verify.transactions", "RecordedCrossShardTransaction")])
+def test_removed_transaction_names_do_not_import(module, name):
+    """One transaction type, one runner: the old names are gone, with
+    no alias left behind."""
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+
+
 def test_cross_shard_read_only_commits_trivially():
     cluster = sharded_cluster()
     client = cluster.new_client()
@@ -458,7 +504,7 @@ def test_cross_shard_read_only_commits_trivially():
     seed(cluster, client, k0, 1)
 
     def body():
-        txn = CrossShardTransaction(client)
+        txn = Transaction(client)
         yield from txn.read(k0)
         yield from txn.read(k1)
         yield from txn.commit()
@@ -493,7 +539,7 @@ def test_cross_shard_contention_both_eventually_commit():
 
     def script(client, i):
         for _ in range(4):
-            yield from run_cross_shard_transaction(
+            yield from run_transaction(
                 client, transfer(1 + i), max_attempts=50)
         done.append(i)
     processes = [client.host.spawn(script(client, i), name=f"xfer{i}")
@@ -533,7 +579,7 @@ def test_cross_shard_survives_participant_crash():
             cluster.coordinator.recover_master(victim, standby))
 
     txn_process = cluster.sim.process(
-        run_cross_shard_transaction(client, body, max_attempts=50))
+        run_transaction(client, body, max_attempts=50))
     chaos_process = cluster.sim.process(chaos())
     cluster.run(cluster.sim.all_of([txn_process, chaos_process]),
                 timeout=50_000_000.0)

@@ -37,7 +37,7 @@ from repro.verify import (
     CounterModel,
     History,
     HistoryClient,
-    RecordedCrossShardTransaction,
+    RecordedTransaction,
     TxnTrace,
     audit_atomicity,
     check_linearizable,
@@ -334,7 +334,7 @@ def test_chaos_crash_participant_mid_cross_shard_txn(seed):
                 k0, k1 = pairs[rng.randrange(len(pairs))]
                 base = f"t{index}-{op_number}"
                 for attempt in range(40):
-                    txn = RecordedCrossShardTransaction(
+                    txn = RecordedTransaction(
                         client, history, ordered=attempt > 0)
                     txn.write(k0, f"{base}-a")
                     txn.write(k1, f"{base}-b")

@@ -18,6 +18,7 @@ from repro.cluster.coordinator import Coordinator
 from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 from repro.core.messages import ReadArgs
+from repro.core.transactions import Transaction
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.operations import Operation
 from repro.net import Network
@@ -126,7 +127,8 @@ def _kernel_objects() -> dict[str, object]:
             "WitnessServer": endpoint.tenants["m0"], "CurpMaster": master,
             "CurpClient": client, "RpcRequest": request,
             "RpcContext": request,
-            "FailureDetector": FailureDetector(coordinator, [])}
+            "FailureDetector": FailureDetector(coordinator, []),
+            "Transaction": Transaction(client)}
 
 
 _KERNEL_OBJECTS = _kernel_objects()
@@ -195,6 +197,13 @@ def test_stale_kernel_attribute_check_sees_removed_watchdog_api():
         "FailureDetector.quarantined"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_transaction_api():
+    text = ("`Transaction.commit`, `Transaction.participants` and "
+            "`Transaction._prepare_one` stay; `Transaction._read_values` "
+            "is gone, and `RecordedTransaction.history` is not checked.")
+    assert stale_kernel_attributes(text) == ["Transaction._read_values"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
@@ -203,7 +212,7 @@ def test_stale_kernel_attribute_check_sees_removed_watchdog_api():
     ("CurpMaster", "replay_witness_requests"), ("RpcRequest", "replied"),
     ("RpcContext", "reply_error"), ("CurpClient", "read_nearby"),
     ("ReadArgs", "key_hash"), ("KVStore", "lookup"),
-    ("FailureDetector", "watched")])
+    ("FailureDetector", "watched"), ("Transaction", "fast_path")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""

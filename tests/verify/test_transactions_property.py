@@ -28,7 +28,7 @@ from repro.kvstore import Write
 from repro.verify import (
     History,
     HistoryClient,
-    RecordedCrossShardTransaction,
+    RecordedTransaction,
     TxnTrace,
     audit_atomicity,
     check_linearizable,
@@ -80,7 +80,7 @@ def test_random_interleavings_stay_linearizable_and_atomic(
                 else:
                     base = f"t{index}-{op_number}"
                     for attempt in range(30):
-                        txn = RecordedCrossShardTransaction(
+                        txn = RecordedTransaction(
                             client, history, ordered=attempt > 0)
                         for j, key in enumerate(arg):
                             txn.write(key, f"{base}-{j}")

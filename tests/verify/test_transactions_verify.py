@@ -8,7 +8,7 @@ from repro.harness import build_cluster
 from repro.kvstore import Write
 from repro.verify import (
     History,
-    RecordedCrossShardTransaction,
+    RecordedTransaction,
     TxnTrace,
     audit_atomicity,
     check_linearizable,
@@ -43,7 +43,7 @@ def test_committed_transaction_history_linearizes():
     traces = []
 
     def script():
-        txn = RecordedCrossShardTransaction(client, history)
+        txn = RecordedTransaction(client, history)
         a = yield from txn.read(k0)
         txn.write(k0, "a1")
         txn.write(k1, "b1")
@@ -80,7 +80,7 @@ def test_aborted_transaction_leaves_linearizable_history():
     traces = []
 
     def doomed():
-        txn = RecordedCrossShardTransaction(client, history)
+        txn = RecordedTransaction(client, history)
         yield from txn.read(k0)
         yield from txn.read(k1)
         txn.write(k0, "a1")
