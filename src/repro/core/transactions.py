@@ -123,10 +123,6 @@ class Transaction:
             raise RuntimeError("transaction already committed")
         self._writes[key] = value
 
-    @property
-    def read_set(self) -> dict[str, int]:
-        return dict(self._read_versions)
-
     # ------------------------------------------------------------------
     # commit
     # ------------------------------------------------------------------

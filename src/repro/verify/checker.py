@@ -1,44 +1,55 @@
-"""Wing & Gong linearizability search with per-key partitioning.
+"""Wing & Gong linearizability search over key-connected components.
+
+The sequential specification is the store itself: a step installs the
+search state (one value per key) into a scratch ``KVStore``, executes
+the recorded operation and reads the keys back.  Records whose keys
+never meet, directly or through a chain of multi-key operations, are
+independent, so each connected component of keys is searched alone
+(P-compositionality) and a multi-key write stays one atomic step.
 
 An operation may be linearized next iff its invocation happened before
 the earliest completion among the not-yet-linearized *completed*
-operations (otherwise that earlier-completing operation must come
-first).  The search walks all such orders, executing the sequential
-model and pruning states it has already seen (the WGL memoization).
+operations.  The search walks all such orders, pruning states it has
+already seen (the WGL memoization).  Results are compared for ``Read``
+and ``Increment`` only, the two operations whose result is a value.
+Versions are outside the specification — recovery raises the version
+floor, so an issued version is not a function of the operation order —
+and a conditional operation enters a history by its observed outcome.
 
 Pending operations (client crashed / never saw the response):
 
-- pending **mutations** may be linearized anywhere after invocation or
-  dropped entirely — both must be explored, because a crashed client's
-  write may or may not have taken effect (§3.4 of the paper: "if the
-  client crashes before externalizing the result, the RPC may or may
-  not finish");
+- pending **updates** may be linearized anywhere after invocation or
+  dropped — both are explored, because a crashed client's write may or
+  may not have taken effect (§3.4: "if the client crashes before
+  externalizing the result, the RPC may or may not finish");
 - pending **reads** are always dropped (they externalized nothing and
   constrain nothing);
-- results of pending operations are unconstrained (the model skips the
-  result check for them).
+- results of pending operations are unconstrained.
 """
 
 from __future__ import annotations
 
-import typing
+import itertools
 
+from repro.kvstore.operations import Increment, Read
+from repro.kvstore.store import KVStore
 from repro.verify.history import History, OpRecord
-from repro.verify.models import RegisterModel
 
 
 class LinearizabilityError(AssertionError):
-    """The history admits no valid linearization."""
+    """No valid linearization; the message lists the component."""
 
-    def __init__(self, key: str, records: list[OpRecord], detail: str = ""):
-        lines = [f"history for key {key!r} is not linearizable. {detail}"]
-        for op in sorted(records, key=lambda r: r.invoked_at):
-            end = "pending" if op.is_pending else f"{op.completed_at:.1f}"
-            lines.append(
-                f"  client={op.client} {op.kind}({op.argument!r}) -> "
-                f"{op.result!r} [{op.invoked_at:.1f}, {end}]")
+    def __init__(self, records: list[OpRecord]):
+        records = sorted(records, key=lambda r: r.invoked_at)
+        keys = sorted({key for r in records for key in r.keys})
+        lines = [f"history for keys {keys} is not linearizable."]
+        for r in records:
+            end = "pending" if r.is_pending else f"{r.completed_at:.1f}"
+            lines.append(f"  client={r.client} {r.op!r} -> {r.result!r} "
+                         f"[{r.invoked_at:.1f}, {end}]")
         super().__init__("\n".join(lines))
-        self.key = key
+        #: a key of the failing component (a key of ``History.by_key()``)
+        self.key = records[0].key
 
 
 class CheckerLimitExceeded(RuntimeError):
@@ -47,32 +58,66 @@ class CheckerLimitExceeded(RuntimeError):
 
 _INFINITY = float("inf")
 
-
-def check_linearizable(history: History, model=RegisterModel,
-                       max_states: int = 2_000_000) -> None:
-    """Raise :class:`LinearizabilityError` if any per-key subhistory is
-    non-linearizable.  ``model`` provides the sequential semantics."""
-    for key, records in history.by_key().items():
-        _check_key(key, records, model, max_states)
+#: the operations whose result is a value the specification predicts
+_VALUE_RESULTS = (Read, Increment)
 
 
-def _check_key(key: str, records: list[OpRecord], model,
-               max_states: int) -> None:
+def check_linearizable(history: History, max_states: int = 2_000_000) -> None:
+    """Raise :class:`LinearizabilityError` if the subhistory of any
+    connected component of keys is not linearizable."""
+    for records in _components(history.records):
+        _check_component(records, max_states)
+
+
+def _components(records: list[OpRecord]):
+    """The records grouped by connected component of their keys."""
+    parent: dict[str, str] = {}  # union-find; a root has no entry
+
+    def find(key: str) -> str:
+        while key in parent:
+            key = parent[key]
+        return key
+
+    for record in records:
+        keys = record.keys
+        root = find(keys[0])
+        for key in keys[1:]:
+            other = find(key)
+            if other != root:
+                parent[other] = root
+    # One component's list alive at a time: a history can hold
+    # thousands of single-key components.
+    ordered = sorted(records, key=lambda r: find(r.key))
+    for _root, group in itertools.groupby(ordered, lambda r: find(r.key)):
+        yield list(group)
+
+
+def _step(keys: list[str], state: tuple, record: OpRecord):
+    """Run the record's op from ``state``: (result consistent?, state)."""
+    store = KVStore()
+    for key, value in zip(keys, state):
+        if value is not None:
+            store.install(key, value, 1)
+    result, _entry = store.execute(record.op)
+    ok = (record.is_pending or not isinstance(record.op, _VALUE_RESULTS)
+          or result == record.result)
+    return ok, tuple([store.read(key) for key in keys])
+
+
+def _check_component(records: list[OpRecord], max_states: int) -> None:
     # Pending reads constrain nothing: drop them outright.
-    ops = [r for r in records
-           if not (r.is_pending and r.kind == "read")]
+    ops = [r for r in records if r.op.is_update or not r.is_pending]
     if not ops:
         return
     ops.sort(key=lambda r: r.invoked_at)
+    keys = sorted({key for r in ops for key in r.keys})
     completion = [(_INFINITY if op.is_pending else op.completed_at)
                   for op in ops]
-    must_linearize = frozenset(
-        i for i, op in enumerate(ops) if not op.is_pending)
-    all_must = sum(1 << i for i in must_linearize)
+    all_must = sum(1 << i for i, op in enumerate(ops) if not op.is_pending)
 
-    initial_state = model.initial
-    stack: list[tuple[int, typing.Any]] = [(0, initial_state)]
-    seen: set[tuple[int, typing.Any]] = {(0, initial_state)}
+    initial = (0, (None,) * len(keys))
+    stack = [initial]
+    seen = {initial}
     states_visited = 0
 
     while stack:
@@ -82,7 +127,7 @@ def _check_key(key: str, records: list[OpRecord], model,
         states_visited += 1
         if states_visited > max_states:
             raise CheckerLimitExceeded(
-                f"exceeded {max_states} states checking key {key!r}")
+                f"exceeded {max_states} states checking keys {keys}")
         # Earliest completion among unlinearized completed ops bounds
         # which operations may be linearized next.
         bound = _INFINITY
@@ -94,12 +139,11 @@ def _check_key(key: str, records: list[OpRecord], model,
                 continue
             if op.invoked_at > bound:
                 break  # ops sorted by invocation: rest also too late
-            ok, new_state = model.apply(state, op,
-                                        check_result=not op.is_pending)
+            ok, new_state = _step(keys, state, op)
             if not ok:
                 continue
             entry = (mask | (1 << i), new_state)
             if entry not in seen:
                 seen.add(entry)
                 stack.append(entry)
-    raise LinearizabilityError(key, records)
+    raise LinearizabilityError(records)

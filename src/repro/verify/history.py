@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
-from repro.kvstore.operations import Increment, Operation, Read, Write
+from repro.kvstore.operations import Operation
 
 
 @dataclasses.dataclass(slots=True)
@@ -21,15 +20,27 @@ class OpRecord:
     """
 
     client: int
-    key: str
-    #: "read" | "write" | "increment"
-    kind: str
-    #: written value / increment delta (None for reads)
-    argument: typing.Any
+    #: the kvstore operation itself (its own sequential semantics)
+    op: Operation
     #: observed result (reads: the value; increments: the new value)
     result: typing.Any
     invoked_at: float
     completed_at: float | None
+
+    @property
+    def kind(self) -> str:
+        """The operation's type name, lower case (``"read"``, ...)."""
+        return type(self.op).__name__.lower()
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Every key the operation touches.  Not ``touched_keys()``:
+        that memo is never built on a history's copy."""
+        return self.op.read_keys() + self.op.mutated_keys()
+
+    @property
+    def key(self) -> str:
+        return self.keys[0]
 
     @property
     def is_pending(self) -> bool:
@@ -52,32 +63,21 @@ class History:
 
     def __init__(self) -> None:
         self.records: list[OpRecord] = []
-        self._counter = itertools.count()
         self._client_last_end: dict[int, float] = {}
 
-    def begin(self, client: int, key: str, kind: str,
-              argument: typing.Any, now: float) -> OpRecord:
+    def begin(self, client: int, op: Operation, now: float) -> OpRecord:
+        """Record ``op``'s invocation.  The record keeps a copy: the
+        client's own instance carries a routing memo the history does
+        not need."""
         invoked = now
         last_end = self._client_last_end.get(client)
         if last_end is not None and invoked <= last_end:
             invoked = last_end + self._EPSILON
-        record = OpRecord(client=client, key=key, kind=kind,
-                          argument=argument, result=None,
-                          invoked_at=invoked, completed_at=None)
+        record = OpRecord(client=client, op=dataclasses.replace(op),
+                          result=None, invoked_at=invoked,
+                          completed_at=None)
         self.records.append(record)
         return record
-
-    def begin_op(self, client: int, op: Operation,
-                 now: float) -> OpRecord:
-        """``begin`` for a kvstore ``Write`` / ``Increment`` / ``Read``:
-        the record's kind and argument come from the operation."""
-        if isinstance(op, Write):
-            return self.begin(client, op.key, "write", op.value, now)
-        if isinstance(op, Increment):
-            return self.begin(client, op.key, "increment", op.delta, now)
-        if isinstance(op, Read):
-            return self.begin(client, op.key, "read", None, now)
-        raise TypeError(f"unsupported op for history: {op!r}")
 
     def complete(self, record: OpRecord, result: typing.Any,
                  now: float) -> None:
@@ -88,8 +88,7 @@ class History:
                                                    record.completed_at)
 
     def by_key(self) -> dict[str, list[OpRecord]]:
-        """Partition into per-key subhistories (KV ops on distinct keys
-        are independent, so linearizability composes per key)."""
+        """Records grouped by their first key."""
         partitions: dict[str, list[OpRecord]] = {}
         for record in self.records:
             partitions.setdefault(record.key, []).append(record)

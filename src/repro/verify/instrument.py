@@ -24,8 +24,8 @@ class HistoryClient:
 
     def update(self, op: Operation):
         """Generator: perform + record an update; pending on give-up."""
-        record = self.history.begin_op(self.client.tracker.client_id, op,
-                                       self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id, op,
+                                    self.sim.now)
         try:
             outcome = yield from self.client.update(op)
         except ClientGaveUp:
@@ -35,8 +35,8 @@ class HistoryClient:
 
     def read(self, key: str):
         """Generator: perform + record a linearizable read."""
-        record = self.history.begin_op(self.client.tracker.client_id,
-                                       Read(key), self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Read(key), self.sim.now)
         try:
             value = yield from self.client.read(key)
         except ClientGaveUp:

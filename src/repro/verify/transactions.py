@@ -3,32 +3,28 @@
 :class:`RecordedTransaction` hooks the per-shard write and
 compensation paths of :class:`~repro.core.transactions.Transaction`
 so every state-changing step lands in the shared :class:`History` as
-per-key register writes:
+one ``MultiWrite`` per applied slice, which the checker searches as one
+atomic step (so it checks a one-shard commit's atomicity itself):
 
 - an **applied prepare** (a saga's ``TxnPrepare``, or a one-shard
-  commit's ``ConditionalMultiWrite``) is a write of the staged value
-  (invoke at fan-out, complete when the shard acked) — the same shape
-  as any other write, so the existing per-key Wing&Gong search checks
-  it;
-- a **compensation** is a write restoring the pre-transaction value
-  (``None`` for a key the prepare created);
+  commit's ``ConditionalMultiWrite``) writes its non-``KEEP`` items
+  (invoke at fan-out, complete when the shard acked);
+- a **compensation** restores the keys it ``UNDONE`` (``None`` for a
+  key the prepare created); with its outcome unknown it stays one
+  pending restore per key, as each may be undone or superseded;
 - a prepare that MISMATCHed (no effects) or never left the client is
   *removed* from the history;
 - a prepare whose outcome is unknown (client gave up mid-crash) stays
   **pending** — the checker may linearize it anywhere after the
-  invocation or drop it, exactly the §3.4 treatment of a client crash,
-  and exactly right for a witnessed prepare that recovery may yet
-  replay.
+  invocation or drop it, the §3.4 treatment of a client crash, and
+  right for a witnessed prepare that recovery may yet replay.
 
-Per-key linearizability over these records already rules out aborted
-residue mechanically: the compensation write is program-ordered after
-the prepare write, so any later read observing the aborted value has
-no legal linearization.
-
-:func:`audit_atomicity` adds the *cross*-key check linearizability
-cannot see: a committed transaction must have applied on **every**
-shard (no torn multi-shard write), and an aborted one must have
-unwound (or confirmed superseded) every key it prepared.
+The compensation is program-ordered after the prepare, so a later read
+observing an aborted value has no legal linearization.
+:func:`audit_atomicity` adds the *cross*-shard check: a committed
+transaction must have applied on **every** shard (no torn multi-shard
+write), and an aborted one must have unwound (or confirmed superseded)
+every key it prepared.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import dataclasses
 
 from repro.core.client import ClientGaveUp
 from repro.core.transactions import Transaction
-from repro.kvstore.operations import KEEP
+from repro.kvstore.operations import KEEP, MultiWrite, Write
 from repro.verify.history import History
 
 
@@ -56,50 +52,55 @@ class RecordedTransaction(Transaction):
         #: key → "UNDONE" | "SUPERSEDED" from compensations
         self.unwound: dict[str, str] = {}
 
-    def _begin_write(self, key: str, value):
-        return self.history.begin(self.client.tracker.client_id, key,
-                                  "write", value, self.client.sim.now)
+    def _begin_write(self, items):
+        return self.history.begin(self.client.tracker.client_id,
+                                  MultiWrite(items=tuple(items)),
+                                  self.client.sim.now)
 
     def _prepare_one(self, op, rpc_id):
-        records = {}
-        for key, value, _expected in op.items:
-            if value is KEEP:
-                continue  # validate-only: no state change to record
-            records[key] = self._begin_write(key, value)
+        items = [(key, value) for key, value, _expected in op.items
+                 if value is not KEEP]  # KEEP: validate-only, no effect
+        record = self._begin_write(items) if items else None
         outcome = yield from super()._prepare_one(op, rpc_id)
+        if record is None:
+            return outcome
         status, payload = outcome
-        now = self.client.sim.now
         if status == "ok" and payload.result[0] == "OK":
-            for key, record in records.items():
-                self.history.complete(record, None, now)
-                self.applied_keys.add(key)
+            self.history.complete(record, None, self.client.sim.now)
+            self.applied_keys.update(key for key, _value in items)
         elif status == "ok" or not isinstance(payload, ClientGaveUp):
             # MISMATCH (no effects) or the rpc was never sent: the
-            # writes did not happen — drop them from the history.
-            for record in records.values():
-                self.history.records.remove(record)
-        # else: ClientGaveUp — outcome unknown, records stay pending.
+            # write did not happen — drop it from the history.
+            self.history.records.remove(record)
+        # else: ClientGaveUp — outcome unknown, the record stays pending.
         return outcome
 
     def _compensate_one(self, txn_id, undo):
-        records = {}
-        for key, old_value, old_version, _prepared in undo:
-            restored = None if old_version == 0 else old_value
-            records[key] = self._begin_write(key, restored)
-        # A ClientGaveUp propagates (commit() marks the shard in
-        # doubt); the records stay pending, matching the unknown
-        # on-disk outcome.
-        outcome = yield from super()._compensate_one(txn_id, undo)
-        now = self.client.sim.now
+        restores = [(key, None if old_version == 0 else old_value)
+                    for key, old_value, old_version, _prepared in undo]
+        record = self._begin_write(restores)
+        try:
+            outcome = yield from super()._compensate_one(txn_id, undo)
+        except (ClientGaveUp, ValueError, KeyError):
+            # commit() marks the shard in doubt.  Each key may have been
+            # UNDONE or SUPERSEDED: one pending restore per key.
+            self.history.records.remove(record)
+            self.history.records.extend(
+                dataclasses.replace(record, op=Write(key, value))
+                for key, value in restores)
+            raise
         disposition = dict(outcome.result[1])
-        for key, record in records.items():
-            if disposition.get(key) == "UNDONE":
-                self.history.complete(record, None, now)
-            else:
-                # SUPERSEDED: a later committed write already replaced
-                # the prepared value; the compensation wrote nothing.
-                self.history.records.remove(record)
-            self.unwound[key] = disposition.get(key, "SUPERSEDED")
+        self.unwound.update((key, disposition.get(key, "SUPERSEDED"))
+                            for key, _value in restores)
+        # SUPERSEDED: a later committed write already replaced the
+        # prepared value; the compensation wrote nothing there.
+        undone = tuple(item for item in restores
+                       if self.unwound[item[0]] == "UNDONE")
+        if undone:
+            record.op = MultiWrite(items=undone)
+            self.history.complete(record, None, self.client.sim.now)
+        else:
+            self.history.records.remove(record)
         return outcome
 
 
@@ -121,7 +122,7 @@ def audit_atomicity(traces) -> list[str]:
 
     - a **committed** transaction must have applied its write on every
       staged key and unwound none of them (a torn multi-shard commit
-      shows up here even when every per-key history linearizes);
+      shows up here even when each shard's records linearize);
     - an **aborted** transaction must have unwound (or confirmed
       superseded) every key whose prepare applied;
     - an **unknown** transaction is skipped — its pending history

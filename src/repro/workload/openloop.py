@@ -390,8 +390,8 @@ class OpenLoopEngine:
         stay pending — may-or-may-not-have-happened, §3.4)."""
         record = None
         if self.history is not None:
-            record = self.history.begin_op(client.tracker.client_id, op,
-                                           self.sim.now)
+            record = self.history.begin(client.tracker.client_id, op,
+                                        self.sim.now)
         try:
             if isinstance(op, Read):
                 value = yield from client.read(op.key)

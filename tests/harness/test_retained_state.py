@@ -17,6 +17,7 @@ from repro.harness.builder import build_cluster
 from repro.harness.profiles import RAMCLOUD_PROFILE, TEST_PROFILE
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.log import LogEntry
+from repro.kvstore.operations import Write
 from repro.kvstore.store import StoredObject
 from repro.metrics.stats import LatencyRecorder
 from repro.rifl.ids import RpcId, TxnId
@@ -41,8 +42,8 @@ _RECORDS = [
     (TxnId(1, 4), TxnId(1, 4), "client_id", 2),
     (CompletionRecord(RpcId(1, 4), 2, 3), CompletionRecord(RpcId(1, 4), 2, 3),
      "log_position", 9),
-    (OpRecord(1, "k", "write", "v", None, 1.0, None),
-     OpRecord(1, "k", "write", "v", None, 1.0, None), "result", "v"),
+    (OpRecord(1, Write("k", "v"), None, 1.0, None),
+     OpRecord(1, Write("k", "v"), None, 1.0, None), "result", "v"),
 ]
 
 

@@ -31,10 +31,9 @@ from repro.core.transactions import (
     _abort_backoff,
 )
 from repro.harness import build_cluster
-from repro.kvstore import Increment, Write
+from repro.kvstore import Delete, Increment, MultiWrite, Read, Write
 from repro.net.faults import FaultPlan, GrayHost, GrayLink, HostFlap
 from repro.verify import (
-    CounterModel,
     History,
     HistoryClient,
     RecordedTransaction,
@@ -140,8 +139,53 @@ def test_chaos_storm_stays_linearizable(seed):
     assert all(p.triggered for p in processes), "clients stuck in chaos"
     completed = sum(1 for r in history.records if not r.is_pending)
     assert completed >= 3 * 20 * 0.7, "too few ops survived the storm"
-    # CounterModel covers the full op mix (write/read/increment).
-    check_linearizable(history, model=CounterModel)
+    check_linearizable(history)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(*range(71, 101)))
+def test_chaos_storm_multi_key_stays_linearizable(seed):
+    """The same storm over two-key MultiWrites and Deletes: the checker
+    searches each multi-key write as one atomic step of the component
+    its keys join, so a recovery that replays half of one is caught."""
+    cluster = build_chaos_cluster(seed)
+    history = History()
+    keys = ["a", "b", "c", "d"]
+    processes = []
+    for index in range(3):
+        client = HistoryClient(cluster.new_client(collect_outcomes=False),
+                               history)
+
+        def script(client=client, index=index):
+            rng = cluster.sim.rng
+            for op_number in range(20):
+                first, second = rng.sample(keys, 2)
+                value = f"c{index}-{op_number}"
+                roll = rng.random()
+                if roll < 0.25:
+                    yield from client.update(Write(first, value))
+                elif roll < 0.45:
+                    yield from client.update(MultiWrite(
+                        ((first, value), (second, value))))
+                elif roll < 0.55:
+                    yield from client.update(Delete(first))
+                elif roll < 0.65:
+                    yield from client.update(Increment(f"n{first}", 1))
+                else:
+                    yield from client.read(first)
+                yield cluster.sim.timeout(rng.uniform(0, 60.0))
+        processes.append(client.client.host.spawn(script(), name="load"))
+
+    chaos_process = cluster.sim.process(monkey(cluster, rounds=6,
+                                               gap=400.0))
+    deadline = cluster.sim.now + 50_000_000.0
+    while not all(p.triggered for p in processes + [chaos_process]):
+        if cluster.sim.now > deadline or not cluster.sim.step():
+            break
+    assert all(p.triggered for p in processes), "clients stuck in chaos"
+    completed = sum(1 for r in history.records if not r.is_pending)
+    assert completed >= 3 * 20 * 0.7, "too few ops survived the storm"
+    assert {"multiwrite", "delete"} <= {r.kind for r in history.records}
+    check_linearizable(history)
 
 
 @pytest.mark.parametrize("seed", chaos_seeds(31, 32, 33, 34, 35, 36, 37, 38))
@@ -219,7 +263,7 @@ def test_chaos_crash_source_master_mid_migration(seed):
     # served (with some acknowledged value) by the new owner.
     reader = cluster.new_client()
     for key in hot_keys:
-        acked = [r.argument for r in history.records
+        acked = [r.op.value for r in history.records
                  if not r.is_pending and r.kind == "write" and r.key == key]
         if acked:
             value = cluster.run(reader.read(key), timeout=10_000_000.0)
@@ -393,7 +437,7 @@ def test_chaos_crash_participant_mid_cross_shard_txn(seed):
     assert len(committed) >= 3 * 8 * 0.7, "too few transactions committed"
     # Post-storm reads pin the final value of every key in the history.
     for key in all_keys:
-        record = history.begin(0, key, "read", None, cluster.sim.now)
+        record = history.begin(0, Read(key), cluster.sim.now)
         value = cluster.run(plain.client.read(key), timeout=10_000_000.0)
         history.complete(record, value, cluster.sim.now)
     check_linearizable(history)
@@ -508,4 +552,4 @@ def test_chaos_scripted_fault_plan_gray_witness(seed):
     assert standby.name in managed.witnesses
     completed = sum(1 for r in history.records if not r.is_pending)
     assert completed >= 3 * 20 * 0.7, "too few ops survived the storm"
-    check_linearizable(history, model=CounterModel)
+    check_linearizable(history)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import RaftConfig, RaftCurpClient, RaftNode
-from repro.kvstore import Write
+from repro.kvstore import Read, Write
 from repro.net import Network
 from repro.net.latency import LatencyModel
 from repro.sim import Fixed, Simulator
@@ -22,8 +22,8 @@ class RaftHistoryClient:
         self.sim = client.sim
 
     def write(self, key, value):
-        record = self.history.begin(self.client.tracker.client_id, key,
-                                    "write", value, self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Write(key, value), self.sim.now)
         try:
             yield from self.client.update(Write(key, value))
         except Exception:
@@ -31,8 +31,8 @@ class RaftHistoryClient:
         self.history.complete(record, value, self.sim.now)
 
     def read(self, key):
-        record = self.history.begin(self.client.tracker.client_id, key,
-                                    "read", None, self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Read(key), self.sim.now)
         try:
             value = yield from self.client.read(key)
         except Exception:

@@ -18,7 +18,6 @@ from repro.core.config import CurpConfig, ReplicationMode
 from repro.harness import build_cluster
 from repro.kvstore import Increment, Write
 from repro.verify import (
-    CounterModel,
     History,
     HistoryClient,
     LinearizabilityError,
@@ -251,7 +250,7 @@ def test_increments_exactly_once_across_crash(seed):
 
     chaos_process = cluster.sim.process(chaos())
     drain(cluster, processes + [chaos_process])
-    check_linearizable(history, model=CounterModel)
+    check_linearizable(history)
 
 
 def test_async_replication_loses_writes_negative_control():

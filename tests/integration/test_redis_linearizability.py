@@ -11,10 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.redis import build_redis_cluster
+from repro.kvstore import Increment, Read, Write
 from repro.redislike.server import DurabilityMode
 from repro.sim.distributions import Fixed
 from repro.verify import (
-    CounterModel,
     History,
     LinearizabilityError,
     check_linearizable,
@@ -30,22 +30,22 @@ class RedisHistoryClient:
         self.sim = client.sim
 
     def set(self, key, value):
-        record = self.history.begin(self.client.tracker.client_id, key,
-                                    "write", value, self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Write(key, value), self.sim.now)
         outcome = yield from self.client.set(key, value)
         self.history.complete(record, value, self.sim.now)
         return outcome
 
     def get(self, key):
-        record = self.history.begin(self.client.tracker.client_id, key,
-                                    "read", None, self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Read(key), self.sim.now)
         outcome = yield from self.client.get(key)
         self.history.complete(record, outcome.result, self.sim.now)
         return outcome
 
     def incr(self, key):
-        record = self.history.begin(self.client.tracker.client_id, key,
-                                    "increment", 1, self.sim.now)
+        record = self.history.begin(self.client.tracker.client_id,
+                                    Increment(key, 1), self.sim.now)
         outcome = yield from self.client.incr(key)
         self.history.complete(record, int(outcome.result), self.sim.now)
         return outcome
@@ -125,7 +125,7 @@ def test_redis_increments_exactly_once_across_crash():
     for record in history.records:
         if record.kind == "read" and record.result is not None:
             record.result = int(record.result)
-    check_linearizable(history, model=CounterModel)
+    check_linearizable(history)
 
 
 def test_nondurable_redis_negative_control():

@@ -114,6 +114,16 @@ def test_python_minor_mismatch_fails_and_names_both():
                                  dict(COMMITTED, python=same_minor))[1] == []
 
 
+def test_dirty_baseline_stamp_fails():
+    """A baseline snapshot of uncommitted work vouches for nothing; the
+    candidate's stamp is not gated."""
+    assert not COMMITTED["commit"].endswith("-dirty")
+    dirty = dict(COMMITTED, commit=COMMITTED["commit"] + "-dirty")
+    failures = bench_compare.compare(dirty, COMMITTED)[1]
+    assert len(failures) == 1 and dirty["commit"] in failures[0]
+    assert bench_compare.compare(COMMITTED, dirty)[1] == []
+
+
 def test_missing_gated_metric_fails_the_gate():
     """Schema drift must not silently disable the gate: every leaf the
     candidate lacks fails."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import verify
 from repro.cluster import FailureDetector
 from repro.cluster.coordinator import Coordinator
 from repro.core.client import CurpClient
@@ -20,11 +21,12 @@ from repro.core.config import CurpConfig, OverloadConfig, StorageProfile
 from repro.core.messages import ReadArgs
 from repro.core.transactions import Transaction
 from repro.kvstore.hashing import key_hash
-from repro.kvstore.operations import Operation
+from repro.kvstore.operations import Operation, Read
 from repro.net import Network
 from repro.rpc import RpcContext, RpcTransport
 from repro.rpc.transport import RpcRequest
 from repro.sim import Simulator
+from repro.verify import History
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -120,6 +122,8 @@ def _kernel_objects() -> dict[str, object]:
     client = CurpClient(network.add_host("c0"), CurpConfig(f=1),
                         coordinator="coordinator")
     request = RpcRequest(1, "c0", "update", None)
+    history = History()
+    record = history.begin(1, Read("k"), 0.0)
     return {"ReadArgs": ReadArgs("k", key_hash("k")), "KVStore": master.store,
             "Simulator": sim, "Network": network, "Host": transport.host,
             "RpcTransport": transport, "TrafficStats": network.stats,
@@ -128,7 +132,8 @@ def _kernel_objects() -> dict[str, object]:
             "CurpClient": client, "RpcRequest": request,
             "RpcContext": request,
             "FailureDetector": FailureDetector(coordinator, []),
-            "Transaction": Transaction(client)}
+            "Transaction": Transaction(client), "History": history,
+            "OpRecord": record, "verify": verify}
 
 
 _KERNEL_OBJECTS = _kernel_objects()
@@ -204,6 +209,16 @@ def test_stale_kernel_attribute_check_sees_removed_transaction_api():
     assert stale_kernel_attributes(text) == ["Transaction._read_values"]
 
 
+def test_stale_kernel_attribute_check_sees_removed_verify_api():
+    text = ("`History.begin`, `History.by_key`, `OpRecord.kind`, "
+            "`OpRecord.op` and `verify.check_linearizable` stay; "
+            "`History.begin_op`, `OpRecord.argument`, `verify.models` and "
+            "`verify.RegisterModel` are gone.")
+    assert stale_kernel_attributes(text) == [
+        "History.begin_op", "OpRecord.argument", "verify.models",
+        "verify.RegisterModel"]
+
+
 @pytest.mark.parametrize("owner,present", [
     ("Simulator", "schedule_at"), ("Host", "_rx_lead"),
     ("Network", "drop_rate"), ("RpcTransport", "pending_calls"),
@@ -212,7 +227,9 @@ def test_stale_kernel_attribute_check_sees_removed_transaction_api():
     ("CurpMaster", "replay_witness_requests"), ("RpcRequest", "replied"),
     ("RpcContext", "reply_error"), ("CurpClient", "read_nearby"),
     ("ReadArgs", "key_hash"), ("KVStore", "lookup"),
-    ("FailureDetector", "watched"), ("Transaction", "fast_path")])
+    ("FailureDetector", "watched"), ("Transaction", "fast_path"),
+    ("History", "records"), ("OpRecord", "key"),
+    ("verify", "audit_atomicity")])
 def test_kernel_attribute_check_covers_each_class(owner, present):
     """Attributes set in ``__init__`` and properties count as present;
     an unknown name on the same class is stale."""

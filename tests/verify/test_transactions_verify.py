@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import types
+
+import pytest
+
+from repro.core.client import ClientGaveUp
 from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.transactions import TransactionAborted
 from repro.harness import build_cluster
-from repro.kvstore import Write
+from repro.kvstore import MultiWrite, Read, Write
 from repro.verify import (
     History,
     RecordedTransaction,
@@ -52,7 +57,7 @@ def test_committed_transaction_history_linearizes():
     cluster.run(cluster.sim.process(script()), timeout=1_000_000.0)
     # Follow-up reads land in the same history and must agree.
     for key, want in ((k0, "a1"), (k1, "b1")):
-        record = history.begin(0, key, "read", None, cluster.sim.now)
+        record = history.begin(0, Read(key), cluster.sim.now)
         value = cluster.run(client.read(key))
         history.complete(record, value, cluster.sim.now)
     check_linearizable(history)
@@ -92,7 +97,7 @@ def test_aborted_transaction_leaves_linearizable_history():
         except TransactionAborted:
             traces.append(TxnTrace(txn, "aborted"))
     cluster.run(cluster.sim.process(doomed()), timeout=1_000_000.0)
-    record = history.begin(0, k0, "read", None, cluster.sim.now)
+    record = history.begin(0, Read(k0), cluster.sim.now)
     history.complete(record, cluster.run(client.read(k0)),
                      cluster.sim.now)
     check_linearizable(history)
@@ -100,6 +105,36 @@ def test_aborted_transaction_leaves_linearizable_history():
     assert audit_atomicity(traces) == []
     # The prepared shard was unwound.
     assert traces[0].txn.unwound
+
+
+def test_compensation_of_unknown_outcome_stays_pending_per_key():
+    """A compensation the client gave up on may have undone one key and
+    found the other superseded, so it stays one pending restore per key:
+    the history below is legal only if the restore of ``b`` is dropped
+    while the restore of ``a`` took effect."""
+    class GivesUp:
+        tracker = types.SimpleNamespace(client_id=1)
+        sim = types.SimpleNamespace(now=5.0)
+
+        def update(self, op):
+            raise ClientGaveUp(op)
+            yield  # a generator, like CurpClient.update
+
+    history = History()
+    prepared = history.begin(1, MultiWrite((("a", "a1"), ("b", "b1"))), 0.0)
+    history.complete(prepared, None, 1.0)
+    superseding = history.begin(2, Write("b", "w"), 2.0)
+    history.complete(superseding, None, 3.0)
+    txn = RecordedTransaction(GivesUp(), history)
+    with pytest.raises(ClientGaveUp):
+        next(txn._compensate_one("t1", (("a", "a0", 3, 4),
+                                        ("b", "b0", 5, 6))))
+    assert [(r.op, r.is_pending) for r in history.records[2:]] == [
+        (Write("a", "a0"), True), (Write("b", "b0"), True)]
+    for key, value in (("a", "a0"), ("b", "w")):
+        read = history.begin(3, Read(key), 10.0)
+        history.complete(read, value, 11.0)
+    check_linearizable(history)
 
 
 def test_audit_flags_torn_commit_and_residue():

@@ -18,7 +18,9 @@ must come from the same Python major.minor, because
 ``fig6_smoke.retained_bytes_per_op`` depends on the interpreter.
 
 The top-level scalars (``python``, ``commit``, …) say where a snapshot
-came from and are not compared.  A change that means to move a row
+came from and are not compared, but a baseline whose ``commit`` stamp
+ends in ``-dirty`` fails: its rows come from uncommitted work, so no
+commit vouches for them.  A change that means to move a row
 re-pins the baseline once: re-run ``tools/bench_snapshot.py`` and commit
 the refreshed ``BENCH_core.json`` with it.
 
@@ -69,6 +71,10 @@ def compare(baseline: dict, candidate: dict) -> tuple[list[dict], list[str]]:
             f"python: baseline {baseline.get('python')} vs candidate "
             f"{candidate.get('python')} — retained bytes are "
             f"interpreter-specific; compare on one major.minor")
+    if str(baseline.get("commit", "")).endswith("-dirty"):
+        failures.append(
+            f"commit: baseline stamped {baseline['commit']!r} — re-run "
+            f"tools/bench_snapshot.py on a clean checkout")
     base, cand = leaves(baseline), leaves(candidate)
     rows = []
     for path in list(base) + [path for path in cand if path not in base]:
