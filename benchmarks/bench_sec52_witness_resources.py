@@ -48,7 +48,7 @@ def test_witness_record_rate(benchmark):
         rpc_id = RpcId(1, i)
         cache.record([key_hash], rpc_id, "request")
         if i % 50 == 49:  # gc every 50 records, as masters do
-            cache.gc([(hashes[j % len(hashes)], RpcId(1, j))
+            cache.gc_batch([(hashes[j % len(hashes)], RpcId(1, j))
                       for j in range(i - 49, i + 1)])
         state["i"] = i + 1
     benchmark(record_and_gc)

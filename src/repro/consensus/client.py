@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.core.messages import RecordedRequest
-from repro.consensus.raft import ProposeArgs, ProposeReply, WitnessRecordArgs
+from repro.consensus.raft import RAFT_WITNESS, ProposeArgs
+from repro.core.curp import fan_out
+from repro.core.messages import RECORD_ACCEPTED, RecordArgs, RecordedRequest
 from repro.kvstore.operations import Operation, Read
 from repro.rifl import RiflClientTracker
 from repro.rpc import AppError, RpcError, RpcTransport, backoff_delay
-from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -108,37 +108,17 @@ class RaftCurpClient:
             leader = self.leader
             propose = ProposeArgs(op=op, rpc_id=rpc_id,
                                   ack_seq=self.tracker.first_incomplete)
-            record = WitnessRecordArgs(
-                term=self.term, key_hashes=op.touched_hashes(), rpc_id=rpc_id,
-                request=RecordedRequest(op=op, rpc_id=rpc_id))
-            # Callback fan-out (1 propose + 2f+1 records): completions
-            # land in one pre-sized join, no wrapper process per call.
-            join = QuorumEvent(self.sim, 1 + len(self.replicas))
-            self.transport.call_cb(leader, "propose", propose,
-                                   join.child_result, 0,
-                                   timeout=self.rpc_timeout * 4)
-            for index, replica in enumerate(self.replicas):
-                self.transport.call_cb(replica, "w_record", record,
-                                       join.child_result, 1 + index,
-                                       timeout=self.rpc_timeout)
-            results = yield join
-            head = results[0]
-            if isinstance(head, AppError):
-                status, payload = "app", head
-            elif isinstance(head, BaseException):
-                status, payload = "timeout", head
-            else:
-                status, payload = "ok", head
-            accepts = 0
-            for outcome in results[1:]:
-                if isinstance(outcome, BaseException):
-                    continue  # replica unreachable
-                w_status, w_term, _hint = outcome
-                self.term = max(self.term, w_term)
-                if w_status == "ACCEPTED":
-                    accepts += 1
-            if status == "ok":
-                reply: ProposeReply = payload
+            record = (self.term, RecordArgs(
+                RAFT_WITNESS, op.touched_hashes(), rpc_id,
+                RecordedRequest(op, rpc_id)))
+            # 1 propose + 2f+1 records, one join.
+            results = yield fan_out(self.transport, leader, "propose",
+                                    propose, self.replicas, record,
+                                    self.rpc_timeout * 4,
+                                    record_timeout=self.rpc_timeout)
+            reply = results[0]
+            accepts = results[1:].count(RECORD_ACCEPTED)
+            if not isinstance(reply, BaseException):
                 self.term = max(self.term, reply.term)
                 if reply.synced or accepts >= superquorum_size(self.f):
                     if not reply.synced:
@@ -155,14 +135,13 @@ class RaftCurpClient:
                     return reply.result, False
                 except (AppError, RpcError):
                     pass  # leader fell; retry whole operation
-            elif status == "app" and isinstance(payload, AppError):
-                if payload.code == "NOT_LEADER":
-                    hint = (payload.info or {}).get("hint")
-                    self.term = max(self.term,
-                                    (payload.info or {}).get("term", 0))
-                    self.leader = hint if hint != leader else None
-                else:
-                    raise payload
+            elif isinstance(reply, AppError):
+                if reply.code != "NOT_LEADER":
+                    raise reply
+                info = reply.info or {}
+                self.term = max(self.term, info.get("term", 0))
+                hint = info.get("hint")
+                self.leader = hint if hint != leader else None
             else:
                 self.leader = None
             yield self.sim.timeout(self._retry_delay(attempt))
@@ -170,21 +149,17 @@ class RaftCurpClient:
                               f"{self.max_attempts} attempts")
 
     def read(self, key: str):
-        """Generator: linearizable read (via the commit path)."""
-        result, _fast = yield from self.update_readonly(Read(key))
-        return result
-
-    def update_readonly(self, op: Operation):
+        """Generator: linearizable read through the leader."""
         for attempt in range(self.max_attempts):
             if self.leader is None:
                 yield from self.find_leader()
             try:
                 reply = yield self.transport.call(
                     self.leader, "propose",
-                    ProposeArgs(op=op, rpc_id=None),
+                    ProposeArgs(op=Read(key), rpc_id=None),
                     timeout=self.rpc_timeout * 4)
                 self.term = max(self.term, reply.term)
-                return reply.result, False
+                return reply.result
             except AppError as error:
                 if error.code == "NOT_LEADER":
                     hint = (error.info or {}).get("hint")

@@ -28,8 +28,10 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.witness_cache import WitnessCache
-from repro.kvstore.operations import Operation, Read, commutative
+from repro.core.curp import UnsyncedSuffix, gc_round
+from repro.core.messages import RECORD_REJECTED
+from repro.core.witness import MODE_NORMAL, WitnessServer
+from repro.kvstore.operations import Operation, Read
 from repro.kvstore.store import KVStore
 from repro.rifl import DuplicateState, ResultRegistry
 from repro.rpc import AppError, RpcError, RpcTransport
@@ -86,12 +88,9 @@ class ProposeReply:
     term: int
 
 
-@dataclasses.dataclass(frozen=True)
-class WitnessRecordArgs:
-    term: int
-    key_hashes: tuple[int, ...]
-    rpc_id: typing.Any
-    request: typing.Any  # RecordedRequest(op, rpc_id)
+#: the ``master_id`` a Raft group's records and gc rounds carry: every
+#: replica's witness component serves the one group it belongs to
+RAFT_WITNESS = "raft"
 
 
 @dataclasses.dataclass
@@ -123,6 +122,7 @@ class RaftNode:
         self.peers = list(peers)
         if name not in self.peers:
             raise ValueError("peers must include the node itself")
+        self.others = [peer for peer in self.peers if peer != name]
         self.config = config or RaftConfig()
 
         # --- persistent state (survives restart; volatile on our fail-
@@ -142,6 +142,8 @@ class RaftNode:
         self.registry = ResultRegistry()  # committed exactly-once records
         self._spec_store: KVStore | None = None  # leader only
         self._spec_results: dict[int, typing.Any] = {}
+        #: leader only: the uncommitted log entries (§A.2 conflicts)
+        self._uncommitted: UnsyncedSuffix | None = None
         self._log_rpc_index: dict[typing.Any, int] = {}
         self._next_index: dict[str, int] = {}
         self._match_index: dict[str, int] = {}
@@ -149,11 +151,12 @@ class RaftNode:
         self._election_epoch = 0
         self.serving = True  # new leaders pause serving during replay
 
-        # --- witness component (§A.2) ---
-        self.witness = WitnessCache(slots=self.config.witness_slots,
-                                    associativity=self.config.witness_associativity)
+        # --- witness component (§A.2): the core witness behind a term
+        # fence; frozen (recovery mode) from w_recovery until w_reset ---
+        self.witness = WitnessServer(
+            RAFT_WITNESS, self.config.witness_slots,
+            self.config.witness_associativity, stale_threshold=3)
         self.witness_term = 0
-        self.witness_frozen = False
 
         self.stats = {"speculative": 0, "conflict_commits": 0,
                       "elections": 0, "replayed": 0, "lease_reads": 0}
@@ -167,10 +170,11 @@ class RaftNode:
         self.transport.register("propose", self._handle_propose)
         self.transport.register("wait_commit", self._handle_wait_commit)
         self.transport.register("status", self._handle_status)
-        self.transport.register("w_record", self._handle_w_record)
+        self.transport.register("record", self._handle_record)
         self.transport.register("w_recovery", self._handle_w_recovery)
         self.transport.register("w_reset", self._handle_w_reset)
-        self.transport.register("w_gc", self._handle_w_gc)
+        self.transport.register(
+            "gc", lambda args, ctx: self.witness.gc(args.pairs))
         host.on_crash(self._on_crash)
         host.on_restart(self._on_restart)
         self._start_election_timer()
@@ -203,6 +207,7 @@ class RaftNode:
             # Discard speculative state (§A.2's "reload from a state
             # without speculative executions").
             self._spec_store = None
+            self._uncommitted = None
             self._fail_commit_waiters()
         self.serving = True
         self._start_election_timer()
@@ -243,9 +248,8 @@ class RaftNode:
         votes = 1
         # Callback fan-out: replies land in the quorum join straight
         # from response delivery — no wrapper process per peer.
-        others = [peer for peer in self.peers if peer != self.name]
-        join = QuorumEvent(self.sim, len(others))
-        for index, peer in enumerate(others):
+        join = QuorumEvent(self.sim, len(self.others))
+        for index, peer in enumerate(self.others):
             self.transport.call_cb(peer, "request_vote", args,
                                    join.child_result, index,
                                    timeout=self.config.rpc_timeout)
@@ -292,11 +296,15 @@ class RaftNode:
         # leader's uncommitted tail will eventually commit under it).
         self._spec_store = KVStore()
         self._spec_results = {}
+        self._uncommitted = UnsyncedSuffix()
         for entry in self.log:
             if entry.op is not NOOP:
                 result, _ = self._spec_store.execute(entry.op,
                                                      rpc_id=entry.rpc_id)
                 self._spec_results[entry.index] = result
+                if entry.index > self.commit_index:
+                    self._uncommitted.append(entry.index, entry.op,
+                                             entry.rpc_id)
         # Term-start no-op (commits earlier terms' entries).
         self._append_local(NOOP, None)
         if self.config.curp:
@@ -312,15 +320,16 @@ class RaftNode:
         self.log.append(entry)
         if rpc_id is not None:
             self._log_rpc_index[rpc_id] = entry.index
+        if op is not NOOP:
+            self._uncommitted.append(entry.index, op, rpc_id)
         return entry
 
     def _heartbeat_loop(self):
         term = self.current_term
         while (self.host.alive and self.role == "leader"
                and self.current_term == term):
-            for peer in self.peers:
-                if peer != self.name:
-                    self._replicate_to(peer)
+            for peer in self.others:
+                self._replicate_to(peer)
             yield self.sim.timeout(self.config.heartbeat_interval)
 
     def _replicate_to(self, peer: str) -> None:
@@ -366,44 +375,24 @@ class RaftNode:
             if self._entry(index).term != self.current_term:
                 break  # Raft commit restriction: current-term entries only
             replicated = 1 + sum(
-                1 for peer in self.peers if peer != self.name
-                and self._match_index.get(peer, 0) >= index)
+                1 for peer in self.others
+                if self._match_index.get(peer, 0) >= index)
             if replicated >= self.majority:
-                previous = self.commit_index
                 self.commit_index = index
                 self._apply_committed()
-                if self.config.curp:
-                    self._gc_committed_from_witnesses(previous, index)
+                pairs = self._uncommitted.durable(index)
+                if self.config.curp and pairs:
+                    self._send_witness_gc(pairs)
                 break
 
-    def _gc_committed_from_witnesses(self, from_index: int,
-                                     to_index: int) -> None:
-        """§3.5 applied to §A.2: once an entry is committed (durable in
-        the Raft sense), its witness records are garbage — drop them
-        from every replica's witness component, or repeated writes to
-        the same key would be rejected (and lose the fast path)
-        forever."""
-        pairs = []
-        for index in range(from_index + 1, to_index + 1):
-            entry = self._entry(index)
-            if entry.op is NOOP or entry.rpc_id is None:
-                continue
-            pairs.extend((key_hash_value, entry.rpc_id)
-                         for key_hash_value in entry.op.touched_hashes())
-        if not pairs:
-            return
-        self.host.spawn(self._send_witness_gc(tuple(pairs)), name="w-gc")
-
-    def _send_witness_gc(self, pairs):
-        self.witness.gc(pairs)  # own component, locally
-        for peer in self.peers:
-            if peer == self.name:
-                continue
-            try:
-                yield self.transport.call(peer, "w_gc", pairs,
-                                          timeout=self.config.rpc_timeout)
-            except RpcError:
-                continue
+    def _send_witness_gc(self, pairs) -> None:
+        """§3.5 applied to §A.2: committed entries' witness records are
+        garbage — drop them from every replica's component in one round,
+        or the next write to their keys loses the fast path."""
+        if self.witness.mode == MODE_NORMAL:  # a frozen one waits for w_reset
+            self.witness.gc(pairs)  # own component, locally
+        gc_round(self.transport, self.others, RAFT_WITNESS, pairs,
+                 self.config.rpc_timeout)
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:
@@ -485,7 +474,7 @@ class RaftNode:
             # no conflicting uncommitted op may answer locally — the
             # strong-leader read optimization §6 contrasts with EPaxos.
             if (self._read_lease_valid()
-                    and not self._conflicts_with_uncommitted(op)):
+                    and not self._uncommitted.conflicts(op)):
                 self.stats["lease_reads"] += 1
                 result, _ = self.store.execute(op)
                 return ProposeReply(result=result, synced=True,
@@ -494,13 +483,12 @@ class RaftNode:
             result, _ = self._spec_store.execute(op)
             return self._reply_after_commit(entry.index, result, ctx)
         # Commutativity vs the uncommitted window (§A.2).
-        conflict = self._conflicts_with_uncommitted(op)
+        conflict = self._uncommitted.conflicts(op)
         entry = self._append_local(op, args.rpc_id)
         result, _ = self._spec_store.execute(op, rpc_id=args.rpc_id)
         self._spec_results[entry.index] = result
-        for peer in self.peers:
-            if peer != self.name:
-                self._replicate_to(peer)
+        for peer in self.others:
+            self._replicate_to(peer)
         if not self.config.curp or conflict:
             self.stats["conflict_commits"] += 1
             return self._reply_after_commit(entry.index, result, ctx)
@@ -523,12 +511,6 @@ class RaftNode:
         fresh = sum(1 for t in self._last_ack.values()
                     if now - t <= lease)
         return 1 + fresh >= self.majority
-
-    def _conflicts_with_uncommitted(self, op: Operation) -> bool:
-        for entry in self.log[self.commit_index:]:
-            if entry.op is not NOOP and not commutative(op, entry.op):
-                return True
-        return False
 
     def _reply_after_commit(self, index: int, result, ctx):
         def work():
@@ -562,40 +544,27 @@ class RaftNode:
     # ------------------------------------------------------------------
     # witness component (§A.2)
     # ------------------------------------------------------------------
-    def _handle_w_record(self, args: WitnessRecordArgs, ctx):
-        if args.term < max(self.witness_term, self.current_term):
-            # Stale term: zombie-leader client — reject and teach it.
-            return ("REJECTED", self.current_term, self.leader_hint)
-        if self.witness_frozen:
-            return ("REJECTED", self.current_term, self.leader_hint)
-        if args.term > self.witness_term:
+    def _handle_record(self, args, ctx):
+        term, record = args  # the client's view of the term, RecordArgs
+        if term < max(self.witness_term, self.current_term):
+            return RECORD_REJECTED  # a zombie leader's client (§A.2)
+        if term > self.witness_term and self.witness.mode == MODE_NORMAL:
             # First record of a newer term: earlier-term records are
             # obsolete (their leader change replayed or dropped them).
-            self.witness.clear()
-            self.witness_term = args.term
-        accepted = self.witness.record(args.key_hashes, args.rpc_id,
-                                       args.request)
-        return ("ACCEPTED" if accepted else "REJECTED",
-                self.current_term, self.leader_hint)
-
-    def _handle_w_recovery(self, args, ctx):
-        """New leader collecting witness data; freezes this witness."""
-        term = args
-        if term >= self.witness_term:
-            self.witness_frozen = True
-        return tuple(self.witness.all_requests())
-
-    def _handle_w_reset(self, args, ctx):
-        term = args
-        if term >= self.witness_term:
-            self.witness.clear()
+            self.witness.start(None)
             self.witness_term = term
-            self.witness_frozen = False
-        return "OK"
+        return self.witness.record(record)
 
-    def _handle_w_gc(self, args, ctx):
-        pairs = args
-        self.witness.gc(pairs)
+    def _handle_w_recovery(self, term: int, ctx):
+        """New leader collecting witness data; freezes this witness."""
+        if term >= self.witness_term:
+            return self.witness.recovery_data()
+        return tuple(self.witness.cache.all_requests())
+
+    def _handle_w_reset(self, term: int, ctx):
+        if term >= self.witness_term:
+            self.witness.start(None)
+            self.witness_term = term
         return "OK"
 
     def _witness_recovery(self):
@@ -606,13 +575,10 @@ class RaftNode:
         need_majority = (f // 2) + (f % 2) + 1  # ⌈f/2⌉ + 1
         collected: list[tuple] = []
         # Own witness first (free), then peers until quorum.
-        self.witness_frozen = True
-        collected.append(tuple(self.witness.all_requests()))
-        for peer in self.peers:
+        collected.append(self.witness.recovery_data())
+        for peer in self.others:
             if len(collected) >= need_quorum:
                 break
-            if peer == self.name:
-                continue
             try:
                 requests = yield self.transport.call(
                     peer, "w_recovery", self.current_term,
@@ -646,9 +612,8 @@ class RaftNode:
         # Reset all reachable witnesses for the new term.
         for peer in self.peers:
             if peer == self.name:
-                self.witness.clear()
+                self.witness.start(None)
                 self.witness_term = self.current_term
-                self.witness_frozen = False
                 continue
             try:
                 yield self.transport.call(peer, "w_reset", self.current_term,
@@ -665,6 +630,7 @@ class RaftNode:
         self.role = "follower"
         self._spec_store = None
         self._spec_results = {}
+        self._uncommitted = None
         self._commit_waiters.clear()
         self.serving = True
 

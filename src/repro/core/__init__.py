@@ -18,6 +18,9 @@ recovered lazily via commutativity.  The pieces:
   ``probe`` RPC that enables consistent reads from backups (§A.1),
   routed by master id to one
   :class:`~repro.core.witness.WitnessServer` per served master.
+- :mod:`~repro.core.curp` — the protocol pieces every backend (this
+  master, Redis, Raft) shares: the client's record fan-out, the
+  witness gc round and the unsynced suffix.
 - :class:`~repro.core.master.CurpMaster` — speculative execution,
   unsynced-window commutativity checks, batched backup syncs, witness
   garbage collection, hot-key preemptive syncs (§3.2.3, §4.3-4.5).

@@ -34,10 +34,10 @@ import dataclasses
 import typing
 
 from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.curp import fan_out, gc_round
 from repro.core.messages import (
     BackupReadArgs,
     ClusterView,
-    GcArgs,
     MasterInfo,
     ProbeArgs,
     PROBE_COMMUTE,
@@ -194,27 +194,16 @@ class CurpClient:
             use_witnesses = (self.config.mode is ReplicationMode.CURP
                              and len(master.witnesses) > 0)
             witnesses = master.witnesses if use_witnesses else ()
-            # The 1 + f fan-out (§3.2.1): the update RPC first, then the
-            # witness records, all leaving the client NIC back to back.
-            # One QuorumEvent per attempt; completions land in its
-            # results list straight from response delivery: the
-            # master's reply or its error, then per witness
-            # RECORD_ACCEPTED or anything else (rejected, error, timeout).
-            quorum = QuorumEvent(self.sim, 1 + len(witnesses))
-            transport.call_cb(
-                master.host, "update",
-                UpdateArgs(op, rpc_id, self.tracker.first_incomplete,
-                           master.witness_list_version),
-                quorum.child_result, 0, timeout=timeout)
+            record = None
             if witnesses:
-                # A record carries the whole request (op + value), so it
-                # is roughly update-RPC-sized on the wire (§5.2).
                 record = RecordArgs(master.master_id, op.touched_hashes(),
                                     rpc_id, RecordedRequest(op, rpc_id))
-                for index, witness in enumerate(witnesses, 1):
-                    transport.call_cb(witness, "record", record,
-                                      quorum.child_result, index,
-                                      timeout=timeout)
+            # The 1 + f fan-out (§3.2.1), one join per attempt.
+            quorum = fan_out(
+                transport, master.host, "update",
+                UpdateArgs(op, rpc_id, self.tracker.first_incomplete,
+                           master.witness_list_version),
+                witnesses, record, timeout)
             results = yield quorum
             reply = results[0]
             if not isinstance(reply, BaseException):
@@ -273,12 +262,19 @@ class CurpClient:
                     # the old shard: this master will never execute the
                     # op (so never gc them) and the key's hash no
                     # longer routes here (so the §4.5 suspect path can
-                    # never reclaim them either).
+                    # never reclaim them either).  The gc goes out from
+                    # a queue entry of its own at this instant, after
+                    # the view refresh; a witness that is down or reset
+                    # has lost its slots anyway.
                     accepted = [witness for witness, result
                                 in zip(witnesses, results[1:])
                                 if result == RECORD_ACCEPTED]
-                    self._abort_records(master.master_id, accepted,
-                                        op, rpc_id)
+                    if accepted:
+                        self.sim.schedule_callback(
+                            0.0, gc_round, transport, accepted,
+                            master.master_id,
+                            [(h, rpc_id) for h in op.touched_hashes()],
+                            timeout)
                     yield from self._refresh_routing()
                     continue
             else:  # timeout, or any other RPC failure
@@ -302,27 +298,6 @@ class CurpClient:
         base = hint or overload.retry_after
         return backoff_delay(streak, base, overload.retry_after_cap,
                              self.sim.rng)
-
-    def _abort_records(self, master_id: str,
-                       witnesses: typing.Sequence[str], op: Operation,
-                       rpc_id) -> None:
-        """Fire-and-forget gc of our own records after an abandoned,
-        mis-routed attempt (the retry goes to a different master)."""
-        if not witnesses:
-            return
-        pairs = tuple((key_hash_value, rpc_id)
-                      for key_hash_value in op.touched_hashes())
-        args = GcArgs(master_id=master_id, pairs=pairs)
-        for witness in witnesses:
-            self.host.spawn(self._gc_quietly(witness, args),
-                            name="abort-record-gc")
-
-    def _gc_quietly(self, witness: str, args: GcArgs):
-        try:
-            yield self.transport.call(witness, "gc", args,
-                                      timeout=self.config.rpc_timeout)
-        except RpcError:
-            pass  # witness reset/down: its slots were cleared anyway
 
     def _recover_attempt(self):
         """Between attempts: small backoff, then refresh configuration."""

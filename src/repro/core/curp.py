@@ -1,0 +1,120 @@
+"""The general CURP protocol (§3), written once for all three backends.
+
+The RAMCloud-style master (``core``), the Redis server (``redislike``,
+§5.4) and the Raft leader (``consensus``, §A.2) differ only in how an
+update becomes durable.  What they share lives here: the client's
+1 + n fan-out (§3.2.1), the witness gc round (§3.5) and the unsynced
+suffix the conflict check runs against (§3.2.3).  The witness side is
+:class:`~repro.core.witness.WitnessServer`.
+"""
+
+from __future__ import annotations
+
+import collections
+import typing
+
+from repro.core.messages import GcArgs
+from repro.kvstore.operations import Operation, commutative
+from repro.sim.events import QuorumEvent
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.rpc import RpcTransport
+
+#: modeled wire size of a gc RPC: a header plus one (64-bit key hash,
+#: RpcId) pair per collected key
+RPC_HEADER_BYTES = 60
+GC_PAIR_WIRE_BYTES = 20
+
+
+def fan_out(transport: "RpcTransport", master: str, method: str,
+            args: typing.Any, witnesses: typing.Sequence[str],
+            record: typing.Any, timeout: float,
+            record_timeout: float | None = None) -> QuorumEvent:
+    """Send ``method(args)`` to ``master``, then ``record`` to every
+    witness, back to back; return the join of all of them.
+
+    In the join's results, index 0 is the master's reply (or its error)
+    and index i witness i's answer: ``RECORD_ACCEPTED`` or anything else
+    (rejected, error, timeout).  A record carries the whole request, so
+    it is roughly update-RPC-sized on the wire (§5.2).
+    """
+    quorum = QuorumEvent(transport.sim, 1 + len(witnesses))
+    child_result = quorum.child_result
+    transport.call_cb(master, method, args, child_result, 0,
+                      timeout=timeout)
+    for index, witness in enumerate(witnesses, 1):
+        transport.call_cb(witness, "record", record, child_result, index,
+                          timeout=record_timeout or timeout)
+    return quorum
+
+
+def gc_round(transport: "RpcTransport", witnesses: typing.Sequence[str],
+             master_id: str, pairs: typing.Sequence[tuple[int, typing.Any]],
+             timeout: float) -> QuorumEvent:
+    """Drop durable ``(key hash, rpc_id)`` pairs from every witness, one
+    ``gc`` RPC each, all in flight at once; return the join.  Its
+    results are each witness's §4.5 stale suspects, or its error."""
+    args = GcArgs(master_id=master_id, pairs=tuple(pairs))
+    wire_size = RPC_HEADER_BYTES + GC_PAIR_WIRE_BYTES * len(pairs)
+    join = QuorumEvent(transport.sim, len(witnesses))
+    for index, witness in enumerate(witnesses):
+        transport.call_cb(witness, "gc", args, join.child_result, index,
+                          timeout=timeout, request_size=wire_size)
+    return join
+
+
+class UnsyncedSuffix:
+    """The updates a server executed but has not made durable, in
+    increasing position order (positions start at 1).
+
+    Operations with disjoint key hashes commute, so a per-key-hash
+    index gives :meth:`conflicts` the verdict of a full scan.
+    """
+
+    def __init__(self) -> None:
+        #: (position, op, rpc_id), oldest first
+        self._entries: collections.deque = collections.deque()
+        #: key hash -> (position, op) of the entries touching it
+        self._by_hash: dict[int, collections.deque] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def append(self, position: int, op: Operation, rpc_id) -> None:
+        """``op`` executed at ``position``; an ``rpc_id`` of None leaves
+        nothing on the witnesses to collect (a read in a Raft log)."""
+        self._entries.append((position, op, rpc_id))
+        for key_hash in op.touched_hashes():
+            bucket = self._by_hash.get(key_hash)
+            if bucket is None:
+                bucket = self._by_hash[key_hash] = collections.deque()
+            bucket.append((position, op))
+
+    def conflicts(self, op: Operation) -> int:
+        """Position of the latest unsynced operation ``op`` does not
+        commute with; 0 when it commutes with all of them."""
+        latest = 0
+        for key_hash in op.touched_hashes():
+            for position, other in reversed(self._by_hash.get(key_hash, ())):
+                if position <= latest:
+                    break
+                if not commutative(op, other):
+                    latest = position
+                    break
+        return latest
+
+    def durable(self, upto: int) -> list[tuple[int, typing.Any]]:
+        """Forget every entry at a position <= ``upto`` and return their
+        ``(key hash, rpc_id)`` gc pairs."""
+        pairs: list[tuple[int, typing.Any]] = []
+        entries = self._entries
+        while entries and entries[0][0] <= upto:
+            _position, op, rpc_id = entries.popleft()
+            for key_hash in op.touched_hashes():
+                bucket = self._by_hash[key_hash]
+                bucket.popleft()
+                if not bucket:
+                    del self._by_hash[key_hash]
+                if rpc_id is not None:
+                    pairs.append((key_hash, rpc_id))
+        return pairs

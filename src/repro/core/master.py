@@ -33,6 +33,7 @@ import dataclasses
 import typing
 
 from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.curp import RPC_HEADER_BYTES, gc_round
 from repro.core.messages import (
     AbsorbPartitionArgs,
     GcArgs,
@@ -65,10 +66,8 @@ FULL_RANGE: tuple[tuple[int, int], ...] = ((0, 2 ** 64),)
 
 #: wire-size model for the §5.2 traffic accounting, calibrated to the
 #: paper's 100 B-object workloads: a replicated log entry carries the
-#: value plus key and metadata; a gc pair is (64-bit hash, RpcId).
+#: value plus key and metadata (gc pairs: ``core.curp``).
 ENTRY_WIRE_BYTES = 140
-GC_PAIR_WIRE_BYTES = 20
-RPC_HEADER_BYTES = 60
 
 #: how often (µs) a master with a lease server checks for expired
 #: client leases (§4.8 modification 2)
@@ -614,26 +613,18 @@ class CurpMaster:
 
     def _gc_witnesses(self):
         """Generator, one gc round: drop newly-synced requests from all
-        witnesses (§3.5, §4.5) with one RPC each and handle the
-        uncollected-garbage suspects they report back.  Unreachable
-        witnesses are skipped (the coordinator replaces them out of
-        band)."""
+        witnesses (§3.5, §4.5) and handle the uncollected-garbage
+        suspects they report back.  Unreachable witnesses are skipped
+        (the coordinator replaces them out of band)."""
         pairs = self._take_durable_gc_pairs()
         witnesses = self.witnesses
         if not pairs or not witnesses:
             return
-        args = GcArgs(master_id=self.master_id, pairs=tuple(pairs))
-        wire_size = RPC_HEADER_BYTES + GC_PAIR_WIRE_BYTES * len(pairs)
         self.stats.gc_rpcs += len(witnesses)
         self.stats.gc_pairs += len(pairs)
         self.stats.gc_flushes += 1
-        join = QuorumEvent(self.sim, len(witnesses))
-        for index, witness in enumerate(witnesses):
-            self.transport.call_cb(witness, "gc", args,
-                                   join.child_result, index,
-                                   timeout=self.config.rpc_timeout,
-                                   request_size=wire_size)
-        results = yield join
+        results = yield gc_round(self.transport, witnesses, self.master_id,
+                                 pairs, self.config.rpc_timeout)
         for stale in results:
             if isinstance(stale, BaseException):
                 continue  # witness down/replaced; coordinator handles it

@@ -22,7 +22,8 @@ of the witness RPC handlers.  It routes each RPC by the ``master_id``
 it carries to that master's :class:`WitnessServer` (own cache, mode,
 ranges and counters).  A dedicated host is an endpoint with one
 tenant, a host colocated with a backup (Figure 2) shares the backup's
-transport, and a shared host serves several masters.
+transport, and a shared host serves several masters.  A Raft replica
+(``consensus``) holds one :class:`WitnessServer` behind its term fence.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class WitnessServer:
     def gc(self, pairs) -> tuple:
         self._require_normal()
         self.gcs_processed += 1
-        return tuple(self.cache.gc(pairs))
+        return tuple(self.cache.gc_batch(pairs))
 
     def recovery_data(self) -> tuple:
         # Irreversible (§4.1): even a duplicate getRecoveryData keeps the

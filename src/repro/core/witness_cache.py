@@ -164,20 +164,20 @@ class WitnessCache:
     # ------------------------------------------------------------------
     def gc(self, pairs: typing.Iterable[tuple[int, typing.Any]]
            ) -> list[typing.Any]:
-        """Drop records matching (key_hash, rpc_id) pairs.
-
-        Unknown pairs are ignored (the record RPC may have been
-        rejected, §4.5).  Returns requests suspected as uncollected
-        garbage accumulated since the last gc (drained on return).
-        """
+        """Alias of :meth:`gc_batch` with no caller in ``src/``: the
+        frozen e2e tracer (``benchmarks/e2e/trace.py``) names it as an
+        entry point, and its smoke test fails on a missing one."""
         return self.gc_batch(pairs)
 
     def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]]
                  ) -> list[typing.Any]:
-        """One sync round's gc: one pass over the round's pairs, and
-        one tick of the stale-suspect aging clock.  Unknown
-        (key_hash, rpc_id) pairs are a harmless no-op, as with
-        :meth:`gc`."""
+        """One gc round: drop the records matching the round's
+        (key_hash, rpc_id) pairs and tick the stale-suspect aging clock.
+
+        Unknown pairs are ignored (the record RPC may have been
+        rejected, §4.5).  Returns the requests suspected as uncollected
+        garbage since the last round (drained on return).
+        """
         self._gc_rounds += 1
         n_sets = self.n_sets
         sets = self._sets

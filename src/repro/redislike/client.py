@@ -16,12 +16,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.curp import fan_out
 from repro.core.messages import RECORD_ACCEPTED, RecordArgs, RecordedRequest
 from repro.redislike.commands import Command
 from repro.redislike.server import CommandArgs, DurabilityMode
 from repro.rifl import RiflClientTracker
 from repro.rpc import RpcTransport
-from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -63,46 +63,32 @@ class RedisClient:
     def execute(self, command: Command):
         """Generator: run one command; returns a RedisOutcome."""
         started = self.sim.now
-        if not command.is_write or self.mode is not DurabilityMode.CURP \
-                or not self.witnesses:
-            args = CommandArgs(command=command,
-                               rpc_id=(self.tracker.new_rpc()
-                                       if command.is_write else None),
-                               ack_seq=self.tracker.first_incomplete)
-            reply = yield self.transport.call(self.server, "command", args,
-                                              timeout=self.rpc_timeout)
-            if args.rpc_id is not None:
-                self.tracker.completed(args.rpc_id)
-            return self._finish(reply.result, started, fast=True,
-                                sync_rpc=False)
-        # CURP write: command + witness records in parallel.
-        rpc_id = self.tracker.new_rpc()
+        rpc_id = self.tracker.new_rpc() if command.is_write else None
         args = CommandArgs(command=command, rpc_id=rpc_id,
                            ack_seq=self.tracker.first_incomplete)
-        record = RecordArgs(master_id=self.server_master_id,
-                            key_hashes=command.touched_hashes(),
-                            rpc_id=rpc_id,
-                            request=RecordedRequest(op=command, rpc_id=rpc_id))
-        join = QuorumEvent(self.sim, 1 + len(self.witnesses))
-        self.transport.call_cb(self.server, "command", args,
-                               join.child_result, 0,
-                               timeout=self.rpc_timeout)
-        for index, witness in enumerate(self.witnesses):
-            self.transport.call_cb(witness, "record", record,
-                                   join.child_result, 1 + index,
-                                   timeout=self.rpc_timeout)
-        results = yield join
+        witnesses, record = (), None
+        if rpc_id is not None and self.mode is DurabilityMode.CURP \
+                and self.witnesses:
+            # CURP write: command + witness records in parallel.
+            witnesses = self.witnesses
+            record = RecordArgs(self.server_master_id,
+                                command.touched_hashes(), rpc_id,
+                                RecordedRequest(command, rpc_id))
+        results = yield fan_out(self.transport, self.server, "command", args,
+                                witnesses, record, self.rpc_timeout)
         reply = results[0]
         if isinstance(reply, Exception):
             raise reply
-        # a witness that rejected, errored or timed out did not accept
-        accepted = all(value == RECORD_ACCEPTED
-                       for value in results[1:])
-        self.tracker.completed(rpc_id)
+        if rpc_id is not None:
+            self.tracker.completed(rpc_id)
+        if not witnesses:
+            return self._finish(reply.result, started, fast=True,
+                                sync_rpc=False)
         if reply.synced:
             return self._finish(reply.result, started, fast=False,
                                 sync_rpc=False)
-        if accepted:
+        # a witness that rejected, errored or timed out did not accept
+        if results[1:].count(RECORD_ACCEPTED) == len(witnesses):
             return self._finish(reply.result, started, fast=True,
                                 sync_rpc=False)
         yield self.transport.call(self.server, "sync", None,

@@ -26,7 +26,7 @@ import dataclasses
 import enum
 import typing
 
-from repro.core.messages import GcArgs
+from repro.core.curp import UnsyncedSuffix, gc_round
 from repro.redislike.aof import AppendOnlyFile, FsyncDevice
 from repro.redislike.commands import Command, CommandError, execute
 from repro.redislike.datastructures import RedisStore, WrongTypeError
@@ -63,10 +63,8 @@ class CommandReply:
 class RedisStats:
     commands: int = 0
     writes: int = 0
-    fsync_batches: int = 0
     conflict_waits: int = 0
     gc_rpcs: int = 0
-    loop_cycles: int = 0
 
 
 class RedisServer:
@@ -92,10 +90,9 @@ class RedisServer:
         self.curp_idle_fsync_delay = curp_idle_fsync_delay
         self.rpc_timeout = rpc_timeout
         self.stats = RedisStats()
-        #: last AOF seq that wrote each key (conflict detection, §4.3)
-        self._key_last_seq: dict[str, int] = {}
-        #: (seq, touched hashes, rpc_id) awaiting witness gc once durable
-        self._pending_gc: list[tuple[int, tuple[int, ...], typing.Any]] = []
+        #: CURP mode: the writes not yet fsynced, by AOF seq (conflict
+        #: detection, §4.3, and witness gc once durable, §3.5)
+        self.unsynced = UnsyncedSuffix()
         self._queue: list[tuple[CommandArgs, typing.Any]] = []
         self._wakeup = None
         self._flush_armed = False
@@ -134,7 +131,6 @@ class RedisServer:
                 yield self._wakeup
                 self._wakeup = None
             batch, self._queue = self._queue, []
-            self.stats.loop_cycles += 1
             replies: list[tuple[typing.Any, CommandReply | AppError]] = []
             deferred: list[tuple[typing.Any, int, typing.Any]] = []
             for args, ctx in batch:
@@ -148,7 +144,6 @@ class RedisServer:
             if self.mode is DurabilityMode.DURABLE and self.aof.end_seq \
                     > self.aof.durable_seq:
                 # One fsync for the whole cycle — the §C.2 batching.
-                self.stats.fsync_batches += 1
                 yield self.aof.request_durable(self.aof.end_seq)
             for ctx, outcome in replies:
                 if isinstance(outcome, AppError):
@@ -188,36 +183,29 @@ class RedisServer:
             if state is DuplicateState.STALE:
                 return AppError("STALE_RPC", {"rpc_id": str(args.rpc_id)})
         try:
+            curp = self.mode is DurabilityMode.CURP
+            # A command on a key whose last write is not yet durable must
+            # wait for that write's fsync (§3.2.3): same rule as the
+            # kvstore master.
+            conflict = self.unsynced.conflicts(command) if curp else 0
             if not command.is_write:
-                # Reads of un-durable keys must wait (§3.2.3): same rule
-                # as the kvstore master.
-                if (self.mode is DurabilityMode.CURP
-                        and self._key_last_seq.get(command.key, 0)
-                        > self.aof.durable_seq):
-                    self.stats.conflict_waits += 1
-                    result = execute(self.store, command)
-                    return _Deferred(
-                        seq=self._key_last_seq[command.key],
-                        reply=CommandReply(result=result, synced=True))
                 result = execute(self.store, command)
+                if conflict:
+                    self.stats.conflict_waits += 1
+                    return _Deferred(seq=conflict, reply=CommandReply(
+                        result=result, synced=True))
                 return CommandReply(result=result, synced=True)
-            # Write command.
             self.stats.writes += 1
-            conflict = (self.mode is DurabilityMode.CURP
-                        and self._key_last_seq.get(command.key, 0)
-                        > self.aof.durable_seq)
             result = execute(self.store, command)
             seq = self.aof.append(command, rpc_id=args.rpc_id, result=result)
-            self._key_last_seq[command.key] = seq
             if args.rpc_id is not None:
                 self.registry.record(args.rpc_id, result, log_position=seq)
-                if self.mode is DurabilityMode.CURP and self.witnesses:
-                    self._pending_gc.append(
-                        (seq, command.touched_hashes(), args.rpc_id))
-            if self.mode is DurabilityMode.CURP and conflict:
-                self.stats.conflict_waits += 1
-                return _Deferred(seq=seq,
-                                 reply=CommandReply(result=result, synced=True))
+            if curp:
+                self.unsynced.append(seq, command, args.rpc_id)
+                if conflict:
+                    self.stats.conflict_waits += 1
+                    return _Deferred(seq=seq, reply=CommandReply(
+                        result=result, synced=True))
             synced = self.mode is DurabilityMode.DURABLE
             return CommandReply(result=result, synced=synced)
         except (CommandError, WrongTypeError) as error:
@@ -242,27 +230,18 @@ class RedisServer:
 
     def _after_fsync(self, durable_seq: int) -> None:
         """Garbage collect newly-durable commands from witnesses (§3.5)."""
-        if self.mode is not DurabilityMode.CURP or not self.witnesses:
-            return
-        pairs = [(h, rpc_id) for seq, hashes, rpc_id in self._pending_gc
-                 if seq <= durable_seq for h in hashes]
-        self._pending_gc = [pending for pending in self._pending_gc
-                            if pending[0] > durable_seq]
-        if not pairs:
-            return
-        self.host.spawn(self._gc_witnesses(tuple(pairs)), name="witness-gc")
+        pairs = self.unsynced.durable(durable_seq)
+        if pairs and self.witnesses:
+            self.host.spawn(self._gc_witnesses(pairs), name="witness-gc")
 
     def _gc_witnesses(self, pairs):
-        args = GcArgs(master_id=self.master_id, pairs=pairs)
-        for witness in self.witnesses:
-            self.stats.gc_rpcs += 1
-            try:
-                stale = yield self.transport.call(witness, "gc", args,
-                                                  timeout=self.rpc_timeout)
-            except RpcError:
-                continue
-            for request in stale:
-                self._retry_stale(request)
+        self.stats.gc_rpcs += len(self.witnesses)
+        results = yield gc_round(self.transport, self.witnesses,
+                                 self.master_id, pairs, self.rpc_timeout)
+        for stale in results:
+            if not isinstance(stale, BaseException):
+                for request in stale:
+                    self._retry_stale(request)
 
     def _retry_stale(self, request) -> None:
         """§4.5 for Redis: re-run an uncollected command through RIFL."""
@@ -274,15 +253,18 @@ class RedisServer:
                 return
             seq = self.aof.append(request.op, rpc_id=request.rpc_id,
                                   result=result)
-            self._key_last_seq[request.op.key] = seq
             self.registry.record(request.rpc_id, result, log_position=seq)
-            self._pending_gc.append(
-                (seq, request.op.touched_hashes(), request.rpc_id))
+            self.unsynced.append(seq, request.op, request.rpc_id)
             self._arm_flush_timer()
-        else:
-            self._pending_gc.append(
-                (self.aof.durable_seq, request.op.touched_hashes(),
-                 request.rpc_id))
+            return
+        record = self.registry.get(request.rpc_id)
+        if record is None or record.log_position <= self.aof.durable_seq:
+            # Already executed and durable: collect the orphan now (an
+            # unsynced one goes with its own entry's gc round).
+            self.host.spawn(self._gc_witnesses(
+                [(key_hash, request.rpc_id)
+                 for key_hash in request.op.touched_hashes()]),
+                name="orphan-gc")
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -294,8 +276,7 @@ class RedisServer:
         # Volatile state dies; the AOF handles its own truncation.
         self.store = RedisStore()
         self.registry = ResultRegistry()
-        self._key_last_seq.clear()
-        self._pending_gc.clear()
+        self.unsynced = UnsyncedSuffix()
 
     def recover(self, witnesses_for_replay: typing.Sequence[str] = ()):
         """Generator: restart-time recovery — replay the durable AOF,
@@ -305,7 +286,6 @@ class RedisServer:
             raise RuntimeError("restart the host before recover()")
         for seq, command, rpc_id, result in self.aof.durable_entries():
             execute(self.store, command)
-            self._key_last_seq[command.key] = seq
             if rpc_id is not None:
                 self.registry.record(rpc_id, result, log_position=seq)
         replayed = 0
@@ -332,7 +312,6 @@ class RedisServer:
                     result = execute(self.store, request.op)
                     seq = self.aof.append(request.op, rpc_id=request.rpc_id,
                                           result=result)
-                    self._key_last_seq[request.op.key] = seq
                     self.registry.record(request.rpc_id, result,
                                          log_position=seq)
                     replayed += 1

@@ -238,7 +238,7 @@ def test_committed_entries_gcd_from_witness_components():
     assert fast is True
     # Let the commit + gc land everywhere.
     sim.run(until=sim.now + 5_000.0)
-    assert all(n.witness.occupied_slots() == 0 for n in nodes
+    assert all(n.witness.cache.occupied_slots() == 0 for n in nodes
                if n.host.alive)
     # The same key is immediately fast again (no stale witness record).
     result, fast = sim.run(sim.process(client.update(Write("k", 2))))
@@ -309,3 +309,53 @@ def test_update_rejects_a_read():
     client = add_client(sim, network, nodes)
     with pytest.raises(ValueError):
         next(client.update(Read("x")))
+
+
+def test_witness_gc_reaches_every_peer_in_one_round():
+    """f=2: a commit's gc leaves for all four peers at once, so a
+    same-key write issued one gc round (one RTT) after the previous
+    write commits finds every witness component clean and completes
+    on the fast path.  Peer by peer, the last peer would hold the
+    committed record for three more round trips and reject the write,
+    leaving it below the superquorum of 4."""
+    sim, network, nodes = build_group(n=5, seed=3)
+    leader = wait_for_leader(sim, nodes)
+    client = add_client(sim, network, nodes)
+    sim.run(sim.process(client.find_leader()))
+    _result, fast = sim.run(sim.process(client.update(Write("k", 1))))
+    assert fast is True
+    committed = leader.last_log_index()
+    while leader.commit_index < committed:
+        sim.step()
+    sim.run(until=sim.now + 2 * 20.0)  # one gc round trip
+    _result, fast = sim.run(sim.process(client.update(Write("k", 2))))
+    assert fast is True
+
+
+def test_frozen_witness_component_stays_frozen_until_reset():
+    """A witness frozen by a leader change's collection rejects records,
+    even ones carrying a newer term, until ``w_reset`` thaws it."""
+    from repro.consensus.raft import RAFT_WITNESS
+    from repro.core.messages import (RECORD_ACCEPTED, RECORD_REJECTED,
+                                     RecordArgs, RecordedRequest)
+    from repro.core.witness import MODE_RECOVERY
+    from repro.rifl import RpcId
+
+    sim, _network, nodes = build_group(n=3, seed=1)
+    node = nodes[0]
+    op = Write("f", 1)
+
+    def record(term, seq):
+        rpc_id = RpcId(7, seq)
+        return node._handle_record(
+            (term, RecordArgs(RAFT_WITNESS, op.touched_hashes(), rpc_id,
+                              RecordedRequest(op, rpc_id))), None)
+
+    term = node.current_term + 1
+    assert record(term, 1) == RECORD_ACCEPTED
+    assert len(node._handle_w_recovery(term + 1, None)) == 1
+    assert record(term + 2, 2) == RECORD_REJECTED
+    assert node.witness.mode == MODE_RECOVERY
+    node._handle_w_reset(term + 2, None)
+    assert node.witness.cache.occupied_slots() == 0
+    assert record(term + 2, 2) == RECORD_ACCEPTED

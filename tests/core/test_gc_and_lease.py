@@ -108,7 +108,7 @@ def test_orphan_costs_two_gc_rounds_however_many_witnesses_hold_it(holders):
                      RecordedRequest(op=Write("X", "orphan"),
                                      rpc_id=orphan_rpc))
         for _round in range(3):  # aged past gc_stale_threshold
-            cache.gc([])
+            cache.gc_batch([])
     stats = cluster.master().stats
     before = (stats.gc_rpcs, stats.gc_flushes, stats.stale_suspects_handled)
     assert not cluster.run(client.update(Write("X", "client"))).fast_path

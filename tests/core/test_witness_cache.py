@@ -90,7 +90,7 @@ def test_multikey_repeated_key_hash_needs_one_slot():
     assert cache.occupied_slots() == 2
     assert cache.rejects_capacity == 0
     # gc of the single underlying record frees the slot.
-    cache.gc([(2, rid(2))])
+    cache.gc_batch([(2, rid(2))])
     assert cache.occupied_slots() == 1
     assert cache.commutes_with([2])
 
@@ -107,7 +107,7 @@ def test_gc_clears_matching_records():
     cache = WitnessCache(slots=64, associativity=4)
     cache.record([1], rid(1), "a")
     cache.record([2], rid(2), "b")
-    cache.gc([(1, rid(1))])
+    cache.gc_batch([(1, rid(1))])
     assert cache.occupied_slots() == 1
     assert cache.commutes_with([1])
     assert not cache.commutes_with([2])
@@ -118,14 +118,14 @@ def test_gc_ignores_unknown_pairs():
     witness never stored must be harmless."""
     cache = WitnessCache(slots=64, associativity=4)
     cache.record([1], rid(1), "a")
-    cache.gc([(99, rid(50)), (1, rid(77))])  # wrong hash / wrong rpc
+    cache.gc_batch([(99, rid(50)), (1, rid(77))])  # wrong hash / wrong rpc
     assert cache.occupied_slots() == 1
 
 
 def test_gc_multikey_clears_all_slots():
     cache = WitnessCache(slots=64, associativity=4)
     cache.record([1, 2], rid(1), "multi")
-    cache.gc([(1, rid(1)), (2, rid(1))])
+    cache.gc_batch([(1, rid(1)), (2, rid(1))])
     assert cache.occupied_slots() == 0
 
 
@@ -135,20 +135,20 @@ def test_stale_suspect_reported_after_threshold():
     cache = WitnessCache(slots=64, associativity=4, stale_threshold=3)
     cache.record([1], rid(1), "orphan")
     for _ in range(3):
-        assert cache.gc([]) == []
+        assert cache.gc_batch([]) == []
     # Rejection against the old record marks it suspect...
     assert not cache.record([1], rid(2), "newer")
     # ...and the next gc reports it (once).
-    assert cache.gc([]) == ["orphan"]
-    assert cache.gc([]) == []
+    assert cache.gc_batch([]) == ["orphan"]
+    assert cache.gc_batch([]) == []
 
 
 def test_no_suspect_before_threshold():
     cache = WitnessCache(slots=64, associativity=4, stale_threshold=3)
     cache.record([1], rid(1), "young")
-    cache.gc([])
+    cache.gc_batch([])
     assert not cache.record([1], rid(2), "newer")
-    assert cache.gc([]) == []
+    assert cache.gc_batch([]) == []
 
 
 def test_gc_batch_is_one_aging_round_per_call():
@@ -186,7 +186,7 @@ def test_commutes_with_probe():
 def test_clear_resets_everything():
     cache = WitnessCache(slots=64, associativity=4)
     cache.record([1], rid(1), "a")
-    cache.gc([])
+    cache.gc_batch([])
     cache.clear()
     assert cache.occupied_slots() == 0
     assert cache.gc_rounds == 0
@@ -238,7 +238,7 @@ def test_property_record_then_gc_leaves_empty(key_hashes):
     for i, key_hash_value in enumerate(key_hashes):
         if cache.record([key_hash_value], rid(i), f"r{i}"):
             accepted.append((key_hash_value, rid(i)))
-    cache.gc(accepted)
+    cache.gc_batch(accepted)
     assert cache.occupied_slots() == 0
 
 

@@ -90,7 +90,7 @@ class WitnessCacheMachine(RuleBasedStateMachine):
     def gc_one(self, key_hash):
         live = self.model.get(key_hash)
         rpc = live[0] if live else RpcId(9, 999999)
-        self.cache.gc([(key_hash, rpc)])
+        self.cache.gc_batch([(key_hash, rpc)])
         if live:
             # A multi-key request occupies several slots; gc of one pair
             # releases only that slot, matching the paper's per-pair gc.
@@ -98,7 +98,7 @@ class WitnessCacheMachine(RuleBasedStateMachine):
 
     @rule(key_hash=KEY_HASHES)
     def gc_wrong_rpc_is_noop(self, key_hash):
-        self.cache.gc([(key_hash, RpcId(8, 888888))])
+        self.cache.gc_batch([(key_hash, RpcId(8, 888888))])
         # model unchanged
 
     @invariant()

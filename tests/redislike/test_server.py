@@ -175,6 +175,21 @@ def test_different_keys_commute_many_unsynced():
     assert cluster.server.device.fsyncs == 0
 
 
+def test_curp_unsynced_state_stays_bounded():
+    """The server's conflict state holds only the writes not yet
+    fsynced: once N distinct-key SETs have settled it holds none, and
+    the witnesses hold no records."""
+    cluster = build(DurabilityMode.CURP, n_witnesses=2)
+    client = cluster.new_client()
+    for i in range(200):
+        assert cluster.run(client.set(f"key{i}", "v")).fast_path
+    cluster.settle()
+    assert cluster.server.aof.durable_seq == 200
+    assert len(cluster.server.unsynced) == 0
+    assert all(witness.cache.occupied_slots() == 0
+               for witness in cluster.witness_servers)
+
+
 def test_hmset_and_incr_through_curp():
     """Figure 10's three command types all take the fast path."""
     cluster = build(DurabilityMode.CURP, n_witnesses=1)

@@ -22,6 +22,9 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
 - ``messages_per_update``: wire messages per committed update at
   f ∈ {1, 3}, colocated vs spread witnesses
   (``benchmarks/bench_sec52_witness_resources.py``);
+- ``redis_smoke`` / ``raft_smoke``: the two CURP backends no e2e
+  workload reaches — Redis (§5.4) with one witness, and Raft (§A.2)
+  at f = 1 and f = 2;
 - ``scaleout``, ``rebalance``, ``overload``, ``recovery``,
   ``availability``, ``transactions``: the acceptance series of
   ``benchmarks/bench_scaleout_shards.py`` and the benches named after
@@ -213,6 +216,85 @@ def _py_calls_per_op(make_cluster) -> float:
                  2)
 
 
+def _redis_smoke() -> dict:
+    """One client's 500 100 B SETs over 200 keys on CURP-Redis with one
+    witness (``REDIS_PROFILE``, seed 1), then ``settle()``: the median
+    SET latency, the share completed in 1 RTT (the rest met an unsynced
+    write to their key) and the witness gc RPCs per write."""
+    from repro.harness.profiles import REDIS_PROFILE
+    from repro.harness.redis import build_redis_cluster
+    from repro.metrics.stats import LatencyRecorder
+    from repro.redislike.server import DurabilityMode
+
+    cluster = build_redis_cluster(DurabilityMode.CURP, n_witnesses=1,
+                                  profile=REDIS_PROFILE, seed=1)
+    client = cluster.new_client()
+
+    def script():
+        rng = cluster.sim.rng
+        for _ in range(500):
+            yield from client.set(f"k{rng.randrange(200)}", "v" * 100)
+    cluster.run(cluster.sim.process(script()), timeout=1e9)
+    cluster.settle()
+    latency = LatencyRecorder()
+    for outcome in client.outcomes:
+        latency.record(outcome.latency)
+    stats = cluster.server.stats
+    return {
+        "set_p50_us": round(latency.median, 2),
+        "fast_path_share": round(
+            sum(o.fast_path for o in client.outcomes) / 500, 3),
+        "gc_rpcs_per_write": round(stats.gc_rpcs / stats.writes, 3),
+    }
+
+
+def _raft_smoke() -> dict:
+    """Raft + CURP at f = 1 and f = 2: 4 clients x 60 alternating
+    Write / Increment updates over 10 keys, default ``Network``, seeds
+    1-3 pooled: the share completed in 1 RTT and the median latency."""
+    from repro.consensus import RaftConfig, RaftCurpClient, RaftNode
+    from repro.kvstore import Increment, Write
+    from repro.metrics.stats import LatencyRecorder
+    from repro.net import Network
+    from repro.sim import Simulator
+
+    def run(f: int, seed: int, latency: LatencyRecorder) -> int:
+        sim = Simulator(seed=seed)
+        network = Network(sim)
+        names = [f"r{i}" for i in range(2 * f + 1)]
+        nodes = [RaftNode(network.add_host(name), name, names,
+                          config=RaftConfig(curp=True)) for name in names]
+        while not any(n.role == "leader" and n.serving for n in nodes):
+            sim.run(until=sim.now + 1_000.0)
+        fast = 0
+
+        def script(client):
+            nonlocal fast
+            yield from client.find_leader()
+            for i in range(60):
+                key = f"k{sim.rng.randrange(10)}"
+                op = Write(key, i) if i % 2 == 0 else Increment(key)
+                started = sim.now
+                _result, was_fast = yield from client.update(op)
+                latency.record(sim.now - started)
+                fast += was_fast
+        processes = [
+            sim.process(script(RaftCurpClient(network.add_host(f"c{i}"),
+                                              names)))
+            for i in range(4)]
+        for process in processes:
+            sim.run(process)
+        return fast
+
+    out = {}
+    for f in (1, 2):
+        latency = LatencyRecorder()
+        fast = sum(run(f, seed, latency) for seed in (1, 2, 3))
+        out[f"f{f}_fast_path_share"] = round(fast / latency.count, 3)
+        out[f"f{f}_p50_us"] = round(latency.median, 2)
+    return out
+
+
 def _rebalance() -> dict:
     """Skewed-workload rebalancing on/off."""
     from benchmarks.bench_rebalance import rebalance_comparison
@@ -337,6 +419,8 @@ def snapshot() -> dict:
         "fig6_smoke": _fig6_smoke(),
         "ycsb_b_smoke": _ycsb_b_smoke(),
         "messages_per_update": messages_per_update_series(),
+        "redis_smoke": _redis_smoke(),
+        "raft_smoke": _raft_smoke(),
         "scaleout": _scaleout(),
         "rebalance": _rebalance(),
         "overload": _overload(),
