@@ -18,6 +18,7 @@ import dataclasses
 import typing
 
 from repro.core.config import CurpConfig
+from repro.core.curp import fetch_recovery_data, first_answer
 from repro.core.master import CurpMaster, FULL_RANGE, _subtract_range
 from repro.core.messages import (
     AbsorbPartitionArgs,
@@ -29,7 +30,6 @@ from repro.core.messages import (
 )
 from repro.core.recovery import (
     RecoveryFailed,
-    build_recovery_master,
     plan_partitions,
     recover,
 )
@@ -214,9 +214,10 @@ class Coordinator:
             # 2+3. Restore from a backup, replay from a witness.  The
             # new master starts with the reachable backups; dead ones
             # are replaced from spares below.
-            new_master = build_recovery_master(
-                new_host, master_id, self.config, reachable,
-                epoch=managed.epoch, owned_ranges=managed.owned_ranges)
+            new_master = CurpMaster(
+                new_host, master_id, self.config, backups=reachable,
+                epoch=managed.epoch, owned_ranges=managed.owned_ranges,
+                active=False)
             stats = yield from recover(new_master, reachable,
                                        managed.witnesses,
                                        rpc_timeout=rpc_timeout)
@@ -228,18 +229,10 @@ class Coordinator:
             # clients fall back to the 2-RTT sync path.
             started_ranges = tuple(managed.owned_ranges)
             if self.config.uses_witnesses:
-                live_witnesses = []
-                for witness in managed.witnesses:
-                    try:
-                        yield self.transport.call(
-                            witness, "start",
-                            StartArgs(master_id=master_id,
-                                      owned_ranges=started_ranges),
-                            timeout=rpc_timeout)
-                        live_witnesses.append(witness)
-                    except RpcError:
-                        continue
-                managed.witnesses = live_witnesses
+                managed.witnesses = yield from self._answering(
+                    managed.witnesses, "start",
+                    StartArgs(master_id=master_id,
+                              owned_ranges=started_ranges), rpc_timeout)
                 managed.witness_list_version += 1
             new_master.witnesses = list(managed.witnesses)
             new_master.witness_list_version = managed.witness_list_version
@@ -303,18 +296,25 @@ class Coordinator:
         backups cannot ack either.  (BackupServer.min_epoch is durable,
         so a fenced backup stays fenced across restarts.)"""
         managed.epoch += 1
-        reachable = []
-        for backup in managed.backups:
-            try:
-                yield self.transport.call(backup, "fence", managed.epoch,
-                                          timeout=rpc_timeout)
-                reachable.append(backup)
-            except RpcError:
-                continue
+        reachable = yield from self._answering(managed.backups, "fence",
+                                               managed.epoch, rpc_timeout)
         if not reachable:
             raise RecoveryFailed(
                 f"could not fence any backup of {managed.master_id}")
         return reachable
+
+    def _answering(self, hosts, method: str, args, rpc_timeout: float):
+        """Generator: ``method(args)`` on each of ``hosts`` in turn, once;
+        returns the ones that answered."""
+        answered = []
+        for host in hosts:
+            try:
+                yield self.transport.call(host, method, args,
+                                          timeout=rpc_timeout)
+                answered.append(host)
+            except RpcError:
+                continue
+        return answered
 
     def _depose_zombie(self, old_host: str, epoch: int,
                        rpc_timeout: float):
@@ -368,33 +368,12 @@ class Coordinator:
             # 1. Fence (§4.7), exactly as recover_master does.
             reachable = yield from self._fence_backups(managed, rpc_timeout)
             # 2. Witness harvest (freezes the chosen witness, §4.6).
-            requests = None
-            for witness in managed.witnesses:
-                try:
-                    requests = yield self.transport.call(
-                        witness, "get_recovery_data",
-                        GetRecoveryDataArgs(master_id=master_id),
-                        timeout=rpc_timeout)
-                    break
-                except RpcError:
-                    continue
-            if requests is None and managed.witnesses:
-                raise RecoveryFailed(f"no witness reachable among "
-                                     f"{list(managed.witnesses)}")
-            requests = tuple(requests or ())
+            requests = tuple((yield from fetch_recovery_data(
+                self.transport, managed.witnesses, master_id, rpc_timeout)))
             # 3. Log extent from one backup's segment index.
-            index = None
-            for backup in reachable:
-                try:
-                    index = yield self.transport.call(
-                        backup, "get_segment_index", None,
-                        timeout=rpc_timeout)
-                    break
-                except RpcError:
-                    continue
-            if index is None:
-                raise RecoveryFailed("no backup reachable for the "
-                                     "segment index")
+            index = yield from first_answer(self.transport, reachable,
+                                            "get_segment_index", None,
+                                            rpc_timeout)
             log_end = max((info.last_index for info in index), default=0)
             log_entries = sum(info.entry_count for info in index)
             # 4. Plan the partitions and read the stripes.
@@ -420,14 +399,9 @@ class Coordinator:
                     f"to absorb: {failures[0]!r}")
             # 6. Fully drained: decommission the dead master's frozen
             # witnesses (best effort) and drop it from the map.
-            for witness in managed.witnesses:
-                try:
-                    yield self.transport.call(
-                        witness, "end",
-                        GetRecoveryDataArgs(master_id=master_id),
-                        timeout=rpc_timeout)
-                except RpcError:
-                    continue
+            yield from self._answering(
+                managed.witnesses, "end",
+                GetRecoveryDataArgs(master_id=master_id), rpc_timeout)
             del self.masters[master_id]
             self.config_version += 1
             return {
@@ -743,16 +717,13 @@ class Coordinator:
         ``best_effort`` tries each witness once and swallows failures
         (abort paths must not mask the original error)."""
         args = SetRangesArgs(master_id=master_id, owned_ranges=owned_ranges)
+        if best_effort:
+            yield from self._answering(witnesses, "set_ranges", args,
+                                       rpc_timeout)
+            return
         for witness in witnesses:
-            if best_effort:
-                try:
-                    yield self.transport.call(witness, "set_ranges", args,
-                                              timeout=rpc_timeout)
-                except RpcError:
-                    continue
-            else:
-                yield from self._call_until_ok(witness, "set_ranges", args,
-                                               rpc_timeout)
+            yield from self._call_until_ok(witness, "set_ranges", args,
+                                           rpc_timeout)
 
     # ------------------------------------------------------------------
     # tablet splitting / merging (rebalancer bookkeeping)

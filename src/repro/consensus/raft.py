@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.curp import UnsyncedSuffix, gc_round
+from repro.core.curp import UnsyncedSuffix, gc_round, replay
 from repro.core.messages import RECORD_REJECTED
 from repro.core.witness import MODE_NORMAL, WitnessServer
 from repro.kvstore.operations import Operation, Read
@@ -398,16 +398,14 @@ class RaftNode:
         while self.last_applied < self.commit_index:
             self.last_applied += 1
             entry = self._entry(self.last_applied)
-            if entry.op is not NOOP:
-                state, _saved = (self.registry.check(entry.rpc_id)
-                                 if entry.rpc_id is not None
-                                 else (DuplicateState.NEW, None))
-                if state is DuplicateState.NEW:
-                    result, _ = self.store.execute(entry.op,
-                                                   rpc_id=entry.rpc_id)
-                    if entry.rpc_id is not None:
-                        self.registry.record(entry.rpc_id, result,
-                                             log_position=entry.index)
+            if entry.op is NOOP:
+                continue
+            if entry.rpc_id is None:
+                self.store.execute(entry.op)
+            elif self.registry.check(entry.rpc_id)[0] is DuplicateState.NEW:
+                result, _ = self.store.execute(entry.op, rpc_id=entry.rpc_id)
+                self.registry.record(entry.rpc_id, result,
+                                     log_position=entry.index)
         still = []
         for index, event in self._commit_waiters:
             if index <= self.commit_index:
@@ -456,14 +454,11 @@ class RaftNode:
             raise AppError("NOT_LEADER", {"hint": self.leader_hint,
                                           "term": self.current_term})
         if args.rpc_id is not None:
-            self.registry.process_ack(args.rpc_id.client_id, args.ack_seq)
-            # Duplicate? (committed or still in flight)
-            state, saved = self.registry.check(args.rpc_id)
-            if state is DuplicateState.COMPLETED:
-                return ProposeReply(result=saved, synced=True,
-                                    term=self.current_term)
-            if state is DuplicateState.STALE:
-                raise AppError("STALE_RPC", {})
+            # Duplicate? (committed, or still in flight in our log)
+            duplicate = self.registry.admit(args.rpc_id, args.ack_seq,
+                                            self.commit_index)
+            if duplicate is not None:
+                return ProposeReply(*duplicate, term=self.current_term)
             index = self._log_rpc_index.get(args.rpc_id)
             if index is not None:
                 return self._reply_after_commit(
@@ -512,14 +507,18 @@ class RaftNode:
                     if now - t <= lease)
         return 1 + fresh >= self.majority
 
+    def _committed(self, index: int):
+        """Event that triggers once ``index`` is committed."""
+        done = self.sim.event()
+        if index <= self.commit_index:
+            done.succeed()
+        else:
+            self._commit_waiters.append((index, done))
+        return done
+
     def _reply_after_commit(self, index: int, result, ctx):
         def work():
-            done = self.sim.event()
-            if index <= self.commit_index:
-                done.succeed()
-            else:
-                self._commit_waiters.append((index, done))
-            yield done
+            yield self._committed(index)
             return ProposeReply(result=result, synced=True,
                                 term=self.current_term)
         return work()
@@ -532,12 +531,7 @@ class RaftNode:
                                           "term": self.current_term})
         target = self.last_log_index()
         def work():
-            done = self.sim.event()
-            if target <= self.commit_index:
-                done.succeed()
-            else:
-                self._commit_waiters.append((target, done))
-            yield done
+            yield self._committed(target)
             return "COMMITTED"
         return work()
 
@@ -596,19 +590,12 @@ class RaftNode:
             for request in requests:
                 entry = counts.setdefault(request.rpc_id, [0, request])
                 entry[0] += 1
-        for rpc_id, (count, request) in sorted(
-                counts.items(), key=lambda kv: str(kv[0])):
-            if count < need_majority:
-                continue
-            state, _ = self.registry.check(rpc_id)
-            if state is not DuplicateState.NEW:
-                continue
-            if rpc_id in self._log_rpc_index:
-                continue  # already in our log (will commit under us)
-            entry = self._append_local(request.op, rpc_id)
-            result, _ = self._spec_store.execute(request.op, rpc_id=rpc_id)
-            self._spec_results[entry.index] = result
-            self.stats["replayed"] += 1
+        majority = [request for _rpc_id, (count, request) in sorted(
+                        counts.items(), key=lambda kv: str(kv[0]))
+                    if count >= need_majority]
+        replayed, _filtered = replay(self.registry, majority,
+                                     self._append_replayed)
+        self.stats["replayed"] += replayed
         # Reset all reachable witnesses for the new term.
         for peer in self.peers:
             if peer == self.name:
@@ -620,6 +607,17 @@ class RaftNode:
                                           timeout=self.config.rpc_timeout)
             except RpcError:
                 continue
+
+    def _append_replayed(self, request) -> int:
+        """Execute-and-log step of the shared replay (``core.curp``): 0
+        for an RPC already in our log, which commits under us."""
+        if request.rpc_id in self._log_rpc_index:
+            return 0
+        entry = self._append_local(request.op, request.rpc_id)
+        result, _ = self._spec_store.execute(request.op,
+                                             rpc_id=request.rpc_id)
+        self._spec_results[entry.index] = result
+        return entry.index
 
     # ------------------------------------------------------------------
     # crash model

@@ -3,9 +3,10 @@
 The RAMCloud-style master (``core``), the Redis server (``redislike``,
 §5.4) and the Raft leader (``consensus``, §A.2) differ only in how an
 update becomes durable.  What they share lives here: the client's
-1 + n fan-out (§3.2.1), the witness gc round (§3.5) and the unsynced
-suffix the conflict check runs against (§3.2.3).  The witness side is
-:class:`~repro.core.witness.WitnessServer`.
+1 + n fan-out (§3.2.1), the witness gc round (§3.5), the unsynced
+suffix the conflict check runs against (§3.2.3), the §4.5 orphan retry
+and the §4.6 witness replay, each backend passing its own execute-and-log
+step.  The RIFL intake is :meth:`~repro.rifl.ResultRegistry.admit`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,20 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.core.messages import GcArgs
+from repro.core.messages import GcArgs, GetRecoveryDataArgs, RecordedRequest
 from repro.kvstore.operations import Operation, commutative
+from repro.rifl import DuplicateState
+from repro.rpc import RpcError
 from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.net.host import Host
+    from repro.rifl import ResultRegistry
     from repro.rpc import RpcTransport
+
+#: execute a recorded request, log it with its completion record, return
+#: its log position; 0 if it is not the server's (foreign key, failure)
+ExecuteStep = typing.Callable[[RecordedRequest], int]
 
 #: modeled wire size of a gc RPC: a header plus one (64-bit key hash,
 #: RpcId) pair per collected key
@@ -61,6 +70,84 @@ def gc_round(transport: "RpcTransport", witnesses: typing.Sequence[str],
         transport.call_cb(witness, "gc", args, join.child_result, index,
                           timeout=timeout, request_size=wire_size)
     return join
+
+
+class RecoveryFailed(Exception):
+    """No backup (or no witness) could be reached."""
+
+
+def first_answer(transport: "RpcTransport", hosts: typing.Sequence[str],
+                 method: str, args: typing.Any, timeout: float):
+    """Generator: ``method(args)`` on each of ``hosts`` in turn; returns
+    the first answer, or raises :class:`RecoveryFailed`."""
+    for host in hosts:
+        try:
+            return (yield transport.call(host, method, args, timeout=timeout))
+        except RpcError:
+            continue
+    raise RecoveryFailed(f"no {method} answer among {list(hosts)}")
+
+
+def fetch_recovery_data(transport: "RpcTransport",
+                        witnesses: typing.Sequence[str], master_id: str,
+                        timeout: float):
+    """Generator: the saved requests of the first reachable witness,
+    which ``get_recovery_data`` freezes (§4.6).  With none reachable the
+    server must wait (§3.3): losing them would lose completed updates."""
+    if not witnesses:
+        return ()
+    return (yield from first_answer(transport, witnesses, "get_recovery_data",
+                                    GetRecoveryDataArgs(master_id), timeout))
+
+
+def replay(registry: "ResultRegistry",
+           requests: typing.Iterable[RecordedRequest],
+           execute: ExecuteStep) -> tuple[int, int]:
+    """§4.6: ``execute`` every request RIFL has not seen, in any order (a
+    witness holds only commuting requests), ignoring acks meanwhile
+    (§4.8 modification 1); returns ``(replayed, filtered)``."""
+    replayed = filtered = 0
+    registry.begin_recovery()
+    try:
+        for request in requests:
+            if (registry.check(request.rpc_id)[0] is DuplicateState.NEW
+                    and execute(request)):
+                replayed += 1
+            else:
+                filtered += 1
+    finally:
+        registry.end_recovery()
+    return replayed, filtered
+
+
+def retry_orphans(registry: "ResultRegistry", replies: typing.Iterable,
+                  durable_position: int, execute: ExecuteStep,
+                  host: "Host", collect: typing.Callable) -> int:
+    """§4.5: gc ``replies`` report records nobody collected (their client
+    died before reaching the server); an error reply is skipped.  A new
+    orphan goes through ``execute``; its entry's sync + gc collects it.
+    Any other is collected at once by a ``collect(pairs)`` gc round
+    spawned on ``host``, or it could stay pinned on an idle server —
+    unless its entry is not durable yet: that entry's own gc round
+    collects every witness's copy.  Returns the number handled."""
+    handled = 0
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            continue  # witness down; the coordinator replaces it
+        for request in reply:
+            rpc_id = request.rpc_id
+            record = registry.get(rpc_id)
+            if record is not None and record.log_position > durable_position:
+                continue
+            handled += 1
+            if (record is not None
+                    or registry.check(rpc_id)[0] is not DuplicateState.NEW
+                    or not execute(request)):
+                host.spawn(collect(tuple(
+                    (key_hash, rpc_id)
+                    for key_hash in request.op.touched_hashes())),
+                    name="orphan-gc")
+    return handled
 
 
 class UnsyncedSuffix:

@@ -7,7 +7,8 @@ protocol itself.
 
 CURP-mode data path for an update:
 
-1. RIFL filter (duplicate → answer from the completion record).
+1. RIFL intake (``ResultRegistry.admit``: a duplicate is answered from
+   its completion record).
 2. Commutativity check: does the operation touch any *unsynced* object
    (log position > last synced position, §4.3)?
 3. Execute and append to the log.
@@ -33,7 +34,7 @@ import dataclasses
 import typing
 
 from repro.core.config import CurpConfig, ReplicationMode
-from repro.core.curp import RPC_HEADER_BYTES, gc_round
+from repro.core.curp import RPC_HEADER_BYTES, gc_round, replay, retry_orphans
 from repro.core.messages import (
     AbsorbPartitionArgs,
     GcArgs,
@@ -52,7 +53,7 @@ from repro.kvstore.operations import (
     TxnCompensate,
     TxnPrepare,
 )
-from repro.kvstore.store import KVStore
+from repro.kvstore.store import ABSENT, KVStore
 from repro.rifl import DuplicateState, ResultRegistry
 from repro.rpc import AppError, RpcError, RpcTimeout, RpcTransport
 from repro.sim.events import QuorumEvent
@@ -235,18 +236,11 @@ class CurpMaster:
             # records would not be replayed. Make it refetch and retry.
             raise AppError("WRONG_WITNESS_VERSION",
                            {"current": self.witness_list_version})
-        # RIFL: piggybacked ack then duplicate filtering.
-        self.registry.process_ack(args.rpc_id.client_id, args.ack_seq)
-        state, saved = self.registry.check(args.rpc_id)
-        if state is DuplicateState.COMPLETED:
+        duplicate = self.registry.admit(args.rpc_id, args.ack_seq,
+                                        self.synced_position)
+        if duplicate is not None:
             self.stats.duplicates_filtered += 1
-            record = self.registry.get(args.rpc_id)
-            synced = (record is None
-                      or record.log_position <= self.synced_position)
-            return UpdateReply(result=saved, synced=synced)
-        if state is DuplicateState.STALE:
-            # The client already acknowledged this RPC; §4.8 says ignore.
-            raise AppError("STALE_RPC", {"rpc_id": str(args.rpc_id)})
+            return UpdateReply(*duplicate)
         # Admission control (overload.enabled only): shed *after* the
         # duplicate filter — a retry of an already-executed op answers
         # from its completion record above at no worker cost — and
@@ -263,6 +257,18 @@ class CurpMaster:
             load[h] = load.get(h, 0) + 1
         self._on_worker(self._update_executed, op, args.rpc_id, ctx)
         return RpcTransport.DEFERRED
+
+    def _execute_and_log(self, request: RecordedRequest) -> int:
+        """Execute-and-log step of the shared §4.5 / §4.6 pieces
+        (``core.curp``): 0 for a request this master does not own."""
+        op = request.op
+        if not in_ranges(op.touched_hashes(), self.owned_ranges):
+            return 0
+        result, entry = self.store.execute(op, rpc_id=request.rpc_id,
+                                           now=self.sim.now)
+        self.registry.record(request.rpc_id, result,
+                             log_position=entry.index)
+        return entry.index
 
     # ------------------------------------------------------------------
     # operation lifecycle: worker grant -> timed execute -> reply
@@ -409,7 +415,8 @@ class CurpMaster:
         them; the version floor raised during recovery guarantees a
         lost value's version is never reissued.  One store probe
         answers both the unsynced check and the reply; a missing or
-        deleted key reads as ``None`` at version 0.
+        deleted key reads as ``None`` at version 0, and a delete that is
+        not yet durable holds the read like any unsynced write.
         """
         if self._gone(incarnation):
             return
@@ -417,8 +424,8 @@ class CurpMaster:
             self.stats.reads += 1
             obj = self.store.lookup(args.key)
             if obj is None:
-                ctx.reply((None, 0) if args.return_version else None)
-            elif args.allow_unsynced or obj.position <= self.synced_position:
+                obj = self.store.tombstone(args.key, ABSENT)
+            if args.allow_unsynced or obj.position <= self.synced_position:
                 ctx.reply((obj.value, obj.version) if args.return_version
                           else obj.value)
             else:
@@ -625,43 +632,22 @@ class CurpMaster:
         self.stats.gc_flushes += 1
         results = yield gc_round(self.transport, witnesses, self.master_id,
                                  pairs, self.config.rpc_timeout)
-        for stale in results:
-            if isinstance(stale, BaseException):
-                continue  # witness down/replaced; coordinator handles it
-            for request in stale:
-                self._handle_stale_suspect(request)
+        if any(results):  # a suspect, or a witness's error
+            self._retry_orphans(results)
 
-    def _handle_stale_suspect(self, request: RecordedRequest) -> None:
-        """§4.5: a witness reports an uncollected record (its client
-        probably crashed before reaching us).  Retry it through RIFL,
-        let the normal sync+gc cycle collect it."""
-        record = self.registry.get(request.rpc_id)
-        if record is not None and record.log_position > self.synced_position:
-            # Executed but not durable yet: every witness holds its own
-            # copy of an orphan, and another one's report has just
-            # re-executed it — its sync + gc round collects them all.
-            return
-        self.stats.stale_suspects_handled += 1
-        state, _ = self.registry.check(request.rpc_id)
-        hashes = request.op.touched_hashes()
-        if state is DuplicateState.NEW and in_ranges(hashes,
-                                                     self.owned_ranges):
-            result, entry = self.store.execute(request.op,
-                                               rpc_id=request.rpc_id,
-                                               now=self.sim.now)
-            if entry is not None:
-                self.registry.record(request.rpc_id, result,
-                                     log_position=entry.index)
-                self._pending_gc.append((entry.index, hashes, request.rpc_id))
-                self._arm_flush_timer()
-        else:
-            # Already executed (or foreign): the data is durable, so the
-            # slot can be collected right away — waiting for the next
-            # sync could leave the orphan pinned forever on an idle
-            # master.
-            pairs = tuple((key_hash_value, request.rpc_id)
-                          for key_hash_value in hashes)
-            self.host.spawn(self._send_gc_round(pairs), name="orphan-gc")
+    def _retry_orphans(self, replies) -> None:
+        """§4.5 on the suspects gc replies report (``core.curp``)."""
+        self.stats.stale_suspects_handled += retry_orphans(
+            self.registry, replies, self.synced_position,
+            self._execute_orphan, self.host, self._send_gc_round)
+
+    def _execute_orphan(self, request: RecordedRequest) -> int:
+        position = self._execute_and_log(request)
+        if position:
+            self._pending_gc.append((position, request.op.touched_hashes(),
+                                     request.rpc_id))
+            self._arm_flush_timer()
+        return position
 
     def _send_gc_round(self, pairs):
         """One explicit gc round (outside the sync loop)."""
@@ -675,8 +661,7 @@ class CurpMaster:
                     witness, "gc", args, timeout=self.config.rpc_timeout)
             except RpcError:
                 continue
-            for request in stale:
-                self._handle_stale_suspect(request)
+            self._retry_orphans((stale,))
 
     def _arm_flush_timer(self) -> None:
         """One-shot: flush stragglers that never fill a batch."""
@@ -811,12 +796,10 @@ class CurpMaster:
                         self.store.install(key, value, version,
                                            now=self.sim.now)
                         installed += 1
-                if entry.rpc_id is not None:
-                    state, _ = self.registry.check(entry.rpc_id)
-                    if state is DuplicateState.NEW:
-                        self.registry.record(
-                            entry.rpc_id, entry.result,
-                            log_position=self.store.log.end)
+                if entry.rpc_id is not None and self.registry.check(
+                        entry.rpc_id)[0] is DuplicateState.NEW:
+                    self.registry.record(entry.rpc_id, entry.result,
+                                         log_position=self.store.log.end)
             # Anti-ABA (RAMCloud's safeVersion): speculative writes the
             # dead master lost consumed versions beyond what its
             # backups saw; never reissue them for absorbed keys.
@@ -835,31 +818,11 @@ class CurpMaster:
     def replay_witness_requests(
             self, requests: typing.Iterable[RecordedRequest]
             ) -> tuple[int, int]:
-        """The §4.6 witness replay: execute each recorded request this
-        master owns and has not already completed; returns
+        """The §4.6 witness replay (``core.curp.replay``): execute each
+        recorded request this master owns and has not already completed
+        (migrated-away keys are the §3.6 replay filter); returns
         ``(replayed, filtered)``."""
-        replayed = 0
-        filtered = 0
-        self.registry.begin_recovery()  # §4.8: ignore piggybacked acks
-        try:
-            for request in requests:
-                op = request.op
-                if not in_ranges(op.touched_hashes(), self.owned_ranges):
-                    filtered += 1  # migrated-away keys (§3.6 replay filter)
-                    continue
-                state, _ = self.registry.check(request.rpc_id)
-                if state is not DuplicateState.NEW:
-                    filtered += 1  # already durable in the backup log
-                    continue
-                result, entry = self.store.execute(op, rpc_id=request.rpc_id,
-                                                   now=self.sim.now)
-                if entry is not None:
-                    self.registry.record(request.rpc_id, result,
-                                         log_position=entry.index)
-                replayed += 1
-        finally:
-            self.registry.end_recovery()
-        return replayed, filtered
+        return replay(self.registry, requests, self._execute_and_log)
 
     # ------------------------------------------------------------------
     # load accounting + tablet bookkeeping (rebalancer-facing)

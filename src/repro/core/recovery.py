@@ -8,10 +8,11 @@ Two phases, exactly as the paper orders them:
 2. **Replay from one witness** — ``getRecoveryData`` irreversibly
    freezes the chosen witness (so no client can complete an update
    against it afterwards), then every saved request is replayed through
-   the RIFL filter: already-recovered requests are skipped, the rest
-   execute in arbitrary order — safe because a single witness only ever
-   holds mutually commutative requests.  Piggybacked acks are ignored
-   for the duration (§4.8).  Finally the new master syncs to backups.
+   the RIFL filter (``core.curp.replay``, shared with Redis and Raft):
+   already-recovered requests are skipped, the rest execute in arbitrary
+   order — safe because a single witness only ever holds mutually
+   commutative requests.  Piggybacked acks are ignored for the duration
+   (§4.8).  Finally the new master syncs to backups.
 
 Fencing happens *before* restore: the coordinator bumps the master
 epoch on every backup, so a zombie of the old master can never again
@@ -23,19 +24,11 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.config import CurpConfig
+from repro.core.curp import RecoveryFailed, fetch_recovery_data, first_answer
 from repro.core.master import CurpMaster
-from repro.core.messages import GetRecoveryDataArgs, RecordedRequest
+from repro.core.messages import RecordedRequest
 from repro.kvstore.hashing import in_ranges
-from repro.rpc import AppError, RpcTimeout
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.net.host import Host
-    from repro.rifl.lease import LeaseServer
-
-
-class RecoveryFailed(Exception):
-    """No backup (or no witness) could be reached."""
+from repro.rpc import RpcTimeout
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,20 +128,6 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
     return partitions
 
 
-def build_recovery_master(host: "Host", master_id: str, config: CurpConfig,
-                          backups: typing.Sequence[str],
-                          epoch: int,
-                          lease_server: "LeaseServer | None" = None,
-                          owned_ranges=None, **master_kwargs) -> CurpMaster:
-    """A not-yet-active master that will take over ``master_id``."""
-    kwargs = dict(master_kwargs)
-    if owned_ranges is not None:
-        kwargs["owned_ranges"] = owned_ranges
-    return CurpMaster(host, master_id, config, backups=backups,
-                      witnesses=(), epoch=epoch, lease_server=lease_server,
-                      active=False, **kwargs)
-
-
 def recover(master: CurpMaster, backups: typing.Sequence[str],
             witnesses: typing.Sequence[str],
             rpc_timeout: float = 2_000.0):
@@ -162,16 +141,8 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
         raise RuntimeError("recover() requires an inactive master")
 
     # ------------------------------------------------------------ phase 1
-    entries = None
-    for backup in backups:
-        try:
-            entries = yield master.transport.call(
-                backup, "get_backup_data", None, timeout=rpc_timeout)
-            break
-        except (RpcTimeout, AppError):
-            continue
-    if entries is None:
-        raise RecoveryFailed(f"no backup reachable among {list(backups)}")
+    entries = yield from first_answer(master.transport, backups,
+                                      "get_backup_data", None, rpc_timeout)
     restored = master.store.rebuild_from_entries(entries)
     for entry in master.store.log.all_entries():
         if entry.rpc_id is not None:
@@ -184,22 +155,9 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
     master.store.raise_version_floor(master.store.max_version_seen + 10_000)
 
     # ------------------------------------------------------------ phase 2
-    requests: tuple[RecordedRequest, ...] | None = None
-    for witness in witnesses:
-        try:
-            requests = yield master.transport.call(
-                witness, "get_recovery_data",
-                GetRecoveryDataArgs(master_id=master.master_id),
-                timeout=rpc_timeout)
-            break
-        except (RpcTimeout, AppError):
-            continue
-    if requests is None and witnesses:
-        # §3.3: if none of the f witnesses are reachable the new master
-        # must wait — losing witness data would lose completed updates.
-        raise RecoveryFailed(f"no witness reachable among {list(witnesses)}")
-
-    replayed, filtered = master.replay_witness_requests(requests or ())
+    requests = yield from fetch_recovery_data(
+        master.transport, witnesses, master.master_id, rpc_timeout)
+    replayed, filtered = master.replay_witness_requests(requests)
 
     # Final sync: install the recovered log on every (reachable) backup
     # via reset_log — a crash mid-sync can leave backup tails diverged,

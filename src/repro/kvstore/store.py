@@ -41,6 +41,10 @@ class StoredObject:
     updated_at: float
 
 
+#: a never-written key: no value, version 0, synced by definition
+ABSENT = StoredObject(value=None, version=0, position=0, updated_at=0.0)
+
+
 class KVStore:
     """Versioned object store + ordered log for one master."""
 
@@ -56,6 +60,11 @@ class KVStore:
         #: version counters survive deletes so ConditionalWrite can't be
         #: fooled by delete/re-create cycles
         self._versions: dict[str, int] = {}
+        #: key → its last delete as a value-None, version-0 object at the
+        #: delete's log position: an unsynced delete holds reads and
+        #: conflicts (§4.3).  ``tombstone`` is the dict's own ``get``.
+        self._deleted: dict[str, StoredObject] = {}
+        self.tombstone = self._deleted.get
         #: post-recovery versions start above this floor (anti-ABA: a
         #: lost unsynced write's version must never be reissued for a
         #: different value — RAMCloud's "safeVersion" idea)
@@ -242,6 +251,9 @@ class KVStore:
         for key, value, version in entry.effects:
             if value is TOMBSTONE:
                 self._objects.pop(key, None)
+                self._deleted[key] = StoredObject(
+                    value=None, version=0, position=entry.index,
+                    updated_at=entry.timestamp)
             else:
                 self._objects[key] = StoredObject(
                     value=value, version=version, position=entry.index,
@@ -264,20 +276,18 @@ class KVStore:
         return 0 if obj is None else obj.version
 
     def last_position_of(self, key: str) -> int:
-        """Log position of the key's last mutation (0 = never/synced-out)."""
-        obj = self._objects.get(key)
-        return 0 if obj is None else obj.position
+        """Log position of the key's last mutation, a delete included
+        (0 = never written)."""
+        obj = self._objects.get(key) or self._deleted.get(key, ABSENT)
+        return obj.position
 
     def last_update_time_of(self, key: str) -> float | None:
         obj = self._objects.get(key)
         return None if obj is None else obj.updated_at
 
     def is_unsynced(self, key: str, synced_position: int) -> bool:
-        """§4.3 check: was this key mutated after the last backup sync?
-
-        Deleted keys are conservatively considered synced (their
-        tombstone entry is found via the log when syncing).
-        """
+        """§4.3 check: was this key mutated (or deleted) after the last
+        backup sync?"""
         return self.last_position_of(key) > synced_position
 
     def key_count(self) -> int:

@@ -17,7 +17,9 @@ Modes:
   witnesses in parallel.  Conflicting commands (touching a key whose
   last write is not yet durable) wait for durability and are tagged
   ``synced`` (§3.2.3); after each fsync the server garbage-collects
-  the newly-durable commands from its witnesses (§3.5).
+  the newly-durable commands from its witnesses (§3.5).  The RIFL
+  intake, the §4.5 orphan retry and the §4.6 witness replay are the
+  ones the master uses (``ResultRegistry.admit``, ``core.curp``).
 """
 
 from __future__ import annotations
@@ -26,12 +28,18 @@ import dataclasses
 import enum
 import typing
 
-from repro.core.curp import UnsyncedSuffix, gc_round
+from repro.core.curp import (
+    UnsyncedSuffix,
+    fetch_recovery_data,
+    gc_round,
+    replay,
+    retry_orphans,
+)
 from repro.redislike.aof import AppendOnlyFile, FsyncDevice
 from repro.redislike.commands import Command, CommandError, execute
 from repro.redislike.datastructures import RedisStore, WrongTypeError
-from repro.rifl import DuplicateState, ResultRegistry
-from repro.rpc import AppError, RpcError, RpcTransport
+from repro.rifl import ResultRegistry
+from repro.rpc import AppError, RpcTransport
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -172,17 +180,12 @@ class RedisServer:
     def _execute_one(self, args: CommandArgs):
         command = args.command
         self.stats.commands += 1
-        if args.rpc_id is not None:
-            self.registry.process_ack(args.rpc_id.client_id, args.ack_seq)
-            state, saved = self.registry.check(args.rpc_id)
-            if state is DuplicateState.COMPLETED:
-                record = self.registry.get(args.rpc_id)
-                synced = (record is None
-                          or record.log_position <= self.aof.durable_seq)
-                return CommandReply(result=saved, synced=synced)
-            if state is DuplicateState.STALE:
-                return AppError("STALE_RPC", {"rpc_id": str(args.rpc_id)})
         try:
+            if args.rpc_id is not None:
+                duplicate = self.registry.admit(args.rpc_id, args.ack_seq,
+                                                self.aof.durable_seq)
+                if duplicate is not None:
+                    return CommandReply(*duplicate)
             curp = self.mode is DurabilityMode.CURP
             # A command on a key whose last write is not yet durable must
             # wait for that write's fsync (§3.2.3): same rule as the
@@ -208,8 +211,22 @@ class RedisServer:
                         result=result, synced=True))
             synced = self.mode is DurabilityMode.DURABLE
             return CommandReply(result=result, synced=synced)
+        except AppError as error:   # STALE_RPC
+            return error
         except (CommandError, WrongTypeError) as error:
             return AppError("COMMAND_ERROR", str(error))
+
+    def _execute_and_log(self, request) -> int:
+        """Execute-and-log step of the shared §4.5 / §4.6 pieces
+        (``core.curp``): 0 for a command that fails."""
+        try:
+            result = execute(self.store, request.op)
+        except (CommandError, WrongTypeError):
+            return 0
+        seq = self.aof.append(request.op, rpc_id=request.rpc_id,
+                              result=result)
+        self.registry.record(request.rpc_id, result, log_position=seq)
+        return seq
 
     # ------------------------------------------------------------------
     # CURP plumbing
@@ -238,33 +255,16 @@ class RedisServer:
         self.stats.gc_rpcs += len(self.witnesses)
         results = yield gc_round(self.transport, self.witnesses,
                                  self.master_id, pairs, self.rpc_timeout)
-        for stale in results:
-            if not isinstance(stale, BaseException):
-                for request in stale:
-                    self._retry_stale(request)
+        if any(results):  # a suspect, or a witness's error
+            retry_orphans(self.registry, results, self.aof.durable_seq,
+                          self._execute_orphan, self.host, self._gc_witnesses)
 
-    def _retry_stale(self, request) -> None:
-        """§4.5 for Redis: re-run an uncollected command through RIFL."""
-        state, _ = self.registry.check(request.rpc_id)
-        if state is DuplicateState.NEW:
-            try:
-                result = execute(self.store, request.op)
-            except (CommandError, WrongTypeError):
-                return
-            seq = self.aof.append(request.op, rpc_id=request.rpc_id,
-                                  result=result)
-            self.registry.record(request.rpc_id, result, log_position=seq)
+    def _execute_orphan(self, request) -> int:
+        seq = self._execute_and_log(request)
+        if seq:
             self.unsynced.append(seq, request.op, request.rpc_id)
             self._arm_flush_timer()
-            return
-        record = self.registry.get(request.rpc_id)
-        if record is None or record.log_position <= self.aof.durable_seq:
-            # Already executed and durable: collect the orphan now (an
-            # unsynced one goes with its own entry's gc round).
-            self.host.spawn(self._gc_witnesses(
-                [(key_hash, request.rpc_id)
-                 for key_hash in request.op.touched_hashes()]),
-                name="orphan-gc")
+        return seq
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -290,33 +290,11 @@ class RedisServer:
                 self.registry.record(rpc_id, result, log_position=seq)
         replayed = 0
         if self.mode is DurabilityMode.CURP:
-            from repro.core.messages import GetRecoveryDataArgs
-            requests = None
-            for witness in witnesses_for_replay or self.witnesses:
-                try:
-                    requests = yield self.transport.call(
-                        witness, "get_recovery_data",
-                        GetRecoveryDataArgs(master_id=self.master_id),
-                        timeout=self.rpc_timeout)
-                    break
-                except RpcError:
-                    continue
-            if requests is None and (witnesses_for_replay or self.witnesses):
-                raise RuntimeError("no witness reachable for replay")
-            self.registry.begin_recovery()
-            try:
-                for request in requests or ():
-                    state, _ = self.registry.check(request.rpc_id)
-                    if state is not DuplicateState.NEW:
-                        continue
-                    result = execute(self.store, request.op)
-                    seq = self.aof.append(request.op, rpc_id=request.rpc_id,
-                                          result=result)
-                    self.registry.record(request.rpc_id, result,
-                                         log_position=seq)
-                    replayed += 1
-            finally:
-                self.registry.end_recovery()
+            requests = yield from fetch_recovery_data(
+                self.transport, witnesses_for_replay or self.witnesses,
+                self.master_id, self.rpc_timeout)
+            replayed, _filtered = replay(self.registry, requests,
+                                         self._execute_and_log)
             if self.aof.end_seq > self.aof.durable_seq:
                 yield self.aof.request_durable(self.aof.end_seq)
         self._loop_process = self.host.spawn(self._event_loop(),

@@ -5,14 +5,16 @@ stamp every update RPC with a unique :class:`~repro.rifl.ids.RpcId`
 (lease-backed client id + per-client sequence number) and piggyback an
 acknowledgment of their oldest incomplete RPC.  Servers keep durable
 *completion records* so a retried or witness-replayed RPC is answered
-from the record instead of re-executing.
+from the record instead of re-executing: every backend's intake is
+:meth:`ResultRegistry.admit`.
 
 CURP-specific modifications (paper §4.8), both implemented here:
 
 1. piggybacked acknowledgments must be **ignored during witness
    replay** (replays arrive in arbitrary order, so a later request's
    ack could erase the completion record a replayed earlier request
-   needs) — see :meth:`ResultRegistry.begin_recovery`;
+   needs) — the one replay, :func:`repro.core.curp.replay`, brackets
+   itself in the registry's recovery mode;
 2. masters must **sync to backups before expiring a client lease**
    (otherwise replay of the expired client's requests would be
    silently ignored) — enforced by the master's lease-expiry hook.

@@ -1,10 +1,11 @@
 """Server-side completion records and duplicate filtering.
 
-The registry answers one question before a master executes an update:
+The registry answers one question before a server executes an update:
 *have I already executed this RpcId?*  Completion records are created
 atomically with the update itself (they travel inside the replicated
 log entries, giving the atomic durability the paper notes in §3.3) and
 are garbage collected by client acknowledgments or lease expiry.
+:meth:`ResultRegistry.admit` is the intake of all three backends.
 
 States returned by :meth:`ResultRegistry.check`:
 
@@ -21,6 +22,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing
+
+from repro.rifl.ids import RpcId
+from repro.rpc.errors import AppError
 
 
 class DuplicateState(enum.Enum):
@@ -53,8 +57,32 @@ class ResultRegistry:
     # ------------------------------------------------------------------
     # duplicate detection
     # ------------------------------------------------------------------
+    def admit(self, rpc_id, ack_seq: int, durable_position: int):
+        """The RIFL intake of an update RPC (§3.3): apply the piggybacked
+        ack (not during replay, §4.8), then return ``None`` for a new RPC
+        or ``(saved result, synced)`` for a duplicate, synced if its log
+        position is ≤ ``durable_position``; a stale one raises
+        ``AppError("STALE_RPC")``."""
+        client_id = rpc_id.client_id
+        ack_level = self._ack_level.get(client_id, 1)
+        client_records = self._records.get(client_id)
+        if ack_seq > ack_level and not self._in_recovery:
+            self._ack_level[client_id] = ack_level = ack_seq
+            if client_records:
+                for seq in [seq for seq in client_records if seq < ack_seq]:
+                    del client_records[seq]
+        if client_records:
+            record = client_records.get(rpc_id.seq)
+            if record is not None:
+                return (record.result,
+                        record.log_position <= durable_position)
+        if rpc_id.seq < ack_level:
+            raise AppError("STALE_RPC", {"rpc_id": str(rpc_id)})
+        return None
+
     def check(self, rpc_id) -> tuple[DuplicateState, typing.Any]:
-        """Classify an incoming update RPC; returns (state, saved result)."""
+        """Classify an RPC without touching the ack level; returns
+        (state, saved result)."""
         client_records = self._records.get(rpc_id.client_id)
         if client_records is not None and rpc_id.seq in client_records:
             return DuplicateState.COMPLETED, client_records[rpc_id.seq].result
@@ -75,26 +103,10 @@ class ResultRegistry:
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
-    def process_ack(self, client_id: int, first_incomplete: int) -> int:
-        """Drop records the client acknowledged; returns #dropped.
-
-        No-op during witness replay (§4.8): replays arrive in arbitrary
-        order, and a later request's piggybacked ack must not erase the
-        completion record that a not-yet-replayed earlier request needs.
-        """
-        if self._in_recovery:
-            return 0
-        current = self._ack_level.get(client_id, 1)
-        if first_incomplete <= current:
-            return 0
-        self._ack_level[client_id] = first_incomplete
-        client_records = self._records.get(client_id)
-        if not client_records:
-            return 0
-        stale = [seq for seq in client_records if seq < first_incomplete]
-        for seq in stale:
-            del client_records[seq]
-        return len(stale)
+    def process_ack(self, client_id: int, first_incomplete: int) -> None:
+        """:meth:`admit`'s ack half alone (a seq no client reaches).  No
+        caller in ``src/``: the frozen e2e tracer names it."""
+        self.admit(RpcId(client_id, 2 ** 63), first_incomplete, 0)
 
     def expire_client(self, client_id: int) -> int:
         """Drop all records for a client whose lease lapsed.

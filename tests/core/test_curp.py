@@ -63,9 +63,9 @@ def test_durable_returns_gc_pairs_and_prunes_the_index():
     assert len(suffix) == 0 and suffix._by_hash == {}
 
 
-#: RPC methods only ``core/curp.py`` may name: the witness record and
-#: gc RPCs of all three backends
-CURP_METHODS = {"record", "w_record", "gc", "w_gc"}
+#: RPC methods only ``core/curp.py`` may send: the witness record, gc
+#: and recovery-data RPCs of all three backends
+CURP_METHODS = {"record", "w_record", "gc", "w_gc", "get_recovery_data"}
 #: the one exception, until the orphan gc goes through ``gc_round``
 ALLOWED = {("core/master.py", "_send_gc_round")}
 
@@ -103,4 +103,41 @@ def test_record_and_gc_rpcs_are_sent_only_by_the_curp_layer():
         _rpc_sites(SRC / "core" / "master.py"))
     assert {method for _f, method in _rpc_sites(SRC / "core" / "curp.py")} \
         == {"record", "gc"}
+
+
+def _calls(path: pathlib.Path):
+    """(innermost enclosing function, call node) of every call in
+    ``path``; module-level calls have function None."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield function, child
+            yield from visit(child, function)
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+def test_replay_bracket_and_stale_rpc_are_written_once():
+    """Outside ``repro/rifl/``, only the shared §4.6 replay enters and
+    leaves RIFL's recovery mode, and only ``ResultRegistry.admit``
+    raises ``STALE_RPC`` — for the master, Redis and Raft alike."""
+    brackets, stale = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for function, call in _calls(path):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in ("begin_recovery", "end_recovery") \
+                    and not relative.startswith("rifl/"):
+                brackets.add((relative, function, name))
+            if name == "AppError" and call.args \
+                    and isinstance(call.args[0], ast.Constant) \
+                    and call.args[0].value == "STALE_RPC":
+                stale.add((relative, function))
+    assert brackets == {("core/curp.py", "replay", "begin_recovery"),
+                        ("core/curp.py", "replay", "end_recovery")}
+    assert stale == {("rifl/result_registry.py", "admit")}
 

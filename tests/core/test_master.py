@@ -9,7 +9,7 @@ from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.master import _subtract_range
 from repro.core.messages import UpdateArgs, UpdateReply
 from repro.harness import build_cluster
-from repro.kvstore import Increment, MultiWrite, Write, key_hash
+from repro.kvstore import Delete, Increment, MultiWrite, Write, key_hash
 from repro.rifl import RpcId
 from repro.rpc import AppError, RpcTimeout, RpcTransport
 
@@ -192,6 +192,34 @@ def test_read_of_unsynced_key_forces_sync():
     assert value == 1
     assert cluster.master().unsynced_count == 0  # read forced the sync
     assert cluster.sim.now - start == pytest.approx(8.0)  # + backup RTT
+
+
+@pytest.mark.parametrize("follow_up", ["read", "increment"])
+@pytest.mark.parametrize("unsynced", [Write("k", 2), Delete("k")],
+                         ids=["write", "delete"])
+def test_an_unsynced_delete_holds_reads_and_conflicts_like_a_write(
+        unsynced, follow_up):
+    """§4.3: a delete that is not yet durable is an unsynced mutation
+    of its key.  A read must not expose it before it is durable, and an
+    update on the key must sync first — exactly as after an unsynced
+    write, although the deleted object itself is gone from the store."""
+    cluster = curp_cluster(f=1)
+    client = cluster.new_client()
+    master = cluster.master()
+    cluster.run(client.update(Write("k", 1)))
+    cluster.settle(1_000.0)
+    cluster.run(client.update(unsynced))
+    assert (master.synced_position, master.store.log.end) == (1, 2)
+    value = None if isinstance(unsynced, Delete) else 2
+    syncs = master.stats.syncs
+    if follow_up == "read":
+        assert cluster.run(client.read("k")) == value
+        assert master.stats.syncs == syncs + 1
+    else:
+        outcome = cluster.run(client.update(Increment("k")))
+        assert outcome.result == (value or 0) + 1
+        assert master.stats.conflict_syncs == 1
+    assert master.synced_position == master.store.log.end
 
 
 def test_sync_mode_two_rtts():

@@ -13,6 +13,7 @@ from repro.rifl import (
     RiflClientTracker,
     RpcId,
 )
+from repro.rpc import AppError
 from repro.sim import Simulator
 
 
@@ -73,18 +74,24 @@ def test_new_then_completed():
 def test_ack_garbage_collects_and_marks_stale():
     registry = ResultRegistry()
     for seq in (1, 2, 3):
-        registry.record(RpcId(1, seq), result=seq)
-    dropped = registry.process_ack(client_id=1, first_incomplete=3)
-    assert dropped == 2
+        registry.record(RpcId(1, seq), result=seq, log_position=seq)
+    # A retry of seq 3 carrying ack 3: records 1 and 2 go, and the
+    # retry is answered from its record, not yet durable at position 2.
+    assert registry.admit(RpcId(1, 3), 3, durable_position=2) == (3, False)
+    assert registry.record_count() == 1
     assert registry.check(RpcId(1, 1)) == (DuplicateState.STALE, None)
     assert registry.check(RpcId(1, 2)) == (DuplicateState.STALE, None)
-    assert registry.check(RpcId(1, 3))[0] is DuplicateState.COMPLETED
+    assert registry.admit(RpcId(1, 3), 3, durable_position=3) == (3, True)
+    with pytest.raises(AppError) as stale:
+        registry.admit(RpcId(1, 2), 3, durable_position=3)
+    assert (stale.value.code, stale.value.info) == ("STALE_RPC",
+                                                    {"rpc_id": "1.2"})
 
 
 def test_ack_never_regresses():
     registry = ResultRegistry()
-    registry.process_ack(1, 5)
-    assert registry.process_ack(1, 3) == 0
+    assert registry.admit(RpcId(1, 5), 5, 0) is None
+    assert registry.admit(RpcId(1, 6), 3, 0) is None
     assert registry.check(RpcId(1, 4)) == (DuplicateState.STALE, None)
 
 
@@ -92,12 +99,12 @@ def test_acks_ignored_during_recovery():
     """Paper §4.8: witness replays arrive in random order; piggybacked
     acks must not erase records the replay still needs."""
     registry = ResultRegistry()
-    registry.record(RpcId(1, 1), result="first")
+    registry.record(RpcId(1, 1), result="first", log_position=1)
     registry.begin_recovery()
-    assert registry.process_ack(1, 2) == 0  # ignored
-    assert registry.check(RpcId(1, 1))[0] is DuplicateState.COMPLETED
+    assert registry.admit(RpcId(1, 2), 2, 0) is None  # ack ignored
+    assert registry.admit(RpcId(1, 1), 2, 1) == ("first", True)
     registry.end_recovery()
-    assert registry.process_ack(1, 2) == 1
+    assert registry.admit(RpcId(1, 2), 2, 0) is None
     assert registry.check(RpcId(1, 1))[0] is DuplicateState.STALE
 
 
@@ -113,7 +120,7 @@ def test_expire_client_drops_everything():
 def test_snapshot_restore_roundtrip():
     registry = ResultRegistry()
     registry.record(RpcId(1, 1), "x", log_position=10)
-    registry.process_ack(2, 5)
+    registry.admit(RpcId(2, 5), 5, 0)
     snapshot = registry.snapshot()
     other = ResultRegistry()
     other.restore(snapshot)
@@ -165,12 +172,12 @@ def test_exactly_once_under_duplicate_storm(duplicate_schedule):
     executed = []
     for seq in duplicate_schedule:
         rpc = RpcId(1, seq)
-        state, result = registry.check(rpc)
-        if state is DuplicateState.NEW:
+        duplicate = registry.admit(rpc, 1, 0)
+        if duplicate is None:
             executed.append(seq)
             registry.record(rpc, result=f"r{seq}")
-        elif state is DuplicateState.COMPLETED:
-            assert result == f"r{seq}"
+        else:
+            assert duplicate == (f"r{seq}", True)
     assert sorted(set(executed)) == sorted(executed)  # no re-execution
 
 
@@ -182,15 +189,78 @@ def test_stale_never_resurrects(events):
     stale_seen: set[int] = set()
     for is_ack, seq in events:
         rpc = RpcId(1, seq)
-        if is_ack:
-            registry.process_ack(1, seq)
-        state, _ = registry.check(rpc)
-        if state is DuplicateState.STALE:
+        try:
+            duplicate = registry.admit(rpc, seq if is_ack else 1, 0)
+        except AppError:
             stale_seen.add(seq)
+            continue
+        assert seq not in stale_seen
+        if duplicate is None:
+            registry.record(rpc, result=seq)
+
+
+def _reference_intake(registry: ResultRegistry, rpc_id: RpcId,
+                      ack_seq: int, durable_position: int):
+    """The intake every backend wrote before ``admit``: the old
+    ``process_ack`` (verbatim, on the registry's state), then ``check``
+    and the synced tag from the record.  Returns what ``admit`` returns,
+    or ``"STALE"``."""
+    client_id = rpc_id.client_id
+    if not registry._in_recovery:
+        current = registry._ack_level.get(client_id, 1)
+        if ack_seq > current:
+            registry._ack_level[client_id] = ack_seq
+            client_records = registry._records.get(client_id)
+            if client_records:
+                for seq in [seq for seq in client_records if seq < ack_seq]:
+                    del client_records[seq]
+    state, saved = registry.check(rpc_id)
+    if state is DuplicateState.COMPLETED:
+        record = registry.get(rpc_id)
+        return saved, record.log_position <= durable_position
+    if state is DuplicateState.STALE:
+        return "STALE"
+    return None
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("intake"), st.integers(1, 2), st.integers(1, 8),
+              st.integers(0, 9), st.integers(0, 10)),
+    st.tuples(st.just("record"), st.integers(1, 2), st.integers(1, 8),
+              st.integers(1, 10)),
+    st.tuples(st.just("begin_recovery")),
+    st.tuples(st.just("end_recovery")),
+    st.tuples(st.just("expire_client"), st.integers(1, 2)),
+)
+
+
+@given(st.lists(_STEPS, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_admit_matches_process_ack_then_check(steps):
+    """``admit`` answers exactly as the old ack → check → synced-tag
+    sequence did, and leaves the registry in the same state."""
+    registry, reference = ResultRegistry(), ResultRegistry()
+    for step in steps:
+        kind, *args = step
+        if kind == "intake":
+            client_id, seq, ack_seq, durable = args
+            rpc_id = RpcId(client_id, seq)
+            try:
+                got = registry.admit(rpc_id, ack_seq, durable)
+            except AppError as error:
+                assert (error.code, error.info) == ("STALE_RPC",
+                                                    {"rpc_id": str(rpc_id)})
+                got = "STALE"
+            assert got == _reference_intake(reference, rpc_id, ack_seq,
+                                            durable)
+        elif kind == "record":
+            client_id, seq, position = args
+            for each in (registry, reference):
+                each.record(RpcId(client_id, seq), f"r{seq}", position)
         else:
-            assert seq not in stale_seen
-            if state is DuplicateState.NEW:
-                registry.record(rpc, result=seq)
+            for each in (registry, reference):
+                getattr(each, kind)(*args)
+        assert registry.snapshot() == reference.snapshot()
 
 
 # ----------------------------------------------------------------------
