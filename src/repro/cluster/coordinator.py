@@ -118,19 +118,15 @@ class Coordinator:
         return self._shard_map
 
     def current_view(self) -> ClusterView:
-        tablets = []
         masters = {}
         for managed in self.masters.values():
-            for lo, hi in managed.owned_ranges:
-                tablets.append((lo, hi, managed.master_id))
             masters[managed.master_id] = MasterInfo(
                 master_id=managed.master_id, host=managed.host,
                 backups=tuple(managed.backups),
                 witnesses=tuple(managed.witnesses),
                 witness_list_version=managed.witness_list_version,
                 epoch=managed.epoch)
-        return ClusterView(tablets=tuple(tablets), masters=masters,
-                           version=self.config_version,
+        return ClusterView(masters=masters, version=self.config_version,
                            shard_map=self.shard_map)
 
     # ------------------------------------------------------------------

@@ -141,7 +141,7 @@ class CurpClient:
         """The one master owning every key hash in ``hashes``."""
         view = self.view
         assert view is not None, "client not connected"
-        route = view.master_for_hash
+        route = view.shard_map.master_for_hash
         master_id = route(hashes[0]) if hashes else None
         for key_hash_value in hashes[1:]:
             if route(key_hash_value) != master_id:
@@ -151,22 +151,6 @@ class CurpClient:
             raise ValueError(
                 f"key hashes {hashes!r} do not map to a single master")
         return view.masters[master_id]
-
-    def group_by_shard(self, keys: typing.Iterable[str]) \
-            -> dict[str, tuple[str, ...]]:
-        """Partition keys by owning master under the current view
-        (the cross-shard transaction fan-out, §B.2).  Raises KeyError
-        for an unrouteable key — callers refresh the view and regroup."""
-        assert self.view is not None, "client not connected"
-        if self.view.shard_map is not None:
-            return self.view.shard_map.group_keys(keys)
-        groups: dict[str, list[str]] = {}
-        for key in keys:
-            owner = self.view.master_for_hash(key_hash(key))
-            if owner is None:
-                raise KeyError(f"key {key!r} routes to no master")
-            groups.setdefault(owner, []).append(key)
-        return {owner: tuple(ks) for owner, ks in groups.items()}
 
     # ------------------------------------------------------------------
     # update
@@ -348,7 +332,7 @@ class CurpClient:
         args = ReadArgs(key, h, for_update, versioned)
         for _attempt in range(1, self.config.max_attempts + 1):
             view = self.view
-            owner = view.master_for_hash(h)
+            owner = view.shard_map.master_for_hash(h)
             if owner is None:
                 raise ValueError(f"key {key!r} routes to no master")
             try:

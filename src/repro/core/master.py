@@ -274,43 +274,37 @@ class CurpMaster:
     # operation lifecycle: worker grant -> timed execute -> reply
     # ------------------------------------------------------------------
     # Continuation-passing, so an operation costs no generator process
-    # (docs/PERFORMANCE.md).  Continuations crossing an async boundary
-    # carry the host incarnation: a crash mid-operation must kill the
-    # lifecycle, exactly as Host.crash interrupts a process.
+    # (docs/PERFORMANCE.md).  Each continuation crossing an async
+    # boundary first asks the request it serves whether its host
+    # crashed since delivery (``ctx.gone()``): a crash mid-operation
+    # must kill the lifecycle, exactly as Host.crash interrupts a
+    # process.
     def _on_worker(self, executed: typing.Callable[..., None],
                    *args: typing.Any) -> None:
-        """Run ``executed(*args, incarnation)`` on a pool worker after
-        ``execute_time``; the continuation owns releasing the worker."""
-        incarnation = self.host.incarnation
+        """Run ``executed(*args)`` — the request last among ``args`` —
+        on a pool worker after ``execute_time``; the continuation owns
+        releasing the worker."""
         workers = self.workers
         if workers.in_use >= workers.capacity:
             workers.request().when_done(self._worker_granted, executed,
-                                        args, incarnation)
+                                        args)
             return
         workers.in_use += 1     # a free worker: granted here, no event
         if self.execute_time > 0:
-            self.sim.schedule_callback(self.execute_time, executed,
-                                       *args, incarnation)
+            self.sim.schedule_callback(self.execute_time, executed, *args)
         else:
-            executed(*args, incarnation)
+            executed(*args)
 
-    def _worker_granted(self, _grant, executed, args: tuple,
-                        incarnation: int) -> None:
-        if self._gone(incarnation):
+    def _worker_granted(self, _grant, executed, args: tuple) -> None:
+        if args[-1].gone():
             return
         if self.execute_time > 0:
-            self.sim.schedule_callback(self.execute_time, executed,
-                                       *args, incarnation)
+            self.sim.schedule_callback(self.execute_time, executed, *args)
         else:
-            executed(*args, incarnation)
+            executed(*args)
 
-    def _gone(self, incarnation: int) -> bool:
-        """True when the host crashed since the continuation was armed."""
-        return not self.host.alive or self.host.incarnation != incarnation
-
-    def _update_executed(self, op: Operation, rpc_id, ctx,
-                         incarnation: int) -> None:
-        if self._gone(incarnation):
+    def _update_executed(self, op: Operation, rpc_id, ctx) -> None:
+        if ctx.gone():
             return
         mode = self.config.mode
         hot = False
@@ -347,7 +341,7 @@ class CurpMaster:
                 # released by the continuation — the polling cost §4.4
                 # blames for the "Original" ceiling.
                 self._request_sync(entry.index).when_done(
-                    self._update_synced_reply, result, ctx, incarnation)
+                    self._update_synced_reply, result, ctx)
                 return
             # CURP / ASYNC
             if self.config.uses_witnesses:
@@ -356,7 +350,7 @@ class CurpMaster:
             if conflict:
                 self.stats.conflict_syncs += 1
                 self._request_sync(entry.index).when_done(
-                    self._update_synced_reply, result, ctx, incarnation)
+                    self._update_synced_reply, result, ctx)
                 return
             self.stats.speculative_replies += 1
             ctx.reply(UpdateReply(result=result, synced=False))
@@ -375,10 +369,9 @@ class CurpMaster:
         else:
             self._arm_flush_timer()
 
-    def _update_synced_reply(self, event, result, ctx,
-                             incarnation: int) -> None:
+    def _update_synced_reply(self, event, result, ctx) -> None:
         """Sync-then-reply continuation (SYNC mode and conflict path)."""
-        if self._gone(incarnation):
+        if ctx.gone():
             return
         if event.ok:
             ctx.reply(UpdateReply(result=result, synced=True))
@@ -404,7 +397,7 @@ class CurpMaster:
         self._on_worker(self._read_executed, args, ctx)
         return RpcTransport.DEFERRED
 
-    def _read_executed(self, args: ReadArgs, ctx, incarnation: int) -> None:
+    def _read_executed(self, args: ReadArgs, ctx) -> None:
         """Linearizable read at the master.
 
         Reads *touch* their key (§3.2.3): returning an unsynced value
@@ -418,7 +411,7 @@ class CurpMaster:
         deleted key reads as ``None`` at version 0, and a delete that is
         not yet durable holds the read like any unsynced write.
         """
-        if self._gone(incarnation):
+        if ctx.gone():
             return
         try:
             self.stats.reads += 1
@@ -433,15 +426,14 @@ class CurpMaster:
                 # the object probed here: the newest state when the
                 # read executed.
                 self._request_sync(obj.position).when_done(
-                    self._read_after_sync, obj, args, ctx, incarnation)
+                    self._read_after_sync, obj, args, ctx)
                 return
         except Exception as error:  # noqa: BLE001 - serialize to caller
             ctx.reply_exception(error)
         self.workers.release()
 
-    def _read_after_sync(self, event, obj, args: ReadArgs, ctx,
-                         incarnation: int) -> None:
-        if self._gone(incarnation):
+    def _read_after_sync(self, event, obj, args: ReadArgs, ctx) -> None:
+        if ctx.gone():
             return
         try:
             if event.ok:
@@ -459,11 +451,11 @@ class CurpMaster:
         """Client couldn't record on all witnesses: make state durable."""
         self._check_serviceable()
         self._request_sync(self.store.log.end).when_done(
-            self._sync_rpc_done, ctx, self.host.incarnation)
+            self._sync_rpc_done, ctx)
         return RpcTransport.DEFERRED
 
-    def _sync_rpc_done(self, event, ctx, incarnation: int) -> None:
-        if self._gone(incarnation):
+    def _sync_rpc_done(self, event, ctx) -> None:
+        if ctx.gone():
             return
         if event.ok:
             ctx.reply("SYNCED")
@@ -911,7 +903,7 @@ class CurpMaster:
         the witnesses' NVM dies with the process."""
         self.active = False
         waiters, self._sync_waiters = self._sync_waiters, []
-        del waiters  # their continuations see the incarnation change
+        del waiters  # their continuations see ctx.gone()
         self._sync_active = False
 
     # ------------------------------------------------------------------

@@ -207,24 +207,11 @@ class MasterInfo:
 
 @dataclasses.dataclass(frozen=True)
 class ClusterView:
-    """Configuration snapshot clients cache (§3.6).
+    """Configuration snapshot clients cache (§3.6): every master's
+    placement, and the one routing table, the coordinator's
+    :class:`~repro.cluster.shard_map.ShardMap` for this version (typed
+    loosely to keep this module import-free)."""
 
-    ``tablets`` maps key-hash ranges [lo, hi) to master ids.  When the
-    coordinator attaches a :class:`~repro.cluster.shard_map.ShardMap`
-    (typed loosely to keep this module import-free), routing goes
-    through its sorted-bounds lookup; the linear tablet scan remains as
-    the fallback for hand-built views in unit tests.
-    """
-
-    tablets: tuple[tuple[int, int, str], ...]
     masters: dict[str, MasterInfo]
     version: int
-    shard_map: typing.Any = None
-
-    def master_for_hash(self, key_hash_value: int) -> str | None:
-        if self.shard_map is not None:
-            return self.shard_map.master_for_hash(key_hash_value)
-        for lo, hi, master_id in self.tablets:
-            if lo <= key_hash_value < hi:
-                return master_id
-        return None
+    shard_map: typing.Any

@@ -154,7 +154,7 @@ class Transaction:
                 items.append((key, KEEP, version))  # validate-only
         by_key = {item[0]: item for item in items}
         try:
-            groups = self.client.group_by_shard(tuple(by_key))
+            groups = self.client.view.shard_map.group_keys(tuple(by_key))
         except KeyError as error:
             # Coverage gap (mid-migration view): abort; the retry
             # refreshes the view and regroups.

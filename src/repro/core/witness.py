@@ -242,24 +242,12 @@ class WitnessEndpoint:
         if self.record_time > 0:
             # Charge the CPU time without spawning a process per record
             # (the witness sees one of these per update per client —
-            # hot path).  The incarnation guard keeps a generator's
-            # crash semantics: a record in flight when the host dies is
-            # dropped, not replied to.
-            self.sim.schedule_callback(self.record_time,
-                                       self._record_deferred, tenant, args,
-                                       ctx, self.host.incarnation)
+            # hot path).  A record in flight when the host dies is
+            # dropped, not replied to (``ctx.answer``).
+            self.sim.schedule_callback(self.record_time, ctx.answer,
+                                       tenant.record, args)
             return RpcTransport.DEFERRED
         return tenant.record(args)
-
-    def _record_deferred(self, tenant: WitnessServer, args: RecordArgs, ctx,
-                         incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        try:
-            ctx.reply(tenant.record(args))
-        except Exception as error:  # noqa: BLE001 - serialize to caller,
-            # matching the generator path's REMOTE_ERROR containment
-            ctx.reply_exception(error)
 
     def _admit(self, tenant: WitnessServer) -> bool:
         """Windowed per-tenant fair admission (config.overload).

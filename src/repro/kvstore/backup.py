@@ -130,14 +130,12 @@ class BackupServer:
             delay += self._append_delay(args.entries)
         if delay > 0:
             # Charge the CPU + disk time without a process per replicate
-            # RPC; the incarnation guard drops work in flight across a
-            # crash exactly as interrupting the old generator did.
-            self.sim.schedule_callback(delay,
-                                       self._replicate_deferred, args, ctx,
-                                       self.host.incarnation)
+            # RPC; ``ctx.answer`` drops the work if the host crashes in
+            # the delay.
+            self.sim.schedule_callback(delay, ctx.answer, self._store,
+                                       args.entries)
             return RpcTransport.DEFERRED
-        self._store(args.entries)
-        return self.last_index
+        return self._store(args.entries)
 
     def _append_delay(self, entries: typing.Sequence[LogEntry]) -> float:
         """Disk time for the fresh appends in ``entries`` (duplicates
@@ -150,18 +148,8 @@ class BackupServer:
                 + self.wal.rotations_for(new) * self.storage.rotation_time)
         return self.disk.charge(cost)
 
-    def _replicate_deferred(self, args: ReplicateArgs, ctx,
-                            incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        try:
-            self._store(args.entries)
-            ctx.reply(self.last_index)
-        except Exception as error:  # noqa: BLE001 - serialize to caller,
-            # matching the generator path's REMOTE_ERROR containment
-            ctx.reply_exception(error)
-
-    def _store(self, entries: typing.Sequence[LogEntry]) -> None:
+    def _store(self, entries: typing.Sequence[LogEntry]) -> int:
+        """Append ``entries`` (resends are no-ops); the last index."""
         for entry in entries:
             existing = self.wal.entries.get(entry.index)
             if existing is not None:
@@ -175,6 +163,7 @@ class BackupServer:
                                        {"index": entry.index})
                 continue  # duplicate resend: don't re-apply effects
             self.wal.append(entry)
+        return self.last_index
 
     def _handle_reset_log(self, args: ReplicateArgs, ctx):
         """Adopt the caller's log wholesale (recovery, §4.6).
@@ -198,22 +187,14 @@ class BackupServer:
                     * self.storage.rotation_time)
             delay = self.disk.charge(cost)
         if delay > 0:
-            self.sim.schedule_callback(delay, self._reset_deferred, args,
-                                       ctx, self.host.incarnation)
+            self.sim.schedule_callback(delay, ctx.answer, self._reset_apply,
+                                       args)
             return RpcTransport.DEFERRED
         return self._reset_apply(args)
 
-    def _reset_deferred(self, args: ReplicateArgs, ctx,
-                        incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        if not ctx.replied:
-            ctx.reply(self._reset_apply(args))
-
-    def _reset_apply(self, args: ReplicateArgs):
+    def _reset_apply(self, args: ReplicateArgs) -> int:
         self.wal.reset()
-        self._store(args.entries)
-        return self.last_index
+        return self._store(args.entries)
 
     def _handle_fence(self, args: int, ctx):
         """Coordinator: reject replication below this epoch from now on."""
@@ -229,16 +210,10 @@ class BackupServer:
             delay = self.disk.charge(count * self.storage.read_entry_time)
             if delay > 0:
                 self.stats.recovery_entries_read += count
-                self.sim.schedule_callback(delay, self._get_data_deferred,
-                                           ctx, self.host.incarnation)
+                self.sim.schedule_callback(delay, ctx.answer,
+                                           self.wal.all_entries)
                 return RpcTransport.DEFERRED
         return self.wal.all_entries()
-
-    def _get_data_deferred(self, ctx, incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        if not ctx.replied:
-            ctx.reply(self.wal.all_entries())
 
     def _handle_segment_index(self, args, ctx):
         """Segment metadata summary (in-memory; no disk charge).  The
@@ -252,46 +227,42 @@ class BackupServer:
         backup scans its share a single time however many recovery
         masters are replaying).  Reply waits for the scan to drain
         through the disk."""
-        segments = self._stripe_segments(args)
+        segments, skipped = self._stripe_segments(args)
         count = sum(len(s.indices) for s in segments)
         self.stats.recovery_entries_read += count
+        self.stats.segments_skipped += skipped
         delay = 0.0
         if self.storage.enabled:
             delay = self.disk.charge(count * self.storage.read_entry_time)
         if delay > 0:
-            self.sim.schedule_callback(delay, self._read_partitions_deferred,
-                                       args, ctx, self.host.incarnation)
+            # The stripe is read at reply time: the cleaner may have
+            # rewritten entries while the scan was "on disk".
+            self.sim.schedule_callback(delay, ctx.answer, self._read_stripe,
+                                       args)
             return RpcTransport.DEFERRED
-        return self._bucket_partitions(args, segments)
-
-    def _read_partitions_deferred(self, args: PartitionReadArgs, ctx,
-                                  incarnation: int) -> None:
-        if not self.host.alive or self.host.incarnation != incarnation:
-            return
-        if not ctx.replied:
-            # Re-derive the segment set at reply time: the cleaner may
-            # have rewritten entries while the scan was "on disk".
-            ctx.reply(self._bucket_partitions(
-                args, self._stripe_segments(args)))
+        return self._read_stripe(args)
 
     def _stripe_segments(self, args: PartitionReadArgs):
         """This backup's segments that overlap the index window and
-        could hold data for any requested partition (segment-indexed
-        skip via the per-segment hash summary)."""
+        could hold data for any requested partition, and how many
+        overlapping segments the per-segment hash summary skipped."""
         all_ranges = tuple(r for ranges in args.partitions for r in ranges)
         chosen = []
+        skipped = 0
         for info, segment in zip(self.wal.segment_index(),
                                  (s for s in self.wal.segments if s.indices)):
             if info.last_index < args.index_lo \
                     or info.first_index >= args.index_hi:
                 continue
             if not info.overlaps(all_ranges):
-                self.stats.segments_skipped += 1
+                skipped += 1
                 continue
             chosen.append(segment)
-        return chosen
+        return chosen, skipped
 
-    def _bucket_partitions(self, args: PartitionReadArgs, segments):
+    def _read_stripe(self, args: PartitionReadArgs):
+        """Scan the stripe: one entry tuple per requested partition."""
+        segments, _skipped = self._stripe_segments(args)
         buckets: list[list[LogEntry]] = [[] for _ in args.partitions]
         for segment in segments:
             for index in segment.indices:
@@ -314,7 +285,7 @@ class BackupServer:
     def _handle_backup_read(self, args, ctx):
         """§A.1: read replicated (synced) state; the *reader* is
         responsible for checking freshness against a witness."""
-        return self.value_of(args.key if hasattr(args, "key") else args)
+        return self.value_of(args.key)
 
     def value_of(self, key: str) -> typing.Any:
         """The key's value in this backup's log (None = never written,

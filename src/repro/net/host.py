@@ -1,12 +1,19 @@
 """Hosts: machines with NICs, crash semantics, and resident processes.
 
 Crash model (fail-stop, §3.1): ``crash()`` interrupts every process
-running on the host, bumps the host *incarnation* so stale callbacks
-from the previous life are ignored, and makes the network stop
-delivering to/from the host.  Volatile state owned by servers on the
-host must be dropped by the server's own ``on_crash`` hook; witnesses
-keep their storage across crashes because the paper places it in
-non-volatile memory (§3.2.2).
+running on the host, bumps the host *incarnation*, and makes the
+network stop delivering to/from the host.  A kernel callback cannot be
+interrupted, so work scheduled as one must check, when it runs, that
+the host is still in the life it was armed in.  For work an RPC request
+started (a timed execute, a deferred reply) the delivered request does
+that check: it records the incarnation at delivery, and
+``ctx.gone()`` / ``ctx.answer`` (``rpc/transport.py``) run and send
+nothing once the host crashed.  The host checks its own RX completions
+(``_dispatch_rx``), and a timer that serves no request (the master's
+and Redis's flush timers) keeps its own check.  Volatile state owned by
+servers on the host must be dropped by the server's own ``on_crash``
+hook; witnesses keep their storage across crashes because the paper
+places it in non-volatile memory (§3.2.2).
 
 NIC serialization: each outgoing message occupies the host's TX path
 for ``tx_cost`` µs before it reaches the wire.  A client that fires an
@@ -58,8 +65,8 @@ class Host:
         #: throughput figures); False = independent TX and RX paths
         self.shared_dispatch = shared_dispatch
         self.alive = True
-        #: bumped on every crash; schedules from a previous incarnation
-        #: compare against it and become no-ops
+        #: bumped on every crash; work armed in a previous incarnation
+        #: compares against it and becomes a no-op
         self.incarnation = 0
         #: messages and bytes this host sent, over every incarnation (the
         #: network's ``TrafficStats`` totals and per-host maps read them)

@@ -1,15 +1,25 @@
 """Request/response transport bound to one host.
 
 One :class:`RpcTransport` per host.  Handlers are registered per method
-name and may be:
+name, get the delivered request as ``ctx``, and take one of three
+shapes:
 
-- plain functions ``handler(args, ctx) -> value`` — the return value is
-  the reply, or
-- generator functions that yield simulator events (e.g. a master
-  handler that executes, replies early via ``ctx.reply``, then yields on
-  the backup sync).  The generator runs as a host process, so it dies
-  if the host crashes mid-handler — exactly the failure CURP recovery
-  has to cope with.
+- *value*: ``handler(args, ctx) -> value`` — the return value is the
+  reply (a raised :class:`AppError` keeps its code and info; any other
+  exception reaches the caller as ``REMOTE_ERROR``);
+- *deferred*: the handler charges a delay (a timed execute, a disk
+  write) and returns ``RpcTransport.DEFERRED``, having handed a
+  continuation to the kernel — usually ``ctx.answer`` itself, which
+  replies what its function returns or raises;
+- *generator*: the handler yields simulator events and runs as a host
+  process (cold control-plane code: reconfiguration, migration,
+  recovery absorb).
+
+Fail-stop (§3.1) holds for all three in one place: the request
+remembers the host life it arrived in, and once that host crashed
+(``ctx.gone()``) it never replies again — ``answer`` runs nothing, and
+a generator handler's completion sends nothing — even if the host is
+back up by then.  The caller times out, as with a real crashed server.
 
 Deadlines are transport state, not kernel events.  In the normal case
 no RPC times out, so a timer record per call would sit on the
@@ -44,14 +54,16 @@ class RpcRequest:
     """Request frame, and the handler's context once delivered.
 
     Slotted: one per simulated RPC — hot path.  The receiving transport
-    binds its host; the handler gets the request itself as ``ctx`` and
-    may answer early (``reply``), later (after returning ``DEFERRED``)
-    or not at all (the transport replies with the return value).  A
-    frame delivered a second time (a gray link's duplicate) is copied
-    before binding, so each delivery has its own reply state.
+    binds its host and the host's incarnation; the handler gets the
+    request itself as ``ctx`` and may answer early (``reply``), later
+    (``answer``, after returning ``DEFERRED``) or not at all (the
+    transport replies with the return value).  A frame delivered a
+    second time (a gray link's duplicate) is copied before binding, so
+    each delivery has its own reply state.
     """
 
-    __slots__ = ("seq", "src", "method", "args", "replied", "_host")
+    __slots__ = ("seq", "src", "method", "args", "replied", "_host",
+                 "_life")
 
     def __init__(self, seq: int, src: str, method: str, args: typing.Any):
         self.seq = seq
@@ -62,6 +74,30 @@ class RpcRequest:
         self.replied = False
         #: the receiving host, bound at delivery (None while in flight)
         self._host: Host | None = None
+        #: that host's incarnation at delivery
+        self._life = 0
+
+    def gone(self) -> bool:
+        """True once the host this request was delivered to crashed
+        (fail-stop, §3.1): the work it started must not run or reply,
+        even if the host is back up."""
+        return self._host.incarnation != self._life
+
+    def answer(self, fn: typing.Callable[..., typing.Any],
+               *args: typing.Any) -> None:
+        """The deferred reply: reply ``fn(*args)``, or the exception it
+        raises (as :meth:`reply_exception` serializes it).  Does nothing
+        — ``fn`` is not called — once the request was answered or its
+        host crashed."""
+        # ``gone()`` inline: one call fewer per deferred reply.
+        if self.replied or self._host.incarnation != self._life:
+            return
+        try:
+            value = fn(*args)
+        except Exception as error:  # noqa: BLE001 - serialize to caller
+            self.reply_exception(error)
+            return
+        self.reply(value)
 
     def reply(self, value: typing.Any = None) -> None:
         """Send the response now; the handler may keep running."""
@@ -130,7 +166,8 @@ class RpcTransport:
     DEFAULT_SIZE = _DEFAULT_SIZE
 
     #: sentinel a handler may return to take ownership of replying later
-    #: (e.g. an event-loop server that batches replies across requests)
+    #: (``ctx.answer`` after a charged delay, or an event-loop server
+    #: that batches replies across requests)
     DEFERRED = object()
 
     def __init__(self, host: Host):
@@ -356,7 +393,9 @@ class RpcTransport:
                 # this delivery gets a copy with its own reply state.
                 payload = RpcRequest(payload.seq, payload.src,
                                      payload.method, payload.args)
-            payload._host = self.host
+            host = self.host
+            payload._host = host
+            payload._life = host.incarnation
             handler = self._handlers.get(payload.method)
             if handler is None:
                 payload.reply_error("NO_SUCH_METHOD", payload.method)
@@ -379,16 +418,13 @@ class RpcTransport:
         process = self.host.spawn(generator, name=f"rpc:{ctx.method}")
 
         def finish(event: Event) -> None:
-            if ctx.replied:
+            # A process the host's crash interrupted leaves no reply.
+            if ctx.replied or ctx.gone():
                 return
             if event.ok:
                 ctx.reply(event._value)
             else:
-                # Host crash interrupts leave no reply — the caller
-                # times out, as with a real crashed server.
-                from repro.sim.processes import Interrupt
-                if not isinstance(event.exception, Interrupt):
-                    ctx.reply_exception(event.exception)
+                ctx.reply_exception(event.exception)
         process.add_callback(finish)
 
     def _response_error(self, response: RpcResponse) -> Exception:

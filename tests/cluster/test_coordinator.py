@@ -22,11 +22,11 @@ def test_view_contains_tablets_and_masters():
     cluster = build_cluster(CurpConfig(f=1, mode=ReplicationMode.CURP),
                             n_masters=2)
     view = cluster.coordinator.current_view()
-    assert len(view.tablets) == 2
+    assert len(view.shard_map.tablets()) == 2
     assert set(view.masters) == {"m0", "m1"}
     # Every hash resolves to exactly one master.
     for h in (0, 2 ** 63, 2 ** 64 - 1):
-        assert view.master_for_hash(h) in {"m0", "m1"}
+        assert view.shard_map.master_for_hash(h) in {"m0", "m1"}
 
 
 def test_two_masters_route_by_hash():
@@ -119,7 +119,7 @@ def test_migration_moves_range_and_versions():
     client = cluster.new_client()
     # Find a key owned by m0 and bump its version to 3.
     key = next(f"key-{i}" for i in range(100)
-               if cluster.coordinator.current_view().master_for_hash(
+               if cluster.coordinator.current_view().shard_map.master_for_hash(
                    key_hash(f"key-{i}")) == "m0")
     for value in range(3):
         cluster.run(client.update(Write(key, value)))
@@ -128,7 +128,7 @@ def test_migration_moves_range_and_versions():
         cluster.coordinator.migrate("m0", "m1", h, h + 1)),
         timeout=1_000_000.0)
     assert moved == 1
-    assert cluster.coordinator.current_view().master_for_hash(h) == "m1"
+    assert cluster.coordinator.current_view().shard_map.master_for_hash(h) == "m1"
     # The version travelled with the object: CAS against version 3 works.
     outcome = cluster.run(client.update(
         ConditionalWrite(key, "migrated", expected_version=3)))
@@ -146,7 +146,7 @@ def test_migration_resets_source_witnesses():
         idle_sync_delay=10_000.0, rpc_timeout=100.0), n_masters=2)
     client = cluster.new_client()
     key = next(f"key-{i}" for i in range(100)
-               if cluster.coordinator.current_view().master_for_hash(
+               if cluster.coordinator.current_view().shard_map.master_for_hash(
                    key_hash(f"key-{i}")) == "m0")
     cluster.run(client.update(Write(key, 1)))
     witness = cluster.coordinator.witness_servers[
@@ -175,7 +175,7 @@ def test_post_cutover_record_for_migrated_key_rejected():
         idle_sync_delay=200.0, rpc_timeout=100.0), n_masters=2)
     client = cluster.new_client()
     key = next(f"key-{i}" for i in range(100)
-               if cluster.coordinator.current_view().master_for_hash(
+               if cluster.coordinator.current_view().shard_map.master_for_hash(
                    key_hash(f"key-{i}")) == "m0")
     cluster.run(client.update(Write(key, 1)))
     h = key_hash(key)

@@ -60,14 +60,16 @@ def test_coordinator_map_matches_linear_tablet_scan():
     shard_map = cluster.shard_map
     assert shard_map.covers_full_range()
     assert shard_map.shard_ids() == ("m0", "m1", "m2", "m3")
+    tablets = [(lo, hi, managed.master_id)
+               for managed in cluster.coordinator.masters.values()
+               for lo, hi in managed.owned_ranges]
     for probe in (0, 1, 2 ** 62, 2 ** 63, 2 ** 64 - 1,
                   key_hash("user1"), key_hash("user999")):
-        linear = next((owner for lo, hi, owner in view.tablets
+        linear = next((owner for lo, hi, owner in tablets
                        if lo <= probe < hi), None)
         assert shard_map.master_for_hash(probe) == linear
     # The view routes through the same map object.
     assert view.shard_map is shard_map
-    assert view.master_for_hash(2 ** 63) == shard_map.master_for_hash(2 ** 63)
 
 
 def test_shard_map_invalidated_on_config_change():
@@ -116,14 +118,14 @@ def test_stale_shard_map_rerouted_through_coordinator():
     cluster.run(cluster.sim.process(
         cluster.coordinator.migrate("m0", "m1", h, h + 1)),
         timeout=1_000_000.0)
-    assert client.view.master_for_hash(h) == "m0"  # view now stale
+    assert client.view.shard_map.master_for_hash(h) == "m0"  # view now stale
 
     stale = cluster.run(client.update(Write(key, 2)))
     assert stale.attempts == 2
     # failed attempt (1 RTT) + map refresh (1 RTT) + retry (1 RTT);
     # anything near retry_backoff would mean the client slept.
     assert stale.latency == pytest.approx(12.0)
-    assert client.view.master_for_hash(h) == "m1"
+    assert client.view.shard_map.master_for_hash(h) == "m1"
     assert cluster.master("m1").store.read(key) == 2
     # The wasted attempt's witness records on the OLD shard must not
     # stay pinned: m1's sync+gc can't reach them and the key no longer
@@ -282,7 +284,7 @@ def test_stale_shard_map_read_rerouted():
     # read (1 RTT, WRONG_SHARD) + refresh (1 RTT) + re-read (1 RTT),
     # with no retry_backoff sleep in between.
     assert cluster.sim.now - started == pytest.approx(12.0)
-    assert client.view.master_for_hash(h) == "m1"
+    assert client.view.shard_map.master_for_hash(h) == "m1"
 
 
 # ----------------------------------------------------------------------

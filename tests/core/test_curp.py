@@ -1,6 +1,7 @@
 """The shared CURP layer (``core/curp.py``): the unsynced suffix's
-conflict check and gc pairs, and the rule that the record fan-out and
-the witness gc are written only there."""
+conflict check and gc pairs, the rule that the record fan-out and the
+witness gc are written only there, and the rule that only the host and
+the RPC transport decide whether work outlived its host's life."""
 
 from __future__ import annotations
 
@@ -103,6 +104,43 @@ def test_record_and_gc_rpcs_are_sent_only_by_the_curp_layer():
         _rpc_sites(SRC / "core" / "master.py"))
     assert {method for _f, method in _rpc_sites(SRC / "core" / "curp.py")} \
         == {"record", "gc"}
+
+
+#: the two timers that serve no request, and so keep their own check
+#: of the host life they were armed in
+FLUSH_TIMERS = {("core/master.py", "_arm_flush_timer"),
+                ("redislike/server.py", "_arm_flush_timer")}
+
+
+def _incarnation_reads(path: pathlib.Path):
+    """Outermost enclosing function of every ``.incarnation`` read in
+    ``path``."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, function or child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr == "incarnation"
+                    and isinstance(child.ctx, ast.Load)):
+                yield function
+            yield from visit(child, function)
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+def test_only_the_transport_and_the_flush_timers_read_the_host_life():
+    """Fail-stop for work a request started is ``ctx.answer`` /
+    ``ctx.gone()`` on the delivered request: outside ``net/host.py`` and
+    ``rpc/transport.py`` nothing reads a host's incarnation, save the
+    two flush timers (the scan sees both)."""
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative in ("net/host.py", "rpc/transport.py"):
+            continue
+        readers |= {(relative, function)
+                    for function in _incarnation_reads(path)}
+    assert readers == FLUSH_TIMERS
 
 
 def _calls(path: pathlib.Path):

@@ -5,11 +5,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
 from repro.core.master import _subtract_range
-from repro.core.messages import UpdateArgs, UpdateReply
+from repro.core.messages import (
+    ReadArgs,
+    RecordArgs,
+    RecordedRequest,
+    UpdateArgs,
+    UpdateReply,
+)
 from repro.harness import build_cluster
-from repro.kvstore import Delete, Increment, MultiWrite, Write, key_hash
+from repro.kvstore import (
+    Delete,
+    Increment,
+    KVStore,
+    MultiWrite,
+    Write,
+    key_hash,
+)
+from repro.kvstore.backup import PartitionReadArgs, ReplicateArgs
 from repro.rifl import RpcId
 from repro.rpc import AppError, RpcTimeout, RpcTransport
 
@@ -305,27 +319,136 @@ def test_worker_pool_limits_concurrency():
     assert cluster.sim.now == pytest.approx(34.0)
 
 
-def test_crash_between_worker_grant_and_execute_kills_the_update():
-    """The host dies while an update sits in its ``execute_time`` slot
-    and is back up before the slot ends: the continuation is from the
-    previous incarnation, so it must execute nothing and send nothing."""
-    cluster = curp_cluster()
+#: disk times long enough that one entry's read or rewrite is a
+#: 10 µs charged delay
+SLOW_DISK = StorageProfile(enabled=True, append_time=10.0,
+                           read_entry_time=10.0)
+
+
+def _backup(cluster):
+    return cluster.coordinator.backup_servers[cluster.backup_hosts["m0"][0]]
+
+
+def _entries(op):
+    """The one-entry log of ``op`` on a fresh store."""
+    store = KVStore()
+    store.execute(op)
+    return store.log.all_entries()
+
+
+def _master_update(cluster, caller):
     master = cluster.master()
     master.execute_time = 10.0
-    caller = raw_caller(cluster)
     args = update_args(Write("a", 1), 1)
-    call = caller.call("m0-host", "update", args, timeout=40.0)
-    cluster.sim.run(until=5.0)
-    assert master.workers.in_use == 1  # granted, execute slot running
-    master.host.crash()
-    master.host.restart()
-    sent = cluster.network.stats.per_host_sent.get("m0-host", 0)
+    return master.transport, "update", args, lambda: (
+        master.store.log.end, master.registry.get(args.rpc_id),
+        master.stats.updates)
+
+
+def _master_read(cluster, caller):
+    master = cluster.master()
+    cluster.run(caller.call("m0-host", "update",
+                            update_args(Write("a", 1), 1)))
+    master.execute_time = 10.0
+    return master.transport, "read", ReadArgs("a", key_hash("a")), \
+        lambda: (master.store.log.end, master.stats.reads)
+
+
+def _witness_record(cluster, caller):
+    endpoint = cluster.coordinator.witness_endpoints[
+        cluster.witness_hosts["m0"][0]]
+    endpoint.record_time = 10.0
+    tenant = endpoint.tenants["m0"]
+    op, rpc_id = Write("a", 1), RpcId(9, 1)
+    args = RecordArgs("m0", op.touched_hashes(), rpc_id,
+                      RecordedRequest(op, rpc_id))
+    return endpoint.transport, "record", args, lambda: (
+        tuple(tenant.cache.all_requests()), tenant.records_processed)
+
+
+def _backup_replicate(cluster, caller):
+    backup = _backup(cluster)
+    backup.process_time = 10.0
+    return backup.transport, "replicate", \
+        ReplicateArgs("m0", 0, _entries(Write("a", 1))), \
+        lambda: dict(backup.wal.entries)
+
+
+def _stored_backup(cluster, caller):
+    """The first backup, holding one entry on the slow disk."""
+    backup = _backup(cluster)
+    cluster.run(caller.call(backup.host.name, "replicate",
+                            ReplicateArgs("m0", 0, _entries(Write("a", 1)))))
+    return backup
+
+
+def _backup_reset_log(cluster, caller):
+    backup = _stored_backup(cluster, caller)
+    return backup.transport, "reset_log", \
+        ReplicateArgs("m0", 0, _entries(Write("b", 2))), \
+        lambda: dict(backup.wal.entries)
+
+
+def _backup_get_data(cluster, caller):
+    backup = _stored_backup(cluster, caller)
+    return backup.transport, "get_backup_data", None, \
+        lambda: dict(backup.wal.entries)
+
+
+def _backup_read_partitions(cluster, caller):
+    backup = _stored_backup(cluster, caller)
+    return backup.transport, "read_partitions", \
+        PartitionReadArgs(0, 2, (((0, 2 ** 64),),)), \
+        lambda: dict(backup.wal.entries)
+
+
+#: every server path that charges a delay before it replies: (storage
+#: profile, setup returning the server's transport, the method, its
+#: args, and a snapshot of the state the request would change)
+DEFERRED_PATHS = {
+    "master_update": (None, _master_update),
+    "master_read": (None, _master_read),
+    "witness_record": (None, _witness_record),
+    "backup_replicate": (None, _backup_replicate),
+    "backup_reset_log": (SLOW_DISK, _backup_reset_log),
+    "backup_get_data": (SLOW_DISK, _backup_get_data),
+    "backup_read_partitions": (SLOW_DISK, _backup_read_partitions),
+}
+
+
+@pytest.mark.parametrize("path", DEFERRED_PATHS)
+def test_crash_inside_the_charged_delay_kills_the_deferred_reply(path):
+    """The host dies while a request sits in its charged delay (an
+    ``execute_time`` slot, a record's CPU time, a backup's CPU or disk
+    time) and is back up before the delay ends: the request belongs to
+    the previous life, so its work must change nothing and send
+    nothing, and the caller times out."""
+    storage, setup = DEFERRED_PATHS[path]
+    config = {} if storage is None else {"storage": storage}
+    cluster = curp_cluster(**config)
+    caller = raw_caller(cluster)
+    transport, method, args, state = setup(cluster, caller)
+    delivered = []
+    handler = transport._handlers[method]
+
+    def capture(args, ctx):
+        delivered.append(ctx)
+        return handler(args, ctx)
+    transport._handlers[method] = capture
+    host = transport.host
+    before = state()
+    call = caller.call(host.name, method, args, timeout=40.0)
+    cluster.sim.run(until=cluster.sim.now + 5.0)
+    (ctx,) = delivered  # in the delay: delivered, not answered
+    assert not ctx.replied and not ctx.gone()
+    host.crash()
+    host.restart()
+    assert ctx.gone()
+    sent = host.bytes_sent
     with pytest.raises(RpcTimeout):
         cluster.run(call)
-    assert master.store.log.end == 0
-    assert master.registry.get(args.rpc_id) is None
-    assert master.stats.updates == 0
-    assert cluster.network.stats.per_host_sent.get("m0-host", 0) == sent
+    assert host.bytes_sent == sent
+    assert state() == before
 
 
 def test_depose_fails_update_waiting_on_conflict_sync():

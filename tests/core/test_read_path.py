@@ -81,7 +81,7 @@ def test_stale_map_read_bounces_on_the_carried_hash():
     cluster.run(cluster.sim.process(
         cluster.coordinator.migrate("m0", "m1", h, h + 1)),
         timeout=1_000_000.0)
-    assert client.view.master_for_hash(h) == "m0"     # stale
+    assert client.view.shard_map.master_for_hash(h) == "m0"     # stale
 
     caller = RpcTransport(cluster.network.add_host("raw-caller"))
     with pytest.raises(AppError) as err:
@@ -91,7 +91,7 @@ def test_stale_map_read_bounces_on_the_carried_hash():
     old, new = cluster.master("m0"), cluster.master("m1")
     old_reads, new_reads = old.stats.reads, new.stats.reads
     assert cluster.run(client.read(key)) == "v"
-    assert client.view.master_for_hash(h) == "m1"
+    assert client.view.shard_map.master_for_hash(h) == "m1"
     assert (old.stats.reads, new.stats.reads) == (old_reads, new_reads + 1)
 
 

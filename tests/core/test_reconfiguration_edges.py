@@ -68,13 +68,14 @@ def test_migrate_entire_keyspace():
     client = cluster.new_client()
     keys = [f"key-{i}" for i in range(8)]
     m0_keys = [k for k in keys
-               if cluster.coordinator.current_view().master_for_hash(
+               if cluster.coordinator.current_view().shard_map.master_for_hash(
                    key_hash(k)) == "m0"]
     for key in keys:
         cluster.run(client.update(Write(key, f"v-{key}")))
     # Move all of m0's range to m1.
     view = cluster.coordinator.current_view()
-    lo, hi = next((lo, hi) for lo, hi, m in view.tablets if m == "m0")
+    lo, hi = next((lo, hi) for lo, hi, m in view.shard_map.tablets()
+                  if m == "m0")
     moved = cluster.run(cluster.sim.process(
         cluster.coordinator.migrate("m0", "m1", lo, hi)),
         timeout=10_000_000.0)
@@ -101,7 +102,7 @@ def test_recovery_during_migration_window_filters_moved_keys():
         idle_sync_delay=200.0, rpc_timeout=100.0), n_masters=2)
     client = cluster.new_client()
     key = next(f"key-{i}" for i in range(100)
-               if cluster.coordinator.current_view().master_for_hash(
+               if cluster.coordinator.current_view().shard_map.master_for_hash(
                    key_hash(f"key-{i}")) == "m0")
     cluster.run(client.update(Write(key, "pre-migration")))
     h = key_hash(key)

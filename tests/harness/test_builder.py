@@ -40,8 +40,8 @@ def test_async_mode_has_backups_but_no_witnesses():
 def test_multiple_masters_partition_the_hash_space():
     cluster = build_cluster(curp_config(1), n_masters=4)
     view = cluster.coordinator.current_view()
-    assert len(view.tablets) == 4
-    spans = sorted((lo, hi) for lo, hi, _m in view.tablets)
+    assert len(view.shard_map.tablets()) == 4
+    spans = sorted((lo, hi) for lo, hi, _m in view.shard_map.tablets())
     assert spans[0][0] == 0
     assert spans[-1][1] == 2 ** 64
     for (_, hi_a), (lo_b, _) in zip(spans, spans[1:]):

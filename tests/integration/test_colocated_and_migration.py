@@ -109,7 +109,8 @@ def test_migration_under_load_is_linearizable(seed):
 
     # Mid-run, migrate a quarter of the hash space from m0 to m1.
     view = cluster.coordinator.current_view()
-    m0_range = next((lo, hi) for lo, hi, m in view.tablets if m == "m0")
+    m0_range = next((lo, hi) for lo, hi, m in view.shard_map.tablets()
+                    if m == "m0")
     cut_lo = m0_range[0]
     cut_hi = m0_range[0] + (m0_range[1] - m0_range[0]) // 4
 
@@ -128,7 +129,7 @@ def test_migration_under_load_is_linearizable(seed):
     # Ownership moved for migrated keys.
     for key in keys:
         h = key_hash(key)
-        owner = cluster.coordinator.current_view().master_for_hash(h)
+        owner = cluster.coordinator.current_view().shard_map.master_for_hash(h)
         if cut_lo <= h < cut_hi:
             assert owner == "m1"
 

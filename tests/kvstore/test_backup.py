@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StorageProfile
+from repro.core.messages import BackupReadArgs
 from repro.kvstore import BackupServer, Delete, KVStore, MultiWrite, Write
 from repro.kvstore.backup import ReplicateArgs
 from repro.kvstore.log import TOMBSTONE
@@ -188,7 +189,8 @@ def test_value_of_matches_a_reference_dict(ops, deliveries):
     def check():
         for key in _KEYS:
             assert backup.value_of(key) == reference.get(key)
-            assert sim.run(caller.call("backup1", "backup_read", key)) \
+            assert sim.run(caller.call("backup1", "backup_read",
+                                       BackupReadArgs(key))) \
                 == reference.get(key)
 
     for action, lo, hi in deliveries + [("replicate", 0, len(log))]:

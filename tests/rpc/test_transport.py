@@ -205,6 +205,88 @@ def test_duplicated_request_is_handled_twice_with_its_own_reply_state(
 
 
 # ----------------------------------------------------------------------
+# ctx.answer — the deferred reply after a charged delay
+# ----------------------------------------------------------------------
+def _deferred_server(sim: Simulator, server: RpcTransport, fn, delay=10.0):
+    """Register ``m``: answer ``fn(args)`` ``delay`` µs after delivery;
+    returns the list the delivered requests are appended to."""
+    contexts = []
+
+    def handler(args, ctx):
+        contexts.append(ctx)
+        sim.schedule_callback(delay, ctx.answer, fn, args)
+        return RpcTransport.DEFERRED
+    server.register("m", handler)
+    return contexts
+
+
+def test_answer_replies_the_value_or_keeps_an_app_errors_code_and_info(
+        sim: Simulator, network: Network):
+    client, server = make_pair(network)
+
+    def fn(args):
+        if args == "bad":
+            raise AppError("NOT_OWNER", {"partition": 3})
+        return f"done:{args}"
+    _deferred_server(sim, server, fn)
+    assert sim.run(client.call("server", "m", "ok")) == "done:ok"
+    assert sim.now == 14.0  # two 2 µs hops around the 10 µs delay
+    with pytest.raises(AppError) as exc:
+        sim.run(client.call("server", "m", "bad"))
+    assert exc.value.code == "NOT_OWNER"
+    assert exc.value.info == {"partition": 3}
+
+
+def test_answer_serializes_any_other_exception_as_remote_error(
+        sim: Simulator, network: Network):
+    client, server = make_pair(network)
+
+    def fn(args):
+        raise KeyError("boom")
+    _deferred_server(sim, server, fn)
+    with pytest.raises(RemoteError, match="KeyError"):
+        sim.run(client.call("server", "m"))
+
+
+def test_answer_to_an_answered_request_sends_nothing(sim: Simulator,
+                                                     network: Network):
+    client, server = make_pair(network)
+    ran = []
+
+    def handler(args, ctx):
+        ctx.reply("early")
+        sim.schedule_callback(10.0, ctx.answer, ran.append, args)
+        return RpcTransport.DEFERRED
+    server.register("m", handler)
+    assert sim.run(client.call("server", "m", "x")) == "early"
+    sim.run()
+    assert ran == []  # not even run
+    assert network.stats.per_host_sent["server"] == 1
+
+
+def test_answer_from_a_previous_life_sends_nothing(sim: Simulator,
+                                                   network: Network):
+    """The host crashes and is back up inside the delay: the request
+    belongs to the previous life, so its work neither runs nor replies,
+    and the caller times out."""
+    client, server = make_pair(network)
+    ran = []
+    contexts = _deferred_server(sim, server, ran.append)
+    call = client.call("server", "m", "x", timeout=40.0)
+    sim.run(until=5.0)
+    (ctx,) = contexts
+    assert not ctx.gone()
+    server.host.crash()
+    server.host.restart()
+    assert ctx.gone()
+    with pytest.raises(RpcTimeout):
+        sim.run(call)
+    assert ran == []
+    assert not ctx.replied
+    assert network.stats.per_host_sent.get("server", 0) == 0
+
+
+# ----------------------------------------------------------------------
 # call_cb — the callback completion fast path
 # ----------------------------------------------------------------------
 def test_call_cb_success(sim: Simulator, network: Network):
