@@ -39,7 +39,6 @@ from repro.harness.profiles import TEST_PROFILE
 from repro.metrics import format_table, jain_fairness
 from repro.workload.openloop import (
     ConstantRate,
-    FlashCrowd,
     KeySetWorkload,
     OpenLoopEngine,
     TenantSpec,
@@ -209,39 +208,6 @@ def fairness_comparison(duration: float = 30_000.0, warmup: float = 5_000.0,
         "quiet_goodput": result["per_tenant"]["quiet"]["goodput"],
         "quiet_offered_per_sec":
             result["per_tenant"]["quiet"]["offered_per_sec"],
-    }
-
-
-# ----------------------------------------------------------------------
-# flash crowd timeline (docs figure)
-# ----------------------------------------------------------------------
-def flash_crowd_timeline(duration: float = 60_000.0,
-                         surge_start: float = 20_000.0,
-                         surge_end: float = 40_000.0,
-                         seed: int = 13) -> dict:
-    """One defended run through a 10× flash crowd, bucketed goodput and
-    p99.9 over time — the defenses-engage picture for PERFORMANCE.md."""
-    from repro.metrics import bucketed_percentiles, bucketed_rates
-
-    cluster = build_cluster(overload_config(True),
-                            profile=OVERLOAD_PROFILE, seed=seed)
-    schedule = FlashCrowd(ConstantRate(CAPACITY_OPS_PER_SEC * 0.8),
-                          multiplier=12.5, surge_start=surge_start,
-                          surge_end=surge_end)
-    engine = OpenLoopEngine(
-        cluster,
-        [TenantSpec("flash", schedule, MIX, n_clients=8)],
-        max_window=32, max_queue_wait=MAX_QUEUE_WAIT, slo=SLO,
-        record_timeline=True)
-    result = engine.run(duration=duration)
-    cluster.close()
-    events = result["per_tenant"]["flash"]["completions"]
-    bucket = duration / 12
-    return {
-        "result": result,
-        "goodput_series": bucketed_rates(events, bucket, 0.0, duration),
-        "p999_series": bucketed_percentiles(events, bucket, 0.0, duration,
-                                            p=99.9),
     }
 
 

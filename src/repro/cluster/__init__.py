@@ -6,7 +6,7 @@ package is that manager:
 
 - :class:`~repro.cluster.coordinator.Coordinator` — owns the tablet
   map, master/backup/witness assignments, witness list versions,
-  master epochs (zombie fencing), client leases; orchestrates master
+  master epochs (zombie fencing), RIFL client ids; orchestrates master
   recovery (§3.3), witness replacement (§3.6) and data migration.
 - :class:`~repro.cluster.failure_detector.FailureDetector` — optional
   ping-based crash detection that triggers recovery automatically.

@@ -3,7 +3,7 @@
 Owns everything the paper assigns to the "system configuration
 manager" (§3.6): the tablet map, each master's backup and witness
 lists, the monotonically increasing *WitnessListVersion* per master,
-master epochs for zombie fencing (§4.7), and client leases (RIFL).
+master epochs for zombie fencing (§4.7), and RIFL client ids.
 
 It both *builds* clusters (test/benchmark setup helpers that construct
 master/backup/witness servers on hosts) and *operates* them at runtime
@@ -15,6 +15,7 @@ wire implementation would.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 
 from repro.core.config import CurpConfig
@@ -36,7 +37,6 @@ from repro.core.recovery import (
 from repro.core.witness import WitnessEndpoint, WitnessServer
 from repro.cluster.shard_map import ShardMap
 from repro.kvstore.backup import BackupServer, PartitionReadArgs
-from repro.rifl import LeaseServer
 from repro.rpc import RpcError, RpcTransport, backoff_delay
 from repro.sim.events import AllOf
 
@@ -64,13 +64,13 @@ class ManagedMaster:
 class Coordinator:
     """Configuration manager for a CURP cluster."""
 
-    def __init__(self, host: "Host", network: "Network", config: CurpConfig,
-                 lease_duration: float = 10_000_000.0):
+    def __init__(self, host: "Host", network: "Network", config: CurpConfig):
         self.host = host
         self.sim = host.sim
         self.network = network
         self.config = config
-        self.lease_server = LeaseServer(host.sim, lease_duration=lease_duration)
+        #: RIFL client ids: 1, 2, ... in registration order, never reused
+        self._client_ids = itertools.count(1)
         self.masters: dict[str, ManagedMaster] = {}
         self.backup_servers: dict[str, BackupServer] = {}
         #: the witness endpoint on each witness host, by host name
@@ -83,17 +83,13 @@ class Coordinator:
         self._shard_map: ShardMap | None = None
         self.transport = RpcTransport(host)
         self.transport.register("register_client", self._handle_register_client)
-        self.transport.register("renew_lease", self._handle_renew_lease)
         self.transport.register("get_config", self._handle_get_config)
 
     # ------------------------------------------------------------------
     # client-facing RPCs
     # ------------------------------------------------------------------
     def _handle_register_client(self, args, ctx):
-        return self.lease_server.register_client()
-
-    def _handle_renew_lease(self, args, ctx):
-        return self.lease_server.renew(args)
+        return next(self._client_ids)
 
     def _handle_get_config(self, args, ctx):
         return self.current_view()
@@ -160,8 +156,6 @@ class Coordinator:
             backups=[h.name for h in backup_hosts],
             witnesses=[h.name for h in witness_hosts],
             witness_list_version=0, epoch=0,
-            lease_server=None,  # masters check leases via expiry RPCs in
-                                # tests; wired explicitly where needed
             owned_ranges=owned_ranges, **master_kwargs)
         self.masters[master_id] = ManagedMaster(
             master_id=master_id, host=master_host.name,

@@ -106,11 +106,11 @@ class CurpClient:
     # bootstrap
     # ------------------------------------------------------------------
     def connect(self):
-        """Generator: obtain a client id (lease) and the cluster view.
+        """Generator: obtain a client id and the cluster view.
 
         Retries on dropped/timed-out coordinator RPCs (a fresh
-        ``register_client`` is issued per attempt; an orphaned id from
-        a half-finished attempt simply lets its lease expire).
+        ``register_client`` is issued per attempt; an id whose reply
+        was lost is never used by anyone, and no record ever names it).
         """
         if self.coordinator is None:
             raise RuntimeError("connect() requires a coordinator address")

@@ -60,7 +60,6 @@ from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.rifl.lease import LeaseServer
     from repro.sim.resources import Resource
 
 FULL_RANGE: tuple[tuple[int, int], ...] = ((0, 2 ** 64),)
@@ -69,10 +68,6 @@ FULL_RANGE: tuple[tuple[int, int], ...] = ((0, 2 ** 64),)
 #: paper's 100 B-object workloads: a replicated log entry carries the
 #: value plus key and metadata (gc pairs: ``core.curp``).
 ENTRY_WIRE_BYTES = 140
-
-#: how often (µs) a master with a lease server checks for expired
-#: client leases (§4.8 modification 2)
-LEASE_CHECK_INTERVAL = 50_000.0
 
 #: CPU time (µs) for a recovery master to install one replayed entry
 #: (hash, insert, version bookkeeping) when ``StorageProfile`` is
@@ -126,7 +121,6 @@ class CurpMaster:
                  backups: typing.Sequence[str] = (),
                  witnesses: typing.Sequence[str] = (),
                  witness_list_version: int = 0, epoch: int = 0,
-                 lease_server: "LeaseServer | None" = None,
                  n_workers: int = 3, execute_time: float = 0.0,
                  owned_ranges: typing.Sequence[tuple[int, int]] = FULL_RANGE,
                  active: bool = True):
@@ -140,7 +134,6 @@ class CurpMaster:
         self.witnesses = list(witnesses)
         self.witness_list_version = witness_list_version
         self.epoch = epoch
-        self.lease_server = lease_server
         self.owned_ranges = list(owned_ranges)
         #: False until recovery finishes installing this master
         self.active = active
@@ -187,9 +180,6 @@ class CurpMaster:
         self.transport.register("depose", self._handle_depose)
         self.transport.register("txn_resolve", self._handle_txn_resolve)
         host.on_crash(self._on_crash)
-
-        if lease_server is not None:
-            host.spawn(self._lease_expiry_loop(), name="lease-gc")
 
     # ------------------------------------------------------------------
     # ownership
@@ -876,24 +866,6 @@ class CurpMaster:
         ownership list without bound)."""
         self.owned_ranges = _coalesce_ranges(self.owned_ranges)
         return tuple(self.owned_ranges)
-
-    # ------------------------------------------------------------------
-    # lease expiry (§4.8 modification 2)
-    # ------------------------------------------------------------------
-    def _lease_expiry_loop(self):
-        while True:
-            yield self.sim.timeout(LEASE_CHECK_INTERVAL)
-            if self.deposed or self.lease_server is None:
-                return
-            expired = [cid for cid in self.lease_server.expired_clients()]
-            if not expired:
-                continue
-            # Sync *before* dropping records: a witness replay of this
-            # client's requests must still be filtered afterwards.
-            yield self._request_sync(self.store.log.end)
-            for client_id in expired:
-                self.registry.expire_client(client_id)
-                self.lease_server.drop(client_id)
 
     # ------------------------------------------------------------------
     # crash

@@ -290,9 +290,6 @@ class KVStore:
         backup sync?"""
         return self.last_position_of(key) > synced_position
 
-    def key_count(self) -> int:
-        return len(self._objects)
-
     def keys(self) -> typing.Iterable[str]:
         return self._objects.keys()
 

@@ -4,23 +4,17 @@ print."""
 
 from repro.metrics.stats import LatencyRecorder, percentile
 from repro.metrics.series import ccdf_points, cdf_points
-from repro.metrics.fairness import (
-    bucketed_percentiles,
-    bucketed_rates,
-    jain_fairness,
-)
+from repro.metrics.fairness import bucketed_rates, jain_fairness
 from repro.metrics.availability import AvailabilityTracker, availability_report
-from repro.metrics.tables import format_table, format_distribution_rows
+from repro.metrics.tables import format_table
 
 __all__ = [
     "AvailabilityTracker",
     "LatencyRecorder",
     "availability_report",
-    "bucketed_percentiles",
     "bucketed_rates",
     "ccdf_points",
     "cdf_points",
-    "format_distribution_rows",
     "format_table",
     "jain_fairness",
     "percentile",

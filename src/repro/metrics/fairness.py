@@ -2,18 +2,14 @@
 
 Jain's index (Jain, Chiu & Hawe 1984) summarizes how evenly a resource
 was shared: (Σx)² / (n·Σx²) is 1.0 when every tenant got the same
-amount and 1/n when one tenant got everything.  The bucketed series
-turn an open-loop run's (completion-time, latency) stream into
-goodput-over-time and tail-latency-over-time curves — the pictures
-that show a flash crowd arriving, defenses engaging, and goodput
-holding flat instead of collapsing.
+amount and 1/n when one tenant got everything.  ``bucketed_rates``
+turns an open-loop run's completion stream into a goodput-over-time
+curve.
 """
 
 from __future__ import annotations
 
 import typing
-
-from repro.metrics.stats import percentile
 
 
 def jain_fairness(values: typing.Sequence[float]) -> float:
@@ -57,24 +53,3 @@ def bucketed_rates(events: typing.Sequence[tuple[float, float]],
     return [(start + i * bucket, counts[i] / seconds)
             for i in range(n_buckets)]
 
-
-def bucketed_percentiles(events: typing.Sequence[tuple[float, float]],
-                         bucket: float, start: float, end: float,
-                         p: float = 99.9) -> list[tuple[float, float | None]]:
-    """Per-bucket latency percentile: [(bucket_start, p-th), ...].
-
-    ``events`` is (completion time, latency) pairs; a bucket with no
-    completions reports None (distinct from a fast bucket — during a
-    total stall nothing completes at all).
-    """
-    if bucket <= 0:
-        raise ValueError(f"bucket must be > 0: {bucket}")
-    n_buckets = max(1, int((end - start) / bucket + 0.5))
-    samples: list[list[float]] = [[] for _ in range(n_buckets)]
-    for t, latency in events:
-        index = int((t - start) / bucket)
-        if 0 <= index < n_buckets:
-            samples[index].append(latency)
-    return [(start + i * bucket,
-             percentile(sorted(samples[i]), p) if samples[i] else None)
-            for i in range(n_buckets)]

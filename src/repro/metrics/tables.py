@@ -36,11 +36,3 @@ def _render(cell: typing.Any) -> str:
             return f"{cell:,.0f}"
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_distribution_rows(name: str, summary: dict) -> list:
-    """One row of a latency-distribution table from a summary() dict."""
-    if summary.get("count", 0) == 0:
-        return [name, 0, "-", "-", "-", "-"]
-    return [name, summary["count"], summary["median"], summary["p90"],
-            summary["p99"], summary["max"]]

@@ -230,10 +230,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self.events)
-
     def shifted(self, offset: float) -> "FaultPlan":
         """A copy with every start/end moved ``offset`` µs later —
         benches build plans relative to "after warmup" and shift them

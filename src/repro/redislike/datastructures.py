@@ -42,12 +42,6 @@ class RedisStore:
         value = self._data.get(key)
         return None if value is None else TYPE_NAMES[type(value)]
 
-    def key_count(self) -> int:
-        return len(self._data)
-
-    def keys(self):
-        return self._data.keys()
-
     def _typed(self, key: str, expected_type: type, create=None):
         value = self._data.get(key)
         if value is None:

@@ -4,7 +4,7 @@ The registry answers one question before a server executes an update:
 *have I already executed this RpcId?*  Completion records are created
 atomically with the update itself (they travel inside the replicated
 log entries, giving the atomic durability the paper notes in §3.3) and
-are garbage collected by client acknowledgments or lease expiry.
+are garbage collected by client acknowledgments.
 :meth:`ResultRegistry.admit` is the intake of all three backends.
 
 States returned by :meth:`ResultRegistry.check`:
@@ -100,6 +100,10 @@ class ResultRegistry:
     def get(self, rpc_id) -> CompletionRecord | None:
         return self._records.get(rpc_id.client_id, {}).get(rpc_id.seq)
 
+    def record_count(self) -> int:
+        """Completion records held, over all clients."""
+        return sum(len(recs) for recs in self._records.values())
+
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
@@ -107,17 +111,6 @@ class ResultRegistry:
         """:meth:`admit`'s ack half alone (a seq no client reaches).  No
         caller in ``src/``: the frozen e2e tracer names it."""
         self.admit(RpcId(client_id, 2 ** 63), first_incomplete, 0)
-
-    def expire_client(self, client_id: int) -> int:
-        """Drop all records for a client whose lease lapsed.
-
-        The caller (master) must have synced to backups first — §4.8
-        modification 2; the master enforces that, not the registry.
-        """
-        dropped = len(self._records.pop(client_id, {}))
-        # Everything from this client is ignored from now on.
-        self._ack_level[client_id] = 2 ** 62
-        return dropped
 
     # ------------------------------------------------------------------
     # recovery support
@@ -128,22 +121,3 @@ class ResultRegistry:
 
     def end_recovery(self) -> None:
         self._in_recovery = False
-
-    # ------------------------------------------------------------------
-    # durability plumbing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Serializable copy (rebuilt from the replicated log normally;
-        used by tests and by whole-state backups)."""
-        return {
-            "records": {cid: dict(recs) for cid, recs in self._records.items()},
-            "ack_level": dict(self._ack_level),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self._records = {cid: dict(recs)
-                         for cid, recs in snapshot["records"].items()}
-        self._ack_level = dict(snapshot["ack_level"])
-
-    def record_count(self) -> int:
-        return sum(len(recs) for recs in self._records.values())

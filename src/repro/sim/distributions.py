@@ -38,10 +38,6 @@ class Distribution:
         calls override it with the flat expression."""
         return functools.partial(self.sample, rng)
 
-    def mean(self) -> float:
-        """Analytic mean where available (used by tests)."""
-        raise NotImplementedError
-
 
 class Fixed(Distribution):
     """Always the same value (deterministic links, CPU costs)."""
@@ -52,9 +48,6 @@ class Fixed(Distribution):
         self.value = value
 
     def sample(self, rng: random.Random) -> float:
-        return self.value
-
-    def mean(self) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -73,9 +66,6 @@ class Uniform(Distribution):
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
 
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
     def __repr__(self) -> str:
         return f"Uniform({self.low}, {self.high})"
 
@@ -90,9 +80,6 @@ class Exponential(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self._mean)
-
-    def mean(self) -> float:
-        return self._mean
 
     def __repr__(self) -> str:
         return f"Exponential({self._mean})"
@@ -123,9 +110,6 @@ class LogNormal(Distribution):
         # rejection loop, and latency draws happen once per simulated
         # message on the calibrated profiles.
         return math.exp(rng.gauss(self._mu, self.sigma))
-
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma ** 2 / 2)
 
     def __repr__(self) -> str:
         return f"LogNormal(median={self.median}, sigma={self.sigma})"
@@ -168,9 +152,6 @@ class Shifted(Distribution):
             return draw
         draw = inner.sampler(rng)
         return lambda: floor + draw()
-
-    def mean(self) -> float:
-        return self.floor + self.inner.mean()
 
     def __repr__(self) -> str:
         return f"Shifted({self.floor} + {self.inner!r})"

@@ -49,10 +49,6 @@ class Process(Event):
         # Kick off on the next simulator step at the current time.
         sim.schedule_callback(0.0, self._resume, None, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: typing.Any = None) -> None:
         """Throw :class:`Interrupt` into the generator.
 
@@ -102,5 +98,5 @@ class Process(Event):
         target.add_callback(self._on_target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.is_alive else ("ok" if self.ok else "failed")
+        state = "alive" if not self.triggered else ("ok" if self.ok else "failed")
         return f"<Process {self.name} {state}>"

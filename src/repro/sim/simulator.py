@@ -32,7 +32,7 @@ import random
 import typing
 from collections import deque
 
-from repro.sim.events import AllOf, Event, QuorumEvent, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.processes import Process, ProcessGenerator
 
 #: queue-record kinds: payload slots (a, b) per kind are
@@ -80,11 +80,6 @@ class Simulator:
 
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def quorum(self, total: int, need: int | None = None,
-               fail_fast: bool = False) -> QuorumEvent:
-        """An allocation-free N-way join (the hot-path AllOf)."""
-        return QuorumEvent(self, total, need=need, fail_fast=fail_fast)
 
     # ------------------------------------------------------------------
     # scheduling internals

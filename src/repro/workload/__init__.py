@@ -38,7 +38,6 @@ from repro.workload.clients import (
 from repro.workload.openloop import (
     ArrivalSchedule,
     ConstantRate,
-    DiurnalRate,
     FlashCrowd,
     KeySetWorkload,
     OpenLoopEngine,
@@ -49,7 +48,6 @@ __all__ = [
     "ArrivalSchedule",
     "ClosedLoopClient",
     "ConstantRate",
-    "DiurnalRate",
     "FlashCrowd",
     "KeySetWorkload",
     "OpenLoopEngine",

@@ -12,8 +12,7 @@ goodput falls off a cliff past saturation instead of flattening).
 
 This module provides:
 
-- :class:`ArrivalSchedule` and its shapes — :class:`ConstantRate`,
-  :class:`DiurnalRate` (sinusoidal day/night swing), and
+- :class:`ArrivalSchedule` and its shapes — :class:`ConstantRate` and
   :class:`FlashCrowd` (a step surge multiplier over any base schedule).
   Arrival instants are a non-homogeneous Poisson process sampled by
   Lewis–Shedler thinning against the schedule's peak rate, driven
@@ -109,36 +108,6 @@ class ConstantRate(ArrivalSchedule):
     @property
     def peak_rate(self) -> float:
         return self.rate
-
-
-@dataclasses.dataclass(frozen=True)
-class DiurnalRate(ArrivalSchedule):
-    """Sinusoidal day/night swing around a base rate:
-    r(t) = base × (1 + amplitude × sin(2π (t + phase) / period))."""
-
-    base: float
-    #: swing as a fraction of base, in [0, 1)
-    amplitude: float = 0.5
-    #: one "day", in µs (benches compress this far below 24 h)
-    period: float = 1_000_000.0
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError(f"base must be > 0: {self.base}")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1) — the rate "
-                             "must stay positive")
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0: {self.period}")
-
-    def rate_at(self, t: float) -> float:
-        swing = math.sin(2 * math.pi * (t + self.phase) / self.period)
-        return self.base * (1.0 + self.amplitude * swing)
-
-    @property
-    def peak_rate(self) -> float:
-        return self.base * (1.0 + self.amplitude)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -65,10 +65,6 @@ class YcsbOpStream:
             return Read(key)
         return Write(key, self._value)
 
-    def next_update(self, rng: random.Random) -> Operation:
-        """An update regardless of the mix (write-latency figures)."""
-        return Write(self.key(rng), self._value)
-
 
 def scaled(workload: YcsbWorkload, item_count: int) -> YcsbWorkload:
     """The same mix over a smaller key space (CI-speed benches)."""

@@ -13,13 +13,14 @@ from repro.baselines import (
     primary_backup_config,
     unreplicated_config,
 )
-from repro.cluster import FailureDetector, Rebalancer
+from repro.cluster import Coordinator, FailureDetector, Rebalancer
 from repro.core.config import (
     CurpConfig,
     OverloadConfig,
     ReplicationMode,
     StorageProfile,
 )
+from repro.core.master import CurpMaster
 from repro.harness import build_cluster
 from repro.kvstore import Write
 
@@ -90,6 +91,8 @@ def test_settable_config_surface_is_pinned():
             "probe_ewma_alpha", "flap_base_delay", "flap_max_delay",
             "adaptive_probe_slo", "flap_damping")),
         (build_cluster, (), ("lease_duration",)),
+        (Coordinator, (None, None, None), ("lease_duration",)),
+        (CurpMaster, (None, "m0", None), ("lease_server",)),
         (CurpConfig, (), ("frame_coalescing",)),
         (StorageProfile, (), (
             "compaction_write_time", "replay_entry_time")),

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, ReplicationMode
 from repro.harness import RAMCLOUD_PROFILE, build_cluster
 from repro.kvstore import ConditionalWrite, Write, key_hash
+from repro.rifl import RpcId
 
 
 def curp_cluster(**kwargs):
@@ -41,12 +43,34 @@ def test_two_masters_route_by_hash():
     assert m0 > 0 and m1 > 0  # hashes spread across both
 
 
-def test_register_client_allocates_leases():
+def test_client_ids_count_up_and_a_lost_reply_burns_its_id():
+    """Client ids come from a counter: distinct and increasing.  A
+    ``connect`` whose first ``register_client`` reply is dropped retries
+    onto a fresh id, and the id the lost reply carried is never handed
+    out again."""
     cluster = curp_cluster()
     a, b = cluster.new_client(), cluster.new_client()
-    assert a.tracker.client_id != b.tracker.client_id
-    assert not cluster.coordinator.lease_server.is_expired(
-        a.tracker.client_id)
+    assert 0 < a.tracker.client_id < b.tracker.client_id
+    coordinator = cluster.coordinator.host.name
+    host = cluster.add_host("lossy-client")
+    lossy = CurpClient(host, cluster.config, coordinator=coordinator)
+    # The reply to the first request is lost; heal before the retry.
+    cluster.network.partition_one_way(coordinator, host.name)
+    cluster.sim.schedule_callback(cluster.config.rpc_timeout / 2,
+                                  cluster.network.heal_one_way,
+                                  coordinator, host.name)
+    dropped = cluster.network.stats.messages_dropped
+    cluster.run(lossy.connect())
+    assert cluster.network.stats.messages_dropped == dropped + 1
+    lost = b.tracker.client_id + 1
+    assert lossy.tracker.client_id == lost + 1
+    later = cluster.new_client()
+    ids = [c.tracker.client_id for c in (a, b, lossy, later)]
+    assert ids == sorted(set(ids)) and lost not in ids
+    cluster.run(lossy.update(Write("k", 1)))
+    registry = cluster.master().registry
+    assert registry.get(RpcId(lossy.tracker.client_id, 1)) is not None
+    assert registry.get(RpcId(lost, 1)) is None
 
 
 def test_replace_witness_full_flow():

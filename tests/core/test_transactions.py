@@ -9,6 +9,7 @@ from repro.core.transactions import (
     Transaction,
     TransactionAborted,
     TransactionGaveUp,
+    TransactionInDoubt,
     run_transaction,
 )
 from repro.harness import build_cluster
@@ -408,6 +409,34 @@ def test_cross_shard_abort_compensates_prepared_shards():
     for master_id in cluster.masters:
         assert cluster.master(master_id).store.pending_txns == {}
 
+
+
+def test_cross_shard_unreachable_participant_leaves_the_outcome_in_doubt():
+    """A participant's master dies before its prepare lands and nothing
+    recovers it: that prepare's client gives up with its outcome
+    unknown, the reachable shard is compensated, and the attempt is
+    reported in doubt rather than aborted."""
+    cluster = sharded_cluster(max_attempts=3)
+    client = cluster.new_client()
+    k0, k1 = keys_on_distinct_shards(cluster, 2)
+    seed(cluster, client, k0, 10)
+    seed(cluster, client, k1, 20)
+    cluster.settle()
+    dead = cluster.shard_for(k1)
+
+    def doomed():
+        txn = Transaction(client)
+        a = yield from txn.read(k0)
+        b = yield from txn.read(k1)
+        txn.write(k0, a + 1)
+        txn.write(k1, b + 1)
+        cluster.master(dead).host.crash()
+        yield from txn.commit()
+    with pytest.raises(TransactionInDoubt) as info:
+        cluster.run(cluster.sim.process(doomed()), timeout=10_000_000.0)
+    assert list(info.value.shard_errors) == [dead]
+    assert "ClientGaveUp" in info.value.shard_errors[dead]
+    assert cluster.run(client.read(k0), timeout=1_000_000.0) == 10
 
 def test_cross_shard_compensate_restores_tombstone():
     """Compensating a prepare that created a key must delete it again,

@@ -1,16 +1,14 @@
-"""Failure-injection tests: uncollected witness garbage (§4.5) and
-lease expiry (§4.8 modification 2)."""
+"""Failure-injection tests: uncollected witness garbage (§4.5)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode
-from repro.core.master import LEASE_CHECK_INTERVAL
 from repro.core.messages import RecordedRequest
 from repro.harness import build_cluster
 from repro.kvstore import MultiWrite, Write, key_hash
-from repro.rifl import LeaseServer, RpcId
+from repro.rifl import RpcId
 
 
 def curp_cluster(builder_kwargs=None, **kwargs):
@@ -118,34 +116,6 @@ def test_orphan_costs_two_gc_rounds_however_many_witnesses_hold_it(holders):
     assert (stats.gc_rpcs - before[0], stats.gc_flushes - before[1],
             stats.stale_suspects_handled - before[2]) == (6, 2, 1)
     assert [cache.occupied_slots() for cache in caches] == [0, 0, 0]
-
-
-def test_lease_expiry_syncs_before_dropping_records():
-    """§4.8 mod 2: masters must sync before expiring a client lease —
-    otherwise a later witness replay of that client's ops would be
-    ignored and the ops lost."""
-    cluster = curp_cluster(min_sync_batch=1000, idle_sync_delay=1e9)
-    # Wire a lease server with a short lease into the master directly.
-    master = cluster.master()
-    lease_server = LeaseServer(cluster.sim, lease_duration=20_000.0)
-    master.lease_server = lease_server
-    master.host.spawn(master._lease_expiry_loop(), name="lease-gc")
-    client = cluster.new_client()
-    client_id = lease_server.register_client()  # the lease that expires
-    # Make the master hold an unsynced op from that client.
-    from repro.core.messages import UpdateArgs
-    from repro.rpc import RpcTransport
-    caller = RpcTransport(cluster.network.add_host("legacy-client"))
-    args = UpdateArgs(op=Write("L", 1), rpc_id=RpcId(client_id, 1),
-                      ack_seq=1, witness_list_version=0)
-    cluster.run(caller.call("m0-host", "update", args))
-    assert master.unsynced_count == 1
-    assert master.registry.record_count() == 1
-    # Let the lease expire and the expiry loop run once.
-    cluster.sim.run(until=cluster.sim.now + LEASE_CHECK_INTERVAL + 10_000.0)
-    assert master.registry.record_count() == 0       # records dropped...
-    assert master.unsynced_count == 0                # ...but synced first
-    assert lease_server.expiry_of(client_id) is None
 
 
 def test_gc_pairs_cover_multiwrite_all_keys():

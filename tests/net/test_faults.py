@@ -164,6 +164,22 @@ def test_injector_applies_and_reverts_on_schedule(sim: Simulator,
     assert injector.active == []
 
 
+def test_symmetric_partition_blocks_both_ways_until_its_end(
+        sim: Simulator, network: Network):
+    a, b, inbox, back = two_hosts(network)
+    injector = FaultInjector(network, FaultPlan(events=(
+        SymmetricPartition(a="a", b="b", start=10.0, end=20.0),)))
+    injector.start()
+    for t in (5.0, 15.0, 25.0):
+        sim.schedule_callback(t, a.send, "b", t)
+        sim.schedule_callback(t, b.send, "a", t)
+    sim.run()
+    assert [p for _, p in inbox] == [5.0, 25.0]
+    assert [p for _, p in back] == [5.0, 25.0]
+    assert [t for t, _ in injector.reverted] == [20.0]
+    assert not network._faults_active
+
+
 def test_host_flap_crashes_and_restarts(sim: Simulator, network: Network):
     a, _b, inbox, _ = two_hosts(network)
     plan = FaultPlan(events=(HostFlap(host="b", start=10.0, end=20.0),))

@@ -208,3 +208,34 @@ def test_read_commands_never_touch_witnesses():
     records_before = cluster.witness_servers[0].records_processed
     cluster.run(client.get("k"))
     assert cluster.witness_servers[0].records_processed == records_before
+
+
+def test_curp_orphaned_witness_record_executed_and_collected():
+    """§4.5 on CURP-Redis: a client crashed after recording a SET on the
+    witness but before the server saw it.  After three gc rounds age the
+    record, a rejected SET on its key marks it a suspect, the next gc
+    reports it, and the server executes it through RIFL, fsyncs it and
+    collects the witness's copy."""
+    from repro.core.messages import RecordedRequest
+    from repro.redislike.commands import Command
+    from repro.rifl import RpcId
+
+    cluster = build(DurabilityMode.CURP, n_witnesses=1, curp_fsync_batch=1)
+    client = cluster.new_client()
+    cache = cluster.witness_servers[0].cache
+    orphan = Command("SET", ("X", "orphan"))
+    orphan_rpc = RpcId(424242, 1)
+    cache.record(orphan.touched_hashes(), orphan_rpc,
+                 RecordedRequest(orphan, orphan_rpc))
+    for i in range(3):
+        cluster.run(client.set(f"other{i}", "v"))
+        cluster.settle(500.0)
+    assert cache.occupied_slots() == 1  # the orphan is still there
+    assert not cluster.run(client.set("X", "client")).fast_path
+    cluster.settle(3_000.0)
+    server = cluster.server
+    assert server.registry.get(orphan_rpc) is not None  # executed once
+    assert server.aof.durable_seq == server.aof.end_seq
+    assert cache.occupied_slots() == 0  # and collected
+    assert cluster.run(client.set("X", "final")).fast_path
+    assert server.store.get_string("X") == "final"

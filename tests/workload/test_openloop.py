@@ -13,7 +13,6 @@ from repro.harness import TEST_PROFILE, build_cluster
 from repro.kvstore.operations import Read
 from repro.workload import (
     ConstantRate,
-    DiurnalRate,
     FlashCrowd,
     KeySetWorkload,
     OpenLoopEngine,
@@ -28,12 +27,6 @@ from repro.workload import (
 def test_schedule_validation():
     with pytest.raises(ValueError):
         ConstantRate(0)
-    with pytest.raises(ValueError):
-        DiurnalRate(base=0)
-    with pytest.raises(ValueError):
-        DiurnalRate(base=100, amplitude=1.0)  # rate would hit zero
-    with pytest.raises(ValueError):
-        DiurnalRate(base=100, period=0)
     with pytest.raises(ValueError):
         FlashCrowd(100.0, multiplier=0.5, surge_start=0, surge_end=10)
     with pytest.raises(ValueError):
@@ -51,32 +44,9 @@ def test_flash_crowd_coerces_float_base():
     assert schedule.peak_rate == 50_000.0
 
 
-def test_diurnal_rate_swings_within_envelope():
-    schedule = DiurnalRate(base=10_000.0, amplitude=0.5,
-                           period=1_000_000.0)
-    assert schedule.peak_rate == pytest.approx(15_000.0)
-    # Peak at a quarter period, trough at three quarters.
-    assert schedule.rate_at(250_000.0) == pytest.approx(15_000.0)
-    assert schedule.rate_at(750_000.0) == pytest.approx(5_000.0)
-    for t in range(0, 2_000_000, 37_000):
-        rate = schedule.rate_at(float(t))
-        assert 0 < rate <= schedule.peak_rate + 1e-9
-
-
-def test_flash_crowd_over_diurnal_base_composes():
-    base = DiurnalRate(base=1_000.0, amplitude=0.5, period=100_000.0)
-    schedule = FlashCrowd(base, multiplier=4.0,
-                          surge_start=10_000.0, surge_end=20_000.0)
-    assert schedule.rate_at(15_000.0) == pytest.approx(
-        4.0 * base.rate_at(15_000.0))
-    assert schedule.rate_at(50_000.0) == pytest.approx(
-        base.rate_at(50_000.0))
-    assert schedule.peak_rate == pytest.approx(4.0 * 1_500.0)
-
-
 def test_thinning_is_deterministic_per_seed():
-    schedule = DiurnalRate(base=20_000.0, amplitude=0.4,
-                           period=50_000.0)
+    schedule = FlashCrowd(20_000.0, multiplier=4.0,
+                          surge_start=1_000.0, surge_end=5_000.0)
 
     def sample(seed):
         rng = random.Random(seed)

@@ -100,13 +100,6 @@ def test_value_size_respected():
     assert len(op.value) == 100
 
 
-def test_next_update_always_writes():
-    stream = scaled(YCSB_B, 100).generator()
-    rng = random.Random(7)
-    assert all(isinstance(stream.next_update(rng), Write)
-               for _ in range(100))
-
-
 def test_workload_validation():
     with pytest.raises(ValueError):
         YcsbWorkload(name="bad", read_fraction=1.5)
