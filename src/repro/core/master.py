@@ -53,7 +53,7 @@ from repro.kvstore.operations import (
     TxnCompensate,
     TxnPrepare,
 )
-from repro.kvstore.store import ABSENT, KVStore
+from repro.kvstore.store import KVStore
 from repro.rifl import DuplicateState, ResultRegistry
 from repro.rpc import AppError, RpcError, RpcTimeout, RpcTransport
 from repro.sim.events import QuorumEvent
@@ -405,30 +405,34 @@ class CurpMaster:
             return
         try:
             self.stats.reads += 1
-            obj = self.store.lookup(args.key)
-            if obj is None:
-                obj = self.store.tombstone(args.key, ABSENT)
-            if args.allow_unsynced or obj.position <= self.synced_position:
-                ctx.reply((obj.value, obj.version) if args.return_version
-                          else obj.value)
+            key = args.key
+            entry = self.store.lookup(key)
+            if entry is None:
+                value, version, entry = None, 0, self.store.tombstone(key)
+            else:
+                effects = entry.effects
+                _key, value, version = (effects[0] if len(effects) == 1
+                                        else entry.effect_on(key))
+            position = 0 if entry is None else entry.index
+            reply = (value, version) if args.return_version else value
+            if args.allow_unsynced or position <= self.synced_position:
+                ctx.reply(reply)
             else:
                 # The worker is held through the sync, and the reply is
-                # the object probed here: the newest state when the
-                # read executed.
-                self._request_sync(obj.position).when_done(
-                    self._read_after_sync, obj, args, ctx)
+                # the state probed here: the newest when the read ran.
+                self._request_sync(position).when_done(
+                    self._read_after_sync, reply, ctx)
                 return
         except Exception as error:  # noqa: BLE001 - serialize to caller
             ctx.reply_exception(error)
         self.workers.release()
 
-    def _read_after_sync(self, event, obj, args: ReadArgs, ctx) -> None:
+    def _read_after_sync(self, event, reply, ctx) -> None:
         if ctx.gone():
             return
         try:
             if event.ok:
-                ctx.reply((obj.value, obj.version) if args.return_version
-                          else obj.value)
+                ctx.reply(reply)
             else:
                 ctx.reply_exception(event.exception)
         finally:

@@ -33,7 +33,7 @@ from repro.kvstore.operations import (
     is_transactional,
 )
 from repro.kvstore.log import Log, LogEntry
-from repro.kvstore.store import KVStore, StoredObject
+from repro.kvstore.store import KVStore
 from repro.kvstore.wal import (
     BackupStats,
     SegmentInfo,
@@ -59,7 +59,6 @@ __all__ = [
     "MultiWrite",
     "Operation",
     "Read",
-    "StoredObject",
     "TxnCompensate",
     "TxnPrepare",
     "Write",

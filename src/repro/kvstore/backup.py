@@ -141,7 +141,7 @@ class BackupServer:
         """Disk time for the fresh appends in ``entries`` (duplicates
         of already-stored indices cost nothing: the backup acks them
         from its index without touching the disk)."""
-        new = sum(1 for e in entries if e.index not in self.wal.entries)
+        new = sum(1 for e in entries if self.wal.get(e.index) is None)
         if new == 0:
             return 0.0
         cost = (new * self.storage.append_time
@@ -150,8 +150,9 @@ class BackupServer:
 
     def _store(self, entries: typing.Sequence[LogEntry]) -> int:
         """Append ``entries`` (resends are no-ops); the last index."""
+        held = self.wal.entries     # ``wal.get`` inlined: no frame per entry
         for entry in entries:
-            existing = self.wal.entries.get(entry.index)
+            existing = held[entry.index] if entry.index < len(held) else None
             if existing is not None:
                 if existing != entry:
                     # A cleaned entry was slimmed in place; the master
@@ -206,7 +207,7 @@ class BackupServer:
         enabled this is a whole-log disk scan — the cost partitioned
         recovery stripes across the backup set instead."""
         if self.storage.enabled:
-            count = len(self.wal.entries)
+            count = len(self.wal)
             delay = self.disk.charge(count * self.storage.read_entry_time)
             if delay > 0:
                 self.stats.recovery_entries_read += count
@@ -293,13 +294,11 @@ class BackupServer:
         wrote the key in arrival order.  Derived from the WAL, so the
         replicated state is kept once."""
         index = self.wal._latest_index.get(key)
-        if index is not None:
-            # The cleaner keeps exactly this effect, and an entry
-            # touches each of its keys once.
-            for name, value, _version in self.wal.entries[index].effects:
-                if name == key:
-                    return None if value is TOMBSTONE else value
-        return None
+        if index is None:
+            return None
+        # The cleaner keeps exactly this effect.
+        value = self.wal.entries[index].effect_on(key)[1]
+        return None if value is TOMBSTONE else value
 
     # ------------------------------------------------------------------
     # background cleaning
@@ -332,4 +331,4 @@ class BackupServer:
         return self.wal.last_index
 
     def entry_count(self) -> int:
-        return len(self.wal.entries)
+        return len(self.wal)

@@ -32,6 +32,11 @@ class LogEntry:
     #: master clock when executed (timestamp method of §4.3)
     timestamp: float
 
+    def effect_on(self, key: str) -> tuple[str, typing.Any, int]:
+        """This entry's effect on ``key``; hot paths read a one-effect
+        entry's ``effects[0]`` inline instead."""
+        return next(effect for effect in self.effects if effect[0] == key)
+
 
 class Log:
     """Append-only in-memory log with absolute positions."""

@@ -1,8 +1,9 @@
 """The in-memory object store.
 
 Executes operations against versioned objects and appends their effects
-to the :class:`~repro.kvstore.log.Log`.  Each object remembers the log
-position and wall-clock (simulated) time of its last mutation:
+to the :class:`~repro.kvstore.log.Log`.  Each key maps to the log entry
+of its last mutation (RAMCloud's hash table points into its log), whose
+index and timestamp are that mutation's position and simulated time:
 
 - position vs the master's last-synced position answers *"is this value
   replicated yet?"* — the log-structure method of §4.3;
@@ -12,7 +13,6 @@ position and wall-clock (simulated) time of its last mutation:
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.kvstore.log import Log, LogEntry, TOMBSTONE
@@ -31,40 +31,29 @@ from repro.kvstore.operations import (
 )
 
 
-@dataclasses.dataclass(slots=True)
-class StoredObject:
-    value: typing.Any
-    version: int
-    #: log position of the last mutation of this key
-    position: int
-    #: simulated time of the last mutation (hot-key heuristic, §4.4)
-    updated_at: float
-
-
-#: a never-written key: no value, version 0, synced by definition
-ABSENT = StoredObject(value=None, version=0, position=0, updated_at=0.0)
-
-
 class KVStore:
     """Versioned object store + ordered log for one master."""
 
     def __init__(self) -> None:
         self.log = Log()
-        self._objects: dict[str, StoredObject] = {}
-        #: ``lookup(key)``: the key's live :class:`StoredObject` (value,
-        #: version, log position), or None for a missing or deleted key
-        #: — one probe for a caller that needs several of its fields.
-        #: The dict's own ``get``: the master's read path calls it once
-        #: per read, and it costs no Python frame.
+        #: key → the entry that last wrote it (its effect on the key is
+        #: the value and version); no slot for a missing or deleted key
+        self._objects: dict[str, LogEntry] = {}
+        #: ``lookup(key)``: the key's live entry or None — one probe for
+        #: a caller that needs several of its fields.  The dict's own
+        #: ``get``: the master's read path calls it once per read, and
+        #: it costs no Python frame.
         self.lookup = self._objects.get
-        #: version counters survive deletes so ConditionalWrite can't be
-        #: fooled by delete/re-create cycles
-        self._versions: dict[str, int] = {}
-        #: key → its last delete as a value-None, version-0 object at the
-        #: delete's log position: an unsynced delete holds reads and
-        #: conflicts (§4.3).  ``tombstone`` is the dict's own ``get``.
-        self._deleted: dict[str, StoredObject] = {}
+        #: key → the entry of its last delete: an unsynced delete holds
+        #: reads and conflicts (§4.3).  ``tombstone`` is the dict's own
+        #: ``get``.
+        self._deleted: dict[str, LogEntry] = {}
         self.tombstone = self._deleted.get
+        #: version counters survive deletes so ConditionalWrite can't be
+        #: fooled by delete/re-create cycles.  A key's counter is the
+        #: version in its newest entry (live or delete); this map keeps
+        #: one only where ``install`` adopted a lower version.
+        self._versions: dict[str, int] = {}
         #: post-recovery versions start above this floor (anti-ABA: a
         #: lost unsynced write's version must never be reissued for a
         #: different value — RAMCloud's "safeVersion" idea)
@@ -94,8 +83,8 @@ class KVStore:
         if isinstance(op, Read):
             return self.read(op.key), None
         if isinstance(op, Write):
-            effects = ((op.key, op.value, self._bump(op.key)),)
-            result = self._versions[op.key]
+            result = self._bump(op.key)
+            effects = ((op.key, op.value, result),)
         elif isinstance(op, Increment):
             current = self.read(op.key)
             if current is None:
@@ -117,7 +106,7 @@ class KVStore:
                 result = ("MISMATCH", current_version)
             else:
                 effects = ((op.key, op.value, self._bump(op.key)),)
-                result = ("OK", self._versions[op.key])
+                result = ("OK", effects[0][2])
         elif isinstance(op, Delete):
             if op.key in self._objects:
                 effects = ((op.key, TOMBSTONE, self._bump(op.key)),)
@@ -127,7 +116,7 @@ class KVStore:
         elif isinstance(op, MultiWrite):
             effects = tuple((key, value, self._bump(key))
                             for key, value in op.items)
-            result = tuple(self._versions[key] for key, _ in op.items)
+            result = tuple(version for _key, _value, version in effects)
         elif isinstance(op, TxnPrepare):
             mismatches = tuple(
                 (key, self.version(key))
@@ -197,9 +186,13 @@ class KVStore:
         return result, entry
 
     def _bump(self, key: str) -> int:
-        new_version = max(self._versions.get(key, 0),
-                          self._version_floor) + 1
-        self._versions[key] = new_version
+        counter = self._versions.get(key, 0) if self._versions else 0
+        entry = self._objects.get(key) or self._deleted.get(key)
+        if entry is not None:
+            effects = entry.effects
+            counter = max(counter, (effects[0] if len(effects) == 1
+                                    else entry.effect_on(key))[2])
+        new_version = max(counter, self._version_floor) + 1
         self.max_version_seen = max(self.max_version_seen, new_version)
         return new_version
 
@@ -248,42 +241,56 @@ class KVStore:
         self._version_floor = max(self._version_floor, floor)
 
     def _apply_effects(self, entry: LogEntry) -> None:
-        for key, value, version in entry.effects:
+        for key, value, _version in entry.effects:
             if value is TOMBSTONE:
                 self._objects.pop(key, None)
-                self._deleted[key] = StoredObject(
-                    value=None, version=0, position=entry.index,
-                    updated_at=entry.timestamp)
+                self._deleted[key] = entry
             else:
-                self._objects[key] = StoredObject(
-                    value=value, version=version, position=entry.index,
-                    updated_at=entry.timestamp)
-            self._versions[key] = max(self._versions.get(key, 0), version)
+                self._objects[key] = entry
+
+    def _adopt(self, entry: LogEntry) -> None:
+        """Apply an entry whose versions this store did not issue
+        (``install``, ``rebuild_from_entries``): a version below the
+        key's counter leaves the counter in ``_versions``."""
+        for key, _value, version in entry.effects:
+            prior = self._objects.get(key) or self._deleted.get(key)
+            if prior is not None:
+                counter = max(prior.effect_on(key)[2],
+                              self._versions.get(key, 0))
+                if version < counter:
+                    self._versions[key] = counter
             self.max_version_seen = max(self.max_version_seen, version)
+        self._apply_effects(entry)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def read(self, key: str) -> typing.Any:
-        obj = self._objects.get(key)
-        return None if obj is None else obj.value
+        entry = self._objects.get(key)
+        if entry is None:
+            return None
+        effects = entry.effects
+        return (effects[0] if len(effects) == 1 else entry.effect_on(key))[1]
 
     def version(self, key: str) -> int:
-        obj = self._objects.get(key)
+        entry = self._objects.get(key)
         # Missing and deleted keys read as version 0; the version counter
         # itself survives deletes (see _bump) so re-created objects get a
         # strictly larger version than any the key has ever had.
-        return 0 if obj is None else obj.version
+        if entry is None:
+            return 0
+        effects = entry.effects
+        return (effects[0] if len(effects) == 1 else entry.effect_on(key))[2]
 
     def last_position_of(self, key: str) -> int:
         """Log position of the key's last mutation, a delete included
         (0 = never written)."""
-        obj = self._objects.get(key) or self._deleted.get(key, ABSENT)
-        return obj.position
+        entry = self._objects.get(key) or self._deleted.get(key)
+        return 0 if entry is None else entry.index
 
     def last_update_time_of(self, key: str) -> float | None:
-        obj = self._objects.get(key)
-        return None if obj is None else obj.updated_at
+        entry = self._objects.get(key)
+        return None if entry is None else entry.timestamp
 
     def is_unsynced(self, key: str, synced_position: int) -> bool:
         """§4.3 check: was this key mutated (or deleted) after the last
@@ -301,10 +308,9 @@ class KVStore:
         versions from the source master so ConditionalWrite semantics
         survive the move; a plain Write would restart versions at 1.
         """
-        self._versions[key] = max(self._versions.get(key, 0), version)
         entry = self.log.append(((key, value, version),), None, None,
                                 timestamp=now)
-        self._apply_effects(entry)
+        self._adopt(entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -324,8 +330,7 @@ class KVStore:
             if entry.index != last + 1:
                 raise ValueError(
                     f"log gap during rebuild: got {entry.index} after {last}")
-            rebuilt = self.log.append(entry.effects, entry.rpc_id,
-                                      entry.result, entry.timestamp)
-            self._apply_effects(rebuilt)
+            self._adopt(self.log.append(entry.effects, entry.rpc_id,
+                                        entry.result, entry.timestamp))
             last = entry.index
         return last

@@ -161,14 +161,16 @@ class SegmentedWal:
             raise ValueError("segment_size must be >= 1")
         self.segment_size = segment_size
         self.stats = stats if stats is not None else BackupStats()
-        self.entries: dict[int, LogEntry] = {}
         self.segments: list[Segment] = []
-        #: log index -> segment holding it (None = not stored): a list,
-        #: because indices are dense, and a late (out-of-order) arrival
-        #: fills its own slot.  Its last slot is the highest stored
-        #: index, so ``last_index`` — read by every replicate ack — costs
-        #: no scan of the log.
+        #: log index -> stored entry, and -> segment holding it (None =
+        #: not stored): lists, because indices are dense, and a late
+        #: (out-of-order) arrival fills its own slot.  The last slot is
+        #: the highest stored index, so ``last_index`` — read by every
+        #: replicate ack — costs no scan of the log.
+        self.entries: list[LogEntry | None] = []
         self._segment_of: list[Segment | None] = []
+        #: stored entries (``len``; the lists have gaps)
+        self._count = 0
         #: key -> log index of the entry holding its newest payload
         self._latest_index: dict[str, int] = {}
         #: indices whose stored entry was slimmed by the cleaner (a
@@ -199,13 +201,14 @@ class SegmentedWal:
         segment = self.active
         index = entry.index
         segment.indices.append(index)
-        self.entries[index] = entry
         segment_of = self._segment_of
-        if index < len(segment_of):
-            segment_of[index] = segment     # a late arrival fills its gap
-        else:
-            segment_of.extend([None] * (index - len(segment_of)))
-            segment_of.append(segment)
+        if index >= len(segment_of):
+            gap = [None] * (index + 1 - len(segment_of))
+            self.entries += gap
+            segment_of += gap
+        self.entries[index] = entry     # a late arrival fills its gap
+        segment_of[index] = segment
+        self._count += 1
         self.stats.entries_appended += 1
         latest = self._latest_index
         for key, _value, _version in entry.effects:
@@ -228,6 +231,7 @@ class SegmentedWal:
         self.entries.clear()
         self.segments.clear()
         self._segment_of.clear()
+        self._count = 0
         self._latest_index.clear()
         self._compacted.clear()
         self._open_segment()
@@ -235,8 +239,12 @@ class SegmentedWal:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
+    def get(self, index: int) -> LogEntry | None:
+        """The stored entry at ``index`` (None = not stored)."""
+        return self.entries[index] if 0 < index < len(self.entries) else None
+
     def all_entries(self) -> tuple[LogEntry, ...]:
-        return tuple(self.entries[i] for i in sorted(self.entries))
+        return tuple(entry for entry in self.entries if entry is not None)
 
     def segment_index(self) -> tuple[SegmentInfo, ...]:
         """Metadata summary of every non-empty segment (plus the active
@@ -330,7 +338,7 @@ class SegmentedWal:
     # inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
     @property
     def last_index(self) -> int:

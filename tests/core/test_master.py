@@ -371,7 +371,7 @@ def _backup_replicate(cluster, caller):
     backup.process_time = 10.0
     return backup.transport, "replicate", \
         ReplicateArgs("m0", 0, _entries(Write("a", 1))), \
-        lambda: dict(backup.wal.entries)
+        backup.wal.all_entries
 
 
 def _stored_backup(cluster, caller):
@@ -386,20 +386,20 @@ def _backup_reset_log(cluster, caller):
     backup = _stored_backup(cluster, caller)
     return backup.transport, "reset_log", \
         ReplicateArgs("m0", 0, _entries(Write("b", 2))), \
-        lambda: dict(backup.wal.entries)
+        backup.wal.all_entries
 
 
 def _backup_get_data(cluster, caller):
     backup = _stored_backup(cluster, caller)
     return backup.transport, "get_backup_data", None, \
-        lambda: dict(backup.wal.entries)
+        backup.wal.all_entries
 
 
 def _backup_read_partitions(cluster, caller):
     backup = _stored_backup(cluster, caller)
     return backup.transport, "read_partitions", \
         PartitionReadArgs(0, 2, (((0, 2 ** 64),),)), \
-        lambda: dict(backup.wal.entries)
+        backup.wal.all_entries
 
 
 #: every server path that charges a delay before it replies: (storage

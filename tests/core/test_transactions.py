@@ -632,4 +632,4 @@ def test_transaction_reading_an_absent_key_commits_first_time():
     cluster.run(cluster.sim.process(run_transaction(client, body)))
     assert len(attempts) == 1
     assert cluster.run(client.read("y")) == 1
-    assert cluster.master().store._versions["y"] == 1
+    assert cluster.master().store.version("y") == 1

@@ -18,7 +18,6 @@ from repro.harness.profiles import RAMCLOUD_PROFILE, TEST_PROFILE
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.log import LogEntry
 from repro.kvstore.operations import Write
-from repro.kvstore.store import StoredObject
 from repro.metrics.stats import LatencyRecorder
 from repro.rifl.ids import RpcId, TxnId
 from repro.rifl.result_registry import CompletionRecord
@@ -36,8 +35,6 @@ from repro.workload.ycsb import YCSB_WRITE_ONLY, YcsbWorkload
 _RECORDS = [
     (LogEntry(3, (("k", "v", 2),), RpcId(1, 4), 2, 7.5),
      LogEntry(3, (("k", "v", 2),), RpcId(1, 4), 2, 7.5), "index", 4),
-    (StoredObject("v", 2, 3, 7.5), StoredObject("v", 2, 3, 7.5),
-     "version", 3),
     (RpcId(1, 4), RpcId(1, 4), "seq", 5),
     (TxnId(1, 4), TxnId(1, 4), "client_id", 2),
     (CompletionRecord(RpcId(1, 4), 2, 3), CompletionRecord(RpcId(1, 4), 2, 3),
@@ -79,11 +76,13 @@ def test_rifl_ids_keep_their_lexicographic_order():
 # ---------------------------------------------------------------------------
 
 #: bytes a committed write leaves behind in the closed-loop CURP f=3 run
-#: below.  Measured 1,025 / 1,017 on CPython 3.11 / 3.12 with each
-#: write's state kept once; keeping a materialized value copy and a dict
-#: entry per index on every backup, and a __dict__ per record, measured
-#: 1,330 / 1,298.
-RETAINED_BYTES_PER_WRITE = 1_150
+#: below.  Measured 840 / 832 on CPython 3.11 / 3.12 with the master's
+#: object table and each backup's WAL index pointing into the log; a
+#: copy of each write in a stored object and a version counter on the
+#: master, and a dict entry per index on every backup, measured 1,025 /
+#: 1,017, and a materialized value copy per backup and a __dict__ per
+#: record on top of that 1,330 / 1,298.
+RETAINED_BYTES_PER_WRITE = 900
 
 
 def test_retained_bytes_per_committed_write_are_bounded():

@@ -186,11 +186,16 @@ def build_start(pick) -> Start:
 
 
 def _snapshot(store: KVStore) -> tuple:
-    """Values, versions, pending-prepare markers and pending txns (log
-    positions are an order by construction, so they are left out)."""
-    return ({k: (o.value, o.version) for k, o in store._objects.items()},
-            dict(store._versions), dict(store._pending_keys),
-            dict(store.pending_txns))
+    """Values, versions, version counters (a counter survives a delete:
+    the highest version the log gave the key), pending-prepare markers
+    and pending txns (log positions are an order by construction, so
+    they are left out)."""
+    counters: dict[str, int] = {}
+    for entry in store.log.all_entries():
+        for key, _value, version in entry.effects:
+            counters[key] = max(counters.get(key, 0), version)
+    return ({k: (store.read(k), store.version(k)) for k in KEYS},
+            counters, dict(store._pending_keys), dict(store.pending_txns))
 
 
 def _outcome(store: KVStore, op: Operation):

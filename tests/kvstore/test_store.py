@@ -288,7 +288,9 @@ def test_keep_item_reports_the_version_it_validated():
     result, _ = store.execute(ConditionalMultiWrite(
         (("y", 1, 0), ("never-written", KEEP, 0))))
     assert result == ("OK", (1, 0))
-    assert store.read("y") == 1 and store._versions == {"y": 1}
+    assert store.read("y") == 1 and store.version("y") == 1
+    # the KEEP item left the never-written key without a counter
+    assert store.execute(Write("never-written", "v"))[0] == 1
     store.execute(Write("gone", "v"))
     store.execute(Delete("gone"))          # counter 2, reads as version 0
     result, _ = store.execute(ConditionalMultiWrite(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import SegmentedWal, VirtualDisk, key_hash
+from repro.kvstore.wal import SegmentInfo
 from repro.kvstore.log import LogEntry
 from repro.sim.simulator import Simulator
 
@@ -100,7 +101,7 @@ def test_compaction_preserves_every_index_and_completion_record():
     assert (scanned, reclaimed, rewritten) == (4, 4, 0)
     # every index still present, slimmed to completion-only records
     for i in range(1, 5):
-        slim = wal.entries[i]
+        slim = wal.get(i)
         assert slim.effects == ()
         assert slim.rpc_id == ("c", i)  # RIFL pair survives
         assert wal.is_compacted(i)
@@ -122,7 +123,7 @@ def test_compaction_keeps_live_payloads_and_recomputes_hashes():
     assert segment.live_ratio == pytest.approx(1 / 3)
     scanned, reclaimed, rewritten = wal.compact(segment)
     assert (scanned, reclaimed, rewritten) == (3, 2, 1)
-    assert wal.entries[2].effects == (write("live", 1),)
+    assert wal.get(2).effects == (write("live", 1),)
     assert segment.min_hash == segment.max_hash == key_hash("live")
     assert not wal.is_compacted(2)  # untouched entry ≠ compacted
 
@@ -154,7 +155,7 @@ def test_last_index_tracks_the_key_set(steps):
     wal = SegmentedWal(segment_size=3)
     for step, n in steps:
         if step == "append":
-            if n not in wal.entries:  # the caller filters duplicates
+            if wal.get(n) is None:  # the caller filters duplicates
                 wal.append(entry(n, write(f"k{n % 5}", n), rpc_id=("c", n)))
         elif step == "compact":
             sealed = [s for s in wal.segments if s.sealed]
@@ -162,7 +163,8 @@ def test_last_index_tracks_the_key_set(steps):
                 wal.compact(sealed[n % len(sealed)])
         else:
             wal.reset()
-        assert wal.last_index == max(wal.entries, default=0)
+        assert wal.last_index == max(
+            (stored.index for stored in wal.all_entries()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,8 @@ def test_virtual_disk_serializes_charges():
 
 class _EagerWal:
     """Reference for the WAL's bookkeeping: the original algorithm, with
-    a dict from log index to segment id and the key-hash range noted on
-    every append."""
+    dicts from log index to stored effects and to segment id, and the
+    key-hash range noted on every append."""
 
     def __init__(self, segment_size):
         self.segment_size = segment_size
@@ -234,6 +236,24 @@ class _EagerWal:
         return (min(hashes, default=None), max(hashes, default=None),
                 sum(1 for i in self.indices[segment] if not self.effects[i]))
 
+    def segment_index(self):
+        """``SegmentedWal.segment_index()`` as the dict algorithm reads
+        it: every non-empty segment, in segment-id order."""
+        infos = []
+        for segment, indices in enumerate(self.indices):
+            if not indices:
+                continue
+            min_hash, max_hash, completion_only = self.summary(segment)
+            total = self.total[segment]
+            infos.append(SegmentInfo(
+                segment_id=segment, entry_count=len(indices),
+                first_index=min(indices), last_index=max(indices),
+                min_hash=min_hash, max_hash=max_hash,
+                completion_only=completion_only,
+                sealed=segment < len(self.indices) - 1,
+                live_ratio=self.live[segment] / total if total else 1.0))
+        return tuple(infos)
+
 
 def _effects_for(n):
     """0, 1 or 2 payloads per entry: completion-only records, single
@@ -252,7 +272,10 @@ def _drive(steps, check):
     reference = _EagerWal(segment_size=3)
     for step, n in steps:
         if step == "append":
-            if n not in wal.entries:  # the caller filters duplicates
+            # A resend of a stored index is filtered by the caller, as
+            # ``BackupServer._store`` does, on what ``get`` answers.
+            assert (wal.get(n) is None) == (n not in reference.effects)
+            if wal.get(n) is None:
                 effects = _effects_for(n)
                 wal.append(entry(n, *effects, rpc_id=("c", n)))
                 reference.append(n, effects)
@@ -305,5 +328,31 @@ def test_lazy_segment_summary_equals_the_eager_one(steps):
             if segment.cleaned:
                 assert (segment.min_hash, segment.max_hash) \
                     == reference.summary(segment.segment_id)[:2]
+
+    _drive(steps, check)
+
+
+@given(_WAL_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_entry_index_matches_the_dict_algorithm(steps):
+    """The index -> entry list answers what the dict from log index to
+    entry did, through out-of-order arrivals that leave gaps, duplicate
+    resends the caller filters on ``get``, compactions that slim
+    entries in place, and resets: ``get`` at every index in and around
+    the log, ``len``, ``all_entries`` in index order, ``last_index`` and
+    the whole ``segment_index()``."""
+    def check(wal, reference):
+        for index in range(-1, 63):
+            stored = wal.get(index)
+            if index in reference.effects:
+                assert (stored.index, stored.effects, stored.rpc_id) \
+                    == (index, reference.effects[index], ("c", index))
+            else:
+                assert stored is None
+        assert len(wal) == len(reference.effects)
+        assert [(e.index, e.effects) for e in wal.all_entries()] \
+            == sorted(reference.effects.items())
+        assert wal.last_index == max(reference.effects, default=0)
+        assert wal.segment_index() == reference.segment_index()
 
     _drive(steps, check)
