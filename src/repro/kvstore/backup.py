@@ -290,15 +290,13 @@ class BackupServer:
 
     def value_of(self, key: str) -> typing.Any:
         """The key's value in this backup's log (None = never written,
-        or deleted): that entry's effect on it, for the entry that last
-        wrote the key in arrival order.  Derived from the WAL, so the
-        replicated state is kept once."""
-        index = self.wal._latest_index.get(key)
-        if index is None:
-            return None
-        # The cleaner keeps exactly this effect.
-        value = self.wal.entries[index].effect_on(key)[1]
-        return None if value is TOMBSTONE else value
+        or deleted): the newest stored entry's effect on it, found by
+        scanning the log backwards — a backup keeps nothing per key."""
+        for entry in filter(None, reversed(self.wal.entries)):
+            for effect_key, value, _version in entry.effects:
+                if effect_key == key:
+                    return None if value is TOMBSTONE else value
+        return None
 
     # ------------------------------------------------------------------
     # background cleaning
@@ -317,7 +315,8 @@ class BackupServer:
             yield self.sim.timeout(profile.compaction_interval)
             for segment in self.wal.cleanable(profile.compaction_live_ratio):
                 cost = (len(segment.indices) * profile.read_entry_time
-                        + segment.live_payloads * COMPACTION_WRITE_TIME)
+                        + self.wal.live_payloads(segment)
+                        * COMPACTION_WRITE_TIME)
                 delay = self.disk.charge(cost)
                 if delay > 0:
                     yield self.sim.timeout(delay)

@@ -21,7 +21,8 @@ layout in virtual time:
   record (``effects=()``), because recovery's ``rebuild_from_entries``
   requires a gap-free log and RIFL exactly-once needs the
   ``rpc_id → result`` pairs.  Read amplification is the whole-segment
-  scan; write amplification is the survivor rewrite.
+  scan; write amplification is the survivor rewrite.  Which payloads
+  are live is worked out in log order where the cleaner reads it.
 
 All of it is pure bookkeeping until a
 :class:`~repro.core.config.StorageProfile` is enabled — the WAL itself
@@ -108,7 +109,6 @@ class SegmentInfo:
     #: skipped by a hash-range test
     completion_only: int
     sealed: bool
-    live_ratio: float
 
     def overlaps(self, ranges: typing.Sequence[tuple[int, int]]) -> bool:
         """Can this segment contain data for any [lo, hi) in ranges?"""
@@ -123,9 +123,8 @@ class SegmentInfo:
 class Segment:
     """One segment: a contiguous arrival-order slice of the log."""
 
-    __slots__ = ("segment_id", "indices", "sealed", "cleaned",
-                 "live_payloads", "total_payloads", "min_hash", "max_hash",
-                 "_completion_only")
+    __slots__ = ("segment_id", "indices", "sealed", "cleaned", "min_hash",
+                 "max_hash", "_completion_only")
 
     def __init__(self, segment_id: int):
         self.segment_id = segment_id
@@ -133,10 +132,6 @@ class Segment:
         self.indices: list[int] = []
         self.sealed = False
         self.cleaned = False
-        #: payload = one (key, value, version) effect; live = not yet
-        #: superseded by a later entry for the same key
-        self.live_payloads = 0
-        self.total_payloads = 0
         #: key-hash range of the stored payloads, filled where it is
         #: read (``SegmentedWal._summarize``), not per append
         self.min_hash: int | None = None
@@ -144,12 +139,6 @@ class Segment:
         #: completion-only entries; None until a sealed segment is
         #: summarized, after which the whole summary is final
         self._completion_only: int | None = None
-
-    @property
-    def live_ratio(self) -> float:
-        if self.total_payloads == 0:
-            return 1.0
-        return self.live_payloads / self.total_payloads
 
 
 class SegmentedWal:
@@ -162,17 +151,14 @@ class SegmentedWal:
         self.segment_size = segment_size
         self.stats = stats if stats is not None else BackupStats()
         self.segments: list[Segment] = []
-        #: log index -> stored entry, and -> segment holding it (None =
-        #: not stored): lists, because indices are dense, and a late
-        #: (out-of-order) arrival fills its own slot.  The last slot is
-        #: the highest stored index, so ``last_index`` — read by every
-        #: replicate ack — costs no scan of the log.
+        #: log index -> stored entry (None = not stored): a list,
+        #: because indices are dense, and a late (out-of-order) arrival
+        #: fills its own slot.  The last slot is the highest stored
+        #: index, so ``last_index`` — read by every replicate ack —
+        #: costs no scan of the log.
         self.entries: list[LogEntry | None] = []
-        self._segment_of: list[Segment | None] = []
-        #: stored entries (``len``; the lists have gaps)
+        #: stored entries (``len``; the list has gaps)
         self._count = 0
-        #: key -> log index of the entry holding its newest payload
-        self._latest_index: dict[str, int] = {}
         #: indices whose stored entry was slimmed by the cleaner (a
         #: master resend of the original full entry is *not* divergence)
         self._compacted: set[int] = set()
@@ -201,23 +187,12 @@ class SegmentedWal:
         segment = self.active
         index = entry.index
         segment.indices.append(index)
-        segment_of = self._segment_of
-        if index >= len(segment_of):
-            gap = [None] * (index + 1 - len(segment_of))
-            self.entries += gap
-            segment_of += gap
-        self.entries[index] = entry     # a late arrival fills its gap
-        segment_of[index] = segment
+        entries = self.entries
+        if index >= len(entries):
+            entries += [None] * (index + 1 - len(entries))
+        entries[index] = entry          # a late arrival fills its gap
         self._count += 1
         self.stats.entries_appended += 1
-        latest = self._latest_index
-        for key, _value, _version in entry.effects:
-            segment.live_payloads += 1
-            segment.total_payloads += 1
-            previous = latest.get(key)
-            if previous is not None:
-                segment_of[previous].live_payloads -= 1
-            latest[key] = index
         if len(segment.indices) >= self.segment_size:
             segment.sealed = True
             self.stats.segments_sealed += 1
@@ -230,9 +205,7 @@ class SegmentedWal:
         """Drop everything (``reset_log`` wholesale adoption)."""
         self.entries.clear()
         self.segments.clear()
-        self._segment_of.clear()
         self._count = 0
-        self._latest_index.clear()
         self._compacted.clear()
         self._open_segment()
 
@@ -262,8 +235,7 @@ class SegmentedWal:
                 min_hash=segment.min_hash,
                 max_hash=segment.max_hash,
                 completion_only=completion_only,
-                sealed=segment.sealed,
-                live_ratio=segment.live_ratio))
+                sealed=segment.sealed))
         return tuple(infos)
 
     def _summarize(self, segment: Segment) -> int:
@@ -290,13 +262,41 @@ class SegmentedWal:
     # ------------------------------------------------------------------
     # cleaning (compaction)
     # ------------------------------------------------------------------
+    def _newest_writers(self, lowest: int) -> dict[str, int]:
+        """Key -> highest stored index writing it, over indices from
+        ``lowest`` up: one backward pass, in log order, not arrival."""
+        newest: dict[str, int] = {}
+        entries = self.entries
+        for index in range(len(entries) - 1, max(lowest, 1) - 1, -1):
+            entry = entries[index]
+            if entry is not None:
+                for key, _value, _version in entry.effects:
+                    newest.setdefault(key, index)
+        return newest
+
+    def _live(self, segment: Segment, newest: dict[str, int]) -> list[bool]:
+        """One flag per stored payload — one (key, value, version)
+        effect — of ``segment``: live while no higher index writes it."""
+        return [newest[key] == index for index in segment.indices
+                for key, _value, _version in self.entries[index].effects]
+
+    def live_payloads(self, segment: Segment) -> int:
+        """Live payloads in ``segment`` now (the cleaner's rewrite)."""
+        newest = self._newest_writers(min(segment.indices, default=0))
+        return sum(self._live(segment, newest))
+
     def cleanable(self, live_ratio_threshold: float) -> list[Segment]:
         """Sealed, not-yet-cleaned segments below the live threshold,
         worst (most garbage) first."""
-        candidates = [s for s in self.segments
-                      if s.sealed and not s.cleaned
-                      and s.live_ratio < live_ratio_threshold]
-        candidates.sort(key=lambda s: s.live_ratio)
+        sealed = [s for s in self.segments if s.sealed and not s.cleaned]
+        newest = self._newest_writers(min(
+            (min(s.indices) for s in sealed), default=len(self.entries)))
+        ratio = {}
+        for segment in sealed:
+            live = self._live(segment, newest)
+            ratio[segment] = sum(live) / len(live) if live else 1.0
+        candidates = [s for s in sealed if ratio[s] < live_ratio_threshold]
+        candidates.sort(key=ratio.get)
         return candidates
 
     def compact(self, segment: Segment) -> tuple[int, int, int]:
@@ -308,6 +308,7 @@ class SegmentedWal:
         exactly-once.  Returns (entries scanned, payloads reclaimed,
         payloads rewritten).
         """
+        newest = self._newest_writers(min(segment.indices, default=0))
         scanned = len(segment.indices)
         reclaimed = 0
         rewritten = 0
@@ -316,7 +317,7 @@ class SegmentedWal:
             if not entry.effects:
                 continue
             live = tuple(effect for effect in entry.effects
-                         if self._latest_index.get(effect[0]) == index)
+                         if newest[effect[0]] == index)
             reclaimed += len(entry.effects) - len(live)
             rewritten += len(live)
             if len(live) != len(entry.effects):
@@ -324,7 +325,6 @@ class SegmentedWal:
                     index=entry.index, effects=live, rpc_id=entry.rpc_id,
                     result=entry.result, timestamp=entry.timestamp)
                 self._compacted.add(index)
-        segment.total_payloads = segment.live_payloads = rewritten
         segment._completion_only = None
         self._summarize(segment)
         segment.cleaned = True
@@ -343,4 +343,4 @@ class SegmentedWal:
     @property
     def last_index(self) -> int:
         """Highest stored index (0 = empty)."""
-        return max(len(self._segment_of) - 1, 0)
+        return max(len(self.entries) - 1, 0)

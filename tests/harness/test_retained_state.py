@@ -76,13 +76,15 @@ def test_rifl_ids_keep_their_lexicographic_order():
 # ---------------------------------------------------------------------------
 
 #: bytes a committed write leaves behind in the closed-loop CURP f=3 run
-#: below.  Measured 840 / 832 on CPython 3.11 / 3.12 with the master's
-#: object table and each backup's WAL index pointing into the log; a
-#: copy of each write in a stored object and a version counter on the
-#: master, and a dict entry per index on every backup, measured 1,025 /
-#: 1,017, and a materialized value copy per backup and a __dict__ per
-#: record on top of that 1,330 / 1,298.
-RETAINED_BYTES_PER_WRITE = 900
+#: below.  Measured 722 / 714 on CPython 3.11 / 3.12 with each backup
+#: keeping its master's log and segment membership, nothing per key; a
+#: key -> newest index dict and an index -> segment list on every
+#: backup measured 840 / 832, a copy of each write in a stored object
+#: and a version counter on the master, and a dict entry per index on
+#: every backup on top of that 1,025 / 1,017, and a materialized value
+#: copy per backup and a __dict__ per record on top of that 1,330 /
+#: 1,298.
+RETAINED_BYTES_PER_WRITE = 780
 
 
 def test_retained_bytes_per_committed_write_are_bounded():

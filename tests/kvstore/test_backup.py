@@ -159,11 +159,12 @@ _DELIVERIES = st.lists(st.tuples(
 @settings(max_examples=60, deadline=None)
 def test_value_of_matches_a_reference_dict(ops, deliveries):
     """``value_of`` (and the ``backup_read`` RPC) answer from the WAL:
-    the effect of the entry that last wrote the key, in arrival order.
-    A dict that applies every newly arrived entry's effects must agree
-    after every step, whatever the writes, deletes and MultiWrites,
-    out-of-order and duplicate deliveries, wholesale ``reset_log``
-    adoptions and cleaner passes, and once the whole log has arrived."""
+    the effect of the highest arrived log index that writes the key,
+    whatever order the entries arrived in.  A dict that applies the
+    arrived entries' effects in log-index order must agree after every
+    step, whatever the writes, deletes and MultiWrites, out-of-order and
+    duplicate deliveries, wholesale ``reset_log`` adoptions and cleaner
+    passes, and once the whole log has arrived."""
     sim = Simulator(seed=1)
     network = Network(sim, latency=LatencyModel(Fixed(2.0)))
     backup = BackupServer(network.add_host("backup1"), master_id="m1",
@@ -173,21 +174,16 @@ def test_value_of_matches_a_reference_dict(ops, deliveries):
     for op in ops:
         store.execute(op)
     log = store.log.all_entries()
-    reference: dict = {}
-    arrived: set = set()
+    arrived: dict = {}      # log index -> entry, as first delivered
 
-    def apply(batch):
-        for entry in batch:
-            if entry.index in arrived:
-                continue
-            arrived.add(entry.index)
-            for key, value, _version in entry.effects:
+    def check():
+        reference: dict = {}
+        for index in sorted(arrived):
+            for key, value, _version in arrived[index].effects:
                 if value is TOMBSTONE:
                     reference.pop(key, None)
                 else:
                     reference[key] = value
-
-    def check():
         for key in _KEYS:
             assert backup.value_of(key) == reference.get(key)
             assert sim.run(caller.call("backup1", "backup_read",
@@ -206,9 +202,41 @@ def test_value_of_matches_a_reference_dict(ops, deliveries):
             batch = batch[::-1]
         if action == "reset_log":
             batch = tuple(log[:hi])
-            reference.clear()
             arrived.clear()
         sim.run(caller.call("backup1", action.replace("reverse", "replicate"),
                             ReplicateArgs("m1", 0, batch)))
-        apply(batch)
+        for entry in batch:
+            arrived.setdefault(entry.index, entry)
         check()
+
+
+def test_late_arrival_of_an_older_write_neither_reads_nor_cleans_as_newest():
+    """Two replicate batches for one key arrive in reverse log order
+    (index 2 before index 1) and the cleaner compacts the segment they
+    share: liveness follows the log, so ``value_of`` and a rebuild from
+    the backup's entries both hold the master's value, not the one that
+    arrived last."""
+    sim = Simulator(seed=1)
+    network = Network(sim, latency=LatencyModel(Fixed(2.0)))
+    storage = StorageProfile(enabled=True, segment_size=2,
+                             compaction_interval=100.0,
+                             compaction_live_ratio=0.6)
+    backup = BackupServer(network.add_host("backup1"), master_id="m1",
+                          storage=storage)
+    caller = RpcTransport(network.add_host("caller"))
+    master = KVStore()
+    master.execute(Write("a", 1))
+    master.execute(Write("a", 2))
+    first, second = master.log.all_entries()
+    for batch in ((second,), (first,)):
+        sim.run(caller.call("backup1", "replicate",
+                            ReplicateArgs("m1", 0, batch)))
+    segment = backup.wal.segments[0]
+    assert segment.sealed and segment.indices == [2, 1]
+    sim.run(until=sim.now + 500.0)
+    assert segment.cleaned and backup.stats.payloads_reclaimed == 1
+    assert backup.value_of("a") == master.read("a") == 2
+    rebuilt = KVStore()
+    rebuilt.rebuild_from_entries(backup.wal.all_entries())
+    assert rebuilt.read("a") == 2
+    assert backup.wal.get(1).effects == ()      # the older payload went

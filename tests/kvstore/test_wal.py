@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import SegmentedWal, VirtualDisk, key_hash
-from repro.kvstore.wal import SegmentInfo
-from repro.kvstore.log import LogEntry
+from repro.kvstore import BackupServer, SegmentedWal, VirtualDisk, key_hash
+from repro.kvstore.wal import Segment, SegmentInfo
+from repro.kvstore.log import TOMBSTONE, LogEntry
+from repro.net import Network
 from repro.sim.simulator import Simulator
 
 
@@ -77,19 +77,36 @@ def test_completion_only_segments_are_never_skippable():
 
 
 # ---------------------------------------------------------------------------
-# live-ratio accounting + compaction
+# live-payload accounting + compaction
 # ---------------------------------------------------------------------------
 
-def test_overwrites_decay_live_ratio_of_older_segments():
+def test_overwrites_decay_the_live_payloads_of_older_segments():
     wal = SegmentedWal(segment_size=4)
     fill(wal, 4, key="hot")  # segment 0: 4 payloads for one key
-    assert wal.segments[0].live_ratio == pytest.approx(0.25)
+    assert wal.live_payloads(wal.segments[0]) == 1
     fill(wal, 4, start=5, key="hot")  # segment 1 supersedes the rest
-    assert wal.segments[0].live_ratio == 0.0
-    assert wal.segments[1].live_ratio == pytest.approx(0.25)
+    assert wal.live_payloads(wal.segments[0]) == 0
+    assert wal.live_payloads(wal.segments[1]) == 1
     # worst-first ordering; the (empty) active segment is never a candidate
     assert wal.cleanable(0.5) == [wal.segments[0], wal.segments[1]]
+    assert wal.cleanable(0.25) == [wal.segments[0]]
     assert wal.active not in wal.cleanable(2.0)
+
+
+def test_liveness_follows_log_order_not_arrival_order():
+    """A late arrival of an older entry is dead on arrival: the newer
+    payload already stored stays the live one, for the cleaner's
+    counts and for what ``compact`` keeps."""
+    wal = SegmentedWal(segment_size=2)
+    wal.append(entry(2, write("a", 2)))
+    wal.append(entry(1, write("a", 1)))
+    segment = wal.segments[0]
+    assert segment.indices == [2, 1] and segment.sealed
+    assert wal.live_payloads(segment) == 1
+    assert wal.cleanable(0.6) == [segment]
+    assert wal.compact(segment) == (2, 1, 1)
+    assert wal.get(2).effects == (write("a", 2),)
+    assert wal.get(1).effects == ()
 
 
 def test_compaction_preserves_every_index_and_completion_record():
@@ -120,7 +137,7 @@ def test_compaction_keeps_live_payloads_and_recomputes_hashes():
     wal.append(entry(3, write("dead", 2)))  # seals segment 0, kills idx 1
     wal.append(entry(4, write("dead", 3)))  # kills idx 3 (segment 0)
     segment = wal.segments[0]
-    assert segment.live_ratio == pytest.approx(1 / 3)
+    assert wal.live_payloads(segment) == 1
     scanned, reclaimed, rewritten = wal.compact(segment)
     assert (scanned, reclaimed, rewritten) == (3, 2, 1)
     assert wal.get(2).effects == (write("live", 1),)
@@ -186,9 +203,11 @@ def test_virtual_disk_serializes_charges():
 
 
 class _EagerWal:
-    """Reference for the WAL's bookkeeping: the original algorithm, with
-    dicts from log index to stored effects and to segment id, and the
-    key-hash range noted on every append."""
+    """Reference for the WAL's bookkeeping: dicts from log index to
+    stored effects and from segment id to its indices, the key-hash
+    range noted on every append, and liveness worked out by brute force
+    from the definition — a payload is live while no stored entry with
+    a higher log index writes its key."""
 
     def __init__(self, segment_size):
         self.segment_size = segment_size
@@ -196,40 +215,38 @@ class _EagerWal:
 
     def reset(self):
         self.effects = {}          # index -> stored effects
-        self.segment_of = {}       # index -> segment id
-        self.latest = {}           # key -> index of its newest payload
         self.indices = [[]]        # segment id -> indices, arrival order
-        self.live = [0]
-        self.total = [0]
         self.hashes = [[]]         # segment id -> hashes noted
 
     def append(self, index, effects):
         segment = len(self.indices) - 1
         self.indices[segment].append(index)
         self.effects[index] = effects
-        self.segment_of[index] = segment
         for key, _value, _version in effects:
             self.hashes[segment].append(key_hash(key))
-            self.live[segment] += 1
-            self.total[segment] += 1
-            if key in self.latest:
-                self.live[self.segment_of[self.latest[key]]] -= 1
-            self.latest[key] = index
         if len(self.indices[segment]) >= self.segment_size:
             self.indices.append([])
             self.hashes.append([])
-            self.live.append(0)
-            self.total.append(0)
+
+    def newest(self, key):
+        return max(index for index, effects in self.effects.items()
+                   if any(effect[0] == key for effect in effects))
+
+    def payloads(self, segment):
+        """(live, stored) payloads of a segment."""
+        stored = [(index, effect[0]) for index in self.indices[segment]
+                  for effect in self.effects[index]]
+        return (sum(1 for index, key in stored if self.newest(key) == index),
+                len(stored))
 
     def compact(self, segment):
         self.hashes[segment] = []
-        for index in self.indices[segment]:
-            live = tuple(effect for effect in self.effects[index]
-                         if self.latest.get(effect[0]) == index)
+        kept = {index: tuple(effect for effect in self.effects[index]
+                             if self.newest(effect[0]) == index)
+                for index in self.indices[segment]}
+        for index, live in kept.items():
             self.effects[index] = live
             self.hashes[segment] += [key_hash(key) for key, _v, _ver in live]
-        self.live[segment] = self.total[segment] = sum(
-            len(self.effects[i]) for i in self.indices[segment])
 
     def summary(self, segment):
         hashes = self.hashes[segment]
@@ -244,14 +261,12 @@ class _EagerWal:
             if not indices:
                 continue
             min_hash, max_hash, completion_only = self.summary(segment)
-            total = self.total[segment]
             infos.append(SegmentInfo(
                 segment_id=segment, entry_count=len(indices),
                 first_index=min(indices), last_index=max(indices),
                 min_hash=min_hash, max_hash=max_hash,
                 completion_only=completion_only,
-                sealed=segment < len(self.indices) - 1,
-                live_ratio=self.live[segment] / total if total else 1.0))
+                sealed=segment < len(self.indices) - 1))
         return tuple(infos)
 
 
@@ -293,22 +308,21 @@ def _drive(steps, check):
 
 @given(_WAL_STEPS)
 @settings(max_examples=200, deadline=None)
-def test_segment_lookup_and_payload_counts_match_the_dict_algorithm(steps):
-    """The index -> segment list answers what the dict did, through
-    out-of-order arrivals (a late index fills its own slot, leaving the
-    gaps below it empty), compactions and resets; so every segment's
-    live and total payload counts stay those of the dict algorithm."""
+def test_segment_membership_and_payload_counts_match_the_dict_algorithm(
+        steps):
+    """Each segment holds the indices that arrived while it was active,
+    through out-of-order arrivals (a late index fills its own slot,
+    leaving the gaps below it empty), compactions and resets; and its
+    live and stored payload counts, worked out where they are read, are
+    the ones the definition gives in log order."""
     def check(wal, reference):
-        for index in range(len(wal._segment_of)):
-            holder = wal._segment_of[index]
-            if index in reference.segment_of:
-                assert holder.segment_id == reference.segment_of[index]
-            else:
-                assert holder is None
-        assert len(wal._segment_of) == max(reference.segment_of,
-                                           default=-1) + 1
-        assert [(s.live_payloads, s.total_payloads) for s in wal.segments] \
-            == list(zip(reference.live, reference.total))
+        assert [s.indices for s in wal.segments] == reference.indices
+        newest = wal._newest_writers(0)
+        for segment in wal.segments:
+            live = wal._live(segment, newest)
+            assert (sum(live), len(live)) \
+                == reference.payloads(segment.segment_id)
+            assert wal.live_payloads(segment) == sum(live)
 
     _drive(steps, check)
 
@@ -356,3 +370,198 @@ def test_entry_index_matches_the_dict_algorithm(steps):
         assert wal.segment_index() == reference.segment_index()
 
     _drive(steps, check)
+
+
+# ---------------------------------------------------------------------------
+# read-time liveness against the incremental algorithm it replaced
+# ---------------------------------------------------------------------------
+
+class _CountedSegment(Segment):
+    """``Segment`` with the payload counters ``append`` used to keep."""
+
+    __slots__ = ("live_payloads", "total_payloads")
+
+    def __init__(self, segment_id: int):
+        super().__init__(segment_id)
+        #: payload = one (key, value, version) effect; live = not yet
+        #: superseded by a later entry for the same key
+        self.live_payloads = 0
+        self.total_payloads = 0
+
+    @property
+    def live_ratio(self) -> float:
+        if self.total_payloads == 0:
+            return 1.0
+        return self.live_payloads / self.total_payloads
+
+
+class _IncrementalWal(SegmentedWal):
+    """``SegmentedWal`` before liveness moved to where it is read, kept
+    verbatim: a key -> newest index dict and an index -> segment list,
+    updated on every append, and live / total payload counters per
+    segment.  It keeps liveness in *arrival* order, which is log order
+    only while entries arrive in order; the comparison below sticks to
+    that case.  ``value_of`` is ``BackupServer.value_of`` as it was."""
+
+    def __init__(self, segment_size: int):
+        self._segment_of: list[Segment | None] = []
+        #: key -> log index of the entry holding its newest payload
+        self._latest_index: dict[str, int] = {}
+        super().__init__(segment_size)
+
+    def _open_segment(self) -> Segment:
+        segment = _CountedSegment(len(self.segments))
+        self.segments.append(segment)
+        self.active = segment
+        return segment
+
+    def append(self, entry: LogEntry) -> None:
+        """Store one *new* entry (caller has checked for duplicates)."""
+        segment = self.active
+        index = entry.index
+        segment.indices.append(index)
+        segment_of = self._segment_of
+        if index >= len(segment_of):
+            gap = [None] * (index + 1 - len(segment_of))
+            self.entries += gap
+            segment_of += gap
+        self.entries[index] = entry     # a late arrival fills its gap
+        segment_of[index] = segment
+        self._count += 1
+        self.stats.entries_appended += 1
+        latest = self._latest_index
+        for key, _value, _version in entry.effects:
+            segment.live_payloads += 1
+            segment.total_payloads += 1
+            previous = latest.get(key)
+            if previous is not None:
+                segment_of[previous].live_payloads -= 1
+            latest[key] = index
+        if len(segment.indices) >= self.segment_size:
+            segment.sealed = True
+            self.stats.segments_sealed += 1
+            self._open_segment()
+
+    def reset(self) -> None:
+        """Drop everything (``reset_log`` wholesale adoption)."""
+        self.entries.clear()
+        self.segments.clear()
+        self._segment_of.clear()
+        self._count = 0
+        self._latest_index.clear()
+        self._compacted.clear()
+        self._open_segment()
+
+    def live_payloads(self, segment: Segment) -> int:
+        return segment.live_payloads
+
+    def cleanable(self, live_ratio_threshold: float) -> list[Segment]:
+        """Sealed, not-yet-cleaned segments below the live threshold,
+        worst (most garbage) first."""
+        candidates = [s for s in self.segments
+                      if s.sealed and not s.cleaned
+                      and s.live_ratio < live_ratio_threshold]
+        candidates.sort(key=lambda s: s.live_ratio)
+        return candidates
+
+    def compact(self, segment: Segment) -> tuple[int, int, int]:
+        scanned = len(segment.indices)
+        reclaimed = 0
+        rewritten = 0
+        for index in segment.indices:
+            entry = self.entries[index]
+            if not entry.effects:
+                continue
+            live = tuple(effect for effect in entry.effects
+                         if self._latest_index.get(effect[0]) == index)
+            reclaimed += len(entry.effects) - len(live)
+            rewritten += len(live)
+            if len(live) != len(entry.effects):
+                self.entries[index] = LogEntry(
+                    index=entry.index, effects=live, rpc_id=entry.rpc_id,
+                    result=entry.result, timestamp=entry.timestamp)
+                self._compacted.add(index)
+        segment.total_payloads = segment.live_payloads = rewritten
+        segment._completion_only = None
+        self._summarize(segment)
+        segment.cleaned = True
+        self.stats.segments_cleaned += 1
+        self.stats.entries_scanned += scanned
+        self.stats.payloads_reclaimed += reclaimed
+        self.stats.payloads_rewritten += rewritten
+        return scanned, reclaimed, rewritten
+
+    @property
+    def last_index(self) -> int:
+        """Highest stored index (0 = empty)."""
+        return max(len(self._segment_of) - 1, 0)
+
+    def value_of(self, key: str):
+        index = self._latest_index.get(key)
+        if index is None:
+            return None
+        # The cleaner keeps exactly this effect.
+        value = self.entries[index].effect_on(key)[1]
+        return None if value is TOMBSTONE else value
+
+
+#: in-order arrivals: the next index (``skip`` = 1 leaves a gap a later
+#: entry never fills), a resend of index n (filtered by the caller on
+#: ``get``), a compaction of the (n mod #sealed)-th sealed segment, a
+#: cleaner pass at a live-ratio threshold, or a wholesale reset
+_IN_ORDER_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.sampled_from((0, 0, 0, 1))),
+    st.tuples(st.just("resend"), st.integers(1, 60)),
+    st.tuples(st.just("compact"), st.integers(0, 20)),
+    st.tuples(st.just("clean"), st.sampled_from((0.3, 0.5, 0.6, 1.0))),
+    st.tuples(st.just("reset"), st.just(0))), max_size=80)
+
+
+@given(_IN_ORDER_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_read_time_liveness_matches_the_incremental_algorithm(steps):
+    """While entries arrive in log order — with resends, compactions,
+    cleaner passes and resets between them — the live counts worked out
+    where they are read equal the counters ``append`` used to keep, and
+    ``cleanable()`` (which segments, in what order), each cleaned
+    segment's live count at the instant the cleaner reads it,
+    ``compact()`` output, the stored entries and ``value_of`` all agree
+    with the replaced algorithm."""
+    sim = Simulator(seed=0)
+    backup = BackupServer(Network(sim).add_host("backup1"), master_id="m1")
+    wal = backup.wal = SegmentedWal(segment_size=3)
+    reference = _IncrementalWal(segment_size=3)
+    for step, n in steps:
+        if step == "append":
+            index = wal.last_index + 1 + n
+            effects = _effects_for(index)
+            wal.append(entry(index, *effects, rpc_id=("c", index)))
+            reference.append(entry(index, *effects, rpc_id=("c", index)))
+        elif step == "resend":
+            assert (wal.get(n) is None) == (reference.get(n) is None)
+        elif step == "compact":
+            sealed = [s.segment_id for s in wal.segments if s.sealed]
+            if sealed:
+                chosen = sealed[n % len(sealed)]
+                assert wal.compact(wal.segments[chosen]) \
+                    == reference.compact(reference.segments[chosen])
+        elif step == "clean":
+            chosen = [s.segment_id for s in wal.cleanable(n)]
+            assert chosen == [s.segment_id for s in reference.cleanable(n)]
+            for segment_id in chosen:
+                assert wal.live_payloads(wal.segments[segment_id]) \
+                    == reference.segments[segment_id].live_payloads
+                assert wal.compact(wal.segments[segment_id]) \
+                    == reference.compact(reference.segments[segment_id])
+        else:
+            wal.reset()
+            reference.reset()
+        assert wal.entries == reference.entries
+        assert (len(wal), wal.last_index) == (len(reference),
+                                              reference.last_index)
+        assert [wal.live_payloads(s) for s in wal.segments] \
+            == [s.live_payloads for s in reference.segments]
+        assert wal.stats == reference.stats
+        assert wal.segment_index() == reference.segment_index()
+        for key in ("k0", "k1", "k2", "k3", "k4", "never"):
+            assert backup.value_of(key) == reference.value_of(key)
