@@ -75,6 +75,14 @@ ENTRY_WIRE_BYTES = 140
 #: masters divides by k
 REPLAY_ENTRY_TIME = 1.0
 
+#: distinct key hashes one load window may hold: a new hash beyond this
+#: folds the window into ``stats.tablet_ops`` (as a pull does) and starts
+#: a fresh one, so a master no rebalancer pulls keeps bounded
+#: bookkeeping.  Larger than any rebalancer run's whole key space
+#: (``bench_rebalance`` writes 1,975 keys), so no window a rebalancer
+#: reads is cut short.
+LOAD_WINDOW_HASHES = 4096
+
 
 @dataclasses.dataclass
 class MasterStats:
@@ -103,9 +111,12 @@ class MasterStats:
     shed_reads: int = 0
     #: cumulative ops bucketed by owned tablet (lo, hi) — harvested from
     #: the per-hash window whenever the coordinator pulls a load report
+    #: or the window restarts
     tablet_ops: dict = dataclasses.field(default_factory=dict)
     #: load-report windows served to the coordinator's rebalancer
     load_reports: int = 0
+    #: load windows folded unpulled at ``LOAD_WINDOW_HASHES`` hashes
+    load_window_restarts: int = 0
     #: cross-shard transaction slices prepared OK (§B.2 saga prepare)
     txns_prepared: int = 0
     #: compensation operations executed (saga unwind of an aborted txn)
@@ -149,8 +160,9 @@ class CurpMaster:
                                             name=f"{master_id}-workers")
         self.stats = MasterStats()
 
-        #: per-key-hash op counts for the current load-report window
-        #: (pure bookkeeping: no events, so golden traces are unchanged)
+        #: per-key-hash op counts for the current load-report window, at
+        #: most ``LOAD_WINDOW_HASHES`` of them (pure bookkeeping: no
+        #: events, so golden traces are unchanged)
         self._load_by_hash: dict[int, int] = {}
 
         self._sync_active = False
@@ -244,6 +256,8 @@ class CurpMaster:
         # no events — virtual-time behaviour is untouched.
         load = self._load_by_hash
         for h in op.touched_hashes():
+            if len(load) >= LOAD_WINDOW_HASHES and h not in load:
+                load = self._restart_load_window()
             load[h] = load.get(h, 0) + 1
         self._on_worker(self._update_executed, op, args.rpc_id, ctx)
         return RpcTransport.DEFERRED
@@ -383,7 +397,10 @@ class CurpMaster:
         if self._shedding() and not args.probe:
             self.stats.shed_reads += 1
             raise AppError(RETRY_LATER, self._pushback_info())
-        self._load_by_hash[h] = self._load_by_hash.get(h, 0) + 1
+        load = self._load_by_hash
+        if len(load) >= LOAD_WINDOW_HASHES and h not in load:
+            load = self._restart_load_window()
+        load[h] = load.get(h, 0) + 1
         self._on_worker(self._read_executed, args, ctx)
         return RpcTransport.DEFERRED
 
@@ -824,11 +841,30 @@ class CurpMaster:
         rebalancer interval — the rebalancer just acts one round
         later.  Acknowledged-delivery bookkeeping would buy nothing
         but complexity here."""
+        per_tablet, hash_ops, total = self._fold_load_window()
+        self.stats.load_reports += 1
+        return LoadReport(master_id=self.master_id,
+                          tablet_ops=tuple(per_tablet.items()),
+                          hash_ops=tuple(sorted(hash_ops)),
+                          window_ops=total)
+
+    def _restart_load_window(self) -> dict[int, int]:
+        """Fold a window that reached ``LOAD_WINDOW_HASHES`` distinct
+        hashes unpulled, and return the fresh one."""
+        self._fold_load_window()
+        self.stats.load_window_restarts += 1
+        return self._load_by_hash
+
+    def _fold_load_window(self) -> tuple[dict, list, int]:
+        """Close the current window: fold its per-tablet totals into
+        ``stats.tablet_ops`` and start a fresh one.  Returns the
+        window's per-tablet totals, its (unsorted) per-hash histogram
+        and its op count."""
         window, self._load_by_hash = self._load_by_hash, {}
         per_tablet = {tablet: 0 for tablet in self.owned_ranges}
         hash_ops = []
         total = 0
-        for key_hash_value, count in sorted(window.items()):
+        for key_hash_value, count in window.items():
             for tablet in self.owned_ranges:
                 if tablet[0] <= key_hash_value < tablet[1]:
                     per_tablet[tablet] += count
@@ -840,11 +876,7 @@ class CurpMaster:
         for tablet, count in per_tablet.items():
             self.stats.tablet_ops[tablet] = (
                 self.stats.tablet_ops.get(tablet, 0) + count)
-        self.stats.load_reports += 1
-        return LoadReport(master_id=self.master_id,
-                          tablet_ops=tuple(per_tablet.items()),
-                          hash_ops=tuple(hash_ops),
-                          window_ops=total)
+        return per_tablet, hash_ops, total
 
     def _handle_split_range(self, args, ctx) -> str:
         """Split owned tablet [lo, hi) at ``split`` (pure bookkeeping:

@@ -1,9 +1,10 @@
 """The witness's set-associative request store (§4.2, §B.1).
 
 Recording is deliberately cache-like so a witness burns almost no CPU:
-a request on key ``k`` maps to set ``hash(k) mod n_sets``; the witness
-probes that set (an O(1) ``{key_hash: position}`` index over its
-``associativity`` slots) and
+a request on key ``k`` maps to set ``hash(k) mod n_sets``, the
+``associativity`` ways ``[set * associativity, (set + 1) *
+associativity)`` of one flat slot array; the witness probes the one
+``{key_hash: slot}`` index of live records and
 
 - **rejects** if any occupied slot holds a *different* request with the
   same 64-bit key hash (not commutative — §3.2.2), or
@@ -17,6 +18,9 @@ Uncollected-garbage detection (§4.5): the cache counts gc rounds; when
 a record that has survived ``stale_threshold`` gc rounds causes a
 rejection, it is reported back to the master through the next gc
 response so the master can retry/sync/re-collect it.
+
+Memory is the slot array plus one index entry per live record (§5.2
+counts slots only): nothing is kept per set.
 
 This class is a pure data structure (no simulator dependency) so the
 Figure 11 benchmark can drive it millions of times cheaply.
@@ -56,13 +60,12 @@ class WitnessCache:
         self.associativity = associativity
         self.n_sets = slots // associativity
         self.stale_threshold = stale_threshold
-        self._sets: list[list[WitnessRecord | None]] = [
-            [None] * associativity for _ in range(self.n_sets)]
-        #: per-set {key_hash: slot position} — because accepted requests
-        #: are pairwise commutative, a key hash occupies at most one slot
-        #: per set, so record/commutes_with/gc are O(keys) dict lookups
-        #: instead of O(keys × associativity) scans.
-        self._index: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
+        #: set ``s`` owns ways ``[s * associativity, (s + 1) * associativity)``
+        self._slots: list[WitnessRecord | None] = [None] * slots
+        #: {key_hash: slot} of every live record — a key hash maps to one
+        #: set and, because accepted requests are pairwise commutative,
+        #: occupies at most one way of it, so it is unique cache-wide
+        self._where: dict[int, int] = {}
         self._gc_rounds = 0
         #: rejected-against records suspected as uncollected garbage,
         #: keyed by (key_hash, rpc_id); drained by the next gc response
@@ -84,29 +87,31 @@ class WitnessCache:
         """
         if not key_hashes:
             raise ValueError("record() needs at least one key hash")
+        slots = self._slots
+        where = self._where
+        assoc = self.associativity
         if len(key_hashes) == 1:
             # Single-key fast path: the overwhelmingly common shape
             # (every basic update touches one object, §4.2).
             key_hash = key_hashes[0]
-            set_index = key_hash % self.n_sets
-            index = self._index[set_index]
-            position = index.get(key_hash)
-            if position is not None:
-                slot = self._sets[set_index][position]
-                if slot.rpc_id == rpc_id:
+            slot = where.get(key_hash)
+            if slot is not None:
+                record = slots[slot]
+                if record.rpc_id == rpc_id:
                     self.accepts += 1  # idempotent retry
                     return True
-                self._note_suspect(slot)
+                self._note_suspect(record)
                 self.rejects_commutativity += 1
                 return False
-            if len(index) >= self.associativity:
+            base = key_hash % self.n_sets * assoc
+            try:
+                slot = slots.index(None, base, base + assoc)  # lowest free way
+            except ValueError:
                 self.rejects_capacity += 1
                 return False
-            row = self._sets[set_index]
-            position = row.index(None)  # lowest free way, as before
-            row[position] = WitnessRecord(key_hash, rpc_id, request,
-                                          self._gc_rounds)
-            index[key_hash] = position
+            slots[slot] = WitnessRecord(key_hash, rpc_id, request,
+                                        self._gc_rounds)
+            where[key_hash] = slot
             self.accepts += 1
             return True
         # A request that touches the same key twice needs only one slot
@@ -116,31 +121,29 @@ class WitnessCache:
         # Pass 1: commutativity + capacity check over every affected set.
         needed_per_set: dict[int, int] = {}
         for key_hash in unique_hashes:
-            set_index = key_hash % self.n_sets
-            position = self._index[set_index].get(key_hash)
-            if position is not None:
-                slot = self._sets[set_index][position]
-                if slot.rpc_id == rpc_id:
+            slot = where.get(key_hash)
+            if slot is not None:
+                record = slots[slot]
+                if record.rpc_id == rpc_id:
                     continue  # idempotent retry
-                self._note_suspect(slot)
+                self._note_suspect(record)
                 self.rejects_commutativity += 1
                 return False
-            needed_per_set[set_index] = needed_per_set.get(set_index, 0) + 1
-        for set_index, needed in needed_per_set.items():
-            if self.associativity - len(self._index[set_index]) < needed:
+            base = key_hash % self.n_sets * assoc
+            needed_per_set[base] = needed_per_set.get(base, 0) + 1
+        for base, needed in needed_per_set.items():
+            if slots[base:base + assoc].count(None) < needed:
                 self.rejects_capacity += 1
                 return False
         # Pass 2: write one slot per key (all-or-nothing guaranteed above).
         for key_hash in unique_hashes:
-            set_index = key_hash % self.n_sets
-            index = self._index[set_index]
-            if key_hash in index:
+            if key_hash in where:
                 continue  # idempotent duplicate for this key
-            row = self._sets[set_index]
-            position = row.index(None)  # lowest free way, as before
-            row[position] = WitnessRecord(key_hash, rpc_id, request,
-                                          self._gc_rounds)
-            index[key_hash] = position
+            base = key_hash % self.n_sets * assoc
+            slot = slots.index(None, base, base + assoc)  # lowest free way
+            slots[slot] = WitnessRecord(key_hash, rpc_id, request,
+                                        self._gc_rounds)
+            where[key_hash] = slot
         self.accepts += 1
         return True
 
@@ -154,8 +157,9 @@ class WitnessCache:
     def commutes_with(self, key_hashes: typing.Sequence[int]) -> bool:
         """Would an operation on these keys commute with every saved
         request?  (Used by readers checking backup freshness.)"""
+        where = self._where
         for key_hash in key_hashes:
-            if key_hash in self._index[key_hash % self.n_sets]:
+            if key_hash in where:
                 return False
         return True
 
@@ -179,19 +183,14 @@ class WitnessCache:
         garbage since the last round (drained on return).
         """
         self._gc_rounds += 1
-        n_sets = self.n_sets
-        sets = self._sets
-        indexes = self._index
+        slots = self._slots
+        where = self._where
         suspects = self._suspects
         for key_hash, rpc_id in pairs:
-            set_index = key_hash % n_sets
-            index = indexes[set_index]
-            position = index.get(key_hash)
-            if position is not None:
-                row = sets[set_index]
-                if row[position].rpc_id == rpc_id:
-                    row[position] = None
-                    del index[key_hash]
+            slot = where.get(key_hash)
+            if slot is not None and slots[slot].rpc_id == rpc_id:
+                slots[slot] = None
+                del where[key_hash]
             if suspects:
                 suspects.pop((key_hash, rpc_id), None)
         stale = list(self._suspects.values())
@@ -208,19 +207,16 @@ class WitnessCache:
         freed.  Matching suspects are forgotten too — the master no
         longer owns the key, so replaying them would be wrong.
         """
-        dropped = 0
-        for set_index, index in enumerate(self._index):
-            doomed = [key_hash for key_hash in index
-                      if not in_ranges((key_hash,), ranges)]
-            row = self._sets[set_index]
-            for key_hash in doomed:
-                row[index.pop(key_hash)] = None
-                dropped += 1
+        where = self._where
+        doomed = [key_hash for key_hash in where
+                  if not in_ranges((key_hash,), ranges)]
+        for key_hash in doomed:
+            self._slots[where.pop(key_hash)] = None
         if self._suspects:
             for key in [key for key in self._suspects
                         if not in_ranges((key[0],), ranges)]:
                 del self._suspects[key]
-        return dropped
+        return len(doomed)
 
     # ------------------------------------------------------------------
     # recovery / lifecycle
@@ -228,15 +224,14 @@ class WitnessCache:
     def all_requests(self) -> list[typing.Any]:
         """Unique saved requests (a multi-key request appears once)."""
         seen: dict[typing.Any, typing.Any] = {}
-        for row in self._sets:
-            for slot in row:
-                if slot is not None and slot.rpc_id not in seen:
-                    seen[slot.rpc_id] = slot.request
+        for record in self._slots:
+            if record is not None and record.rpc_id not in seen:
+                seen[record.rpc_id] = record.request
         return list(seen.values())
 
     def clear(self) -> None:
-        self._sets = [[None] * self.associativity for _ in range(self.n_sets)]
-        self._index = [{} for _ in range(self.n_sets)]
+        self._slots = [None] * self.slots
+        self._where = {}
         self._suspects.clear()
         self._gc_rounds = 0
 
@@ -244,7 +239,7 @@ class WitnessCache:
     # inspection
     # ------------------------------------------------------------------
     def occupied_slots(self) -> int:
-        return sum(len(index) for index in self._index)
+        return len(self._where)
 
     @property
     def gc_rounds(self) -> int:

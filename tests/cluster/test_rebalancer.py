@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.rebalancer import Rebalancer, weighted_split_point
 from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.master import LOAD_WINDOW_HASHES
 from repro.core.messages import LoadReport
 from repro.harness import build_cluster
 from repro.kvstore import Write, key_hash
@@ -57,6 +58,38 @@ def test_load_report_buckets_by_tablet_and_resets_window():
     again = cluster.run(cluster.sim.process(_pull_report(cluster, "m0")))
     assert again.window_ops == 0
     assert cluster.master("m0").stats.tablet_ops[tablet] == 6
+
+
+def test_unpulled_load_window_is_bounded_and_loses_no_op():
+    """No rebalancer pulls: the window restarts at ``LOAD_WINDOW_HASHES``
+    distinct hashes — once from the update path, once from the read
+    path — and the folded windows plus the next report count every op
+    the master admitted."""
+    cluster = sharded_cluster(n_masters=1)
+    client = cluster.new_client(collect_outcomes=False)
+    master = cluster.master("m0")
+    largest = 0
+
+    def script():
+        nonlocal largest
+        for i in range(LOAD_WINDOW_HASHES + 1):
+            yield from client.update(Write(f"w{i}", 1))
+            largest = max(largest, len(master._load_by_hash))
+        for i in range(LOAD_WINDOW_HASHES):
+            yield from client.read(f"r{i}")
+            largest = max(largest, len(master._load_by_hash))
+
+    cluster.run(script())
+    admitted = 2 * LOAD_WINDOW_HASHES + 1
+    assert largest == LOAD_WINDOW_HASHES
+    assert master.stats.load_window_restarts == 2
+    folded = sum(master.stats.tablet_ops.values())
+    assert folded == 2 * LOAD_WINDOW_HASHES
+    report = cluster.run(cluster.sim.process(_pull_report(cluster, "m0")))
+    assert report.hash_ops == ((key_hash(f"r{LOAD_WINDOW_HASHES - 1}"), 1),)
+    assert folded + report.window_ops == admitted
+    assert sum(master.stats.tablet_ops.values()) == admitted
+    assert master.stats.load_reports == 1
 
 
 def _pull_report(cluster, master_id):

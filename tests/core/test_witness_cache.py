@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.witness_cache import WitnessCache
+from repro.core.witness_cache import WitnessCache, WitnessRecord
+from repro.kvstore.hashing import in_ranges
 from repro.rifl import RpcId
 
 
@@ -222,11 +224,10 @@ def test_invariant_no_two_live_records_share_a_key(ops):
     for key_hash_value, rpc_seq in ops:
         cache.record([key_hash_value], rid(rpc_seq), f"req{rpc_seq}")
         seen: dict[int, object] = {}
-        for row in cache._sets:
-            for slot in row:
-                if slot is not None:
-                    assert seen.setdefault(slot.key_hash, slot.rpc_id) \
-                        == slot.rpc_id
+        for slot in cache._slots:
+            if slot is not None:
+                assert seen.setdefault(slot.key_hash, slot.rpc_id) \
+                    == slot.rpc_id
     assert cache.occupied_slots() <= 32
 
 
@@ -264,3 +265,287 @@ def test_property_higher_associativity_never_worse(associativity):
     ways = records_until_reject(associativity)
     if associativity >= 4:
         assert ways >= direct
+
+
+# ----------------------------------------------------------------------
+# the flat layout against the per-set one it replaced
+# ----------------------------------------------------------------------
+# ``_ReferenceWitnessCache`` is the earlier layout, kept verbatim (its
+# unchanged §5.2 accounting, ``gc`` alias and ``gc_rounds`` property
+# left out).  Both caches run the same steps and must agree on every
+# result, every suspect, the saved requests in order, the occupancy and
+# the way each record sits in.
+
+class _ReferenceWitnessCache:
+    """``WitnessCache`` before it became one slot array and one index:
+    a list and a ``{key_hash: way}`` dict per set."""
+
+    def __init__(self, slots: int = 4096, associativity: int = 4,
+                 stale_threshold: int = 3):
+        if slots < 1 or associativity < 1:
+            raise ValueError("slots and associativity must be >= 1")
+        if slots % associativity != 0:
+            raise ValueError(
+                f"slots ({slots}) must be a multiple of associativity "
+                f"({associativity})")
+        self.slots = slots
+        self.associativity = associativity
+        self.n_sets = slots // associativity
+        self.stale_threshold = stale_threshold
+        self._sets: list[list[WitnessRecord | None]] = [
+            [None] * associativity for _ in range(self.n_sets)]
+        #: per-set {key_hash: slot position} — because accepted requests
+        #: are pairwise commutative, a key hash occupies at most one slot
+        #: per set, so record/commutes_with/gc are O(keys) dict lookups
+        #: instead of O(keys × associativity) scans.
+        self._index: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
+        self._gc_rounds = 0
+        #: rejected-against records suspected as uncollected garbage,
+        #: keyed by (key_hash, rpc_id); drained by the next gc response
+        self._suspects: dict[tuple[int, typing.Any], typing.Any] = {}
+        # counters for §5.2-style accounting
+        self.accepts = 0
+        self.rejects_commutativity = 0
+        self.rejects_capacity = 0
+
+    # ------------------------------------------------------------------
+    # record
+    # ------------------------------------------------------------------
+    def record(self, key_hashes: typing.Sequence[int], rpc_id: typing.Any,
+               request: typing.Any) -> bool:
+        """Try to save a request; True = accepted.
+
+        Duplicate records (same rpc_id — a client retry) are accepted
+        idempotently.
+        """
+        if not key_hashes:
+            raise ValueError("record() needs at least one key hash")
+        if len(key_hashes) == 1:
+            # Single-key fast path: the overwhelmingly common shape
+            # (every basic update touches one object, §4.2).
+            key_hash = key_hashes[0]
+            set_index = key_hash % self.n_sets
+            index = self._index[set_index]
+            position = index.get(key_hash)
+            if position is not None:
+                slot = self._sets[set_index][position]
+                if slot.rpc_id == rpc_id:
+                    self.accepts += 1  # idempotent retry
+                    return True
+                self._note_suspect(slot)
+                self.rejects_commutativity += 1
+                return False
+            if len(index) >= self.associativity:
+                self.rejects_capacity += 1
+                return False
+            row = self._sets[set_index]
+            position = row.index(None)  # lowest free way, as before
+            row[position] = WitnessRecord(key_hash, rpc_id, request,
+                                          self._gc_rounds)
+            index[key_hash] = position
+            self.accepts += 1
+            return True
+        # A request that touches the same key twice needs only one slot
+        # for it; dedupe up front so the capacity check doesn't demand
+        # free slots pass 2 will never consume.
+        unique_hashes: typing.Iterable[int] = dict.fromkeys(key_hashes)
+        # Pass 1: commutativity + capacity check over every affected set.
+        needed_per_set: dict[int, int] = {}
+        for key_hash in unique_hashes:
+            set_index = key_hash % self.n_sets
+            position = self._index[set_index].get(key_hash)
+            if position is not None:
+                slot = self._sets[set_index][position]
+                if slot.rpc_id == rpc_id:
+                    continue  # idempotent retry
+                self._note_suspect(slot)
+                self.rejects_commutativity += 1
+                return False
+            needed_per_set[set_index] = needed_per_set.get(set_index, 0) + 1
+        for set_index, needed in needed_per_set.items():
+            if self.associativity - len(self._index[set_index]) < needed:
+                self.rejects_capacity += 1
+                return False
+        # Pass 2: write one slot per key (all-or-nothing guaranteed above).
+        for key_hash in unique_hashes:
+            set_index = key_hash % self.n_sets
+            index = self._index[set_index]
+            if key_hash in index:
+                continue  # idempotent duplicate for this key
+            row = self._sets[set_index]
+            position = row.index(None)  # lowest free way, as before
+            row[position] = WitnessRecord(key_hash, rpc_id, request,
+                                          self._gc_rounds)
+            index[key_hash] = position
+        self.accepts += 1
+        return True
+
+    def _note_suspect(self, record: WitnessRecord) -> None:
+        if self._gc_rounds - record.gc_generation >= self.stale_threshold:
+            self._suspects[(record.key_hash, record.rpc_id)] = record.request
+
+    # ------------------------------------------------------------------
+    # commutativity probe (§A.1 consistent backup reads)
+    # ------------------------------------------------------------------
+    def commutes_with(self, key_hashes: typing.Sequence[int]) -> bool:
+        """Would an operation on these keys commute with every saved
+        request?  (Used by readers checking backup freshness.)"""
+        for key_hash in key_hashes:
+            if key_hash in self._index[key_hash % self.n_sets]:
+                return False
+        return True
+
+    # ------------------------------------------------------------------
+    # garbage collection
+    # ------------------------------------------------------------------
+    def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]]
+                 ) -> list[typing.Any]:
+        """One gc round: drop the records matching the round's
+        (key_hash, rpc_id) pairs and tick the stale-suspect aging clock.
+
+        Unknown pairs are ignored (the record RPC may have been
+        rejected, §4.5).  Returns the requests suspected as uncollected
+        garbage since the last round (drained on return).
+        """
+        self._gc_rounds += 1
+        n_sets = self.n_sets
+        sets = self._sets
+        indexes = self._index
+        suspects = self._suspects
+        for key_hash, rpc_id in pairs:
+            set_index = key_hash % n_sets
+            index = indexes[set_index]
+            position = index.get(key_hash)
+            if position is not None:
+                row = sets[set_index]
+                if row[position].rpc_id == rpc_id:
+                    row[position] = None
+                    del index[key_hash]
+            if suspects:
+                suspects.pop((key_hash, rpc_id), None)
+        stale = list(self._suspects.values())
+        self._suspects.clear()
+        return stale
+
+    def drop_outside(self, ranges: typing.Sequence[tuple[int, int]]) -> int:
+        """Evict every record whose key hash falls outside ``ranges``.
+
+        Used at migration cutover (§3.6): records for keys that left
+        the master's ownership can never be collected by that master's
+        sync+gc cycle, so they are dropped eagerly rather than pinning
+        slots until stale-suspect aging.  Returns the number of slots
+        freed.  Matching suspects are forgotten too — the master no
+        longer owns the key, so replaying them would be wrong.
+        """
+        dropped = 0
+        for set_index, index in enumerate(self._index):
+            doomed = [key_hash for key_hash in index
+                      if not in_ranges((key_hash,), ranges)]
+            row = self._sets[set_index]
+            for key_hash in doomed:
+                row[index.pop(key_hash)] = None
+                dropped += 1
+        if self._suspects:
+            for key in [key for key in self._suspects
+                        if not in_ranges((key[0],), ranges)]:
+                del self._suspects[key]
+        return dropped
+
+    # ------------------------------------------------------------------
+    # recovery / lifecycle
+    # ------------------------------------------------------------------
+    def all_requests(self) -> list[typing.Any]:
+        """Unique saved requests (a multi-key request appears once)."""
+        seen: dict[typing.Any, typing.Any] = {}
+        for row in self._sets:
+            for slot in row:
+                if slot is not None and slot.rpc_id not in seen:
+                    seen[slot.rpc_id] = slot.request
+        return list(seen.values())
+
+    def clear(self) -> None:
+        self._sets = [[None] * self.associativity for _ in range(self.n_sets)]
+        self._index = [{} for _ in range(self.n_sets)]
+        self._suspects.clear()
+        self._gc_rounds = 0
+
+    # ------------------------------------------------------------------
+    # inspection
+    # ------------------------------------------------------------------
+    def occupied_slots(self) -> int:
+        return sum(len(index) for index in self._index)
+
+
+_KEYS = st.integers(0, 23)
+_SEQS = st.integers(1, 12)
+_STEPS = st.one_of(
+    st.tuples(st.just("record"), st.lists(_KEYS, min_size=1, max_size=3),
+              _SEQS),
+    st.tuples(st.just("gc"), st.lists(st.tuples(_KEYS, _SEQS), max_size=6)),
+    st.tuples(st.just("drop"), st.integers(0, 24), st.integers(0, 24)),
+    st.tuples(st.just("commutes"), st.lists(_KEYS, min_size=1,
+                                             max_size=3)),
+    st.tuples(st.just("clear")),
+)
+
+
+def _ways(cache) -> dict[int, tuple[int, int, typing.Any]]:
+    """key_hash -> (set, way, rpc_id) of every live record."""
+    if isinstance(cache, _ReferenceWitnessCache):
+        return {record.key_hash: (set_index, way, record.rpc_id)
+                for set_index, row in enumerate(cache._sets)
+                for way, record in enumerate(row) if record is not None}
+    return {record.key_hash: (*divmod(slot, cache.associativity),
+                              record.rpc_id)
+            for slot, record in enumerate(cache._slots)
+            if record is not None}
+
+
+def _step(cache, step):
+    kind, *args = step
+    if kind == "record":
+        keys, seq = args
+        return cache.record(keys, rid(seq), f"req{seq}")
+    if kind == "gc":
+        return cache.gc_batch([(key, rid(seq)) for key, seq in args[0]])
+    if kind == "drop":
+        lo, hi = sorted(args)
+        return cache.drop_outside([(lo, hi)])
+    if kind == "commutes":
+        return cache.commutes_with(args[0])
+    return cache.clear()
+
+
+@given(st.sampled_from([(16, 2), (16, 4), (8, 1)]),
+       st.lists(_STEPS, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_flat_cache_matches_the_per_set_layout(geometry, steps):
+    """Single- and multi-key records (retries, a key listed twice,
+    commutativity and capacity rejects), gc rounds with right and wrong
+    ``RpcId``s, evictions, probes and clears: after each step the flat
+    cache agrees with the per-set one it replaced."""
+    slots, associativity = geometry
+    flat = WitnessCache(slots=slots, associativity=associativity)
+    reference = _ReferenceWitnessCache(slots=slots,
+                                       associativity=associativity)
+    for step in steps:
+        assert _step(flat, step) == _step(reference, step), step
+        assert flat._suspects == reference._suspects
+        assert flat.all_requests() == reference.all_requests()
+        assert flat.occupied_slots() == reference.occupied_slots()
+        assert _ways(flat) == _ways(reference)
+        assert flat.gc_rounds == reference._gc_rounds
+        assert (flat.accepts, flat.rejects_commutativity,
+                flat.rejects_capacity) == (
+            reference.accepts, reference.rejects_commutativity,
+            reference.rejects_capacity)
+
+
+def test_flat_cache_keeps_nothing_per_set():
+    cache = WitnessCache(slots=4096, associativity=4)
+    cache.record([7], rid(1), "a")
+    cache.record([7 + 1024, 9], rid(2), "b")
+    assert len(cache._slots) == 4096
+    assert cache._where == {7: 28, 7 + 1024: 29, 9: 36}
+    assert not [value for value in vars(cache).values()
+                if isinstance(value, list) and value is not cache._slots]

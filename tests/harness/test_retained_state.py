@@ -76,15 +76,18 @@ def test_rifl_ids_keep_their_lexicographic_order():
 # ---------------------------------------------------------------------------
 
 #: bytes a committed write leaves behind in the closed-loop CURP f=3 run
-#: below.  Measured 722 / 714 on CPython 3.11 / 3.12 with each backup
-#: keeping its master's log and segment membership, nothing per key; a
-#: key -> newest index dict and an index -> segment list on every
-#: backup measured 840 / 832, a copy of each write in a stored object
-#: and a version counter on the master, and a dict entry per index on
-#: every backup on top of that 1,025 / 1,017, and a materialized value
-#: copy per backup and a __dict__ per record on top of that 1,330 /
-#: 1,298.
-RETAINED_BYTES_PER_WRITE = 780
+#: below.  Measured 602 on CPython 3.11 (not yet on 3.12) with each
+#: witness one slot array and one key-hash index and each master's load
+#: window bounded at ``LOAD_WINDOW_HASHES``; a list and a dict per
+#: witness set and a load window over every key written measured 722 /
+#: 714 on 3.11 / 3.12, with each backup keeping its master's log and
+#: segment membership, nothing per key; a key -> newest index dict and
+#: an index -> segment list on every backup on top of that 840 / 832, a
+#: copy of each write in a stored object and a version counter on the
+#: master, and a dict entry per index on every backup on top of that
+#: 1,025 / 1,017, and a materialized value copy per backup and a
+#: __dict__ per record on top of that 1,330 / 1,298.
+RETAINED_BYTES_PER_WRITE = 680
 
 
 def test_retained_bytes_per_committed_write_are_bounded():
@@ -92,8 +95,9 @@ def test_retained_bytes_per_committed_write_are_bounded():
     uniformly over 1 M keys for 4,000 µs — after 1,000 µs of warm-up,
     and once ``settle()`` has drained syncs and witness gc — and still
     alive at the end, per committed write: the master's log and store,
-    three backups' WALs, RIFL records.  The ``key_hash`` memo starts
-    empty, so the value does not depend on what ran before."""
+    three backups' WALs, RIFL records, witness and load-window
+    bookkeeping.  The ``key_hash`` memo starts empty, so the value does
+    not depend on what ran before."""
     key_hash.cache_clear()
     cluster = build_cluster(curp_config(3), profile=RAMCLOUD_PROFILE, seed=11)
     sim = cluster.sim

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import curp_config
-from repro.harness.builder import build_cluster
+from repro.harness.builder import Cluster, build_cluster
 from repro.harness.profiles import (RAMCLOUD_PROFILE, REDIS_PROFILE,
                                     TEST_PROFILE)
 from repro.metrics.stats import LatencyRecorder
@@ -360,10 +360,11 @@ GOLDEN_REBALANCE = {
 }
 
 
-def _rebalance_experiment(rebalance: bool = True) -> dict:
+def _rebalance_experiment(rebalance: bool = True) -> tuple[dict, Cluster]:
     """The seeded *skewed* experiment behind the rebalancer golden: two
     shards, a zipfian mix whose head lands ~70% of the load on m1, and
-    the rebalancer (when enabled) splitting/migrating mid-run."""
+    the rebalancer (when enabled) splitting/migrating mid-run.  Returns
+    the pinned observation and the cluster."""
     cluster = build_cluster(curp_config(2), seed=1234, n_masters=2)
     if rebalance:
         cluster.start_rebalancer(interval=400.0, threshold=1.25,
@@ -389,7 +390,7 @@ def _rebalance_experiment(rebalance: bool = True) -> dict:
         "tablets": cluster.shard_map.tablets(),
         "per_host_sent": dict(sorted(
             cluster.network.stats.per_host_sent.items())),
-    }
+    }, cluster
 
 
 def test_golden_trace_rebalance_pinned():
@@ -403,9 +404,15 @@ def test_golden_trace_rebalance_pinned():
     load-accounting counters add no events, so GOLDEN /
     GOLDEN_PIPELINED above must stay byte-identical — those tests are
     the disabled half of this satellite."""
-    observed = _rebalance_experiment()
+    observed, cluster = _rebalance_experiment()
     assert observed == GOLDEN_REBALANCE
     assert GOLDEN_REBALANCE["migrations"] >= 1  # the pin has a subject
+    # Every load window the rebalancer read was whole: the key space is
+    # smaller than ``LOAD_WINDOW_HASHES``, so no window restarted.
+    for master_id in ("m0", "m1"):
+        stats = cluster.master(master_id).stats
+        assert stats.load_reports > 0
+        assert stats.load_window_restarts == 0
 
 
 def test_rebalance_disabled_trace_static_tablets():
@@ -413,7 +420,7 @@ def test_rebalance_disabled_trace_static_tablets():
     even two-tablet split (nothing else in the PR moves tablets), and
     its virtual end time matches the enabled run's — rebalancing
     changes placement and message counts, never the measured window."""
-    observed = _rebalance_experiment(rebalance=False)
+    observed, _cluster = _rebalance_experiment(rebalance=False)
     assert observed["splits"] == 0 and observed["migrations"] == 0
     assert observed["tablets"] == ((0, 2 ** 63, "m0"),
                                    (2 ** 63, 2 ** 64, "m1"))

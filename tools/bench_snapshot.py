@@ -17,8 +17,8 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
   committed op leaves allocated (``retained_bytes_per_op``) and the
   Python-level calls it makes (``py_calls_per_op``);
 - ``ycsb_b_smoke``: the read path, a YCSB-B closed loop (16 clients,
-  4 masters, 95 % reads) — kernel events and Python-level calls per
-  completed op;
+  4 masters, 95 % reads) — kernel events, retained bytes and
+  Python-level calls per completed op;
 - ``messages_per_update``: wire messages per committed update at
   f ∈ {1, 3}, colocated vs spread witnesses
   (``benchmarks/bench_sec52_witness_resources.py``);
@@ -129,7 +129,7 @@ def _fig6_smoke() -> dict:
         "events_per_op": round(
             (sim.processed_events - events_before) / operations, 3),
         "heap_peak": heap_peak,
-        "retained_bytes_per_op": _fig6_retained_bytes_per_op(),
+        "retained_bytes_per_op": _retained_bytes_per_op(_fig6_cluster),
         "py_calls_per_op": _py_calls_per_op(_fig6_cluster),
     }
 
@@ -138,8 +138,10 @@ def _ycsb_b_smoke() -> dict:
     """The read path: a YCSB-B closed loop, 16 clients on 4 masters.
 
     ``events_per_op`` is the kernel events dispatched per completed op
-    inside a 10,000 µs window; ``py_calls_per_op`` is counted as for
-    the fig6 smoke, in a run of its own.
+    inside a 10,000 µs window; ``retained_bytes_per_op`` and
+    ``py_calls_per_op`` are measured as for the fig6 smoke, each in a
+    run of its own.  Four masters and their twelve witnesses make this
+    the shape where per-witness and per-master bookkeeping shows.
     """
     cluster, loops = _ycsb_b_cluster()
     sim = cluster.sim
@@ -150,24 +152,26 @@ def _ycsb_b_smoke() -> dict:
     return {
         "events_per_op": round(
             (sim.processed_events - events_before) / operations, 3),
+        "retained_bytes_per_op": _retained_bytes_per_op(_ycsb_b_cluster),
         "py_calls_per_op": _py_calls_per_op(_ycsb_b_cluster),
     }
 
 
-def _fig6_retained_bytes_per_op() -> int:
-    """Bytes still allocated per committed op once a 4,000 µs window of
-    the smoke has run under tracemalloc and ``settle()`` has drained
-    syncs and witness gc: what each op leaves behind (log, store,
-    backup WALs, RIFL records).  The ``key_hash`` memo starts empty, so
-    the number is the same on one interpreter whatever ran earlier in
-    the process."""
+def _retained_bytes_per_op(make_cluster) -> int:
+    """Bytes still allocated per completed op once a 4,000 µs window of
+    the smoke ``make_cluster()`` builds has run under tracemalloc, after
+    its warm-up, and ``settle()`` has drained syncs and witness gc: what
+    each op leaves behind (log, store, backup WALs, RIFL records,
+    witness and load-window bookkeeping).  The ``key_hash`` memo starts
+    empty, so the number is the same on one interpreter whatever ran
+    earlier in the process."""
     import gc
     import tracemalloc
 
     from repro.kvstore.hashing import key_hash
 
     key_hash.cache_clear()
-    cluster, loops = _fig6_cluster()
+    cluster, loops = make_cluster()
     before = sum(loop.operations for loop in loops)
     gc.collect()
     tracemalloc.start()
