@@ -34,9 +34,10 @@ import typing
 from repro.kvstore.hashing import in_ranges
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, eq=False)
 class WitnessRecord:
-    """One slot's contents."""
+    """One slot's contents.  Compared by identity, so a scan for a free
+    way (``index(None)``, ``count(None)``) calls no ``__eq__``."""
 
     key_hash: int
     rpc_id: typing.Any

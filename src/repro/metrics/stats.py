@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import typing
+from array import array
+
+#: samples per sorted run when the sorted view is built: one run is
+#: boxed at a time, so a read never holds every sample as a ``float``
+_RUN = 4096
 
 
 def percentile(sorted_samples: typing.Sequence[float], p: float) -> float:
@@ -27,11 +33,16 @@ def percentile(sorted_samples: typing.Sequence[float], p: float) -> float:
 
 
 class LatencyRecorder:
-    """Collects latency samples; answers median/percentile queries."""
+    """Collects latency samples; answers median/percentile queries.
+
+    Samples are unboxed doubles (8 B each).  Order statistics read one
+    sorted ``array('d')`` view, built by merging sorted runs of
+    ``_RUN`` samples and cached until the next ``record`` or ``reset``.
+    """
 
     def __init__(self) -> None:
-        self._samples: list[float] = []
-        self._sorted: list[float] | None = None
+        self._samples = array("d")
+        self._sorted: array | None = None
 
     def record(self, latency: float) -> None:
         if latency < 0:
@@ -40,7 +51,7 @@ class LatencyRecorder:
         self._sorted = None
 
     def reset(self) -> None:
-        self._samples.clear()
+        self._samples = array("d")
         self._sorted = None
 
     @property
@@ -49,11 +60,14 @@ class LatencyRecorder:
 
     @property
     def samples(self) -> list[float]:
-        return list(self._samples)
+        return self._samples.tolist()
 
-    def sorted_samples(self) -> list[float]:
+    def sorted_samples(self) -> array:
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            samples = self._samples
+            runs = [array("d", sorted(samples[start:start + _RUN]))
+                    for start in range(0, len(samples), _RUN)]
+            self._sorted = array("d", heapq.merge(*runs))
         return self._sorted
 
     def percentile(self, p: float) -> float:
@@ -76,6 +90,7 @@ class LatencyRecorder:
     def summary(self) -> dict[str, float]:
         if not self._samples:
             return {"count": 0}
+        ordered = self.sorted_samples()
         return {
             "count": self.count,
             "median": self.median,
@@ -83,6 +98,6 @@ class LatencyRecorder:
             "p90": self.percentile(90.0),
             "p99": self.percentile(99.0),
             "p999": self.percentile(99.9),
-            "min": self.sorted_samples()[0],
-            "max": self.sorted_samples()[-1],
+            "min": ordered[0],
+            "max": ordered[-1],
         }

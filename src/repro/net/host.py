@@ -100,7 +100,7 @@ class Host:
         """
         process = self.sim.process(generator, name=f"{self.name}:{name or 'proc'}")
         self._processes.add(process)
-        process.add_callback(lambda _e: self._processes.discard(process))
+        process.add_callback(self._processes.discard)
         return process
 
     # ------------------------------------------------------------------

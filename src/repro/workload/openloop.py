@@ -203,6 +203,7 @@ class _TenantState:
 
     def __init__(self, spec: TenantSpec, initial_window: float):
         self.spec = spec
+        self.process_name = f"openloop-{spec.name}"
         self.stream: YcsbOpStream = spec.workload.generator()
         self.clients: list[CurpClient] = []
         self.queue: collections.deque = collections.deque()
@@ -333,7 +334,7 @@ class OpenLoopEngine:
             tenant.next_client = ((tenant.next_client + 1)
                                   % len(tenant.clients))
             client.host.spawn(self._run_op(tenant, client, op, arrived),
-                              name=f"openloop-{tenant.spec.name}")
+                              name=tenant.process_name)
 
     def _run_op(self, tenant: _TenantState, client: CurpClient, op,
                 arrived: float):

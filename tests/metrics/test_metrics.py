@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import time
+import tracemalloc
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.metrics import stats
 from repro.metrics import (
     LatencyRecorder,
     ccdf_points,
@@ -111,3 +117,118 @@ def test_property_percentile_bounds(samples):
 def test_property_ccdf_fraction_bounds(samples):
     for _x, y in ccdf_points(samples):
         assert 0.0 < y <= 1.0
+
+
+#: zeros of both signs, duplicates and subnormals as well as ordinary
+#: latencies
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.5]),
+    st.floats(min_value=0, max_value=1e6))
+_PERCENTILES = (0.0, 0.1, 1.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0)
+
+
+def _bits(reads: dict) -> dict:
+    """Floats as hex, so that equal means bit-identical."""
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in reads.items()}
+
+
+def _reference_reads(samples: list[float], p: float) -> dict:
+    """Every order statistic as a plain sorted list gives it."""
+    ordered = sorted(samples)
+
+    def at(q: float) -> float:
+        return percentile(ordered, q)
+
+    reads = {f"p{q}": at(q) for q in _PERCENTILES + (p,)}
+    reads.update(median=at(50.0), p99=at(99.0))
+    summary = {"count": len(samples), "median": at(50.0),
+               "mean": sum(samples) / len(samples), "p90": at(90.0),
+               "p99": at(99.0), "p999": at(99.9), "min": ordered[0],
+               "max": ordered[-1]}
+    reads.update((f"summary.{name}", value)
+                 for name, value in summary.items())
+    return _bits(reads)
+
+
+def _recorder_reads(recorder: LatencyRecorder, p: float) -> dict:
+    reads = {f"p{q}": recorder.percentile(q) for q in _PERCENTILES + (p,)}
+    reads.update(median=recorder.median, p99=recorder.p99)
+    reads.update((f"summary.{name}", value)
+                 for name, value in recorder.summary().items())
+    return _bits(reads)
+
+
+_STEP = st.one_of(st.tuples(st.just("record"), _SAMPLE),
+                  st.tuples(st.just("read"), st.floats(0.0, 100.0)),
+                  st.tuples(st.just("reset"), st.none()))
+
+
+@given(st.sampled_from([1, 2, 3, 7, 4096]), st.lists(_STEP, max_size=80))
+@settings(max_examples=300, deadline=None)
+@example(1, [("record", 0.0), ("record", -0.0)])  # a tie across two runs
+def test_property_recorder_matches_sorted_list(run, steps):
+    """Reads interleaved with further samples and resets, at several
+    run lengths (so the view is merged from one run or from many): every
+    percentile, the median, p99 and the summary equal what a sorted
+    list of the same samples gives, to the bit."""
+    recorder = LatencyRecorder()
+    samples: list[float] = []
+    with mock.patch.object(stats, "_RUN", run):
+        for kind, value in steps + [("read", 50.0)]:
+            if kind == "record":
+                recorder.record(value)
+                samples.append(value)
+            elif kind == "reset":
+                recorder.reset()
+                samples.clear()
+            elif samples:
+                assert (_recorder_reads(recorder, value)
+                        == _reference_reads(samples, value))
+                assert recorder.samples == samples
+                assert list(recorder.sorted_samples()) == sorted(samples)
+            else:
+                assert recorder.summary() == {"count": 0}
+                with pytest.raises(ValueError):
+                    recorder.median
+
+
+def test_recorder_matches_sorted_list_across_many_runs():
+    """Ten thousand samples at the real run length: three runs merged."""
+    rng = random.Random(7)
+    samples = [rng.choice([0.0, 5e-324, rng.random(), float(rng.randrange(9))])
+               for _ in range(10_000)]
+    recorder = LatencyRecorder()
+    for value in samples:
+        recorder.record(value)
+    assert (_recorder_reads(recorder, 37.5)
+            == _reference_reads(samples, 37.5))
+
+
+def test_recorder_memory_per_sample():
+    """100 k samples stay 8 B each (plus the array's headroom), and a
+    read builds its sorted view without boxing every sample at once."""
+    n = 100_000
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        recorder = LatencyRecorder()
+        for i in range(n):
+            recorder.record((i * 7919 % n) * 0.25)
+        retained, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        recorder.median, recorder.p99
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (retained - before) / n <= 9
+    assert (peak - retained) / n <= 20
+
+
+def test_recorder_read_time():
+    recorder = LatencyRecorder()
+    for i in range(100_000):
+        recorder.record((i * 7919 % 100_000) * 0.25)
+    started = time.perf_counter()
+    recorder.median, recorder.p99
+    assert time.perf_counter() - started <= 0.5

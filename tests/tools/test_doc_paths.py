@@ -331,3 +331,49 @@ def test_stale_bench_row_check_sees_unknown_names():
             "`overload.goodput_by_offered`, `overload.collapse_ratio_off`, "
             "`rpc.transport`, `python.version` and `overload.x/y`.")
     assert stale_bench_rows(text, snapshot) == ["overload.collapse_ratio_off"]
+
+
+#: a smoke row named with a value right after it (`row` 163.93, `row`
+#: reads 605, `row` = 15.067); a value followed by "→", "before" or "at
+#: the parent" is history and is not read as the current snapshot
+_SMOKE_VALUE = re.compile(
+    r"`((?:fig6_smoke|ycsb_b_smoke)\.\w+)`\s*(?:reads|is|=|:)?\s*"
+    r"(\d[\d,]*(?:\.\d+)?)(?![\d,.]*\d)"
+    r"(?!\s*(?:→|before\b|at the parent\b))")
+
+
+def stale_smoke_values(text: str, snapshot: dict) -> list[str]:
+    """``row value`` pairs in ``text`` that present a ``fig6_smoke`` /
+    ``ycsb_b_smoke`` row as the current snapshot with another value."""
+    stale = []
+    for row, value in _SMOKE_VALUE.findall(text):
+        section, key = row.split(".", 1)
+        current = snapshot.get(section, {}).get(key)
+        if current is None or float(value.replace(",", "")) != current:
+            stale.append(f"{row} {value} (snapshot: {current})")
+    return stale
+
+
+def test_docs_quote_current_smoke_rows_as_committed():
+    snapshot = json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+    stale = [f"{document.relative_to(REPO_ROOT)}: {pair}"
+             for document in documents()
+             for pair in stale_smoke_values(document.read_text(), snapshot)]
+    assert stale == []
+
+
+def test_stale_smoke_value_check_sees_drifted_values():
+    snapshot = {"fig6_smoke": {"py_calls_per_op": 163.93,
+                               "retained_bytes_per_op": 1605},
+                "ycsb_b_smoke": {"events_per_op": 5.995}}
+    text = ("`fig6_smoke.py_calls_per_op` 165.97 → 163.93 is history; "
+            "`ycsb_b_smoke.events_per_op` reads 6.1 before and "
+            "`fig6_smoke.py_calls_per_op` is (4,000 µs pass) counted; "
+            "`fig6_smoke.retained_bytes_per_op` is 1,605 and "
+            "`ycsb_b_smoke.events_per_op` = 5.995 are current; "
+            "`fig6_smoke.py_calls_per_op` reads 165.97 and "
+            "`fig6_smoke.retained_bytes_per_op` = 1,035 are stale; "
+            "`ycsb_b_smoke.events_per_op` in the table is not a value.")
+    assert stale_smoke_values(text, snapshot) == [
+        "fig6_smoke.py_calls_per_op 165.97 (snapshot: 163.93)",
+        "fig6_smoke.retained_bytes_per_op 1,035 (snapshot: 1605)"]

@@ -162,7 +162,8 @@ def _retained_bytes_per_op(make_cluster) -> int:
     the smoke ``make_cluster()`` builds has run under tracemalloc, after
     its warm-up, and ``settle()`` has drained syncs and witness gc: what
     each op leaves behind (log, store, backup WALs, RIFL records,
-    witness and load-window bookkeeping).  The ``key_hash`` memo starts
+    witness and load-window bookkeeping, and the loops' latency sample,
+    8 B in the shared ``LatencyRecorder``).  The ``key_hash`` memo starts
     empty, so the number is the same on one interpreter whatever ran
     earlier in the process."""
     import gc
