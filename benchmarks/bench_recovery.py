@@ -74,16 +74,14 @@ def _loaded_cluster(n_entries: int, seed: int = 7, n_masters: int = 5):
 
 def _recover(cluster, recovery_masters) -> tuple[float, dict]:
     """Crash m0, run partitioned recovery, return (virtual µs, stats).
-
-    ``rpc_timeout`` is generous: a stripe read / absorb sync reply is
-    gated by modeled disk time proportional to the volume, and a
-    timeout shorter than that turns into spurious retries.
-    """
+    The stripe reads and absorbs, whose replies wait on modeled disk
+    time proportional to the volume, derive their deadlines from it
+    (``StorageProfile.bulk_deadline``)."""
     cluster.master("m0").host.crash()
     start = cluster.sim.now
     stats = cluster.run(cluster.sim.process(
         cluster.coordinator.recover_master_partitioned(
-            "m0", recovery_masters, rpc_timeout=1_000_000.0)),
+            "m0", recovery_masters)),
         timeout=1e9)
     return cluster.sim.now - start, stats
 

@@ -107,7 +107,7 @@ def wal_demo() -> None:
     started = cluster.sim.now
     recovery = cluster.run(cluster.sim.process(
         cluster.coordinator.recover_master_partitioned(
-            "m0", ["m1", "m2"], rpc_timeout=1_000_000.0)), timeout=1e9)
+            "m0", ["m1", "m2"])), timeout=1e9)
     elapsed = cluster.sim.now - started
     print(f"  crash of m0 -> partitioned recovery onto m1+m2 in "
           f"{elapsed:.0f} us: {recovery['partitions']} partitions, "

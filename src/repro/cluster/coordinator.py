@@ -20,7 +20,8 @@ import typing
 
 from repro.core.config import CurpConfig
 from repro.core.curp import fetch_recovery_data, first_answer
-from repro.core.master import CurpMaster, FULL_RANGE, _subtract_range
+from repro.core.master import (CurpMaster, FULL_RANGE, REPLAY_ENTRY_TIME,
+                               _subtract_range)
 from repro.core.messages import (
     AbsorbPartitionArgs,
     ClusterView,
@@ -191,8 +192,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     # master crash recovery (§3.3, §4.6)
     # ------------------------------------------------------------------
-    def recover_master(self, master_id: str, new_host: "Host",
-                       rpc_timeout: float = 2_000.0):
+    def recover_master(self, master_id: str, new_host: "Host"):
         """Generator: full recovery of a crashed master onto new_host."""
         managed = self.masters[master_id]
         if managed.recovering:
@@ -200,7 +200,7 @@ class Coordinator:
         managed.recovering = True
         try:
             # 1. Fence: no zombie sync may complete from here on (§4.7).
-            reachable = yield from self._fence_backups(managed, rpc_timeout)
+            reachable = yield from self._fence_backups(managed)
             # 2+3. Restore from a backup, replay from a witness.  The
             # new master starts with the reachable backups; dead ones
             # are replaced from spares below.
@@ -209,8 +209,7 @@ class Coordinator:
                 epoch=managed.epoch, owned_ranges=managed.owned_ranges,
                 active=False)
             stats = yield from recover(new_master, reachable,
-                                       managed.witnesses,
-                                       rpc_timeout=rpc_timeout)
+                                       managed.witnesses)
             managed.backups = list(reachable)
             # 4. Fresh witnesses (reset on the same hosts), new version.
             # Unreachable witness hosts are dropped from the list (the
@@ -222,7 +221,7 @@ class Coordinator:
                 managed.witnesses = yield from self._answering(
                     managed.witnesses, "start",
                     StartArgs(master_id=master_id,
-                              owned_ranges=started_ranges), rpc_timeout)
+                              owned_ranges=started_ranges))
                 managed.witness_list_version += 1
             new_master.witnesses = list(managed.witnesses)
             new_master.witness_list_version = managed.witness_list_version
@@ -241,8 +240,7 @@ class Coordinator:
                     and tuple(managed.owned_ranges) != started_ranges):
                 yield from self._set_witness_ranges(
                     managed.witnesses, master_id,
-                    tuple(managed.owned_ranges), rpc_timeout,
-                    best_effort=True)
+                    tuple(managed.owned_ranges), best_effort=True)
             old_host = managed.host
             managed.host = new_host.name
             managed.master = new_master
@@ -254,8 +252,7 @@ class Coordinator:
             # forever.  Fire-and-forget — dead hosts just time out.
             if old_host != new_host.name:
                 self.host.spawn(
-                    self._depose_zombie(old_host, managed.epoch,
-                                        rpc_timeout),
+                    self._depose_zombie(old_host, managed.epoch),
                     name=f"depose-{old_host}")
             # 6. Restore the replication factor from spares, if any died.
             missing = self.config.f - len(managed.backups)
@@ -271,15 +268,14 @@ class Coordinator:
                 self.backup_servers[spare.name] = server
                 new_list = managed.backups + [spare.name]
                 yield from self._call_until_ok(
-                    managed.host, "update_backup_config", tuple(new_list),
-                    rpc_timeout)
+                    managed.host, "update_backup_config", tuple(new_list))
                 managed.backups = new_list
                 missing -= 1
             return stats
         finally:
             managed.recovering = False
 
-    def _fence_backups(self, managed: ManagedMaster, rpc_timeout: float):
+    def _fence_backups(self, managed: ManagedMaster):
         """Generator: bump ``managed``'s epoch and fence its backups
         (§4.7); returns the ones that acked.  A sync needs *all* f
         backups to ack, so fencing any one live backup suffices; dead
@@ -287,30 +283,29 @@ class Coordinator:
         so a fenced backup stays fenced across restarts.)"""
         managed.epoch += 1
         reachable = yield from self._answering(managed.backups, "fence",
-                                               managed.epoch, rpc_timeout)
+                                               managed.epoch)
         if not reachable:
             raise RecoveryFailed(
                 f"could not fence any backup of {managed.master_id}")
         return reachable
 
-    def _answering(self, hosts, method: str, args, rpc_timeout: float):
+    def _answering(self, hosts, method: str, args):
         """Generator: ``method(args)`` on each of ``hosts`` in turn, once;
         returns the ones that answered."""
         answered = []
         for host in hosts:
             try:
                 yield self.transport.call(host, method, args,
-                                          timeout=rpc_timeout)
+                                          timeout=self.config.rpc_timeout)
                 answered.append(host)
             except RpcError:
                 continue
         return answered
 
-    def _depose_zombie(self, old_host: str, epoch: int,
-                       rpc_timeout: float):
+    def _depose_zombie(self, old_host: str, epoch: int):
         try:
             yield self.transport.call(old_host, "depose", epoch,
-                                      timeout=rpc_timeout)
+                                      timeout=self.config.rpc_timeout)
         except RpcError:
             pass  # dead, unreachable, or already deposed — all fine
 
@@ -318,8 +313,7 @@ class Coordinator:
     # partitioned fast recovery (RAMCloud-style, docs/STORAGE.md)
     # ------------------------------------------------------------------
     def recover_master_partitioned(self, master_id: str,
-                                   recovery_masters: typing.Sequence[str],
-                                   rpc_timeout: float = 2_000.0):
+                                   recovery_masters: typing.Sequence[str]):
         """Generator: recover a crashed master by partitioning its
         tablets across ``recovery_masters`` (surviving masters).
 
@@ -356,21 +350,22 @@ class Coordinator:
         managed.recovering = True
         try:
             # 1. Fence (§4.7), exactly as recover_master does.
-            reachable = yield from self._fence_backups(managed, rpc_timeout)
+            reachable = yield from self._fence_backups(managed)
             # 2. Witness harvest (freezes the chosen witness, §4.6).
             requests = tuple((yield from fetch_recovery_data(
-                self.transport, managed.witnesses, master_id, rpc_timeout)))
+                self.transport, managed.witnesses, master_id,
+                self.config.rpc_timeout)))
             # 3. Log extent from one backup's segment index.
             index = yield from first_answer(self.transport, reachable,
                                             "get_segment_index", None,
-                                            rpc_timeout)
+                                            self.config.rpc_timeout)
             log_end = max((info.last_index for info in index), default=0)
             log_entries = sum(info.entry_count for info in index)
             # 4. Plan the partitions and read the stripes.
             partitions = plan_partitions(managed.owned_ranges,
                                          len(targets), requests)
             entry_buckets = yield from self._read_stripes(
-                reachable, log_end, log_entries, partitions, rpc_timeout)
+                reachable, log_end, log_entries, partitions)
             # 5. Absorb in parallel; bookkeeping cuts over per
             # partition as each ack lands.
             outcomes: dict[int, typing.Any] = {}
@@ -378,7 +373,7 @@ class Coordinator:
             for i, partition in enumerate(partitions):
                 absorbers.append(self.sim.process(self._absorb_partition(
                     managed, targets[i], partition, entry_buckets[i],
-                    rpc_timeout, outcomes, i)))
+                    outcomes, i)))
             if absorbers:
                 yield AllOf(self.sim, absorbers)
             failures = [error for error in outcomes.values()
@@ -391,7 +386,7 @@ class Coordinator:
             # witnesses (best effort) and drop it from the map.
             yield from self._answering(
                 managed.witnesses, "end",
-                GetRecoveryDataArgs(master_id=master_id), rpc_timeout)
+                GetRecoveryDataArgs(master_id=master_id))
             del self.masters[master_id]
             self.config_version += 1
             return {
@@ -407,29 +402,8 @@ class Coordinator:
             if master_id in self.masters:
                 managed.recovering = False
 
-    def _recovery_read_deadline(self, est_entries: int,
-                                rpc_timeout: float) -> float:
-        """Deadline for one recovery stripe read, derived from the
-        backup's modeled disk service time (docs/STORAGE.md caveat).
-
-        A stripe reply is gated on the disk draining the scan; with a
-        slow ``read_entry_time`` that can exceed a fixed ``rpc_timeout``
-        and the retry then *re-charges* the disk — each retry queues
-        behind the previous scan and times out even harder (a retry
-        storm that reads every stripe many times over).  So the
-        deadline budgets the worst-case scan — every log entry, since
-        a stripe may overlap all segments — doubled for disk time the
-        scan queues behind (appends, the cleaner, a retried sibling
-        stripe), floored at ``rpc_timeout`` for the pure network
-        round-trip.  Purely a timeout bound: no extra rng, no effect
-        when storage is disabled."""
-        storage = self.config.storage
-        if not storage.enabled or est_entries <= 0:
-            return rpc_timeout
-        return rpc_timeout + 2.0 * est_entries * storage.read_entry_time
-
     def _read_stripes(self, reachable: list[str], log_end: int,
-                      log_entries: int, partitions, rpc_timeout: float):
+                      log_entries: int, partitions):
         """Generator: read the dead master's log once across the
         backup set — each backup scans one index stripe, bucketing for
         every partition — retrying failed stripes on surviving backups.
@@ -437,8 +411,9 @@ class Coordinator:
         buckets: list[list] = [[] for _ in partitions]
         if log_end == 0 or not partitions:
             return buckets
-        read_deadline = self._recovery_read_deadline(log_entries,
-                                                     rpc_timeout)
+        storage = self.config.storage  # a stripe may span every segment
+        read_deadline = storage.bulk_deadline(
+            self.config.rpc_timeout, log_entries * storage.read_entry_time)
         ranges = tuple(p.ranges for p in partitions)
         pool = list(reachable)
         count = len(pool)
@@ -487,7 +462,7 @@ class Coordinator:
 
     def _absorb_partition(self, managed: ManagedMaster,
                           target: ManagedMaster, partition, entries,
-                          rpc_timeout: float, outcomes: dict, i: int):
+                          outcomes: dict, i: int):
         """Process body: recover one partition onto ``target``.
 
         The target's witnesses are widened *before* the absorb (as in
@@ -501,8 +476,12 @@ class Coordinator:
             if self.config.uses_witnesses:
                 yield from self._set_witness_ranges(
                     target.witnesses, target.master_id,
-                    tuple(target.owned_ranges) + tuple(partition.ranges),
-                    rpc_timeout)
+                    tuple(target.owned_ranges) + tuple(partition.ranges))
+            # The ack waits on replay, then re-replication of every
+            # installed effect and replayed request.
+            storage = self.config.storage
+            writes = (sum(len(entry.effects) for entry in entries)
+                      + len(partition.requests))
             stats = yield from self._call_until_ok(
                 lambda: target.host, "absorb_partition",
                 AbsorbPartitionArgs(
@@ -510,7 +489,10 @@ class Coordinator:
                     ranges=tuple(partition.ranges),
                     entries=tuple(entries),
                     requests=tuple(partition.requests)),
-                rpc_timeout)
+                timeout=storage.bulk_deadline(
+                    self.config.rpc_timeout,
+                    len(entries) * REPLAY_ENTRY_TIME
+                    + writes * storage.write_entry_time))
             for cut in partition.ranges:
                 managed.owned_ranges = _subtract_range(
                     managed.owned_ranges, cut)
@@ -522,8 +504,7 @@ class Coordinator:
                 # while the absorb was in flight.
                 yield from self._set_witness_ranges(
                     target.witnesses, target.master_id,
-                    tuple(target.owned_ranges), rpc_timeout,
-                    best_effort=True)
+                    tuple(target.owned_ranges), best_effort=True)
             outcomes[i] = stats
         except Exception as error:  # noqa: BLE001 - collected, reraised
             # by the caller as RecoveryFailed with the partition kept
@@ -534,8 +515,7 @@ class Coordinator:
     # witness replacement (§3.6)
     # ------------------------------------------------------------------
     def replace_witness(self, master_id: str, dead_witness: str,
-                        new_witness_host: "Host",
-                        rpc_timeout: float = 2_000.0):
+                        new_witness_host: "Host"):
         """Generator: decommission a crashed witness, install a fresh one.
 
         Order per §3.6: start the new witness, tell the master (which
@@ -553,14 +533,12 @@ class Coordinator:
         yield from self._call_until_ok(
             new_witness_host.name, "start",
             StartArgs(master_id=master_id,
-                      owned_ranges=tuple(managed.owned_ranges)),
-            rpc_timeout)
+                      owned_ranges=tuple(managed.owned_ranges)))
         new_list = [new_witness_host.name if w == dead_witness else w
                     for w in managed.witnesses]
         new_version = managed.witness_list_version + 1
         yield from self._call_until_ok(
-            managed.host, "update_witness_config", (tuple(new_list), new_version),
-            rpc_timeout)
+            managed.host, "update_witness_config", (tuple(new_list), new_version))
         managed.witnesses = new_list
         managed.witness_list_version = new_version
         self.config_version += 1
@@ -570,8 +548,7 @@ class Coordinator:
     # backup replacement (§3.6: unchanged from standard primary-backup)
     # ------------------------------------------------------------------
     def replace_backup(self, master_id: str, dead_backup: str,
-                       new_backup_host: "Host",
-                       rpc_timeout: float = 2_000.0):
+                       new_backup_host: "Host"):
         managed = self.masters[master_id]
         if dead_backup not in managed.backups:
             raise ValueError(f"{dead_backup} is not a backup of {master_id}")
@@ -584,7 +561,7 @@ class Coordinator:
         new_list = [new_backup_host.name if b == dead_backup else b
                     for b in managed.backups]
         yield from self._call_until_ok(
-            managed.host, "update_backup_config", tuple(new_list), rpc_timeout)
+            managed.host, "update_backup_config", tuple(new_list))
         managed.backups = new_list
         self.config_version += 1
         return new_list
@@ -593,7 +570,7 @@ class Coordinator:
     # data migration (§3.6)
     # ------------------------------------------------------------------
     def migrate(self, src_master_id: str, dst_master_id: str,
-                lo: int, hi: int, rpc_timeout: float = 2_000.0):
+                lo: int, hi: int):
         """Generator: move key-hash range [lo, hi) between masters.
 
         Per §3.6 the source syncs before the final step; stale records
@@ -635,7 +612,7 @@ class Coordinator:
             if self.config.uses_witnesses:
                 yield from self._set_witness_ranges(
                     dst.witnesses, dst_master_id,
-                    tuple(dst.owned_ranges) + ((lo, hi),), rpc_timeout)
+                    tuple(dst.owned_ranges) + ((lo, hi),))
             # Bump the source's witness-list version (same list, caches
             # intact, witnesses_reset=False keeps the master's gc
             # bookkeeping); the master syncs before acknowledging.
@@ -643,17 +620,16 @@ class Coordinator:
                 new_version = src.witness_list_version + 1
                 yield from self._call_until_ok(
                     lambda: src.host, "update_witness_config",
-                    (tuple(src.witnesses), new_version, False), rpc_timeout)
+                    (tuple(src.witnesses), new_version, False))
                 src.witness_list_version = new_version
             else:
                 yield from self._call_until_ok(lambda: src.host, "sync",
-                                               None, rpc_timeout)
+                                               None)
             # Final step: stop service on the range, move the objects.
             objects = yield from self._call_until_ok(
-                lambda: src.host, "migrate_out", (lo, hi), rpc_timeout)
+                lambda: src.host, "migrate_out", (lo, hi))
             yield from self._call_until_ok(
-                lambda: dst.host, "migrate_in", (lo, hi, objects),
-                rpc_timeout)
+                lambda: dst.host, "migrate_in", (lo, hi, objects))
         except Exception:
             if objects is not None:
                 # migrate_out succeeded but the handover failed: the
@@ -666,19 +642,19 @@ class Coordinator:
                 try:
                     yield from self._call_until_ok(
                         lambda: dst.host, "migrate_out", (lo, hi),
-                        rpc_timeout, max_attempts=2)
+                        max_attempts=2)
                 except RecoveryFailed:
                     pass  # unreachable dst — nothing applied to undo
                 try:
                     yield from self._call_until_ok(
                         lambda: src.host, "migrate_in", (lo, hi, objects),
-                        rpc_timeout, max_attempts=5)
+                        max_attempts=5)
                 except RecoveryFailed:
                     pass  # source down too: recovery re-owns it anyway
             if self.config.uses_witnesses:
                 yield from self._set_witness_ranges(
                     dst.witnesses, dst_master_id,
-                    tuple(dst.owned_ranges), rpc_timeout, best_effort=True)
+                    tuple(dst.owned_ranges), best_effort=True)
             raise
         src.owned_ranges = _subtract_range(src.owned_ranges, (lo, hi))
         if (lo, hi) not in dst.owned_ranges:
@@ -692,34 +668,28 @@ class Coordinator:
         # the pre-cutover widening) while the move was in flight.
         if self.config.uses_witnesses:
             yield from self._set_witness_ranges(
-                src.witnesses, src_master_id, tuple(src.owned_ranges),
-                rpc_timeout)
+                src.witnesses, src_master_id, tuple(src.owned_ranges))
             yield from self._set_witness_ranges(
-                dst.witnesses, dst_master_id, tuple(dst.owned_ranges),
-                rpc_timeout)
+                dst.witnesses, dst_master_id, tuple(dst.owned_ranges))
         return len(objects)
 
     def _set_witness_ranges(self, witnesses, master_id: str,
                             owned_ranges: tuple[tuple[int, int], ...],
-                            rpc_timeout: float,
                             best_effort: bool = False):
         """Generator: push an ownership snapshot to a witness list.
         ``best_effort`` tries each witness once and swallows failures
         (abort paths must not mask the original error)."""
         args = SetRangesArgs(master_id=master_id, owned_ranges=owned_ranges)
         if best_effort:
-            yield from self._answering(witnesses, "set_ranges", args,
-                                       rpc_timeout)
+            yield from self._answering(witnesses, "set_ranges", args)
             return
         for witness in witnesses:
-            yield from self._call_until_ok(witness, "set_ranges", args,
-                                           rpc_timeout)
+            yield from self._call_until_ok(witness, "set_ranges", args)
 
     # ------------------------------------------------------------------
     # tablet splitting / merging (rebalancer bookkeeping)
     # ------------------------------------------------------------------
-    def split_tablet(self, master_id: str, lo: int, hi: int, split: int,
-                     rpc_timeout: float = 2_000.0):
+    def split_tablet(self, master_id: str, lo: int, hi: int, split: int):
         """Generator: split owned tablet [lo, hi) at ``split``.
 
         Pure bookkeeping — ownership of every hash is unchanged, no
@@ -732,14 +702,13 @@ class Coordinator:
         if not lo < split < hi:
             raise ValueError(f"split {split} outside ({lo}, {hi})")
         yield from self._call_until_ok(
-            lambda: managed.host, "split_range", (lo, hi, split),
-            rpc_timeout)
+            lambda: managed.host, "split_range", (lo, hi, split))
         index = managed.owned_ranges.index((lo, hi))
         managed.owned_ranges[index:index + 1] = [(lo, split), (split, hi)]
         self.config_version += 1
         return (lo, split), (split, hi)
 
-    def merge_tablets(self, master_id: str, rpc_timeout: float = 2_000.0):
+    def merge_tablets(self, master_id: str):
         """Generator: coalesce a master's adjacent owned tablets (the
         inverse bookkeeping of split: long split/migrate histories must
         not grow the tablet map without bound).  The map version only
@@ -747,7 +716,7 @@ class Coordinator:
         managed = self.masters[master_id]
         before = sorted(managed.owned_ranges)
         merged = yield from self._call_until_ok(
-            lambda: managed.host, "merge_ranges", None, rpc_timeout)
+            lambda: managed.host, "merge_ranges", None)
         managed.owned_ranges = [tuple(r) for r in merged]
         if managed.owned_ranges != before:
             self.config_version += 1
@@ -755,19 +724,22 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     def _call_until_ok(self, dst, method: str, args,
-                       rpc_timeout: float, max_attempts: int = 20):
+                       max_attempts: int = 20, timeout: float | None = None):
         """``dst`` may be a host name or a zero-arg callable re-resolved
         per attempt (a master that recovers onto a new host mid-retry
-        lets the loop converge on the new address).  Retries back off
-        exponentially (base rpc_timeout/8, capped at 2×rpc_timeout)
-        with jitter, so several coordinator retry loops aimed at one
-        recovering host spread out instead of synchronizing."""
+        lets the loop converge on the new address).  Each attempt waits
+        ``timeout`` (a bulk call's derived deadline; ``rpc_timeout`` by
+        default).  Retries back off exponentially (base rpc_timeout/8,
+        capped at 2×rpc_timeout) with jitter, so several coordinator
+        retry loops aimed at one recovering host spread out instead of
+        synchronizing."""
+        rpc_timeout = self.config.rpc_timeout
         last: Exception | None = None
         for attempt in range(max_attempts):
             target = dst() if callable(dst) else dst
             try:
-                value = yield self.transport.call(target, method, args,
-                                                  timeout=rpc_timeout)
+                value = yield self.transport.call(
+                    target, method, args, timeout=timeout or rpc_timeout)
                 return value
             except RpcError as error:
                 last = error

@@ -93,7 +93,6 @@ class Rebalancer:
                  interval: float = 500.0,
                  threshold: float = 1.5,
                  min_ops: int = 100,
-                 rpc_timeout: float = 2_000.0,
                  cooling_max_ops: int | None = None):
         if interval < 0:
             raise ValueError("interval must be >= 0 (0 disables)")
@@ -113,7 +112,6 @@ class Rebalancer:
         #: ignore report windows with fewer total ops than this (noise
         #: floor — don't churn tablets on an idle cluster)
         self.min_ops = min_ops
-        self.rpc_timeout = rpc_timeout
         #: per-master window below which a fragmented master counts as
         #: *cold* and its adjacent tablets get coalesced
         self.cooling_max_ops = (self.min_ops if cooling_max_ops is None
@@ -162,7 +160,7 @@ class Rebalancer:
             try:
                 report = yield self.coordinator.transport.call(
                     managed.host, "load_report", None,
-                    timeout=self.rpc_timeout)
+                    timeout=self.coordinator.config.rpc_timeout)
             except RpcError:
                 continue  # crashed/unreachable; recovery is out of band
             reports[master_id] = report
@@ -176,12 +174,10 @@ class Rebalancer:
         try:
             for tablet_lo, tablet_hi, at in splits:
                 yield from self.coordinator.split_tablet(
-                    hot_id, tablet_lo, tablet_hi, at,
-                    rpc_timeout=self.rpc_timeout)
+                    hot_id, tablet_lo, tablet_hi, at)
                 self.stats.splits += 1
             moved = yield from self.coordinator.migrate(
-                hot_id, cold_id, move_lo, move_hi,
-                rpc_timeout=self.rpc_timeout)
+                hot_id, cold_id, move_lo, move_hi)
         except (RecoveryFailed, ValueError):
             # The source/destination kept failing (crash mid-move) or
             # ownership changed under us (concurrent recovery): abandon
@@ -199,7 +195,7 @@ class Rebalancer:
                 self.coordinator.masters[master_id].owned_ranges)
             try:
                 merged = yield from self.coordinator.merge_tablets(
-                    master_id, rpc_timeout=self.rpc_timeout)
+                    master_id)
             except RecoveryFailed:
                 continue
             if len(merged) < count_before:
@@ -231,7 +227,7 @@ class Rebalancer:
             count_before = len(managed.owned_ranges)
             try:
                 merged = yield from self.coordinator.merge_tablets(
-                    master_id, rpc_timeout=self.rpc_timeout)
+                    master_id)
             except RecoveryFailed:
                 continue
             if len(merged) < count_before:

@@ -33,6 +33,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 
+#: per-RPC deadline (µs); a propose and its wait_commit get 4×
+RPC_TIMEOUT = 1_000.0
+#: cap (µs) for the bounded exponential retry backoff: attempt k sleeps
+#: equal-jittered in [span/2, span) with span = min(RETRY_BACKOFF,
+#: RETRY_BACKOFF/8 × 2^k) — short first retries (a leader election
+#: resolves in a few heartbeats), desynchronized long ones (no client
+#: retry storms against a group that stays leaderless)
+RETRY_BACKOFF = 500.0
+
+
 def superquorum_size(f: int) -> int:
     """f + ⌈f/2⌉ + 1 witnesses must accept for the 1-RTT fast path."""
     return f + math.ceil(f / 2) + 1
@@ -48,22 +58,13 @@ class RaftCurpClient:
     _next_client_id = 1000
 
     def __init__(self, host: "Host", replicas: typing.Sequence[str],
-                 rpc_timeout: float = 1_000.0, max_attempts: int = 30,
-                 retry_backoff: float = 500.0):
+                 max_attempts: int = 30):
         RaftCurpClient._next_client_id += 1
         self.host = host
         self.sim = host.sim
         self.replicas = list(replicas)
         self.f = (len(self.replicas) - 1) // 2
-        self.rpc_timeout = rpc_timeout
-        #: cap (µs) for the bounded exponential retry backoff: attempt
-        #: k sleeps equal-jittered in [span/2, span) with span =
-        #: min(retry_backoff, retry_backoff/8 × 2^k) — short first
-        #: retries (a leader election resolves in a few heartbeats),
-        #: desynchronized long ones (no client retry storms against a
-        #: group that stays leaderless)
         self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RaftCurpClient._next_client_id)
         self.leader: str | None = None
@@ -78,7 +79,7 @@ class RaftCurpClient:
             for replica in self.replicas:
                 try:
                     status = yield self.transport.call(
-                        replica, "status", None, timeout=self.rpc_timeout)
+                        replica, "status", None, timeout=RPC_TIMEOUT)
                 except RpcError:
                     continue
                 self.term = max(self.term, status["term"])
@@ -94,8 +95,8 @@ class RaftCurpClient:
 
     def _retry_delay(self, attempt: int) -> float:
         """Bounded exponential backoff + jitter between retries."""
-        return backoff_delay(attempt, self.retry_backoff / 8,
-                             self.retry_backoff, self.sim.rng)
+        return backoff_delay(attempt, RETRY_BACKOFF / 8, RETRY_BACKOFF,
+                             self.sim.rng)
 
     def update(self, op: Operation):
         """Generator: a linearizable update; returns (result, fast)."""
@@ -114,8 +115,8 @@ class RaftCurpClient:
             # 1 propose + 2f+1 records, one join.
             results = yield fan_out(self.transport, leader, "propose",
                                     propose, self.replicas, record,
-                                    self.rpc_timeout * 4,
-                                    record_timeout=self.rpc_timeout)
+                                    RPC_TIMEOUT * 4,
+                                    record_timeout=RPC_TIMEOUT)
             reply = results[0]
             accepts = results[1:].count(RECORD_ACCEPTED)
             if not isinstance(reply, BaseException):
@@ -129,7 +130,7 @@ class RaftCurpClient:
                 # Slow path: wait for the quorum commit.
                 try:
                     yield self.transport.call(leader, "wait_commit", None,
-                                              timeout=self.rpc_timeout * 4)
+                                              timeout=RPC_TIMEOUT * 4)
                     self.completed_updates += 1
                     self.tracker.completed(rpc_id)
                     return reply.result, False
@@ -157,7 +158,7 @@ class RaftCurpClient:
                 reply = yield self.transport.call(
                     self.leader, "propose",
                     ProposeArgs(op=Read(key), rpc_id=None),
-                    timeout=self.rpc_timeout * 4)
+                    timeout=RPC_TIMEOUT * 4)
                 self.term = max(self.term, reply.term)
                 return reply.result
             except AppError as error:

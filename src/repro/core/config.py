@@ -161,6 +161,22 @@ class StorageProfile:
         if self.migrate_entry_time < 0:
             raise ValueError("migrate_entry_time must be >= 0")
 
+    @property
+    def write_entry_time(self) -> float:
+        """Disk time per appended entry, segment rotations amortised."""
+        return self.append_time + self.rotation_time / self.segment_size
+
+    def bulk_deadline(self, rpc_timeout: float, service_time: float) -> float:
+        """Deadline for a control-plane call whose reply waits on
+        ``service_time`` µs of modeled disk or replay work: the round
+        trip plus that time doubled for the disk work it queues behind
+        (appends, the cleaner, a retried sibling), so a slow disk is not
+        taken for a dead host and re-charged by a retry (docs/STORAGE.md).
+        Plain ``rpc_timeout`` when storage is off."""
+        if not self.enabled or service_time <= 0:
+            return rpc_timeout
+        return rpc_timeout + 2.0 * service_time
+
 
 @dataclasses.dataclass
 class CurpConfig:
@@ -187,7 +203,9 @@ class CurpConfig:
     hot_key_window: float = 0.0
 
     # -- client behaviour ------------------------------------------------
-    #: per-RPC timeout for client operations
+    #: per-RPC timeout for client operations and the control plane
+    #: (bulk recovery calls add their disk time:
+    #: ``StorageProfile.bulk_deadline``)
     rpc_timeout: float = 2_000.0
     #: attempts before an update/read raises to the application
     max_attempts: int = 30

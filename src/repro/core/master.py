@@ -710,29 +710,27 @@ class CurpMaster:
 
     def _handle_update_backup_config(self, args, ctx):
         """Coordinator replaced a backup: bring the newcomer up to date
-        with the full log before switching over."""
+        with the full log before switching over.  One ``reset_log`` per
+        newcomer; a failure fails the call, and the coordinator's
+        bounded retry decides whether to try again."""
         new_backups = list(args)
         def work():
             fresh = [b for b in new_backups if b not in self.backups]
             entries = tuple(self.store.log.all_entries())
+            storage = self.config.storage
+            deadline = storage.bulk_deadline(
+                self.config.rpc_timeout,
+                len(entries) * storage.write_entry_time)
             for backup in fresh:
                 # reset_log, not replicate: the newcomer may carry a
                 # stale log from an earlier life.
                 replicate = ReplicateArgs(master_id=self.master_id,
                                           epoch=self.epoch, entries=entries)
-                yield from self._call_until_ok(backup, "reset_log", replicate)
+                yield self.transport.call(backup, "reset_log", replicate,
+                                          timeout=deadline)
             self.backups = new_backups
             return "OK"
         return work()
-
-    def _call_until_ok(self, dst: str, method: str, args):
-        while True:
-            try:
-                value = yield self.transport.call(
-                    dst, method, args, timeout=self.config.rpc_timeout)
-                return value
-            except RpcTimeout:
-                continue
 
     def _handle_migrate_out(self, args, ctx):
         """Final step of migration: stop owning [lo, hi), hand objects

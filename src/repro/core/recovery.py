@@ -129,8 +129,7 @@ def plan_partitions(owned_ranges: typing.Sequence[tuple[int, int]],
 
 
 def recover(master: CurpMaster, backups: typing.Sequence[str],
-            witnesses: typing.Sequence[str],
-            rpc_timeout: float = 2_000.0):
+            witnesses: typing.Sequence[str]):
     """Generator: run both recovery phases on ``master`` (inactive).
 
     ``witnesses`` is the *crashed* master's witness list; any single
@@ -139,10 +138,19 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
     """
     if master.active:
         raise RuntimeError("recover() requires an inactive master")
+    rpc_timeout = master.config.rpc_timeout
+    storage = master.config.storage
 
     # ------------------------------------------------------------ phase 1
+    read_deadline = rpc_timeout
+    if storage.enabled:  # a whole-log scan: size the wait by the index
+        index = yield from first_answer(master.transport, backups,
+                                        "get_segment_index", None,
+                                        rpc_timeout)
+        scan = sum(info.entry_count for info in index) * storage.read_entry_time
+        read_deadline = storage.bulk_deadline(rpc_timeout, scan)
     entries = yield from first_answer(master.transport, backups,
-                                      "get_backup_data", None, rpc_timeout)
+                                      "get_backup_data", None, read_deadline)
     restored = master.store.rebuild_from_entries(entries)
     for entry in master.store.log.all_entries():
         if entry.rpc_id is not None:
@@ -167,12 +175,14 @@ def recover(master: CurpMaster, backups: typing.Sequence[str],
         from repro.kvstore.backup import ReplicateArgs
         args = ReplicateArgs(master_id=master.master_id, epoch=master.epoch,
                              entries=tuple(master.store.log.all_entries()))
+        reset_deadline = storage.bulk_deadline(
+            rpc_timeout, len(args.entries) * storage.write_entry_time)
         for backup in master.backups:
             delivered = False
             for _ in range(10):
                 try:
                     yield master.transport.call(backup, "reset_log", args,
-                                                timeout=rpc_timeout)
+                                                timeout=reset_deadline)
                     delivered = True
                     break
                 except RpcTimeout:

@@ -150,7 +150,8 @@ class Cluster:
         """Start the load-driven rebalancer loop on the coordinator.
 
         Keyword arguments are :class:`Rebalancer`'s (``interval``,
-        ``threshold``, ``min_ops``, ``rpc_timeout``).
+        ``threshold``, ``min_ops``, ``cooling_max_ops``); its RPCs wait
+        ``config.rpc_timeout``.
         Off by default: a cluster that never calls this keeps its
         tablets static, which is what every pre-existing golden trace
         pins."""

@@ -26,6 +26,9 @@ from repro.rpc import RpcTransport
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
+#: per-RPC deadline (µs) for commands and the explicit ``sync``
+RPC_TIMEOUT = 5_000.0
+
 
 @dataclasses.dataclass
 class RedisOutcome:
@@ -43,7 +46,6 @@ class RedisClient:
     def __init__(self, host: "Host", server: str, mode: DurabilityMode,
                  witnesses: typing.Sequence[str] = (),
                  server_master_id: str | None = None,
-                 rpc_timeout: float = 5_000.0,
                  collect_outcomes: bool = True):
         RedisClient._next_client_id += 1
         self.host = host
@@ -52,7 +54,6 @@ class RedisClient:
         self.mode = mode
         self.witnesses = list(witnesses)
         self.server_master_id = server_master_id or f"redis:{server}"
-        self.rpc_timeout = rpc_timeout
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RedisClient._next_client_id)
         self.collect_outcomes = collect_outcomes
@@ -75,7 +76,7 @@ class RedisClient:
                                 command.touched_hashes(), rpc_id,
                                 RecordedRequest(command, rpc_id))
         results = yield fan_out(self.transport, self.server, "command", args,
-                                witnesses, record, self.rpc_timeout)
+                                witnesses, record, RPC_TIMEOUT)
         reply = results[0]
         if isinstance(reply, Exception):
             raise reply
@@ -92,7 +93,7 @@ class RedisClient:
             return self._finish(reply.result, started, fast=True,
                                 sync_rpc=False)
         yield self.transport.call(self.server, "sync", None,
-                                  timeout=self.rpc_timeout)
+                                  timeout=RPC_TIMEOUT)
         return self._finish(reply.result, started, fast=False, sync_rpc=True)
 
     def _finish(self, result, started, fast: bool,

@@ -44,6 +44,9 @@ from repro.rpc import AppError, RpcTransport
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
+#: per-RPC deadline (µs) for witness gc and recovery-time harvests
+RPC_TIMEOUT = 2_000.0
+
 
 class DurabilityMode(enum.Enum):
     NONDURABLE = "nondurable"
@@ -83,8 +86,7 @@ class RedisServer:
                  witnesses: typing.Sequence[str] = (),
                  execute_time: float = 0.5,
                  curp_fsync_batch: int = 20,
-                 curp_idle_fsync_delay: float = 200.0,
-                 rpc_timeout: float = 2_000.0):
+                 curp_idle_fsync_delay: float = 200.0):
         self.host = host
         self.sim = host.sim
         self.mode = mode
@@ -96,7 +98,6 @@ class RedisServer:
         self.execute_time = execute_time
         self.curp_fsync_batch = curp_fsync_batch
         self.curp_idle_fsync_delay = curp_idle_fsync_delay
-        self.rpc_timeout = rpc_timeout
         self.stats = RedisStats()
         #: CURP mode: the writes not yet fsynced, by AOF seq (conflict
         #: detection, §4.3, and witness gc once durable, §3.5)
@@ -254,7 +255,7 @@ class RedisServer:
     def _gc_witnesses(self, pairs):
         self.stats.gc_rpcs += len(self.witnesses)
         results = yield gc_round(self.transport, self.witnesses,
-                                 self.master_id, pairs, self.rpc_timeout)
+                                 self.master_id, pairs, RPC_TIMEOUT)
         if any(results):  # a suspect, or a witness's error
             retry_orphans(self.registry, results, self.aof.durable_seq,
                           self._execute_orphan, self.host, self._gc_witnesses)
@@ -292,7 +293,7 @@ class RedisServer:
         if self.mode is DurabilityMode.CURP:
             requests = yield from fetch_recovery_data(
                 self.transport, witnesses_for_replay or self.witnesses,
-                self.master_id, self.rpc_timeout)
+                self.master_id, RPC_TIMEOUT)
             replayed, _filtered = replay(self.registry, requests,
                                          self._execute_and_log)
             if self.aof.end_seq > self.aof.durable_seq:

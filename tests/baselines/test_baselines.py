@@ -14,6 +14,7 @@ from repro.baselines import (
     unreplicated_config,
 )
 from repro.cluster import Coordinator, FailureDetector, Rebalancer
+from repro.consensus.client import RaftCurpClient
 from repro.core.config import (
     CurpConfig,
     OverloadConfig,
@@ -21,8 +22,11 @@ from repro.core.config import (
     StorageProfile,
 )
 from repro.core.master import CurpMaster
+from repro.core.recovery import recover
 from repro.harness import build_cluster
 from repro.kvstore import Write
+from repro.redislike.client import RedisClient
+from repro.redislike.server import RedisServer
 
 
 def test_factory_modes():
@@ -69,11 +73,15 @@ def test_settable_config_surface_is_pinned():
               for cls in (CurpConfig, OverloadConfig, StorageProfile)}
     assert counts == {"CurpConfig": 11, "OverloadConfig": 5,
                       "StorageProfile": 8}  # 24 in all
-    # constructor kwargs after (self, coordinator): the watchdog's three
-    # standby pools + 6 tunables, the rebalancer's 5
+    # constructor arguments after (self, coordinator / host): the
+    # watchdog's three standby pools + 6 tunables, the rebalancer's 4;
+    # the Redis and Raft endpoints take no deadline (module constants)
     kwargs = {cls.__name__: len(inspect.signature(cls.__init__).parameters) - 2
-              for cls in (FailureDetector, Rebalancer)}
-    assert kwargs == {"FailureDetector": 9, "Rebalancer": 5}
+              for cls in (FailureDetector, Rebalancer, RedisServer,
+                          RedisClient, RaftCurpClient)}
+    assert kwargs == {"FailureDetector": 9, "Rebalancer": 4,
+                      "RedisServer": 6, "RedisClient": 5,
+                      "RaftCurpClient": 2}
 
 
 @pytest.mark.parametrize("owner, args, name", [
@@ -96,6 +104,23 @@ def test_settable_config_surface_is_pinned():
         (CurpConfig, (), ("frame_coalescing",)),
         (StorageProfile, (), (
             "compaction_write_time", "replay_entry_time")),
+        # the control plane's deadlines: rpc_timeout, or derived from
+        # the storage model for bulk recovery calls
+        (Coordinator.recover_master, (None, "m0", None), ("rpc_timeout",)),
+        (Coordinator.recover_master_partitioned, (None, "m0", ["m1"]),
+         ("rpc_timeout",)),
+        (Coordinator.replace_witness, (None, "m0", "w0", None),
+         ("rpc_timeout",)),
+        (Coordinator.replace_backup, (None, "m0", "b0", None),
+         ("rpc_timeout",)),
+        (Coordinator.migrate, (None, "m0", "m1", 0, 1), ("rpc_timeout",)),
+        (Coordinator.split_tablet, (None, "m0", 0, 2, 1), ("rpc_timeout",)),
+        (Coordinator.merge_tablets, (None, "m0"), ("rpc_timeout",)),
+        (recover, (None, [], []), ("rpc_timeout",)),
+        (Rebalancer, (None,), ("rpc_timeout",)),
+        (RedisServer, (None, None), ("rpc_timeout",)),
+        (RedisClient, (None, "s", None), ("rpc_timeout",)),
+        (RaftCurpClient, (None, []), ("rpc_timeout", "retry_backoff")),
     ) for name in names])
 def test_removed_knob_is_a_type_error(owner, args, name):
     """Removed with no alias or shim: passing one fails at the call, on

@@ -3,13 +3,20 @@ migration, spares."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.recovery import RecoveryFailed
 from repro.harness import RAMCLOUD_PROFILE, build_cluster
 from repro.kvstore import ConditionalWrite, Write, key_hash
 from repro.rifl import RpcId
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def curp_cluster(**kwargs):
@@ -134,6 +141,35 @@ def test_replace_backup_brings_newcomer_up_to_date():
     cluster.run(client.update(Write("after", 9)))
     cluster.settle(1_000.0)
     assert newcomer.value_of("after") == 9
+
+
+def test_replace_backup_onto_a_dead_spare_gives_up_cleanly():
+    """Regression: the coordinator's bounded retry gives up with
+    RecoveryFailed, and so does the master.  Each attempt makes one
+    ``reset_log``; the master's own unbounded retry loop used to keep
+    one loop per attempt sending forever after the give-up."""
+    cluster = curp_cluster()
+    client = cluster.new_client()
+    cluster.run(client.update(Write("a", 1)))
+    dead = cluster.backup_hosts["m0"][2]
+    cluster.network.hosts[dead].crash()
+    spare = cluster.add_host("b-spare", role="backup")
+    spare.crash()
+    with pytest.raises(RecoveryFailed, match="update_backup_config"):
+        cluster.run(cluster.sim.process(
+            cluster.coordinator.replace_backup("m0", dead, spare)),
+            timeout=1_000_000.0)
+    resets = []
+
+    def tap(message):
+        if getattr(message.payload, "method", None) == "reset_log":
+            resets.append(message)
+    cluster.network.taps.append(tap)
+    cluster.settle(10 * cluster.config.rpc_timeout)
+    assert resets == []
+    assert cluster.coordinator.transport.pending_calls == 0
+    assert cluster.coordinator.transport.watched_deadlines == 0
+    assert cluster.coordinator.masters["m0"].backups[2] == dead
 
 
 def test_migration_moves_range_and_versions():
@@ -429,3 +465,21 @@ def test_recovery_spare_backup_charges_the_process_time():
     assert "bspare" in cluster.coordinator.masters["m0"].backups
     assert cluster.coordinator.backup_servers["bspare"].process_time \
         == RAMCLOUD_PROFILE.backup_process_time
+
+
+def test_control_plane_takes_no_deadline_parameter():
+    """Control-plane calls wait ``config.rpc_timeout``, or a deadline
+    derived from the storage model for bulk recovery calls: no function
+    of the coordinator, the watchdog, the rebalancer or recovery takes
+    a caller-chosen ``rpc_timeout``."""
+    offenders = []
+    for path in sorted((SRC / "cluster").glob("*.py")) + [
+            SRC / "core" / "recovery.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args
+                names = [a.arg for a in (arguments.posonlyargs + arguments.args
+                                         + arguments.kwonlyargs)]
+                if "rpc_timeout" in names:
+                    offenders.append(f"{path.name}:{node.name}")
+    assert offenders == []

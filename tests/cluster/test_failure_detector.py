@@ -186,13 +186,18 @@ def test_failed_recovery_returns_standby_and_retries():
     clears — instead of consuming the standby forever."""
     cluster, detector, standby, dead, backup_hosts = \
         _master_and_backups_down()
-    # Let at least one recovery attempt fail (fence cannot reach any
-    # backup while they are all down).
-    cluster.sim.run(until=cluster.sim.now + 30_000.0)
-    assert detector.recoveries_failed >= 1
-    assert detector.standby_hosts == [standby]       # returned, not leaked
-    assert detector.watched[dead.name].misses \
-        == detector.miss_threshold - 1  # re-armed
+    # Let recovery attempts fail (fence cannot reach any backup while
+    # they are all down); after *each* failure the standby is back in
+    # the pool and suspicion re-armed.
+    end = cluster.sim.now + 30_000.0
+    failed = 0
+    while cluster.sim.now < end and cluster.sim.step():
+        if detector.recoveries_failed > failed:
+            failed = detector.recoveries_failed
+            assert detector.standby_hosts == [standby]  # returned, not leaked
+            assert detector.watched[dead.name].misses \
+                == detector.miss_threshold - 1  # re-armed
+    assert failed >= 1
     # Cause clears: backups restart (their storage is durable)...
     for backup in backup_hosts:
         backup.restart()

@@ -59,11 +59,11 @@ def load_master(cluster, master_id, count, unsynced=0):
     return keys
 
 
-def run_recovery(cluster, master_id, recovery_masters, **kwargs):
+def run_recovery(cluster, master_id, recovery_masters):
     cluster.master(master_id).host.crash()
     return cluster.run(cluster.sim.process(
         cluster.coordinator.recover_master_partitioned(
-            master_id, recovery_masters, **kwargs)),
+            master_id, recovery_masters)),
         timeout=50_000_000.0)
 
 
@@ -82,8 +82,7 @@ def assert_all_readable(cluster, keys):
 def test_partitioned_recovery_spreads_tablets(seed):
     cluster = partitioned_cluster(storage=storage_profile(), seed=seed)
     keys = load_master(cluster, "m0", 30, unsynced=3)
-    stats = run_recovery(cluster, "m0", ["m1", "m2"],
-                         rpc_timeout=1_000_000.0)
+    stats = run_recovery(cluster, "m0", ["m1", "m2"])
     assert stats["partitions"] == 2
     assert stats["witness_requests"] >= 3
     assert sum(s["replayed"] for s in stats["absorbed"].values()) == 3
@@ -100,12 +99,11 @@ def test_recovery_masters_absorb_onto_own_backups():
     of the recovery master itself (classic single-target recovery)."""
     cluster = partitioned_cluster(storage=storage_profile())
     keys = load_master(cluster, "m0", 12, unsynced=2)
-    run_recovery(cluster, "m0", ["m1"], rpc_timeout=1_000_000.0)
+    run_recovery(cluster, "m0", ["m1"])
     cluster.master("m1").host.crash()
     standby = cluster.add_host("standby", role="master")
     cluster.run(cluster.sim.process(
-        cluster.coordinator.recover_master("m1", standby,
-                                           rpc_timeout=1_000_000.0)),
+        cluster.coordinator.recover_master("m1", standby)),
         timeout=50_000_000.0)
     assert_all_readable(cluster, keys)
 
@@ -171,7 +169,8 @@ def test_recovery_failed_when_no_witness_reachable():
 def test_backup_crash_mid_recovery_retries_stripe_on_survivors():
     """A backup dying between fencing and its stripe read must not sink
     recovery: the window is re-read from a surviving backup."""
-    cluster = partitioned_cluster(storage=storage_profile())
+    cluster = partitioned_cluster(storage=storage_profile(),
+                                  rpc_timeout=300.0)
     keys = load_master(cluster, "m0", 30, unsynced=2)
     victim = cluster.network.hosts[cluster.backup_hosts["m0"][0]]
 
@@ -185,7 +184,7 @@ def test_backup_crash_mid_recovery_retries_stripe_on_survivors():
     cluster.sim.process(assassin())
     stats = cluster.run(cluster.sim.process(
         cluster.coordinator.recover_master_partitioned(
-            "m0", ["m1", "m2"], rpc_timeout=300.0)),
+            "m0", ["m1", "m2"])),
         timeout=50_000_000.0)
     assert stats["partitions"] == 2
     assert_all_readable(cluster, keys)
@@ -193,20 +192,20 @@ def test_backup_crash_mid_recovery_retries_stripe_on_survivors():
 
 def test_slow_disk_recovery_reads_each_stripe_once():
     """Regression (docs/STORAGE.md caveat): a stripe reply gated on a
-    slow disk used to outlive the caller's ``rpc_timeout``; the retry
-    then *re-charged* the disk, snowballing into a storm that read
-    every stripe many times over (or sank recovery outright once the
-    backup pool drained).  The stripe-read deadline is now derived from
-    the modeled disk service time, so a network-sized ``rpc_timeout``
-    far below the scan cost still reads each stripe exactly once."""
+    slow disk used to outlive ``rpc_timeout``; the retry then
+    *re-charged* the disk, snowballing into a storm that read every
+    stripe many times over (or sank recovery outright once the backup
+    pool drained).  The stripe-read deadline is now derived from the
+    modeled disk service time, so a network-sized ``rpc_timeout`` far
+    below the scan cost still reads each stripe exactly once."""
     def total_reads(rpc_timeout):
         cluster = partitioned_cluster(
-            storage=storage_profile(read_entry_time=50.0))
+            storage=storage_profile(read_entry_time=50.0),
+            rpc_timeout=rpc_timeout)
         keys = load_master(cluster, "m0", 40, unsynced=2)
         backups = [cluster.coordinator.backup_servers[name]
                    for name in cluster.backup_hosts["m0"]]
-        stats = run_recovery(cluster, "m0", ["m1", "m2"],
-                             rpc_timeout=rpc_timeout)
+        stats = run_recovery(cluster, "m0", ["m1", "m2"])
         assert stats["partitions"] == 2
         assert_all_readable(cluster, keys)
         return sum(b.stats.recovery_entries_read for b in backups)
@@ -220,18 +219,62 @@ def test_slow_disk_recovery_reads_each_stripe_once():
     assert total_reads(500.0) == generous
 
 
+def test_whole_log_recovery_on_slow_disk_reads_the_log_once():
+    """Regression: a whole-log ``get_backup_data`` reply waits on a
+    60 × 50 µs disk scan, longer than ``rpc_timeout``.  Its deadline is
+    now derived from the backup's segment index, so one backup serves
+    it once; a fixed deadline charged every backup a whole-log scan
+    and then failed with no answer."""
+    cluster = partitioned_cluster(
+        n_masters=1, storage=storage_profile(read_entry_time=50.0))
+    keys = load_master(cluster, "m0", 60)
+    backups = [cluster.coordinator.backup_servers[name]
+               for name in cluster.backup_hosts["m0"]]
+    cluster.master("m0").host.crash()
+    standby = cluster.add_host("standby", role="master")
+    stats = cluster.run(cluster.sim.process(
+        cluster.coordinator.recover_master("m0", standby)),
+        timeout=50_000_000.0)
+    assert stats["restored_entries"] == 60
+    assert sum(b.stats.recovery_entries_read for b in backups) == 60
+    assert_all_readable(cluster, keys)
+
+
+def test_partitioned_recovery_of_reference_volume_absorbs_once():
+    """Regression: benchmarks/bench_recovery.py's reference cluster
+    (2,000 synced entries on m0) recovered onto one master.  The absorb
+    reply waits on replay plus re-replication of every entry; its
+    deadline is derived from both, so one ``absorb_partition`` lands
+    where a fixed deadline timed out on every attempt."""
+    storage = StorageProfile(enabled=True, segment_size=64, append_time=0.5,
+                             rotation_time=20.0, read_entry_time=0.3)
+    cluster = partitioned_cluster(n_masters=5, storage=storage, seed=7,
+                                  min_sync_batch=16, retry_backoff=20.0,
+                                  rpc_timeout=5_000.0)
+    load_master(cluster, "m0", 2_000)
+    absorbs = []
+
+    def tap(message):
+        if getattr(message.payload, "method", None) == "absorb_partition":
+            absorbs.append(message)
+    cluster.network.taps.append(tap)
+    stats = run_recovery(cluster, "m0", ["m1"])
+    assert stats["absorbed"]["m1"]["installed"] == 2_000
+    assert len(absorbs) == 1
+
+
 def test_concurrent_recovery_attempts_rejected():
     cluster = partitioned_cluster(storage=storage_profile())
     load_master(cluster, "m0", 20)
     cluster.master("m0").host.crash()
     first = cluster.sim.process(
         cluster.coordinator.recover_master_partitioned(
-            "m0", ["m1"], rpc_timeout=1_000_000.0))
+            "m0", ["m1"]))
     cluster.sim.step()  # let the first attempt mark `recovering`
     with pytest.raises(RecoveryFailed, match="already recovering"):
         cluster.run(cluster.sim.process(
             cluster.coordinator.recover_master_partitioned(
-                "m0", ["m2"], rpc_timeout=1_000_000.0)),
+                "m0", ["m2"])),
             timeout=50_000_000.0)
     cluster.run(first, timeout=50_000_000.0)
     assert "m0" not in cluster.coordinator.masters
@@ -257,8 +300,7 @@ def test_unsynced_multiwrite_merges_partitions_and_replays_once():
         MultiWrite(tuple((k, "both") for k in straddle))),
         timeout=10_000_000.0)
     assert outcome is not None
-    stats = run_recovery(cluster, "m0", ["m1", "m2"],
-                         rpc_timeout=1_000_000.0)
+    stats = run_recovery(cluster, "m0", ["m1", "m2"])
     # the merge collapsed the plan to a single partition
     assert stats["partitions"] == 1
     assert sum(s["replayed"] for s in stats["absorbed"].values()) == 1
@@ -304,8 +346,7 @@ def test_recovery_races_rebalancer():
     cluster = partitioned_cluster(storage=storage_profile())
     keys = load_master(cluster, "m0", 25, unsynced=2)
     cluster.start_rebalancer(interval=50.0, min_ops=1, threshold=1.01)
-    stats = run_recovery(cluster, "m0", ["m1", "m2"],
-                         rpc_timeout=1_000_000.0)
+    stats = run_recovery(cluster, "m0", ["m1", "m2"])
     assert stats["partitions"] == 2
     cluster.settle(2_000.0)  # a few more rebalance rounds
     assert cluster.rebalancer.running

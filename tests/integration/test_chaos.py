@@ -325,7 +325,7 @@ def test_chaos_partitioned_recovery_with_storage(seed):
         yield cluster.sim.timeout(150.0)
         yield cluster.sim.process(
             cluster.coordinator.recover_master_partitioned(
-                "m0", ["m1", "m2"], rpc_timeout=1_000_000.0))
+                "m0", ["m1", "m2"]))
 
     storm_process = cluster.sim.process(storm())
     deadline = cluster.sim.now + 50_000_000.0
