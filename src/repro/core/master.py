@@ -172,6 +172,9 @@ class CurpMaster:
         #: (position, touched hashes, rpc_id) of speculative updates whose
         #: witness records must be garbage collected once synced
         self._pending_gc: list[tuple[int, tuple[int, ...], typing.Any]] = []
+        #: backup list → the coordinator retries joined to its reset in
+        #: flight (``update_backup_config``)
+        self._backup_resets: dict[tuple[str, ...], list[typing.Any]] = {}
 
         self.transport = RpcTransport(host)
         self.transport.register("update", self._handle_update)
@@ -712,8 +715,15 @@ class CurpMaster:
         """Coordinator replaced a backup: bring the newcomer up to date
         with the full log before switching over.  One ``reset_log`` per
         newcomer; a failure fails the call, and the coordinator's
-        bounded retry decides whether to try again."""
-        new_backups = list(args)
+        bounded retry decides whether to try again.  A retry that comes
+        while the reset is in flight (it can outlast ``rpc_timeout``)
+        joins it."""
+        new_backups = tuple(args)
+        joined = self._backup_resets.get(new_backups)
+        if joined is not None:
+            joined.append(ctx)
+            return RpcTransport.DEFERRED
+        joined = self._backup_resets[new_backups] = []
         def work():
             fresh = [b for b in new_backups if b not in self.backups]
             entries = tuple(self.store.log.all_entries())
@@ -721,14 +731,23 @@ class CurpMaster:
             deadline = storage.bulk_deadline(
                 self.config.rpc_timeout,
                 len(entries) * storage.write_entry_time)
-            for backup in fresh:
-                # reset_log, not replicate: the newcomer may carry a
-                # stale log from an earlier life.
-                replicate = ReplicateArgs(master_id=self.master_id,
-                                          epoch=self.epoch, entries=entries)
-                yield self.transport.call(backup, "reset_log", replicate,
-                                          timeout=deadline)
-            self.backups = new_backups
+            # reset_log, not replicate: the newcomer may carry a stale
+            # log from an earlier life.
+            replicate = ReplicateArgs(master_id=self.master_id,
+                                      epoch=self.epoch, entries=entries)
+            try:
+                for backup in fresh:
+                    yield self.transport.call(backup, "reset_log",
+                                              replicate, timeout=deadline)
+            except RpcError as error:
+                for waiter in joined:
+                    waiter.reply_exception(error)
+                raise
+            finally:
+                del self._backup_resets[new_backups]
+            self.backups = list(new_backups)
+            for waiter in joined:
+                waiter.reply("OK")
             return "OK"
         return work()
 

@@ -141,8 +141,7 @@ class Cluster:
         (the golden-trace contract); the returned injector exposes
         ``applied``/``reverted`` timelines and ``heal_all()``."""
         from repro.net.faults import FaultInjector
-        injector = FaultInjector(self.network, plan,
-                                 coordinator=self.coordinator)
+        injector = FaultInjector(self.network, plan)
         injector.start()
         return injector
 

@@ -90,7 +90,7 @@ RAMCLOUD_PROFILE = ClusterProfile(
 
 #: 10 GbE TCP (Table 1 right column): ~2.5 µs syscall per send/recv on
 #: both sides, heavy tail above the ~80th percentile (paper §5.4), and
-#: an NVMe fsync device modelled separately by the redislike package.
+#: NVMe fsyncs drawn by the redislike AOF on the server host's disk.
 REDIS_PROFILE = ClusterProfile(
     name="redis",
     latency=lambda: Shifted(4.0, LogNormal(median=3.2, sigma=0.65)),

@@ -8,7 +8,6 @@ from repro.core.witness import WitnessEndpoint, WitnessServer
 from repro.harness.profiles import ClusterProfile, TEST_PROFILE
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.redislike.aof import DEFAULT_FSYNC, FsyncDevice
 from repro.redislike.client import RedisClient
 from repro.redislike.server import DurabilityMode, RedisServer
 from repro.sim.distributions import Distribution
@@ -83,9 +82,8 @@ def build_redis_cluster(mode: DurabilityMode,
             witness_servers.append(
                 endpoint.serve(f"redis:{server_host.name}"))
             witness_names.append(witness_host.name)
-    device = FsyncDevice(server_host, fsync_duration or DEFAULT_FSYNC)
     server = RedisServer(
-        server_host, mode, device=device, witnesses=witness_names,
+        server_host, mode, fsync_time=fsync_duration, witnesses=witness_names,
         execute_time=(profile.execute_time if execute_time is None
                       else execute_time),
         curp_fsync_batch=curp_fsync_batch)

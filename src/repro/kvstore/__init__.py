@@ -38,7 +38,6 @@ from repro.kvstore.wal import (
     BackupStats,
     SegmentInfo,
     SegmentedWal,
-    VirtualDisk,
 )
 from repro.kvstore.backup import BackupServer
 
@@ -47,7 +46,6 @@ __all__ = [
     "BackupStats",
     "SegmentInfo",
     "SegmentedWal",
-    "VirtualDisk",
     "ConditionalMultiWrite",
     "ConditionalWrite",
     "KEEP",

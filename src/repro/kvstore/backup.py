@@ -5,9 +5,10 @@ entries (idempotently — the master may resend on retry), and serves the
 whole log to a recovery master.  Backup storage is durable: it survives
 host crash + restart, modelling RAMCloud's flush-to-disk path.
 
-Since ISSUE 7 the entries live in a :class:`~repro.kvstore.wal.
-SegmentedWal` — a segment-rotated log with an index summary per segment
-— behind a :class:`~repro.kvstore.wal.VirtualDisk`.  With a
+The entries live in a :class:`~repro.kvstore.wal.SegmentedWal` — a
+segment-rotated log with an index summary per segment — and every IO
+on them is charged to the host's disk
+(:class:`~repro.sim.resources.VirtualDisk`, ``host.disk``).  With a
 :class:`~repro.core.config.StorageProfile` enabled, replicate acks wait
 for the append (and any rotation) to drain through the disk, a
 background cleaner compacts low-live-ratio segments (competing with the
@@ -30,7 +31,7 @@ import typing
 
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.log import TOMBSTONE, LogEntry
-from repro.kvstore.wal import BackupStats, SegmentedWal, VirtualDisk
+from repro.kvstore.wal import BackupStats, SegmentedWal
 from repro.rpc import AppError, RpcTransport
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -90,7 +91,6 @@ class BackupServer:
         self.storage = storage if storage is not None else StorageProfile()
         self.stats = BackupStats()
         self.wal = SegmentedWal(self.storage.segment_size, self.stats)
-        self.disk = VirtualDisk(self.sim)
         # May share the host's endpoint with a colocated witness
         # (Figure 2); method names are disjoint.
         self.transport = transport or RpcTransport(host)
@@ -146,7 +146,7 @@ class BackupServer:
             return 0.0
         cost = (new * self.storage.append_time
                 + self.wal.rotations_for(new) * self.storage.rotation_time)
-        return self.disk.charge(cost)
+        return self.host.disk.charge(cost)
 
     def _store(self, entries: typing.Sequence[LogEntry]) -> int:
         """Append ``entries`` (resends are no-ops); the last index."""
@@ -186,7 +186,7 @@ class BackupServer:
             cost = (n * self.storage.append_time
                     + (n // self.storage.segment_size)
                     * self.storage.rotation_time)
-            delay = self.disk.charge(cost)
+            delay = self.host.disk.charge(cost)
         if delay > 0:
             self.sim.schedule_callback(delay, ctx.answer, self._reset_apply,
                                        args)
@@ -208,7 +208,7 @@ class BackupServer:
         recovery stripes across the backup set instead."""
         if self.storage.enabled:
             count = len(self.wal)
-            delay = self.disk.charge(count * self.storage.read_entry_time)
+            delay = self.host.disk.charge(count * self.storage.read_entry_time)
             if delay > 0:
                 self.stats.recovery_entries_read += count
                 self.sim.schedule_callback(delay, ctx.answer,
@@ -234,7 +234,7 @@ class BackupServer:
         self.stats.segments_skipped += skipped
         delay = 0.0
         if self.storage.enabled:
-            delay = self.disk.charge(count * self.storage.read_entry_time)
+            delay = self.host.disk.charge(count * self.storage.read_entry_time)
         if delay > 0:
             # The stripe is read at reply time: the cleaner may have
             # rewritten entries while the scan was "on disk".
@@ -317,7 +317,7 @@ class BackupServer:
                 cost = (len(segment.indices) * profile.read_entry_time
                         + self.wal.live_payloads(segment)
                         * COMPACTION_WRITE_TIME)
-                delay = self.disk.charge(cost)
+                delay = self.host.disk.charge(cost)
                 if delay > 0:
                     yield self.sim.timeout(delay)
                 self.wal.compact(segment)

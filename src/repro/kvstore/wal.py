@@ -1,4 +1,4 @@
-"""Segmented write-ahead log + virtual disk model for backups.
+"""Segmented write-ahead log for backups.
 
 RAMCloud organises each backup's replica data into fixed-size
 *segments*: the unit of allocation, of cleaning, and — crucially for
@@ -10,11 +10,12 @@ layout in virtual time:
   full; sealed segments carry an index summary (entry count, key-hash
   min/max) so readers can *skip* segments that cannot contain a key
   range — segment-indexed reads.
-- :class:`VirtualDisk` is a busy-until accumulator: every charged IO
-  starts when the previous one finishes, so appends, cleaner passes and
-  recovery reads on one backup serialize — the modeled disk-bandwidth
-  bound that partitioned recovery works around by striping reads
-  across backups.
+- The backup charges its IO to its host's
+  :class:`~repro.sim.resources.VirtualDisk`, a busy-until accumulator:
+  every charged IO starts when the previous one finishes, so appends,
+  cleaner passes and recovery reads on one backup serialize — the
+  modeled disk-bandwidth bound that partitioned recovery works around
+  by striping reads across backups.
 - Cleaning (log compaction) rewrites a sealed segment whose *live
   payload* ratio dropped below a threshold: superseded values are
   dropped, but every log *index* survives as a slim completion-only
@@ -37,9 +38,6 @@ import typing
 from repro.kvstore.hashing import key_hash
 from repro.kvstore.log import LogEntry
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.simulator import Simulator
-
 
 @dataclasses.dataclass
 class BackupStats:
@@ -61,35 +59,6 @@ class BackupStats:
     recovery_entries_read: int = 0
     #: segments a partitioned/ranged read skipped via the segment index
     segments_skipped: int = 0
-
-
-class VirtualDisk:
-    """One backup's disk: a single serial IO channel in virtual time.
-
-    ``charge(cost)`` reserves the next ``cost`` µs of disk time and
-    returns the delay from *now* until that IO completes — i.e. queueing
-    behind earlier IOs plus the IO itself.  Zero-cost charges return
-    0.0 and never touch the clock, so a disabled profile is free.
-    """
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.free_at = 0.0
-        #: cumulative IO time charged (utilization numerator)
-        self.busy_time = 0.0
-        #: service-time scale, driven by SlowDisk faults (net/faults.py);
-        #: 1.0 = healthy, 50.0 = the fail-slow disk of §gray failures
-        self.multiplier = 1.0
-
-    def charge(self, cost: float) -> float:
-        if cost <= 0:
-            return 0.0
-        if self.multiplier != 1.0:
-            cost *= self.multiplier
-        start = max(self.sim.now, self.free_at)
-        self.free_at = start + cost
-        self.busy_time += cost
-        return self.free_at - self.sim.now
 
 
 @dataclasses.dataclass(frozen=True)

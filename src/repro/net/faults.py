@@ -15,7 +15,7 @@ composed or measured.  This module makes fault scenarios first-class:
   each event on schedule: asymmetric one-way partitions and per-link
   loss/delay/duplication profiles through the network's fault hooks,
   host flaps through ``Host.crash``/``restart``, slow disks by scaling
-  a backup :class:`~repro.kvstore.wal.VirtualDisk`'s service times.
+  the service times of a host's disk (``host.disk``).
 
 Determinism contract: every random draw a fault needs (loss rolls,
 delay jitter, duplicate lag) comes from the injector's **dedicated rng
@@ -33,7 +33,6 @@ import random
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.coordinator import Coordinator
     from repro.net.network import Network
 
 
@@ -191,14 +190,12 @@ class GrayHost(FaultEvent):
 
 @dataclasses.dataclass(frozen=True)
 class SlowDisk(FaultEvent):
-    """Multiply every IO charged to ``host``'s backup
-    :class:`~repro.kvstore.wal.VirtualDisk` by ``multiplier`` — the
+    """Multiply every IO charged to ``host``'s disk
+    (:class:`~repro.sim.resources.VirtualDisk`) by ``multiplier`` — the
     fail-slow disk (bad sector remaps, background scrubbing, dying
-    flash) that stalls sync acks without ever failing a request.
-    Requires the injector to be built with a coordinator (the disk
-    registry) and only bites when the cluster's
-    :class:`~repro.core.config.StorageProfile` is enabled — with the
-    storage model off there is no disk time to multiply."""
+    flash) that stalls sync acks without ever failing a request.  It
+    slows a Redis server's AOF fsyncs, and a backup's WAL IO only when
+    the :class:`~repro.core.config.StorageProfile` is enabled."""
 
     host: str = ""
     multiplier: float = 10.0
@@ -209,10 +206,10 @@ class SlowDisk(FaultEvent):
             raise ValueError(f"multiplier must be > 0: {self.multiplier}")
 
     def apply(self, injector: "FaultInjector") -> None:
-        injector.disk(self.host).multiplier = self.multiplier
+        injector.network.hosts[self.host].disk.multiplier = self.multiplier
 
     def revert(self, injector: "FaultInjector") -> None:
-        injector.disk(self.host).multiplier = 1.0
+        injector.network.hosts[self.host].disk.multiplier = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,17 +241,13 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a live cluster on schedule.
 
-    ``coordinator`` is only needed for :class:`SlowDisk` events (it
-    owns the backup-server registry the disks hang off).  ``start()``
-    on an empty plan is a no-op — zero events, zero draws.
+    ``start()`` on an empty plan is a no-op — zero events, zero draws.
     """
 
-    def __init__(self, network: "Network", plan: FaultPlan,
-                 coordinator: "Coordinator | None" = None):
+    def __init__(self, network: "Network", plan: FaultPlan):
         self.network = network
         self.sim = network.sim
         self.plan = plan
-        self.coordinator = coordinator
         #: the dedicated fault rng stream (determinism contract above)
         self.rng = random.Random(plan.seed)
         self.started = False
@@ -296,14 +289,3 @@ class FaultInjector:
         cleanup; events with pending scheduled reverts no-op later)."""
         for event in list(self.active):
             self._revert(event)
-
-    # ------------------------------------------------------------------
-    def disk(self, host_name: str):
-        """The backup :class:`VirtualDisk` on ``host_name``."""
-        if self.coordinator is None:
-            raise ValueError("SlowDisk faults need a FaultInjector built "
-                             "with a coordinator (the disk registry)")
-        server = self.coordinator.backup_servers.get(host_name)
-        if server is None:
-            raise KeyError(f"no backup server on host {host_name}")
-        return server.disk

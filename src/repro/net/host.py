@@ -30,6 +30,9 @@ a record at the arrival instant, because its ``send()`` moves the same
 accumulator between arrival and completion.  The timing contract is in
 docs/PERFORMANCE.md ("One kernel record per message").
 
+Storage: ``host.disk`` (:class:`~repro.sim.resources.VirtualDisk`) is
+the host's one disk; it is hardware, so nothing resets it on restart.
+
 Delivery hands the message handler the sent payload itself.  A
 :class:`~repro.net.message.Message` (source, destination, size, send
 instant around the payload) is built only while the network has a tap
@@ -42,6 +45,7 @@ import typing
 
 from repro.net.message import Message
 from repro.sim.processes import Process, ProcessGenerator
+from repro.sim.resources import VirtualDisk
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -72,6 +76,8 @@ class Host:
         #: network's ``TrafficStats`` totals and per-host maps read them)
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: the host's one storage device (survives crash and restart)
+        self.disk = VirtualDisk(sim)
         self._nic_free_at = 0.0
         self._rx_free_at = 0.0
         #: how far past the arrival the kernel fires a delivery record

@@ -14,8 +14,8 @@ Pieces:
 - :mod:`~repro.redislike.commands` — the command table (SET, GET,
   HMSET, HGET, INCR, LPUSH, RPUSH, LRANGE, SADD, SMEMBERS, DEL ...)
   with per-command write/read key classification (what witnesses hash).
-- :mod:`~repro.redislike.aof` — the append-only file plus an fsync
-  device with NVMe-calibrated latency (50–100 µs, Table 1).
+- :mod:`~repro.redislike.aof` — the append-only file, fsynced on its
+  host's disk with NVMe-calibrated latency (50–100 µs, Table 1).
 - :mod:`~repro.redislike.server` — the single-threaded event-loop
   server with three durability modes: NONDURABLE (stock Redis),
   DURABLE (fsync-always, with the event-loop fsync batching of §C.2),
@@ -26,7 +26,7 @@ Pieces:
 
 from repro.redislike.commands import Command, CommandError, REGISTRY
 from repro.redislike.datastructures import RedisStore, WrongTypeError
-from repro.redislike.aof import AppendOnlyFile, FsyncDevice
+from repro.redislike.aof import AppendOnlyFile
 from repro.redislike.server import DurabilityMode, RedisServer
 from repro.redislike.client import RedisClient
 
@@ -35,7 +35,6 @@ __all__ = [
     "Command",
     "CommandError",
     "DurabilityMode",
-    "FsyncDevice",
     "REGISTRY",
     "RedisClient",
     "RedisServer",

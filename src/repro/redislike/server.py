@@ -35,7 +35,7 @@ from repro.core.curp import (
     replay,
     retry_orphans,
 )
-from repro.redislike.aof import AppendOnlyFile, FsyncDevice
+from repro.redislike.aof import AppendOnlyFile
 from repro.redislike.commands import Command, CommandError, execute
 from repro.redislike.datastructures import RedisStore, WrongTypeError
 from repro.rifl import ResultRegistry
@@ -43,6 +43,7 @@ from repro.rpc import AppError, RpcTransport
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
+    from repro.sim.distributions import Distribution
 
 #: per-RPC deadline (µs) for witness gc and recovery-time harvests
 RPC_TIMEOUT = 2_000.0
@@ -82,7 +83,7 @@ class RedisServer:
     """One Redis-like server instance."""
 
     def __init__(self, host: "Host", mode: DurabilityMode,
-                 device: FsyncDevice | None = None,
+                 fsync_time: Distribution | None = None,
                  witnesses: typing.Sequence[str] = (),
                  execute_time: float = 0.5,
                  curp_fsync_batch: int = 20,
@@ -90,8 +91,7 @@ class RedisServer:
         self.host = host
         self.sim = host.sim
         self.mode = mode
-        self.device = device or FsyncDevice(host)
-        self.aof = AppendOnlyFile(host, self.device)
+        self.aof = AppendOnlyFile(host, fsync_time)
         self.store = RedisStore()
         self.registry = ResultRegistry()
         self.witnesses = list(witnesses)

@@ -1,14 +1,11 @@
-"""Counted resources: worker pools, NICs, fsync devices.
+"""Counted resources and disks.
 
 A :class:`Resource` has a fixed capacity.  ``request()`` returns an
-event that triggers when a unit is granted (FIFO).  The common pattern
-is wrapped by :meth:`Resource.use`:
+event that triggers when a unit is granted (FIFO); ``release()`` hands
+the unit to the oldest waiter.  The master's worker pool is one.
 
-    yield from nic.use(tx_cost)     # hold the NIC for tx_cost µs
-
-which models serialization: concurrent sends on one host queue behind
-each other, the effect behind the paper's 0.4 µs f=3 client overhead
-and behind the dispatch-thread bottleneck in the throughput figures.
+A :class:`VirtualDisk` is one host's storage device (``host.disk``): a
+serial IO channel that a backup's WAL and a Redis AOF's fsyncs charge.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._waiters: collections.deque[Event] = collections.deque()
-        #: total time units of busy occupancy, for utilization metrics
-        self.busy_time = 0.0
 
     def request(self) -> Event:
         """An event that triggers when a unit is granted."""
@@ -67,17 +62,14 @@ class Resource:
             self.in_use -= 1
 
     def use(self, duration: float) -> typing.Generator[Event, typing.Any, None]:
-        """``yield from`` helper: acquire, hold for ``duration``, release.
-
-        Release happens even if the holding process is interrupted while
-        sleeping, so a crashed server never leaks NIC/worker units.
-        """
+        """``yield from`` helper: acquire, hold for ``duration``, release,
+        even if the holding process is interrupted while it sleeps.
+        Nothing in the package calls this now; it stays while the e2e
+        tracer lists it as an entry point."""
         yield self.request()
-        start = self.sim.now
         try:
             yield self.sim.timeout(duration)
         finally:
-            self.busy_time += self.sim.now - start
             self.release()
 
     @property
@@ -87,3 +79,34 @@ class Resource:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Resource {self.name} {self.in_use}/{self.capacity}"
                 f" +{len(self._waiters)} waiting>")
+
+
+class VirtualDisk:
+    """One host's disk: a single serial IO channel in virtual time.
+
+    ``charge(cost)`` reserves the next ``cost`` µs of disk time and
+    returns the delay from *now* until that IO completes — i.e. queueing
+    behind earlier IOs plus the IO itself.  Zero-cost charges return
+    0.0 and never touch the clock, so a disabled profile is free.  The
+    disk outlives a crash of its host: a restart inside an IO the crash
+    aborted waits out its remainder.
+    """
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self.free_at = 0.0
+        #: cumulative IO time charged (utilization numerator)
+        self.busy_time = 0.0
+        #: service-time scale, driven by SlowDisk faults (net/faults.py);
+        #: 1.0 = healthy, 50.0 = the fail-slow disk of §gray failures
+        self.multiplier = 1.0
+
+    def charge(self, cost: float) -> float:
+        if cost <= 0:
+            return 0.0
+        if self.multiplier != 1.0:
+            cost *= self.multiplier
+        start = max(self.sim.now, self.free_at)
+        self.free_at = start + cost
+        self.busy_time += cost
+        return self.free_at - self.sim.now

@@ -25,6 +25,7 @@ from repro.core.master import CurpMaster
 from repro.core.recovery import recover
 from repro.harness import build_cluster
 from repro.kvstore import Write
+from repro.net.faults import FaultInjector
 from repro.redislike.client import RedisClient
 from repro.redislike.server import RedisServer
 
@@ -119,6 +120,10 @@ def test_settable_config_surface_is_pinned():
         (recover, (None, [], []), ("rpc_timeout",)),
         (Rebalancer, (None,), ("rpc_timeout",)),
         (RedisServer, (None, None), ("rpc_timeout",)),
+        # one disk per host: the AOF fsyncs on ``host.disk`` and a
+        # SlowDisk finds any host's disk through the network
+        (RedisServer, (None, None), ("device",)),
+        (FaultInjector, (None, None), ("coordinator",)),
         (RedisClient, (None, "s", None), ("rpc_timeout",)),
         (RaftCurpClient, (None, []), ("rpc_timeout", "retry_backoff")),
     ) for name in names])

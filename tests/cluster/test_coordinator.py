@@ -9,11 +9,12 @@ import pathlib
 import pytest
 
 from repro.core.client import CurpClient
-from repro.core.config import CurpConfig, ReplicationMode
+from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
 from repro.core.recovery import RecoveryFailed
 from repro.harness import RAMCLOUD_PROFILE, build_cluster
 from repro.kvstore import ConditionalWrite, Write, key_hash
 from repro.rifl import RpcId
+from repro.rpc.transport import RpcRequest, RpcResponse
 
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -170,6 +171,75 @@ def test_replace_backup_onto_a_dead_spare_gives_up_cleanly():
     assert cluster.coordinator.transport.pending_calls == 0
     assert cluster.coordinator.transport.watched_deadlines == 0
     assert cluster.coordinator.masters["m0"].backups[2] == dead
+
+
+def test_slow_backup_reset_is_sent_once_across_coordinator_retries():
+    """Regression: a whole-log ``reset_log`` (400 entries at 5 µs) far
+    outlasts ``rpc_timeout`` (500 µs), so the coordinator retries
+    ``update_backup_config`` before the first reset lands.  Each retry
+    joins the reset in flight; it used to start another whole-log reset
+    of its own (4 in all)."""
+    cluster = curp_cluster(rpc_timeout=500.0, storage=StorageProfile(
+        enabled=True, append_time=5.0))
+    client = cluster.new_client()
+    for i in range(400):
+        cluster.run(client.update(Write(f"k{i}", i)))
+    cluster.settle(5_000.0)
+    assert cluster.master().unsynced_count == 0
+    dead = cluster.backup_hosts["m0"][2]
+    cluster.network.hosts[dead].crash()
+    spare = cluster.add_host("b-spare", role="backup")
+    resets = []
+
+    def tap(message):
+        if getattr(message.payload, "method", None) == "reset_log":
+            resets.append(message.dst)
+    cluster.network.taps.append(tap)
+    new_list = cluster.run(cluster.sim.process(
+        cluster.coordinator.replace_backup("m0", dead, spare)),
+        timeout=1_000_000.0)
+    assert "b-spare" in new_list
+    assert resets == ["b-spare"]
+    assert cluster.coordinator.backup_servers["b-spare"].entry_count() == 400
+    assert cluster.master()._backup_resets == {}
+
+
+def test_retries_joined_to_a_failing_reset_are_each_answered():
+    """The reset onto a dead spare fails at its derived deadline; every
+    coordinator retry that joined it gets that failure as its answer,
+    and the coordinator's next retry starts one new reset."""
+    cluster = curp_cluster(rpc_timeout=500.0, storage=StorageProfile(
+        enabled=True, append_time=5.0))
+    client = cluster.new_client()
+    for i in range(400):
+        cluster.run(client.update(Write(f"k{i}", i)))
+    cluster.settle(5_000.0)
+    dead = cluster.backup_hosts["m0"][2]
+    cluster.network.hosts[dead].crash()
+    spare = cluster.add_host("b-spare", role="backup")
+    spare.crash()
+    master, coordinator = cluster.master().host.name, \
+        cluster.coordinator.host.name
+    seen = {"asked": 0, "answered": 0, "reset_log": 0}
+
+    def tap(message):
+        payload = message.payload
+        if type(payload) is RpcRequest:
+            if payload.method == "update_backup_config":
+                seen["asked"] += 1
+            elif payload.method == "reset_log":
+                seen["reset_log"] += 1
+        elif (type(payload) is RpcResponse and message.src == master
+              and message.dst == coordinator):
+            seen["answered"] += 1
+    cluster.network.taps.append(tap)
+    with pytest.raises(RecoveryFailed, match="update_backup_config"):
+        cluster.run(cluster.sim.process(
+            cluster.coordinator.replace_backup("m0", dead, spare)),
+            timeout=1_000_000.0)
+    cluster.settle(20_000.0)
+    assert seen == {"asked": 20, "answered": 20, "reset_log": 5}
+    assert cluster.master()._backup_resets == {}
 
 
 def test_migration_moves_range_and_versions():

@@ -135,7 +135,7 @@ def test_enabled_profile_charges_backup_disks():
     backups = [cluster.coordinator.backup_servers[name]
                for name in cluster.backup_hosts["m0"]]
     for backup in backups:
-        assert backup.disk.busy_time > 0
+        assert backup.host.disk.busy_time > 0
         assert backup.stats.entries_appended == 40
         assert backup.stats.segments_sealed == 40 // 16
     # the deferred-ack path still drains: everything is synced

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import BackupServer, SegmentedWal, VirtualDisk, key_hash
+from repro.kvstore import BackupServer, SegmentedWal, key_hash
 from repro.kvstore.wal import Segment, SegmentInfo
 from repro.kvstore.log import TOMBSTONE, LogEntry
 from repro.net import Network
@@ -182,24 +182,6 @@ def test_last_index_tracks_the_key_set(steps):
             wal.reset()
         assert wal.last_index == max(
             (stored.index for stored in wal.all_entries()), default=0)
-
-
-# ---------------------------------------------------------------------------
-# virtual disk
-# ---------------------------------------------------------------------------
-
-def test_virtual_disk_serializes_charges():
-    sim = Simulator(seed=0)
-    disk = VirtualDisk(sim)
-    assert disk.charge(0.0) == 0.0  # free when disabled
-    assert disk.charge(10.0) == 10.0
-    # queued behind the first IO: 10 remaining + 5 of its own
-    assert disk.charge(5.0) == 15.0
-    assert disk.busy_time == 15.0
-    sim.schedule_callback(100.0, lambda *args: None, (), None, 0)
-    sim.run()
-    # after the disk drained, a new charge pays only its own cost
-    assert disk.charge(2.0) == 2.0
 
 
 class _EagerWal:

@@ -217,7 +217,7 @@ def test_injector_start_is_idempotent(sim: Simulator, network: Network):
 
 
 def test_slow_disk_multiplier(sim: Simulator):
-    from repro.kvstore.wal import VirtualDisk
+    from repro.sim.resources import VirtualDisk
     disk = VirtualDisk(sim)
     assert disk.charge(2.0) == 2.0
     disk.multiplier = 10.0
@@ -226,12 +226,26 @@ def test_slow_disk_multiplier(sim: Simulator):
     assert disk.charge(0.0) == 0.0
 
 
-def test_slow_disk_event_requires_coordinator(sim: Simulator,
-                                              network: Network):
+def test_slow_disk_on_an_unknown_host_raises(sim: Simulator,
+                                             network: Network):
+    two_hosts(network)
     injector = FaultInjector(network, FaultPlan(
-        events=(SlowDisk(host="b", start=0.0),)))
-    with pytest.raises(ValueError):
-        injector.disk("b")
+        events=(SlowDisk(host="nope", start=0.0),)))
+    injector.start()
+    with pytest.raises(KeyError, match="nope"):
+        sim.run()
+
+
+def test_slow_disk_scales_the_named_host_disk_only(sim: Simulator,
+                                                   network: Network):
+    a, b, _inbox, _ = two_hosts(network)
+    injector = FaultInjector(network, FaultPlan(
+        events=(SlowDisk(host="b", multiplier=4.0, start=1.0, end=2.0),)))
+    injector.start()
+    sim.run(until=1.5)
+    assert (a.disk.multiplier, b.disk.multiplier) == (1.0, 4.0)
+    sim.run()
+    assert (a.disk.multiplier, b.disk.multiplier) == (1.0, 1.0)
 
 
 def test_plan_shifted(sim: Simulator):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.redis import build_redis_cluster
+from repro.metrics.stats import percentile
+from repro.net.faults import FaultInjector, FaultPlan, SlowDisk
 from repro.redislike.server import DurabilityMode
 from repro.sim.distributions import Fixed
 
@@ -21,7 +23,7 @@ def test_nondurable_fast_but_volatile():
     outcome = cluster.run(client.set("k", "v"))
     assert outcome.result == "OK"
     assert outcome.latency == pytest.approx(4.0)  # 1 RTT, no fsync
-    assert cluster.server.device.fsyncs == 0
+    assert cluster.server.aof.fsyncs == 0
     # Crash: the acknowledged write is gone (stock Redis behaviour).
     cluster.server.host.crash()
     cluster.server.host.restart()
@@ -35,7 +37,7 @@ def test_durable_waits_for_fsync():
     outcome = cluster.run(client.set("k", "v"))
     assert outcome.result == "OK"
     assert outcome.latency == pytest.approx(4.0 + 70.0)  # RTT + fsync
-    assert cluster.server.device.fsyncs == 1
+    assert cluster.server.aof.fsyncs == 1
     # Crash: the write survives in the AOF.
     cluster.server.host.crash()
     cluster.server.host.restart()
@@ -52,7 +54,36 @@ def test_durable_event_loop_batches_fsyncs():
     cluster.run(cluster.sim.all_of(processes))
     # Far fewer fsyncs than writes.
     assert cluster.server.stats.writes == 8
-    assert cluster.server.device.fsyncs <= 4
+    assert cluster.server.aof.fsyncs <= 4
+
+
+def test_slow_disk_fault_slows_durable_fsyncs_and_heals():
+    """§5.4's slow-fsync case, injected: a SlowDisk on the Redis
+    server's host scales every fsync 10× for the fault window, so a
+    DURABLE SET (one RTT + fsync) slows about 10×, and is back
+    to its healthy latency once the fault ends."""
+    cluster = build(DurabilityMode.DURABLE)
+    client = cluster.new_client()
+
+    def p50_of_sets(n=20):
+        return percentile(sorted(cluster.run(client.set(f"k{i}", "v")).latency
+                                 for i in range(n)), 50)
+    healthy = p50_of_sets()
+    start = cluster.sim.now + 100.0
+    injector = FaultInjector(cluster.network, FaultPlan(events=(SlowDisk(
+        host="redis-server", multiplier=10.0, start=start,
+        end=start + 20_000.0),)))
+    injector.start()
+    cluster.sim.run(until=start)
+    slow = p50_of_sets()
+    assert cluster.sim.now < start + 20_000.0
+    cluster.sim.run(until=start + 20_000.0)
+    assert injector.active == []
+    healed = p50_of_sets()
+    assert healthy == pytest.approx(4.0 + 70.0)
+    assert slow == pytest.approx(4.0 + 700.0)
+    assert 9.0 < slow / healthy < 10.0
+    assert healed == healthy
 
 
 def test_curp_one_rtt_and_background_fsync():
@@ -172,7 +203,7 @@ def test_different_keys_commute_many_unsynced():
     for i in range(20):
         outcome = cluster.run(client.set(f"key{i}", "v"))
         assert outcome.fast_path
-    assert cluster.server.device.fsyncs == 0
+    assert cluster.server.aof.fsyncs == 0
 
 
 def test_curp_unsynced_state_stays_bounded():

@@ -1,10 +1,11 @@
-"""Unit tests for counted resources."""
+"""Unit tests for counted resources and the per-host virtual disk."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim import Interrupt, Resource, Simulator
+from repro.sim.resources import VirtualDisk
 
 
 def test_grants_up_to_capacity_immediately(sim: Simulator):
@@ -33,18 +34,22 @@ def test_release_without_request_raises(sim: Simulator):
         resource.release()
 
 
-def test_use_serializes_holders(sim: Simulator):
+def hold(sim: Simulator, resource: Resource, duration: float, done: list):
+    """A holder: wait for a unit, keep it ``duration`` µs, release."""
+    yield resource.request()
+    yield sim.timeout(duration)
+    resource.release()
+    done.append(sim.now)
+
+
+def test_request_release_serializes_holders(sim: Simulator):
     resource = Resource(sim, capacity=1, name="nic")
     finish_times = []
-    def holder():
-        yield from resource.use(10.0)
-        finish_times.append(sim.now)
-    sim.process(holder())
-    sim.process(holder())
-    sim.process(holder())
+    for _ in range(3):
+        sim.process(hold(sim, resource, 10.0, finish_times))
     sim.run()
     assert finish_times == [10.0, 20.0, 30.0]
-    assert resource.busy_time == 30.0
+    assert resource.in_use == 0
 
 
 def test_use_releases_on_interrupt(sim: Simulator):
@@ -77,10 +82,21 @@ def test_capacity_validation(sim: Simulator):
 def test_parallel_capacity_two(sim: Simulator):
     resource = Resource(sim, capacity=2)
     finish_times = []
-    def holder():
-        yield from resource.use(10.0)
-        finish_times.append(sim.now)
     for _ in range(4):
-        sim.process(holder())
+        sim.process(hold(sim, resource, 10.0, finish_times))
     sim.run()
     assert finish_times == [10.0, 10.0, 20.0, 20.0]
+
+
+def test_virtual_disk_serializes_charges():
+    sim = Simulator(seed=0)
+    disk = VirtualDisk(sim)
+    assert disk.charge(0.0) == 0.0  # free when disabled
+    assert disk.charge(10.0) == 10.0
+    # queued behind the first IO: 10 remaining + 5 of its own
+    assert disk.charge(5.0) == 15.0
+    assert disk.busy_time == 15.0
+    sim.schedule_callback(100.0, lambda *args: None, (), None, 0)
+    sim.run()
+    # after the disk drained, a new charge pays only its own cost
+    assert disk.charge(2.0) == 2.0
