@@ -7,7 +7,11 @@ throughput at roughly capacity / hot-share while the other masters
 idle.  The rebalancer closes the loop: per-tablet load windows pulled
 from the masters, the hot tablet split at a load-weighted hash point,
 and the split-off half migrated to the coldest master — after which
-the same offered load spreads over all shards.
+the same offered load spreads over all shards.  A migration hands the
+half's log entries (each key's newest, plus the ones behind retained
+completion records) to the coldest master's ``absorb_partition``, the
+hand-over partitioned recovery uses too, and pays its per-entry replay
+cost there.
 
 ``item_count=1975`` is chosen deliberately: the zipfian head's
 scrambled placement puts ≈48% of the offered load on one of the four
@@ -36,14 +40,14 @@ SKEWED_WORKLOAD = YcsbWorkload(name="skewed-writes", read_fraction=0.0,
                                item_count=1975, value_size=100,
                                theta=0.99)
 
-#: the modeled segment-transfer cost of a migration (PR 7 follow-on):
-#: each moved entry charges ``migrate_entry_time`` on the source's
-#: disk, so the speedup below is measured net of what rebalancing pays
-#: to move the data — not against a free-migration fantasy.  The other
-#: storage knobs stay off to keep the write path itself unchanged.
-MIGRATE_STORAGE = StorageProfile(enabled=True, migrate_entry_time=0.5,
-                                 append_time=0.0, rotation_time=0.0,
-                                 read_entry_time=0.0)
+#: the modeled cost of a migration: the destination's
+#: ``absorb_partition`` charges ``core.master.REPLAY_ENTRY_TIME`` per
+#: handed log entry, so the speedup below is measured net of what
+#: rebalancing pays to move the data — not against a free-migration
+#: fantasy.  The disk costs stay off to keep the write path itself
+#: unchanged.
+MIGRATE_STORAGE = StorageProfile(enabled=True, append_time=0.0,
+                                 rotation_time=0.0, read_entry_time=0.0)
 
 
 def rebalance_comparison(n_shards=4, n_clients=40, duration=3_000.0,
@@ -83,7 +87,7 @@ def rebalance_comparison(n_shards=4, n_clients=40, duration=3_000.0,
         if enabled:
             stats = cluster.rebalancer.stats
             point.update(splits=stats.splits, migrations=stats.migrations,
-                         keys_moved=stats.keys_moved,
+                         entries_moved=stats.entries_moved,
                          rounds=stats.rounds)
         out[label] = point
     out["speedup"] = out["on"]["throughput"] / out["off"]["throughput"]

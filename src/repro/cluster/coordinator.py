@@ -32,6 +32,7 @@ from repro.core.messages import (
 )
 from repro.core.recovery import (
     RecoveryFailed,
+    RecoveryPartition,
     plan_partitions,
     recover,
 )
@@ -323,8 +324,10 @@ class Coordinator:
         every reachable backup scans its *stripe* of the log exactly
         once — bucketing entries for all partitions in one pass, the
         reply gated by its virtual disk — and the recovery masters
-        absorb their partitions in parallel: install, RIFL-filtered
-        witness replay, re-replication to their own backups.  Recovery
+        absorb their partitions in parallel (:meth:`_absorb_partition`,
+        the hand-over a migration makes too): append the entries with
+        their completion records, RIFL-filtered witness replay,
+        re-replication to their own backups.  Recovery
         time therefore scales with backups × recovery masters, not
         with the dead master's data volume on one machine.
 
@@ -369,11 +372,17 @@ class Coordinator:
             # 5. Absorb in parallel; bookkeeping cuts over per
             # partition as each ack lands.
             outcomes: dict[int, typing.Any] = {}
-            absorbers = []
-            for i, partition in enumerate(partitions):
-                absorbers.append(self.sim.process(self._absorb_partition(
-                    managed, targets[i], partition, entry_buckets[i],
-                    outcomes, i)))
+
+            def absorb(i: int, partition):
+                try:
+                    outcomes[i] = yield from self._absorb_partition(
+                        managed, targets[i], partition, entry_buckets[i])
+                except Exception as error:  # noqa: BLE001 - collected,
+                    # reraised below as RecoveryFailed with the partition
+                    # kept on the dead master's (retryable) bookkeeping
+                    outcomes[i] = error
+            absorbers = [self.sim.process(absorb(i, partition))
+                         for i, partition in enumerate(partitions)]
             if absorbers:
                 yield AllOf(self.sim, absorbers)
             failures = [error for error in outcomes.values()
@@ -461,55 +470,48 @@ class Coordinator:
             pass
 
     def _absorb_partition(self, managed: ManagedMaster,
-                          target: ManagedMaster, partition, entries,
-                          outcomes: dict, i: int):
-        """Process body: recover one partition onto ``target``.
+                          target: ManagedMaster, partition, entries):
+        """Generator, the one tablet hand-over: ``target`` takes
+        ``partition`` over from ``managed`` — a dead master's (partitioned
+        recovery) or a migration's source — and this returns its
+        ``absorb_partition`` stats.
 
-        The target's witnesses are widened *before* the absorb (as in
-        migration: an early record for the new ranges is harmless, a
-        rejected one after cutover would break the 1-RTT path), and the
-        coordinator's tablet bookkeeping moves only after the absorb
-        acks — the ack means the partition is installed, replayed, and
+        The target's witnesses are widened *before* the absorb (an
+        early record for the new ranges is harmless, a rejected one
+        after cutover would break the 1-RTT path), and the coordinator's
+        tablet bookkeeping moves only after the absorb acks — the ack
+        means the entries are logged, the requests replayed, and both
         re-replicated on the target's own backups.
         """
-        try:
-            if self.config.uses_witnesses:
-                yield from self._set_witness_ranges(
-                    target.witnesses, target.master_id,
-                    tuple(target.owned_ranges) + tuple(partition.ranges))
-            # The ack waits on replay, then re-replication of every
-            # installed effect and replayed request.
-            storage = self.config.storage
-            writes = (sum(len(entry.effects) for entry in entries)
-                      + len(partition.requests))
-            stats = yield from self._call_until_ok(
-                lambda: target.host, "absorb_partition",
-                AbsorbPartitionArgs(
-                    dead_master_id=managed.master_id, epoch=managed.epoch,
-                    ranges=tuple(partition.ranges),
-                    entries=tuple(entries),
-                    requests=tuple(partition.requests)),
-                timeout=storage.bulk_deadline(
-                    self.config.rpc_timeout,
-                    len(entries) * REPLAY_ENTRY_TIME
-                    + writes * storage.write_entry_time))
-            for cut in partition.ranges:
-                managed.owned_ranges = _subtract_range(
-                    managed.owned_ranges, cut)
-                if cut not in target.owned_ranges:
-                    target.owned_ranges.append(cut)
-            self.config_version += 1
-            if self.config.uses_witnesses:
-                # Heal any witness that restarted (losing the widening)
-                # while the absorb was in flight.
-                yield from self._set_witness_ranges(
-                    target.witnesses, target.master_id,
-                    tuple(target.owned_ranges), best_effort=True)
-            outcomes[i] = stats
-        except Exception as error:  # noqa: BLE001 - collected, reraised
-            # by the caller as RecoveryFailed with the partition kept
-            # on the dead master's (retryable) bookkeeping
-            outcomes[i] = error
+        if self.config.uses_witnesses:
+            yield from self._set_witness_ranges(
+                target.witnesses, target.master_id,
+                tuple(target.owned_ranges) + tuple(partition.ranges))
+        # The ack waits on replay, then re-replication of every
+        # appended entry and replayed request.
+        storage = self.config.storage
+        stats = yield from self._call_until_ok(
+            lambda: target.host, "absorb_partition",
+            AbsorbPartitionArgs(ranges=tuple(partition.ranges),
+                                entries=tuple(entries),
+                                requests=tuple(partition.requests)),
+            timeout=storage.bulk_deadline(
+                self.config.rpc_timeout,
+                len(entries) * REPLAY_ENTRY_TIME
+                + (len(entries) + len(partition.requests))
+                * storage.write_entry_time))
+        for cut in partition.ranges:
+            managed.owned_ranges = _subtract_range(managed.owned_ranges, cut)
+            if cut not in target.owned_ranges:
+                target.owned_ranges.append(cut)
+        self.config_version += 1
+        if self.config.uses_witnesses:
+            # Heal any witness that restarted (losing the widening)
+            # while the absorb was in flight.
+            yield from self._set_witness_ranges(
+                target.witnesses, target.master_id,
+                tuple(target.owned_ranges), best_effort=True)
+        return stats
 
     # ------------------------------------------------------------------
     # witness replacement (§3.6)
@@ -571,7 +573,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     def migrate(self, src_master_id: str, dst_master_id: str,
                 lo: int, hi: int):
-        """Generator: move key-hash range [lo, hi) between masters.
+        """Generator: move key-hash range [lo, hi) between masters;
+        returns the number of log entries handed over.
 
         Per §3.6 the source syncs before the final step; stale records
         for migrated keys are filtered during any later replay by the
@@ -580,12 +583,14 @@ class Coordinator:
         opened a crash window where a speculative update acknowledged
         just before the clear lost its only trace — and only their
         *version* advances, forcing stale clients through the refresh
-        path.  After cutover the witnesses on both sides learn the new
-        ownership (``set_ranges``): the destination's accept the
-        migrated range, the source's reject new records for keys that
-        left and evict the old ones — safe, because ``migrate_out``
-        synced the source, so every completed update in the range is
-        already durable.
+        path.  ``migrate_out`` then hands the range's log entries over,
+        and :meth:`_absorb_partition` — the hand-over partitioned
+        recovery uses too — widens the destination's witnesses, appends
+        the entries there with their completion records, cuts over and
+        re-asserts the destination's witnesses.  Last, the source's
+        witnesses shrink to its new ownership, evicting records for
+        keys that left — safe, because ``migrate_out`` synced the
+        source, so every completed update in the range is durable.
 
         Master-addressed steps re-resolve ``managed.host`` per attempt,
         so a source that crashes mid-migration and recovers onto a new
@@ -594,25 +599,9 @@ class Coordinator:
         """
         src = self.masters[src_master_id]
         dst = self.masters[dst_master_id]
-        # An abort anywhere before cutover rolls back (best effort —
-        # stale-suspect aging reclaims whatever a crashed witness
-        # misses, and a crashed source recovers with the coordinator's
-        # unsubtracted bookkeeping): the destination's witnesses are
-        # narrowed back, and if the source already executed
-        # migrate_out, the range is handed straight back to it so
-        # [lo, hi) can never end up owned by nobody.
-        objects = None
+        partition = RecoveryPartition(ranges=((lo, hi),), requests=())
+        entries = None
         try:
-            # Widen the destination's witnesses *first*: a record for
-            # the migrating range arriving there early is harmless (the
-            # dst master still answers WRONG_SHARD until cutover, so
-            # nothing can complete through it), but rejecting records
-            # after cutover because the witnesses lag would break the
-            # 1-RTT path.
-            if self.config.uses_witnesses:
-                yield from self._set_witness_ranges(
-                    dst.witnesses, dst_master_id,
-                    tuple(dst.owned_ranges) + ((lo, hi),))
             # Bump the source's witness-list version (same list, caches
             # intact, witnesses_reset=False keeps the master's gc
             # bookkeeping); the master syncs before acknowledging.
@@ -622,23 +611,21 @@ class Coordinator:
                     lambda: src.host, "update_witness_config",
                     (tuple(src.witnesses), new_version, False))
                 src.witness_list_version = new_version
-            else:
-                yield from self._call_until_ok(lambda: src.host, "sync",
-                                               None)
-            # Final step: stop service on the range, move the objects.
-            objects = yield from self._call_until_ok(
+            # Final step: stop service on the range, hand it over.
+            entries = yield from self._call_until_ok(
                 lambda: src.host, "migrate_out", (lo, hi))
-            yield from self._call_until_ok(
-                lambda: dst.host, "migrate_in", (lo, hi, objects))
+            yield from self._absorb_partition(src, dst, partition, entries)
         except Exception:
-            if objects is not None:
-                # migrate_out succeeded but the handover failed: the
+            if entries is not None:
+                # migrate_out succeeded but the hand-over failed: the
                 # source subtracted the range from its own ownership,
                 # and with the coordinator's map still routing there,
-                # clients would WRONG_SHARD-loop forever.  Re-own it on
-                # the source (idempotent migrate_in; the source still
-                # holds the objects), after asking a half-reached
-                # destination to relinquish any partial application.
+                # clients would WRONG_SHARD-loop forever.  Ask a
+                # half-reached destination to relinquish the range,
+                # then hand the entries back to the source, which
+                # already holds them all (best effort: a source that is
+                # down too is re-owned by its recovery), and narrow the
+                # destination's witnesses back.
                 try:
                     yield from self._call_until_ok(
                         lambda: dst.host, "migrate_out", (lo, hi),
@@ -646,32 +633,19 @@ class Coordinator:
                 except RecoveryFailed:
                     pass  # unreachable dst — nothing applied to undo
                 try:
-                    yield from self._call_until_ok(
-                        lambda: src.host, "migrate_in", (lo, hi, objects),
-                        max_attempts=5)
+                    yield from self._absorb_partition(src, src, partition,
+                                                      entries)
                 except RecoveryFailed:
-                    pass  # source down too: recovery re-owns it anyway
-            if self.config.uses_witnesses:
-                yield from self._set_witness_ranges(
-                    dst.witnesses, dst_master_id,
-                    tuple(dst.owned_ranges), best_effort=True)
+                    pass
+                if self.config.uses_witnesses:
+                    yield from self._set_witness_ranges(
+                        dst.witnesses, dst_master_id,
+                        tuple(dst.owned_ranges), best_effort=True)
             raise
-        src.owned_ranges = _subtract_range(src.owned_ranges, (lo, hi))
-        if (lo, hi) not in dst.owned_ranges:
-            dst.owned_ranges.append((lo, hi))
-        self.config_version += 1
-        # Cutover done: shrink the source's witnesses to the new
-        # ownership, evicting stragglers recorded for migrated keys
-        # (safe: migrate_out synced the source, so every completed
-        # update in the range is durable) — and re-assert the
-        # destination's, healing any witness that restarted (and lost
-        # the pre-cutover widening) while the move was in flight.
         if self.config.uses_witnesses:
             yield from self._set_witness_ranges(
                 src.witnesses, src_master_id, tuple(src.owned_ranges))
-            yield from self._set_witness_ranges(
-                dst.witnesses, dst_master_id, tuple(dst.owned_ranges))
-        return len(objects)
+        return len(entries)
 
     def _set_witness_ranges(self, witnesses, master_id: str,
                             owned_ranges: tuple[tuple[int, int], ...],

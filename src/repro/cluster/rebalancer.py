@@ -48,8 +48,8 @@ class RebalancerStats:
     merges: int = 0
     #: cooling passes that coalesced a cold master's tablets
     cooling_merges: int = 0
-    #: objects moved across all migrations
-    keys_moved: int = 0
+    #: log entries handed over across all migrations
+    entries_moved: int = 0
     #: moves abandoned because the source/destination kept failing
     aborted_moves: int = 0
     #: hot-master load over the mean, from the latest acted-on window
@@ -185,7 +185,7 @@ class Rebalancer:
             self.stats.aborted_moves += 1
             return None
         self.stats.migrations += 1
-        self.stats.keys_moved += moved
+        self.stats.entries_moved += moved
         # Coalesce both sides' adjacent tablets so long split/migrate
         # histories don't grow the ownership lists (and the per-op
         # ownership checks) without bound.  Best effort: a merge that

@@ -111,8 +111,9 @@ class StorageProfile:
     - recovery reads are charged per stored entry on each backup's
       disk, which is what makes partitioned recovery's
       read-once/replay-in-parallel shape measurable;
-    - tablet migration charges a per-object segment-transfer cost on
-      the source master.
+    - a master that takes a tablet over (``absorb_partition``:
+      partitioned recovery or migration) pays
+      ``core.master.REPLAY_ENTRY_TIME`` per handed entry.
     """
 
     enabled: bool = False
@@ -137,12 +138,7 @@ class StorageProfile:
     #: cleaned on the next cleaner pass
     compaction_live_ratio: float = 0.5
     # (cleaner rewrite cost: ``kvstore.backup.COMPACTION_WRITE_TIME``;
-    # recovery replay cost: ``core.master.REPLAY_ENTRY_TIME``)
-    # -- migration ---------------------------------------------------------
-    #: per-object segment-transfer cost charged on the source master
-    #: during ``migrate_out`` (reading the tablet's objects out of its
-    #: backups' segments and shipping them)
-    migrate_entry_time: float = 0.0
+    # hand-over replay cost: ``core.master.REPLAY_ENTRY_TIME``)
 
     def __post_init__(self) -> None:
         if self.segment_size < 1:
@@ -158,8 +154,6 @@ class StorageProfile:
                              "(0 disables the cleaner)")
         if not 0.0 < self.compaction_live_ratio <= 1.0:
             raise ValueError("compaction_live_ratio must be in (0, 1]")
-        if self.migrate_entry_time < 0:
-            raise ValueError("migrate_entry_time must be >= 0")
 
     @property
     def write_entry_time(self) -> float:

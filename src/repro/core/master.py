@@ -69,10 +69,10 @@ FULL_RANGE: tuple[tuple[int, int], ...] = ((0, 2 ** 64),)
 #: value plus key and metadata (gc pairs: ``core.curp``).
 ENTRY_WIRE_BYTES = 140
 
-#: CPU time (µs) for a recovery master to install one replayed entry
-#: (hash, insert, version bookkeeping) when ``StorageProfile`` is
-#: enabled; this is the term that partitioning across k recovery
-#: masters divides by k
+#: CPU time (µs) for a master to append one handed entry on
+#: ``absorb_partition`` (hash, insert, version bookkeeping) when
+#: ``StorageProfile`` is enabled — a migration's only cost, and the
+#: term that partitioning across k recovery masters divides by k
 REPLAY_ENTRY_TIME = 1.0
 
 #: distinct key hashes one load window may hold: a new hash beyond this
@@ -185,7 +185,6 @@ class CurpMaster:
         self.transport.register("update_backup_config",
                                 self._handle_update_backup_config)
         self.transport.register("migrate_out", self._handle_migrate_out)
-        self.transport.register("migrate_in", self._handle_migrate_in)
         self.transport.register("absorb_partition",
                                 self._handle_absorb_partition)
         self.transport.register("load_report", self._handle_load_report)
@@ -752,54 +751,43 @@ class CurpMaster:
         return work()
 
     def _handle_migrate_out(self, args, ctx):
-        """Final step of migration: stop owning [lo, hi), hand objects
-        over.  The coordinator already synced+reset witnesses (§3.6)."""
+        """Final step of migration at the source: sync, stop owning
+        [lo, hi) and return the log entries the destination's
+        ``absorb_partition`` appends — each key's newest entry, a delete
+        included (its version counter moves too), and the entry of
+        every completion record this master still retains for the
+        range, a completion-only one included (it names no key to place
+        it by).  The coordinator already bumped the witness version
+        (§3.6)."""
         lo, hi = args
         def work():
             yield self._request_sync(self.store.log.end)
-            moved = []
-            for key in list(self.store.keys()):
-                h = key_hash(key)
-                if lo <= h < hi:
-                    moved.append((key, self.store.read(key),
-                                  self.store.version(key)))
-            storage = self.config.storage
-            if storage.enabled and storage.migrate_entry_time > 0 and moved:
-                # Segment-transfer cost: reading the tablet's objects
-                # out of the log-structured store and shipping them is
-                # not free once storage is modeled (docs/STORAGE.md).
-                yield self.sim.timeout(
-                    len(moved) * storage.migrate_entry_time)
             self.owned_ranges = _subtract_range(self.owned_ranges, (lo, hi))
-            return tuple(moved)
-        return work()
-
-    def _handle_migrate_in(self, args, ctx):
-        lo, hi, objects = args
-        def work():
-            for key, value, version in objects:
-                self.store.install(key, value, version, now=self.sim.now)
-            if (lo, hi) not in self.owned_ranges:
-                # Idempotent: a coordinator retry after a lost reply
-                # must not create a duplicate tablet (the shard map
-                # rejects overlapping tablets).
-                self.owned_ranges.append((lo, hi))
-            yield self._request_sync(self.store.log.end)
-            return "OK"
+            handed = {entry.index: entry
+                      for entry in self.store.newest_entries(lo, hi)}
+            for record in self.registry.records():
+                entry = self.store.log.entry(record.log_position)
+                if not entry.effects or any(
+                        lo <= key_hash(key) < hi
+                        for key, _value, _version in entry.effects):
+                    handed[entry.index] = entry
+            return tuple(handed[index] for index in sorted(handed))
         return work()
 
     def _handle_absorb_partition(self, args: AbsorbPartitionArgs, ctx):
-        """Partitioned recovery: absorb one partition of a dead
-        master's tablets (RAMCloud's recovery-master role).
+        """Take over ``args.ranges`` from another master: a migration's
+        source (§3.6) or a dead master's partition (RAMCloud's
+        recovery-master role).
 
-        Install the backed-up entries for the partition's ranges in log
-        order, record their RIFL completions, take ownership, replay
-        the witness-recovered speculative requests through the RIFL
-        filter, and sync to *this* master's backups before acking —
-        re-replication makes the absorbed data durable again, and the
+        Each handed entry, in log order, becomes one entry of this log
+        — its in-range effects at their versions, its ``rpc_id`` and
+        result — and the completion is recorded at that position, so
+        it is as durable here as the data (§3.3).  Then take ownership,
+        replay the witness-recovered requests through the RIFL filter,
+        and sync to *this* master's backups before acking: the
         coordinator only cuts routing over on the ack.  Idempotent for
-        coordinator retries: installs preserve versions and the replay
-        is filtered by the completion records the first attempt wrote.
+        coordinator retries: an effect the store already holds and an
+        RpcId already logged here are not appended again.
         """
         self._check_serviceable()
 
@@ -811,18 +799,24 @@ class CurpMaster:
                 yield self.sim.timeout(len(entries) * REPLAY_ENTRY_TIME)
             installed = 0
             for entry in entries:
-                for key, value, version in entry.effects:
-                    if in_ranges((key_hash(key),), args.ranges):
-                        self.store.install(key, value, version,
-                                           now=self.sim.now)
-                        installed += 1
-                if entry.rpc_id is not None and self.registry.check(
-                        entry.rpc_id)[0] is DuplicateState.NEW:
-                    self.registry.record(entry.rpc_id, entry.result,
-                                         log_position=self.store.log.end)
-            # Anti-ABA (RAMCloud's safeVersion): speculative writes the
+                rpc_id = entry.rpc_id
+                if rpc_id is not None and self.registry.check(
+                        rpc_id)[0] is DuplicateState.COMPLETED:
+                    rpc_id = None  # an earlier attempt logged it
+                logged = self.store.install(
+                    tuple(effect for effect in entry.effects
+                          if in_ranges((key_hash(effect[0]),), args.ranges)),
+                    rpc_id, entry.result, now=self.sim.now)
+                if logged is None:
+                    continue
+                installed += len(logged.effects)
+                if rpc_id is not None:
+                    self.registry.record(rpc_id, entry.result,
+                                         log_position=logged.index)
+            # Anti-ABA (RAMCloud's safeVersion): speculative writes a
             # dead master lost consumed versions beyond what its
-            # backups saw; never reissue them for absorbed keys.
+            # backups saw; never reissue them for absorbed keys (after
+            # a migration the floor is merely higher than needed).
             self.store.raise_version_floor(
                 self.store.max_version_seen + 10_000)
             for lo, hi in args.ranges:

@@ -115,20 +115,18 @@ class GetRecoveryDataArgs:
 
 @dataclasses.dataclass(frozen=True)
 class AbsorbPartitionArgs:
-    """Partitioned recovery (§4.6 + RAMCloud fast recovery): a
-    surviving master absorbs one partition of a dead master's tablets —
-    installs the backed-up entries for those ranges, replays the
-    witness requests that hash into them, and syncs the result to its
-    own backups before acking."""
+    """The one tablet hand-over: a master takes over ``ranges`` from
+    another — a migration's source (§3.6) or a dead master whose
+    tablets partitioned recovery spreads (§4.6 + RAMCloud fast
+    recovery).  It appends the handed log entries to its own log,
+    replays the witness requests that hash into the ranges, and syncs
+    the result to its own backups before acking."""
 
-    #: the crashed master whose data is being absorbed
-    dead_master_id: str
-    #: recovery epoch (observability; fencing already happened)
-    epoch: int
     #: the [lo, hi) hash ranges this partition covers
     ranges: tuple[tuple[int, int], ...]
-    #: backed-up log entries for the partition, any order (installed
-    #: sorted by index; effects outside ``ranges`` are skipped)
+    #: the other master's log entries for the ranges, any order
+    #: (appended sorted by index; effects outside ``ranges`` are
+    #: skipped)
     entries: tuple
     #: witness-recovered speculative requests for the partition
     requests: tuple

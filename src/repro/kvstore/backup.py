@@ -262,7 +262,12 @@ class BackupServer:
         return chosen, skipped
 
     def _read_stripe(self, args: PartitionReadArgs):
-        """Scan the stripe: one entry tuple per requested partition."""
+        """Scan the stripe: one entry tuple per requested partition.
+        An entry goes to each partition one of its effects hashes into;
+        a completion-only entry (a rejected conditional write, or one
+        compaction emptied) names no key, so it goes to every partition,
+        and each recovery master's ``absorb_partition`` appends it to
+        its own log with its ``rpc_id`` and result."""
         segments, _skipped = self._stripe_segments(args)
         buckets: list[list[LogEntry]] = [[] for _ in args.partitions]
         for segment in segments:
@@ -271,8 +276,6 @@ class BackupServer:
                     continue  # boundary overshoot: scanned, not returned
                 entry = self.wal.entries[index]
                 if not entry.effects:
-                    # Completion-only record: its rpc_id → result pair
-                    # must survive on every recovery master.
                     for bucket in buckets:
                         bucket.append(entry)
                     continue

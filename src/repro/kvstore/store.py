@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.kvstore.hashing import key_hash
 from repro.kvstore.log import Log, LogEntry, TOMBSTONE
 from repro.kvstore.operations import (
     ConditionalMultiWrite,
@@ -45,15 +46,12 @@ class KVStore:
         #: it costs no Python frame.
         self.lookup = self._objects.get
         #: key → the entry of its last delete: an unsynced delete holds
-        #: reads and conflicts (§4.3).  ``tombstone`` is the dict's own
-        #: ``get``.
+        #: reads and conflicts (§4.3), and a key's version counter is
+        #: the version in its newest entry, live or delete, so
+        #: ConditionalWrite can't be fooled by delete/re-create cycles.
+        #: ``tombstone`` is the dict's own ``get``.
         self._deleted: dict[str, LogEntry] = {}
         self.tombstone = self._deleted.get
-        #: version counters survive deletes so ConditionalWrite can't be
-        #: fooled by delete/re-create cycles.  A key's counter is the
-        #: version in its newest entry (live or delete); this map keeps
-        #: one only where ``install`` adopted a lower version.
-        self._versions: dict[str, int] = {}
         #: post-recovery versions start above this floor (anti-ABA: a
         #: lost unsynced write's version must never be reissued for a
         #: different value — RAMCloud's "safeVersion" idea)
@@ -186,12 +184,12 @@ class KVStore:
         return result, entry
 
     def _bump(self, key: str) -> int:
-        counter = self._versions.get(key, 0) if self._versions else 0
+        counter = 0
         entry = self._objects.get(key) or self._deleted.get(key)
         if entry is not None:
             effects = entry.effects
-            counter = max(counter, (effects[0] if len(effects) == 1
-                                    else entry.effect_on(key))[2])
+            counter = (effects[0] if len(effects) == 1
+                       else entry.effect_on(key))[2]
         new_version = max(counter, self._version_floor) + 1
         self.max_version_seen = max(self.max_version_seen, new_version)
         return new_version
@@ -250,15 +248,8 @@ class KVStore:
 
     def _adopt(self, entry: LogEntry) -> None:
         """Apply an entry whose versions this store did not issue
-        (``install``, ``rebuild_from_entries``): a version below the
-        key's counter leaves the counter in ``_versions``."""
-        for key, _value, version in entry.effects:
-            prior = self._objects.get(key) or self._deleted.get(key)
-            if prior is not None:
-                counter = max(prior.effect_on(key)[2],
-                              self._versions.get(key, 0))
-                if version < counter:
-                    self._versions[key] = counter
+        (``install``, ``rebuild_from_entries``)."""
+        for _key, _value, version in entry.effects:
             self.max_version_seen = max(self.max_version_seen, version)
         self._apply_effects(entry)
 
@@ -297,21 +288,41 @@ class KVStore:
         backup sync?"""
         return self.last_position_of(key) > synced_position
 
-    def keys(self) -> typing.Iterable[str]:
-        return self._objects.keys()
+    def install(self, effects: tuple[tuple[str, typing.Any, int], ...],
+                rpc_id: typing.Any, result: typing.Any,
+                now: float = 0.0) -> LogEntry | None:
+        """Append one entry another master logged (a tablet hand-over:
+        migration or partitioned recovery, ``absorb_partition``).
 
-    def install(self, key: str, value: typing.Any, version: int,
-                now: float = 0.0) -> LogEntry:
-        """Install an object with an explicit version (data migration).
-
-        The receiving master of a migration (§3.6) must preserve object
-        versions from the source master so ConditionalWrite semantics
-        survive the move; a plain Write would restart versions at 1.
+        The effects keep their versions, so ConditionalWrite semantics
+        survive the move, and the entry keeps its ``rpc_id`` and result,
+        so the completion record moves with the data (§3.3).  An effect
+        whose version is not above the key's counter is already here (a
+        retried hand-over) and is dropped; returns None when that leaves
+        neither an effect nor an ``rpc_id`` to log.
         """
-        entry = self.log.append(((key, value, version),), None, None,
-                                timestamp=now)
+        fresh = []
+        for key, value, version in effects:
+            prior = self._objects.get(key) or self._deleted.get(key)
+            if version > (0 if prior is None else prior.effect_on(key)[2]):
+                fresh.append((key, value, version))
+        if not fresh and rpc_id is None:
+            return None
+        entry = self.log.append(tuple(fresh), rpc_id, result, timestamp=now)
         self._adopt(entry)
         return entry
+
+    def newest_entries(self, lo: int, hi: int) -> list[LogEntry]:
+        """The newest entry, a write or a delete, of every key whose
+        hash is in [lo, hi): one per key, so an entry that wrote several
+        of them appears once per key."""
+        newest: dict[str, LogEntry] = {}
+        # a key both live and deleted was re-created: the live entry wins
+        for table in (self._deleted, self._objects):
+            for key, entry in table.items():
+                if lo <= key_hash(key) < hi:
+                    newest[key] = entry
+        return list(newest.values())
 
     # ------------------------------------------------------------------
     # recovery

@@ -104,6 +104,11 @@ class ResultRegistry:
         """Completion records held, over all clients."""
         return sum(len(recs) for recs in self._records.values())
 
+    def records(self) -> typing.Iterator[CompletionRecord]:
+        """Every completion record held, over all clients."""
+        for client_records in self._records.values():
+            yield from client_records.values()
+
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------

@@ -95,9 +95,8 @@ def _components(records: list[OpRecord]):
 def _step(keys: list[str], state: tuple, record: OpRecord):
     """Run the record's op from ``state``: (result consistent?, state)."""
     store = KVStore()
-    for key, value in zip(keys, state):
-        if value is not None:
-            store.install(key, value, 1)
+    store.install(tuple((key, value, 1) for key, value in zip(keys, state)
+                        if value is not None), None, None)
     result, _entry = store.execute(record.op)
     ok = (record.is_pending or not isinstance(record.op, _VALUE_RESULTS)
           or result == record.result)

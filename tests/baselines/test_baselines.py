@@ -22,6 +22,7 @@ from repro.core.config import (
     StorageProfile,
 )
 from repro.core.master import CurpMaster
+from repro.core.messages import AbsorbPartitionArgs
 from repro.core.recovery import recover
 from repro.harness import build_cluster
 from repro.kvstore import Write
@@ -73,7 +74,7 @@ def test_settable_config_surface_is_pinned():
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (CurpConfig, OverloadConfig, StorageProfile)}
     assert counts == {"CurpConfig": 11, "OverloadConfig": 5,
-                      "StorageProfile": 8}  # 24 in all
+                      "StorageProfile": 7}  # 23 in all
     # constructor arguments after (self, coordinator / host): the
     # watchdog's three standby pools + 6 tunables, the rebalancer's 4;
     # the Redis and Raft endpoints take no deadline (module constants)
@@ -105,6 +106,11 @@ def test_settable_config_surface_is_pinned():
         (CurpConfig, (), ("frame_coalescing",)),
         (StorageProfile, (), (
             "compaction_write_time", "replay_entry_time")),
+        # one tablet hand-over: the absorbing master's per-entry replay
+        # is the only migration cost, and a migration's source is not a
+        # dead master with an epoch
+        (StorageProfile, (), ("migrate_entry_time",)),
+        (AbsorbPartitionArgs, (), ("dead_master_id", "epoch")),
         # the control plane's deadlines: rpc_timeout, or derived from
         # the storage model for bulk recovery calls
         (Coordinator.recover_master, (None, "m0", None), ("rpc_timeout",)),

@@ -4,17 +4,19 @@ migration, spares."""
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 import pytest
 
 from repro.core.client import CurpClient
 from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
+from repro.core.messages import AbsorbPartitionArgs, UpdateArgs
 from repro.core.recovery import RecoveryFailed
 from repro.harness import RAMCLOUD_PROFILE, build_cluster
-from repro.kvstore import ConditionalWrite, Write, key_hash
+from repro.kvstore import ConditionalWrite, Delete, Increment, Write, key_hash
 from repro.rifl import RpcId
-from repro.rpc.transport import RpcRequest, RpcResponse
+from repro.rpc.transport import RpcRequest, RpcResponse, RpcTransport
 
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -413,25 +415,131 @@ def test_migrate_aborted_on_dead_destination_restores_source_ownership():
     assert cluster.run(client.read(key), timeout=10_000_000.0) == 2
 
 
-def test_migrate_in_is_idempotent_on_coordinator_retry():
-    """A lost migrate_in reply makes the coordinator re-send; the
-    destination must not grow a duplicate tablet (the shard map rejects
-    overlaps)."""
-    cluster = build_cluster(CurpConfig(
+def two_masters():
+    return build_cluster(CurpConfig(
         f=1, mode=ReplicationMode.CURP, min_sync_batch=50,
         idle_sync_delay=200.0, rpc_timeout=100.0), n_masters=2)
-    master = cluster.master("m1")
-    lo, hi = cluster.coordinator.masters["m0"].owned_ranges[0]
-    cut_lo, cut_hi = lo + 100, lo + 200
 
-    def deliver_twice():
+
+def keys_on_m0(cluster, count):
+    return [f"key-{i}" for i in range(200)
+            if cluster.shard_for(f"key-{i}") == "m0"][:count]
+
+
+def migrate_key(cluster, key):
+    h = key_hash(key)
+    return cluster.run(cluster.sim.process(
+        cluster.coordinator.migrate("m0", "m1", h, h + 1)),
+        timeout=1_000_000.0)
+
+
+def test_retried_absorb_appends_nothing_twice():
+    """A lost ``absorb_partition`` reply makes the coordinator re-send
+    the same hand-over: the destination keeps one tablet, logs each
+    handed RpcId on exactly one entry, and the retry leaves every
+    version (and the log) where the first attempt put it."""
+    cluster = two_masters()
+    client = cluster.new_client()
+    keys = keys_on_m0(cluster, 6)
+    for value, key in enumerate(keys):
+        cluster.run(client.update(Write(key, value)))
+    cluster.run(client.update(Delete(keys[0])))
+    cluster.run(client.update(Write(keys[0], "re-created")))
+    coordinator = cluster.coordinator
+    lo, hi = coordinator.masters["m0"].owned_ranges[0]
+    source, master = cluster.master("m0"), cluster.master("m1")
+
+    def hand_over_twice():
+        entries = yield coordinator.transport.call(
+            coordinator.masters["m0"].host, "migrate_out", (lo, hi),
+            timeout=1_000.0)
+        args = AbsorbPartitionArgs(ranges=((lo, hi),), entries=entries,
+                                   requests=())
+        after = []
         for _ in range(2):
-            result = yield cluster.coordinator.transport.call(
-                cluster.coordinator.masters["m1"].host, "migrate_in",
-                (cut_lo, cut_hi, ()), timeout=1_000.0)
-            assert result == "OK"
-    cluster.run(cluster.sim.process(deliver_twice()), timeout=1_000_000.0)
-    assert master.owned_ranges.count((cut_lo, cut_hi)) == 1
+            yield coordinator.transport.call(
+                coordinator.masters["m1"].host, "absorb_partition", args,
+                timeout=1_000.0)
+            after.append(([master.store.version(key) for key in keys],
+                          master.store.log.end))
+        return entries, after
+    entries, after = cluster.run(cluster.sim.process(hand_over_twice()),
+                                 timeout=1_000_000.0)
+    assert master.owned_ranges.count((lo, hi)) == 1
+    logged = collections.Counter(entry.rpc_id
+                                 for entry in master.store.log.all_entries()
+                                 if entry.rpc_id is not None)
+    assert set(logged) == {entry.rpc_id for entry in entries}
+    assert set(logged.values()) == {1}
+    assert after[0] == after[1]
+    assert after[0][0] == [source.store.version(key) for key in keys]
+
+
+def test_retry_after_migration_answers_from_the_completion_record():
+    """An Increment m0 completed, whose reply was lost, is retried after
+    its key migrated to m1: the completion record moved with the entry,
+    so m1 answers 11 and does not execute the Increment a second time."""
+    cluster = two_masters()
+    client = cluster.new_client()
+    key, = keys_on_m0(cluster, 1)
+    cluster.run(client.update(Write(key, 10)))
+    raw = RpcTransport(cluster.network.add_host("raw"))
+    rpc_id = RpcId(99, 1)
+
+    def send(master_id):
+        managed = cluster.coordinator.masters[master_id]
+        reply = cluster.run(raw.call(
+            managed.host, "update",
+            UpdateArgs(Increment(key, 1), rpc_id, 1,
+                       managed.witness_list_version), timeout=1_000.0))
+        return reply.result
+    assert send("m0") == 11  # the reply the client lost
+    migrate_key(cluster, key)
+    assert send("m1") == 11
+    assert cluster.master("m1").store.read(key) == 11
+
+
+def test_deleted_key_keeps_its_version_counter_across_migration():
+    """A Delete moves with its key.  Two keys get the same history —
+    three writes (version 3), a delete, three writes that re-create it —
+    and one of them migrates to m1 after the delete: a ConditionalWrite
+    prepared against the stale version 3 fails on both."""
+    cluster = two_masters()
+    client = cluster.new_client()
+    stays, moves = keys_on_m0(cluster, 2)
+    for key in (stays, moves):
+        for value in range(3):
+            cluster.run(client.update(Write(key, value)))
+        cluster.run(client.update(Delete(key)))
+    migrate_key(cluster, moves)
+    for key in (stays, moves):
+        for value in range(3):
+            cluster.run(client.update(Write(key, value)))
+        outcome = cluster.run(client.update(
+            ConditionalWrite(key, "stale", expected_version=3)))
+        assert outcome.result[0] == "MISMATCH", key
+
+
+def test_only_the_absorb_handler_installs_another_masters_entries():
+    """One tablet hand-over: in ``core`` and ``cluster`` the only code
+    that puts another master's log entries into a store is the
+    ``absorb_partition`` handler (``KVStore.install``)."""
+    installers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner if owner is not None else child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "install"):
+                installers.append(owner)
+            visit(child, owner)
+    for package in ("core", "cluster"):
+        for path in sorted((SRC / package).glob("*.py")):
+            visit(ast.parse(path.read_text()), None)
+    assert installers == ["_handle_absorb_partition"]
 
 
 def test_failure_detector_recovers_crashed_master():

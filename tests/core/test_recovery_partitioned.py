@@ -11,10 +11,12 @@ import dataclasses
 import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode, StorageProfile
-from repro.core.messages import RecordedRequest
+from repro.core.messages import RecordedRequest, UpdateArgs
 from repro.core.recovery import RecoveryFailed, plan_partitions
 from repro.harness import build_cluster
-from repro.kvstore import MultiWrite, Write, key_hash
+from repro.kvstore import Increment, MultiWrite, Write, key_hash
+from repro.rifl import RpcId
+from repro.rpc import RpcTransport
 
 
 def storage_profile(**overrides) -> StorageProfile:
@@ -106,6 +108,37 @@ def test_recovery_masters_absorb_onto_own_backups():
         cluster.coordinator.recover_master("m1", standby)),
         timeout=50_000_000.0)
     assert_all_readable(cluster, keys)
+
+
+def test_completion_record_survives_partitioned_then_whole_recovery():
+    """An Increment m0 completed and synced, whose reply was lost: m0 is
+    recovered onto m1 by partition, then m1 crashes and is recovered
+    whole.  The RpcId rode in m1's own log entry, so the retry is
+    answered 11 from the rebuilt completion record, not executed again."""
+    cluster = partitioned_cluster(n_masters=2)
+    client = cluster.new_client()
+    key, = keys_on(cluster, "m0", 1)
+    cluster.run(client.update(Write(key, 10)), timeout=10_000_000.0)
+    raw = RpcTransport(cluster.network.add_host("raw"))
+    rpc_id = RpcId(99, 1)
+
+    def send(master_id):
+        managed = cluster.coordinator.masters[master_id]
+        reply = cluster.run(raw.call(
+            managed.host, "update",
+            UpdateArgs(Increment(key, 1), rpc_id, 1,
+                       managed.witness_list_version), timeout=10_000.0))
+        return reply.result
+    assert send("m0") == 11  # the reply the client lost
+    cluster.settle(2_000.0)
+    run_recovery(cluster, "m0", ["m1"])
+    cluster.master("m1").host.crash()
+    standby = cluster.add_host("standby", role="master")
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.recover_master("m1", standby)),
+        timeout=50_000_000.0)
+    assert send("m1") == 11
+    assert cluster.master("m1").store.read(key) == 11
 
 
 def test_disabled_profile_runs_are_identical():

@@ -1,11 +1,12 @@
 """The object table against the algorithm it replaced.
 
 ``KVStore`` keeps each write once: a key maps to the log entry that last
-wrote or deleted it, and a version counter is kept apart only where
-``install`` adopted a version below it.  ``_ReferenceStore`` is the
-earlier algorithm, kept verbatim: a ``StoredObject`` copy of every write
-and a ``_versions`` counter per key.  Both run the same steps and must
-agree on every result and every public read after each one.
+wrote or deleted it, and that entry's version is the key's counter.
+``_ReferenceStore`` is the earlier algorithm: a ``StoredObject`` copy of
+every write and a ``_versions`` counter per key (its ``install`` follows
+the one hand-over: an effect at or below the key's counter is dropped).
+Both run the same steps and must agree on every result and every public
+read after each one.
 """
 
 from __future__ import annotations
@@ -214,17 +215,17 @@ class _ReferenceStore(KVStore):
         obj = self._objects.get(key)
         return None if obj is None else obj.updated_at
 
-    def install(self, key: str, value: typing.Any, version: int,
-                now: float = 0.0) -> LogEntry:
-        """Install an object with an explicit version (data migration).
-
-        The receiving master of a migration (§3.6) must preserve object
-        versions from the source master so ConditionalWrite semantics
-        survive the move; a plain Write would restart versions at 1.
-        """
-        self._versions[key] = max(self._versions.get(key, 0), version)
-        entry = self.log.append(((key, value, version),), None, None,
-                                timestamp=now)
+    def install(self, effects: tuple[tuple[str, typing.Any, int], ...],
+                rpc_id: typing.Any, result: typing.Any,
+                now: float = 0.0) -> LogEntry | None:
+        """Append another master's entry: only the effects above their
+        key's counter, and nothing when neither an effect nor an
+        ``rpc_id`` is left."""
+        fresh = tuple(effect for effect in effects
+                      if effect[2] > self._versions.get(effect[0], 0))
+        if not fresh and rpc_id is None:
+            return None
+        entry = self.log.append(fresh, rpc_id, result, timestamp=now)
         self._apply_effects(entry)
         return entry
 
@@ -319,8 +320,9 @@ def _draw_op(data, step: str, store: KVStore, prepared: list,
 def test_store_matches_the_stored_object_algorithm(data):
     """Writes, increments, deletes and re-creates, multi-key and
     conditional writes, transaction prepares and compensations,
-    migrations that install a version below the key's counter (a delete
-    among them), version floors and rebuilds from the log: after every
+    hand-overs that install entries above, at and below the keys'
+    counters (deletes and completion-only entries among them), version
+    floors and rebuilds from the log: after every
     step the result, each key's value, version, last position and last
     update time, and the highest version issued are the reference's."""
     store, reference = KVStore(), _ReferenceStore()
@@ -330,12 +332,16 @@ def test_store_matches_the_stored_object_algorithm(data):
             STEPS if prepared else tuple(s for s in STEPS
                                          if s != "compensate")))
         if step == "install":
-            key = data.draw(st.sampled_from(KEYS))
-            value = data.draw(st.sampled_from(VALUES + (TOMBSTONE,)))
-            version = data.draw(st.integers(0, reference._versions.get(key, 0)
-                                            + 1))
-            store.install(key, value, version, now=now)
-            reference.install(key, value, version, now=now)
+            keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=3,
+                                      unique=True))
+            effects = tuple(
+                (key, data.draw(st.sampled_from(VALUES + (TOMBSTONE,))),
+                 data.draw(st.integers(0, reference._versions.get(key, 0)
+                                       + 2)))
+                for key in keys)
+            rpc_id = data.draw(st.sampled_from((None, ("client", now))))
+            assert store.install(effects, rpc_id, "result", now=now) \
+                == reference.install(effects, rpc_id, "result", now=now)
         elif step == "raise_version_floor":
             floor = data.draw(st.integers(0, reference.max_version_seen + 2))
             store.raise_version_floor(floor)
@@ -358,16 +364,20 @@ def test_store_matches_the_stored_object_algorithm(data):
         assert _observe(store) == _observe(reference), step
 
 
-def test_install_below_the_counter_keeps_the_counter():
-    """A migration installs a key at a version below the one this store
-    already issued for it: reads see the installed version, and the next
-    write still gets a version above every one the key ever had."""
+def test_install_appends_only_what_is_not_here_yet():
+    """A hand-over appends each effect above its key's counter at its
+    own version.  One at or below the counter is already here (a retried
+    hand-over) and is dropped, and an entry left with neither an effect
+    nor an RpcId is not appended at all."""
     store = KVStore()
     for value in range(5):
         store.execute(Write("k", value))
-    store.install("k", "moved", 2)
-    assert (store.read("k"), store.version("k")) == ("moved", 2)
-    assert store.execute(Write("k", "next"))[0] == 6
-    store.install("k", TOMBSTONE, 1)
-    assert store.version("k") == 0
-    assert store.execute(Write("k", "again"))[0] == 7
+    assert store.install((("k", "stale", 2),), None, None) is None
+    assert (store.read("k"), store.version("k"), store.log.end) == (4, 5, 5)
+    entry = store.install((("k", "again", 5), ("j", TOMBSTONE, 3)),
+                          ("client", 1), "result", now=7.0)
+    assert (entry.index, entry.effects, entry.rpc_id, entry.result) \
+        == (6, (("j", TOMBSTONE, 3),), ("client", 1), "result")
+    assert store.version("j") == 0
+    assert store.execute(Write("j", "re-created"))[0] == 4
+    assert store.install((), ("client", 2), ("MISMATCH", 0)).effects == ()

@@ -331,31 +331,31 @@ def test_step_dispatches_exactly_like_run(profile):
 #: Any drift in virtual-time behaviour moves this pin.
 GOLDEN_REBALANCE = {
     "now": 4532.0,
-    "processed_events": 19683,
+    "processed_events": 19717,
     "operations": 2600,
-    "messages_sent": 14906,
-    "bytes_sent": 2338840,
+    "messages_sent": 14930,
+    "bytes_sent": 2341120,
     "messages_dropped": 0,
     "splits": 1,
     "migrations": 1,
     "tablets": ((0, 9735153152272807980, "m0"),
                 (9735153152272807980, 18446744073709551616, "m1")),
     "per_host_sent": {
-        "client1": 1523,
-        "client2": 1526,
-        "client3": 1531,
-        "client4": 1515,
+        "client1": 1519,
+        "client2": 1503,
+        "client3": 1563,
+        "client4": 1510,
         "coordinator": 40,
-        "m0-backup0": 145,
-        "m0-backup1": 145,
-        "m0-host": 1902,
-        "m0-witness0": 822,
-        "m0-witness1": 822,
-        "m1-backup0": 188,
-        "m1-backup1": 188,
-        "m1-host": 2447,
-        "m1-witness0": 1056,
-        "m1-witness1": 1056,
+        "m0-backup0": 146,
+        "m0-backup1": 146,
+        "m0-host": 1906,
+        "m0-witness0": 823,
+        "m0-witness1": 823,
+        "m1-backup0": 190,
+        "m1-backup1": 190,
+        "m1-host": 2455,
+        "m1-witness0": 1058,
+        "m1-witness1": 1058,
     },
 }
 
