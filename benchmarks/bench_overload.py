@@ -13,11 +13,10 @@ hard the engine pushes.
 
 The cluster is deliberately tiny — 2 workers × 50 µs/op ≈ 40k ops/s —
 so a 10× overload is cheap to simulate; the defense mechanisms don't
-care about the absolute numbers.  ``gc_stale_threshold`` is raised so
-the witness orphan-replay path (a crash-recovery mechanism that
-re-executes abandoned records at zero modelled cost, normally
-minutes-scale) cannot masquerade as extra capacity inside a 60 ms
-measurement window.
+care about the absolute numbers.  A witness reports a record to the
+§4.5 orphan-replay path only once it is older than every client's
+retry horizon (``CurpConfig.suspect_after``), so records that live
+clients are still retrying are never re-executed as extra capacity.
 
 Acceptance (ISSUE 6): goodput at 10× saturation ≥ 80% of peak with
 defenses on; the defenses-off run must actually collapse (< 50% of
@@ -68,7 +67,6 @@ def overload_config(enabled: bool, **overrides):
     overrides.setdefault("rpc_timeout", 2_000.0)
     overrides.setdefault("max_attempts", 6)
     overrides.setdefault("retry_backoff", 200.0)
-    overrides.setdefault("gc_stale_threshold", 1_000_000)
     overrides.setdefault("overload", OverloadConfig(
         enabled=enabled, max_queue_depth=16, retry_after=300.0,
         retry_after_cap=3_000.0))

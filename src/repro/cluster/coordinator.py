@@ -181,7 +181,7 @@ class Coordinator:
             endpoint = self.witness_endpoints[witness_host.name] = \
                 WitnessEndpoint(
                     witness_host,
-                    stale_threshold=self.config.gc_stale_threshold,
+                    suspect_after=self.config.suspect_after,
                     record_time=record_time,
                     transport=None if backup is None else backup.transport,
                     # Per-tenant fair admission rides the overload

@@ -41,6 +41,15 @@ RPC_TIMEOUT = 1_000.0
 #: resolves in a few heartbeats), desynchronized long ones (no client
 #: retry storms against a group that stays leaderless)
 RETRY_BACKOFF = 500.0
+#: default attempts per update, read and leader search
+MAX_ATTEMPTS = 30
+
+
+def suspect_after(n_replicas: int) -> float:
+    """§4.5: the longest a default client retries one update (µs): per
+    attempt a leader search, a propose, a ``wait_commit`` and a backoff."""
+    find_leader = MAX_ATTEMPTS * (n_replicas * RPC_TIMEOUT + RETRY_BACKOFF)
+    return MAX_ATTEMPTS * (find_leader + 8 * RPC_TIMEOUT + RETRY_BACKOFF)
 
 
 def superquorum_size(f: int) -> int:
@@ -58,7 +67,7 @@ class RaftCurpClient:
     _next_client_id = 1000
 
     def __init__(self, host: "Host", replicas: typing.Sequence[str],
-                 max_attempts: int = 30):
+                 max_attempts: int = MAX_ATTEMPTS):
         RaftCurpClient._next_client_id += 1
         self.host = host
         self.sim = host.sim

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.curp import UnsyncedSuffix, gc_round, replay
+from repro.core.curp import UnsyncedSuffix, gc_round, replay, retry_orphans
 from repro.core.messages import RECORD_REJECTED
 from repro.core.witness import MODE_NORMAL, WitnessServer
 from repro.kvstore.operations import Operation, Read
@@ -153,9 +153,11 @@ class RaftNode:
 
         # --- witness component (§A.2): the core witness behind a term
         # fence; frozen (recovery mode) from w_recovery until w_reset ---
+        from repro.consensus.client import suspect_after  # a cyclic import
         self.witness = WitnessServer(
             RAFT_WITNESS, self.config.witness_slots,
-            self.config.witness_associativity, stale_threshold=3)
+            self.config.witness_associativity,
+            suspect_after(len(self.peers)))
         self.witness_term = 0
 
         self.stats = {"speculative": 0, "conflict_commits": 0,
@@ -389,10 +391,20 @@ class RaftNode:
         """§3.5 applied to §A.2: committed entries' witness records are
         garbage — drop them from every replica's component in one round,
         or the next write to their keys loses the fast path."""
+        own = ()
         if self.witness.mode == MODE_NORMAL:  # a frozen one waits for w_reset
-            self.witness.gc(pairs)  # own component, locally
+            own = self.witness.gc(pairs)  # own component, locally
         gc_round(self.transport, self.others, RAFT_WITNESS, pairs,
-                 self.config.rpc_timeout)
+                 self.config.rpc_timeout).when_done(
+            self._retry_orphans, own, self.current_term)
+
+    def _retry_orphans(self, join, own, term: int) -> None:
+        """§4.5 on one gc round's suspects, while still leading its term."""
+        replies = (own, *join.value)
+        if any(replies) and self.role == "leader" \
+                and self.current_term == term:
+            retry_orphans(self.registry, replies, self.commit_index,
+                          self._append_replayed, self._send_witness_gc)
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:
@@ -547,7 +559,7 @@ class RaftNode:
             # obsolete (their leader change replayed or dropped them).
             self.witness.start(None)
             self.witness_term = term
-        return self.witness.record(record)
+        return self.witness.record(record, self.sim.now)
 
     def _handle_w_recovery(self, term: int, ctx):
         """New leader collecting witness data; freezes this witness."""
@@ -609,8 +621,8 @@ class RaftNode:
                 continue
 
     def _append_replayed(self, request) -> int:
-        """Execute-and-log step of the shared replay (``core.curp``): 0
-        for an RPC already in our log, which commits under us."""
+        """Execute-and-log step of the shared replay and §4.5 orphan
+        retry (``core.curp``): 0 for an RPC already in our log."""
         if request.rpc_id in self._log_rpc_index:
             return 0
         entry = self._append_local(request.op, request.rpc_id)

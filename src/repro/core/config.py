@@ -180,11 +180,6 @@ class CurpConfig:
     f: int = 3
     mode: ReplicationMode = ReplicationMode.CURP
 
-    # -- witness gc (§4.5; geometry is WitnessCache's own, §4.2) -------
-    #: gc generations before a surviving record is suspected as
-    #: uncollected garbage (§4.5: "three is a good number")
-    gc_stale_threshold: int = 3
-
     # -- master sync batching (§4.4, §C.1) ------------------------------
     #: start a backup sync once this many unsynced ops accumulate
     #: ("masters batch at most 50 operations before syncs")
@@ -221,8 +216,6 @@ class CurpConfig:
     def __post_init__(self) -> None:
         if self.f < 0:
             raise ValueError(f"f must be >= 0: {self.f}")
-        if self.gc_stale_threshold < 1:
-            raise ValueError("gc_stale_threshold must be >= 1")
         if self.min_sync_batch < 1:
             raise ValueError("min_sync_batch must be >= 1")
         if self.idle_sync_delay < 0:
@@ -237,6 +230,16 @@ class CurpConfig:
             raise ValueError("retry_backoff must be >= 0 (0 disables)")
         if self.mode is ReplicationMode.UNREPLICATED and self.f != 0:
             raise ValueError("unreplicated mode requires f=0")
+
+    @property
+    def suspect_after(self) -> float:
+        """§4.5: the longest a client retries one update (µs): per
+        attempt a fan-out, a sync and a view refresh (``rpc_timeout``
+        each), then a backoff or a pushback (at most the cap)."""
+        pause = self.retry_backoff
+        if self.overload.enabled:
+            pause = max(pause, self.overload.retry_after_cap)
+        return self.max_attempts * (3 * self.rpc_timeout + pause)
 
     @property
     def uses_witnesses(self) -> bool:

@@ -21,7 +21,6 @@ from repro.rpc import RpcError
 from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.net.host import Host
     from repro.rifl import ResultRegistry
     from repro.rpc import RpcTransport
 
@@ -103,14 +102,17 @@ def fetch_recovery_data(transport: "RpcTransport",
 def replay(registry: "ResultRegistry",
            requests: typing.Iterable[RecordedRequest],
            execute: ExecuteStep) -> tuple[int, int]:
-    """§4.6: ``execute`` every request RIFL has not seen, in any order (a
-    witness holds only commuting requests), ignoring acks meanwhile
-    (§4.8 modification 1); returns ``(replayed, filtered)``."""
+    """§4.6: ``execute`` every request with no completion record here, in
+    any order (a witness holds only commuting requests), ignoring acks
+    (§4.8 modification 1: a live master absorbing a dead one's partition
+    may have seen acks for speculative updates only witnesses hold);
+    returns ``(replayed, filtered)``."""
     replayed = filtered = 0
     registry.begin_recovery()
     try:
         for request in requests:
-            if (registry.check(request.rpc_id)[0] is DuplicateState.NEW
+            if (registry.check(request.rpc_id)[0]
+                    is not DuplicateState.COMPLETED
                     and execute(request)):
                 replayed += 1
             else:
@@ -122,31 +124,32 @@ def replay(registry: "ResultRegistry",
 
 def retry_orphans(registry: "ResultRegistry", replies: typing.Iterable,
                   durable_position: int, execute: ExecuteStep,
-                  host: "Host", collect: typing.Callable) -> int:
+                  collect: typing.Callable) -> int:
     """§4.5: gc ``replies`` report records nobody collected (their client
-    died before reaching the server); an error reply is skipped.  A new
-    orphan goes through ``execute``; its entry's sync + gc collects it.
-    Any other is collected at once by a ``collect(pairs)`` gc round
-    spawned on ``host``, or it could stay pinned on an idle server —
-    unless its entry is not durable yet: that entry's own gc round
-    collects every witness's copy.  Returns the number handled."""
+    gave up or died before reaching the server); an error reply is
+    skipped, and an ``RpcId`` several witnesses report is handled once.
+    A new orphan goes through ``execute``; its entry's sync + gc collects
+    it.  The others are collected at once, all of them by one
+    ``collect(pairs)`` gc round, or they could stay pinned on an idle
+    server — unless an entry is not durable yet: that entry's own gc
+    round collects every witness's copy.  Returns the number handled."""
     handled = 0
-    for reply in replies:
-        if isinstance(reply, BaseException):
-            continue  # witness down; the coordinator replaces it
-        for request in reply:
-            rpc_id = request.rpc_id
-            record = registry.get(rpc_id)
-            if record is not None and record.log_position > durable_position:
-                continue
-            handled += 1
-            if (record is not None
-                    or registry.check(rpc_id)[0] is not DuplicateState.NEW
-                    or not execute(request)):
-                host.spawn(collect(tuple(
-                    (key_hash, rpc_id)
-                    for key_hash in request.op.touched_hashes())),
-                    name="orphan-gc")
+    pairs: list[tuple[int, typing.Any]] = []
+    suspects = {request.rpc_id: request for reply in replies
+                if not isinstance(reply, BaseException)  # witness down
+                for request in reply}
+    for rpc_id, request in suspects.items():
+        record = registry.get(rpc_id)
+        if record is not None and record.log_position > durable_position:
+            continue
+        handled += 1
+        if (record is not None
+                or registry.check(rpc_id)[0] is not DuplicateState.NEW
+                or not execute(request)):
+            pairs.extend((key_hash, rpc_id)
+                         for key_hash in request.op.touched_hashes())
+    if pairs:
+        collect(tuple(pairs))
     return handled
 
 

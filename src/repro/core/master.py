@@ -37,7 +37,6 @@ from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.curp import RPC_HEADER_BYTES, gc_round, replay, retry_orphans
 from repro.core.messages import (
     AbsorbPartitionArgs,
-    GcArgs,
     LoadReport,
     ReadArgs,
     RecordedRequest,
@@ -564,7 +563,8 @@ class CurpMaster:
                 self.stats.synced_entries += len(entries)
                 self._wake_sync_waiters()
                 # One gc RPC per witness per completed sync round (§4.5).
-                yield from self._gc_witnesses()
+                yield from self._gc_witnesses(
+                    self._take_durable_gc_pairs())
                 # Between rounds, honour the minimum batch (§4.4/C.1):
                 # unless someone is blocked waiting, don't start another
                 # sync until min_sync_batch operations accumulated (the
@@ -623,12 +623,11 @@ class CurpMaster:
         self._pending_gc = remaining
         return pairs
 
-    def _gc_witnesses(self):
-        """Generator, one gc round: drop newly-synced requests from all
+    def _gc_witnesses(self, pairs):
+        """Generator, one gc round: drop durable requests from all
         witnesses (§3.5, §4.5) and handle the uncollected-garbage
         suspects they report back.  Unreachable witnesses are skipped
         (the coordinator replaces them out of band)."""
-        pairs = self._take_durable_gc_pairs()
         witnesses = self.witnesses
         if not pairs or not witnesses:
             return
@@ -638,13 +637,10 @@ class CurpMaster:
         results = yield gc_round(self.transport, witnesses, self.master_id,
                                  pairs, self.config.rpc_timeout)
         if any(results):  # a suspect, or a witness's error
-            self._retry_orphans(results)
-
-    def _retry_orphans(self, replies) -> None:
-        """§4.5 on the suspects gc replies report (``core.curp``)."""
-        self.stats.stale_suspects_handled += retry_orphans(
-            self.registry, replies, self.synced_position,
-            self._execute_orphan, self.host, self._send_gc_round)
+            self.stats.stale_suspects_handled += retry_orphans(
+                self.registry, results, self.synced_position,
+                self._execute_orphan, lambda orphans: self.host.spawn(
+                    self._gc_witnesses(orphans), name="orphan-gc"))
 
     def _execute_orphan(self, request: RecordedRequest) -> int:
         position = self._execute_and_log(request)
@@ -653,20 +649,6 @@ class CurpMaster:
                                      request.rpc_id))
             self._arm_flush_timer()
         return position
-
-    def _send_gc_round(self, pairs):
-        """One explicit gc round (outside the sync loop)."""
-        args = GcArgs(master_id=self.master_id, pairs=pairs)
-        self.stats.gc_pairs += len(pairs)
-        self.stats.gc_flushes += 1
-        for witness in list(self.witnesses):
-            self.stats.gc_rpcs += 1
-            try:
-                stale = yield self.transport.call(
-                    witness, "gc", args, timeout=self.config.rpc_timeout)
-            except RpcError:
-                continue
-            self._retry_orphans((stale,))
 
     def _arm_flush_timer(self) -> None:
         """One-shot: flush stragglers that never fill a batch."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.config import CurpConfig
 from repro.core.messages import (
     GcArgs,
     GetRecoveryDataArgs,
@@ -44,7 +45,6 @@ from repro.core.messages import (
 )
 from repro.core.witness_cache import WitnessCache
 from repro.kvstore.hashing import in_ranges
-from repro.kvstore.operations import is_transactional
 from repro.rpc import AppError, RpcTransport
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -62,7 +62,7 @@ class WitnessServer:
     routes the master's RPCs here."""
 
     def __init__(self, master_id: str, slots: int, associativity: int,
-                 stale_threshold: int):
+                 suspect_after: float):
         self.master_id = master_id
         self.mode = MODE_NORMAL
         #: the served master's owned key-hash ranges, when known: records
@@ -73,19 +73,15 @@ class WitnessServer:
         #: ownership (set_ranges at migration cutover)
         self.records_evicted = 0
         self.cache = WitnessCache(slots=slots, associativity=associativity,
-                                  stale_threshold=stale_threshold)
+                                  suspect_after=suspect_after)
         self.records_processed = 0
         self.gcs_processed = 0
-        #: accepted records carrying cross-shard saga operations
-        #: (TxnPrepare / TxnCompensate, §B.2) — these occupy slots and
-        #: replay on recovery exactly like any other update record
-        self.txn_records = 0
         #: record RPCs the host's fair admission let through / turned
         #: away; counted only while fairness is on (config.overload)
         self.records_admitted = 0
         self.records_throttled = 0
 
-    def record(self, args: RecordArgs) -> str:
+    def record(self, args: RecordArgs, now: float) -> str:
         self.records_processed += 1
         if self.mode != MODE_NORMAL:
             # Frozen for recovery: the client cannot complete in 1 RTT
@@ -97,10 +93,8 @@ class WitnessServer:
             # can never complete here, and an accepted record would pin
             # a slot the owning master's gc cycle can no longer reach.
             return RECORD_REJECTED
-        accepted = self.cache.record(args.key_hashes, args.rpc_id, args.request)
-        if accepted and args.request is not None \
-                and is_transactional(args.request.op):
-            self.txn_records += 1
+        accepted = self.cache.record(args.key_hashes, args.rpc_id,
+                                     args.request, now)
         return RECORD_ACCEPTED if accepted else RECORD_REJECTED
 
     def probe(self, key_hashes: typing.Sequence[int]) -> str:
@@ -162,7 +156,8 @@ class WitnessEndpoint:
     """
 
     def __init__(self, host: "Host", slots: int = 4096,
-                 associativity: int = 4, stale_threshold: int = 3,
+                 associativity: int = 4,
+                 suspect_after: float = CurpConfig().suspect_after,
                  record_time: float = 0.0,
                  transport: RpcTransport | None = None,
                  fair_window: float = 1_000.0, window_records: int = 0):
@@ -170,7 +165,8 @@ class WitnessEndpoint:
         self.sim = host.sim
         self.slots = slots
         self.associativity = associativity
-        self.stale_threshold = stale_threshold
+        #: the served clients' retry horizon (µs, §4.5)
+        self.suspect_after = suspect_after
         #: CPU time to process one record RPC (profiles; §5.2 measures
         #: 1270k records/s ≈ 0.8 µs each)
         self.record_time = record_time
@@ -211,7 +207,7 @@ class WitnessEndpoint:
         if tenant is None:
             tenant = self.tenants[master_id] = WitnessServer(
                 master_id, self.slots, self.associativity,
-                self.stale_threshold)
+                self.suspect_after)
         tenant.start(owned_ranges)
         return tenant
 
@@ -245,9 +241,9 @@ class WitnessEndpoint:
             # hot path).  A record in flight when the host dies is
             # dropped, not replied to (``ctx.answer``).
             self.sim.schedule_callback(self.record_time, ctx.answer,
-                                       tenant.record, args)
+                                       tenant.record, args, self.sim.now)
             return RpcTransport.DEFERRED
-        return tenant.record(args)
+        return tenant.record(args, self.sim.now)
 
     def _admit(self, tenant: WitnessServer) -> bool:
         """Windowed per-tenant fair admission (config.overload).

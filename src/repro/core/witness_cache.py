@@ -14,10 +14,10 @@ associativity)`` of one flat slot array; the witness probes the one
   (multi-object updates need a commutative free slot in *every*
   relevant set, §4.2).
 
-Uncollected-garbage detection (§4.5): the cache counts gc rounds; when
-a record that has survived ``stale_threshold`` gc rounds causes a
-rejection, it is reported back to the master through the next gc
-response so the master can retry/sync/re-collect it.
+Uncollected-garbage detection (§4.5): a record keeps its arrival instant;
+one at least ``suspect_after`` old (its clients' retry horizon: no live
+client retries it) that causes a rejection is reported back to the
+master through the next gc response so it can retry/sync/re-collect it.
 
 Memory is the slot array plus one index entry per live record (§5.2
 counts slots only): nothing is kept per set.
@@ -29,6 +29,7 @@ Figure 11 benchmark can drive it millions of times cheaply.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.kvstore.hashing import in_ranges
@@ -42,15 +43,15 @@ class WitnessRecord:
     key_hash: int
     rpc_id: typing.Any
     request: typing.Any
-    #: value of the cache's gc counter when this record was written
-    gc_generation: int
+    #: instant (µs) the record arrived; its §4.5 age is measured from here
+    arrived: float
 
 
 class WitnessCache:
     """Fixed-size set-associative store of client update requests."""
 
     def __init__(self, slots: int = 4096, associativity: int = 4,
-                 stale_threshold: int = 3):
+                 suspect_after: float = math.inf):
         if slots < 1 or associativity < 1:
             raise ValueError("slots and associativity must be >= 1")
         if slots % associativity != 0:
@@ -60,14 +61,15 @@ class WitnessCache:
         self.slots = slots
         self.associativity = associativity
         self.n_sets = slots // associativity
-        self.stale_threshold = stale_threshold
+        #: age (µs) from which a record that causes a rejection is a
+        #: §4.5 suspect; infinite = never (the Figure 11 harness)
+        self.suspect_after = suspect_after
         #: set ``s`` owns ways ``[s * associativity, (s + 1) * associativity)``
         self._slots: list[WitnessRecord | None] = [None] * slots
         #: {key_hash: slot} of every live record — a key hash maps to one
         #: set and, because accepted requests are pairwise commutative,
         #: occupies at most one way of it, so it is unique cache-wide
         self._where: dict[int, int] = {}
-        self._gc_rounds = 0
         #: rejected-against records suspected as uncollected garbage,
         #: keyed by (key_hash, rpc_id); drained by the next gc response
         self._suspects: dict[tuple[int, typing.Any], typing.Any] = {}
@@ -80,11 +82,12 @@ class WitnessCache:
     # record
     # ------------------------------------------------------------------
     def record(self, key_hashes: typing.Sequence[int], rpc_id: typing.Any,
-               request: typing.Any) -> bool:
-        """Try to save a request; True = accepted.
+               request: typing.Any, now: float = 0.0) -> bool:
+        """Try to save a request arriving at instant ``now``; True =
+        accepted.
 
         Duplicate records (same rpc_id — a client retry) are accepted
-        idempotently.
+        idempotently and keep their first arrival instant.
         """
         if not key_hashes:
             raise ValueError("record() needs at least one key hash")
@@ -101,7 +104,7 @@ class WitnessCache:
                 if record.rpc_id == rpc_id:
                     self.accepts += 1  # idempotent retry
                     return True
-                self._note_suspect(record)
+                self._note_suspect(record, now)
                 self.rejects_commutativity += 1
                 return False
             base = key_hash % self.n_sets * assoc
@@ -110,8 +113,7 @@ class WitnessCache:
             except ValueError:
                 self.rejects_capacity += 1
                 return False
-            slots[slot] = WitnessRecord(key_hash, rpc_id, request,
-                                        self._gc_rounds)
+            slots[slot] = WitnessRecord(key_hash, rpc_id, request, now)
             where[key_hash] = slot
             self.accepts += 1
             return True
@@ -127,7 +129,7 @@ class WitnessCache:
                 record = slots[slot]
                 if record.rpc_id == rpc_id:
                     continue  # idempotent retry
-                self._note_suspect(record)
+                self._note_suspect(record, now)
                 self.rejects_commutativity += 1
                 return False
             base = key_hash % self.n_sets * assoc
@@ -142,14 +144,13 @@ class WitnessCache:
                 continue  # idempotent duplicate for this key
             base = key_hash % self.n_sets * assoc
             slot = slots.index(None, base, base + assoc)  # lowest free way
-            slots[slot] = WitnessRecord(key_hash, rpc_id, request,
-                                        self._gc_rounds)
+            slots[slot] = WitnessRecord(key_hash, rpc_id, request, now)
             where[key_hash] = slot
         self.accepts += 1
         return True
 
-    def _note_suspect(self, record: WitnessRecord) -> None:
-        if self._gc_rounds - record.gc_generation >= self.stale_threshold:
+    def _note_suspect(self, record: WitnessRecord, now: float) -> None:
+        if now - record.arrived >= self.suspect_after:
             self._suspects[(record.key_hash, record.rpc_id)] = record.request
 
     # ------------------------------------------------------------------
@@ -177,13 +178,12 @@ class WitnessCache:
     def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]]
                  ) -> list[typing.Any]:
         """One gc round: drop the records matching the round's
-        (key_hash, rpc_id) pairs and tick the stale-suspect aging clock.
+        (key_hash, rpc_id) pairs.
 
         Unknown pairs are ignored (the record RPC may have been
         rejected, §4.5).  Returns the requests suspected as uncollected
         garbage since the last round (drained on return).
         """
-        self._gc_rounds += 1
         slots = self._slots
         where = self._where
         suspects = self._suspects
@@ -204,7 +204,7 @@ class WitnessCache:
         Used at migration cutover (§3.6): records for keys that left
         the master's ownership can never be collected by that master's
         sync+gc cycle, so they are dropped eagerly rather than pinning
-        slots until stale-suspect aging.  Returns the number of slots
+        slots until they age into suspects.  Returns the number of slots
         freed.  Matching suspects are forgotten too — the master no
         longer owns the key, so replaying them would be wrong.
         """
@@ -234,7 +234,6 @@ class WitnessCache:
         self._slots = [None] * self.slots
         self._where = {}
         self._suspects.clear()
-        self._gc_rounds = 0
 
     # ------------------------------------------------------------------
     # inspection
@@ -242,11 +241,7 @@ class WitnessCache:
     def occupied_slots(self) -> int:
         return len(self._where)
 
-    @property
-    def gc_rounds(self) -> int:
-        return self._gc_rounds
-
     def memory_bytes(self, slot_size: int = 2048) -> int:
         """§5.2 accounting: paper uses 2 KB slots → ~9 MB per master."""
-        metadata = 24 * self.slots  # key hash + rpc id + generation
+        metadata = 24 * self.slots  # key hash + rpc id + arrival instant
         return self.slots * slot_size + metadata

@@ -8,7 +8,7 @@ from repro.core.witness import WitnessEndpoint, WitnessServer
 from repro.harness.profiles import ClusterProfile, TEST_PROFILE
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.redislike.client import RedisClient
+from repro.redislike.client import SUSPECT_AFTER, RedisClient
 from repro.redislike.server import DurabilityMode, RedisServer
 from repro.sim.distributions import Distribution
 from repro.sim.simulator import Simulator
@@ -78,7 +78,8 @@ def build_redis_cluster(mode: DurabilityMode,
                                             tx_cost=profile.witness.tx,
                                             rx_cost=profile.witness.rx)
             endpoint = WitnessEndpoint(
-                witness_host, record_time=profile.witness_record_time)
+                witness_host, suspect_after=SUSPECT_AFTER,
+                record_time=profile.witness_record_time)
             witness_servers.append(
                 endpoint.serve(f"redis:{server_host.name}"))
             witness_names.append(witness_host.name)

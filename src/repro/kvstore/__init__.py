@@ -30,7 +30,6 @@ from repro.kvstore.operations import (
     TxnPrepare,
     Write,
     commutative,
-    is_transactional,
 )
 from repro.kvstore.log import Log, LogEntry
 from repro.kvstore.store import KVStore
@@ -61,6 +60,5 @@ __all__ = [
     "TxnPrepare",
     "Write",
     "commutative",
-    "is_transactional",
     "key_hash",
 ]

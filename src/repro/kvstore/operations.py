@@ -236,11 +236,6 @@ class TxnCompensate(Operation):
         return tuple(k for k, _v, _ov, _pv in self.items)
 
 
-def is_transactional(op: Operation) -> bool:
-    """True for the cross-shard saga operations (prepare/compensate)."""
-    return isinstance(op, (TxnPrepare, TxnCompensate))
-
-
 def commutative(a: Operation, b: Operation) -> bool:
     """Do two operations commute? Disjoint touched-key sets (paper §4).
 

@@ -313,15 +313,15 @@ class KVStore:
         return entry
 
     def newest_entries(self, lo: int, hi: int) -> list[LogEntry]:
-        """The newest entry, a write or a delete, of every key whose
-        hash is in [lo, hi): one per key, so an entry that wrote several
-        of them appears once per key."""
+        """Hand over every key whose hash is in [lo, hi): forget its
+        object and tombstone, and return its newest entry, a write or a
+        delete — one per key, so an entry that wrote several of them
+        appears once per key."""
         newest: dict[str, LogEntry] = {}
         # a key both live and deleted was re-created: the live entry wins
         for table in (self._deleted, self._objects):
-            for key, entry in table.items():
-                if lo <= key_hash(key) < hi:
-                    newest[key] = entry
+            for key in [key for key in table if lo <= key_hash(key) < hi]:
+                newest[key] = table.pop(key)
         return list(newest.values())
 
     # ------------------------------------------------------------------

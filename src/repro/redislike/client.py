@@ -28,6 +28,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: per-RPC deadline (µs) for commands and the explicit ``sync``
 RPC_TIMEOUT = 5_000.0
+#: §4.5 record age (µs) past which a rejecting witness record is a
+#: suspect: a client waits for one command and one sync, never retries
+SUSPECT_AFTER = 2 * RPC_TIMEOUT
 
 
 @dataclasses.dataclass

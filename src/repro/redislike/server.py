@@ -258,7 +258,9 @@ class RedisServer:
                                  self.master_id, pairs, RPC_TIMEOUT)
         if any(results):  # a suspect, or a witness's error
             retry_orphans(self.registry, results, self.aof.durable_seq,
-                          self._execute_orphan, self.host, self._gc_witnesses)
+                          self._execute_orphan,
+                          lambda orphans: self.host.spawn(
+                              self._gc_witnesses(orphans), name="orphan-gc"))
 
     def _execute_orphan(self, request) -> int:
         seq = self._execute_and_log(request)

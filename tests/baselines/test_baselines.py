@@ -23,6 +23,8 @@ from repro.core.config import (
 )
 from repro.core.master import CurpMaster
 from repro.core.messages import AbsorbPartitionArgs
+from repro.core.witness import WitnessEndpoint
+from repro.core.witness_cache import WitnessCache
 from repro.core.recovery import recover
 from repro.harness import build_cluster
 from repro.kvstore import Write
@@ -61,7 +63,6 @@ def test_unreplicated_rejects_nonzero_f():
     ("idle_sync_delay", -1),
     ("hot_key_window", -5),
     ("retry_backoff", -1),
-    ("gc_stale_threshold", 0),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -73,8 +74,8 @@ def test_settable_config_surface_is_pinned():
     adding (or removing) one is a deliberate edit of this count."""
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (CurpConfig, OverloadConfig, StorageProfile)}
-    assert counts == {"CurpConfig": 11, "OverloadConfig": 5,
-                      "StorageProfile": 7}  # 23 in all
+    assert counts == {"CurpConfig": 10, "OverloadConfig": 5,
+                      "StorageProfile": 7}  # 22 in all
     # constructor arguments after (self, coordinator / host): the
     # watchdog's three standby pools + 6 tunables, the rebalancer's 4;
     # the Redis and Raft endpoints take no deadline (module constants)
@@ -132,6 +133,11 @@ def test_settable_config_surface_is_pinned():
         (FaultInjector, (None, None), ("coordinator",)),
         (RedisClient, (None, "s", None), ("rpc_timeout",)),
         (RaftCurpClient, (None, []), ("rpc_timeout", "retry_backoff")),
+        # one §4.5 aging clock: a record's age against the client retry
+        # horizon (``CurpConfig.suspect_after``), not a count of gc rounds
+        (CurpConfig, (), ("gc_stale_threshold",)),
+        (WitnessCache, (), ("stale_threshold",)),
+        (WitnessEndpoint, (None,), ("stale_threshold",)),
     ) for name in names])
 def test_removed_knob_is_a_type_error(owner, args, name):
     """Removed with no alias or shim: passing one fails at the call, on

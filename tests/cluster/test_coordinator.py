@@ -448,6 +448,7 @@ def test_retried_absorb_appends_nothing_twice():
     coordinator = cluster.coordinator
     lo, hi = coordinator.masters["m0"].owned_ranges[0]
     source, master = cluster.master("m0"), cluster.master("m1")
+    versions = [source.store.version(key) for key in keys]
 
     def hand_over_twice():
         entries = yield coordinator.transport.call(
@@ -472,7 +473,7 @@ def test_retried_absorb_appends_nothing_twice():
     assert set(logged) == {entry.rpc_id for entry in entries}
     assert set(logged.values()) == {1}
     assert after[0] == after[1]
-    assert after[0][0] == [source.store.version(key) for key in keys]
+    assert after[0][0] == versions
 
 
 def test_retry_after_migration_answers_from_the_completion_record():
@@ -518,6 +519,38 @@ def test_deleted_key_keeps_its_version_counter_across_migration():
         outcome = cluster.run(client.update(
             ConditionalWrite(key, "stale", expected_version=3)))
         assert outcome.result[0] == "MISMATCH", key
+
+
+def test_source_forgets_the_keys_it_hands_over():
+    """After half of m0's range moves to m1, m0's object table holds
+    only keys m0 owns; moving the range back reads m1's newest values
+    (written there after the first move) at m1's versions."""
+    cluster = two_masters()
+    client = cluster.new_client()
+    ranges = cluster.coordinator.masters["m0"].owned_ranges
+    keys = [key for key in (f"key-{i}" for i in range(600))
+            if any(lo <= key_hash(key) < hi for lo, hi in ranges)][:201]
+    for key in keys:
+        cluster.run(client.update(Write(key, f"{key}@m0")))
+    keys.sort(key=key_hash)
+    moved = keys[100:]
+    lo, hi = key_hash(moved[0]), max(hi for _lo, hi in ranges)
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.migrate("m0", "m1", lo, hi)), timeout=1_000_000.0)
+    assert sorted(cluster.master("m0").store._objects) == sorted(keys[:100])
+    for key in moved[:10]:
+        cluster.run(client.update(Write(key, f"{key}@m1")))
+    cluster.run(client.update(Delete(moved[10])))
+    versions = {key: cluster.master("m1").store.version(key) for key in moved}
+    cluster.run(cluster.sim.process(
+        cluster.coordinator.migrate("m1", "m0", lo, hi)), timeout=1_000_000.0)
+    assert not any(lo <= key_hash(key) < hi
+                   for key in cluster.master("m1").store._objects)
+    for key in moved:
+        expected = (None if key == moved[10]
+                    else f"{key}@m1" if key in moved[:10] else f"{key}@m0")
+        assert cluster.run(client.read(key)) == expected, key
+        assert cluster.master("m0").store.version(key) == versions[key]
 
 
 def test_only_the_absorb_handler_installs_another_masters_entries():

@@ -359,3 +359,71 @@ def test_frozen_witness_component_stays_frozen_until_reset():
     node._handle_w_reset(term + 2, None)
     assert node.witness.cache.occupied_slots() == 0
     assert record(term + 2, 2) == RECORD_ACCEPTED
+
+
+def test_orphan_on_witnesses_is_retried_without_a_leader_change():
+    """§4.5 on Raft: a client recorded a Write on every witness
+    component, then died before its propose reached the leader.  Once
+    the record is older than any client's retry horizon, a conflicting
+    write's rejection makes it a suspect, the leader's gc round hands it
+    to ``retry_orphans``, which appends it to the log, and its commit's
+    gc collects every copy — all within one term."""
+    from repro.consensus.client import suspect_after
+    from repro.consensus.raft import RAFT_WITNESS
+    from repro.core.messages import RecordArgs, RecordedRequest
+    from repro.rifl import RpcId
+
+    sim, network, nodes = build_group()
+    leader = wait_for_leader(sim, nodes)
+    term = leader.current_term
+    client = add_client(sim, network, nodes)
+    sim.run(sim.process(client.find_leader()))
+    orphan_rpc = RpcId(424242, 1)
+    orphan = Write("x", "orphan")
+    for node in nodes:
+        node._handle_record((term, RecordArgs(
+            RAFT_WITNESS, orphan.touched_hashes(), orphan_rpc,
+            RecordedRequest(orphan, orphan_rpc))), None)
+    sim.run(until=sim.now + suspect_after(len(nodes)))
+    _result, fast = sim.run(sim.process(client.update(Write("x", "late"))))
+    assert not fast  # every component rejected against the orphan
+    sim.run(until=sim.now + 5_000.0)
+    assert (leader.role, leader.current_term) == ("leader", term)
+    assert orphan_rpc in leader._log_rpc_index
+    assert [n.witness.cache.occupied_slots() for n in nodes] == [0, 0, 0]
+    _result, fast = sim.run(sim.process(client.update(Write("x", "final"))))
+    assert fast
+    assert sim.run(sim.process(client.read("x"))) == "final"
+
+
+def test_young_witness_records_are_never_suspects():
+    """Raft's gc round runs per commit, far faster than any client gives
+    up: a conflict on a record its client may still be retrying must not
+    come back from gc as a §4.5 suspect."""
+    sim = Simulator(seed=1)
+    network = Network(sim)  # the default jittered wire
+    names = ["r0", "r1", "r2"]
+    nodes = [RaftNode(network.add_host(name), name, names)
+             for name in names]
+    leader = wait_for_leader(sim, nodes)
+    clients = [add_client(sim, network, nodes) for _ in range(4)]
+    suspects = []
+    for node in nodes:
+        def gc(pairs, collect=node.witness.gc):
+            reply = collect(pairs)
+            suspects.extend(reply)
+            return reply
+        node.witness.gc = gc
+
+    def script(client):
+        for i in range(60):
+            key = f"k{sim.rng.randrange(10)}"
+            yield from client.update(Write(key, i) if i % 2 == 0
+                                     else Increment(key))
+    sim.run(sim.all_of([sim.process(script(client)) for client in clients]))
+    sim.run(until=sim.now + 5_000.0)
+    assert sum(n.witness.cache.rejects_commutativity for n in nodes) > 0
+    assert suspects == []
+    updates = [entry for entry in leader.log if entry.rpc_id is not None]
+    assert len(updates) == 240  # each client update once, no orphan
+    assert [n.witness.cache.occupied_slots() for n in nodes] == [0, 0, 0]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.client import ClientGaveUp
+from repro.core.config import CurpConfig, OverloadConfig, ReplicationMode
+from repro.core.messages import RETRY_LATER, UpdateReply
 from repro.harness import build_cluster
 from repro.kvstore import Read, Write
+from repro.rpc import AppError, RpcTransport
 
 
 def curp_cluster(**kwargs):
@@ -90,6 +92,43 @@ def test_client_gives_up_eventually():
     cluster.master().host.crash()  # never recovered
     with pytest.raises(ClientGaveUp):
         cluster.run(client.update(Write("a", 1)), timeout=1_000_000.0)
+
+
+def _unanswered(args, ctx):
+    return RpcTransport.DEFERRED  # a handler that never replies
+
+
+@pytest.mark.parametrize("overloaded", [False, True],
+                         ids=["sync-path", "pushback"])
+def test_client_gives_up_within_the_suspect_horizon(overloaded):
+    """§4.5 ages witness records against ``CurpConfig.suspect_after``:
+    no client may still be retrying an update once that much time has
+    passed since it started.  Every attempt here waits as long as the
+    client loop lets it: the witnesses and the coordinator never answer,
+    and the master either replies speculatively and never answers the
+    sync (each attempt costs fan-out + sync + backoff + refresh, all of
+    the horizon) or sheds the update with a pushback at the cap."""
+    overload = OverloadConfig(enabled=overloaded, retry_after=1_000.0,
+                              retry_after_cap=1_000.0)
+    cluster = curp_cluster(max_attempts=5, overload=overload)
+    client = cluster.new_client()
+    master = cluster.master()
+    if overloaded:
+        def update(args, ctx):
+            raise AppError(RETRY_LATER, {"retry_after": 1_000.0})
+    else:
+        def update(args, ctx):
+            return UpdateReply(result=1, synced=False)
+    master.transport._handlers["update"] = update
+    master.transport._handlers["sync"] = _unanswered
+    cluster.coordinator.transport._handlers["get_config"] = _unanswered
+    for endpoint in cluster.coordinator.witness_endpoints.values():
+        endpoint.transport._handlers["record"] = _unanswered
+    started = cluster.sim.now
+    with pytest.raises(ClientGaveUp):
+        cluster.run(client.update(Write("a", 1)), timeout=1_000_000.0)
+    assert cluster.sim.now - started <= cluster.config.suspect_after
+    assert client.pushbacks == (5 if overloaded else 0)
 
 
 def test_wrong_witness_version_refreshes_and_retries():

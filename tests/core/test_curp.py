@@ -67,8 +67,6 @@ def test_durable_returns_gc_pairs_and_prunes_the_index():
 #: RPC methods only ``core/curp.py`` may send: the witness record, gc
 #: and recovery-data RPCs of all three backends
 CURP_METHODS = {"record", "w_record", "gc", "w_gc", "get_recovery_data"}
-#: the one exception, until the orphan gc goes through ``gc_round``
-ALLOWED = {("core/master.py", "_send_gc_round")}
 
 
 def _rpc_sites(path: pathlib.Path):
@@ -95,13 +93,10 @@ def test_record_and_gc_rpcs_are_sent_only_by_the_curp_layer():
         if relative == "core/curp.py":
             continue
         for function, method in _rpc_sites(path):
-            if method in CURP_METHODS \
-                    and (relative, function) not in ALLOWED:
+            if method in CURP_METHODS:
                 offenders.append(f"{relative}:{function} -> {method!r}")
     assert offenders == []
-    # the scan does see the sites it exempts and the layer's own
-    assert ("_send_gc_round", "gc") in set(
-        _rpc_sites(SRC / "core" / "master.py"))
+    # the scan does see the layer's own sites
     assert {method for _f, method in _rpc_sites(SRC / "core" / "curp.py")} \
         == {"record", "gc"}
 

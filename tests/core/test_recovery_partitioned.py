@@ -317,6 +317,25 @@ def test_concurrent_recovery_attempts_rejected():
 # witness replay + partition planning
 # ---------------------------------------------------------------------------
 
+def test_replay_onto_a_live_master_ignores_its_ack_levels():
+    """A write m0 completed speculatively lives only on m0's witnesses.
+    The same client then writes on m1, whose ack level for it passes the
+    first write's RpcId.  When m1 absorbs m0's partition, the witness
+    replay must still execute the first write: the ack says the client
+    has its result, not that any log holds it."""
+    cluster = partitioned_cluster(n_masters=2, idle_sync_delay=10_000.0,
+                                  min_sync_batch=500)
+    client = cluster.new_client()
+    key, = keys_on(cluster, "m0", 1)
+    other, = keys_on(cluster, "m1", 1, tag="o")
+    assert cluster.run(client.update(Write(key, "spec")),
+                       timeout=10_000_000.0).fast_path
+    cluster.run(client.update(Write(other, 1)), timeout=10_000_000.0)
+    stats = run_recovery(cluster, "m0", ["m1"])
+    assert stats["absorbed"]["m1"]["replayed"] == 1
+    assert cluster.run(client.read(key), timeout=10_000_000.0) == "spec"
+
+
 def test_unsynced_multiwrite_merges_partitions_and_replays_once():
     """A witnessed multi-key update whose keys straddle the partition
     cut must pull both chunks onto one recovery master (the ``owns_all``

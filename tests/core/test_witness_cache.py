@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import typing
 
@@ -131,50 +132,47 @@ def test_gc_multikey_clears_all_slots():
     assert cache.occupied_slots() == 0
 
 
-def test_stale_suspect_reported_after_threshold():
-    """§4.5: a record that keeps causing rejections after >=3 gc rounds
-    is reported back to the master via the gc response."""
-    cache = WitnessCache(slots=64, associativity=4, stale_threshold=3)
-    cache.record([1], rid(1), "orphan")
-    for _ in range(3):
-        assert cache.gc_batch([]) == []
+def test_stale_suspect_reported_once_old_enough():
+    """§4.5: a record at least ``suspect_after`` old that causes a
+    rejection is reported back to the master via the gc response."""
+    cache = WitnessCache(slots=64, associativity=4, suspect_after=100.0)
+    cache.record([1], rid(1), "orphan", now=0.0)
+    # Younger than the horizon: a live client may still be retrying it.
+    assert not cache.record([1], rid(2), "newer", now=99.0)
+    assert cache.gc_batch([]) == []
     # Rejection against the old record marks it suspect...
-    assert not cache.record([1], rid(2), "newer")
+    assert not cache.record([1], rid(2), "newer", now=100.0)
     # ...and the next gc reports it (once).
     assert cache.gc_batch([]) == ["orphan"]
     assert cache.gc_batch([]) == []
 
 
-def test_no_suspect_before_threshold():
-    cache = WitnessCache(slots=64, associativity=4, stale_threshold=3)
-    cache.record([1], rid(1), "young")
-    cache.gc_batch([])
-    assert not cache.record([1], rid(2), "newer")
+def test_gc_rounds_do_not_age_a_record():
+    cache = WitnessCache(slots=16, associativity=4, suspect_after=100.0)
+    cache.record([3], rid(1), "young", now=0.0)
+    for _ in range(10):
+        assert cache.gc_batch([(5, rid(9))]) == []  # other keys
+    assert not cache.record([3], rid(2), "newer", now=50.0)
     assert cache.gc_batch([]) == []
 
 
-def test_gc_batch_is_one_aging_round_per_call():
-    cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
-    cache.record([3], rid(1), "old-request")
-    for _ in range(3):
-        assert cache.gc_batch([(5, rid(9))]) == []  # other keys
-    assert cache.gc_rounds == 3
-    # A conflicting record now finds a 3-round-old survivor: suspect.
-    assert not cache.record([3], rid(2), "new-request")
-    assert cache.gc_batch([]) == ["old-request"]
+def test_a_retried_record_keeps_its_first_arrival():
+    cache = WitnessCache(slots=16, associativity=4, suspect_after=100.0)
+    cache.record([3], rid(1), "request", now=0.0)
+    assert cache.record([3], rid(1), "request", now=80.0)  # client retry
+    assert not cache.record([3], rid(2), "newer", now=100.0)
+    assert cache.gc_batch([]) == ["request"]
 
 
 def test_gc_batch_forgets_a_suspect_it_collects():
     """The master collecting a suspect's pair in the same round means
     the request was synced after all: it is not reported."""
-    cache = WitnessCache(slots=16, associativity=4, stale_threshold=3)
-    cache.record([3], rid(1), "late-synced")
-    for _ in range(3):
-        cache.gc_batch([])
-    assert not cache.record([3], rid(2), "newer")
+    cache = WitnessCache(slots=16, associativity=4, suspect_after=100.0)
+    cache.record([3], rid(1), "late-synced", now=0.0)
+    assert not cache.record([3], rid(2), "newer", now=100.0)
     assert cache.gc_batch([(3, rid(1))]) == []
     assert cache.occupied_slots() == 0
-    assert cache.record([3], rid(2), "newer")
+    assert cache.record([3], rid(2), "newer", now=100.0)
 
 
 def test_commutes_with_probe():
@@ -186,13 +184,13 @@ def test_commutes_with_probe():
 
 
 def test_clear_resets_everything():
-    cache = WitnessCache(slots=64, associativity=4)
-    cache.record([1], rid(1), "a")
-    cache.gc_batch([])
+    cache = WitnessCache(slots=64, associativity=4, suspect_after=1.0)
+    cache.record([1], rid(1), "a", now=0.0)
+    assert not cache.record([1], rid(2), "b", now=5.0)  # a suspect
     cache.clear()
     assert cache.occupied_slots() == 0
-    assert cache.gc_rounds == 0
     assert cache.all_requests() == []
+    assert cache.gc_batch([]) == []
 
 
 def test_memory_accounting_matches_paper():
@@ -271,8 +269,8 @@ def test_property_higher_associativity_never_worse(associativity):
 # the flat layout against the per-set one it replaced
 # ----------------------------------------------------------------------
 # ``_ReferenceWitnessCache`` is the earlier layout, kept verbatim (its
-# unchanged §5.2 accounting, ``gc`` alias and ``gc_rounds`` property
-# left out).  Both caches run the same steps and must agree on every
+# unchanged §5.2 accounting and ``gc`` alias left out) but for the §4.5
+# clock, which both age by arrival instant.  Both caches run the same steps and must agree on every
 # result, every suspect, the saved requests in order, the occupancy and
 # the way each record sits in.
 
@@ -281,7 +279,7 @@ class _ReferenceWitnessCache:
     a list and a ``{key_hash: way}`` dict per set."""
 
     def __init__(self, slots: int = 4096, associativity: int = 4,
-                 stale_threshold: int = 3):
+                 suspect_after: float = math.inf):
         if slots < 1 or associativity < 1:
             raise ValueError("slots and associativity must be >= 1")
         if slots % associativity != 0:
@@ -291,7 +289,7 @@ class _ReferenceWitnessCache:
         self.slots = slots
         self.associativity = associativity
         self.n_sets = slots // associativity
-        self.stale_threshold = stale_threshold
+        self.suspect_after = suspect_after
         self._sets: list[list[WitnessRecord | None]] = [
             [None] * associativity for _ in range(self.n_sets)]
         #: per-set {key_hash: slot position} — because accepted requests
@@ -299,7 +297,6 @@ class _ReferenceWitnessCache:
         #: per set, so record/commutes_with/gc are O(keys) dict lookups
         #: instead of O(keys × associativity) scans.
         self._index: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
-        self._gc_rounds = 0
         #: rejected-against records suspected as uncollected garbage,
         #: keyed by (key_hash, rpc_id); drained by the next gc response
         self._suspects: dict[tuple[int, typing.Any], typing.Any] = {}
@@ -312,8 +309,8 @@ class _ReferenceWitnessCache:
     # record
     # ------------------------------------------------------------------
     def record(self, key_hashes: typing.Sequence[int], rpc_id: typing.Any,
-               request: typing.Any) -> bool:
-        """Try to save a request; True = accepted.
+               request: typing.Any, now: float = 0.0) -> bool:
+        """Try to save a request arriving at ``now``; True = accepted.
 
         Duplicate records (same rpc_id — a client retry) are accepted
         idempotently.
@@ -332,7 +329,7 @@ class _ReferenceWitnessCache:
                 if slot.rpc_id == rpc_id:
                     self.accepts += 1  # idempotent retry
                     return True
-                self._note_suspect(slot)
+                self._note_suspect(slot, now)
                 self.rejects_commutativity += 1
                 return False
             if len(index) >= self.associativity:
@@ -340,8 +337,7 @@ class _ReferenceWitnessCache:
                 return False
             row = self._sets[set_index]
             position = row.index(None)  # lowest free way, as before
-            row[position] = WitnessRecord(key_hash, rpc_id, request,
-                                          self._gc_rounds)
+            row[position] = WitnessRecord(key_hash, rpc_id, request, now)
             index[key_hash] = position
             self.accepts += 1
             return True
@@ -358,7 +354,7 @@ class _ReferenceWitnessCache:
                 slot = self._sets[set_index][position]
                 if slot.rpc_id == rpc_id:
                     continue  # idempotent retry
-                self._note_suspect(slot)
+                self._note_suspect(slot, now)
                 self.rejects_commutativity += 1
                 return False
             needed_per_set[set_index] = needed_per_set.get(set_index, 0) + 1
@@ -374,14 +370,13 @@ class _ReferenceWitnessCache:
                 continue  # idempotent duplicate for this key
             row = self._sets[set_index]
             position = row.index(None)  # lowest free way, as before
-            row[position] = WitnessRecord(key_hash, rpc_id, request,
-                                          self._gc_rounds)
+            row[position] = WitnessRecord(key_hash, rpc_id, request, now)
             index[key_hash] = position
         self.accepts += 1
         return True
 
-    def _note_suspect(self, record: WitnessRecord) -> None:
-        if self._gc_rounds - record.gc_generation >= self.stale_threshold:
+    def _note_suspect(self, record: WitnessRecord, now: float) -> None:
+        if now - record.arrived >= self.suspect_after:
             self._suspects[(record.key_hash, record.rpc_id)] = record.request
 
     # ------------------------------------------------------------------
@@ -401,13 +396,12 @@ class _ReferenceWitnessCache:
     def gc_batch(self, pairs: typing.Iterable[tuple[int, typing.Any]]
                  ) -> list[typing.Any]:
         """One gc round: drop the records matching the round's
-        (key_hash, rpc_id) pairs and tick the stale-suspect aging clock.
+        (key_hash, rpc_id) pairs.
 
         Unknown pairs are ignored (the record RPC may have been
         rejected, §4.5).  Returns the requests suspected as uncollected
         garbage since the last round (drained on return).
         """
-        self._gc_rounds += 1
         n_sets = self.n_sets
         sets = self._sets
         indexes = self._index
@@ -433,7 +427,7 @@ class _ReferenceWitnessCache:
         Used at migration cutover (§3.6): records for keys that left
         the master's ownership can never be collected by that master's
         sync+gc cycle, so they are dropped eagerly rather than pinning
-        slots until stale-suspect aging.  Returns the number of slots
+        slots until they age into suspects.  Returns the number of slots
         freed.  Matching suspects are forgotten too — the master no
         longer owns the key, so replaying them would be wrong.
         """
@@ -467,7 +461,6 @@ class _ReferenceWitnessCache:
         self._sets = [[None] * self.associativity for _ in range(self.n_sets)]
         self._index = [{} for _ in range(self.n_sets)]
         self._suspects.clear()
-        self._gc_rounds = 0
 
     # ------------------------------------------------------------------
     # inspection
@@ -486,6 +479,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("commutes"), st.lists(_KEYS, min_size=1,
                                              max_size=3)),
     st.tuples(st.just("clear")),
+    st.tuples(st.just("tick"), st.integers(0, 2)),
 )
 
 
@@ -501,11 +495,11 @@ def _ways(cache) -> dict[int, tuple[int, int, typing.Any]]:
             if record is not None}
 
 
-def _step(cache, step):
+def _step(cache, step, now):
     kind, *args = step
     if kind == "record":
         keys, seq = args
-        return cache.record(keys, rid(seq), f"req{seq}")
+        return cache.record(keys, rid(seq), f"req{seq}", now)
     if kind == "gc":
         return cache.gc_batch([(key, rid(seq)) for key, seq in args[0]])
     if kind == "drop":
@@ -522,19 +516,25 @@ def _step(cache, step):
 def test_flat_cache_matches_the_per_set_layout(geometry, steps):
     """Single- and multi-key records (retries, a key listed twice,
     commutativity and capacity rejects), gc rounds with right and wrong
-    ``RpcId``s, evictions, probes and clears: after each step the flat
-    cache agrees with the per-set one it replaced."""
+    ``RpcId``s, evictions, probes, clears and the clock moving on (so
+    records age into suspects): after each step the flat cache agrees
+    with the per-set one it replaced."""
     slots, associativity = geometry
-    flat = WitnessCache(slots=slots, associativity=associativity)
+    flat = WitnessCache(slots=slots, associativity=associativity,
+                        suspect_after=3.0)
     reference = _ReferenceWitnessCache(slots=slots,
-                                       associativity=associativity)
+                                       associativity=associativity,
+                                       suspect_after=3.0)
+    now = 0.0
     for step in steps:
-        assert _step(flat, step) == _step(reference, step), step
+        if step[0] == "tick":
+            now += step[1]
+            continue
+        assert _step(flat, step, now) == _step(reference, step, now), step
         assert flat._suspects == reference._suspects
         assert flat.all_requests() == reference.all_requests()
         assert flat.occupied_slots() == reference.occupied_slots()
         assert _ways(flat) == _ways(reference)
-        assert flat.gc_rounds == reference._gc_rounds
         assert (flat.accepts, flat.rejects_commutativity,
                 flat.rejects_capacity) == (
             reference.accepts, reference.rejects_commutativity,

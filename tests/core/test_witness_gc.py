@@ -14,7 +14,7 @@ from repro.rifl import RpcId
 def curp_cluster(builder_kwargs=None, **kwargs):
     defaults = dict(f=3, mode=ReplicationMode.CURP, min_sync_batch=1,
                     idle_sync_delay=50.0, retry_backoff=10.0,
-                    rpc_timeout=100.0, gc_stale_threshold=3)
+                    rpc_timeout=100.0)
     defaults.update(kwargs)
     return build_cluster(CurpConfig(**defaults), **(builder_kwargs or {}))
 
@@ -28,9 +28,9 @@ def witness_caches(cluster, master_id="m0"):
 def test_orphaned_witness_record_eventually_collected():
     """A client crashes after recording on witnesses but before its
     update reaches the master (§4.5's 'uncollected garbage').  The
-    witness keeps rejecting writes to that key; after 3 gc rounds it
-    reports the orphan, the master executes it through RIFL, syncs, and
-    the slot is finally freed."""
+    witness keeps rejecting writes to that key; once the orphan is older
+    than any client's retry horizon it reports it, the master executes
+    it through RIFL, syncs, and the slot is finally freed."""
     cluster = curp_cluster()
     client = cluster.new_client()
     # Simulate the crashed client: a record present on one witness only.
@@ -39,12 +39,15 @@ def test_orphaned_witness_record_eventually_collected():
     witness = cluster.coordinator.witness_servers[
         (cluster.witness_hosts["m0"][0], "m0")]
     witness.cache.record([key_hash("X")], orphan_rpc,
-                         RecordedRequest(op=orphan_op, rpc_id=orphan_rpc))
-    # Three unrelated writes → three sync+gc rounds age the orphan.
-    for i in range(3):
-        cluster.run(client.update(Write(f"other{i}", i)))
-        cluster.settle(500.0)
+                         RecordedRequest(op=orphan_op, rpc_id=orphan_rpc),
+                         cluster.sim.now)
+    # A rejection while the orphan is young reports nothing: its client
+    # could still be retrying it.
+    assert not cluster.run(client.update(Write("X", "early"))).fast_path
+    cluster.settle(500.0)
+    assert cluster.master().stats.stale_suspects_handled == 0
     assert witness.cache.occupied_slots() == 1  # orphan still there
+    cluster.settle(cluster.config.suspect_after)
     # Now a write to X: the witness rejects (slow path), the rejection
     # marks the orphan as a suspect, and the next gc reports it.
     outcome = cluster.run(client.update(Write("X", "client-value")))
@@ -78,16 +81,44 @@ def test_orphan_already_executed_is_rifl_filtered():
     witness = cluster.coordinator.witness_servers[
         (cluster.witness_hosts["m0"][0], "m0")]
     witness.cache.record([key_hash("K")], rpc_id,
-                         RecordedRequest(op=Write("K", "v1"), rpc_id=rpc_id))
-    for i in range(3):
-        cluster.run(client.update(Write(f"pad{i}", i)))
-        cluster.settle(500.0)
+                         RecordedRequest(op=Write("K", "v1"), rpc_id=rpc_id),
+                         cluster.sim.now)
+    cluster.settle(cluster.config.suspect_after)
     # Conflict → suspect → master retries → RIFL filters (no new entry
     # for K) → gc clears the slot.
     cluster.run(client.update(Write("K", "v2")))
     cluster.settle(3_000.0)
     assert witness.cache.occupied_slots() == 0
     assert cluster.run(client.read("K")) == "v2"  # v1 never re-applied
+
+
+@pytest.mark.parametrize("holders", [1, 3])
+def test_durable_orphan_is_collected_by_one_gc_round(holders):
+    """A delayed duplicate of a durable update, held by ``holders``
+    witnesses: the client's round reports it up to f times, and the
+    master handles the RpcId once and collects every copy with one
+    ``gc_round`` (f RPCs in flight together), not one round per
+    report."""
+    cluster = curp_cluster()
+    client = cluster.new_client()
+    cluster.run(client.update(Write("K", "v1")))
+    master = cluster.master()
+    rpc_id = master.store.log.entry(master.store.log.end).rpc_id
+    cluster.settle(500.0)  # synced + gc'd everywhere
+    caches = witness_caches(cluster)
+    for cache in caches[:holders]:
+        cache.record([key_hash("K")], rpc_id,
+                     RecordedRequest(op=Write("K", "v1"), rpc_id=rpc_id),
+                     cluster.sim.now)
+    cluster.settle(cluster.config.suspect_after)
+    stats = master.stats
+    before = (stats.gc_rpcs, stats.gc_flushes, stats.stale_suspects_handled)
+    assert not cluster.run(client.update(Write("K", "v2"))).fast_path
+    cluster.settle(5_000.0)
+    assert (stats.gc_rpcs - before[0], stats.gc_flushes - before[1],
+            stats.stale_suspects_handled - before[2]) == (6, 2, 1)
+    assert [cache.occupied_slots() for cache in caches] == [0, 0, 0]
+    assert cluster.run(client.read("K")) == "v2"
 
 
 @pytest.mark.parametrize("holders", [1, 3])
@@ -104,9 +135,8 @@ def test_orphan_costs_two_gc_rounds_however_many_witnesses_hold_it(holders):
     for cache in caches[:holders]:
         cache.record([key_hash("X")], orphan_rpc,
                      RecordedRequest(op=Write("X", "orphan"),
-                                     rpc_id=orphan_rpc))
-        for _round in range(3):  # aged past gc_stale_threshold
-            cache.gc_batch([])
+                                     rpc_id=orphan_rpc), cluster.sim.now)
+    cluster.settle(cluster.config.suspect_after)  # past every retry
     stats = cluster.master().stats
     before = (stats.gc_rpcs, stats.gc_flushes, stats.stale_suspects_handled)
     assert not cluster.run(client.update(Write("X", "client"))).fast_path

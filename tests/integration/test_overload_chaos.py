@@ -63,7 +63,6 @@ def chaos_config(**overload_overrides):
     return CurpConfig(f=2, mode=ReplicationMode.CURP, min_sync_batch=8,
                       idle_sync_delay=150.0, retry_backoff=30.0,
                       rpc_timeout=1_000.0, max_attempts=100,
-                      gc_stale_threshold=1_000_000,
                       overload=OverloadConfig(**overload))
 
 

@@ -243,11 +243,13 @@ def test_read_commands_never_touch_witnesses():
 
 def test_curp_orphaned_witness_record_executed_and_collected():
     """§4.5 on CURP-Redis: a client crashed after recording a SET on the
-    witness but before the server saw it.  After three gc rounds age the
-    record, a rejected SET on its key marks it a suspect, the next gc
-    reports it, and the server executes it through RIFL, fsyncs it and
-    collects the witness's copy."""
+    witness but before the server saw it.  Once the record is older
+    than a client's command and sync deadlines, a rejected SET on its
+    key marks it a suspect, the next gc reports it, and the server
+    executes it through RIFL, fsyncs it and collects the witness's
+    copy."""
     from repro.core.messages import RecordedRequest
+    from repro.redislike.client import SUSPECT_AFTER
     from repro.redislike.commands import Command
     from repro.rifl import RpcId
 
@@ -257,10 +259,8 @@ def test_curp_orphaned_witness_record_executed_and_collected():
     orphan = Command("SET", ("X", "orphan"))
     orphan_rpc = RpcId(424242, 1)
     cache.record(orphan.touched_hashes(), orphan_rpc,
-                 RecordedRequest(orphan, orphan_rpc))
-    for i in range(3):
-        cluster.run(client.set(f"other{i}", "v"))
-        cluster.settle(500.0)
+                 RecordedRequest(orphan, orphan_rpc), cluster.sim.now)
+    cluster.settle(SUSPECT_AFTER)
     assert cache.occupied_slots() == 1  # the orphan is still there
     assert not cluster.run(client.set("X", "client")).fast_path
     cluster.settle(3_000.0)

@@ -133,7 +133,7 @@ def engine_config(enabled=False, **overload_overrides):
     return CurpConfig(f=1, mode=ReplicationMode.CURP, min_sync_batch=50,
                       idle_sync_delay=200.0, retry_backoff=50.0,
                       rpc_timeout=1_000.0, max_attempts=6,
-                      gc_stale_threshold=1_000_000, overload=overload)
+                      overload=overload)
 
 
 def build_engine(rate, enabled=False, seed=5, **engine_kwargs):
