@@ -41,12 +41,12 @@ RPC_TIMEOUT = 1_000.0
 #: resolves in a few heartbeats), desynchronized long ones (no client
 #: retry storms against a group that stays leaderless)
 RETRY_BACKOFF = 500.0
-#: default attempts per update, read and leader search
+#: attempts per update, read and leader search
 MAX_ATTEMPTS = 30
 
 
 def suspect_after(n_replicas: int) -> float:
-    """§4.5: the longest a default client retries one update (µs): per
+    """§4.5: the longest a client retries one update (µs): per
     attempt a leader search, a propose, a ``wait_commit`` and a backoff."""
     find_leader = MAX_ATTEMPTS * (n_replicas * RPC_TIMEOUT + RETRY_BACKOFF)
     return MAX_ATTEMPTS * (find_leader + 8 * RPC_TIMEOUT + RETRY_BACKOFF)
@@ -66,14 +66,12 @@ class RaftCurpClient:
 
     _next_client_id = 1000
 
-    def __init__(self, host: "Host", replicas: typing.Sequence[str],
-                 max_attempts: int = MAX_ATTEMPTS):
+    def __init__(self, host: "Host", replicas: typing.Sequence[str]):
         RaftCurpClient._next_client_id += 1
         self.host = host
         self.sim = host.sim
         self.replicas = list(replicas)
         self.f = (len(self.replicas) - 1) // 2
-        self.max_attempts = max_attempts
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RaftCurpClient._next_client_id)
         self.leader: str | None = None
@@ -84,7 +82,7 @@ class RaftCurpClient:
     # ------------------------------------------------------------------
     def find_leader(self):
         """Generator: poll replicas until someone claims leadership."""
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             for replica in self.replicas:
                 try:
                     status = yield self.transport.call(
@@ -112,7 +110,7 @@ class RaftCurpClient:
         if not op.is_update:
             raise ValueError("use read() for read operations")
         rpc_id = self.tracker.new_rpc()
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if self.leader is None:
                 yield from self.find_leader()
             leader = self.leader
@@ -156,11 +154,11 @@ class RaftCurpClient:
                 self.leader = None
             yield self.sim.timeout(self._retry_delay(attempt))
         raise ConsensusGaveUp(f"update {op!r} failed after "
-                              f"{self.max_attempts} attempts")
+                              f"{MAX_ATTEMPTS} attempts")
 
     def read(self, key: str):
         """Generator: linearizable read through the leader."""
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if self.leader is None:
                 yield from self.find_leader()
             try:

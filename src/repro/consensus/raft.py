@@ -399,12 +399,17 @@ class RaftNode:
             self._retry_orphans, own, self.current_term)
 
     def _retry_orphans(self, join, own, term: int) -> None:
-        """§4.5 on one gc round's suspects, while still leading its term."""
+        """§4.5 on one gc round's suspects, while still leading its term.
+        A suspect already in the log is left to its entry's own gc round:
+        uncommitted, it has no completion record yet."""
         replies = (own, *join.value)
         if any(replies) and self.role == "leader" \
                 and self.current_term == term:
-            retry_orphans(self.registry, replies, self.commit_index,
-                          self._append_replayed, self._send_witness_gc)
+            retry_orphans(
+                self.registry, replies, self.commit_index,
+                lambda request: (self._log_rpc_index.get(request.rpc_id)
+                                 or self._append_replayed(request)),
+                self._send_witness_gc)
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:

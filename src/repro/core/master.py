@@ -58,6 +58,7 @@ from repro.rpc import AppError, RpcError, RpcTimeout, RpcTransport
 from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.kvstore.log import LogEntry
     from repro.net.host import Host
     from repro.sim.resources import Resource
 
@@ -174,6 +175,9 @@ class CurpMaster:
         #: backup list → the coordinator retries joined to its reset in
         #: flight (``update_backup_config``)
         self._backup_resets: dict[tuple[str, ...], list[typing.Any]] = {}
+        #: range → the entries ``migrate_out`` handed over and forgot: a
+        #: coordinator retry, which finds the range gone, gets them again
+        self._handed_over: dict[tuple[int, int], tuple[LogEntry, ...]] = {}
 
         self.transport = RpcTransport(host)
         self.transport.register("update", self._handle_update)
@@ -243,6 +247,12 @@ class CurpMaster:
                                         self.synced_position)
         if duplicate is not None:
             self.stats.duplicates_filtered += 1
+            if self.config.uses_witnesses:
+                # the retry recorded afresh on the witnesses: the next
+                # gc round collects those records with the original's
+                self._pending_gc.append(
+                    (self.registry.get(args.rpc_id).log_position,
+                     op.touched_hashes(), args.rpc_id))
             return UpdateReply(*duplicate)
         # Admission control (overload.enabled only): shed *after* the
         # duplicate filter — a retry of an already-executed op answers
@@ -740,10 +750,13 @@ class CurpMaster:
         every completion record this master still retains for the
         range, a completion-only one included (it names no key to place
         it by).  The coordinator already bumped the witness version
-        (§3.6)."""
+        (§3.6).  Its retry finds the range gone and gets the same
+        entries: this master forgot them."""
         lo, hi = args
         def work():
             yield self._request_sync(self.store.log.end)
+            if not in_ranges((lo,), self.owned_ranges):  # a retry
+                return self._handed_over.get((lo, hi), ())
             self.owned_ranges = _subtract_range(self.owned_ranges, (lo, hi))
             handed = {entry.index: entry
                       for entry in self.store.newest_entries(lo, hi)}
@@ -753,7 +766,9 @@ class CurpMaster:
                         lo <= key_hash(key) < hi
                         for key, _value, _version in entry.effects):
                     handed[entry.index] = entry
-            return tuple(handed[index] for index in sorted(handed))
+            entries = self._handed_over[lo, hi] = tuple(
+                handed[index] for index in sorted(handed))
+            return entries
         return work()
 
     def _handle_absorb_partition(self, args: AbsorbPartitionArgs, ctx):

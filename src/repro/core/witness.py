@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.config import CurpConfig
 from repro.core.messages import (
     GcArgs,
     GetRecoveryDataArgs,
@@ -155,9 +154,8 @@ class WitnessEndpoint:
     CPU cost of a record and the fair-admission window.
     """
 
-    def __init__(self, host: "Host", slots: int = 4096,
-                 associativity: int = 4,
-                 suspect_after: float = CurpConfig().suspect_after,
+    def __init__(self, host: "Host", suspect_after: float,
+                 slots: int = 4096, associativity: int = 4,
                  record_time: float = 0.0,
                  transport: RpcTransport | None = None,
                  fair_window: float = 1_000.0, window_records: int = 0):

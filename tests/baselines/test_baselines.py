@@ -78,13 +78,14 @@ def test_settable_config_surface_is_pinned():
                       "StorageProfile": 7}  # 22 in all
     # constructor arguments after (self, coordinator / host): the
     # watchdog's three standby pools + 6 tunables, the rebalancer's 4;
-    # the Redis and Raft endpoints take no deadline (module constants)
+    # the Redis and Raft endpoints take no deadline and the Raft client
+    # no give-up count (module constants)
     kwargs = {cls.__name__: len(inspect.signature(cls.__init__).parameters) - 2
               for cls in (FailureDetector, Rebalancer, RedisServer,
                           RedisClient, RaftCurpClient)}
     assert kwargs == {"FailureDetector": 9, "Rebalancer": 4,
                       "RedisServer": 6, "RedisClient": 5,
-                      "RaftCurpClient": 2}
+                      "RaftCurpClient": 1}
 
 
 @pytest.mark.parametrize("owner, args, name", [
@@ -132,12 +133,15 @@ def test_settable_config_surface_is_pinned():
         (RedisServer, (None, None), ("device",)),
         (FaultInjector, (None, None), ("coordinator",)),
         (RedisClient, (None, "s", None), ("rpc_timeout",)),
-        (RaftCurpClient, (None, []), ("rpc_timeout", "retry_backoff")),
+        # a Raft client's give-up is MAX_ATTEMPTS, which the witnesses'
+        # §4.5 horizon is derived from
+        (RaftCurpClient, (None, []),
+         ("rpc_timeout", "retry_backoff", "max_attempts")),
         # one §4.5 aging clock: a record's age against the client retry
         # horizon (``CurpConfig.suspect_after``), not a count of gc rounds
         (CurpConfig, (), ("gc_stale_threshold",)),
         (WitnessCache, (), ("stale_threshold",)),
-        (WitnessEndpoint, (None,), ("stale_threshold",)),
+        (WitnessEndpoint, (None, 1.0), ("stale_threshold",)),
     ) for name in names])
 def test_removed_knob_is_a_type_error(owner, args, name):
     """Removed with no alias or shim: passing one fails at the call, on

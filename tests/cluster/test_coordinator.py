@@ -553,6 +553,49 @@ def test_source_forgets_the_keys_it_hands_over():
         assert cluster.master("m0").store.version(key) == versions[key]
 
 
+def test_lost_migrate_out_reply_hands_the_same_entries_over_again():
+    """The source forgets what ``migrate_out`` hands over, so a
+    coordinator retry after a lost reply must get the same entries, or
+    the keys the first answer carried never reach the destination."""
+    cluster = two_masters()
+    client = cluster.new_client()
+    ranges = cluster.coordinator.masters["m0"].owned_ranges
+    keys = [key for key in (f"key-{i}" for i in range(300))
+            if any(lo <= key_hash(key) < hi for lo, hi in ranges)][:60]
+    for round_ in range(2):
+        for key in keys:
+            cluster.run(client.update(Write(key, f"{key}#{round_}")))
+    cluster.run(client.update(Delete(keys[0])))
+    source = cluster.master("m0")
+    before = {key: (source.store.read(key), source.store.version(key))
+              for key in keys}
+    src_host = cluster.coordinator.masters["m0"].host
+    coordinator = cluster.coordinator.host.name
+    asked = []
+
+    def tap(message):
+        payload = message.payload
+        if (type(payload) is RpcRequest and payload.method == "migrate_out"
+                and not asked):
+            asked.append(cluster.sim.now)
+            # lose the reply; heal before the coordinator's retry
+            cluster.network.partition_one_way(src_host, coordinator)
+            cluster.sim.schedule_callback(
+                cluster.config.rpc_timeout / 2,
+                cluster.network.heal_one_way, src_host, coordinator)
+    cluster.network.taps.append(tap)
+    dropped = cluster.network.stats.messages_dropped
+    cluster.run(cluster.sim.process(cluster.coordinator.migrate(
+        "m0", "m1", *ranges[0])), timeout=1_000_000.0)
+    assert cluster.network.stats.messages_dropped == dropped + 1
+    destination = cluster.master("m1")
+    assert {key: (destination.store.read(key), destination.store.version(key))
+            for key in keys} == before
+    assert not source.store._objects
+    for key in keys:
+        assert cluster.run(client.read(key)) == before[key][0], key
+
+
 def test_only_the_absorb_handler_installs_another_masters_entries():
     """One tablet hand-over: in ``core`` and ``cluster`` the only code
     that puts another master's log entries into a store is the

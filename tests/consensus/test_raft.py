@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus import client as consensus_client
 from repro.consensus import RaftConfig, RaftCurpClient, RaftNode, superquorum_size
 from repro.kvstore import Increment, Read, Write
 from repro.net import Network
@@ -39,9 +40,9 @@ def wait_for_leader(sim, nodes, deadline=200_000.0):
     raise AssertionError("no leader elected")
 
 
-def add_client(sim, network, nodes, **kwargs):
+def add_client(sim, network, nodes):
     host = network.add_host(f"client-{sim.rng.randrange(1_000_000)}")
-    return RaftCurpClient(host, [n.name for n in nodes], **kwargs)
+    return RaftCurpClient(host, [n.name for n in nodes])
 
 
 def test_superquorum_sizes():
@@ -174,10 +175,12 @@ def test_witness_replay_when_append_entries_lost():
     assert value == 7
 
 
-def test_zombie_leader_client_rejected_by_witness_terms():
+def test_zombie_leader_client_rejected_by_witness_terms(monkeypatch):
     """§A.2: records tagged with an old term are rejected, so a client
     of a deposed leader cannot complete the fast path."""
     sim, network, nodes = build_group(n=3)
+    # a shorter give-up than the witnesses' horizon assumes
+    monkeypatch.setattr(consensus_client, "MAX_ATTEMPTS", 8)
     old_leader = wait_for_leader(sim, nodes)
     # Partition the old leader away from the other replicas (it still
     # believes it leads).
@@ -188,7 +191,7 @@ def test_zombie_leader_client_rejected_by_witness_terms():
         sim, [n for n in nodes if n is not old_leader])
     assert new_leader.current_term > old_leader.current_term
     # A client that only knows the old leader/term:
-    client = add_client(sim, network, nodes, max_attempts=8)
+    client = add_client(sim, network, nodes)
     client.leader = old_leader.name
     client.term = old_leader.current_term
     # The witnesses of the *new* term reject the stale-term records, so
@@ -426,4 +429,34 @@ def test_young_witness_records_are_never_suspects():
     assert suspects == []
     updates = [entry for entry in leader.log if entry.rpc_id is not None]
     assert len(updates) == 240  # each client update once, no orphan
+    assert [n.witness.cache.occupied_slots() for n in nodes] == [0, 0, 0]
+
+
+def test_suspect_whose_entry_is_uncommitted_waits_for_its_commit():
+    """A suspect already in the leader's log but not committed yet has
+    no completion record: collecting it then would drop the only trace
+    of an update that may still be lost with the leader.  Its entry's
+    own gc round collects it once the entry commits."""
+    from types import SimpleNamespace
+
+    from repro.consensus.raft import RAFT_WITNESS
+    from repro.core.messages import RecordArgs, RecordedRequest
+    from repro.rifl import RpcId
+
+    sim, network, nodes = build_group()
+    leader = wait_for_leader(sim, nodes)
+    term = leader.current_term
+    rpc_id = RpcId(424242, 1)
+    op = Write("x", "logged")
+    request = RecordedRequest(op, rpc_id)
+    for node in nodes:
+        node._handle_record((term, RecordArgs(
+            RAFT_WITNESS, op.touched_hashes(), rpc_id, request)), None)
+    index = leader._append_replayed(request)
+    assert index > leader.commit_index
+    leader._retry_orphans(SimpleNamespace(value=()), (request,), term)
+    assert [n.witness.cache.occupied_slots() for n in nodes] == [1, 1, 1]
+    sim.run(until=sim.now + 5_000.0)
+    assert leader.commit_index >= index
+    assert leader.registry.get(rpc_id).log_position == index
     assert [n.witness.cache.occupied_slots() for n in nodes] == [0, 0, 0]

@@ -186,7 +186,7 @@ def test_pushback_delay_grows_exponentially_from_the_hint():
 # per-tenant fair admission on a shared witness endpoint
 # ----------------------------------------------------------------------
 def test_admit_is_transparent_with_fairness_off(sim, network):
-    endpoint = WitnessEndpoint(network.add_host("w"), slots=64)
+    endpoint = WitnessEndpoint(network.add_host("w"), 1_000.0, slots=64)
     tenant = endpoint.serve("m0")
     for seq in range(1_000):
         rpc_id = RpcId(1, seq)
@@ -199,7 +199,7 @@ def test_admit_is_transparent_with_fairness_off(sim, network):
 
 
 def test_admit_enforces_the_window_budget(sim, network):
-    endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
+    endpoint = WitnessEndpoint(network.add_host("w"), 1_000.0, slots=64,
                                fair_window=1_000.0, window_records=4)
     m0 = endpoint.serve("m0")
     assert [endpoint._admit(m0) for _ in range(6)] \
@@ -213,7 +213,7 @@ def test_admit_enforces_the_window_budget(sim, network):
 def test_admit_never_starves_an_under_share_tenant(sim, network):
     """The hot tenant exhausts the global budget; the quiet tenant is
     below its fair share and must still be admitted."""
-    endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
+    endpoint = WitnessEndpoint(network.add_host("w"), 1_000.0, slots=64,
                                fair_window=1_000.0, window_records=4)
     hot = endpoint.serve("hot")
     quiet = endpoint.serve("quiet")
@@ -230,7 +230,7 @@ def test_admit_never_starves_an_under_share_tenant(sim, network):
 
 
 def test_admit_window_resets_clear_per_tenant_counts(sim, network):
-    endpoint = WitnessEndpoint(network.add_host("w"), slots=64,
+    endpoint = WitnessEndpoint(network.add_host("w"), 1_000.0, slots=64,
                                fair_window=500.0, window_records=2)
     m0 = endpoint.serve("m0")
     endpoint.serve("m1")

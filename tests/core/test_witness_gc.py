@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import CurpConfig, ReplicationMode
-from repro.core.messages import RecordedRequest
+from repro.core.messages import RecordedRequest, UpdateArgs
 from repro.harness import build_cluster
 from repro.kvstore import MultiWrite, Write, key_hash
 from repro.rifl import RpcId
@@ -90,6 +90,35 @@ def test_orphan_already_executed_is_rifl_filtered():
     cluster.settle(3_000.0)
     assert witness.cache.occupied_slots() == 0
     assert cluster.run(client.read("K")) == "v2"  # v1 never re-applied
+
+
+def test_retry_of_a_completed_update_is_collected_by_the_next_gc_round():
+    """A retry whose update already completed records afresh on every
+    witness and is answered from the completion record.  The next sync's
+    gc round collects those records; waiting for them to age into
+    suspects would push every write to the key onto the slow path for
+    a whole retry horizon."""
+    cluster = curp_cluster()
+    client = cluster.new_client()
+    cluster.run(client.update(Write("K", "v1")))
+    master = cluster.master()
+    entry = master.store.log.entry(master.store.log.end)
+    cluster.settle(500.0)  # synced + gc'd everywhere
+    caches = witness_caches(cluster)
+    for cache in caches:
+        cache.record([key_hash("K")], entry.rpc_id,
+                     RecordedRequest(op=Write("K", "v1"),
+                                     rpc_id=entry.rpc_id), cluster.sim.now)
+    reply = cluster.run(client.transport.call(
+        master.host.name, "update",
+        UpdateArgs(Write("K", "v1"), entry.rpc_id, entry.rpc_id.seq,
+                   master.witness_list_version)))
+    assert reply.synced and master.stats.duplicates_filtered == 1
+    cluster.run(client.update(Write("L", "w")))  # one sync + gc round
+    cluster.settle(500.0)
+    assert [cache.occupied_slots() for cache in caches] == [0, 0, 0]
+    assert master.stats.stale_suspects_handled == 0
+    assert cluster.run(client.update(Write("K", "v2"))).fast_path
 
 
 @pytest.mark.parametrize("holders", [1, 3])

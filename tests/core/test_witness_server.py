@@ -47,7 +47,7 @@ def endpoint(request, network: Network) -> WitnessEndpoint:
     transport = None
     if request.param == "colocated":
         transport = BackupServer(host, master_id="m0").transport
-    endpoint = WitnessEndpoint(host, slots=64, associativity=4,
+    endpoint = WitnessEndpoint(host, 1_000.0, slots=64, associativity=4,
                                transport=transport)
     if request.param == "shared":
         neighbour = endpoint.serve("m1")

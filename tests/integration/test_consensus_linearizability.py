@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus import client as consensus_client
 from repro.consensus import RaftConfig, RaftCurpClient, RaftNode
 from repro.kvstore import Read, Write
 from repro.net import Network
@@ -91,7 +92,10 @@ def test_concurrent_consensus_clients_linearizable(seed):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_consensus_linearizable_across_leader_crash(seed):
+def test_consensus_linearizable_across_leader_crash(seed, monkeypatch):
+    # clients that outlast the election; the witnesses' §4.5 horizon,
+    # derived when the group is built, follows the longer budget
+    monkeypatch.setattr(consensus_client, "MAX_ATTEMPTS", 60)
     sim, network, nodes = build(seed=seed)
     wait_leader(sim, nodes)
     history = History()
@@ -99,8 +103,7 @@ def test_consensus_linearizable_across_leader_crash(seed):
     for index in range(2):
         host = network.add_host(f"client{index}")
         client = RaftHistoryClient(
-            RaftCurpClient(host, [n.name for n in nodes],
-                           max_attempts=60), history)
+            RaftCurpClient(host, [n.name for n in nodes]), history)
 
         def script(client=client, index=index):
             rng = sim.rng
