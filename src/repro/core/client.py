@@ -208,9 +208,10 @@ class CurpClient:
                                           sync_rpc=False)
                 # CURP with a rejected/empty witness set: durability must
                 # come from a backup sync (§3.2.1).
-                # Slow path (§3.2.1): ask the master to sync.
+                # Slow path (§3.2.1): ask the master to sync through
+                # this update's entry.
                 try:
-                    yield transport.call(master.host, "sync", None,
+                    yield transport.call(master.host, "sync", rpc_id,
                                          timeout=timeout)
                     return self._complete(op, rpc_id, reply.result, started,
                                           attempt, fast=False, by_master=False,

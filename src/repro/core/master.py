@@ -16,7 +16,9 @@ CURP-mode data path for an update:
    1 RTT for the client) and let the batched sync pick the entry up.
    Conflict → sync through this entry first, reply ``synced=True``
    (client skips witnesses/sync RPC even if a witness rejected,
-   §3.2.3).
+   §3.2.3).  A client whose record a witness rejected sends a ``sync``
+   RPC naming its RpcId; the master syncs through that update's entry
+   only, answering at once if it is already durable (§3.2.1).
 5. Backup syncs run in a single background process, batched up to
    ``min_sync_batch`` (§4.4); each completed sync garbage-collects the
    synced requests from all witnesses (§4.5) and handles any
@@ -469,11 +471,13 @@ class CurpMaster:
     # ------------------------------------------------------------------
     # client slow path
     # ------------------------------------------------------------------
-    def _handle_sync(self, args, ctx):
-        """Client couldn't record on all witnesses: make state durable."""
+    def _handle_sync(self, rpc_id, ctx):
+        """Client couldn't record on all witnesses: make its update
+        durable — the log through that update's entry, answered at once
+        if already durable (``ResultRegistry.sync_target``)."""
         self._check_serviceable()
-        self._request_sync(self.store.log.end).when_done(
-            self._sync_rpc_done, ctx)
+        self._request_sync(self.registry.sync_target(
+            rpc_id, self.store.log.end)).when_done(self._sync_rpc_done, ctx)
         return RpcTransport.DEFERRED
 
     def _sync_rpc_done(self, event, ctx) -> None:

@@ -5,7 +5,8 @@ witnesses concurrently (§5.4); the client completes when
 
 - the server's reply says ``synced`` (conflict path), or
 - the server replied speculatively and **all** witnesses accepted, or
-- after an explicit ``sync`` round trip otherwise.
+- otherwise after an explicit ``sync`` round trip, which names the
+  command's RpcId so the server fsyncs only through that command.
 
 In NONDURABLE/DURABLE modes the client is a plain request/response
 client — durability (or its absence) is entirely the server's affair.
@@ -83,24 +84,28 @@ class RedisClient:
         reply = results[0]
         if isinstance(reply, Exception):
             raise reply
-        if rpc_id is not None:
-            self.tracker.completed(rpc_id)
         if not witnesses:
-            return self._finish(reply.result, started, fast=True,
+            return self._finish(rpc_id, reply.result, started, fast=True,
                                 sync_rpc=False)
         if reply.synced:
-            return self._finish(reply.result, started, fast=False,
+            return self._finish(rpc_id, reply.result, started, fast=False,
                                 sync_rpc=False)
         # a witness that rejected, errored or timed out did not accept
         if results[1:].count(RECORD_ACCEPTED) == len(witnesses):
-            return self._finish(reply.result, started, fast=True,
+            return self._finish(rpc_id, reply.result, started, fast=True,
                                 sync_rpc=False)
-        yield self.transport.call(self.server, "sync", None,
+        # the server syncs through this command's AOF seq
+        yield self.transport.call(self.server, "sync", rpc_id,
                                   timeout=RPC_TIMEOUT)
-        return self._finish(reply.result, started, fast=False, sync_rpc=True)
+        return self._finish(rpc_id, reply.result, started, fast=False,
+                            sync_rpc=True)
 
-    def _finish(self, result, started, fast: bool,
+    def _finish(self, rpc_id, result, started, fast: bool,
                 sync_rpc: bool) -> RedisOutcome:
+        """Complete a command: ack its RpcId (writes) only now, so no
+        later command's ack drops the record a sync resolves."""
+        if rpc_id is not None:
+            self.tracker.completed(rpc_id)
         outcome = RedisOutcome(result=result, fast_path=fast,
                                sync_rpc_needed=sync_rpc,
                                latency=self.sim.now - started)

@@ -123,10 +123,13 @@ class RedisServer:
             self._wakeup.succeed()
         return RpcTransport.DEFERRED
 
-    def _handle_sync(self, args, ctx):
-        """CURP slow path: make everything appended so far durable."""
+    def _handle_sync(self, rpc_id, ctx):
+        """CURP slow path: make the client's command durable — the AOF
+        through its seq, answered at once if already fsynced
+        (``ResultRegistry.sync_target``)."""
         def work():
-            yield self.aof.request_durable(self.aof.end_seq)
+            yield self.aof.request_durable(self.registry.sync_target(
+                rpc_id, self.aof.end_seq))
             return "SYNCED"
         return work()
 

@@ -100,6 +100,15 @@ class ResultRegistry:
     def get(self, rpc_id) -> CompletionRecord | None:
         return self._records.get(rpc_id.client_id, {}).get(rpc_id.seq)
 
+    def sync_target(self, rpc_id, log_end: int) -> int:
+        """Log position a client's ``sync`` RPC (§3.2.1) waits for: its
+        own update's entry, or ``log_end`` for ``None`` or an RpcId
+        with no record here.  A sync is prefix-durable, and a
+        ``synced=False`` reply means the update commuted with every
+        earlier unsynced entry (§4.3), so no later entry is needed."""
+        record = None if rpc_id is None else self.get(rpc_id)
+        return log_end if record is None else record.log_position
+
     def record_count(self) -> int:
         """Completion records held, over all clients."""
         return sum(len(recs) for recs in self._records.values())

@@ -19,6 +19,10 @@ timed: wall clock has one authority, ``benchmarks/e2e/run.py``.
 - ``ycsb_b_smoke``: the read path, a YCSB-B closed loop (16 clients,
   4 masters, 95 % reads) — kernel events, retained bytes and
   Python-level calls per completed op;
+- ``ycsb_a_smoke``: the write path under skew, a YCSB-A closed loop
+  (16 clients, one master, zipfian 0.99) — write p99, and the share
+  and p50 of each way an update completes (fast / master-synced /
+  client sync);
 - ``messages_per_update``: wire messages per committed update at
   f ∈ {1, 3}, colocated vs spread witnesses
   (``benchmarks/bench_sec52_witness_resources.py``);
@@ -66,7 +70,8 @@ def _scaleout() -> dict:
 _FIG6_SLICES = 5
 
 
-def _closed_loops(workload, n_masters: int = 1):
+def _closed_loops(workload, n_masters: int = 1,
+                  collect_outcomes: bool = False):
     """16 closed loops on CURP f=3 (``RAMCLOUD_PROFILE``, seed 2),
     started and warmed up: (cluster, loops)."""
     from repro.baselines import curp_config
@@ -79,7 +84,7 @@ def _closed_loops(workload, n_masters: int = 1):
                             n_masters=n_masters, seed=2)
     latency = LatencyRecorder()
     loops = [ClosedLoopClient(
-        client=cluster.new_client(collect_outcomes=False),
+        client=cluster.new_client(collect_outcomes=collect_outcomes),
         stream=workload.generator(),
         write_latency=latency, read_latency=latency) for _ in range(16)]
     for loop in loops:
@@ -154,6 +159,43 @@ def _ycsb_b_smoke() -> dict:
             (sim.processed_events - events_before) / operations, 3),
         "retained_bytes_per_op": _retained_bytes_per_op(_ycsb_b_cluster),
         "py_calls_per_op": _py_calls_per_op(_ycsb_b_cluster),
+    }
+
+
+def _ycsb_a_smoke() -> dict:
+    """The write path under skew: a YCSB-A closed loop (16 clients,
+    zipfian 0.99 over 100 k keys, one master).
+
+    ``write_p99_us`` is over the updates completed inside a 20,000 µs
+    window.  ``paths`` splits them by how each completed, read from
+    ``UpdateOutcome``'s three flags: ``fast`` (1 RTT, every witness
+    accepted), ``master_synced`` (the master synced before replying,
+    §3.2.3) and ``client_sync`` (a witness rejected, so the client
+    asked the master to sync its update, §3.2.1) — each path's share
+    of the updates and its p50.
+    """
+    from repro.metrics.stats import percentile
+    from repro.workload.ycsb import YCSB_A, scaled
+
+    cluster, loops = _closed_loops(scaled(YCSB_A, 100_000),
+                                   collect_outcomes=True)
+    clients = [loop.client for loop in loops]
+    for client in clients:
+        client.outcomes.clear()
+    cluster.sim.run(until=cluster.sim.now + 20_000.0)
+    outcomes = [outcome for client in clients for outcome in client.outcomes]
+    paths = {"fast": [], "master_synced": [], "client_sync": []}
+    for outcome in outcomes:
+        path = ("fast" if outcome.fast_path else "master_synced"
+                if outcome.synced_by_master else "client_sync")
+        paths[path].append(outcome.latency)
+    return {
+        "write_p99_us": round(percentile(
+            sorted(outcome.latency for outcome in outcomes), 99.0), 2),
+        "paths": {
+            path: {"share": round(len(latencies) / len(outcomes), 4),
+                   "p50_us": round(percentile(sorted(latencies), 50.0), 2)}
+            for path, latencies in paths.items()},
     }
 
 
@@ -423,6 +465,7 @@ def snapshot() -> dict:
         "platform": platform.platform(),
         "fig6_smoke": _fig6_smoke(),
         "ycsb_b_smoke": _ycsb_b_smoke(),
+        "ycsb_a_smoke": _ycsb_a_smoke(),
         "messages_per_update": messages_per_update_series(),
         "redis_smoke": _redis_smoke(),
         "raft_smoke": _raft_smoke(),
