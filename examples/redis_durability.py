@@ -7,6 +7,9 @@ Redis, and CURP-Redis (witnesses + background fsync).  The demo
 measures SET latency on each, then crashes each server and shows which
 acknowledged writes survive.
 
+A SET on the wire when the CURP-Redis server crashes is resent with its
+RpcId once the server is back, and lands once.
+
 Act 2 — the same bargain on the full CURP cluster with the segmented
 write-ahead log enabled (docs/STORAGE.md): every backup append now
 pays modeled disk time, segments rotate and the cleaner compacts them
@@ -57,6 +60,27 @@ def crash_test(cluster, client) -> tuple[int, int]:
     survived = sum(1 for key in acked
                    if cluster.server.store.get_string(key) is not None)
     return len(acked), survived
+
+
+def restart_demo() -> None:
+    """A SET in flight when the CURP-Redis server crashes: the client
+    resends it with its RpcId after the deadline, and the restarted
+    server (which replayed it from the witness) answers it once."""
+    cluster = build_redis_cluster(DurabilityMode.CURP, n_witnesses=1,
+                                  profile=REDIS_PROFILE, seed=11)
+    client = cluster.new_client()
+    server = cluster.server
+    command = cluster.sim.process(client.set("inflight", "v"))
+    cluster.sim.run(until=cluster.sim.now + 1.0)   # on the wire
+    server.host.crash()
+    cluster.sim.run(until=cluster.sim.now + 1_000.0)
+    server.host.restart()
+    cluster.run(cluster.sim.process(server.recover()), timeout=1e9)
+    outcome = cluster.run(command, timeout=1e9)
+    print(f"\nCURP-Redis, a SET in flight across a server restart: "
+          f"acknowledged after {outcome.attempts} attempts, stored "
+          f"{server.store.get_string('inflight')!r} from "
+          f"{len(server.aof.durable_entries())} AOF entry")
 
 
 def wal_demo() -> None:
@@ -138,6 +162,7 @@ def main() -> None:
     print("\nCURP delivers the durable column at (nearly) the non-durable "
           "row's\nlatency: fsyncs happen in the background, witnesses cover "
           "the gap.")
+    restart_demo()
     wal_demo()
 
 

@@ -1,6 +1,6 @@
 """The CURP consensus client (§A.2).
 
-An update completes in 1 RTT when
+An update is ``core.curp.run_update``; it completes in 1 RTT when
 
 - the leader executed it speculatively and replied, **and**
 - a *superquorum* of f + ⌈f/2⌉ + 1 of the 2f+1 witness components
@@ -11,10 +11,11 @@ reachable; a completed operation must appear on a majority (⌈f/2⌉+1)
 of *any* f+1 of them, and any non-commutative operation can appear on
 at most ⌊f/2⌋ — so majority-replay is both safe and sufficient (§A.2).
 
-With fewer accepts the client falls back to ``wait_commit`` — 2 RTTs,
-the classic strong-leader path.  Records carry the client's view of the
-term; witnesses reject stale terms, which neutralizes clients still
-talking to a deposed zombie leader.
+With fewer accepts the client asks the leader to ``sync`` its RpcId
+(its entry's quorum commit) — 2 RTTs, the classic strong-leader path.
+Records carry the client's view of the term; witnesses reject stale
+terms, which neutralizes clients still talking to a deposed zombie
+leader.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ import math
 import typing
 
 from repro.consensus.raft import RAFT_WITNESS, ProposeArgs
-from repro.core.curp import fan_out
-from repro.core.messages import RECORD_ACCEPTED, RecordArgs, RecordedRequest
+from repro.core.curp import (
+    ClientGaveUp,
+    UpdateOutcome,
+    retry_horizon,
+    run_update,
+)
+from repro.core.messages import RecordArgs, RecordedRequest
 from repro.kvstore.operations import Operation, Read
 from repro.rifl import RiflClientTracker
 from repro.rpc import AppError, RpcError, RpcTransport, backoff_delay
@@ -33,7 +39,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 
-#: per-RPC deadline (µs); a propose and its wait_commit get 4×
+#: per-RPC deadline (µs); a propose and its sync get 4×
 RPC_TIMEOUT = 1_000.0
 #: cap (µs) for the bounded exponential retry backoff: attempt k sleeps
 #: equal-jittered in [span/2, span) with span = min(RETRY_BACKOFF,
@@ -41,24 +47,21 @@ RPC_TIMEOUT = 1_000.0
 #: resolves in a few heartbeats), desynchronized long ones (no client
 #: retry storms against a group that stays leaderless)
 RETRY_BACKOFF = 500.0
-#: attempts per update, read and leader search
+#: attempts per update and read
 MAX_ATTEMPTS = 30
 
 
 def suspect_after(n_replicas: int) -> float:
-    """§4.5: the longest a client retries one update (µs): per
-    attempt a leader search, a propose, a ``wait_commit`` and a backoff."""
-    find_leader = MAX_ATTEMPTS * (n_replicas * RPC_TIMEOUT + RETRY_BACKOFF)
-    return MAX_ATTEMPTS * (find_leader + 8 * RPC_TIMEOUT + RETRY_BACKOFF)
+    """§4.5: the client retry horizon (µs).  An attempt is a propose
+    and a ``sync`` (4 deadlines each), a backoff and one ``status``
+    round over the replicas."""
+    return retry_horizon(MAX_ATTEMPTS, (n_replicas + 8) * RPC_TIMEOUT
+                         + RETRY_BACKOFF)
 
 
 def superquorum_size(f: int) -> int:
     """f + ⌈f/2⌉ + 1 witnesses must accept for the 1-RTT fast path."""
     return f + math.ceil(f / 2) + 1
-
-
-class ConsensusGaveUp(Exception):
-    """Retries exhausted (no reachable/stable leader)."""
 
 
 class RaftCurpClient:
@@ -72,110 +75,87 @@ class RaftCurpClient:
         self.sim = host.sim
         self.replicas = list(replicas)
         self.f = (len(self.replicas) - 1) // 2
+        self.max_attempts = MAX_ATTEMPTS
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RaftCurpClient._next_client_id)
         self.leader: str | None = None
         self.term = 0
+        self.collect_outcomes = True
+        self.outcomes: list[UpdateOutcome] = []
         self.fast_path_updates = 0
         self.completed_updates = 0
 
     # ------------------------------------------------------------------
     def find_leader(self):
-        """Generator: poll replicas until someone claims leadership."""
-        for attempt in range(MAX_ATTEMPTS):
-            for replica in self.replicas:
-                try:
-                    status = yield self.transport.call(
-                        replica, "status", None, timeout=RPC_TIMEOUT)
-                except RpcError:
-                    continue
-                self.term = max(self.term, status["term"])
-                if status["role"] == "leader":
-                    self.leader = replica
-                    return replica
-                if status["leader"] is not None:
-                    self.leader = status["leader"]
-            if self.leader is not None:
-                return self.leader
-            yield self.sim.timeout(self._retry_delay(attempt))
-        raise ConsensusGaveUp("no leader found")
-
-    def _retry_delay(self, attempt: int) -> float:
-        """Bounded exponential backoff + jitter between retries."""
-        return backoff_delay(attempt, RETRY_BACKOFF / 8, RETRY_BACKOFF,
-                             self.sim.rng)
+        """Generator: one ``status`` round over the replicas; returns the
+        leader it learned of, or None."""
+        for replica in self.replicas:
+            try:
+                status = yield self.transport.call(
+                    replica, "status", None, timeout=RPC_TIMEOUT)
+            except RpcError:
+                continue
+            self.term = max(self.term, status["term"])
+            if status["role"] == "leader":
+                self.leader = replica
+                return replica
+            if status["leader"] is not None:
+                self.leader = status["leader"]
+        return self.leader
 
     def update(self, op: Operation):
         """Generator: a linearizable update; returns (result, fast)."""
-        if not op.is_update:
-            raise ValueError("use read() for read operations")
-        rpc_id = self.tracker.new_rpc()
-        for attempt in range(MAX_ATTEMPTS):
-            if self.leader is None:
-                yield from self.find_leader()
-            leader = self.leader
-            propose = ProposeArgs(op=op, rpc_id=rpc_id,
-                                  ack_seq=self.tracker.first_incomplete)
-            record = (self.term, RecordArgs(
-                RAFT_WITNESS, op.touched_hashes(), rpc_id,
-                RecordedRequest(op, rpc_id)))
-            # 1 propose + 2f+1 records, one join.
-            results = yield fan_out(self.transport, leader, "propose",
-                                    propose, self.replicas, record,
-                                    RPC_TIMEOUT * 4,
-                                    record_timeout=RPC_TIMEOUT)
-            reply = results[0]
-            accepts = results[1:].count(RECORD_ACCEPTED)
-            if not isinstance(reply, BaseException):
-                self.term = max(self.term, reply.term)
-                if reply.synced or accepts >= superquorum_size(self.f):
-                    if not reply.synced:
-                        self.fast_path_updates += 1
-                    self.completed_updates += 1
-                    self.tracker.completed(rpc_id)
-                    return reply.result, not reply.synced
-                # Slow path: wait for the quorum commit.
-                try:
-                    yield self.transport.call(leader, "wait_commit", None,
-                                              timeout=RPC_TIMEOUT * 4)
-                    self.completed_updates += 1
-                    self.tracker.completed(rpc_id)
-                    return reply.result, False
-                except (AppError, RpcError):
-                    pass  # leader fell; retry whole operation
-            elif isinstance(reply, AppError):
-                if reply.code != "NOT_LEADER":
-                    raise reply
-                info = reply.info or {}
+        outcome = yield from run_update(self, op)
+        return outcome.result, outcome.fast_path
+
+    def _route(self, op: Operation, rpc_id):
+        """1 propose to the known leader + 2f+1 term-tagged records."""
+        if self.leader is None:
+            return None
+        record = (self.term, RecordArgs(RAFT_WITNESS, op.touched_hashes(),
+                                        rpc_id, RecordedRequest(op, rpc_id)))
+        return (self.leader, "propose",
+                ProposeArgs(op=op, rpc_id=rpc_id,
+                            ack_seq=self.tracker.first_incomplete),
+                self.replicas, record, superquorum_size(self.f),
+                RPC_TIMEOUT * 4, RPC_TIMEOUT)
+
+    def _on_reply(self, reply) -> None:
+        self.term = max(self.term, reply.term)
+
+    def _pause(self, error, route, results, streak: int):
+        """Between attempts (updates and reads): follow a ``NOT_LEADER``
+        answer's term and hint, forget a leader that did not answer,
+        back off, and poll for a leader if none is known."""
+        if isinstance(error, AppError):
+            if error.code == "NOT_LEADER":
+                info = error.info or {}
                 self.term = max(self.term, info.get("term", 0))
                 hint = info.get("hint")
-                self.leader = hint if hint != leader else None
-            else:
-                self.leader = None
-            yield self.sim.timeout(self._retry_delay(attempt))
-        raise ConsensusGaveUp(f"update {op!r} failed after "
-                              f"{MAX_ATTEMPTS} attempts")
+                self.leader = hint if hint != self.leader else None
+            elif error.code != "UNKNOWN_RPC":
+                raise error
+        else:
+            self.leader = None
+        yield self.sim.timeout(backoff_delay(
+            streak, RETRY_BACKOFF / 8, RETRY_BACKOFF, self.sim.rng))
+        if self.leader is None:
+            yield from self.find_leader()
+        return streak + 1
 
     def read(self, key: str):
         """Generator: linearizable read through the leader."""
-        for attempt in range(MAX_ATTEMPTS):
-            if self.leader is None:
-                yield from self.find_leader()
-            try:
-                reply = yield self.transport.call(
-                    self.leader, "propose",
-                    ProposeArgs(op=Read(key), rpc_id=None),
-                    timeout=RPC_TIMEOUT * 4)
-                self.term = max(self.term, reply.term)
-                return reply.result
-            except AppError as error:
-                if error.code == "NOT_LEADER":
-                    hint = (error.info or {}).get("hint")
-                    self.leader = hint if hint != self.leader else None
-                else:
-                    raise
-            except RpcError:
-                self.leader = None
-            yield self.sim.timeout(self._retry_delay(attempt))
-        raise ConsensusGaveUp("read failed")
-
+        for attempt in range(self.max_attempts):
+            error = None
+            if self.leader is not None:
+                try:
+                    reply = yield self.transport.call(
+                        self.leader, "propose",
+                        ProposeArgs(op=Read(key), rpc_id=None),
+                        timeout=RPC_TIMEOUT * 4)
+                    self._on_reply(reply)
+                    return reply.result
+                except RpcError as failure:
+                    error = failure
+            yield from self._pause(error, None, None, attempt)
+        raise ClientGaveUp(f"read {key!r} failed: {error!r}")

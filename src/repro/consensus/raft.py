@@ -170,7 +170,7 @@ class RaftNode:
         self.transport.register("request_vote", self._handle_request_vote)
         self.transport.register("append_entries", self._handle_append_entries)
         self.transport.register("propose", self._handle_propose)
-        self.transport.register("wait_commit", self._handle_wait_commit)
+        self.transport.register("sync", self._handle_sync)
         self.transport.register("status", self._handle_status)
         self.transport.register("record", self._handle_record)
         self.transport.register("w_recovery", self._handle_w_recovery)
@@ -540,17 +540,23 @@ class RaftNode:
                                 term=self.current_term)
         return work()
 
-    def _handle_wait_commit(self, args, ctx):
-        """Client slow path: wait until everything proposed so far (at
-        this leader) is committed."""
+    def _handle_sync(self, rpc_id, ctx):
+        """Client slow path, answered like a propose that waited for its
+        commit: the client's own entry (at once if committed), or the
+        log end for ``None``.  An RpcId in no log here, say one a leader
+        change overwrote, is ``UNKNOWN_RPC``: the client resends it."""
         if self.role != "leader":
             raise AppError("NOT_LEADER", {"hint": self.leader_hint,
                                           "term": self.current_term})
-        target = self.last_log_index()
-        def work():
-            yield self._committed(target)
-            return "COMMITTED"
-        return work()
+        if rpc_id is None:
+            target = self.last_log_index()
+        elif self.registry.get(rpc_id) is not None:
+            target = self.commit_index
+        else:
+            target = self._log_rpc_index.get(rpc_id)
+            if target is None:
+                raise AppError("UNKNOWN_RPC", {"rpc_id": str(rpc_id)})
+        return self._reply_after_commit(target, None, ctx)
 
     # ------------------------------------------------------------------
     # witness component (§A.2)

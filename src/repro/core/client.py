@@ -1,27 +1,25 @@
 """The CURP client (§3.2.1) — where the 1 RTT happens.
 
-For an update the client *concurrently*:
+An update is ``core.curp.run_update``, the loop all three backends
+share: the update RPC to the master and ``record`` RPCs to all f
+witnesses at once; complete when the master replied ``synced=True`` (it
+hit a conflict and synced, §3.2.3) or all f witnesses accepted (the 1
+RTT fast path), else after a ``sync`` RPC (the 2-3 RTT slow path); on a
+failure retry the *same* RpcId (RIFL makes the retry safe, §3.3).  This
+class routes by its cluster view and pauses between attempts:
 
-- sends the update RPC to the master, and
-- sends ``record`` RPCs to all f witnesses.
-
-It then waits for everything and decides:
-
-- master replied ``synced=True`` → complete (the master hit a conflict
-  and synced; witness outcomes don't matter, §3.2.3);
-- master replied speculative and **all f witnesses accepted** →
-  complete — the 1 RTT fast path;
-- any witness rejected / timed out → send a ``sync`` RPC and wait —
-  the 2-3 RTT slow path;
-- master timed out / errored → refresh the cluster view from the
-  coordinator and retry the *same* RpcId (RIFL makes the retry safe,
-  §3.3);
-- master replied ``WRONG_SHARD`` → the client's shard map is stale
-  (the key's tablet migrated): gc the witness records the wasted
-  attempt left on the old shard (nothing else can ever reclaim them),
-  refetch the map from the coordinator and retry immediately, with no
-  backoff — one extra coordinator round trip on top of the wasted
-  attempt.
+- master timed out / errored → back off, refresh the view, retry;
+- master replied ``RETRY_LATER`` (admission control, §overload) → back
+  off by its hint, doubled per consecutive pushback and jittered so a
+  shed flash crowd does not retry in lockstep, and *without* a view
+  refresh: overload is not a routing problem, and a coordinator round
+  trip per shed attempt would move the collapse there;
+- master replied ``WRONG_SHARD`` → the client's shard map is stale (the
+  key's tablet migrated): gc the witness records the wasted attempt
+  left on the old shard (that master never executes the op, so never
+  gcs them, and the key no longer routes there, so §4.5 never reclaims
+  them), refetch the map and retry at once — no backoff, one extra
+  coordinator round trip.
 
 The same class drives the paper's baselines: in SYNC / ASYNC /
 UNREPLICATED modes no witnesses are used and completion follows the
@@ -30,11 +28,10 @@ master's reply alone.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.core.config import CurpConfig, ReplicationMode
-from repro.core.curp import fan_out, gc_round
+from repro.core.curp import ClientGaveUp, UpdateOutcome, gc_round, run_update
 from repro.core.messages import (
     BackupReadArgs,
     ClusterView,
@@ -59,26 +56,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 
-class ClientGaveUp(Exception):
-    """Raised when an operation exhausted ``config.max_attempts``."""
-
-
-@dataclasses.dataclass
-class UpdateOutcome:
-    """What one completed update looked like from the client."""
-
-    result: typing.Any
-    #: True = completed in 1 RTT via witnesses (or without durability in
-    #: ASYNC/UNREPLICATED modes)
-    fast_path: bool
-    #: True = master synced before replying (conflict path)
-    synced_by_master: bool
-    #: True = client had to issue a separate sync RPC
-    sync_rpc_needed: bool
-    attempts: int
-    latency: float
-
-
 class CurpClient:
     """One application client."""
 
@@ -88,6 +65,7 @@ class CurpClient:
         self.host = host
         self.sim = host.sim
         self.config = config
+        self.max_attempts = config.max_attempts
         self.coordinator = coordinator
         self.transport = RpcTransport(host)
         self.tracker: RiflClientTracker | None = None
@@ -115,7 +93,7 @@ class CurpClient:
         if self.coordinator is None:
             raise RuntimeError("connect() requires a coordinator address")
         last_error: Exception | None = None
-        for _attempt in range(1, self.config.max_attempts + 1):
+        for _attempt in range(1, self.max_attempts + 1):
             try:
                 client_id = yield self.transport.call(
                     self.coordinator, "register_client", None,
@@ -128,7 +106,7 @@ class CurpClient:
                 if self.config.retry_backoff > 0:
                     yield self.sim.timeout(self.config.retry_backoff)
         raise ClientGaveUp(f"connect failed after "
-                           f"{self.config.max_attempts} attempts: "
+                           f"{self.max_attempts} attempts: "
                            f"{last_error!r}")
 
     def _refresh_view(self):
@@ -155,120 +133,60 @@ class CurpClient:
     # ------------------------------------------------------------------
     # update
     # ------------------------------------------------------------------
-    def update(self, op: Operation, rpc_id=None):
-        """Generator: perform a linearizable update; returns UpdateOutcome.
+    #: Generator: a linearizable update; returns UpdateOutcome.  A
+    #: cross-shard transaction passes ``rpc_id``s pre-allocated by
+    #: ``tracker.new_transaction``, pinning every participant shard's
+    #: prepare to the same attempt (RIFL makes retries exactly-once).
+    update = run_update
+    _on_reply = None
 
-        ``rpc_id`` is normally allocated here; a cross-shard transaction
-        passes ids pre-allocated by ``tracker.new_transaction`` so every
-        participant shard's prepare is pinned to the same attempt (RIFL
-        makes the per-shard retries exactly-once either way).
-        """
-        if not op.is_update:
-            raise ValueError("use read() for read operations")
-        assert self.tracker is not None, "client not connected"
-        if rpc_id is None:
-            rpc_id = self.tracker.new_rpc()
-        started = self.sim.now
-        last_error: Exception | None = None
-        pushback_streak = 0
-        transport = self.transport
-        timeout = self.config.rpc_timeout
-        for attempt in range(1, self.config.max_attempts + 1):
-            master = self._master_for(op.touched_hashes())
-            use_witnesses = (self.config.mode is ReplicationMode.CURP
-                             and len(master.witnesses) > 0)
-            witnesses = master.witnesses if use_witnesses else ()
-            record = None
+    def _route(self, op: Operation, rpc_id):
+        """The master owning ``op``'s keys in the current view, and in
+        CURP mode its witnesses, all of which must accept; other modes
+        complete on the master's reply."""
+        hashes = op.touched_hashes()
+        master = self._master_for(hashes)
+        witnesses, record, need = (), None, 0
+        if self.config.mode is ReplicationMode.CURP:
+            witnesses = master.witnesses
+            need = len(witnesses) or 1  # none: only a sync makes it durable
             if witnesses:
-                record = RecordArgs(master.master_id, op.touched_hashes(),
-                                    rpc_id, RecordedRequest(op, rpc_id))
-            # The 1 + f fan-out (§3.2.1), one join per attempt.
-            quorum = fan_out(
-                transport, master.host, "update",
+                record = RecordArgs(master.master_id, hashes, rpc_id,
+                                    RecordedRequest(op, rpc_id))
+        return (master.host, "update",
                 UpdateArgs(op, rpc_id, self.tracker.first_incomplete,
                            master.witness_list_version),
-                witnesses, record, timeout)
-            results = yield quorum
-            reply = results[0]
-            if not isinstance(reply, BaseException):
-                if reply.synced:
-                    return self._complete(op, rpc_id, reply.result, started,
-                                          attempt, fast=False, by_master=True,
-                                          sync_rpc=False)
-                if use_witnesses and results[1:].count(RECORD_ACCEPTED) \
-                        == len(witnesses):
-                    return self._complete(op, rpc_id, reply.result, started,
-                                          attempt, fast=True, by_master=False,
-                                          sync_rpc=False)
-                if self.config.mode is not ReplicationMode.CURP:
-                    # ASYNC / UNREPLICATED: complete on the master reply
-                    # alone (no durability guarantee in ASYNC).
-                    return self._complete(op, rpc_id, reply.result, started,
-                                          attempt, fast=True, by_master=False,
-                                          sync_rpc=False)
-                # CURP with a rejected/empty witness set: durability must
-                # come from a backup sync (§3.2.1).
-                # Slow path (§3.2.1): ask the master to sync through
-                # this update's entry.
-                try:
-                    yield transport.call(master.host, "sync", rpc_id,
-                                         timeout=timeout)
-                    return self._complete(op, rpc_id, reply.result, started,
-                                          attempt, fast=False, by_master=False,
-                                          sync_rpc=True)
-                except (AppError, RpcTimeout) as error:
-                    # Master crashed/deposed before the sync: restart the
-                    # whole operation (same RpcId).
-                    last_error = error
-            elif isinstance(reply, AppError):
-                last_error = error = reply
-                if error.code == "STALE_RPC":  # pragma: no cover - guard
-                    raise error
-                if error.code == RETRY_LATER:
-                    # Admission-control pushback (§overload): the
-                    # master's bounded queue is full.  Back off by its
-                    # hint — grown exponentially per consecutive
-                    # pushback and jittered so a shed flash crowd
-                    # doesn't retry in lockstep — and *without*
-                    # refreshing the cluster view: overload is not a
-                    # routing problem, and a coordinator round trip
-                    # per shed attempt would move the collapse there.
-                    self.pushbacks += 1
-                    yield self.sim.timeout(
-                        self._pushback_delay(error, pushback_streak))
-                    pushback_streak += 1
-                    continue
-                if error.code == "WRONG_SHARD":
-                    # Stale shard map: the key migrated to another
-                    # master.  Refetch routing from the coordinator and
-                    # retry immediately — no backoff; the extra cost is
-                    # one coordinator round trip.  First free any
-                    # witness slots our concurrent records claimed on
-                    # the old shard: this master will never execute the
-                    # op (so never gc them) and the key's hash no
-                    # longer routes here (so the §4.5 suspect path can
-                    # never reclaim them either).  The gc goes out from
-                    # a queue entry of its own at this instant, after
-                    # the view refresh; a witness that is down or reset
-                    # has lost its slots anyway.
-                    accepted = [witness for witness, result
-                                in zip(witnesses, results[1:])
-                                if result == RECORD_ACCEPTED]
-                    if accepted:
-                        self.sim.schedule_callback(
-                            0.0, gc_round, transport, accepted,
-                            master.master_id,
-                            [(h, rpc_id) for h in op.touched_hashes()],
-                            timeout)
-                    yield from self._refresh_routing()
-                    continue
-            else:  # timeout, or any other RPC failure
-                last_error = reply
-            pushback_streak = 0
-            yield from self._recover_attempt()
-        raise ClientGaveUp(
-            f"update {op!r} failed after {self.config.max_attempts} "
-            f"attempts: {last_error!r}")
+                witnesses, record, need, self.config.rpc_timeout, None)
+
+    def _pause(self, error, route, results, streak: int):
+        """Between attempts (updates and reads alike), as the module
+        docstring lists; returns the consecutive pushback count."""
+        code = error.code if isinstance(error, AppError) else None
+        if code == RETRY_LATER:
+            self.pushbacks += 1
+            yield self.sim.timeout(self._pushback_delay(error, streak))
+            return streak + 1
+        if code != "WRONG_SHARD":
+            streak = 0
+            if self.config.retry_backoff > 0:
+                yield self.sim.timeout(self.config.retry_backoff)
+        elif results is not None:
+            witnesses, record = route[3], route[4]
+            accepted = [witness for witness, result
+                        in zip(witnesses, results[1:])
+                        if result == RECORD_ACCEPTED]
+            if accepted:  # from a queue entry of its own, this instant
+                self.sim.schedule_callback(
+                    0.0, gc_round, self.transport, accepted,
+                    record.master_id,
+                    [(h, record.rpc_id) for h in record.key_hashes],
+                    self.config.rpc_timeout)
+        if self.coordinator is not None:
+            try:
+                yield from self._refresh_view()
+            except RpcError:
+                pass  # coordinator briefly unreachable; retry with old view
+        return streak
 
     def _pushback_delay(self, error: AppError, streak: int) -> float:
         """Delay for the ``streak``-th consecutive RETRY_LATER: the
@@ -284,35 +202,6 @@ class CurpClient:
         return backoff_delay(streak, base, overload.retry_after_cap,
                              self.sim.rng)
 
-    def _recover_attempt(self):
-        """Between attempts: small backoff, then refresh configuration."""
-        if self.config.retry_backoff > 0:
-            yield self.sim.timeout(self.config.retry_backoff)
-        yield from self._refresh_routing()
-
-    def _refresh_routing(self):
-        """Refetch the cluster view (shard map included) — no backoff."""
-        if self.coordinator is not None:
-            try:
-                yield from self._refresh_view()
-            except RpcError:
-                pass  # coordinator briefly unreachable; retry with old view
-
-    def _complete(self, op: Operation, rpc_id, result, started: float,
-                  attempts: int, fast: bool, by_master: bool,
-                  sync_rpc: bool) -> UpdateOutcome:
-        self.tracker.completed(rpc_id)
-        outcome = UpdateOutcome(
-            result=result, fast_path=fast, synced_by_master=by_master,
-            sync_rpc_needed=sync_rpc, attempts=attempts,
-            latency=self.sim.now - started)
-        self.completed_updates += 1
-        if fast:
-            self.fast_path_updates += 1
-        if self.collect_outcomes:
-            self.outcomes.append(outcome)
-        return outcome
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -327,11 +216,11 @@ class CurpClient:
         ``(value, version)`` instead of the value.
         """
         started = self.sim.now
-        last_error: Exception | None = None
-        pushback_streak = 0
+        error: Exception | None = None
+        streak = 0
         h = key_hash(key)
         args = ReadArgs(key, h, for_update, versioned)
-        for _attempt in range(1, self.config.max_attempts + 1):
+        for _attempt in range(1, self.max_attempts + 1):
             view = self.view
             owner = view.shard_map.master_for_hash(h)
             if owner is None:
@@ -343,22 +232,10 @@ class CurpClient:
                 self.completed_reads += 1
                 self.last_read_latency = self.sim.now - started
                 return result
-            except (AppError, RpcTimeout) as error:
-                last_error = error
-                if isinstance(error, AppError) and error.code == "WRONG_SHARD":
-                    yield from self._refresh_routing()
-                    continue
-                if isinstance(error, AppError) and error.code == RETRY_LATER:
-                    # Same pushback contract as updates: back off by
-                    # the hint, no view refresh.
-                    self.pushbacks += 1
-                    yield self.sim.timeout(
-                        self._pushback_delay(error, pushback_streak))
-                    pushback_streak += 1
-                    continue
-            pushback_streak = 0
-            yield from self._recover_attempt()
-        raise ClientGaveUp(f"read {key!r} failed: {last_error!r}")
+            except (AppError, RpcTimeout) as failure:
+                error = failure
+            streak = yield from self._pause(error, None, None, streak)
+        raise ClientGaveUp(f"read {key!r} failed: {error!r}")
 
     def read_versioned(self, key: str, for_update: bool = False):
         """Generator: read (value, version) — the transaction read set."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 
+from repro.core.curp import retry_horizon
+
 
 class ReplicationMode(enum.Enum):
     """Which replication protocol a master runs."""
@@ -233,13 +235,13 @@ class CurpConfig:
 
     @property
     def suspect_after(self) -> float:
-        """§4.5: the longest a client retries one update (µs): per
-        attempt a fan-out, a sync and a view refresh (``rpc_timeout``
-        each), then a backoff or a pushback (at most the cap)."""
+        """§4.5: the client retry horizon (µs).  An attempt is a fan-out,
+        a sync and a view refresh (``rpc_timeout`` each), then a backoff
+        or a pushback (at most the cap)."""
         pause = self.retry_backoff
         if self.overload.enabled:
             pause = max(pause, self.overload.retry_after_cap)
-        return self.max_attempts * (3 * self.rpc_timeout + pause)
+        return retry_horizon(self.max_attempts, 3 * self.rpc_timeout + pause)
 
     @property
     def uses_witnesses(self) -> bool:

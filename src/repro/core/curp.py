@@ -3,21 +3,29 @@
 The RAMCloud-style master (``core``), the Redis server (``redislike``,
 §5.4) and the Raft leader (``consensus``, §A.2) differ only in how an
 update becomes durable.  What they share lives here: the client's
-1 + n fan-out (§3.2.1), the witness gc round (§3.5), the unsynced
-suffix the conflict check runs against (§3.2.3), the §4.5 orphan retry
-and the §4.6 witness replay, each backend passing its own execute-and-log
-step.  The RIFL intake is :meth:`~repro.rifl.ResultRegistry.admit`.
+update loop around the 1 + n fan-out (§3.2.1) and its retry horizon
+(§4.5), the witness gc round (§3.5), the unsynced suffix the conflict
+check runs against (§3.2.3), the §4.5 orphan retry and the §4.6 witness
+replay, each backend passing its own routing step, pause or
+execute-and-log step.  The RIFL intake is
+:meth:`~repro.rifl.ResultRegistry.admit`.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import typing
 
-from repro.core.messages import GcArgs, GetRecoveryDataArgs, RecordedRequest
+from repro.core.messages import (
+    GcArgs,
+    GetRecoveryDataArgs,
+    RECORD_ACCEPTED,
+    RecordedRequest,
+)
 from repro.kvstore.operations import Operation, commutative
 from repro.rifl import DuplicateState
-from repro.rpc import RpcError
+from repro.rpc import AppError, RpcError
 from repro.sim.events import QuorumEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +62,106 @@ def fan_out(transport: "RpcTransport", master: str, method: str,
         transport.call_cb(witness, "record", record, child_result, index,
                           timeout=record_timeout or timeout)
     return quorum
+
+
+class ClientGaveUp(Exception):
+    """Raised when an operation exhausted its client's attempt budget."""
+
+
+@dataclasses.dataclass
+class UpdateOutcome:
+    """What one completed update looked like from the client."""
+
+    result: typing.Any
+    #: True = completed in 1 RTT via witnesses (or on the reply alone
+    #: where no witness is asked: ASYNC / UNREPLICATED, non-CURP Redis)
+    fast_path: bool
+    #: True = the server synced before replying (conflict path)
+    synced_by_master: bool
+    #: True = client had to issue a separate sync RPC
+    sync_rpc_needed: bool
+    attempts: int
+    latency: float
+
+
+def retry_horizon(max_attempts: int, per_attempt: float) -> float:
+    """§4.5: the longest a client retries one update (µs), each attempt
+    (its RPC deadlines and the pause after it) at most ``per_attempt``."""
+    return max_attempts * per_attempt
+
+
+def run_update(client, op: Operation, rpc_id=None):
+    """Generator: one update (§3.2.1; §5.4 and §A.2 alike); returns its
+    :class:`UpdateOutcome`.
+
+    Each attempt fans out to the server and witnesses the backend's
+    routing step ``client._route(op, rpc_id)`` names — ``(server,
+    method, args, witnesses, record, need, timeout, record_timeout)``,
+    or None for no server — and completes on a synced reply or ``need``
+    accepts, else after a ``sync`` naming the RpcId.  A timeout, an
+    error or ``UNKNOWN_RPC`` (the server lost the update) restarts with
+    the same RpcId (RIFL, §3.3) after ``client._pause(error, route,
+    results, streak)``, which may raise what it will not retry and
+    returns its next ``streak``.  ``client._on_reply`` is None or sees
+    each reply.  Gives up after ``client.max_attempts`` attempts.
+    """
+    if not op.is_update:
+        raise ValueError("use read() for read operations")
+    tracker = client.tracker
+    assert tracker is not None, "client not connected"
+    if rpc_id is None:
+        rpc_id = tracker.new_rpc()
+    transport = client.transport
+    on_reply = client._on_reply
+    started = client.sim.now
+    streak = 0
+    for attempt in range(1, client.max_attempts + 1):
+        route = client._route(op, rpc_id)
+        error = results = None
+        if route is not None:
+            (server, method, args, witnesses, record, need, timeout,
+             record_timeout) = route
+            results = yield fan_out(transport, server, method, args,
+                                    witnesses, record, timeout,
+                                    record_timeout)
+            reply = results[0]
+            if isinstance(reply, BaseException):
+                error = reply
+                if isinstance(error, AppError) and error.code == "STALE_RPC":
+                    raise error  # pragma: no cover - guard
+            else:
+                if on_reply is not None:
+                    on_reply(reply)
+                if reply.synced or results[1:].count(RECORD_ACCEPTED) \
+                        >= need:
+                    return _completed(client, rpc_id, reply.result, started,
+                                      attempt, reply.synced, False)
+                try:  # the slow path: sync through this update's entry
+                    yield transport.call(server, "sync", rpc_id,
+                                         timeout=timeout)
+                except RpcError as failure:
+                    error = failure
+                else:
+                    return _completed(client, rpc_id, reply.result, started,
+                                      attempt, False, True)
+        streak = yield from client._pause(error, route, results, streak)
+    raise ClientGaveUp(f"update {op!r} failed after {client.max_attempts} "
+                       f"attempts: {error!r}")
+
+
+def _completed(client, rpc_id, result, started: float, attempts: int,
+               by_master: bool, sync_rpc: bool) -> UpdateOutcome:
+    """Ack ``rpc_id`` only now (no later update's ack may drop the record
+    a sync resolves) and count the outcome."""
+    client.tracker.completed(rpc_id)
+    fast = not (by_master or sync_rpc)
+    outcome = UpdateOutcome(result, fast, by_master, sync_rpc, attempts,
+                            client.sim.now - started)
+    client.completed_updates += 1
+    client.fast_path_updates += fast
+    if client.collect_outcomes:
+        client.outcomes.append(outcome)
+    return outcome
 
 
 def gc_round(transport: "RpcTransport", witnesses: typing.Sequence[str],

@@ -474,7 +474,8 @@ class CurpMaster:
     def _handle_sync(self, rpc_id, ctx):
         """Client couldn't record on all witnesses: make its update
         durable — the log through that update's entry, answered at once
-        if already durable (``ResultRegistry.sync_target``)."""
+        if already durable, and ``UNKNOWN_RPC`` if this master does not
+        hold it (``ResultRegistry.sync_target``)."""
         self._check_serviceable()
         self._request_sync(self.registry.sync_target(
             rpc_id, self.store.log.end)).when_done(self._sync_rpc_done, ctx)

@@ -68,13 +68,13 @@ def _closed_loop(cluster: RedisCluster, n_clients: int, duration: float,
         client.host.spawn(loop(), name="workload")
     if warmup > 0:
         cluster.sim.run(until=cluster.sim.now + warmup)
-        base = [c.completed for c in counters]
+        base = [c.completed_updates for c in counters]
         recorder.reset()
     else:
         base = [0] * n_clients
     start = cluster.sim.now
     cluster.sim.run(until=start + duration)
-    ops = sum(c.completed - b for c, b in zip(counters, base))
+    ops = sum(c.completed_updates - b for c, b in zip(counters, base))
     return {"throughput": ops / (duration / 1e6), "latency": recorder}
 
 

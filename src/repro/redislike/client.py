@@ -1,45 +1,45 @@
 """Redis clients for the three durability modes.
 
-In CURP mode a write command is sent to the server and recorded on all
-witnesses concurrently (§5.4); the client completes when
+A write command is ``core.curp.run_update``.  In CURP mode it is sent
+to the server and recorded on all witnesses concurrently (§5.4); the
+client completes when
 
 - the server's reply says ``synced`` (conflict path), or
 - the server replied speculatively and **all** witnesses accepted, or
 - otherwise after an explicit ``sync`` round trip, which names the
   command's RpcId so the server fsyncs only through that command.
 
-In NONDURABLE/DURABLE modes the client is a plain request/response
-client — durability (or its absence) is entirely the server's affair.
+A timeout or a ``sync`` answered ``UNKNOWN_RPC`` (a restart lost the
+command) resends it with its RpcId: the server restarts in place.  In
+NONDURABLE/DURABLE modes a write completes on the reply alone —
+durability (or its absence) is entirely the server's affair.  A read is
+one round trip.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
-from repro.core.curp import fan_out
-from repro.core.messages import RECORD_ACCEPTED, RecordArgs, RecordedRequest
+from repro.core.curp import UpdateOutcome, retry_horizon, run_update
+from repro.core.messages import RecordArgs, RecordedRequest
 from repro.redislike.commands import Command
 from repro.redislike.server import CommandArgs, DurabilityMode
 from repro.rifl import RiflClientTracker
-from repro.rpc import RpcTransport
+from repro.rpc import AppError, RpcTransport
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 #: per-RPC deadline (µs) for commands and the explicit ``sync``
 RPC_TIMEOUT = 5_000.0
+#: pause (µs) before resending a write command
+RETRY_BACKOFF = 100.0
+#: attempts per write command
+MAX_ATTEMPTS = 30
 #: §4.5 record age (µs) past which a rejecting witness record is a
-#: suspect: a client waits for one command and one sync, never retries
-SUSPECT_AFTER = 2 * RPC_TIMEOUT
-
-
-@dataclasses.dataclass
-class RedisOutcome:
-    result: typing.Any
-    fast_path: bool
-    sync_rpc_needed: bool
-    latency: float
+#: suspect: the client retry horizon, an attempt being a command and a
+#: sync (one deadline each) and a pause
+SUSPECT_AFTER = retry_horizon(MAX_ATTEMPTS, 2 * RPC_TIMEOUT + RETRY_BACKOFF)
 
 
 class RedisClient:
@@ -58,61 +58,50 @@ class RedisClient:
         self.mode = mode
         self.witnesses = list(witnesses)
         self.server_master_id = server_master_id or f"redis:{server}"
+        self.max_attempts = MAX_ATTEMPTS
         self.transport = RpcTransport(host)
         self.tracker = RiflClientTracker(RedisClient._next_client_id)
         self.collect_outcomes = collect_outcomes
-        self.outcomes: list[RedisOutcome] = []
-        self.completed = 0
+        self.outcomes: list[UpdateOutcome] = []
+        self.completed_updates = 0
+        self.completed_reads = 0
+        self.fast_path_updates = 0
 
     # ------------------------------------------------------------------
     def execute(self, command: Command):
-        """Generator: run one command; returns a RedisOutcome."""
+        """Generator: run one command; returns an UpdateOutcome (a read
+        is one attempt on the fast path)."""
+        if command.is_write:
+            return (yield from run_update(self, command))
         started = self.sim.now
-        rpc_id = self.tracker.new_rpc() if command.is_write else None
-        args = CommandArgs(command=command, rpc_id=rpc_id,
-                           ack_seq=self.tracker.first_incomplete)
+        reply = yield self.transport.call(
+            self.server, "command", CommandArgs(command=command),
+            timeout=RPC_TIMEOUT)
+        self.completed_reads += 1
+        return UpdateOutcome(reply.result, True, False, False, 1,
+                             self.sim.now - started)
+
+    _on_reply = None
+
+    def _route(self, command: Command, rpc_id):
+        """The one server, and in CURP mode all of its witnesses."""
         witnesses, record = (), None
-        if rpc_id is not None and self.mode is DurabilityMode.CURP \
-                and self.witnesses:
-            # CURP write: command + witness records in parallel.
+        if self.mode is DurabilityMode.CURP and self.witnesses:
             witnesses = self.witnesses
             record = RecordArgs(self.server_master_id,
                                 command.touched_hashes(), rpc_id,
                                 RecordedRequest(command, rpc_id))
-        results = yield fan_out(self.transport, self.server, "command", args,
-                                witnesses, record, RPC_TIMEOUT)
-        reply = results[0]
-        if isinstance(reply, Exception):
-            raise reply
-        if not witnesses:
-            return self._finish(rpc_id, reply.result, started, fast=True,
-                                sync_rpc=False)
-        if reply.synced:
-            return self._finish(rpc_id, reply.result, started, fast=False,
-                                sync_rpc=False)
-        # a witness that rejected, errored or timed out did not accept
-        if results[1:].count(RECORD_ACCEPTED) == len(witnesses):
-            return self._finish(rpc_id, reply.result, started, fast=True,
-                                sync_rpc=False)
-        # the server syncs through this command's AOF seq
-        yield self.transport.call(self.server, "sync", rpc_id,
-                                  timeout=RPC_TIMEOUT)
-        return self._finish(rpc_id, reply.result, started, fast=False,
-                            sync_rpc=True)
+        return (self.server, "command",
+                CommandArgs(command, rpc_id, self.tracker.first_incomplete),
+                witnesses, record, len(witnesses), RPC_TIMEOUT, None)
 
-    def _finish(self, rpc_id, result, started, fast: bool,
-                sync_rpc: bool) -> RedisOutcome:
-        """Complete a command: ack its RpcId (writes) only now, so no
-        later command's ack drops the record a sync resolves."""
-        if rpc_id is not None:
-            self.tracker.completed(rpc_id)
-        outcome = RedisOutcome(result=result, fast_path=fast,
-                               sync_rpc_needed=sync_rpc,
-                               latency=self.sim.now - started)
-        self.completed += 1
-        if self.collect_outcomes:
-            self.outcomes.append(outcome)
-        return outcome
+    def _pause(self, error, route, results, streak: int):
+        """Between attempts: a command the server rejected is the
+        caller's error; anything else is resent after a short pause."""
+        if isinstance(error, AppError) and error.code == "COMMAND_ERROR":
+            raise error
+        yield self.sim.timeout(RETRY_BACKOFF)
+        return streak
 
     # ------------------------------------------------------------------
     # convenience verbs

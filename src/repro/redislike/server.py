@@ -125,7 +125,8 @@ class RedisServer:
 
     def _handle_sync(self, rpc_id, ctx):
         """CURP slow path: make the client's command durable — the AOF
-        through its seq, answered at once if already fsynced
+        through its seq, answered at once if already fsynced, and
+        ``UNKNOWN_RPC`` if a restart lost it
         (``ResultRegistry.sync_target``)."""
         def work():
             yield self.aof.request_durable(self.registry.sync_target(

@@ -102,12 +102,18 @@ class ResultRegistry:
 
     def sync_target(self, rpc_id, log_end: int) -> int:
         """Log position a client's ``sync`` RPC (§3.2.1) waits for: its
-        own update's entry, or ``log_end`` for ``None`` or an RpcId
-        with no record here.  A sync is prefix-durable, and a
-        ``synced=False`` reply means the update commuted with every
-        earlier unsynced entry (§4.3), so no later entry is needed."""
-        record = None if rpc_id is None else self.get(rpc_id)
-        return log_end if record is None else record.log_position
+        own update's entry, or ``log_end`` for ``None``.  A sync is
+        prefix-durable, and a ``synced=False`` reply means the update
+        commuted with every earlier unsynced entry (§4.3), so no later
+        entry is needed.  An RpcId with no record here is an update this
+        server does not hold (a crash lost it): ``UNKNOWN_RPC``, and the
+        client resends it, never acknowledging a write no state holds."""
+        if rpc_id is None:
+            return log_end
+        record = self.get(rpc_id)
+        if record is None:
+            raise AppError("UNKNOWN_RPC", {"rpc_id": str(rpc_id)})
+        return record.log_position
 
     def record_count(self) -> int:
         """Completion records held, over all clients."""

@@ -460,3 +460,68 @@ def test_suspect_whose_entry_is_uncommitted_waits_for_its_commit():
     assert leader.commit_index >= index
     assert leader.registry.get(rpc_id).log_position == index
     assert [n.witness.cache.occupied_slots() for n in nodes] == [0, 0, 0]
+
+
+def test_sync_for_an_entry_a_leader_change_overwrote_restarts_the_update():
+    """The slow path names its RpcId.  A client's update reaches a leader
+    cut off from its followers, every follower's witness rejects its
+    record, and its ``sync`` is slow on the wire.  Meanwhile a new
+    leader takes over and overwrites the entry, and the old leader wins
+    the next term back.  The sync then finds the RpcId in neither the
+    registry nor the log: ``UNKNOWN_RPC``, and the update is resent,
+    not acknowledged (waiting for the log end would acknowledge a write
+    no log holds)."""
+    from repro.consensus.raft import RAFT_WITNESS
+    from repro.core.messages import RecordArgs, RecordedRequest
+    from repro.net.faults import LinkProfile
+    from repro.rifl import RpcId
+    from repro.rpc.transport import RpcRequest
+
+    sim = Simulator(seed=5)
+    network = Network(sim, latency=LatencyModel(Fixed(20.0)))
+    names = ["r0", "r1", "r2"]
+    config = RaftConfig(election_timeout_min=300.0,
+                        election_timeout_max=600.0, heartbeat_interval=100.0,
+                        rpc_timeout=100.0)
+    nodes = [RaftNode(network.add_host(name), name, names, config=config)
+             for name in names]
+    old = wait_for_leader(sim, nodes)
+    followers = [node for node in nodes if node is not old]
+    client = add_client(sim, network, nodes)
+    sim.run(sim.process(client.find_leader()))
+    planted = Write("k", "planted")
+    for node in followers:
+        node._handle_record((old.current_term, RecordArgs(
+            RAFT_WITNESS, planted.touched_hashes(), RpcId(99, 1),
+            RecordedRequest(planted, RpcId(99, 1)))), None)
+    synced = []
+    network.taps.append(
+        lambda message: synced.append(message.payload.args)
+        if type(message.payload) is RpcRequest
+        and message.payload.method == "sync" else None)
+    for node in followers:
+        network.partition(old.name, node.name)
+    update = sim.process(client.update(Write("k", "client")))
+    sim.run(until=sim.now + 1.0)     # the propose is on the wire
+    network.set_link_fault(client.host.name, old.name,
+                           LinkProfile(extra_delay=3_000.0))
+    end = sim.now + 1_000.0
+    while not synced and sim.now < end:
+        sim.step()
+    rpc_id, = synced
+    assert rpc_id in old._log_rpc_index
+    wait_for_leader(sim, followers)
+    network.heal_all()
+    end = sim.now + 1_000.0
+    while rpc_id in old._log_rpc_index and sim.now < end:
+        sim.step()
+    assert rpc_id not in old._log_rpc_index  # the new leader overwrote it
+    sim.run(sim.process(old._run_election()))
+    assert old.role == "leader" and not update.triggered
+    _result, fast = sim.run(update)
+    sim.run(until=sim.now + 5_000.0)
+    leader = leader_of(nodes)
+    assert [entry.rpc_id for entry in leader.log].count(rpc_id) == 1
+    assert leader.registry.get(rpc_id) is not None
+    assert leader.store.read("k") == "client"
+    assert not fast and client.outcomes[-1].attempts == 2

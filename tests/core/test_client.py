@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.raft import ProposeReply
 from repro.core.client import ClientGaveUp
 from repro.core.config import CurpConfig, OverloadConfig, ReplicationMode
 from repro.core.messages import RETRY_LATER, UpdateReply
 from repro.harness import build_cluster
+from repro.harness.redis import build_redis_cluster
 from repro.kvstore import Read, Write
+from repro.redislike.server import CommandReply, DurabilityMode
 from repro.rpc import AppError, RpcTransport
+from tests.consensus.test_raft import add_client, build_group, wait_for_leader
 
 
 def curp_cluster(**kwargs):
@@ -98,16 +102,10 @@ def _unanswered(args, ctx):
     return RpcTransport.DEFERRED  # a handler that never replies
 
 
-@pytest.mark.parametrize("overloaded", [False, True],
-                         ids=["sync-path", "pushback"])
-def test_client_gives_up_within_the_suspect_horizon(overloaded):
-    """§4.5 ages witness records against ``CurpConfig.suspect_after``:
-    no client may still be retrying an update once that much time has
-    passed since it started.  Every attempt here waits as long as the
-    client loop lets it: the witnesses and the coordinator never answer,
-    and the master either replies speculatively and never answers the
-    sync (each attempt costs fan-out + sync + backoff + refresh, all of
-    the horizon) or sheds the update with a pushback at the cap."""
+def _curp_never_completes(overloaded: bool):
+    """The RAMCloud-style master either replies speculatively and never
+    answers the sync, or sheds every update with a pushback at the cap;
+    the coordinator never answers a view refresh."""
     overload = OverloadConfig(enabled=overloaded, retry_after=1_000.0,
                               retry_after_cap=1_000.0)
     cluster = curp_cluster(max_attempts=5, overload=overload)
@@ -124,11 +122,67 @@ def test_client_gives_up_within_the_suspect_horizon(overloaded):
     cluster.coordinator.transport._handlers["get_config"] = _unanswered
     for endpoint in cluster.coordinator.witness_endpoints.values():
         endpoint.transport._handlers["record"] = _unanswered
-    started = cluster.sim.now
+    return (cluster.sim, client, lambda: cluster.run(
+        client.update(Write("a", 1)), timeout=1_000_000.0),
+        cluster.config.suspect_after)
+
+
+def _redis_never_completes():
+    """The CURP-Redis server replies speculatively and never answers
+    the sync; the witness is down."""
+    cluster = build_redis_cluster(DurabilityMode.CURP, n_witnesses=1)
+    client = cluster.new_client()
+    server = cluster.server.transport
+    server._handlers["command"] = \
+        lambda args, ctx: CommandReply(result="OK", synced=False)
+    server._handlers["sync"] = _unanswered
+    cluster.network.hosts[cluster.server.witnesses[0]].crash()
+    return (cluster.sim, client, lambda: cluster.run(
+        client.set("a", "1"), timeout=1e9),
+        cluster.witness_servers[0].cache.suspect_after)
+
+
+def _raft_never_completes():
+    """The Raft leader replies speculatively and never answers the sync,
+    no witness component answers, and only the leader answers a leader
+    search."""
+    sim, network, nodes = build_group()
+    leader = wait_for_leader(sim, nodes)
+    client = add_client(sim, network, nodes)
+    sim.run(sim.process(client.find_leader()))
+    for node in nodes:
+        handlers = node.transport._handlers
+        handlers["propose"] = lambda args, ctx, node=node: ProposeReply(
+            result=1, synced=False, term=node.current_term)
+        handlers["sync"] = handlers["record"] = _unanswered
+        if node is not leader:
+            handlers["status"] = _unanswered
+    return (sim, client, lambda: sim.run(sim.process(
+        client.update(Write("a", 1)))),
+        leader.witness.cache.suspect_after)
+
+
+@pytest.mark.parametrize("backend", ["sync-path", "pushback", "redis",
+                                     "raft"])
+def test_client_gives_up_within_the_suspect_horizon(backend):
+    """§4.5 ages witness records against the client retry horizon
+    (``suspect_after``): no client may still be retrying an update once
+    that much time has passed since it started.  On all three backends
+    every attempt here waits as long as the client loop lets it: the
+    witnesses never answer, and the server either replies speculatively
+    and never answers the sync (each attempt costs fan-out + sync +
+    pause + routing, all of the horizon) or sheds the update with a
+    pushback at the cap."""
+    sim, client, update, horizon = (
+        _redis_never_completes() if backend == "redis"
+        else _raft_never_completes() if backend == "raft"
+        else _curp_never_completes(backend == "pushback"))
+    started = sim.now
     with pytest.raises(ClientGaveUp):
-        cluster.run(client.update(Write("a", 1)), timeout=1_000_000.0)
-    assert cluster.sim.now - started <= cluster.config.suspect_after
-    assert client.pushbacks == (5 if overloaded else 0)
+        update()
+    assert sim.now - started <= horizon
+    assert getattr(client, "pushbacks", 0) == \
+        (5 if backend == "pushback" else 0)
 
 
 def test_wrong_witness_version_refreshes_and_retries():

@@ -1,7 +1,8 @@
 """The shared CURP layer (``core/curp.py``): the unsynced suffix's
-conflict check and gc pairs, the rule that the record fan-out and the
-witness gc are written only there, and the rule that only the host and
-the RPC transport decide whether work outlived its host's life."""
+conflict check and gc pairs, the rule that the client's update loop
+(its fan-out and its ``sync``) and the witness gc are written only
+there, and the rule that only the host and the RPC transport decide
+whether work outlived its host's life."""
 
 from __future__ import annotations
 
@@ -65,8 +66,9 @@ def test_durable_returns_gc_pairs_and_prunes_the_index():
 
 
 #: RPC methods only ``core/curp.py`` may send: the witness record, gc
-#: and recovery-data RPCs of all three backends
-CURP_METHODS = {"record", "w_record", "gc", "w_gc", "get_recovery_data"}
+#: and recovery-data RPCs of all three backends, and the client's sync
+CURP_METHODS = {"record", "w_record", "gc", "w_gc", "get_recovery_data",
+                "sync"}
 
 
 def _rpc_sites(path: pathlib.Path):
@@ -98,7 +100,7 @@ def test_record_and_gc_rpcs_are_sent_only_by_the_curp_layer():
     assert offenders == []
     # the scan does see the layer's own sites
     assert {method for _f, method in _rpc_sites(SRC / "core" / "curp.py")} \
-        == {"record", "gc"}
+        == {"record", "gc", "sync"}
 
 
 #: the two timers that serve no request, and so keep their own check
@@ -174,3 +176,23 @@ def test_replay_bracket_and_stale_rpc_are_written_once():
                         ("core/curp.py", "replay", "end_recovery")}
     assert stale == {("rifl/result_registry.py", "admit")}
 
+
+
+def test_one_client_update_loop():
+    """The client's update protocol is ``core.curp.run_update`` on every
+    backend: nothing else calls ``fan_out``, and no server registers the
+    untargeted ``wait_commit`` slow path any more."""
+    fan_outs, registered = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for function, call in _calls(path):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "fan_out":
+                fan_outs.add((relative, function))
+            if name == "register" and call.args \
+                    and isinstance(call.args[0], ast.Constant):
+                registered.add(call.args[0].value)
+    assert fan_outs == {("core/curp.py", "run_update")}
+    assert "sync" in registered and "wait_commit" not in registered

@@ -159,7 +159,7 @@ class _Raft:
                        [node.name for node in self.nodes], record, TIMEOUT)
 
     def make_durable(self) -> None:
-        self.sim.run(self.transport.call(self.leader.name, "wait_commit",
+        self.sim.run(self.transport.call(self.leader.name, "sync",
                                          None))
 
     def crash_and_recover(self) -> int:

@@ -5,8 +5,8 @@ RPC's argument; the master (or CURP-Redis server) resolves it through
 ``ResultRegistry.sync_target`` to the update's log position and syncs
 only that far.  An update already durable is answered at once, with no
 replicate round (no fsync); a later speculative entry stays unsynced.
-``None`` or an RpcId the server holds no record of still waits for the
-log end.  A crash right after such a targeted reply loses nothing: the
+``None`` still waits for the log end; an RpcId the server holds no
+record of is answered ``UNKNOWN_RPC``, syncing nothing.  A crash right after such a targeted reply loses nothing: the
 synced update is in the backups' log, and the later speculative ones
 are on the witnesses.
 """
@@ -21,11 +21,12 @@ from repro.core.config import CurpConfig, ReplicationMode
 from repro.core.messages import RecordArgs, RecordedRequest
 from repro.harness import build_cluster
 from repro.harness.redis import build_redis_cluster
-from repro.kvstore import Increment, Write
+from repro.kvstore import Increment, Read, Write
 from repro.net.faults import LinkProfile
 from repro.redislike.commands import Command
 from repro.redislike.server import DurabilityMode
 from repro.rifl import RpcId
+from repro.rpc import AppError
 from repro.rpc.transport import RpcRequest, RpcTransport
 from repro.sim import Fixed
 from repro.verify import History, HistoryClient, check_linearizable
@@ -146,11 +147,16 @@ def test_master_sync_waits_for_its_update_else_the_log_end(target):
     cluster.run(other.update(Write("b", 2)))
     assert (master.stats.syncs, master.unsynced_count) == (1, 1)
     arg = {"own": first, None: None, "unknown": UNKNOWN}[target]
-    assert cluster.run(raw.call(master_host, "sync", arg)) == "SYNCED"
-    if target == "own":
-        assert (master.stats.syncs, master.unsynced_count) == (1, 1)
+    sync = raw.call(master_host, "sync", arg)
+    if target == "unknown":
+        with pytest.raises(AppError, match="UNKNOWN_RPC"):
+            cluster.run(sync)
     else:
+        assert cluster.run(sync) == "SYNCED"
+    if target is None:
         assert (master.stats.syncs, master.unsynced_count) == (2, 0)
+    else:
+        assert (master.stats.syncs, master.unsynced_count) == (1, 1)
 
 
 @pytest.mark.parametrize("target", ["own", None, "unknown"])
@@ -165,11 +171,16 @@ def test_redis_sync_waits_for_its_command_else_the_aof_end(target):
     cluster.run(other.set("b", "2"))
     assert (server.aof.fsyncs, server.aof.end_seq) == (1, 2)
     arg = {"own": first, None: None, "unknown": UNKNOWN}[target]
-    assert cluster.run(raw.call(server.host.name, "sync", arg)) == "SYNCED"
-    if target == "own":
-        assert (server.aof.fsyncs, server.aof.durable_seq) == (1, 1)
+    sync = raw.call(server.host.name, "sync", arg)
+    if target == "unknown":
+        with pytest.raises(AppError, match="UNKNOWN_RPC"):
+            cluster.run(sync)
     else:
+        assert cluster.run(sync) == "SYNCED"
+    if target is None:
         assert (server.aof.fsyncs, server.aof.durable_seq) == (2, 2)
+    else:
+        assert (server.aof.fsyncs, server.aof.durable_seq) == (1, 1)
 
 
 def test_crash_right_after_a_targeted_sync_loses_nothing():
@@ -216,3 +227,95 @@ def test_crash_right_after_a_targeted_sync_loses_nothing():
     logged = collections.Counter(
         entry.rpc_id for entry in cluster.master().store.log.all_entries())
     assert len(logged) == 4 and set(logged.values()) == {1}
+
+
+def test_master_sync_answered_unknown_rpc_resends_the_update():
+    """A ``sync`` answered ``UNKNOWN_RPC`` restarts the update with the
+    same RpcId; the master answers the resend from its completion record,
+    so the update executes and is logged once."""
+    cluster = curp_cluster()
+    client = cluster.new_client()
+    master = cluster.master()
+    witness_host = cluster.witness_hosts["m0"][0]
+    plant(cluster.coordinator.witness_servers[(witness_host, "m0")], "m0",
+          Write("a", 0), RpcId(99, 1), cluster.sim.now)
+    handlers = master.transport._handlers
+    sync, unknown = handlers["sync"], []
+
+    def sync_unknown_once(rpc_id, ctx):
+        if not unknown:
+            unknown.append(rpc_id)
+            raise AppError("UNKNOWN_RPC", {"rpc_id": str(rpc_id)})
+        return sync(rpc_id, ctx)
+    handlers["sync"] = sync_unknown_once
+    outcome = cluster.run(client.update(Write("a", 1)))
+    assert outcome.sync_rpc_needed and outcome.attempts == 2
+    rpc_id, = unknown
+    assert [record.rpc_id for record in master.registry.records()] \
+        == [rpc_id]
+    assert [entry.rpc_id for entry in master.store.log.all_entries()] \
+        == [rpc_id]
+    assert master.stats.duplicates_filtered == 1
+    assert master.store.read("a") == 1
+
+
+def test_redis_sync_across_a_restart_that_lost_the_command_resends_it():
+    """A CURP-Redis server crashes, restarts and recovers while a
+    client's ``sync`` is on the wire.  The command was neither fsynced
+    nor on the witness (a conflicting record made it reject), so the
+    recovered server does not hold it, and the witness replay wrote the
+    key.  The sync is answered ``UNKNOWN_RPC``, not ``SYNCED``; the
+    client resends the command with its RpcId, and the write is
+    acknowledged only once the server holds it, executed once."""
+    cluster = redis_cluster()
+    server = cluster.server
+    client = cluster.new_client()
+    plant(cluster.witness_servers[0], server.master_id,
+          Command("SET", ("k", "other")), RpcId(99, 1), cluster.sim.now)
+    cluster.network.set_link_fault(client.host.name, server.host.name,
+                                   LinkProfile(extra_delay=2_000.0))
+    syncs = tap_requests(cluster.network, "sync",
+                         lambda message: message.payload.args)
+    history = History()
+    write = history.begin(client.tracker.client_id, Write("k", "v"),
+                          cluster.sim.now)
+    command = cluster.sim.process(client.set("k", "v"))
+    while not syncs:
+        cluster.sim.step()
+    server.host.crash()
+    server.host.restart()
+    cluster.run(cluster.sim.process(server.recover()), timeout=1e6)
+    assert server.store.get_string("k") == "other" and not command.triggered
+    outcome = cluster.run(command, timeout=1e6)
+    history.complete(write, "v", cluster.sim.now)
+    read = history.begin(client.tracker.client_id, Read("k"),
+                         cluster.sim.now)
+    history.complete(read, cluster.run(client.get("k")).result,
+                     cluster.sim.now)
+    assert server.store.get_string("k") == "v"
+    check_linearizable(history)
+    assert outcome.sync_rpc_needed and outcome.attempts == 2
+    rpc_id = syncs[0]
+    assert [logged for _seq, _command, logged, _result
+            in server.aof.durable_entries()].count(rpc_id) == 1
+
+
+def test_redis_command_in_flight_across_a_restart_is_resent():
+    """A CURP-Redis command sent just as the server crashes is lost with
+    it; the client resends it with its RpcId once the deadline passes,
+    and the restarted server, which replayed it from the witness,
+    answers from the completion record instead of executing it again."""
+    cluster = redis_cluster()
+    server = cluster.server
+    client = cluster.new_client()
+    command = cluster.sim.process(client.set("k", "v"))
+    cluster.sim.run(until=cluster.sim.now + 1.0)   # on the wire
+    server.host.crash()
+    cluster.sim.run(until=cluster.sim.now + 1_000.0)
+    server.host.restart()
+    assert cluster.run(cluster.sim.process(server.recover()),
+                       timeout=1e6) == 1
+    outcome = cluster.run(command, timeout=1e6)
+    assert (outcome.result, outcome.attempts) == ("OK", 2)
+    assert server.store.get_string("k") == "v"
+    assert len(server.aof.durable_entries()) == 1

@@ -270,3 +270,16 @@ def test_curp_orphaned_witness_record_executed_and_collected():
     assert cache.occupied_slots() == 0  # and collected
     assert cluster.run(client.set("X", "final")).fast_path
     assert server.store.get_string("X") == "final"
+
+
+def test_command_error_is_raised_not_resent():
+    """A command the server rejects is the caller's error: the client
+    raises it after one attempt instead of resending it."""
+    from repro.rpc import AppError
+
+    cluster = build(DurabilityMode.CURP)
+    client = cluster.new_client()
+    cluster.run(client.set("s", "text"))
+    with pytest.raises(AppError, match="COMMAND_ERROR"):
+        cluster.run(client.incr("s"))
+    assert cluster.server.stats.commands == 2
